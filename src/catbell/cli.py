@@ -19,7 +19,7 @@ import os
 import sys
 import tempfile
 import time
-from math import pi, sqrt
+from math import isfinite, pi, sqrt
 
 import numpy as np
 
@@ -92,6 +92,8 @@ def _number(value, section: str, key: str, *, minimum=None, maximum=None,
         raise ConfigError(f"{section}.{key} is required")
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{section}.{key} must be a number, got {value!r}")
+    if not isfinite(value):
+        raise ConfigError(f"{section}.{key} must be finite, got {value}")
     if integer:
         if value != int(value):
             raise ConfigError(f"{section}.{key} must be an integer, got {value!r}")

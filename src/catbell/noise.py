@@ -8,13 +8,24 @@ a at rate gamma <a+ a>.  Either event flips the phonon-number parity, so a
 cat-encoded Bell pair decays toward an incoherent parity-flipped mixture; the
 small-probability single-jump picture gives the standard two-component
 mixture used by the correlation tests.
+
+In the truncated Fock basis the generator is banded and costs O(d^2), not
+the O(d^3) of dense ladder products.  With a|k> = sqrt(k)|k-1>:
+
+- a rho a+ is rho shifted one step up its diagonal, weighted by
+  sqrt(i+1) sqrt(j+1); a+ rho a is the same shift downward.
+- n + a a+ is diagonal with entries s_k = 2k + 1, except s_{d-1} = d - 1 on
+  the top level: the truncated ladder has (a a+)_{d-1} = 0 there.
+
+So gamma (D[a] + D[a+]) rho is two shifted Hadamard products plus the
+diagonal scaling -gamma/2 (s_i + s_j) rho_ij.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from math import ceil, exp
+from math import ceil, exp, isfinite
 
 import numpy as np
 
@@ -36,16 +47,16 @@ class HeatingParams:
     constant_rate: bool = False       # freeze jump rates at their initial values
 
     def __post_init__(self) -> None:
+        if not isfinite(self.gamma):
+            raise ValueError(f"gamma must be finite, got {self.gamma}")
+        if not isfinite(self.duration):
+            raise ValueError(f"duration must be finite, got {self.duration}")
         if self.gamma < 0:
             raise ValueError("gamma must be nonnegative")
         if self.duration < 0:
             raise ValueError("duration must be nonnegative")
         if self.steps is not None and self.steps < 1:
             raise ValueError("steps must be positive")
-
-
-def _ladder(dim: int) -> np.ndarray:
-    return np.diag(np.sqrt(np.arange(1, dim, dtype=np.float64)), 1)
 
 
 def _require_single_mode(layout: SpaceLayout) -> int:
@@ -57,16 +68,50 @@ def _require_single_mode(layout: SpaceLayout) -> int:
     return layout.dims[0]
 
 
+def _generator_weights(dim: int, gamma: float,
+                       dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Banded gamma (D[a] + D[a+]) as weights on the flattened d x d matrix.
+
+    In row-major order a one-step diagonal shift of rho is a shift of
+    d + 1 in its flat index.  gain holds gamma sqrt(i j) for the pair
+    rho[i-1, j-1] <-> rho[i, j] at the flat index of rho[i-1, j-1], and
+    zero on the last column, whose flat shift would wrap into the next row.
+    decay holds -gamma/2 (s_i + s_j) with the truncation-edge s.
+    """
+    k = np.arange(dim, dtype=np.float64)
+    s = 2.0 * k + 1.0
+    s[-1] = dim - 1.0
+    root = np.sqrt(k[1:])
+    gain = np.zeros((dim, dim), dtype=dtype)
+    gain[:-1, :-1] = gamma * np.outer(root, root)
+    decay = (-0.5 * gamma) * np.add.outer(s, s)
+    return gain.reshape(-1)[:-(dim + 1)], decay.reshape(-1).astype(dtype)
+
+
+def _apply_generator(rho: np.ndarray, gain: np.ndarray, decay: np.ndarray,
+                     out: np.ndarray) -> np.ndarray:
+    """out = L rho for the weights of _generator_weights; out is C-contiguous."""
+    shift = rho.shape[0] + 1
+    flat = rho.reshape(-1)
+    acc = out.reshape(-1)
+    np.multiply(decay, flat, out=acc)
+    acc[:-shift] += gain * flat[shift:]   # a rho a+
+    acc[shift:] += gain * flat[:-shift]   # a+ rho a
+    return out
+
+
 def lindblad_rhs(rho: np.ndarray, gamma: float) -> np.ndarray:
-    """Right-hand side of the balanced heating master equation."""
-    dim = rho.shape[0]
-    a = _ladder(dim)
-    ad = a.conj().T
-    n_op = ad @ a
-    aad = a @ ad
-    gain = a @ rho @ ad + ad @ rho @ a
-    loss = 0.5 * ((n_op + aad) @ rho + rho @ (n_op + aad))
-    return gamma * (gain - loss)
+    """Right-hand side of the balanced heating master equation.
+
+    Banded, O(d^2): gamma (a rho a+ + a+ rho a) - gamma/2 {n + a a+, rho}.
+    a rho a+ is rho shifted one step up its diagonal and weighted by
+    sqrt(i+1) sqrt(j+1); a+ rho a is the same shift downward.  n + a a+ is
+    diagonal with entries 2k + 1, except d - 1 on the top level, where the
+    truncated ladder has (a a+)_{d-1} = 0.  rho is not modified.
+    """
+    dtype = np.result_type(rho, np.float64)
+    gain, decay = _generator_weights(rho.shape[0], gamma, dtype)
+    return _apply_generator(rho, gain, decay, np.empty(rho.shape, dtype))
 
 
 def auto_steps(gamma: float, duration: float, dim: int) -> int:
@@ -93,28 +138,43 @@ def evolve_lindblad(rho0: DensityMatrix, params: HeatingParams) -> NoiseResult:
     steps = params.steps or auto_steps(params.gamma, params.duration, dim)
     h = params.duration / steps
     n_diag = np.arange(dim, dtype=np.float64)
+    root_n = np.sqrt(n_diag[1:])
     parity_diag = (-1.0) ** np.arange(dim)
 
     rho = rho0.matrix.copy()
+    gain, decay = _generator_weights(dim, params.gamma, rho.dtype)
+    k1, k2, k3, k4, stage = (np.empty_like(rho) for _ in range(5))
     times = np.linspace(0.0, params.duration, steps + 1)
     n_trace = np.empty(steps + 1)
     a_trace = np.empty(steps + 1, dtype=np.complex128)
     p_trace = np.empty(steps + 1)
 
-    def record(i: int, m: np.ndarray) -> None:
-        d = np.diag(m)
-        n_trace[i] = float((n_diag * d).sum().real)
-        a_trace[i] = complex((np.diag(m, k=-1) * np.sqrt(n_diag[1:])).sum())
-        p_trace[i] = float((parity_diag * d).sum().real)
+    def record(i: int) -> None:
+        d = np.diagonal(rho).real
+        n_trace[i] = (n_diag * d).sum()
+        a_trace[i] = (np.diagonal(rho, -1) * root_n).sum()
+        p_trace[i] = (parity_diag * d).sum()
 
-    record(0, rho)
+    record(0)
     for i in range(steps):
-        k1 = lindblad_rhs(rho, params.gamma)
-        k2 = lindblad_rhs(rho + 0.5 * h * k1, params.gamma)
-        k3 = lindblad_rhs(rho + 0.5 * h * k2, params.gamma)
-        k4 = lindblad_rhs(rho + h * k3, params.gamma)
-        rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        record(i + 1, rho)
+        _apply_generator(rho, gain, decay, k1)
+        np.multiply(k1, 0.5 * h, out=stage)
+        stage += rho
+        _apply_generator(stage, gain, decay, k2)
+        np.multiply(k2, 0.5 * h, out=stage)
+        stage += rho
+        _apply_generator(stage, gain, decay, k3)
+        np.multiply(k3, h, out=stage)
+        stage += rho
+        _apply_generator(stage, gain, decay, k4)
+        # rho += h/6 (k1 + 2 k2 + 2 k3 + k4), accumulated in k1
+        k2 += k3
+        k2 *= 2.0
+        k1 += k2
+        k1 += k4
+        k1 *= h / 6.0
+        rho += k1
+        record(i + 1)
 
     drift = abs(float(np.trace(rho).real) - 1.0)
     if not np.isfinite(drift) or drift > TRACE_TOL:

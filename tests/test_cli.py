@@ -134,6 +134,17 @@ class TestNormalizeConfig:
             cfg_for("prepare", seed=-1)
         assert cfg_for("prepare", seed=2**64 - 1)["seed"] == 2**64 - 1
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("section,key,in_list", [
+        ("encoding", "alpha", False),
+        ("encoding", "cutoff", False),
+        ("noise", "gamma", False),
+        ("bell", "deltas", True),
+    ])
+    def test_non_finite_rejected(self, bad, section, key, in_list):
+        with pytest.raises(ConfigError, match="must be finite"):
+            cfg_for("full-pipeline", **{section: {key: [bad] if in_list else bad}})
+
     def test_shots_positive_integer(self):
         with pytest.raises(ConfigError, match=">= 1"):
             cfg_for("bell-scan", bell={"shots": 0})
@@ -336,6 +347,37 @@ class TestMainEntry:
         })
         assert main(["run", cfg_path, "--output", str(tmp_path)]) == 4
         assert "contract violation" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("protocol,noise", [
+        ("full-pipeline", {"delta": float("nan")}),
+        ("heat-sweep", {"gamma": float("nan")}),
+    ])
+    def test_non_finite_number_exit_code(self, tmp_path, capsys, protocol, noise):
+        cfg_path = self.write_config(tmp_path, {"protocol": protocol,
+                                                "noise": noise})
+        assert main(["run", cfg_path, "--output", str(tmp_path)]) == 2
+        assert "must be finite" in capsys.readouterr().err
+
+    def test_heat_sweep_identical_across_blas_threads(self, tmp_path):
+        cfg_path = self.write_config(tmp_path, {
+            "protocol": "heat-sweep",
+            "encoding": {"alpha": 3.0},
+            "noise": {"gamma": 0.002, "durations": [0.5, 1.0, 2.0]},
+        })
+        outputs = []
+        for threads in (1, 4):
+            outdir = tmp_path / f"threads{threads}"
+            env = dict(os.environ)
+            for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                        "MKL_NUM_THREADS"):
+                env[var] = str(threads)
+            proc = subprocess.run(
+                [sys.executable, "-m", "catbell.cli", "run", cfg_path,
+                 "--output", str(outdir)],
+                env=env, capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append((outdir / "heat-sweep.csv").read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_seed_override_changes_sampled_output(self, tmp_path):
         cfg_path = self.write_config(tmp_path, {

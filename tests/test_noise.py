@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from catbell.bosonic import EVEN, ODD, ModeParams, cat, coherent, mode_for, parity_op
 from catbell.encoding import EncodingParams, bell_target
@@ -31,7 +33,7 @@ from catbell.noise import (
     sample_trajectory,
     trajectory_rng,
 )
-from catbell.reference import liouvillian_expm, poisson_jump_stats
+from catbell.reference import liouvillian_expm, liouvillian_matrix, poisson_jump_stats
 
 
 class TestParams:
@@ -42,6 +44,16 @@ class TestParams:
             HeatingParams(0.1, -1.0)
         with pytest.raises(ValueError):
             HeatingParams(0.1, 1.0, steps=0)
+
+    # a non-finite rate or duration would leave sample_trajectory drawing
+    # jump times forever, so the parameters themselves must refuse it
+    @pytest.mark.parametrize("gamma,duration", [
+        (float("nan"), 1.0), (float("inf"), 1.0),
+        (0.1, float("inf")), (0.1, float("nan")),
+    ])
+    def test_non_finite_rejected(self, gamma, duration):
+        with pytest.raises(ValueError, match="finite"):
+            HeatingParams(gamma, duration)
 
     def test_auto_steps_floor(self):
         assert auto_steps(1e-6, 1.0, 12) == 100
@@ -68,6 +80,24 @@ class TestRhs:
         a = np.diag(np.sqrt(np.arange(1, mode.cutoff, dtype=np.float64)), 1)
         da = np.trace(a @ lindblad_rhs(rho, 0.01))
         assert abs(da) < 1e-9
+
+    @given(dim=st.integers(1, 12),
+           kind=st.sampled_from(["hermitian", "general", "top_level"]),
+           gamma=st.floats(0.0, 2.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_superoperator_oracle(self, dim, kind, gamma, seed):
+        rng = np.random.default_rng(seed)
+        m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        if kind == "hermitian":
+            m = m + m.conj().T
+        elif kind == "top_level":  # weight only on the truncation edge
+            m[:-1, :-1] = 0.0
+        m /= np.linalg.norm(m)
+        before = m.copy()
+        got = lindblad_rhs(m, gamma)
+        want = (liouvillian_matrix(gamma, dim) @ m.reshape(-1)).reshape(dim, dim)
+        assert np.abs(got - want).max() <= 1e-12
+        assert np.array_equal(m, before)
 
 
 class TestEvolve:
