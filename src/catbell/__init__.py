@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .bell import BellAngles, chsh, electronic_bell, violation_scan
+from .bell import BellAngles, chsh, electronic_bell, mixed_bell, violation_scan
 from .bosonic import cat, coherent, cross_kerr, displacement
 from .encoding import EncodingParams, bell_target, prepare_entangled
 from .errors import CapacityError, CatbellError, ConfigError, ContractError
@@ -16,7 +16,7 @@ from .hilbert import (
     partial_trace,
     state_fidelity,
 )
-from .noise import HeatingParams, evolve_lindblad, mixed_bell, sample_trajectory
+from .noise import HeatingParams, evolve_lindblad, sample_trajectory
 
 __all__ = [
     "__version__",

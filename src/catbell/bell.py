@@ -40,7 +40,14 @@ def electronic_bell(kind: str) -> StateVector:
     return StateVector(PAIR, amps / sqrt(2.0))
 
 
-def _mixture(delta: float) -> DensityMatrix:
+def mixed_bell(delta: float) -> DensityMatrix:
+    """Electronic two-qubit mixture (1-delta)|phi+><phi+| + delta|psi+><psi+|.
+
+    Both components are unit-normalized Bell projectors, so the weights are
+    exactly (1-delta, delta).
+    """
+    if not 0.0 <= delta <= 1.0:
+        raise ValueError(f"delta must be in [0, 1], got {delta}")
     phi = electronic_bell("phi_plus").amps
     psi = electronic_bell("psi_plus").amps
     m = ((1.0 - delta) * np.outer(phi, phi.conj())
@@ -205,7 +212,7 @@ def violation_scan(deltas, angles: BellAngles = DEFAULT_ANGLES) -> ViolationScan
         raise ValueError("need at least one mixture weight to scan")
     if np.any(ds < 0.0) or np.any(ds > 1.0):
         raise ValueError("mixture weights must lie in [0, 1]")
-    bs = np.array([chsh(_mixture(d), angles).b_value for d in ds])
+    bs = np.array([chsh(mixed_bell(d), angles).b_value for d in ds])
     crossing = None
     for i in range(ds.size - 1):
         lo, hi = bs[i] - 2.0, bs[i + 1] - 2.0

@@ -54,9 +54,12 @@ class EncodingParams:
             raise ValueError("cat amplitudes must be positive")
         if self.epsilon is not None and self.epsilon < 0:
             raise ValueError("epsilon must be nonnegative")
-        if self.epsilon is not None and self.epsilon * self.alpha > pi:
+        # the one epsilon kicks both modes, so it bounds both rotations
+        amp = max(self.alpha, self.beta)
+        if self.epsilon is not None and self.epsilon * amp > pi:
             raise ValueError(
-                f"epsilon*alpha must lie in [0, pi], got {self.epsilon * self.alpha:.4g}"
+                "epsilon*alpha and epsilon*beta must lie in [0, pi], "
+                f"got {self.epsilon * amp:.4g}"
             )
 
     @classmethod

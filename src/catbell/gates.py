@@ -1,8 +1,8 @@
 """Entanglement-transfer gates between a vibrational mode and its ion.
 
-Each gate lives on the compact pair layout [mode, ion]; lift_pair places it
-on the four-factor register.  Two controlled-flip constructions are provided
-for the vibration-controlled gate:
+Each gate matrix lives on the compact pair layout [mode, ion]; lift_pair
+places it on the four-factor register.  Two controlled-flip constructions
+are provided for the vibration-controlled gate:
 
 * u_ve_ideal: parity projectors routing an electronic flip, an exact CNOT
   with the mode's phonon parity as control.
@@ -19,12 +19,25 @@ flip needs the displacement-rotation angle 2*alpha*eps to equal pi/2, so the
 default scale is eps = pi/(4 alpha); the flipped rows then reach the ideal
 targets with fidelity exp(-eps^2).  The trailing electronic phase exactly
 cancels the i of the rotated branch, which is what makes the three-gate
-sequence u_ve u_ev u_ve an exchange of the mode and ion qubits.
+sequence u_ve u_ev u_ve an exchange of the mode and ion qubits.  An explicit
+epsilon wins over params.epsilon, which wins over the default; the one
+params.epsilon is the kick of both modes, whatever their amplitudes.
+
+u_swap returns the exchange as an Exchange, a pair operator whose apply
+runs the three factors and never a dense product: u_ve[ideal] swaps the two
+ion slices on odd Fock rows, which is indexing only, and u_ev multiplies
+the ion's |1> half by the phase and then by the d x d kick, D(i eps) or the
+code-space rx(pi/2), at 2 d^3 per column of the other factors.
+u_ve[literal] enters as its pair matrix.  The dense matrix, which the
+reports and hilbert.apply read, is the same action run on the pair
+identity, so there is one definition of the sequence; the single-gate
+builds keep their matrices for the truth-table reports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import pi
 
 import numpy as np
@@ -83,58 +96,117 @@ def u_ve_literal(which_mode: str, params: EncodingParams) -> OperatorMatrix:
     return OperatorMatrix(layout, (0, 1), first.matrix @ second.matrix)
 
 
+EXCITED_PHASE = np.exp(-1j * pi / 2.0)  # -i, as the rounded exponential
+
+
 def electronic_phase() -> np.ndarray:
     """exp(-i pi |1><1| / 2) on one ion."""
-    return np.diag([1.0, np.exp(-1j * pi / 2.0)]).astype(np.complex128)
+    return np.diag([1.0, EXCITED_PHASE]).astype(np.complex128)
+
+
+def _kick(which_mode: str, params: EncodingParams, ev_variant: str,
+          epsilon: float | None = None) -> np.ndarray:
+    """The d x d mode matrix that u_ev applies on the ion's |1> half.
+
+    D(i eps) for the displacement build, with eps the explicit epsilon, else
+    params.epsilon, else pi / (4 alpha); the exact code-space rx(pi/2) for
+    the ideal build, which takes no scale.
+    """
+    if ev_variant == "ideal":
+        return encoding.ideal_logical_rotation(
+            "rx", which_mode, params, theta=pi / 2.0).matrix
+    if epsilon is None:
+        epsilon = params.epsilon
+    if epsilon is None:
+        epsilon = pi / (4.0 * params.amplitude(which_mode))
+    return bosonic.displacement(1j * epsilon, params.mode(which_mode)).matrix
+
+
+def _controlled_kick(kick: np.ndarray, which_mode: str,
+                     params: EncodingParams) -> OperatorMatrix:
+    eye = np.eye(kick.shape[0], dtype=np.complex128)
+    cond = np.kron(eye, np.diag([1.0, 0.0])) + np.kron(kick, EXCITED)
+    m = cond @ np.kron(eye, electronic_phase())
+    return OperatorMatrix(pair_layout(which_mode, params), (0, 1), m)
 
 
 def u_ev(which_mode: str, params: EncodingParams,
          epsilon: float | None = None) -> OperatorMatrix:
     """CNOT with the ion as control, realized by a conditional displacement.
 
-    epsilon defaults to pi / (4 alpha), the scale at which D(i eps) rotates
-    the cat qubit by pi/2.
+    epsilon defaults to params.epsilon when that is set, else to
+    pi / (4 alpha), the scale at which D(i eps) rotates the cat qubit by pi/2.
     """
-    mode = params.mode(which_mode)
-    amp = params.amplitude(which_mode)
-    if epsilon is None:
-        epsilon = pi / (4.0 * amp)
-    d = bosonic.displacement(1j * epsilon, mode).matrix
-    eye = np.eye(mode.cutoff, dtype=np.complex128)
-    cond = np.kron(eye, np.diag([1.0, 0.0])) + np.kron(d, EXCITED)
-    m = cond @ np.kron(eye, electronic_phase())
-    return OperatorMatrix(pair_layout(which_mode, params), (0, 1), m)
+    return _controlled_kick(_kick(which_mode, params, "displacement", epsilon),
+                            which_mode, params)
 
 
 def u_ev_ideal(which_mode: str, params: EncodingParams) -> OperatorMatrix:
     """Surrogate with the exact code-space rx(pi/2) in place of the displacement."""
-    mode = params.mode(which_mode)
-    rx = encoding.ideal_logical_rotation("rx", which_mode, params, theta=pi / 2.0)
-    eye = np.eye(mode.cutoff, dtype=np.complex128)
-    cond = np.kron(eye, np.diag([1.0, 0.0])) + np.kron(rx.matrix, EXCITED)
-    m = cond @ np.kron(eye, electronic_phase())
-    return OperatorMatrix(pair_layout(which_mode, params), (0, 1), m)
+    return _controlled_kick(_kick(which_mode, params, "ideal"), which_mode, params)
 
 
 VE_VARIANTS = ("ideal", "literal")
 EV_VARIANTS = ("displacement", "ideal")
 
 
+class Exchange(OperatorMatrix):
+    """u_ve u_ev u_ve for one mode: a pair operator with its factors kept apart.
+
+    kick is the d x d mode matrix of u_ev; ve is the 2d x 2d pair matrix of
+    u_ve[literal], or None for the parity-routed flip of u_ve[ideal].
+    apply runs the factors on a state tensor; the dense pair matrix is
+    formed only when .matrix is first read, by running them on the pair
+    identity.
+    """
+
+    def __init__(self, layout: SpaceLayout, kick: np.ndarray,
+                 ve: np.ndarray | None = None) -> None:
+        self.layout = layout
+        self.acts_on = (0, 1)
+        self.kick = kick
+        self.ve = ve
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        d = self.kick.shape[0]
+        eye = np.eye(2 * d, dtype=np.complex128).reshape(d, 2, 2 * d)
+        return self.apply(eye, 0, 1).reshape(2 * d, 2 * d)
+
+    def _flip(self, x: np.ndarray) -> np.ndarray:
+        if self.ve is None:
+            x[1::2] = x[1::2, ::-1]  # odd Fock rows: swap the two ion slices
+            return x
+        return (self.ve @ x.reshape(2 * x.shape[0], -1)).reshape(x.shape)
+
+    def apply(self, psi: np.ndarray, mode_axis: int, ion_axis: int) -> np.ndarray:
+        """u_ve u_ev u_ve on the (mode_axis, ion_axis) pair of a state tensor.
+
+        psi has one axis per factor; any further axes (the columns of an
+        operator, say) ride along.  Returns a new tensor of the same shape.
+        u_ev is the electronic phase and then the kick on the ion = 1 half,
+        2 d^3 per column of the other factors; u_ve[ideal] is indexing only.
+        """
+        t = np.moveaxis(psi, (mode_axis, ion_axis), (0, 1))
+        shape = t.shape
+        x = np.array(t, dtype=np.complex128, order="C").reshape(shape[0], 2, -1)
+        x = self._flip(x)
+        x[:, 1] = self.kick @ (EXCITED_PHASE * x[:, 1])
+        x = self._flip(x)
+        return np.moveaxis(x.reshape(shape), (0, 1), (mode_axis, ion_axis))
+
+
 def u_swap(which_mode: str, params: EncodingParams,
            ve_variant: str = "ideal", ev_variant: str = "displacement",
-           epsilon: float | None = None) -> OperatorMatrix:
+           epsilon: float | None = None) -> Exchange:
     """Three-step exchange of the mode qubit and its ion qubit."""
     if ve_variant not in VE_VARIANTS:
         raise ValueError(f"ve_variant must be one of {VE_VARIANTS}")
     if ev_variant not in EV_VARIANTS:
         raise ValueError(f"ev_variant must be one of {EV_VARIANTS}")
-    ve = (u_ve_ideal if ve_variant == "ideal" else u_ve_literal)(which_mode, params)
-    if ev_variant == "displacement":
-        ev = u_ev(which_mode, params, epsilon=epsilon)
-    else:
-        ev = u_ev_ideal(which_mode, params)
-    m = ve.matrix @ ev.matrix @ ve.matrix
-    return OperatorMatrix(ve.layout, (0, 1), m)
+    ve = None if ve_variant == "ideal" else u_ve_literal(which_mode, params).matrix
+    return Exchange(pair_layout(which_mode, params),
+                    _kick(which_mode, params, ev_variant, epsilon), ve)
 
 
 def carrier_rotation(k: float, phase: float) -> OperatorMatrix:

@@ -29,7 +29,7 @@ from math import ceil, exp, isfinite
 
 import numpy as np
 
-from . import bell as _bell
+from .bell import mixed_bell  # noqa: F401  (re-exported: noise.mixed_bell)
 from .encoding import EncodingParams, bell_target
 from .errors import ContractError
 from .hilbert import DensityMatrix, SpaceLayout, StateVector
@@ -288,23 +288,8 @@ def trajectory_rng(master_seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng([master_seed, index])
 
 
-def mixed_bell(delta: float) -> DensityMatrix:
-    """Electronic two-qubit mixture (1-delta)|phi+><phi+| + delta|psi+><psi+|.
-
-    Both components are unit-normalized Bell projectors, so the weights are
-    exactly (1-delta, delta).
-    """
-    if not 0.0 <= delta <= 1.0:
-        raise ValueError(f"delta must be in [0, 1], got {delta}")
-    phi = _bell.electronic_bell("phi_plus")
-    psi = _bell.electronic_bell("psi_plus")
-    m = ((1.0 - delta) * np.outer(phi.amps, phi.amps.conj())
-         + delta * np.outer(psi.amps, psi.amps.conj()))
-    return DensityMatrix(phi.layout, m)
-
-
 def lifted_mixed_bell(delta: float, params: EncodingParams) -> DensityMatrix:
-    """The same mixture written on the cat-encoded register."""
+    """The mixture of mixed_bell written on the cat-encoded register."""
     if not 0.0 <= delta <= 1.0:
         raise ValueError(f"delta must be in [0, 1], got {delta}")
     phi = bell_target("phi_plus", params)

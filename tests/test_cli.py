@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 from catbell.bell import DEFAULT_ANGLES, DELTA_STAR
+from catbell.bosonic import displacement
 from catbell.cli import (
     DEFAULT_DELTAS,
     DEFAULT_EPSILONS,
@@ -22,6 +24,7 @@ from catbell.cli import (
     normalize_config,
     render_csv,
     run_bell_scan,
+    run_full_pipeline,
     run_heat_sweep,
     run_pipeline,
     run_prepare,
@@ -30,6 +33,7 @@ from catbell.cli import (
 )
 from catbell.encoding import EncodingParams
 from catbell.errors import ConfigError
+from catbell.gates import u_swap
 
 
 def cfg_for(protocol: str, **overrides) -> dict:
@@ -246,6 +250,61 @@ class TestProtocolRunners:
             results["b_predicted"], abs=2e-3)
         assert results["b_predicted"] == pytest.approx(
             2.0 * sqrt(2.0) * 0.9, abs=1e-12)
+
+
+class TestEpsilonKick:
+    """encoding.epsilon sets the kick of the displacement gate build."""
+
+    DISPLACEMENT = {"gates": {"ev_variant": "displacement"}}
+
+    @pytest.mark.parametrize("protocol", ["full-pipeline", "swap-report"])
+    def test_default_scale_writes_same_bytes(self, protocol, tmp_path):
+        plain = cfg_for(protocol, encoding={"alpha": 2.0}, **self.DISPLACEMENT)
+        explicit = cfg_for(protocol, encoding={"alpha": 2.0, "epsilon": pi / 8.0},
+                           **self.DISPLACEMENT)
+        a = open(execute(plain, str(tmp_path / "plain")), "rb").read()
+        b = open(execute(explicit, str(tmp_path / "explicit")), "rb").read()
+        assert a == b
+
+    def test_explicit_scale_changes_b(self):
+        cfg = cfg_for("full-pipeline", encoding={"alpha": 2.0, "epsilon": 0.1},
+                      noise={"delta": 0.1}, **self.DISPLACEMENT)
+        _, results, _ = run_full_pipeline(cfg)
+        enc = EncodingParams.for_amplitudes(2.0)
+        default = run_pipeline(enc, 0.1, DEFAULT_ANGLES,
+                               ev_variant="displacement")
+        carried = run_pipeline(dataclasses.replace(enc, epsilon=0.1), 0.1,
+                               DEFAULT_ANGLES, ev_variant="displacement")
+        assert results == carried
+        assert abs(results["b_value"] - default["b_value"]) > 0.1
+
+    def test_one_scale_kicks_both_modes(self):
+        # alpha != beta: mode b takes the same eps, not pi / (4 beta)
+        cfg = cfg_for("full-pipeline", encoding={"alpha": 2.0, "beta": 3.0,
+                                                 "epsilon": pi / 8.0},
+                      noise={"delta": 0.1}, **self.DISPLACEMENT)
+        _, results, _ = run_full_pipeline(cfg)
+        enc = EncodingParams.for_amplitudes(2.0, 3.0)
+        carried = dataclasses.replace(enc, epsilon=pi / 8.0)
+        assert np.array_equal(u_swap("b", carried).kick,
+                              displacement(1j * pi / 8.0, enc.mode_b).matrix)
+        assert results == run_pipeline(carried, 0.1, DEFAULT_ANGLES,
+                                       ev_variant="displacement")
+        default = run_pipeline(enc, 0.1, DEFAULT_ANGLES, ev_variant="displacement")
+        assert abs(results["b_value"] - default["b_value"]) > 0.01
+
+    def test_scale_bounded_by_larger_amplitude(self):
+        # 0.9 * 2 lies in [0, pi] but 0.9 * 4 does not
+        cfg = cfg_for("full-pipeline", encoding={"alpha": 2.0, "beta": 4.0,
+                                                 "epsilon": 0.9})
+        with pytest.raises(ConfigError, match="epsilon\\*beta"):
+            run_full_pipeline(cfg)
+
+    def test_explicit_scale_changes_swap_report(self):
+        base = cfg_for("swap-report", encoding={"alpha": 2.0})
+        kicked = cfg_for("swap-report", encoding={"alpha": 2.0, "epsilon": 0.1})
+        key = "u_ev[displacement].min_fidelity"
+        assert run_swap_report(kicked)[1][key] < run_swap_report(base)[1][key] - 0.1
 
 
 class TestOutputFiles:

@@ -2,18 +2,34 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from catbell.bosonic import number_op, parity_projectors
-from catbell.encoding import EncodingParams, logical_basis, qubit_state
+from catbell.bell import DEFAULT_ANGLES, chsh, reduced_electronic
+from catbell.bosonic import ModeParams, number_op, parity_projectors
+from catbell.cli import run_pipeline
+from catbell.encoding import (
+    EncodingParams,
+    full_layout,
+    ideal_logical_rotation,
+    lift_to_full,
+    logical_basis,
+    prepare_entangled,
+    qubit_state,
+)
 from catbell.gates import (
     CNOT_EV_TABLE,
     CNOT_VE_TABLE,
+    EV_VARIANTS,
     EXCITED,
     SIGMA_X,
     SIGMA_Y,
     SWAP_TABLE,
+    VE_VARIANTS,
     carrier_rotation,
     electronic_phase,
     lift_pair,
@@ -28,6 +44,7 @@ from catbell.gates import (
     u_ve_literal,
 )
 from catbell.hilbert import (
+    DensityMatrix,
     OperatorMatrix,
     SpaceLayout,
     StateVector,
@@ -40,6 +57,20 @@ from catbell.hilbert import (
     tensor,
     unitarity_residual,
 )
+from catbell.noise import mixed_bell
+
+VARIANT_PAIRS = [(ve, ev) for ve in VE_VARIANTS for ev in EV_VARIANTS]
+
+
+def dense_exchange(which: str, enc: EncodingParams, ve: str, ev: str,
+                   epsilon: float | None = None) -> np.ndarray:
+    """Oracle: the exchange as the dense product of its three gate matrices."""
+    v = (u_ve_ideal if ve == "ideal" else u_ve_literal)(which, enc).matrix
+    if ev == "displacement":
+        e = u_ev(which, enc, epsilon=epsilon).matrix
+    else:
+        e = u_ev_ideal(which, enc).matrix
+    return v @ e @ v
 
 
 def pair_state(label: str, which: str, enc: EncodingParams) -> StateVector:
@@ -152,6 +183,16 @@ class TestUev:
     def test_unitary(self, enc2):
         assert unitarity_residual(u_ev("a", enc2)) < 1e-10
 
+    def test_params_epsilon_sets_the_kick(self, enc2):
+        # an explicit epsilon wins over params.epsilon, which wins over
+        # the pi/(4 alpha) default
+        carried = dataclasses.replace(enc2, epsilon=0.1)
+        want = u_ev("a", enc2, epsilon=0.1).matrix
+        assert np.array_equal(u_ev("a", carried).matrix, want)
+        assert np.array_equal(u_ev("a", carried, epsilon=np.pi / 8.0).matrix,
+                              u_ev("a", enc2).matrix)
+        assert np.abs(u_ev("a", carried).matrix - u_ev("a", enc2).matrix).max() > 0.01
+
 
 class TestUevIdeal:
     def test_truth_table_with_phases(self, enc2):
@@ -256,3 +297,85 @@ class TestReports:
     def test_gate_names(self, enc2):
         assert report_u_swap("a", enc2, "ideal", "ideal").gate == "u_swap[ideal,ideal]"
         assert report_u_ve("literal", "a", enc2).gate == "u_ve[literal]"
+
+
+class TestExchangeAction:
+    """u_swap's Exchange.apply against the dense product ve @ ev @ ve."""
+
+    @pytest.mark.parametrize("which", ["a", "b"])
+    @pytest.mark.parametrize("ve,ev", VARIANT_PAIRS)
+    @settings(max_examples=12)
+    @given(
+        st.integers(4, 40),
+        st.integers(4, 40),
+        st.floats(0.5, 2.0, allow_nan=False),
+        st.floats(0.0, 1.0, allow_nan=False),
+        st.integers(0, 2**31 - 1),
+    )
+    def test_matches_dense_product(self, which, ve, ev, cut_a, cut_b, alpha,
+                                   eps_frac, seed):
+        # small cutoffs truncate the cats heavily; the algebra is exact
+        # regardless, so the leak tolerance is opened wide
+        eps = eps_frac * np.pi / alpha
+        enc = EncodingParams(alpha, alpha, ModeParams(cut_a, 0.999),
+                             ModeParams(cut_b, 0.999), epsilon=eps)
+        dense = dense_exchange(which, enc, ve, ev, epsilon=eps)
+        swap = u_swap(which, enc, ve, ev).matrix
+        assert np.abs(swap - dense).max() <= 1e-13
+
+        rng = np.random.default_rng(seed)
+        layout = full_layout(enc)
+        amps = rng.standard_normal(layout.total_dim) \
+            + 1j * rng.standard_normal(layout.total_dim)
+        psi = StateVector(layout, amps / np.linalg.norm(amps))
+        before = psi.amps.copy()
+        axes = (0, 2) if which == "a" else (1, 3)
+        got = u_swap(which, enc, ve, ev).apply(psi.as_tensor(), *axes)
+        want = apply(lift_pair(OperatorMatrix(pair_layout(which, enc), (0, 1),
+                                              dense), which, enc), psi)
+        assert np.abs(got.reshape(-1) - want.amps).max() <= 1e-12
+        assert np.array_equal(psi.amps, before)  # input left untouched
+
+    def test_extra_axes_ride_along(self, enc2):
+        # a batch of pair states as trailing columns, axes given in any order
+        ex = u_swap("a", enc2, "ideal", "displacement")
+        d = enc2.mode_a.cutoff
+        rng = np.random.default_rng(3)
+        cols = rng.standard_normal((2 * d, 5)) + 1j * rng.standard_normal((2 * d, 5))
+        want = dense_exchange("a", enc2, "ideal", "displacement") @ cols
+        got = ex.apply(cols.reshape(d, 2, 5), 0, 1).reshape(2 * d, 5)
+        assert np.abs(got - want).max() <= 1e-12
+        swapped = ex.apply(np.swapaxes(cols.reshape(d, 2, 5), 0, 1), 1, 0)
+        assert np.abs(np.swapaxes(swapped, 0, 1).reshape(2 * d, 5) - want).max() <= 1e-12
+
+
+def dense_pipeline(enc: EncodingParams, delta: float, ev: str) -> dict:
+    """run_pipeline's exchange stage recomputed with lifted dense matrices."""
+    psi = prepare_entangled(enc)
+    psi = apply(lift_to_full(ideal_logical_rotation("hadamard", "a", enc),
+                             "a", enc), psi)
+    flip = lift_to_full(logical_basis("a", enc).subspace_unitary(SIGMA_X), "a", enc)
+    rho = np.zeros((4, 4), dtype=np.complex128)
+    for weight, branch in ((1.0 - delta, psi), (delta, apply(flip, psi))):
+        for which in ("a", "b"):
+            m = dense_exchange(which, enc, "ideal", ev)
+            op = OperatorMatrix(pair_layout(which, enc), (0, 1), m)
+            branch = apply(lift_pair(op, which, enc), branch)
+        rho += weight * reduced_electronic(branch).matrix
+    electronic = DensityMatrix(SpaceLayout((2, 2)), rho)
+    outcome = chsh(electronic, DEFAULT_ANGLES)
+    out = dict(zip(("e_ab", "e_ab_prime", "e_a_prime_b", "e_a_prime_b_prime"),
+                   outcome.correlations))
+    out["electronic_fidelity"] = dm_fidelity(electronic, mixed_bell(delta))
+    out["b_value"] = outcome.b_value
+    return out
+
+
+class TestPipelineAgainstDense:
+    @pytest.mark.parametrize("ev", EV_VARIANTS)
+    @pytest.mark.parametrize("alpha,beta", [(2.0, 2.0), (4.0, 4.0), (2.0, 3.0)])
+    def test_results_match(self, alpha, beta, ev):
+        enc = EncodingParams.for_amplitudes(alpha, beta)
+        got = run_pipeline(enc, 0.15, DEFAULT_ANGLES, ev_variant=ev)
+        for name, want in dense_pipeline(enc, 0.15, ev).items():
+            assert abs(got[name] - want) <= 1e-12, name
