@@ -19,13 +19,18 @@ the O(d^3) of dense ladder products.  With a|k> = sqrt(k)|k-1>:
 
 So gamma (D[a] + D[a+]) rho is two shifted Hadamard products plus the
 diagonal scaling -gamma/2 (s_i + s_j) rho_ij.
+
+The jump sampler views the register as (pre, d, post) around the heated
+mode, so it moves no axis.  It computes <n> in one pass over the amplitudes
+for each state it visits (only for the input under constant_rate), and each
+jump writes one new register.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from math import ceil, exp, isfinite
+from math import ceil, exp, isfinite, prod
 
 import numpy as np
 
@@ -224,34 +229,51 @@ def sample_trajectory(state: StateVector, params: HeatingParams,
     against a state with no support above the vacuum would annihilate it;
     such events are resampled (skipped), which only matters under frozen
     rates.  Deterministic for a given seed.
+
+    The register is viewed as (pre, d, post) around the heated mode, so
+    neither the occupancy nor a jump moves an axis.  <n> takes one pass over
+    the amplitudes per visited state: once for the input and once after each
+    jump (never after a jump under constant_rate).  A jump writes one new
+    register.  The input is not modified and the result never shares its
+    memory.
     """
+    layout = state.layout
+    if not 0 <= mode_index < layout.nsites:
+        raise ValueError(
+            f"mode_index must be in [0, {layout.nsites}) for a "
+            f"{layout.nsites}-factor layout, got {mode_index}"
+        )
     rng = (seed_or_rng if isinstance(seed_or_rng, np.random.Generator)
            else np.random.default_rng(seed_or_rng))
-    layout = state.layout
-    dim = layout.dims[mode_index]
-    sq = np.sqrt(np.arange(1, dim, dtype=np.float64))
+    dims = layout.dims
+    dim = dims[mode_index]
+    shape = (prod(dims[:mode_index]), dim, prod(dims[mode_index + 1:]))
+    levels = np.arange(dim, dtype=np.float64)
+    sq = np.sqrt(levels[1:])[:, None]
 
-    def occupancy(psi: np.ndarray) -> float:
-        t = psi.reshape(layout.dims)
-        w = np.abs(t) ** 2
-        marg = w.sum(axis=tuple(i for i in range(layout.nsites) if i != mode_index))
-        return float((np.arange(dim) * marg).sum())
+    def occupancy(amps: np.ndarray) -> float:
+        # sum over pre and post of |amps|^2 as re^2 + im^2 of the float view
+        f = amps.view(np.float64)
+        return float(levels @ np.einsum("pkq,pkq->k", f, f))
 
-    def jump(psi: np.ndarray, up: bool) -> np.ndarray | None:
-        t = np.moveaxis(psi.reshape(layout.dims), mode_index, 0).copy()
-        out = np.zeros_like(t)
+    def jump(amps: np.ndarray, up: bool) -> np.ndarray | None:
+        out = np.zeros_like(amps)
         if up:
-            out[1:] = sq[:, None].reshape((dim - 1,) + (1,) * (layout.nsites - 1)) * t[:-1]
+            np.multiply(sq, amps[:, :-1], out=out[:, 1:])
         else:
-            out[:-1] = sq.reshape((dim - 1,) + (1,) * (layout.nsites - 1)) * t[1:]
-        out = np.moveaxis(out, 0, mode_index)
-        flat = out.reshape(-1)
-        nrm = np.linalg.norm(flat)
+            np.multiply(sq, amps[:, 1:], out=out[:, :-1])
+        nrm = np.linalg.norm(out)
         if nrm == 0.0:
             return None
-        return flat / nrm
+        out /= nrm
+        return out
 
-    psi = state.amps.copy()
+    def rates(n_mean: float) -> tuple[float, float]:
+        if params.constant_rate:
+            return params.gamma * n_mean, params.gamma * n_mean
+        return params.gamma * (n_mean + 1.0), params.gamma * n_mean
+
+    psi = state.amps.reshape(shape)
     n0 = occupancy(psi)
     if params.gamma * params.duration * n0 >= 0.5:
         warnings.warn(
@@ -259,15 +281,10 @@ def sample_trajectory(state: StateVector, params: HeatingParams,
             "is not small; single-jump statistics are unreliable at this depth",
             stacklevel=2,
         )
+    r_up, r_down = rates(n0)
     jumps: list = []
     t = 0.0
     while True:
-        if params.constant_rate:
-            r_up = r_down = params.gamma * n0
-        else:
-            n_mean = occupancy(psi)
-            r_up = params.gamma * (n_mean + 1.0)
-            r_down = params.gamma * n_mean
         total = r_up + r_down
         if total <= 0.0:
             break
@@ -280,7 +297,10 @@ def sample_trajectory(state: StateVector, params: HeatingParams,
             continue
         psi = kicked
         jumps.append((t, "+" if up else "-"))
-    return TrajectoryResult(StateVector(layout, psi), jumps, len(jumps) % 2 == 1)
+        if not params.constant_rate:
+            r_up, r_down = rates(occupancy(psi))
+    final = psi.reshape(-1) if jumps else state.amps.copy()
+    return TrajectoryResult(StateVector(layout, final), jumps, len(jumps) % 2 == 1)
 
 
 def trajectory_rng(master_seed: int, index: int) -> np.random.Generator:

@@ -30,3 +30,17 @@ def test_cold_op_passes_its_check(workload, tmp_path):
     assert runner.attempted == 1
     assert output is not None
     assert runner.failures == []
+
+
+def test_mode_b_ensemble_op_passes_its_check(tmp_path):
+    # the cold op heats mode a, the leading axis; this one heats mode b,
+    # which sits between mode a and the ions
+    runner = worker.Runner(str(tmp_path))
+    op = min((op for op in workloads.cycle_ops("ensemble", 0, 0)
+              if op["mode"] == "b"), key=lambda op: op["alpha"])
+    _, output = runner.run(op)
+    runner.verify(op, output)
+    assert runner.attempted == 1
+    assert output is not None
+    assert output["trajectories"] == workloads.TRAJECTORIES
+    assert runner.failures == []

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import warnings
+from math import prod
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catbell.bosonic import EVEN, ODD, ModeParams, cat, coherent, mode_for, parity_op
@@ -198,6 +199,7 @@ class TestTrajectories:
         assert res.n_jumps == 0
         assert not res.parity_flipped
         np.testing.assert_array_equal(res.final.amps, psi.amps)
+        assert not np.shares_memory(res.final.amps, psi.amps)
 
     def test_deterministic_for_seed(self):
         mode = mode_for(2.0)
@@ -294,6 +296,16 @@ class TestTrajectories:
             warnings.simplefilter("error")
             sample_trajectory(psi, HeatingParams(1e-3, 10.0), 0)
 
+    @pytest.mark.parametrize("mode_index", [-3, -1, 4, 5])
+    def test_mode_index_out_of_range(self, enc2, mode_index):
+        # the register has four factors: mode a, mode b and the two ions
+        psi = bell_target("phi_plus", enc2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="mode_index"):
+                sample_trajectory(psi, HeatingParams(1e-3, 10.0), 0,
+                                  mode_index=mode_index)
+
     def test_embedded_mode_jump(self, enc2):
         # a jump on mode a of the register flips that mode's parity only
         psi = bell_target("phi_plus", enc2)
@@ -348,6 +360,88 @@ class TestTrajectories:
         bias = n_vals.mean() - ref.n_trace[-1]
         assert bias > 3.0 * n_se
         assert bias < 2.0 * gamma * t * (2.0 * n0 + 2.0)
+
+
+def _lifted_lowering(dims: list | tuple, mode_index: int) -> np.ndarray:
+    """Dense a on factor mode_index, identity on every other factor."""
+    d = dims[mode_index]
+    return np.kron(np.kron(np.eye(prod(dims[:mode_index])),
+                           np.diag(np.sqrt(np.arange(1.0, d)), 1)),
+                   np.eye(prod(dims[mode_index + 1:])))
+
+
+def _reference_jumps(psi: StateVector, params: HeatingParams, rng,
+                     mode_index: int) -> list:
+    """The jump record drawn the direct way: <n> from the |amplitude|^2
+    marginal summed over every other axis and evaluated before every draw,
+    and each jump a dense ladder matrix lifted to the whole register."""
+    dims = psi.layout.dims
+    d = dims[mode_index]
+    lower = _lifted_lowering(dims, mode_index)
+    others = tuple(i for i in range(len(dims)) if i != mode_index)
+
+    def occupancy(amps):
+        marg = (np.abs(amps.reshape(dims)) ** 2).sum(axis=others)
+        return float((np.arange(d) * marg).sum())
+
+    amps = psi.amps
+    n0 = occupancy(amps)
+    jumps: list = []
+    t = 0.0
+    while True:
+        if params.constant_rate:
+            r_up = r_down = params.gamma * n0
+        else:
+            n = occupancy(amps)
+            r_up, r_down = params.gamma * (n + 1.0), params.gamma * n
+        total = r_up + r_down
+        if total <= 0.0:
+            break
+        t += rng.exponential(1.0 / total)
+        if t >= params.duration:
+            break
+        up = rng.random() < r_up / total
+        kicked = (lower.T if up else lower) @ amps
+        nrm = np.linalg.norm(kicked)
+        if nrm == 0.0:
+            continue
+        amps = kicked / nrm
+        jumps.append((t, "+" if up else "-"))
+    return jumps
+
+
+class TestTrajectoryOracle:
+    @settings(max_examples=40)
+    @given(dims=st.lists(st.integers(2, 5), min_size=2, max_size=4),
+           duration=st.floats(0.5, 2.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_dense_ladder_chain(self, dims, duration, seed):
+        # gamma t is deep enough that most records hold several jumps, and
+        # two-level modes see up-jumps resampled against the truncation edge
+        rng = np.random.default_rng(seed)
+        amps = rng.normal(size=prod(dims)) + 1j * rng.normal(size=prod(dims))
+        psi = StateVector(SpaceLayout(tuple(dims)), amps / np.linalg.norm(amps))
+        before = psi.amps.copy()
+        for mode_index in range(len(dims)):
+            lower = _lifted_lowering(dims, mode_index)
+            for constant_rate in (False, True):
+                params = HeatingParams(2.0, duration, constant_rate=constant_rate)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    res = sample_trajectory(psi, params, trajectory_rng(seed, mode_index),
+                                            mode_index=mode_index)
+                    want = _reference_jumps(psi, params,
+                                            trajectory_rng(seed, mode_index), mode_index)
+                assert [k for _, k in res.jumps] == [k for _, k in want]
+                for (t_got, _), (t_want, _) in zip(res.jumps, want):
+                    assert abs(t_got - t_want) <= 1e-12 * t_want
+                chain = psi.amps
+                for _, kind in want:
+                    chain = (lower.T if kind == "+" else lower) @ chain
+                chain = chain / np.linalg.norm(chain)
+                assert np.abs(res.final.amps - chain).max() <= 1e-12
+                assert np.array_equal(psi.amps, before)
+                assert not np.shares_memory(res.final.amps, psi.amps)
 
 
 class TestMixtures:
