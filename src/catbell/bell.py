@@ -20,9 +20,15 @@ from math import cos, pi, sqrt
 
 import numpy as np
 
-from .encoding import BELL_KINDS, ION_1, ION_2
+from .encoding import BELL_KINDS, ION_1, ION_2, SchmidtState
 from .gates import SIGMA_X, SIGMA_Y, SIGMA_Z, carrier_rotation
-from .hilbert import DensityMatrix, SpaceLayout, StateVector, partial_trace
+from .hilbert import (
+    DensityMatrix,
+    SpaceLayout,
+    StateVector,
+    check_normalized,
+    partial_trace,
+)
 
 PAIR = SpaceLayout((2, 2))
 TSIRELSON = 2.0 * sqrt(2.0)
@@ -53,6 +59,31 @@ def mixed_bell(delta: float) -> DensityMatrix:
     m = ((1.0 - delta) * np.outer(phi, phi.conj())
          + delta * np.outer(psi, psi.conj()))
     return DensityMatrix(PAIR, m)
+
+
+def mixed_bell_fidelity(rho: DensityMatrix, delta: float) -> float:
+    """Uhlmann fidelity of a two-qubit state to mixed_bell(delta), in closed form.
+
+    With weights w = (1-delta, delta) on b = (phi+, psi+), sqrt(sigma) is
+    sum_i sqrt(w_i)|b_i><b_i| exactly, so sqrt(sigma) rho sqrt(sigma) lives
+    on span{phi+, psi+} as the 2x2 block B_ij = sqrt(w_i w_j) <b_i|rho|b_j>
+    and F = (tr sqrt(B))^2 = tr B + 2 sqrt(det B).  No eigenvalue of a
+    rank-deficient matrix is square-rooted, so rounding noise stays at the
+    level of machine epsilon; at delta = 0 the result is <phi+|rho|phi+>.
+    Same normalization contract as hilbert.dm_fidelity.
+    """
+    if not 0.0 <= delta <= 1.0:
+        raise ValueError(f"delta must be in [0, 1], got {delta}")
+    if rho.layout != PAIR:
+        raise ValueError("states live on different layouts")
+    check_normalized(rho, "first state")
+    weights = (1.0 - delta, delta)
+    bells = [electronic_bell(kind).amps for kind in BELL_KINDS]
+    block = np.array([[sqrt(wi * wj) * np.vdot(bi, rho.matrix @ bj)
+                       for wj, bj in zip(weights, bells)]
+                      for wi, bi in zip(weights, bells)])
+    det = (block[0, 0] * block[1, 1]).real - abs(block[0, 1]) ** 2
+    return float(np.trace(block).real) + 2.0 * sqrt(max(det, 0.0))
 
 
 @dataclass(frozen=True)
@@ -235,3 +266,15 @@ def reduced_electronic(state: StateVector | DensityMatrix) -> DensityMatrix:
     if layout.nsites != 4 or layout.dims[ION_1:] != (2, 2):
         raise ValueError(f"expected a mode/mode/qubit/qubit register, got {layout.dims}")
     return partial_trace(state, keep=(ION_1, ION_2))
+
+
+def reduced_electronic_schmidt(state: SchmidtState) -> DensityMatrix:
+    """reduced_electronic of a Schmidt-form register, at O(d K^2).
+
+    rho = sum_kl G^L_kl (x) G^R_kl, with G^L_kl = tr_a |L_k><L_l| the 2x2
+    ion-1 Gram table of the left factor and G^R_kl that of the right.
+    """
+    gl = np.einsum("aik,ajl->ijkl", state.left, state.left.conj())
+    gr = np.einsum("aik,ajl->ijkl", state.right, state.right.conj())
+    rho = np.einsum("ijkl,mnkl->imjn", gl, gr)
+    return DensityMatrix(PAIR, rho.reshape(4, 4))

@@ -28,6 +28,7 @@ from .hilbert import (
     SpaceLayout,
     StateVector,
     apply,
+    check_normalized,
     on_layout,
     overlap,
     state_fidelity,
@@ -107,14 +108,24 @@ class LogicalBasis:
              + np.outer(self.one.amps, self.one.amps.conj()))
         return OperatorMatrix(self.zero.layout, (0,), m)
 
-    def subspace_unitary(self, m2: np.ndarray) -> OperatorMatrix:
-        """Lift a 2x2 unitary to the mode: act on the code, fix the rest."""
+    def rotate(self, m2: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Apply the lifted 2x2 unitary to axis 0 of x, at O(d) per column.
+
+        (1 - B B^dag) x + B m2 B^dag x with B = [zero, one]: a rank-2 update
+        that acts on the code and fixes the rest; further axes of x ride
+        along.  Returns a new array.
+        """
         m2 = np.asarray(m2, dtype=np.complex128)
         basis = np.column_stack([self.zero.amps, self.one.amps])
+        flat = np.asarray(x, dtype=np.complex128).reshape(basis.shape[0], -1)
+        code = basis.conj().T @ flat
+        out = flat + basis @ ((m2 - np.eye(2)) @ code)
+        return out.reshape(np.shape(x))
+
+    def subspace_unitary(self, m2: np.ndarray) -> OperatorMatrix:
+        """Lift a 2x2 unitary to the mode: act on the code, fix the rest."""
         dim = self.zero.layout.total_dim
-        full = np.eye(dim, dtype=np.complex128)
-        full -= basis @ basis.conj().T
-        full += basis @ m2 @ basis.conj().T
+        full = self.rotate(m2, np.eye(dim, dtype=np.complex128))
         return OperatorMatrix(self.zero.layout, (0,), full)
 
 
@@ -157,21 +168,106 @@ def prepare_entangled(params: EncodingParams, chi_t: float = pi) -> StateVector:
     return StateVector(psi.layout, grid.reshape(-1))
 
 
+@dataclass
+class SchmidtState:
+    """Register state kept as K products across the cut (mode a, ion 1) | (mode b, ion 2).
+
+    psi[n_a, n_b, i_1, i_2] = sum_k left[n_a, i_1, k] right[n_b, i_2, k].
+    It holds 2 K (d_a + d_b) amplitudes instead of 4 d_a d_b, and an operator
+    on one side of the cut updates one factor only.  The layout is the full
+    register's, so a state too large for the size cap cannot be made.
+    """
+
+    layout: SpaceLayout
+    left: np.ndarray    # (d_a, 2, K): mode a, ion 1, term
+    right: np.ndarray   # (d_b, 2, K): mode b, ion 2, term
+
+    def __post_init__(self) -> None:
+        self.left = np.asarray(self.left, dtype=np.complex128)
+        self.right = np.asarray(self.right, dtype=np.complex128)
+        k = self.left.shape[-1]
+        dims = self.layout.dims
+        if (self.left.shape != (dims[MODE_A], 2, k)
+                or self.right.shape != (dims[MODE_B], 2, k)):
+            raise ValueError(
+                f"factor shapes {self.left.shape} and {self.right.shape} do "
+                f"not fit the register layout {dims}")
+
+    def inner(self, other: "SchmidtState") -> complex:
+        """<self|other> = sum_kl <L_k|L'_l> <R_k|R'_l>, from two Gram tables."""
+        if self.layout != other.layout:
+            raise ValueError("states live on different layouts")
+        gl = np.einsum("aik,ail->kl", self.left.conj(), other.left)
+        gr = np.einsum("aik,ail->kl", self.right.conj(), other.right)
+        return complex((gl * gr).sum())
+
+    @property
+    def norm(self) -> float:
+        return sqrt(max(self.inner(self).real, 0.0))
+
+    def to_state(self) -> StateVector:
+        """The register this form stands for, 4 d_a d_b amplitudes."""
+        grid = np.einsum("aik,bjk->abij", self.left, self.right)
+        return StateVector(self.layout, grid.reshape(-1))
+
+
+def _on_ion_ground(*columns: np.ndarray) -> np.ndarray:
+    """(d, 2, K) factor: the K mode columns with the ion in |0>."""
+    cols = np.stack(columns, axis=-1)
+    out = np.zeros((cols.shape[0], 2, cols.shape[1]), dtype=np.complex128)
+    out[:, 0] = cols
+    return out
+
+
+def schmidt_fidelity(a: SchmidtState, b: SchmidtState) -> float:
+    """|<a|b>|^2 for unit-norm states; unnormalized input is an error.
+
+    hilbert.state_fidelity's contract, at O(d K^2) with no register built.
+    """
+    check_normalized(a, "first state")
+    check_normalized(b, "second state")
+    return float(abs(a.inner(b)) ** 2)
+
+
+def prepare_entangled_schmidt(params: EncodingParams) -> SchmidtState:
+    """prepare_entangled at chi_t = pi, as two Schmidt terms.
+
+    exp(-i pi n_a n_b) = ((-1)^n_a)^n_b, so the even Fock rows of |alpha>
+    keep |beta> and the odd rows take (-1)^n_b |beta> = |-beta>.  The row
+    mask and the sign flip are exact in floating point; the cutoff truncates
+    as in prepare_entangled.
+    """
+    ca = bosonic.coherent(params.alpha, params.mode_a).amps
+    cb = bosonic.coherent(params.beta, params.mode_b).amps
+    odd = np.arange(ca.size) % 2 == 1
+    left = _on_ion_ground(np.where(odd, 0.0, ca), np.where(odd, ca, 0.0))
+    right = _on_ion_ground(cb, (-1.0) ** np.arange(cb.size) * cb)
+    return SchmidtState(full_layout(params), left, right)
+
+
+def entangled_target_schmidt(params: EncodingParams) -> SchmidtState:
+    """entangled_target as two Schmidt terms, normalized.
+
+    (|a,b> + |-a,b> + |a,-b> - |-a,-b>)/2
+    = (|a> + |-a>)|b>/2 + (|a> - |-a>)|-b>/2, both ions in |0>.
+    """
+    ca_p = bosonic.coherent(params.alpha, params.mode_a).amps
+    ca_m = bosonic.coherent(-params.alpha, params.mode_a).amps
+    cb_p = bosonic.coherent(params.beta, params.mode_b).amps
+    cb_m = bosonic.coherent(-params.beta, params.mode_b).amps
+    psi = SchmidtState(full_layout(params),
+                       _on_ion_ground(0.5 * (ca_p + ca_m), 0.5 * (ca_p - ca_m)),
+                       _on_ion_ground(cb_p, cb_m))
+    return SchmidtState(psi.layout, psi.left / psi.norm, psi.right)
+
+
 def entangled_target(params: EncodingParams) -> StateVector:
     """The entangled pair built directly from coherent components.
 
     Normalized four-term form (|a,b> + |-a,b> + |a,-b> - |-a,-b>)/2 with both
     ions in |0>; equals the chi_t = pi preparation exactly, truncation aside.
     """
-    ca_p = bosonic.coherent(params.alpha, params.mode_a).amps
-    ca_m = bosonic.coherent(-params.alpha, params.mode_a).amps
-    cb_p = bosonic.coherent(params.beta, params.mode_b).amps
-    cb_m = bosonic.coherent(-params.beta, params.mode_b).amps
-    grid = 0.5 * (np.outer(ca_p, cb_p) + np.outer(ca_m, cb_p)
-                  + np.outer(ca_p, cb_m) - np.outer(ca_m, cb_m))
-    grid /= np.linalg.norm(grid)
-    psi = np.kron(grid.reshape(-1), np.array([1, 0, 0, 0], dtype=np.complex128))
-    return StateVector(full_layout(params), psi)
+    return entangled_target_schmidt(params).to_state()
 
 
 def entangled_target_cat_form(params: EncodingParams, side: str = "b") -> StateVector:
@@ -207,19 +303,22 @@ def entangled_target_cat_form(params: EncodingParams, side: str = "b") -> StateV
 BELL_KINDS = ("phi_plus", "psi_plus")
 
 
-def bell_target(kind: str, params: EncodingParams) -> StateVector:
-    """Logical Bell state of the two modes, ions in |00>."""
+def bell_target_schmidt(kind: str, params: EncodingParams) -> SchmidtState:
+    """Logical Bell state of the two modes, ions in |00>, as two Schmidt terms."""
     if kind not in BELL_KINDS:
         raise ValueError(f"kind must be one of {BELL_KINDS}, got {kind!r}")
     a = logical_basis("a", params)
     b = logical_basis("b", params)
-    if kind == "phi_plus":
-        pairs = [(a.zero, b.zero), (a.one, b.one)]
-    else:
-        pairs = [(a.zero, b.one), (a.one, b.zero)]
-    grid = sum(np.outer(x.amps, y.amps) for x, y in pairs) / sqrt(2.0)
-    psi = np.kron(grid.reshape(-1), np.array([1, 0, 0, 0], dtype=np.complex128))
-    return StateVector(full_layout(params), psi)
+    right = (b.zero.amps, b.one.amps) if kind == "phi_plus" \
+        else (b.one.amps, b.zero.amps)
+    return SchmidtState(full_layout(params),
+                        _on_ion_ground(a.zero.amps, a.one.amps) / sqrt(2.0),
+                        _on_ion_ground(*right))
+
+
+def bell_target(kind: str, params: EncodingParams) -> StateVector:
+    """Logical Bell state of the two modes, ions in |00>."""
+    return bell_target_schmidt(kind, params).to_state()
 
 
 def hadamard_matrix() -> np.ndarray:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catbell.bell import (
     CHSH_METHODS,
@@ -21,12 +23,22 @@ from catbell.bell import (
     correlation_sampled,
     electronic_bell,
     measurement_pulse,
+    mixed_bell_fidelity,
     reduced_electronic,
+    reduced_electronic_schmidt,
     sigma_theta,
     violation_scan,
 )
-from catbell.encoding import EncodingParams, bell_target
-from catbell.hilbert import SpaceLayout, StateVector, basis_state
+from catbell.bosonic import ModeParams
+from catbell.encoding import EncodingParams, SchmidtState, bell_target, full_layout
+from catbell.errors import ContractError
+from catbell.hilbert import (
+    DensityMatrix,
+    SpaceLayout,
+    StateVector,
+    basis_state,
+    dm_fidelity,
+)
 from catbell.noise import mixed_bell
 
 SIGMA_Z = np.diag([1.0, -1.0]).astype(np.complex128)
@@ -245,6 +257,63 @@ class TestReducedElectronic:
 
     def test_methods_tuple(self):
         assert CHSH_METHODS == ("exact", "rotated", "sampled")
+
+    @settings(max_examples=25)
+    @given(st.integers(2, 6), st.integers(2, 6), st.integers(1, 4),
+           st.integers(0, 2**31 - 1))
+    def test_schmidt_form_matches_the_register(self, d_a, d_b, k, seed):
+        rng = np.random.default_rng(seed)
+        enc = EncodingParams(1.0, 1.0, ModeParams(d_a, 0.999),
+                             ModeParams(d_b, 0.999))
+
+        def factor(d):
+            return rng.standard_normal((d, 2, k)) + 1j * rng.standard_normal((d, 2, k))
+
+        state = SchmidtState(full_layout(enc), factor(d_a), factor(d_b))
+        got = reduced_electronic_schmidt(state).matrix
+        want = reduced_electronic(state.to_state()).matrix
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def random_pair_dm(rng: np.random.Generator, floor: float) -> DensityMatrix:
+    """A full-rank two-qubit state: a random Gram matrix plus floor * 1."""
+    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    m = a @ a.conj().T + floor * np.eye(4)
+    return DensityMatrix(PAIR, m / np.trace(m).real)
+
+
+class TestMixedBellFidelity:
+    @settings(max_examples=60)
+    @given(st.integers(0, 2**31 - 1), st.floats(0.0, 1.0),
+           st.floats(0.01, 1.0), st.floats(0.0, 0.99))
+    def test_matches_uhlmann_on_full_rank_states(self, seed, delta, floor, near):
+        # near mixes in the target itself, so high fidelities are covered
+        rho = random_pair_dm(np.random.default_rng(seed), floor)
+        rho = DensityMatrix(PAIR, (1.0 - near) * rho.matrix
+                            + near * mixed_bell(delta).matrix)
+        want = dm_fidelity(rho, mixed_bell(delta))
+        assert abs(mixed_bell_fidelity(rho, delta) - want) <= 1e-7
+
+    def test_zero_weight_is_the_phi_plus_expectation(self):
+        rng = np.random.default_rng(17)
+        for floor in (0.0, 0.1, 1.0):
+            rho = random_pair_dm(rng, floor)
+            want = dm_fidelity(rho, electronic_bell("phi_plus"))
+            assert mixed_bell_fidelity(rho, 0.0) == want
+
+    @pytest.mark.parametrize("delta", [0.0, 0.15, 0.5, DELTA_STAR, 1.0])
+    def test_target_has_unit_fidelity(self, delta):
+        # the Uhlmann route is off by up to about 1e-8 here
+        assert abs(mixed_bell_fidelity(mixed_bell(delta), delta) - 1.0) <= 1e-15
+
+    def test_contract(self):
+        rho = mixed_bell(0.2)
+        with pytest.raises(ValueError, match="delta"):
+            mixed_bell_fidelity(rho, 1.5)
+        with pytest.raises(ContractError):
+            mixed_bell_fidelity(DensityMatrix(PAIR, 1.01 * rho.matrix), 0.2)
+        with pytest.raises(ValueError, match="layout"):
+            mixed_bell_fidelity(DensityMatrix(SpaceLayout((4,)), rho.matrix), 0.2)
 
 
 def test_tsirelson_ceiling_random_settings():

@@ -8,12 +8,15 @@ benchmark fails here first.  Timing is not checked.
 
 from __future__ import annotations
 
+import subprocess
 import sys
+from math import sqrt
 from pathlib import Path
 
 import pytest
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 if str(PERFBENCH) not in sys.path:
     sys.path.insert(0, str(PERFBENCH))
 
@@ -44,3 +47,33 @@ def test_mode_b_ensemble_op_passes_its_check(tmp_path):
     assert output is not None
     assert output["trajectories"] == workloads.TRAJECTORIES
     assert runner.failures == []
+
+
+def test_alpha8_pipeline_op_passes_its_check(tmp_path, monkeypatch):
+    # the cold op is alpha 2, ideal, exact; this is the largest register of
+    # a cycle, through the displacement build and sampled readout
+    monkeypatch.setenv("CATBELL_MAX_DIM", "65536")
+    runner = worker.Runner(str(tmp_path))
+    (op,) = [op for op in workloads.cycle_ops("pipeline", 0, 0)
+             if op["class"] == "alpha8-displacement-sampled"]
+    _, output = runner.run(op)
+    runner.verify(op, output)
+    assert runner.attempted == 1
+    assert output["exit_code"] == 0
+    assert runner.failures == []
+
+
+def test_full_pipeline_demo_tracks_linear_law():
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / "06_full_pipeline.py")],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rows = []
+    for line in proc.stdout.splitlines():
+        fields = line.split()
+        if len(fields) == 4 and fields[0][0].isdigit():
+            rows.append([float(f) for f in fields])
+    assert [r[0] for r in rows] == [0.0, 0.1, 0.2, 0.3]
+    for delta, b, law, fidelity in rows:
+        assert law == round(2.0 * sqrt(2.0) * (1.0 - delta), 6)
+        assert abs(b - law) <= 2e-6
+        assert fidelity == 1.0

@@ -242,6 +242,16 @@ class TestProtocolRunners:
         assert results["b_value"] == pytest.approx(2.0 * sqrt(2.0), abs=1e-6)
         assert "b_std_error" not in results
 
+    @pytest.mark.parametrize("alpha", [4.0, 8.0])
+    @pytest.mark.parametrize("delta", [0.0, 0.15])
+    def test_pipeline_ideal_fidelity_is_one(self, alpha, delta, monkeypatch):
+        # ideal gates deliver mixed_bell(delta) itself; the closed form reads
+        # 1 to rounding, where the Uhlmann route read up to 1 + 3e-8
+        monkeypatch.setenv("CATBELL_MAX_DIM", "65536")
+        enc = EncodingParams.for_amplitudes(alpha)
+        results = run_pipeline(enc, delta, DEFAULT_ANGLES)
+        assert abs(results["electronic_fidelity"] - 1.0) <= 1e-14
+
     def test_pipeline_tracks_linear_law(self):
         enc = EncodingParams.for_amplitudes(2.0)
         results = run_pipeline(enc, 0.1, DEFAULT_ANGLES)
@@ -417,16 +427,13 @@ class TestMainEntry:
         assert main(["run", cfg_path, "--output", str(tmp_path)]) == 2
         assert "must be finite" in capsys.readouterr().err
 
-    def test_heat_sweep_identical_across_blas_threads(self, tmp_path):
-        cfg_path = self.write_config(tmp_path, {
-            "protocol": "heat-sweep",
-            "encoding": {"alpha": 3.0},
-            "noise": {"gamma": 0.002, "durations": [0.5, 1.0, 2.0]},
-        })
+    def csv_under_blas_threads(self, tmp_path, raw: dict, **env_extra) -> list:
+        """CSV bytes of `catbell run` on raw with 1 and with 4 BLAS threads."""
+        cfg_path = self.write_config(tmp_path, raw)
         outputs = []
         for threads in (1, 4):
             outdir = tmp_path / f"threads{threads}"
-            env = dict(os.environ)
+            env = dict(os.environ, **env_extra)
             for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                         "MKL_NUM_THREADS"):
                 env[var] = str(threads)
@@ -435,8 +442,28 @@ class TestMainEntry:
                  "--output", str(outdir)],
                 env=env, capture_output=True, text=True)
             assert proc.returncode == 0, proc.stderr
-            outputs.append((outdir / "heat-sweep.csv").read_bytes())
-        assert outputs[0] == outputs[1]
+            outputs.append((outdir / f"{raw['protocol']}.csv").read_bytes())
+        return outputs
+
+    def test_heat_sweep_identical_across_blas_threads(self, tmp_path):
+        one, four = self.csv_under_blas_threads(tmp_path, {
+            "protocol": "heat-sweep",
+            "encoding": {"alpha": 3.0},
+            "noise": {"gamma": 0.002, "durations": [0.5, 1.0, 2.0]},
+        })
+        assert one == four
+
+    @pytest.mark.parametrize("alpha", [4.0, 8.0])
+    def test_full_pipeline_identical_across_blas_threads(self, tmp_path, alpha):
+        # the displacement build; alpha 8 needs the raised size cap
+        one, four = self.csv_under_blas_threads(tmp_path, {
+            "protocol": "full-pipeline",
+            "encoding": {"alpha": alpha},
+            "noise": {"delta": 0.1},
+            "gates": {"ev_variant": "displacement"},
+        }, CATBELL_MAX_DIM="65536")
+        assert b"electronic_fidelity" in one
+        assert one == four
 
     def test_seed_override_changes_sampled_output(self, tmp_path):
         cfg_path = self.write_config(tmp_path, {

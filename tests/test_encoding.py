@@ -9,12 +9,15 @@ from catbell.bosonic import EVEN, ODD, ModeParams, cat, coherent, parity_op
 from catbell.encoding import (
     BELL_KINDS,
     EncodingParams,
+    SchmidtState,
     bell_target,
+    bell_target_schmidt,
     dft_logical_amplitudes,
     dft_state,
     displacement_rotation,
     entangled_target,
     entangled_target_cat_form,
+    entangled_target_schmidt,
     full_layout,
     hadamard_matrix,
     ideal_logical_rotation,
@@ -22,9 +25,11 @@ from catbell.encoding import (
     logical_basis,
     logical_state,
     prepare_entangled,
+    prepare_entangled_schmidt,
     qubit_state,
     rotation_fidelity,
     rx_matrix,
+    schmidt_fidelity,
 )
 from catbell.errors import ContractError
 from catbell.hilbert import (
@@ -124,6 +129,22 @@ class TestLogicalBasis:
         op = logical_basis("a", enc2).subspace_unitary(rx_matrix(0.3))
         assert unitarity_residual(op) < 1e-10
 
+    def test_rotate_is_the_lifted_unitary(self, enc2):
+        # (1 - B B^dag) + B m2 B^dag, built densely here; trailing axes of
+        # the input ride along and the input is left untouched
+        basis = logical_basis("a", enc2)
+        b = np.column_stack([basis.zero.amps, basis.one.amps])
+        m2 = rx_matrix(0.3) @ hadamard_matrix()
+        dense = np.eye(b.shape[0]) - b @ b.conj().T + b @ m2 @ b.conj().T
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((b.shape[0], 2, 3)) + 1j * rng.standard_normal((b.shape[0], 2, 3))
+        before = x.copy()
+        got = basis.rotate(m2, x)
+        want = np.einsum("mn,nik->mik", dense, x)
+        assert got.shape == x.shape
+        assert np.abs(got - want).max() < 1e-14
+        assert np.array_equal(x, before)
+
 
 class TestEntangledPreparation:
     def test_matches_direct_target(self):
@@ -164,12 +185,86 @@ class TestEntangledPreparation:
         with pytest.raises(ContractError):
             dft_logical_amplitudes(prepare_entangled(enc3), enc2)
 
+    @pytest.mark.parametrize("alpha,beta", [(2.0, 2.0), (2.0, 3.0)])
+    def test_target_is_the_four_term_sum(self, alpha, beta):
+        # the coherent four-term form, summed here as outer products
+        enc = EncodingParams.for_amplitudes(alpha, beta)
+        ca = [coherent(s * alpha, enc.mode_a).amps for s in (1, -1)]
+        cb = [coherent(s * beta, enc.mode_b).amps for s in (1, -1)]
+        grid = 0.5 * (np.outer(ca[0], cb[0]) + np.outer(ca[1], cb[0])
+                      + np.outer(ca[0], cb[1]) - np.outer(ca[1], cb[1]))
+        grid /= np.linalg.norm(grid)
+        got = entangled_target(enc).as_tensor()
+        assert np.abs(got[:, :, 0, 0] - grid).max() < 1e-15
+        assert not got[:, :, 1:, :].any() and not got[:, :, :, 1:].any()
+
+    @pytest.mark.parametrize("alpha,beta", [(2.0, 2.0), (2.0, 3.0)])
+    def test_schmidt_preparation_matches_its_target(self, alpha, beta):
+        enc = EncodingParams.for_amplitudes(alpha, beta)
+        psi = prepare_entangled_schmidt(enc)
+        target = entangled_target_schmidt(enc)
+        want = state_fidelity(psi.to_state(), target.to_state())
+        assert abs(schmidt_fidelity(psi, target) - want) < 1e-14
+        assert want > 1.0 - 1e-12
+
+
+class TestSchmidtState:
+    def test_shapes_must_fit_the_layout(self, enc2):
+        layout = full_layout(enc2)
+        d = enc2.mode_a.cutoff
+        ok = np.zeros((d, 2, 2))
+        assert SchmidtState(layout, ok, ok).left.dtype == np.complex128
+        with pytest.raises(ValueError, match="layout"):
+            SchmidtState(layout, ok, np.zeros((d, 2, 3)))
+        with pytest.raises(ValueError, match="layout"):
+            SchmidtState(layout, np.zeros((d + 1, 2, 2)), ok)
+
+    def test_fidelity_contract(self, enc2, enc3):
+        phi = bell_target_schmidt("phi_plus", enc2)
+        half = SchmidtState(phi.layout, 0.5 * phi.left, phi.right)
+        with pytest.raises(ContractError, match="first state"):
+            schmidt_fidelity(half, phi)
+        with pytest.raises(ContractError, match="second state"):
+            schmidt_fidelity(phi, half)
+        with pytest.raises(ValueError, match="layouts"):
+            schmidt_fidelity(phi, bell_target_schmidt("phi_plus", enc3))
+
+    def test_inner_matches_the_register(self, enc2):
+        rng = np.random.default_rng(4)
+        layout = full_layout(enc2)
+        d = enc2.mode_a.cutoff
+
+        def state(k):
+            f = [rng.standard_normal((d, 2, k)) + 1j * rng.standard_normal((d, 2, k))
+                 for _ in range(2)]
+            return SchmidtState(layout, *f)
+
+        a, b = state(2), state(3)
+        want = overlap(a.to_state(), b.to_state())
+        assert abs(a.inner(b) - want) <= 1e-12 * abs(want)
+        assert a.norm == pytest.approx(a.to_state().norm, rel=1e-14)
+        a = SchmidtState(layout, a.left / a.norm, a.right)
+        b = SchmidtState(layout, b.left / b.norm, b.right)
+        want = state_fidelity(a.to_state(), b.to_state())
+        assert abs(schmidt_fidelity(a, b) - want) <= 1e-14
+
 
 class TestBellTargets:
     def test_kinds(self, enc2):
         with pytest.raises(ValueError):
             bell_target("phi_minus", enc2)
         assert BELL_KINDS == ("phi_plus", "psi_plus")
+
+    @pytest.mark.parametrize("kind", BELL_KINDS)
+    def test_is_the_logical_pair_sum(self, kind, enc2):
+        a = logical_basis("a", enc2)
+        b = logical_basis("b", enc2)
+        pairs = [(a.zero, b.zero), (a.one, b.one)] if kind == "phi_plus" \
+            else [(a.zero, b.one), (a.one, b.zero)]
+        grid = sum(np.outer(x.amps, y.amps) for x, y in pairs) / np.sqrt(2.0)
+        got = bell_target(kind, enc2).as_tensor()
+        assert np.abs(got[:, :, 0, 0] - grid).max() < 1e-15
+        assert not got[:, :, 1:, :].any() and not got[:, :, :, 1:].any()
 
     def test_orthogonal_pair(self, enc2):
         phi = bell_target("phi_plus", enc2)

@@ -9,9 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catbell.bell import DEFAULT_ANGLES, chsh, reduced_electronic
+from catbell.bell import (
+    DEFAULT_ANGLES,
+    chsh,
+    mixed_bell_fidelity,
+    reduced_electronic,
+)
 from catbell.bosonic import ModeParams, number_op, parity_projectors
-from catbell.cli import run_pipeline
+from catbell.cli import _pipeline_state, run_pipeline
 from catbell.encoding import (
     EncodingParams,
     full_layout,
@@ -19,6 +24,7 @@ from catbell.encoding import (
     lift_to_full,
     logical_basis,
     prepare_entangled,
+    prepare_entangled_schmidt,
     qubit_state,
 )
 from catbell.gates import (
@@ -349,8 +355,10 @@ class TestExchangeAction:
         assert np.abs(np.swapaxes(swapped, 0, 1).reshape(2 * d, 5) - want).max() <= 1e-12
 
 
-def dense_pipeline(enc: EncodingParams, delta: float, ev: str) -> dict:
-    """run_pipeline's exchange stage recomputed with lifted dense matrices."""
+def dense_electronic(enc: EncodingParams, delta: float, ve: str,
+                     ev: str) -> DensityMatrix:
+    """Oracle: run_pipeline's coherent stages on the 4 d_a d_b register, with
+    lifted dense code-space rotations and exchange matrices."""
     psi = prepare_entangled(enc)
     psi = apply(lift_to_full(ideal_logical_rotation("hadamard", "a", enc),
                              "a", enc), psi)
@@ -358,24 +366,63 @@ def dense_pipeline(enc: EncodingParams, delta: float, ev: str) -> dict:
     rho = np.zeros((4, 4), dtype=np.complex128)
     for weight, branch in ((1.0 - delta, psi), (delta, apply(flip, psi))):
         for which in ("a", "b"):
-            m = dense_exchange(which, enc, "ideal", ev)
+            m = dense_exchange(which, enc, ve, ev)
             op = OperatorMatrix(pair_layout(which, enc), (0, 1), m)
             branch = apply(lift_pair(op, which, enc), branch)
         rho += weight * reduced_electronic(branch).matrix
-    electronic = DensityMatrix(SpaceLayout((2, 2)), rho)
+    return DensityMatrix(SpaceLayout((2, 2)), rho)
+
+
+def dense_pipeline(enc: EncodingParams, delta: float, ev: str,
+                   ve: str = "ideal") -> dict:
+    """run_pipeline's readout of the dense oracle.
+
+    The fidelity line uses the same closed form as run_pipeline: this helper
+    checks the state, not the fidelity formula (the Uhlmann route of
+    hilbert.dm_fidelity rounds to about 1e-8 against the rank-2 target).
+    """
+    electronic = dense_electronic(enc, delta, ve, ev)
     outcome = chsh(electronic, DEFAULT_ANGLES)
     out = dict(zip(("e_ab", "e_ab_prime", "e_a_prime_b", "e_a_prime_b_prime"),
                    outcome.correlations))
-    out["electronic_fidelity"] = dm_fidelity(electronic, mixed_bell(delta))
+    out["electronic_fidelity"] = mixed_bell_fidelity(electronic, delta)
     out["b_value"] = outcome.b_value
     return out
 
 
+AMPLITUDES = [(2.0, 2.0), (4.0, 4.0), (2.0, 3.0)]
+# (ve, delta) beyond test_results_match's (ideal, 0.15)
+MORE_CASES = [(ve, d) for ve in VE_VARIANTS for d in (0.0, 0.15, 1.0)
+              if (ve, d) != ("ideal", 0.15)]
+
+
 class TestPipelineAgainstDense:
     @pytest.mark.parametrize("ev", EV_VARIANTS)
-    @pytest.mark.parametrize("alpha,beta", [(2.0, 2.0), (4.0, 4.0), (2.0, 3.0)])
+    @pytest.mark.parametrize("alpha,beta", AMPLITUDES)
     def test_results_match(self, alpha, beta, ev):
         enc = EncodingParams.for_amplitudes(alpha, beta)
         got = run_pipeline(enc, 0.15, DEFAULT_ANGLES, ev_variant=ev)
         for name, want in dense_pipeline(enc, 0.15, ev).items():
             assert abs(got[name] - want) <= 1e-12, name
+
+    @pytest.mark.parametrize("ev", EV_VARIANTS)
+    @pytest.mark.parametrize("alpha,beta", AMPLITUDES)
+    @pytest.mark.parametrize("ve,delta", MORE_CASES)
+    def test_variants_and_edge_weights(self, ve, delta, alpha, beta, ev):
+        enc = EncodingParams.for_amplitudes(alpha, beta)
+        _, electronic = _pipeline_state(enc, delta, ve, ev)
+        dense = dense_electronic(enc, delta, ve, ev)
+        assert np.abs(electronic.matrix - dense.matrix).max() <= 1e-13
+        got = run_pipeline(enc, delta, DEFAULT_ANGLES, ve_variant=ve,
+                           ev_variant=ev)
+        for name, want in dense_pipeline(enc, delta, ev, ve).items():
+            assert abs(got[name] - want) <= 1e-12, name
+
+    @pytest.mark.parametrize("alpha,beta", AMPLITUDES)
+    def test_schmidt_terms_rebuild_the_preparation(self, alpha, beta):
+        enc = EncodingParams.for_amplitudes(alpha, beta)
+        terms = prepare_entangled_schmidt(enc)
+        assert terms.left.shape[-1] == 2
+        rebuilt = np.einsum("aik,bjk->abij", terms.left, terms.right)
+        want = prepare_entangled(enc).as_tensor()
+        assert np.abs(rebuilt - want).max() <= 1e-12
