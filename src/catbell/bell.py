@@ -16,6 +16,7 @@ weight delta is mixed in.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import cos, pi, sqrt
 
 import numpy as np
@@ -110,14 +111,17 @@ def sigma_theta(theta: float) -> np.ndarray:
     return np.cos(theta) * SIGMA_X + np.sin(theta) * SIGMA_Y
 
 
+@lru_cache(maxsize=64)
 def measurement_pulse(theta: float) -> np.ndarray:
     """Half-rotation carrier pulse that maps sigma(theta) onto sigma_z.
 
     Conjugation by a half pulse with phase phi turns sigma_z into an
     equatorial axis at angle -phi - pi/2, so measuring along theta takes
-    phi = -theta - pi/2.
+    phi = -theta - pi/2.  Memoized per angle; the result is read-only.
     """
-    return carrier_rotation(0.5, -theta - pi / 2).matrix
+    pulse = carrier_rotation(0.5, -theta - pi / 2).matrix
+    pulse.flags.writeable = False
+    return pulse
 
 
 def _as_pair_dm(state: StateVector | DensityMatrix) -> DensityMatrix:

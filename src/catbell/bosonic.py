@@ -5,12 +5,15 @@ c_{n+1} = c_n * alpha / sqrt(n+1) starting from c_0 = exp(-|alpha|^2/2), and
 every constructor checks how much probability the truncation dropped before
 renormalizing.  Cat states carry exact parity: the discarded-parity
 amplitudes cancel exactly in floating point, not just approximately.
+Constructors build mode.layout, which checks the size cap, before they
+allocate anything, so an oversized cutoff is a CapacityError, not a
+failed allocation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, exp, sqrt
+from math import ceil, exp, expm1, sqrt
 
 import numpy as np
 
@@ -83,21 +86,29 @@ def _check_leak(dropped: float, mode: ModeParams, alpha: complex, what: str) -> 
 
 def coherent(alpha: complex, mode: ModeParams) -> StateVector:
     """Normalized coherent state |alpha> truncated to the mode's cutoff."""
+    layout = mode.layout
     c = _coherent_amps(alpha, mode.cutoff)
     kept = float(np.vdot(c, c).real)
     _check_leak(1.0 - kept, mode, alpha, "coherent state")
-    return StateVector(mode.layout, c / sqrt(kept))
+    return StateVector(layout, c / sqrt(kept))
 
 
 def cat_norm(alpha: complex, parity: str) -> float:
-    """N_+- = 1/sqrt(2 +- 2 exp(-2|alpha|^2)), the cat normalization constant."""
-    u = exp(-2.0 * abs(alpha) ** 2)
+    """N_+- = 1/sqrt(2 +- 2 exp(-2|alpha|^2)), the cat normalization constant.
+
+    The odd norm^2 is computed as -2 expm1(-2|alpha|^2), which keeps its
+    digits at small alpha where 2 - 2 exp(-2|alpha|^2) cancels to 0.
+    """
+    x = 2.0 * abs(alpha) ** 2
     if parity == EVEN:
-        return 1.0 / sqrt(2.0 + 2.0 * u)
+        return 1.0 / sqrt(2.0 + 2.0 * exp(-x))
     if parity == ODD:
-        if u >= 1.0:
-            raise ValueError("odd cat state is undefined at alpha = 0")
-        return 1.0 / sqrt(2.0 - 2.0 * u)
+        norm2 = -2.0 * expm1(-x)
+        if norm2 <= 0.0:
+            raise ValueError(
+                f"odd cat state is undefined at alpha = {alpha} (|alpha|^2 "
+                "underflows)")
+        return 1.0 / sqrt(norm2)
     raise ValueError(f"parity must be '+' or '-', got {parity!r}")
 
 
@@ -108,40 +119,46 @@ def cat(alpha: complex, parity: str, mode: ModeParams) -> StateVector:
     """
     if parity not in (EVEN, ODD):
         raise ValueError(f"parity must be '+' or '-', got {parity!r}")
+    layout = mode.layout
     c = _coherent_amps(alpha, mode.cutoff)
     mirror = c * ((-1.0) ** np.arange(mode.cutoff))
     v = c + mirror if parity == EVEN else c - mirror
     kept = float(np.vdot(v, v).real)
     exact = 1.0 / cat_norm(alpha, parity) ** 2  # norm^2 of the untruncated sum
     _check_leak(max(0.0, 1.0 - kept / exact), mode, alpha, f"'{parity}' cat state")
-    return StateVector(mode.layout, v / sqrt(kept))
+    return StateVector(layout, v / sqrt(kept))
 
 
 def annihilation(mode: ModeParams) -> OperatorMatrix:
+    layout = mode.layout
     m = np.diag(np.sqrt(np.arange(1, mode.cutoff, dtype=np.float64)), 1)
-    return OperatorMatrix(mode.layout, (0,), m)
+    return OperatorMatrix(layout, (0,), m)
 
 
 def creation(mode: ModeParams) -> OperatorMatrix:
+    layout = mode.layout
     m = np.diag(np.sqrt(np.arange(1, mode.cutoff, dtype=np.float64)), -1)
-    return OperatorMatrix(mode.layout, (0,), m)
+    return OperatorMatrix(layout, (0,), m)
 
 
 def number_op(mode: ModeParams) -> OperatorMatrix:
-    return OperatorMatrix(mode.layout, (0,), np.diag(np.arange(mode.cutoff, dtype=np.float64)))
+    layout = mode.layout
+    return OperatorMatrix(layout, (0,), np.diag(np.arange(mode.cutoff, dtype=np.float64)))
 
 
 def parity_op(mode: ModeParams) -> OperatorMatrix:
-    return OperatorMatrix(mode.layout, (0,), np.diag((-1.0) ** np.arange(mode.cutoff)))
+    layout = mode.layout
+    return OperatorMatrix(layout, (0,), np.diag((-1.0) ** np.arange(mode.cutoff)))
 
 
 def parity_projectors(mode: ModeParams) -> tuple[OperatorMatrix, OperatorMatrix]:
     """(even, odd) projectors; they sum to the identity exactly."""
+    layout = mode.layout
     n = np.arange(mode.cutoff)
     even = np.diag(((n + 1) % 2).astype(np.float64))
     odd = np.diag((n % 2).astype(np.float64))
-    return (OperatorMatrix(mode.layout, (0,), even),
-            OperatorMatrix(mode.layout, (0,), odd))
+    return (OperatorMatrix(layout, (0,), even),
+            OperatorMatrix(layout, (0,), odd))
 
 
 def displacement(beta: complex, mode: ModeParams) -> OperatorMatrix:

@@ -15,6 +15,7 @@ exp(-2 alpha^2).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from math import cos, exp, pi, sin, sqrt
 
@@ -53,6 +54,12 @@ class EncodingParams:
     def __post_init__(self) -> None:
         if self.alpha <= 0 or self.beta <= 0:
             raise ValueError("cat amplitudes must be positive")
+        # below this |alpha|^2 is subnormal or 0 and the odd cat has no norm
+        if min(self.alpha, self.beta) ** 2 < sys.float_info.min:
+            raise ValueError(
+                "cat amplitudes must be at least "
+                f"{sqrt(sys.float_info.min):.3g}, got "
+                f"{min(self.alpha, self.beta):.3g}")
         if self.epsilon is not None and self.epsilon < 0:
             raise ValueError("epsilon must be nonnegative")
         # the one epsilon kicks both modes, so it bounds both rotations

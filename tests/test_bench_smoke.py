@@ -8,6 +8,7 @@ benchmark fails here first.  Timing is not checked.
 
 from __future__ import annotations
 
+import json
 import subprocess
 import sys
 from math import sqrt
@@ -61,6 +62,26 @@ def test_alpha8_pipeline_op_passes_its_check(tmp_path, monkeypatch):
     assert runner.attempted == 1
     assert output["exit_code"] == 0
     assert runner.failures == []
+
+
+def test_pipeline_op_hit_writes_the_miss_results(tmp_path):
+    # a second op of a class in one process reuses the memoized coherent
+    # stages; its results must be the cold op's, byte for byte
+    import catbell.cli
+    runner = worker.Runner(str(tmp_path))
+    (op,) = [op for op in workloads.cycle_ops("pipeline", 0, 0)
+             if op["class"] == "alpha4-displacement-sampled"]
+    catbell.cli._coherent_stages.cache_clear()
+    outputs = []
+    for _ in range(2):
+        _, output = runner.run(op)
+        runner.verify(op, output)
+        outputs.append(output)
+    info = catbell.cli._coherent_stages.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert runner.failures == []
+    miss, hit = (json.dumps(out["results"]) for out in outputs)
+    assert miss == hit
 
 
 def test_full_pipeline_demo_tracks_linear_law():

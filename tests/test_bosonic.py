@@ -94,6 +94,18 @@ class TestCat:
         assert cat_norm(3.0, EVEN) == pytest.approx(1.0 / np.sqrt(2 + 2 * np.exp(-18.0)), abs=1e-15)
         assert cat_norm(3.0, ODD) == pytest.approx(1.0 / np.sqrt(2 - 2 * np.exp(-18.0)), abs=1e-15)
 
+    def test_odd_norm_keeps_its_digits_at_small_alpha(self):
+        # 2 - 2 exp(-2 alpha^2) cancels to 0 at alpha = 1e-9; the odd cat
+        # norm^2 is 4 alpha^2 (1 - alpha^2 + ...)
+        assert cat_norm(1e-9, ODD) == pytest.approx(0.5e9, rel=1e-12)
+        assert np.abs(cat(1e-9, ODD, ModeParams(4)).amps
+                      - np.array([0.0, 1.0, 0.0, 0.0])).max() < 1e-15
+
+    def test_odd_norm_undefined_where_alpha_squared_underflows(self):
+        for alpha in (0.0, 1e-200):
+            with pytest.raises(ValueError, match="odd cat state is undefined"):
+                cat_norm(alpha, ODD)
+
     def test_bad_parity_label(self):
         with pytest.raises(ValueError):
             cat_norm(2.0, "x")
@@ -134,6 +146,26 @@ class TestCat:
             ref = cat_amplitudes(2.0, sign, mode.cutoff)
             got = cat(2.0, parity, mode).amps
             assert np.abs(got - ref / np.linalg.norm(ref)).max() < 1e-12
+
+
+class _NoNumpy:
+    """Stands in for numpy in the module under test: any use is an error."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy.{name} used before the size cap check")
+
+
+@pytest.mark.parametrize("build", [
+    lambda mode: coherent(2.0, mode),
+    lambda mode: cat(2.0, EVEN, mode),
+    annihilation, creation, number_op, parity_op, parity_projectors,
+])
+def test_size_cap_checked_before_allocation(build, monkeypatch):
+    # a cutoff of 1e9 would allocate gigabytes before the layout refused it
+    import catbell.bosonic
+    monkeypatch.setattr(catbell.bosonic, "np", _NoNumpy())
+    with pytest.raises(CapacityError, match="exceeds the cap"):
+        build(ModeParams(10 ** 9))
 
 
 class TestLadderOperators:

@@ -12,12 +12,16 @@ from math import pi, sqrt
 import numpy as np
 import pytest
 
-from catbell.bell import DEFAULT_ANGLES, DELTA_STAR
+import catbell.bosonic
+from catbell.bell import DEFAULT_ANGLES, DELTA_STAR, measurement_pulse
 from catbell.bosonic import displacement
 from catbell.cli import (
     DEFAULT_DELTAS,
     DEFAULT_EPSILONS,
     PROTOCOLS,
+    _build_parser,
+    _coherent_stages,
+    _pipeline_state,
     describe,
     execute,
     main,
@@ -32,8 +36,8 @@ from catbell.cli import (
     run_swap_report,
 )
 from catbell.encoding import EncodingParams
-from catbell.errors import ConfigError
-from catbell.gates import u_swap
+from catbell.errors import CapacityError, ConfigError
+from catbell.gates import EV_VARIANTS, u_swap
 
 
 def cfg_for(protocol: str, **overrides) -> dict:
@@ -408,6 +412,40 @@ class TestMainEntry:
         assert main(["run", cfg_path, "--output", str(tmp_path)]) == 3
         assert "capacity error" in capsys.readouterr().err
 
+    def test_huge_cutoff_is_capacity_error_before_allocating(
+            self, tmp_path, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("mode amplitudes allocated before the cap check")
+        monkeypatch.setattr(catbell.bosonic, "_coherent_amps", refuse)
+        cfg_path = self.write_config(tmp_path, {
+            "protocol": "full-pipeline",
+            "encoding": {"cutoff": 1000000000},
+        })
+        assert main(["run", cfg_path, "--output", str(tmp_path)]) == 3
+        assert "exceeds the cap" in capsys.readouterr().err
+
+    def test_tiny_alpha_runs(self, tmp_path, capsys):
+        # the odd cat's norm^2 no longer cancels to 0 at alpha = 1e-9
+        cfg_path = self.write_config(tmp_path, {
+            "protocol": "full-pipeline",
+            "encoding": {"alpha": 1e-9},
+            "output": {"format": "json"},
+        })
+        assert main(["run", cfg_path, "--output", str(tmp_path)]) == 0
+        record = json.loads((tmp_path / "full-pipeline.json").read_text())
+        assert all(np.isfinite(v) for v in record["results"].values())
+        assert record["results"]["preparation_fidelity"] == pytest.approx(1.0)
+
+    def test_alpha_whose_square_underflows_is_config_error(self, tmp_path,
+                                                           capsys):
+        cfg_path = self.write_config(tmp_path, {
+            "protocol": "full-pipeline",
+            "encoding": {"alpha": 1e-200},
+        })
+        assert main(["run", cfg_path, "--output", str(tmp_path)]) == 2
+        assert "config error: encoding: cat amplitudes must be at least" \
+            in capsys.readouterr().err
+
     def test_contract_error_exit_code(self, tmp_path, capsys):
         cfg_path = self.write_config(tmp_path, {
             "protocol": "heat-sweep",
@@ -486,3 +524,105 @@ class TestMainEntry:
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "bell-scan.csv").exists()
+
+
+class TestPipelineMemo:
+    """run_pipeline memoizes its delta-independent stages per process."""
+
+    @pytest.mark.parametrize("alpha,beta", [(2.0, 2.0), (2.0, 3.0)])
+    def test_warm_sweep_equals_cold_calls(self, alpha, beta):
+        enc = EncodingParams.for_amplitudes(alpha, beta)
+        deltas = (0.0, 0.15, 1.0)
+
+        def sweep(cold: bool) -> list:
+            out = []
+            for delta in deltas:
+                for ev in EV_VARIANTS:
+                    for method in ("exact", "sampled"):
+                        if cold:
+                            _coherent_stages.cache_clear()
+                            measurement_pulse.cache_clear()
+                        out.append(run_pipeline(enc, delta, DEFAULT_ANGLES,
+                                                method, 512, 3, "literal", ev))
+            return out
+
+        _coherent_stages.cache_clear()
+        warm = sweep(cold=False)
+        info = _coherent_stages.cache_info()
+        assert info.misses == len(EV_VARIANTS)
+        assert info.hits == len(warm) - info.misses
+        assert warm == sweep(cold=True)
+
+    def test_hit_still_holds_the_size_cap(self, monkeypatch):
+        # alpha 6 (d = 82) needs the raised cap; a hit must not skip it
+        enc = EncodingParams.for_amplitudes(6.0)
+        monkeypatch.setenv("CATBELL_MAX_DIM", "65536")
+        run_pipeline(enc, 0.1, DEFAULT_ANGLES)
+        monkeypatch.delenv("CATBELL_MAX_DIM")
+        hits = _coherent_stages.cache_info().hits
+        with pytest.raises(CapacityError, match="exceeds the cap 16384"):
+            run_pipeline(enc, 0.1, DEFAULT_ANGLES)
+        assert _coherent_stages.cache_info().hits == hits + 1
+
+    def test_cached_arrays_are_read_only(self):
+        enc = EncodingParams.for_amplitudes(2.0)
+        _, _, keep, flip = _coherent_stages(enc, "ideal", "ideal")
+        for cached in (keep, flip, measurement_pulse(0.3)):
+            with pytest.raises(ValueError, match="read-only"):
+                cached[0, 0] = 1.0
+
+    def test_returned_state_is_the_callers(self):
+        enc = EncodingParams.for_amplitudes(2.0)
+        _coherent_stages.cache_clear()
+        results, rho = _pipeline_state(enc, 0.15, "ideal", "ideal")
+        want = rho.matrix.copy()
+        rho.matrix[:] = 0.0
+        results["preparation_fidelity"] = -1.0
+        results_again, rho_again = _pipeline_state(enc, 0.15, "ideal", "ideal")
+        assert _coherent_stages.cache_info().hits == 1
+        assert (rho_again.matrix == want).all()
+        assert results_again["preparation_fidelity"] > 0.99
+        # and a later call does not write into a state handed out before
+        _pipeline_state(enc, 0.5, "ideal", "ideal")
+        assert (rho_again.matrix == want).all()
+
+
+class TestParserReuse:
+    def outcomes(self, argvs: list, capsys, fresh: bool) -> list:
+        """(exit code, stdout, stderr) of main on each argv in turn."""
+        out = []
+        for argv in argvs:
+            if fresh:
+                _build_parser.cache_clear()
+            try:
+                code = main(argv)
+            except SystemExit as stop:
+                code = ("exit", stop.code)
+            captured = capsys.readouterr()
+            out.append((code, captured.out, captured.err))
+        return out
+
+    def test_one_parser_behaves_like_a_fresh_one(self, tmp_path, capsys):
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps({"protocol": "prepare"}), encoding="utf-8")
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"protocol": "prepare", "extra": 1}),
+                       encoding="utf-8")
+        out = str(tmp_path)
+        argvs = [
+            ["run", str(good), "--output", out],
+            ["describe", "full-pipeline"],
+            ["version"],
+            ["run", str(good), "--output", out, "--seed", "5"],
+            ["run", str(bad), "--output", out],
+            [], ["frobnicate"], ["run"], ["run", str(good), "--seed", "x"],
+            ["describe"], ["--help"], ["run", "--help"],
+            ["describe", "anneal"],
+            ["run", str(good), "--output", out],
+        ]
+        assert _build_parser() is _build_parser()
+        reused = self.outcomes(argvs, capsys, fresh=False)
+        assert reused == self.outcomes(argvs, capsys, fresh=True)
+        assert [r[0] for r in reused[:5]] == [0, 0, 0, 0, 2]
+        assert reused[5][0] == ("exit", 2)
+        assert reused[-1] == reused[0]

@@ -58,6 +58,13 @@ class TestParams:
         with pytest.raises(ValueError):
             EncodingParams.for_amplitudes(2.0, beta=-1.0)
 
+    def test_amplitude_whose_square_underflows_rejected(self):
+        EncodingParams.for_amplitudes(1e-9)
+        with pytest.raises(ValueError, match="at least 1.49e-154"):
+            EncodingParams.for_amplitudes(1e-200)
+        with pytest.raises(ValueError, match="at least"):
+            EncodingParams.for_amplitudes(2.0, beta=1e-200)
+
     def test_negative_epsilon_rejected(self):
         with pytest.raises(ValueError):
             EncodingParams(2.0, 2.0, ModeParams(26), ModeParams(26), epsilon=-0.1)
