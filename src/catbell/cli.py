@@ -38,6 +38,7 @@ from .bell import (
 from .bosonic import EVEN, cat
 from .encoding import (
     EncodingParams,
+    LogicalBasis,
     SchmidtState,
     bell_target_schmidt,
     entangled_target,
@@ -357,48 +358,47 @@ def run_bell_scan(cfg: dict) -> tuple[list[dict], dict, str]:
     return rows, results, "sampled" if mode == "sampled" else "exact"
 
 
-# a delta sweep at one encoding hits one key; an entry is two floats and
-# two 4 x 4 arrays, so 32 keys hold a few tens of KB
-@functools.lru_cache(maxsize=32)
-def _coherent_stages(enc: EncodingParams, ve_variant: str, ev_variant: str
-                     ) -> tuple[float, float, np.ndarray, np.ndarray]:
-    """The delta-independent stages of run_pipeline: the preparation and
-    Hadamard fidelities and the electronic pair after both exchanges, for
-    the no-flip and the flip branch.  The arrays are read-only."""
+# a delta sweep at one encoding hits one key; an entry is two floats, mode
+# a's code basis and the two (d, 2, 2) factors, about 12 d complex numbers
+@functools.lru_cache(maxsize=16)
+def _hadamard_stage(enc: EncodingParams
+                    ) -> tuple[float, float, LogicalBasis, np.ndarray, np.ndarray]:
+    """The gate-free stages of run_pipeline, which depend on enc only: the
+    preparation and Hadamard fidelities, mode a's code basis and the left
+    and right factors after the Hadamard.  The arrays are read-only."""
     psi = prepare_entangled_schmidt(enc)  # held to the register's size cap
     prep = schmidt_fidelity(psi, entangled_target_schmidt(enc))
     code_a = logical_basis("a", enc)
     psi = SchmidtState(psi.layout, code_a.rotate(hadamard_matrix(), psi.left),
                        psi.right)
     had = schmidt_fidelity(psi, bell_target_schmidt("phi_plus", enc))
-
-    swap_a = u_swap("a", enc, ve_variant, ev_variant)
-    same_modes = (enc.mode_a, enc.alpha) == (enc.mode_b, enc.beta)
-    swap_b = swap_a if same_modes else u_swap("b", enc, ve_variant, ev_variant)
-    right = swap_b.apply(psi.right, 0, 1)
-    branches = []
-    for left in (psi.left, code_a.rotate(SIGMA_X, psi.left)):
-        out = SchmidtState(psi.layout, swap_a.apply(left, 0, 1), right)
-        rho = reduced_electronic_schmidt(out).matrix
-        rho.flags.writeable = False
-        branches.append(rho)
-    return prep, had, branches[0], branches[1]
+    for array in (psi.left, psi.right, code_a.zero.amps, code_a.one.amps,
+                  code_a.dft_zero.amps, code_a.dft_one.amps):
+        array.flags.writeable = False
+    return prep, had, code_a, psi.left, psi.right
 
 
 def _pipeline_state(enc: EncodingParams, delta: float, ve_variant: str,
                     ev_variant: str) -> tuple[dict, DensityMatrix]:
     """The coherent stages of run_pipeline: stage fidelities and the
-    electronic pair after both exchanges, with the flip branch mixed in at
-    weight delta."""
-    prep, had, keep, flip = _coherent_stages(enc, ve_variant, ev_variant)
+    electronic pair after both exchanges."""
+    prep, had, code_a, left, right = _hadamard_stage(enc)
     # a hit skips the stages' size checks; the cap may have been lowered
-    full_layout(enc)
-    rho = np.zeros((4, 4), dtype=np.complex128)
-    rho += (1.0 - delta) * keep
+    layout = full_layout(enc)
+    results = {"preparation_fidelity": prep, "hadamard_fidelity": had}
+
+    lefts = [(1.0 - delta, left)]
     if delta > 0.0:
-        rho += delta * flip
-    return ({"preparation_fidelity": prep, "hadamard_fidelity": had},
-            DensityMatrix(PAIR, rho))
+        lefts.append((delta, code_a.rotate(SIGMA_X, left)))
+    swap_a = u_swap("a", enc, ve_variant, ev_variant)
+    same_modes = (enc.mode_a, enc.alpha) == (enc.mode_b, enc.beta)
+    swap_b = swap_a if same_modes else u_swap("b", enc, ve_variant, ev_variant)
+    right = swap_b.apply(right, 0, 1)
+    rho = np.zeros((4, 4), dtype=np.complex128)
+    for weight, left in lefts:
+        out = SchmidtState(layout, swap_a.apply(left, 0, 1), right)
+        rho += weight * reduced_electronic_schmidt(out).matrix
+    return results, DensityMatrix(PAIR, rho)
 
 
 def run_pipeline(enc: EncodingParams, delta: float, angles: BellAngles,
@@ -426,14 +426,14 @@ def run_pipeline(enc: EncodingParams, delta: float, angles: BellAngles,
     The fidelity to mixed_bell(delta) is the closed form of
     bell.mixed_bell_fidelity.
 
-    Everything before the mixing depends only on (enc, ve_variant,
-    ev_variant), so it is memoized per process on that key, at most 32
-    keys of two floats and two read-only 4 x 4 arrays each; no gate or
-    register factor is kept.  A delta sweep at one encoding then pays for
-    the gates once and for a 4 x 4 mixture and the readout per point, with
-    the same bits as a cold call.  A cold call, such as one `catbell run`,
-    does the work it did without the memo, plus the flip branch at
-    delta = 0.
+    The stages before the gates (preparation, Hadamard and their
+    fidelities) depend only on enc, so they are memoized per process on
+    enc, at most 16 keys of two floats, mode a's code basis and the two
+    read-only (d, 2, 2) factors each.  The exchanges, the flip branch and
+    the readout run on every call, so a delta sweep at one encoding skips
+    the bosonic constructors and still pays for its gates.  Warm calls
+    give the same bits as cold ones; a cold call, such as one
+    `catbell run`, does the work it did without the memo.
     """
     results, electronic = _pipeline_state(enc, delta, ve_variant, ev_variant)
     results["delta"] = delta

@@ -304,16 +304,8 @@ def sample_trajectory(state: StateVector, params: HeatingParams,
 
 
 def trajectory_rng(master_seed: int, index: int) -> np.random.Generator:
-    """Independent per-trajectory stream keyed by (master seed, index).
-
-    Seeds below 2**32 go in as one uint32 array, which SeedSequence takes
-    as the same entropy words as the list [master_seed, index] without
-    converting each Python int; larger seeds keep the list.
-    """
-    key = [master_seed, index]
-    if all(isinstance(k, (int, np.integer)) and 0 <= k < 2 ** 32 for k in key):
-        return np.random.default_rng(np.array(key, dtype=np.uint32))
-    return np.random.default_rng(key)
+    """Independent per-trajectory stream keyed by (master seed, index)."""
+    return np.random.default_rng([master_seed, index])
 
 
 def lifted_mixed_bell(delta: float, params: EncodingParams) -> DensityMatrix:

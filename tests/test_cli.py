@@ -20,7 +20,7 @@ from catbell.cli import (
     DEFAULT_EPSILONS,
     PROTOCOLS,
     _build_parser,
-    _coherent_stages,
+    _hadamard_stage,
     _pipeline_state,
     describe,
     execute,
@@ -527,7 +527,7 @@ class TestMainEntry:
 
 
 class TestPipelineMemo:
-    """run_pipeline memoizes its delta-independent stages per process."""
+    """run_pipeline memoizes its gate-free stages per encoding."""
 
     @pytest.mark.parametrize("alpha,beta", [(2.0, 2.0), (2.0, 3.0)])
     def test_warm_sweep_equals_cold_calls(self, alpha, beta):
@@ -540,18 +540,29 @@ class TestPipelineMemo:
                 for ev in EV_VARIANTS:
                     for method in ("exact", "sampled"):
                         if cold:
-                            _coherent_stages.cache_clear()
+                            _hadamard_stage.cache_clear()
                             measurement_pulse.cache_clear()
                         out.append(run_pipeline(enc, delta, DEFAULT_ANGLES,
                                                 method, 512, 3, "literal", ev))
             return out
 
-        _coherent_stages.cache_clear()
+        _hadamard_stage.cache_clear()
         warm = sweep(cold=False)
-        info = _coherent_stages.cache_info()
-        assert info.misses == len(EV_VARIANTS)
-        assert info.hits == len(warm) - info.misses
+        info = _hadamard_stage.cache_info()
+        assert info.misses == 1
+        assert info.hits == len(warm) - 1
         assert warm == sweep(cold=True)
+
+    def test_every_call_builds_its_gates(self, monkeypatch):
+        # the memo stops before the exchange: a warm call still builds it
+        import catbell.cli
+        enc = EncodingParams.for_amplitudes(2.0)
+        run_pipeline(enc, 0.1, DEFAULT_ANGLES)
+        calls = []
+        monkeypatch.setattr(catbell.cli, "u_swap",
+                            lambda *args: calls.append(args) or u_swap(*args))
+        run_pipeline(enc, 0.1, DEFAULT_ANGLES)
+        assert calls == [("a", enc, "ideal", "ideal")]
 
     def test_hit_still_holds_the_size_cap(self, monkeypatch):
         # alpha 6 (d = 82) needs the raised cap; a hit must not skip it
@@ -559,32 +570,35 @@ class TestPipelineMemo:
         monkeypatch.setenv("CATBELL_MAX_DIM", "65536")
         run_pipeline(enc, 0.1, DEFAULT_ANGLES)
         monkeypatch.delenv("CATBELL_MAX_DIM")
-        hits = _coherent_stages.cache_info().hits
+        hits = _hadamard_stage.cache_info().hits
         with pytest.raises(CapacityError, match="exceeds the cap 16384"):
             run_pipeline(enc, 0.1, DEFAULT_ANGLES)
-        assert _coherent_stages.cache_info().hits == hits + 1
+        assert _hadamard_stage.cache_info().hits == hits + 1
 
     def test_cached_arrays_are_read_only(self):
         enc = EncodingParams.for_amplitudes(2.0)
-        _, _, keep, flip = _coherent_stages(enc, "ideal", "ideal")
-        for cached in (keep, flip, measurement_pulse(0.3)):
+        _, _, code_a, left, right = _hadamard_stage(enc)
+        for cached in (left, right, code_a.zero.amps, code_a.one.amps,
+                       code_a.dft_zero.amps, code_a.dft_one.amps,
+                       measurement_pulse(0.3)):
             with pytest.raises(ValueError, match="read-only"):
-                cached[0, 0] = 1.0
+                cached[0] = 1.0
 
     def test_returned_state_is_the_callers(self):
         enc = EncodingParams.for_amplitudes(2.0)
-        _coherent_stages.cache_clear()
+        _hadamard_stage.cache_clear()
         results, rho = _pipeline_state(enc, 0.15, "ideal", "ideal")
         want = rho.matrix.copy()
         rho.matrix[:] = 0.0
         results["preparation_fidelity"] = -1.0
         results_again, rho_again = _pipeline_state(enc, 0.15, "ideal", "ideal")
-        assert _coherent_stages.cache_info().hits == 1
+        assert _hadamard_stage.cache_info().hits == 1
         assert (rho_again.matrix == want).all()
         assert results_again["preparation_fidelity"] > 0.99
         # and a later call does not write into a state handed out before
         _pipeline_state(enc, 0.5, "ideal", "ideal")
         assert (rho_again.matrix == want).all()
+        assert results["preparation_fidelity"] == -1.0
 
 
 class TestParserReuse:

@@ -265,16 +265,6 @@ class TestTrajectories:
         b = sample_trajectory(psi, params, trajectory_rng(7, 3))
         assert a.jumps == b.jumps
 
-    @pytest.mark.parametrize("master_seed,index", [
-        (0, 0), (2 ** 32 - 1, 2 ** 32 - 1), (2 ** 32, 0), (0, 2 ** 32),
-        (2 ** 64 - 1, 2 ** 64 - 1), (np.uint64(7), 3),
-    ])
-    def test_rng_streams_are_the_list_seeded_ones(self, master_seed, index):
-        got = trajectory_rng(master_seed, index)
-        want = np.random.default_rng([master_seed, index])
-        assert got.bit_generator.state == want.bit_generator.state
-        assert (got.integers(0, 2 ** 62, 16) == want.integers(0, 2 ** 62, 16)).all()
-
     def test_stream_independence(self):
         mode = mode_for(2.0)
         psi = cat(2.0, EVEN, mode)
