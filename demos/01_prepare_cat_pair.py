@@ -4,37 +4,38 @@
 A cross-Kerr interaction held for half a period maps |alpha>|beta> onto a
 four-component superposition that factorizes as even/odd cats on one mode
 entangled with +/- coherent branches on the other.  This script builds the
-state, checks it against the closed-form target, and inspects the reduced
-state of each mode.
+state as its two Schmidt terms, checks it against the closed-form target,
+and inspects the reduced state of mode a.
 """
 
 import numpy as np
 
 from catbell.encoding import (
     EncodingParams,
-    entangled_target,
     entangled_target_cat_form,
-    prepare_entangled,
+    entangled_target_schmidt,
+    prepare_entangled_schmidt,
+    schmidt_fidelity,
 )
-from catbell.hilbert import partial_trace, state_fidelity
+from catbell.hilbert import partial_trace
 
 alpha = 2.0
 params = EncodingParams.for_amplitudes(alpha)
 print(f"amplitudes alpha = beta = {alpha}, cutoff {params.mode_a.cutoff}")
 
-psi = prepare_entangled(params)
-target = entangled_target(params)
-print(f"fidelity with the analytic target : {state_fidelity(psi, target):.12f}")
+psi = prepare_entangled_schmidt(params)
+target = entangled_target_schmidt(params)
+print(f"fidelity with the analytic target : {schmidt_fidelity(psi, target):.12f}")
 
 # the same state written with the cat factor on either side
 for side in ("a", "b"):
     form = entangled_target_cat_form(params, side)
     print(f"cat factorization on mode {side}    : "
-          f"{state_fidelity(psi, form):.12f}")
+          f"{schmidt_fidelity(psi, form):.12f}")
 
 # a maximally entangled pair of qubits leaves each mode in a rank-2
 # mixture with weights 1/2; everything beyond rank 2 is truncation dust
-rho_a = partial_trace(psi, (0,))
+rho_a = partial_trace(psi.to_state(), (0,))
 spectrum = np.sort(np.linalg.eigvalsh(rho_a.matrix))[::-1]
 print("reduced mode-a spectrum           :",
       np.array2string(spectrum[:4], precision=6, suppress_small=True))

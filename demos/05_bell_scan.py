@@ -11,8 +11,7 @@ from math import sqrt
 
 import numpy as np
 
-from catbell.bell import DELTA_STAR, chsh, violation_scan
-from catbell.noise import mixed_bell
+from catbell.bell import DELTA_STAR, chsh, mixed_bell, violation_scan
 
 deltas = np.round(np.arange(0.0, 0.501, 0.05), 10)
 scan = violation_scan(deltas)

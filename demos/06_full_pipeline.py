@@ -12,8 +12,8 @@ import argparse
 from math import sqrt
 
 from catbell.bell import DEFAULT_ANGLES
-from catbell.cli import run_pipeline
 from catbell.encoding import EncodingParams
+from catbell.pipeline import run_pipeline
 
 parser = argparse.ArgumentParser(description=__doc__)
 parser.add_argument("--alpha", type=float, default=2.0)

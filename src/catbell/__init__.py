@@ -3,8 +3,8 @@
 __version__ = "0.1.0"
 
 from .bell import BellAngles, chsh, electronic_bell, mixed_bell, violation_scan
-from .bosonic import cat, coherent, cross_kerr, displacement
-from .encoding import EncodingParams, bell_target, prepare_entangled
+from .bosonic import cat, coherent, displacement
+from .encoding import EncodingParams, bell_target
 from .errors import CapacityError, CatbellError, ConfigError, ContractError
 from .gates import u_ev, u_swap, u_ve_ideal, u_ve_literal
 from .hilbert import (
@@ -36,13 +36,11 @@ __all__ = [
     "cat",
     "chsh",
     "coherent",
-    "cross_kerr",
     "displacement",
     "electronic_bell",
     "evolve_lindblad",
     "mixed_bell",
     "partial_trace",
-    "prepare_entangled",
     "sample_trajectory",
     "state_fidelity",
     "u_ev",

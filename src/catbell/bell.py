@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import cos, pi, sqrt
+from math import pi, sqrt
 
 import numpy as np
 
@@ -220,16 +220,6 @@ def chsh(state: StateVector | DensityMatrix,
     es = [corr(state, ta, tb) for ta, tb in angles.settings()]
     combo = es[0] + es[1] + es[2] - es[3]
     return BellOutcome(abs(combo), tuple(es), angles, method)
-
-
-def correlation_mixture(delta: float, theta_a: float, theta_b: float) -> float:
-    """Closed form for the parity-flip mixture of the two even Bell states."""
-    return (1.0 - delta) * cos(theta_a + theta_b) + delta * cos(theta_a - theta_b)
-
-
-def chsh_mixture(delta: float, angles: BellAngles = DEFAULT_ANGLES) -> float:
-    es = [correlation_mixture(delta, ta, tb) for ta, tb in angles.settings()]
-    return abs(es[0] + es[1] + es[2] - es[3])
 
 
 @dataclass(frozen=True)

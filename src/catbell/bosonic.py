@@ -146,11 +146,6 @@ def number_op(mode: ModeParams) -> OperatorMatrix:
     return OperatorMatrix(layout, (0,), np.diag(np.arange(mode.cutoff, dtype=np.float64)))
 
 
-def parity_op(mode: ModeParams) -> OperatorMatrix:
-    layout = mode.layout
-    return OperatorMatrix(layout, (0,), np.diag((-1.0) ** np.arange(mode.cutoff)))
-
-
 def parity_projectors(mode: ModeParams) -> tuple[OperatorMatrix, OperatorMatrix]:
     """(even, odd) projectors; they sum to the identity exactly."""
     layout = mode.layout
@@ -173,25 +168,3 @@ def displacement(beta: complex, mode: ModeParams) -> OperatorMatrix:
     a = annihilation(mode).matrix
     gen = beta * a.conj().T - np.conj(beta) * a
     return matrix_exp(OperatorMatrix(mode.layout, (0,), gen))
-
-
-def cross_kerr(chi_t: float, mode_a: ModeParams, mode_b: ModeParams) -> OperatorMatrix:
-    """Two-mode phase unitary exp(-i chi_t n_a n_b).
-
-    Diagonal in the joint Fock basis; at chi_t = pi it turns a product of
-    coherent states into the entangled coherent-cat state used throughout the
-    protocol.  The matrix is stored dense, so very large cutoffs should apply
-    the phases directly instead (see encoding.prepare_entangled).
-    """
-    layout = SpaceLayout((mode_a.cutoff, mode_b.cutoff))
-    na = np.arange(mode_a.cutoff, dtype=np.float64)
-    nb = np.arange(mode_b.cutoff, dtype=np.float64)
-    phases = np.exp(-1j * chi_t * np.outer(na, nb)).reshape(-1)
-    return OperatorMatrix(layout, (0, 1), np.diag(phases))
-
-
-def kerr_phases(chi_t: float, mode_a: ModeParams, mode_b: ModeParams) -> np.ndarray:
-    """The diagonal of cross_kerr as an (Na, Nb) phase table."""
-    na = np.arange(mode_a.cutoff, dtype=np.float64)
-    nb = np.arange(mode_b.cutoff, dtype=np.float64)
-    return np.exp(-1j * chi_t * np.outer(na, nb))

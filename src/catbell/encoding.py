@@ -23,17 +23,13 @@ import numpy as np
 
 from . import bosonic
 from .bosonic import EVEN, ODD, ModeParams
-from .errors import ContractError
 from .hilbert import (
     OperatorMatrix,
     SpaceLayout,
     StateVector,
     apply,
     check_normalized,
-    on_layout,
-    overlap,
     state_fidelity,
-    tensor,
 )
 
 MODE_A, MODE_B, ION_1, ION_2 = 0, 1, 2, 3
@@ -62,9 +58,11 @@ class EncodingParams:
                 f"{min(self.alpha, self.beta):.3g}")
         if self.epsilon is not None and self.epsilon < 0:
             raise ValueError("epsilon must be nonnegative")
-        # the one epsilon kicks both modes, so it bounds both rotations
+        # the one epsilon kicks both modes, so it bounds both rotations;
+        # against pi / amp, so that epsilon = pi / alpha itself is accepted
+        # even where epsilon * alpha rounds above pi
         amp = max(self.alpha, self.beta)
-        if self.epsilon is not None and self.epsilon * amp > pi:
+        if self.epsilon is not None and self.epsilon > pi / amp:
             raise ValueError(
                 "epsilon*alpha and epsilon*beta must lie in [0, pi], "
                 f"got {self.epsilon * amp:.4g}"
@@ -109,12 +107,6 @@ class LogicalBasis:
     dft_zero: StateVector   # (|0_L> + |1_L>)/sqrt(2), near |+alpha>
     dft_one: StateVector    # (|0_L> - |1_L>)/sqrt(2), near |-alpha>
 
-    def projector(self) -> OperatorMatrix:
-        """Rank-2 projector onto the logical subspace."""
-        m = (np.outer(self.zero.amps, self.zero.amps.conj())
-             + np.outer(self.one.amps, self.one.amps.conj()))
-        return OperatorMatrix(self.zero.layout, (0,), m)
-
     def rotate(self, m2: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Apply the lifted 2x2 unitary to axis 0 of x, at O(d) per column.
 
@@ -144,35 +136,6 @@ def logical_basis(which_mode: str, params: EncodingParams) -> LogicalBasis:
     dz = StateVector(mode.layout, (zero.amps + one.amps) / sqrt(2.0))
     do = StateVector(mode.layout, (zero.amps - one.amps) / sqrt(2.0))
     return LogicalBasis(zero, one, dz, do)
-
-
-def logical_state(bit: int, which_mode: str, params: EncodingParams) -> StateVector:
-    basis = logical_basis(which_mode, params)
-    return basis.zero if bit == 0 else basis.one
-
-
-def dft_state(bit: int, which_mode: str, params: EncodingParams) -> StateVector:
-    basis = logical_basis(which_mode, params)
-    return basis.dft_zero if bit == 0 else basis.dft_one
-
-
-def prepare_entangled(params: EncodingParams, chi_t: float = pi) -> StateVector:
-    """Cross-phase entangling step on a pair of coherent states.
-
-    Starts from |alpha>_a |beta>_b with both ions in |0> and applies the
-    diagonal two-mode phase exp(-i chi_t n_a n_b) directly to the amplitude
-    grid.  At chi_t = pi the result is the coherent/cat entangled pair.
-    """
-    psi = tensor([
-        bosonic.coherent(params.alpha, params.mode_a),
-        bosonic.coherent(params.beta, params.mode_b),
-        qubit_state(0),
-        qubit_state(0),
-    ])
-    grid = psi.as_tensor().copy()
-    phases = bosonic.kerr_phases(chi_t, params.mode_a, params.mode_b)
-    grid *= phases[:, :, None, None]
-    return StateVector(psi.layout, grid.reshape(-1))
 
 
 @dataclass
@@ -237,12 +200,16 @@ def schmidt_fidelity(a: SchmidtState, b: SchmidtState) -> float:
 
 
 def prepare_entangled_schmidt(params: EncodingParams) -> SchmidtState:
-    """prepare_entangled at chi_t = pi, as two Schmidt terms.
+    """Cross-phase entangling step on a pair of coherent states, as two
+    Schmidt terms.
 
-    exp(-i pi n_a n_b) = ((-1)^n_a)^n_b, so the even Fock rows of |alpha>
-    keep |beta> and the odd rows take (-1)^n_b |beta> = |-beta>.  The row
-    mask and the sign flip are exact in floating point; the cutoff truncates
-    as in prepare_entangled.
+    Starts from |alpha>_a |beta>_b with both ions in |0> and applies the
+    two-mode phase exp(-i chi_t n_a n_b) at chi_t = pi, which gives the
+    coherent/cat entangled pair.  exp(-i pi n_a n_b) = ((-1)^n_a)^n_b, so
+    the even Fock rows of |alpha> keep |beta> and the odd rows take
+    (-1)^n_b |beta> = |-beta>.  The row mask and the sign flip are exact in
+    floating point; the truncated coherent factors are each normalized, and
+    so is the result.
     """
     ca = bosonic.coherent(params.alpha, params.mode_a).amps
     cb = bosonic.coherent(params.beta, params.mode_b).amps
@@ -253,10 +220,12 @@ def prepare_entangled_schmidt(params: EncodingParams) -> SchmidtState:
 
 
 def entangled_target_schmidt(params: EncodingParams) -> SchmidtState:
-    """entangled_target as two Schmidt terms, normalized.
+    """The entangled pair built directly from coherent components.
 
-    (|a,b> + |-a,b> + |a,-b> - |-a,-b>)/2
-    = (|a> + |-a>)|b>/2 + (|a> - |-a>)|-b>/2, both ions in |0>.
+    The normalized four-term form (|a,b> + |-a,b> + |a,-b> - |-a,-b>)/2
+    with both ions in |0>, as the two Schmidt terms
+    (|a> + |-a>)|b>/2 + (|a> - |-a>)|-b>/2; it equals the chi_t = pi
+    preparation exactly, truncation aside.
     """
     ca_p = bosonic.coherent(params.alpha, params.mode_a).amps
     ca_m = bosonic.coherent(-params.alpha, params.mode_a).amps
@@ -268,21 +237,13 @@ def entangled_target_schmidt(params: EncodingParams) -> SchmidtState:
     return SchmidtState(psi.layout, psi.left / psi.norm, psi.right)
 
 
-def entangled_target(params: EncodingParams) -> StateVector:
-    """The entangled pair built directly from coherent components.
-
-    Normalized four-term form (|a,b> + |-a,b> + |a,-b> - |-a,-b>)/2 with both
-    ions in |0>; equals the chi_t = pi preparation exactly, truncation aside.
-    """
-    return entangled_target_schmidt(params).to_state()
-
-
-def entangled_target_cat_form(params: EncodingParams, side: str = "b") -> StateVector:
+def entangled_target_cat_form(params: EncodingParams, side: str = "b") -> SchmidtState:
     """Same state written with cats on one side and coherent kets on the other.
 
     side "b": sum over |+-alpha>_a (x) cat_+-(beta)_b with the cat
-    normalization constants carried explicitly; side "a" mirrors it.  Used to
-    check that both factorizations describe one and the same vector.
+    normalization constants carried explicitly; side "a" mirrors it.  Both
+    are two Schmidt terms, normalized.  Used to check that both
+    factorizations describe one and the same vector.
     """
     if side == "b":
         k_p = bosonic.coherent(params.alpha, params.mode_a).amps
@@ -291,7 +252,7 @@ def entangled_target_cat_form(params: EncodingParams, side: str = "b") -> StateV
         c_m = bosonic.cat(params.beta, ODD, params.mode_b).amps
         w_p = 0.5 / bosonic.cat_norm(params.beta, EVEN)
         w_m = 0.5 / bosonic.cat_norm(params.beta, ODD)
-        grid = w_p * np.outer(k_p, c_p) + w_m * np.outer(k_m, c_m)
+        left, right = (w_p * k_p, w_m * k_m), (c_p, c_m)
     elif side == "a":
         c_p = bosonic.cat(params.alpha, EVEN, params.mode_a).amps
         c_m = bosonic.cat(params.alpha, ODD, params.mode_a).amps
@@ -299,12 +260,12 @@ def entangled_target_cat_form(params: EncodingParams, side: str = "b") -> StateV
         k_m = bosonic.coherent(-params.beta, params.mode_b).amps
         w_p = 0.5 / bosonic.cat_norm(params.alpha, EVEN)
         w_m = 0.5 / bosonic.cat_norm(params.alpha, ODD)
-        grid = w_p * np.outer(c_p, k_p) + w_m * np.outer(c_m, k_m)
+        left, right = (w_p * c_p, w_m * c_m), (k_p, k_m)
     else:
         raise ValueError(f"side must be 'a' or 'b', got {side!r}")
-    grid /= np.linalg.norm(grid)
-    psi = np.kron(grid.reshape(-1), np.array([1, 0, 0, 0], dtype=np.complex128))
-    return StateVector(full_layout(params), psi)
+    psi = SchmidtState(full_layout(params), _on_ion_ground(*left),
+                       _on_ion_ground(*right))
+    return SchmidtState(psi.layout, psi.left / psi.norm, psi.right)
 
 
 BELL_KINDS = ("phi_plus", "psi_plus")
@@ -339,58 +300,6 @@ def rx_matrix(theta: float) -> np.ndarray:
     )
 
 
-def ideal_logical_rotation(kind: str, which_mode: str, params: EncodingParams,
-                           theta: float | None = None) -> OperatorMatrix:
-    """Exact code-space unitary on one mode: 'hadamard' or 'rx' (needs theta).
-
-    Acts as the 2x2 matrix on the cat pair and as identity on the rest of the
-    Fock space; returned on the single-mode layout (lift with lift_to_full to
-    place it in the four-factor register).
-    """
-    basis = logical_basis(which_mode, params)
-    if kind == "hadamard":
-        m2 = hadamard_matrix()
-    elif kind == "rx":
-        if theta is None:
-            raise ValueError("rx rotation needs theta")
-        m2 = rx_matrix(theta)
-    else:
-        raise ValueError(f"kind must be 'hadamard' or 'rx', got {kind!r}")
-    return basis.subspace_unitary(m2)
-
-
-def displacement_rotation(theta: float | None, which_mode: str,
-                          params: EncodingParams,
-                          epsilon: float | None = None) -> OperatorMatrix:
-    """Approximate rx(theta) on one mode by the displacement D(i eps).
-
-    The displacement scale is eps = theta / (2 alpha): the kick advances the
-    two coherent branches by opposite phases alpha*eps, which is a logical x
-    rotation by 2*alpha*eps.  Passing epsilon directly (or setting it on the
-    params) bypasses the angle dictionary.  Returned on the single-mode
-    layout.
-    """
-    amp = params.amplitude(which_mode)
-    if epsilon is None:
-        if theta is not None:
-            epsilon = theta / (2.0 * amp)
-        elif params.epsilon is not None:
-            epsilon = params.epsilon
-        else:
-            raise ValueError("need either theta or an explicit epsilon")
-    elif theta is not None:
-        raise ValueError("give theta or epsilon, not both")
-    return bosonic.displacement(1j * epsilon, params.mode(which_mode))
-
-
-def lift_to_full(op: OperatorMatrix, which: int | str,
-                 params: EncodingParams) -> OperatorMatrix:
-    """Place a single-factor operator at a named slot of the full register."""
-    index = {"a": MODE_A, "b": MODE_B, 1: ION_1, 2: ION_2,
-             "ion1": ION_1, "ion2": ION_2}.get(which, which)
-    return on_layout(op, full_layout(params), (int(index),))
-
-
 @dataclass
 class RotationFidelity:
     """Numerical branch fidelities of a displacement rotation vs exp(-eps^2)."""
@@ -407,7 +316,7 @@ def rotation_fidelity(theta: float, params: EncodingParams,
     """Fidelity of D(i eps) against the ideal rx(theta) on both code branches."""
     basis = logical_basis(which_mode, params)
     eps = theta / (2.0 * params.amplitude(which_mode))
-    d = displacement_rotation(None, which_mode, params, epsilon=eps)
+    d = bosonic.displacement(1j * eps, params.mode(which_mode))
     tgt0 = StateVector(basis.zero.layout,
                        cos(theta) * basis.zero.amps + 1j * sin(theta) * basis.one.amps)
     tgt1 = StateVector(basis.zero.layout,
@@ -415,20 +324,3 @@ def rotation_fidelity(theta: float, params: EncodingParams,
     f0 = state_fidelity(tgt0, apply(d, basis.zero))
     f1 = state_fidelity(tgt1, apply(d, basis.one))
     return RotationFidelity(theta, eps, f0, f1, exp(-eps * eps))
-
-
-def dft_logical_amplitudes(state: StateVector, params: EncodingParams) -> np.ndarray:
-    """Project a register state onto DFT(a) (x) logical(b), ions in |00>.
-
-    Returns the 2x2 complex table amp[x, y] = <x_dft, y_logical, 0, 0|state>.
-    """
-    if state.layout != full_layout(params):
-        raise ContractError("state does not live on the register layout")
-    a = logical_basis("a", params)
-    b = logical_basis("b", params)
-    out = np.zeros((2, 2), dtype=np.complex128)
-    for x, xa in enumerate((a.dft_zero, a.dft_one)):
-        for y, yb in enumerate((b.zero, b.one)):
-            probe = tensor([xa, yb, qubit_state(0), qubit_state(0)])
-            out[x, y] = overlap(probe, state)
-    return out

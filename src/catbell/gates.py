@@ -113,21 +113,13 @@ def _kick(which_mode: str, params: EncodingParams, ev_variant: str,
     the ideal build, which takes no scale.
     """
     if ev_variant == "ideal":
-        return encoding.ideal_logical_rotation(
-            "rx", which_mode, params, theta=pi / 2.0).matrix
+        basis = encoding.logical_basis(which_mode, params)
+        return basis.subspace_unitary(encoding.rx_matrix(pi / 2.0)).matrix
     if epsilon is None:
         epsilon = params.epsilon
     if epsilon is None:
         epsilon = pi / (4.0 * params.amplitude(which_mode))
     return bosonic.displacement(1j * epsilon, params.mode(which_mode)).matrix
-
-
-def _controlled_kick(kick: np.ndarray, which_mode: str,
-                     params: EncodingParams) -> OperatorMatrix:
-    eye = np.eye(kick.shape[0], dtype=np.complex128)
-    cond = np.kron(eye, np.diag([1.0, 0.0])) + np.kron(kick, EXCITED)
-    m = cond @ np.kron(eye, electronic_phase())
-    return OperatorMatrix(pair_layout(which_mode, params), (0, 1), m)
 
 
 def u_ev(which_mode: str, params: EncodingParams,
@@ -137,13 +129,11 @@ def u_ev(which_mode: str, params: EncodingParams,
     epsilon defaults to params.epsilon when that is set, else to
     pi / (4 alpha), the scale at which D(i eps) rotates the cat qubit by pi/2.
     """
-    return _controlled_kick(_kick(which_mode, params, "displacement", epsilon),
-                            which_mode, params)
-
-
-def u_ev_ideal(which_mode: str, params: EncodingParams) -> OperatorMatrix:
-    """Surrogate with the exact code-space rx(pi/2) in place of the displacement."""
-    return _controlled_kick(_kick(which_mode, params, "ideal"), which_mode, params)
+    kick = _kick(which_mode, params, "displacement", epsilon)
+    eye = np.eye(kick.shape[0], dtype=np.complex128)
+    cond = np.kron(eye, np.diag([1.0, 0.0])) + np.kron(kick, EXCITED)
+    m = cond @ np.kron(eye, electronic_phase())
+    return OperatorMatrix(pair_layout(which_mode, params), (0, 1), m)
 
 
 VE_VARIANTS = ("ideal", "literal")

@@ -10,7 +10,7 @@ subsystems they touch and are embedded with identity padding only on demand.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import prod
 
 import numpy as np
@@ -97,12 +97,6 @@ class StateVector:
     @property
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
-
-    def normalized(self) -> "StateVector":
-        n = self.norm
-        if n == 0.0:
-            raise ContractError("cannot normalize a zero vector")
-        return StateVector(self.layout, self.amps / n)
 
     def as_tensor(self) -> np.ndarray:
         """Amplitudes reshaped to one axis per factor."""
@@ -252,24 +246,12 @@ def apply(op: OperatorMatrix, state: StateVector) -> StateVector:
     return StateVector(state.layout, out.reshape(-1))
 
 
-def conjugate(op: OperatorMatrix, rho: DensityMatrix) -> DensityMatrix:
-    """Return U rho U† for an operator on the same layout."""
-    if op.layout != rho.layout:
-        raise ValueError("operator and state live on different layouts")
-    u = embed(op).matrix if op.acts_on != tuple(range(op.layout.nsites)) else op.matrix
-    return DensityMatrix(rho.layout, u @ rho.matrix @ u.conj().T)
-
-
 def expectation(op: OperatorMatrix, state: StateVector | DensityMatrix) -> complex:
     """<op> in a pure or mixed state; complex, imaginary part ~0 for Hermitian op."""
     if isinstance(state, StateVector):
         return complex(np.vdot(state.amps, apply(op, state).amps))
     u = embed(op).matrix if op.acts_on != tuple(range(op.layout.nsites)) else op.matrix
     return complex(np.trace(state.matrix @ u))
-
-
-def dagger(op: OperatorMatrix) -> OperatorMatrix:
-    return OperatorMatrix(op.layout, op.acts_on, op.matrix.conj().T)
 
 
 def partial_trace(state: StateVector | DensityMatrix, keep: tuple[int, ...]) -> DensityMatrix:
@@ -374,27 +356,6 @@ def overlap(a: StateVector, b: StateVector) -> complex:
     if a.layout != b.layout:
         raise ValueError("states live on different layouts")
     return complex(np.vdot(a.amps, b.amps))
-
-
-def basis_state(layout: SpaceLayout, occupations: tuple[int, ...]) -> StateVector:
-    """Product basis vector |n1, n2, ...> for the given layout."""
-    if len(occupations) != layout.nsites:
-        raise ValueError("need one occupation per factor")
-    amps = np.ones(1, dtype=np.complex128)
-    for n, d in zip(occupations, layout.dims):
-        if not 0 <= n < d:
-            raise ValueError(f"occupation {n} out of range for dimension {d}")
-        e = np.zeros(d, dtype=np.complex128)
-        e[n] = 1.0
-        amps = np.kron(amps, e)
-    return StateVector(layout, amps)
-
-
-def identity(layout: SpaceLayout) -> OperatorMatrix:
-    return OperatorMatrix(
-        layout, tuple(range(layout.nsites)),
-        np.eye(layout.total_dim, dtype=np.complex128),
-    )
 
 
 def unitarity_residual(op: OperatorMatrix) -> float:

@@ -34,12 +34,14 @@ from math import ceil, exp, isfinite, prod
 
 import numpy as np
 
-from .bell import mixed_bell  # noqa: F401  (re-exported: noise.mixed_bell)
-from .encoding import EncodingParams, bell_target
-from .errors import ContractError
+from .errors import CapacityError, ContractError
 from .hilbert import DensityMatrix, SpaceLayout, StateVector
 
 TRACE_TOL = 1e-6
+# evolve_lindblad refuses more integration steps than this, given or from
+# auto_steps: it keeps four traces of steps + 1 entries (40 MB at the limit),
+# and the largest count a test, demo or benchmark op runs is under 10^3
+MAX_STEPS = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -119,10 +121,16 @@ def lindblad_rhs(rho: np.ndarray, gamma: float) -> np.ndarray:
     return _apply_generator(rho, gain, decay, np.empty(rho.shape, dtype))
 
 
-def auto_steps(gamma: float, duration: float, dim: int) -> int:
-    # fourth-order error ~ (gamma (2 dim + 2) h)^5 per step; this keeps the
-    # accumulated error orders below the 1e-6 integration contract
-    return max(100, int(ceil(200.0 * gamma * duration * (2 * dim + 2))))
+def auto_steps(gamma: float, duration: float, dim: int) -> float:
+    """Step count that keeps the integration inside its contract.
+
+    The fourth-order error is about (gamma (2 dim + 2) h)^5 per step; this
+    keeps the accumulated error orders below the 1e-6 trace tolerance.  A
+    float, integral unless it overflows to inf; evolve_lindblad holds it
+    to MAX_STEPS before converting it.
+    """
+    count = 200.0 * gamma * duration * (2 * dim + 2)
+    return max(100.0, float(ceil(count))) if isfinite(count) else count
 
 
 @dataclass
@@ -141,6 +149,11 @@ def evolve_lindblad(rho0: DensityMatrix, params: HeatingParams) -> NoiseResult:
     """Fixed-step fourth-order integration of the heating equation."""
     dim = _require_single_mode(rho0.layout)
     steps = params.steps or auto_steps(params.gamma, params.duration, dim)
+    if not steps <= MAX_STEPS:
+        raise CapacityError(
+            f"{steps:.4g} integration steps exceed the limit {MAX_STEPS}; "
+            "lower noise.gamma, noise.duration or noise.steps")
+    steps = int(steps)
     h = params.duration / steps
     n_diag = np.arange(dim, dtype=np.float64)
     root_n = np.sqrt(n_diag[1:])
@@ -306,14 +319,3 @@ def sample_trajectory(state: StateVector, params: HeatingParams,
 def trajectory_rng(master_seed: int, index: int) -> np.random.Generator:
     """Independent per-trajectory stream keyed by (master seed, index)."""
     return np.random.default_rng([master_seed, index])
-
-
-def lifted_mixed_bell(delta: float, params: EncodingParams) -> DensityMatrix:
-    """The mixture of mixed_bell written on the cat-encoded register."""
-    if not 0.0 <= delta <= 1.0:
-        raise ValueError(f"delta must be in [0, 1], got {delta}")
-    phi = bell_target("phi_plus", params)
-    psi = bell_target("psi_plus", params)
-    m = ((1.0 - delta) * np.outer(phi.amps, phi.amps.conj())
-         + delta * np.outer(psi.amps, psi.amps.conj()))
-    return DensityMatrix(phi.layout, m)

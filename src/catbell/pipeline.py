@@ -1,0 +1,288 @@
+"""The protocols as library functions.
+
+Each runner takes a normalized config (cli.normalize_config) and returns
+its rows, its named results and the provenance of the numbers ("exact" or
+"sampled").  run_pipeline is the paper's chain of stages: cross-Kerr
+preparation, Hadamard, heating, the two mode-ion exchanges and the CHSH
+readout.  Nothing here reads files or writes output.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import functools
+from math import sqrt
+
+import numpy as np
+
+from .bell import (
+    PAIR,
+    BellAngles,
+    chsh,
+    mixed_bell,
+    mixed_bell_fidelity,
+    reduced_electronic_schmidt,
+    violation_scan,
+)
+from .bosonic import EVEN, cat
+from .encoding import (
+    EncodingParams,
+    LogicalBasis,
+    SchmidtState,
+    bell_target_schmidt,
+    entangled_target_cat_form,
+    entangled_target_schmidt,
+    full_layout,
+    hadamard_matrix,
+    logical_basis,
+    prepare_entangled_schmidt,
+    rotation_fidelity,
+    schmidt_fidelity,
+)
+from .errors import ConfigError
+from .gates import SIGMA_X, report_u_ev, report_u_swap, report_u_ve, u_swap
+from .hilbert import DensityMatrix
+from .noise import (
+    HeatingParams,
+    delta_of,
+    evolve_lindblad,
+    parity_flip_probability,
+)
+
+
+def _encoding_params(cfg: dict) -> EncodingParams:
+    e = cfg["encoding"]
+    try:
+        params = EncodingParams.for_amplitudes(
+            e["alpha"], e["beta"], e["cutoff"], e["leak_tol"])
+        if e["epsilon"] is not None:
+            params = dataclasses.replace(params, epsilon=e["epsilon"])
+    except ValueError as err:
+        raise ConfigError(f"encoding: {err}") from err
+    return params
+
+
+def _heating_params(cfg: dict, duration: float | None = None) -> HeatingParams:
+    n = cfg["noise"]
+    try:
+        return HeatingParams(
+            n["gamma"],
+            n["duration"] if duration is None else duration,
+            n["steps"],
+            n["constant_rate"],
+        )
+    except ValueError as err:
+        raise ConfigError(f"noise: {err}") from err
+
+
+def _bell_angles(cfg: dict) -> BellAngles:
+    b = cfg["bell"]
+    return BellAngles(b["theta_a"], b["theta_a_prime"],
+                      b["theta_b"], b["theta_b_prime"])
+
+
+# ------------------------------------------------------------- protocols ---
+
+def run_prepare(cfg: dict) -> tuple[list[dict], dict, str]:
+    enc = _encoding_params(cfg)
+    prepared = prepare_entangled_schmidt(enc)
+    results = {
+        "preparation_fidelity": schmidt_fidelity(
+            prepared, entangled_target_schmidt(enc)),
+        "factorization_agreement": schmidt_fidelity(
+            entangled_target_cat_form(enc, "a"),
+            entangled_target_cat_form(enc, "b")),
+        "prepared_norm": prepared.norm,
+    }
+    rows = [{"quantity": k, "value": v} for k, v in results.items()]
+    return rows, results, "exact"
+
+
+def run_rotate(cfg: dict) -> tuple[list[dict], dict, str]:
+    enc = _encoding_params(cfg)
+    rows = []
+    for eps in cfg["encoding"]["epsilons"]:
+        theta = 2.0 * enc.alpha * eps
+        r = rotation_fidelity(theta, enc, "a")
+        rows.append({"epsilon": r.epsilon, "theta": r.theta,
+                     "f_zero": r.f_zero_branch, "f_one": r.f_one_branch,
+                     "analytic": r.analytic})
+    worst = max(abs(r["f_zero"] - r["analytic"]) for r in rows)
+    return rows, {"max_law_deviation": worst}, "exact"
+
+
+def run_swap_report(cfg: dict) -> tuple[list[dict], dict, str]:
+    enc = _encoding_params(cfg)
+    reports = [
+        report_u_ve("ideal", "a", enc),
+        report_u_ve("literal", "a", enc),
+        report_u_ev("a", enc),
+        report_u_swap("a", enc, "ideal", "ideal"),
+        report_u_swap("a", enc, "ideal", "displacement"),
+    ]
+    rows = []
+    for rep in reports:
+        for row in rep.rows:
+            rows.append({"gate": rep.gate,
+                         "input": row.input_label.replace(",", "|"),
+                         "target": row.target_label.replace(",", "|"),
+                         "fidelity": row.fidelity,
+                         "unitarity": rep.unitarity})
+    results = {rep.gate + ".min_fidelity": rep.min_fidelity for rep in reports}
+    return rows, results, "exact"
+
+
+def run_heat_sweep(cfg: dict) -> tuple[list[dict], dict, str]:
+    enc = _encoding_params(cfg)
+    durations = cfg["noise"]["durations"] or [cfg["noise"]["duration"]]
+    rho0 = cat(enc.alpha, EVEN, enc.mode_a).to_density()
+    rows = []
+    for duration in durations:
+        res = evolve_lindblad(rho0, _heating_params(cfg, duration))
+        rows.append({
+            "duration": duration,
+            "n_mean": float(res.n_trace[-1]),
+            "re_a": float(res.a_trace[-1].real),
+            "im_a": float(res.a_trace[-1].imag),
+            "parity": float(res.parity_trace[-1]),
+            "delta": delta_of(cfg["noise"]["gamma"], enc.alpha, duration),
+            "flip_probability": parity_flip_probability(
+                cfg["noise"]["gamma"], enc.alpha, duration),
+            "trace_drift": res.trace_drift,
+        })
+    results = {"final_n_mean": rows[-1]["n_mean"],
+               "final_parity": rows[-1]["parity"]}
+    return rows, results, "exact"
+
+
+def run_bell_scan(cfg: dict) -> tuple[list[dict], dict, str]:
+    angles = _bell_angles(cfg)
+    deltas = cfg["bell"]["deltas"]
+    mode = cfg["bell"]["mode"]
+    results: dict = {}
+    rows = []
+    if mode == "exact":
+        scan = violation_scan(deltas, angles)
+        rows = [{"delta": float(d), "B": float(b)}
+                for d, b in zip(scan.deltas, scan.b_values)]
+        results["crossing"] = scan.crossing
+    else:
+        for i, d in enumerate(deltas):
+            out = chsh(mixed_bell(d), angles, mode,
+                       cfg["bell"]["shots"], [cfg["seed"], i])
+            row = {"delta": d, "B": out.b_value}
+            if mode == "sampled":
+                row["std_error"] = out.std_error
+            rows.append(row)
+    results["b_at_first_delta"] = rows[0]["B"]
+    return rows, results, "sampled" if mode == "sampled" else "exact"
+
+
+# a delta sweep at one encoding hits one key; an entry is two floats, mode
+# a's code basis and the two (d, 2, 2) factors, about 12 d complex numbers
+@functools.lru_cache(maxsize=16)
+def _hadamard_stage(enc: EncodingParams
+                    ) -> tuple[float, float, LogicalBasis, np.ndarray, np.ndarray]:
+    """The gate-free stages of run_pipeline, which depend on enc only: the
+    preparation and Hadamard fidelities, mode a's code basis and the left
+    and right factors after the Hadamard.  The arrays are read-only."""
+    psi = prepare_entangled_schmidt(enc)  # held to the register's size cap
+    prep = schmidt_fidelity(psi, entangled_target_schmidt(enc))
+    code_a = logical_basis("a", enc)
+    psi = SchmidtState(psi.layout, code_a.rotate(hadamard_matrix(), psi.left),
+                       psi.right)
+    had = schmidt_fidelity(psi, bell_target_schmidt("phi_plus", enc))
+    for array in (psi.left, psi.right, code_a.zero.amps, code_a.one.amps,
+                  code_a.dft_zero.amps, code_a.dft_one.amps):
+        array.flags.writeable = False
+    return prep, had, code_a, psi.left, psi.right
+
+
+def _pipeline_state(enc: EncodingParams, delta: float, ve_variant: str,
+                    ev_variant: str) -> tuple[dict, DensityMatrix]:
+    """The coherent stages of run_pipeline: stage fidelities and the
+    electronic pair after both exchanges."""
+    prep, had, code_a, left, right = _hadamard_stage(enc)
+    # a hit skips the stages' size checks; the cap may have been lowered
+    layout = full_layout(enc)
+    results = {"preparation_fidelity": prep, "hadamard_fidelity": had}
+
+    lefts = [(1.0 - delta, left)]
+    if delta > 0.0:
+        lefts.append((delta, code_a.rotate(SIGMA_X, left)))
+    swap_a = u_swap("a", enc, ve_variant, ev_variant)
+    same_modes = (enc.mode_a, enc.alpha) == (enc.mode_b, enc.beta)
+    swap_b = swap_a if same_modes else u_swap("b", enc, ve_variant, ev_variant)
+    right = swap_b.apply(right, 0, 1)
+    rho = np.zeros((4, 4), dtype=np.complex128)
+    for weight, left in lefts:
+        out = SchmidtState(layout, swap_a.apply(left, 0, 1), right)
+        rho += weight * reduced_electronic_schmidt(out).matrix
+    return results, DensityMatrix(PAIR, rho)
+
+
+def run_pipeline(enc: EncodingParams, delta: float, angles: BellAngles,
+                 method: str = "exact", shots: int = 4096, seed=0,
+                 ve_variant: str = "ideal",
+                 ev_variant: str = "ideal") -> dict:
+    """Prepare, rotate to the Bell pair, heat, swap twice, measure.
+
+    Heating enters as the single-jump approximation: a parity flip of mode a
+    with probability delta, mixed in at the density-matrix level after the
+    coherent stages.  ev_variant defaults to ideal, whose B follows
+    2 sqrt(2) (1 - delta); gates.u_swap defaults to the physical
+    displacement build.  Returns the named scalar results.
+
+    The register is never built.  At chi_t = pi the cross-Kerr phase is
+    ((-1)^n_a)^n_b, so the prepared state is exactly two products across
+    the cut (mode a, ion 1) | (mode b, ion 2), and every later stage acts on
+    one side of that cut, so the state stays a SchmidtState of two terms.
+    The Hadamard and the parity flip are rank-2 code-space updates of the
+    left factor at O(d); each exchange runs its factors on one (d, 2, 2)
+    factor at O(d^2), and mode b's is shared by both heating branches;
+    fidelities and the electronic state come from 2 x 2 Gram tables at
+    O(d).  Against 4 d^2 amplitudes and d^3 products per stage, an op is
+    bound by building the gates (the d x d kick), not by the state.
+    The fidelity to mixed_bell(delta) is the closed form of
+    bell.mixed_bell_fidelity.
+
+    The stages before the gates (preparation, Hadamard and their
+    fidelities) depend only on enc, so they are memoized per process on
+    enc, at most 16 keys of two floats, mode a's code basis and the two
+    read-only (d, 2, 2) factors each.  The exchanges, the flip branch and
+    the readout run on every call, so a delta sweep at one encoding skips
+    the bosonic constructors and still pays for its gates.  Warm calls
+    give the same bits as cold ones; a cold call, such as one
+    `catbell run`, does the work it did without the memo.
+    """
+    results, electronic = _pipeline_state(enc, delta, ve_variant, ev_variant)
+    results["delta"] = delta
+    results["electronic_fidelity"] = mixed_bell_fidelity(electronic, delta)
+    outcome = chsh(electronic, angles, method, shots, seed)
+    for name, value in zip(("e_ab", "e_ab_prime", "e_a_prime_b",
+                            "e_a_prime_b_prime"), outcome.correlations):
+        results[name] = value
+    results["b_value"] = outcome.b_value
+    results["b_predicted"] = 2.0 * sqrt(2.0) * (1.0 - delta)
+    if outcome.std_error is not None:
+        results["b_std_error"] = outcome.std_error
+    return results
+
+
+def run_full_pipeline(cfg: dict) -> tuple[list[dict], dict, str]:
+    enc = _encoding_params(cfg)
+    n = cfg["noise"]
+    delta = n["delta"]
+    if delta is None:
+        delta = delta_of(n["gamma"], enc.alpha, n["duration"])
+        if delta > 1.0:
+            raise ConfigError(
+                "noise: gamma * alpha^2 * duration exceeds 1; "
+                "set noise.delta explicitly")
+    results = run_pipeline(enc, delta, _bell_angles(cfg),
+                           cfg["bell"]["mode"], cfg["bell"]["shots"],
+                           cfg["seed"], cfg["gates"]["ve_variant"],
+                           cfg["gates"]["ev_variant"])
+    rows = [{"quantity": k, "value": v} for k, v in results.items()]
+    mode = cfg["bell"]["mode"]
+    return rows, results, "sampled" if mode == "sampled" else "exact"

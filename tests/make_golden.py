@@ -141,7 +141,7 @@ def check_against_main_path() -> None:
     """Print fast-path values next to the oracle values; writes nothing."""
     os.environ["CATBELL_MAX_DIM"] = "65536"
     from catbell.bosonic import EVEN, ModeParams, cat
-    from catbell.encoding import EncodingParams, bell_target, dft_state, logical_state, qubit_state
+    from catbell.encoding import EncodingParams, bell_target, logical_basis, qubit_state
     from catbell.gates import lift_pair, report_u_swap, u_swap
     from catbell.hilbert import apply, state_fidelity, tensor
     from catbell.bell import electronic_bell, reduced_electronic
@@ -152,8 +152,9 @@ def check_against_main_path() -> None:
     rep = report_u_swap("a", enc, "ideal", "displacement")
     print("swap rows (main path):",
           {r.input_label: round(r.fidelity, 12) for r in rep.rows})
-    plus = tensor([dft_state(0, "a", enc), qubit_state(0)])
-    tgt_amps = np.kron(logical_state(0, "a", enc).amps,
+    basis = logical_basis("a", enc)
+    plus = tensor([basis.dft_zero, qubit_state(0)])
+    tgt_amps = np.kron(basis.zero.amps,
                        np.array([1, 1], dtype=np.complex128) / np.sqrt(2))
     out = apply(u_swap("a", enc, "ideal", "displacement"), plus)
     from catbell.hilbert import StateVector

@@ -35,16 +35,15 @@ from catbell.bell import (
     BellAngles,
     chsh,
     electronic_bell,
+    mixed_bell,
     violation_scan,
 )
-from catbell.bosonic import ModeParams, cat, coherent, displacement, mode_for, parity_op
-from catbell.cli import run_pipeline
+from catbell.bosonic import ModeParams, cat, coherent, displacement, mode_for
 from catbell.encoding import (
     EncodingParams,
     bell_target,
-    entangled_target,
     logical_basis,
-    prepare_entangled,
+    prepare_entangled_schmidt,
     qubit_state,
     rotation_fidelity,
 )
@@ -55,7 +54,6 @@ from catbell.hilbert import (
     SpaceLayout,
     StateVector,
     apply,
-    basis_state,
     dm_fidelity,
     expectation,
     matrix_exp,
@@ -66,15 +64,16 @@ from catbell.hilbert import (
 from catbell.noise import (
     HeatingParams,
     evolve_lindblad,
-    mixed_bell,
     sample_trajectory,
     trajectory_rng,
 )
+from catbell.pipeline import run_pipeline
 from catbell.reference import (
     cat_amplitudes,
     displacement_elements,
     liouvillian_expm,
 )
+from conftest import basis_state, parity_op, reference_preparation
 
 RT8 = 2.0 * sqrt(2.0)
 
@@ -104,7 +103,8 @@ def test_criterion_01_preparation(acceptance_log):
     with criterion(acceptance_log, "01", "entangled preparation") as v:
         start = time.perf_counter()
         enc = EncodingParams.for_amplitudes(2.0, cutoff=30)
-        fid = state_fidelity(prepare_entangled(enc), entangled_target(enc))
+        prepared = prepare_entangled_schmidt(enc).to_state()
+        fid = state_fidelity(prepared, reference_preparation(enc))
         elapsed = time.perf_counter() - start
         v.ok = fid >= 1.0 - 1e-8 and elapsed < 1.0
         v.detail = f"fidelity deficit {max(0.0, 1.0 - fid):.1e} in {elapsed:.2f} s"

@@ -16,13 +16,12 @@ from catbell.bell import (
     TSIRELSON,
     BellAngles,
     chsh,
-    chsh_mixture,
     correlation_exact,
-    correlation_mixture,
     correlation_rotated,
     correlation_sampled,
     electronic_bell,
     measurement_pulse,
+    mixed_bell,
     mixed_bell_fidelity,
     reduced_electronic,
     reduced_electronic_schmidt,
@@ -36,10 +35,9 @@ from catbell.hilbert import (
     DensityMatrix,
     SpaceLayout,
     StateVector,
-    basis_state,
     dm_fidelity,
 )
-from catbell.noise import mixed_bell
+from conftest import basis_state
 
 SIGMA_Z = np.diag([1.0, -1.0]).astype(np.complex128)
 
@@ -97,10 +95,11 @@ class TestCorrelators:
 
     def test_mixture_formula_agreement(self):
         # E(t1, t2) on the mixture equals the closed form
+        # (1 - delta) cos(t1 + t2) + delta cos(t1 - t2)
         for delta in (0.0, 0.1, 0.29, 0.5):
             rho = mixed_bell(delta)
             for ta, tb in ((0.3, -0.7), (np.pi / 6, np.pi / 12), (1.0, 2.0)):
-                want = correlation_mixture(delta, ta, tb)
+                want = (1.0 - delta) * np.cos(ta + tb) + delta * np.cos(ta - tb)
                 assert correlation_exact(rho, ta, tb) == pytest.approx(want, abs=1e-10)
 
     def test_example_point(self):
@@ -181,7 +180,6 @@ class TestChsh:
         for delta in (0.0, 0.1, DELTA_STAR, 0.5):
             out = chsh(mixed_bell(delta))
             assert out.b_value == pytest.approx(TSIRELSON * (1.0 - delta), abs=1e-8)
-            assert chsh_mixture(delta) == pytest.approx(TSIRELSON * (1.0 - delta), abs=1e-8)
 
     def test_threshold_value(self):
         assert chsh(mixed_bell(DELTA_STAR)).b_value == pytest.approx(2.0, abs=1e-6)

@@ -14,28 +14,26 @@ from catbell.bosonic import (
     cat_norm,
     coherent,
     creation,
-    cross_kerr,
     default_cutoff,
     displacement,
-    kerr_phases,
     mode_for,
     number_op,
-    parity_op,
     parity_projectors,
     required_cutoff,
 )
+from catbell.encoding import EncodingParams, prepare_entangled_schmidt
 from catbell.errors import CapacityError
 from catbell.hilbert import (
     SpaceLayout,
+    StateVector,
     apply,
-    basis_state,
     expectation,
     overlap,
     state_fidelity,
-    tensor,
     unitarity_residual,
 )
 from catbell.reference import cat_amplitudes, coherent_amplitudes
+from conftest import parity_op
 
 
 class TestModeParams:
@@ -158,7 +156,7 @@ class _NoNumpy:
 @pytest.mark.parametrize("build", [
     lambda mode: coherent(2.0, mode),
     lambda mode: cat(2.0, EVEN, mode),
-    annihilation, creation, number_op, parity_op, parity_projectors,
+    annihilation, creation, number_op, parity_projectors,
 ])
 def test_size_cap_checked_before_allocation(build, monkeypatch):
     # a cutoff of 1e9 would allocate gigabytes before the layout refused it
@@ -184,7 +182,8 @@ class TestLadderOperators:
 
     def test_annihilation_flips_cat_parity(self):
         mode = mode_for(2.0)
-        kicked = apply(annihilation(mode), cat(2.0, EVEN, mode)).normalized()
+        kicked = apply(annihilation(mode), cat(2.0, EVEN, mode))
+        kicked = StateVector(kicked.layout, kicked.amps / kicked.norm)
         assert np.all(kicked.amps[0::2] == 0.0)
         assert state_fidelity(kicked, cat(2.0, ODD, mode)) > 1.0 - 1e-11
 
@@ -236,29 +235,27 @@ class TestDisplacement:
 
 
 class TestCrossKerr:
-    def test_zero_time_identity(self):
-        m = ModeParams(6)
-        np.testing.assert_allclose(cross_kerr(0.0, m, m).matrix, np.eye(36), atol=1e-14)
-
-    def test_full_period(self):
-        mode = ModeParams(25, leak_tol=1e-7)
-        pair = tensor([coherent(1.5, mode), coherent(1.5, mode)])
-        out = apply(cross_kerr(2 * np.pi, mode, mode), pair)
-        assert state_fidelity(out, pair) > 1.0 - 1e-10
+    """exp(-i pi n_a n_b) on |alpha>|beta>, as prepare_entangled_schmidt
+    applies it."""
 
     def test_diagonal_unitary(self):
-        m = ModeParams(7)
-        u = cross_kerr(1.1, m, m).matrix
-        assert np.abs(u - np.diag(np.diag(u))).max() == 0.0
-        assert np.abs(np.abs(np.diag(u)) - 1.0).max() < 1e-12
-
-    def test_phase_table_matches_diagonal(self):
-        ma, mb = ModeParams(5), ModeParams(7)
-        table = kerr_phases(0.7, ma, mb).reshape(-1)
-        np.testing.assert_allclose(np.diag(cross_kerr(0.7, ma, mb).matrix), table, atol=1e-14)
+        # the phase is diagonal in the Fock pairs and unimodular: the grid
+        # keeps the moduli of the product state exactly
+        for alpha, beta in ((1.5, 1.5), (2.0, 3.0)):
+            enc = EncodingParams.for_amplitudes(alpha, beta)
+            grid = prepare_entangled_schmidt(enc).to_state().as_tensor()
+            product = np.outer(coherent(alpha, enc.mode_a).amps,
+                               coherent(beta, enc.mode_b).amps)
+            assert np.array_equal(np.abs(grid[:, :, 0, 0]), np.abs(product))
+            assert not grid[:, :, 1:, :].any() and not grid[:, :, :, 1:].any()
 
     def test_phase_on_fock_pair(self):
-        ma, mb = ModeParams(5), ModeParams(5)
-        psi = basis_state(SpaceLayout((5, 5)), (2, 3))
-        out = apply(cross_kerr(np.pi, ma, mb), psi)
-        assert overlap(psi, out) == pytest.approx(np.exp(-1j * np.pi * 6), abs=1e-12)
+        # |n_a, n_b> takes exp(-i pi n_a n_b) = (-1)^(n_a n_b)
+        enc = EncodingParams.for_amplitudes(1.5, 2.0)
+        grid = prepare_entangled_schmidt(enc).to_state().as_tensor()[:, :, 0, 0]
+        product = np.outer(coherent(1.5, enc.mode_a).amps,
+                           coherent(2.0, enc.mode_b).amps)
+        na, nb = np.indices(product.shape)
+        assert np.array_equal(grid, product * (-1.0) ** (na * nb))
+        assert grid[2, 3] == pytest.approx(np.exp(-1j * np.pi * 6) * product[2, 3],
+                                           abs=1e-15)

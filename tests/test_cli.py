@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from math import pi, sqrt
@@ -18,15 +19,21 @@ from catbell.bosonic import displacement
 from catbell.cli import (
     DEFAULT_DELTAS,
     DEFAULT_EPSILONS,
+    FIELDS,
     PROTOCOLS,
     _build_parser,
-    _hadamard_stage,
-    _pipeline_state,
     describe,
     execute,
     main,
     normalize_config,
     render_csv,
+)
+from catbell.encoding import EncodingParams
+from catbell.errors import CapacityError, ConfigError
+from catbell.gates import EV_VARIANTS, u_swap
+from catbell.pipeline import (
+    _hadamard_stage,
+    _pipeline_state,
     run_bell_scan,
     run_full_pipeline,
     run_heat_sweep,
@@ -35,9 +42,6 @@ from catbell.cli import (
     run_rotate,
     run_swap_report,
 )
-from catbell.encoding import EncodingParams
-from catbell.errors import CapacityError, ConfigError
-from catbell.gates import EV_VARIANTS, u_swap
 
 
 def cfg_for(protocol: str, **overrides) -> dict:
@@ -156,6 +160,122 @@ class TestNormalizeConfig:
     def test_shots_positive_integer(self):
         with pytest.raises(ConfigError, match=">= 1"):
             cfg_for("bell-scan", bell={"shots": 0})
+
+
+# normalize_config({"protocol": p}) for every protocol p, apart from the
+# protocol name and the output path, in key order
+DEFAULTS = {
+    "encoding": {"alpha": 2.0, "beta": None, "cutoff": None, "leak_tol": 1e-10,
+                 "epsilon": None, "epsilons": [0.05, 0.1, 0.2, 0.5236]},
+    "noise": {"gamma": 0.001, "duration": 1.0, "steps": None,
+              "constant_rate": False, "delta": None, "durations": None},
+    "bell": {"theta_a": 0.0, "theta_a_prime": pi / 2, "theta_b": -pi / 4,
+             "theta_b_prime": pi / 4, "shots": 4096, "mode": "exact",
+             "deltas": [0.0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4,
+                        0.45, 0.5]},
+    "gates": {"ve_variant": "ideal", "ev_variant": "ideal"},
+}
+
+
+def raw_with(field, value) -> dict:
+    """A raw full-pipeline config that sets one field to value."""
+    raw = {"protocol": "full-pipeline"}
+    if field.section:
+        raw[field.section] = {field.key: value}
+    else:
+        raw[field.key] = value
+    return raw
+
+
+def past_bounds(field) -> list:
+    """One value just outside each bound of a numeric field."""
+    if field.kind == "integer":
+        below, above = (lambda x: x - 1), (lambda x: x + 1)
+    else:
+        below, above = (lambda x: float(np.nextafter(x, -np.inf))), \
+            (lambda x: float(np.nextafter(x, np.inf)))
+    out = []
+    if field.ge is not None:
+        out.append(below(field.ge))
+    if field.gt is not None:
+        out.append(field.gt)
+    if field.le is not None:
+        out.append(above(field.le))
+    if field.lt is not None:
+        out.append(field.lt)
+    return out
+
+
+def bad_values(field) -> list:
+    """Values that break the field's row: wrong type, non-finite, out of bounds."""
+    bad = [] if field.optional else [None]
+    if field.kind in ("number", "integer", "numbers"):
+        wrong = ["2", True, float("nan"), float("inf"), float("-inf")]
+        wrong += past_bounds(field)
+        if field.kind == "integer":
+            wrong.append(2.5)
+        else:  # a JSON integer beyond the float range
+            wrong.append(10 ** 400)
+        if field.kind == "numbers":
+            return bad + ["0.5", []] + [[v] for v in wrong]
+        return bad + wrong
+    if field.kind == "choice":
+        return bad + [3, "no-such-" + field.key]
+    if field.kind == "bool":
+        return bad + ["yes", 1]
+    return bad + [3, ""]  # string
+
+
+CASES = [(field, value) for field in FIELDS for value in bad_values(field)]
+
+
+class TestFieldTable:
+    """normalize_config applies one row of FIELDS per field."""
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_defaults_are_the_literal(self, protocol):
+        want = {"protocol": protocol, **DEFAULTS, "seed": 0,
+                "output": {"path": protocol, "format": "csv"}}
+        cfg = normalize_config({"protocol": protocol})
+        # json.dumps also compares key order and int against float
+        assert json.dumps(cfg) == json.dumps(want)
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_idempotent(self, protocol):
+        cfg = normalize_config({"protocol": protocol, "encoding": {
+            "alpha": 3, "beta": 2, "cutoff": 40.0, "epsilons": [1]},
+            "noise": {"steps": 50.0, "durations": [2], "delta": 0},
+            "bell": {"shots": 100.0}, "seed": 3.0})
+        again = normalize_config(cfg)
+        assert json.dumps(again) == json.dumps(cfg)
+        assert cfg["encoding"]["cutoff"] == 40 and type(cfg["seed"]) is int
+        assert cfg["encoding"]["epsilons"] == [1.0]
+
+    def test_one_row_per_field(self):
+        names = [field.name for field in FIELDS]
+        assert len(set(names)) == len(names)
+        cfg = normalize_config({"protocol": "prepare"})
+        flat = [f"{s}.{k}" for s, sec in cfg.items() if isinstance(sec, dict)
+                for k in sec] + [k for k, v in cfg.items() if not isinstance(v, dict)]
+        assert sorted(flat) == sorted(names)
+
+    @pytest.mark.parametrize("field,value", CASES,
+                             ids=[f"{f.name}={v!r}" for f, v in CASES])
+    def test_bad_value_names_the_field(self, field, value):
+        with pytest.raises(ConfigError, match=re.escape(field.name)):
+            normalize_config(raw_with(field, value))
+
+    @pytest.mark.parametrize("field", [f for f in FIELDS if f.ge is not None
+                                       or f.le is not None],
+                             ids=lambda f: f.name)
+    def test_inclusive_bounds_are_accepted(self, field):
+        for bound in (field.ge, field.le):
+            if bound is None:
+                continue
+            value = [bound] if field.kind == "numbers" else bound
+            cfg = normalize_config(raw_with(field, value))
+            got = cfg[field.section][field.key] if field.section else cfg[field.key]
+            assert got == value
 
 
 class TestDescribe:
@@ -465,6 +585,25 @@ class TestMainEntry:
         assert main(["run", cfg_path, "--output", str(tmp_path)]) == 2
         assert "must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("raw,code,message", [
+        ({"protocol": "heat-sweep", "noise": {"steps": 1e15}},
+         3, "capacity error: 1e\\+15 integration steps exceed the limit"),
+        ({"protocol": "heat-sweep", "noise": {"durations": [1e300]}},
+         3, "capacity error: .* integration steps exceed the limit"),
+        ({"protocol": "heat-sweep", "noise": {"gamma": 1e300, "duration": 1e10}},
+         3, "capacity error: inf integration steps exceed the limit"),
+        ({"protocol": "bell-scan", "bell": {"mode": "sampled", "shots": 1e30}},
+         2, "config error: bell.shots must be <= 9223372036854775807"),
+        ({"protocol": "full-pipeline", "bell": {"mode": "sampled", "shots": 1e22}},
+         2, "config error: bell.shots must be <= 9223372036854775807"),
+    ], ids=["steps", "durations", "auto-steps-overflow", "bell-scan-shots",
+            "full-pipeline-shots"])
+    def test_step_and_shot_limits(self, tmp_path, capsys, raw, code, message):
+        # each of these ended in a traceback before the limits existed
+        cfg_path = self.write_config(tmp_path, raw)
+        assert main(["run", cfg_path, "--output", str(tmp_path)]) == code
+        assert re.search(message, capsys.readouterr().err)
+
     def csv_under_blas_threads(self, tmp_path, raw: dict, **env_extra) -> list:
         """CSV bytes of `catbell run` on raw with 1 and with 4 BLAS threads."""
         cfg_path = self.write_config(tmp_path, raw)
@@ -555,11 +694,11 @@ class TestPipelineMemo:
 
     def test_every_call_builds_its_gates(self, monkeypatch):
         # the memo stops before the exchange: a warm call still builds it
-        import catbell.cli
+        import catbell.pipeline
         enc = EncodingParams.for_amplitudes(2.0)
         run_pipeline(enc, 0.1, DEFAULT_ANGLES)
         calls = []
-        monkeypatch.setattr(catbell.cli, "u_swap",
+        monkeypatch.setattr(catbell.pipeline, "u_swap",
                             lambda *args: calls.append(args) or u_swap(*args))
         run_pipeline(enc, 0.1, DEFAULT_ANGLES)
         assert calls == [("a", enc, "ideal", "ideal")]

@@ -5,26 +5,20 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from catbell.bosonic import EVEN, ODD, ModeParams, cat, coherent, parity_op
+from catbell.bosonic import EVEN, ODD, ModeParams, cat, coherent
 from catbell.encoding import (
     BELL_KINDS,
+    MODE_A,
+    MODE_B,
     EncodingParams,
     SchmidtState,
     bell_target,
     bell_target_schmidt,
-    dft_logical_amplitudes,
-    dft_state,
-    displacement_rotation,
-    entangled_target,
     entangled_target_cat_form,
     entangled_target_schmidt,
     full_layout,
     hadamard_matrix,
-    ideal_logical_rotation,
-    lift_to_full,
     logical_basis,
-    logical_state,
-    prepare_entangled,
     prepare_entangled_schmidt,
     qubit_state,
     rotation_fidelity,
@@ -40,6 +34,12 @@ from catbell.hilbert import (
     state_fidelity,
     unitarity_residual,
 )
+from conftest import on_register, parity_op, reference_preparation
+
+
+def prepared(enc: EncodingParams):
+    """The library's chi_t = pi preparation as a register vector."""
+    return prepare_entangled_schmidt(enc).to_state()
 
 
 class TestParams:
@@ -74,6 +74,17 @@ class TestParams:
         with pytest.raises(ValueError, match="epsilon\\*alpha"):
             EncodingParams(2.0, 2.0, ModeParams(26), ModeParams(26), epsilon=2.0)
 
+    @pytest.mark.parametrize("alpha", [0.6414318430122907, 0.640625, 2.0])
+    def test_window_edge_is_accepted(self, alpha):
+        # epsilon = pi / alpha is a half turn; epsilon * alpha rounds above
+        # pi at the first two amplitudes
+        eps = np.pi / alpha
+        enc = EncodingParams(alpha, alpha, ModeParams(8), ModeParams(8), epsilon=eps)
+        assert enc.epsilon == eps
+        with pytest.raises(ValueError, match="epsilon\\*alpha"):
+            EncodingParams(alpha, alpha, ModeParams(8), ModeParams(8),
+                           epsilon=float(np.nextafter(eps, np.inf)))
+
     def test_accessors(self):
         enc = EncodingParams.for_amplitudes(2.0, beta=3.0)
         assert enc.amplitude("b") == 3.0
@@ -97,8 +108,9 @@ class TestLogicalBasis:
 
     def test_parity_grading(self, enc2):
         p = parity_op(enc2.mode_a)
-        assert expectation(p, logical_state(0, "a", enc2)).real == pytest.approx(1.0, abs=1e-10)
-        assert expectation(p, logical_state(1, "a", enc2)).real == pytest.approx(-1.0, abs=1e-10)
+        basis = logical_basis("a", enc2)
+        assert expectation(p, basis.zero).real == pytest.approx(1.0, abs=1e-10)
+        assert expectation(p, basis.one).real == pytest.approx(-1.0, abs=1e-10)
 
     def test_gram_orthonormal(self):
         for alpha, beta in ((0.5, 0.5), (2.0, 3.0), (4.0, 1.0)):
@@ -123,11 +135,15 @@ class TestLogicalBasis:
         assert abs(overlap(basis.dft_zero, basis.dft_one)) < 1e-10
 
     def test_dft_logical_overlap_half(self, enc3):
-        f = state_fidelity(dft_state(0, "a", enc3), logical_state(0, "a", enc3))
+        basis = logical_basis("a", enc3)
+        f = state_fidelity(basis.dft_zero, basis.zero)
         assert abs(f - 0.5) < 1e-6
 
     def test_projector_rank_two(self, enc2):
-        proj = logical_basis("a", enc2).projector().matrix
+        # B B^dag with B = [zero, one]: rotate's code-space projector
+        basis = logical_basis("a", enc2)
+        b = np.column_stack([basis.zero.amps, basis.one.amps])
+        proj = b @ b.conj().T
         w = np.linalg.eigvalsh(proj)
         assert np.sum(w > 0.5) == 2
         assert np.abs(proj @ proj - proj).max() < 1e-12
@@ -156,41 +172,49 @@ class TestLogicalBasis:
 class TestEntangledPreparation:
     def test_matches_direct_target(self):
         enc = EncodingParams.for_amplitudes(2.0, cutoff=30)
-        f = state_fidelity(prepare_entangled(enc), entangled_target(enc))
+        psi = prepare_entangled_schmidt(enc)
+        f = schmidt_fidelity(psi, entangled_target_schmidt(enc))
         assert f >= 1.0 - 1e-8
+        assert state_fidelity(psi.to_state(), reference_preparation(enc)) >= 1.0 - 1e-12
 
     def test_cat_form_factorizations_agree(self, enc2):
-        psi = prepare_entangled(enc2)
+        psi = prepare_entangled_schmidt(enc2)
         for side in ("a", "b"):
-            f = state_fidelity(psi, entangled_target_cat_form(enc2, side=side))
-            assert f >= 1.0 - 1e-10
+            form = entangled_target_cat_form(enc2, side=side)
+            assert form.left.shape[-1] == 2
+            assert schmidt_fidelity(psi, form) >= 1.0 - 1e-10
+            assert state_fidelity(psi.to_state(), form.to_state()) >= 1.0 - 1e-10
 
     def test_bad_side(self, enc2):
         with pytest.raises(ValueError):
             entangled_target_cat_form(enc2, side="c")
 
     def test_amplitude_pattern(self, enc2, enc3):
-        # the 2x2 projection table is a balanced diagonal; off-balance decays
-        # with the coherent branch overlap exp(-2 alpha^2)/(2 sqrt(2))
-        amp2 = np.abs(dft_logical_amplitudes(prepare_entangled(enc2), enc2))
+        # the 2x2 projection table amp[x, y] = <x_dft, y_logical, 0, 0|psi>
+        # is a balanced diagonal; off-balance decays with the coherent
+        # branch overlap exp(-2 alpha^2)/(2 sqrt(2))
+        def table(enc):
+            a, b = logical_basis("a", enc), logical_basis("b", enc)
+            xs = np.column_stack([a.dft_zero.amps, a.dft_one.amps])
+            ys = np.column_stack([b.zero.amps, b.one.amps])
+            grid = prepared(enc).as_tensor()[:, :, 0, 0]
+            return np.abs(xs.conj().T @ grid @ ys.conj())
+
+        amp2 = table(enc2)
         assert abs(amp2[0, 0] - 2 ** -0.5) < 2e-4
         assert abs(amp2[1, 1] - 2 ** -0.5) < 2e-4
         assert amp2[0, 1] < 2e-4 and amp2[1, 0] < 2e-4
-        amp3 = np.abs(dft_logical_amplitudes(prepare_entangled(enc3), enc3))
+        amp3 = table(enc3)
         assert abs(amp3[0, 0] - 2 ** -0.5) < 1e-6
         assert abs(amp3[1, 1] - 2 ** -0.5) < 1e-6
         assert amp3[0, 1] < 1e-6 and amp3[1, 0] < 1e-6
 
     def test_reduced_mode_maximally_mixed(self, enc3):
-        red = partial_trace(prepare_entangled(enc3), (0,))
+        red = partial_trace(prepared(enc3), (0,))
         w = np.sort(np.linalg.eigvalsh(red.matrix))[::-1]
         assert abs(w[0] - 0.5) < 1e-6
         assert abs(w[1] - 0.5) < 1e-6
         assert w[2] < 1e-8
-
-    def test_amplitude_table_requires_register_layout(self, enc2, enc3):
-        with pytest.raises(ContractError):
-            dft_logical_amplitudes(prepare_entangled(enc3), enc2)
 
     @pytest.mark.parametrize("alpha,beta", [(2.0, 2.0), (2.0, 3.0)])
     def test_target_is_the_four_term_sum(self, alpha, beta):
@@ -201,7 +225,7 @@ class TestEntangledPreparation:
         grid = 0.5 * (np.outer(ca[0], cb[0]) + np.outer(ca[1], cb[0])
                       + np.outer(ca[0], cb[1]) - np.outer(ca[1], cb[1]))
         grid /= np.linalg.norm(grid)
-        got = entangled_target(enc).as_tensor()
+        got = entangled_target_schmidt(enc).to_state().as_tensor()
         assert np.abs(got[:, :, 0, 0] - grid).max() < 1e-15
         assert not got[:, :, 1:, :].any() and not got[:, :, :, 1:].any()
 
@@ -279,8 +303,8 @@ class TestBellTargets:
         assert abs(overlap(phi, psi)) < 1e-12
 
     def test_parity_correlation(self, enc2):
-        pa = lift_to_full(parity_op(enc2.mode_a), "a", enc2)
-        pb = lift_to_full(parity_op(enc2.mode_b), "b", enc2)
+        pa = on_register(parity_op(enc2.mode_a), MODE_A, enc2)
+        pb = on_register(parity_op(enc2.mode_b), MODE_B, enc2)
         for kind, sign in (("phi_plus", 1.0), ("psi_plus", -1.0)):
             state = bell_target(kind, enc2)
             corr = overlap(apply(pa, state), apply(pb, state)).real
@@ -288,8 +312,8 @@ class TestBellTargets:
 
     def test_hadamard_turns_preparation_into_phi_plus(self, enc2, enc3):
         for enc, floor in ((enc2, 1e-7), (enc3, 1e-8)):
-            h = lift_to_full(ideal_logical_rotation("hadamard", "a", enc), "a", enc)
-            rotated = apply(h, prepare_entangled(enc))
+            h = logical_basis("a", enc).subspace_unitary(hadamard_matrix())
+            rotated = apply(on_register(h, MODE_A, enc), prepared(enc))
             assert state_fidelity(bell_target("phi_plus", enc), rotated) >= 1.0 - floor
 
     def test_mode_entropy_one_bit(self, enc2):
@@ -301,27 +325,22 @@ class TestBellTargets:
 
 
 class TestRotations:
+    """Exact code-space rotations, lifted with LogicalBasis.subspace_unitary."""
+
     def test_rx_zero_is_identity(self, enc2):
-        op = ideal_logical_rotation("rx", "a", enc2, theta=0.0)
+        op = logical_basis("a", enc2).subspace_unitary(rx_matrix(0.0))
         assert np.abs(op.matrix - np.eye(enc2.mode_a.cutoff)).max() < 1e-12
 
-    def test_rx_needs_theta(self, enc2):
-        with pytest.raises(ValueError):
-            ideal_logical_rotation("rx", "a", enc2)
-
-    def test_unknown_kind(self, enc2):
-        with pytest.raises(ValueError):
-            ideal_logical_rotation("ry", "a", enc2, theta=0.1)
-
     def test_hadamard_squares_to_identity(self, enc2):
-        h = ideal_logical_rotation("hadamard", "a", enc2)
-        zero = logical_state(0, "a", enc2)
+        basis = logical_basis("a", enc2)
+        h = basis.subspace_unitary(hadamard_matrix())
+        zero = basis.zero
         assert state_fidelity(apply(h, apply(h, zero)), zero) > 1.0 - 1e-12
 
     def test_rx_half_turn_flips_with_phase(self, enc2):
-        out = apply(ideal_logical_rotation("rx", "a", enc2, theta=np.pi / 2),
-                    logical_state(0, "a", enc2))
-        assert overlap(logical_state(1, "a", enc2), out) == pytest.approx(1j, abs=1e-12)
+        basis = logical_basis("a", enc2)
+        out = apply(basis.subspace_unitary(rx_matrix(np.pi / 2)), basis.zero)
+        assert overlap(basis.one, out) == pytest.approx(1j, abs=1e-12)
 
     def test_hadamard_matrix_involution(self):
         h = hadamard_matrix()
@@ -330,34 +349,10 @@ class TestRotations:
 
 class TestDisplacementRotation:
     def test_angle_dictionary(self, enc2):
-        # eps = theta / (2 alpha)
-        from catbell.bosonic import displacement
-
-        got = displacement_rotation(np.pi / 2, "a", enc2)
-        want = displacement(1j * np.pi / 8, enc2.mode_a)
-        assert np.abs(got.matrix - want.matrix).max() < 1e-14
-
-    def test_explicit_epsilon_bypasses_theta(self, enc2):
-        from catbell.bosonic import displacement
-
-        got = displacement_rotation(None, "a", enc2, epsilon=0.1)
-        want = displacement(0.1j, enc2.mode_a)
-        assert np.abs(got.matrix - want.matrix).max() < 1e-14
-
-    def test_theta_and_epsilon_conflict(self, enc2):
-        with pytest.raises(ValueError):
-            displacement_rotation(0.3, "a", enc2, epsilon=0.1)
-
-    def test_needs_some_scale(self, enc2):
-        with pytest.raises(ValueError):
-            displacement_rotation(None, "a", enc2)
-
-    def test_params_epsilon_fallback(self):
-        from catbell.bosonic import displacement
-
-        enc = EncodingParams(2.0, 2.0, ModeParams(26), ModeParams(26), epsilon=0.2)
-        got = displacement_rotation(None, "a", enc)
-        assert np.abs(got.matrix - displacement(0.2j, enc.mode_a).matrix).max() < 1e-14
+        # rotation_fidelity kicks by eps = theta / (2 alpha) on the named mode
+        enc = EncodingParams.for_amplitudes(2.0, beta=3.0)
+        assert rotation_fidelity(np.pi / 2, enc2).epsilon == np.pi / 8
+        assert rotation_fidelity(np.pi / 2, enc, "b").epsilon == np.pi / 12
 
     @pytest.mark.parametrize("eps,law", [(0.1, 0.990050), (0.2, 0.960789)])
     def test_branch_fidelity_law(self, enc3, eps, law):
@@ -380,18 +375,6 @@ class TestDisplacementRotation:
             bound = max(1e-10, 5.0 * np.exp(-2.0 * alpha * alpha))
             assert abs(rep.f_zero_branch - rep.analytic) <= bound
             assert abs(rep.f_one_branch - rep.analytic) <= bound
-
-
-def test_lift_to_full_slots(enc2):
-    op = ideal_logical_rotation("hadamard", "b", enc2)
-    lifted = lift_to_full(op, "b", enc2)
-    assert lifted.acts_on == (1,)
-    sx = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-    from catbell.hilbert import OperatorMatrix, SpaceLayout
-
-    qubit_op = OperatorMatrix(SpaceLayout((2,)), (0,), sx)
-    assert lift_to_full(qubit_op, "ion2", enc2).acts_on == (3,)
-    assert lift_to_full(qubit_op, 1, enc2).acts_on == (2,)
 
 
 def test_qubit_state_basis():

@@ -16,16 +16,15 @@ from catbell.bell import (
     reduced_electronic,
 )
 from catbell.bosonic import ModeParams, number_op, parity_projectors
-from catbell.cli import _pipeline_state, run_pipeline
 from catbell.encoding import (
+    MODE_A,
     EncodingParams,
     full_layout,
-    ideal_logical_rotation,
-    lift_to_full,
+    hadamard_matrix,
     logical_basis,
-    prepare_entangled,
     prepare_entangled_schmidt,
     qubit_state,
+    rx_matrix,
 )
 from catbell.gates import (
     CNOT_EV_TABLE,
@@ -44,7 +43,6 @@ from catbell.gates import (
     report_u_swap,
     report_u_ve,
     u_ev,
-    u_ev_ideal,
     u_swap,
     u_ve_ideal,
     u_ve_literal,
@@ -55,7 +53,6 @@ from catbell.hilbert import (
     SpaceLayout,
     StateVector,
     apply,
-    basis_state,
     dm_fidelity,
     matrix_exp,
     overlap,
@@ -63,9 +60,20 @@ from catbell.hilbert import (
     tensor,
     unitarity_residual,
 )
-from catbell.noise import mixed_bell
+from catbell.pipeline import _pipeline_state, run_pipeline
+from conftest import basis_state, on_register, reference_preparation
 
 VARIANT_PAIRS = [(ve, ev) for ve in VE_VARIANTS for ev in EV_VARIANTS]
+
+
+def u_ev_ideal(which: str, enc: EncodingParams) -> OperatorMatrix:
+    """Oracle: u_ev with the exact code-space rx(pi/2) in place of D(i eps),
+    applied on the ion's |1> half after the phase exp(-i pi |1><1| / 2)."""
+    kick = logical_basis(which, enc).subspace_unitary(rx_matrix(np.pi / 2.0)).matrix
+    eye = np.eye(kick.shape[0])
+    cond = np.kron(eye, np.diag([1.0, 0.0])) + np.kron(kick, EXCITED)
+    return OperatorMatrix(pair_layout(which, enc), (0, 1),
+                          cond @ np.kron(eye, electronic_phase()))
 
 
 def dense_exchange(which: str, enc: EncodingParams, ve: str, ev: str,
@@ -359,10 +367,10 @@ def dense_electronic(enc: EncodingParams, delta: float, ve: str,
                      ev: str) -> DensityMatrix:
     """Oracle: run_pipeline's coherent stages on the 4 d_a d_b register, with
     lifted dense code-space rotations and exchange matrices."""
-    psi = prepare_entangled(enc)
-    psi = apply(lift_to_full(ideal_logical_rotation("hadamard", "a", enc),
-                             "a", enc), psi)
-    flip = lift_to_full(logical_basis("a", enc).subspace_unitary(SIGMA_X), "a", enc)
+    code_a = logical_basis("a", enc)
+    psi = reference_preparation(enc)
+    psi = apply(on_register(code_a.subspace_unitary(hadamard_matrix()), MODE_A, enc), psi)
+    flip = on_register(code_a.subspace_unitary(SIGMA_X), MODE_A, enc)
     rho = np.zeros((4, 4), dtype=np.complex128)
     for weight, branch in ((1.0 - delta, psi), (delta, apply(flip, psi))):
         for which in ("a", "b"):
@@ -424,5 +432,5 @@ class TestPipelineAgainstDense:
         terms = prepare_entangled_schmidt(enc)
         assert terms.left.shape[-1] == 2
         rebuilt = np.einsum("aik,bjk->abij", terms.left, terms.right)
-        want = prepare_entangled(enc).as_tensor()
+        want = reference_preparation(enc).as_tensor()
         assert np.abs(rebuilt - want).max() <= 1e-12

@@ -15,13 +15,9 @@ from catbell.hilbert import (
     SpaceLayout,
     StateVector,
     apply,
-    basis_state,
-    conjugate,
-    dagger,
     dm_fidelity,
     embed,
     expectation,
-    identity,
     matrix_exp,
     max_total_dim,
     on_layout,
@@ -31,6 +27,7 @@ from catbell.hilbert import (
     tensor,
     unitarity_residual,
 )
+from conftest import basis_state
 
 SX = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 SY = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
@@ -78,13 +75,16 @@ class TestLayout:
 
 class TestStates:
     def test_basis_state(self):
+        # the tensor of unit vectors is the product basis vector
         psi = basis_state(qubit_layout(2), (0, 0))
+        assert psi.layout == qubit_layout(2)
         np.testing.assert_array_equal(psi.amps, [1, 0, 0, 0])
 
     def test_basis_state_ordering(self):
-        # first factor slowest: |0,1> sits at flat index 1
+        # tensor puts the first factor slowest: |0,1> sits at flat index 1
         psi = basis_state(qubit_layout(2), (0, 1))
         np.testing.assert_array_equal(psi.amps, [0, 1, 0, 0])
+        np.testing.assert_array_equal(psi.as_tensor()[0, 1], 1)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -93,12 +93,7 @@ class TestStates:
     def test_norm_and_normalized(self):
         psi = StateVector(SpaceLayout((2,)), [3.0, 4.0])
         assert psi.norm == pytest.approx(5.0)
-        assert psi.normalized().norm == pytest.approx(1.0)
-
-    def test_normalize_zero_raises(self):
-        psi = StateVector(SpaceLayout((2,)), [0.0, 0.0])
-        with pytest.raises(ContractError):
-            psi.normalized()
+        assert StateVector(psi.layout, psi.amps / psi.norm).norm == pytest.approx(1.0)
 
     def test_to_density_trace(self):
         psi = basis_state(qubit_layout(2), (1, 0))
@@ -205,16 +200,6 @@ class TestApply:
             expectation(op, psi).real, abs=1e-12
         )
 
-    def test_conjugate_density(self):
-        lay = qubit_layout(1)
-        rho = DensityMatrix(lay, np.diag([1.0, 0.0]))
-        u = OperatorMatrix(lay, (0,), SX)
-        out = conjugate(u, rho)
-        np.testing.assert_allclose(out.matrix, np.diag([0.0, 1.0]), atol=1e-15)
-
-    def test_dagger_involution(self):
-        op = OperatorMatrix(qubit_layout(1), (0,), SY + 0.3 * SX)
-        assert np.abs(dagger(dagger(op)).matrix - op.matrix).max() == 0.0
 
 
 class TestPartialTrace:
@@ -331,11 +316,6 @@ class TestFidelity:
         a = basis_state(lay, (0,))
         b = StateVector(lay, [1j, 0.0])
         assert overlap(a, b) == pytest.approx(1j)
-
-
-def test_identity_operator():
-    lay = SpaceLayout((3, 2))
-    np.testing.assert_array_equal(identity(lay).matrix, np.eye(6))
 
 
 def test_unitarity_residual_flags_nonunitary():

@@ -10,31 +10,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catbell.bosonic import EVEN, ODD, ModeParams, cat, coherent, mode_for, parity_op
-from catbell.encoding import EncodingParams, bell_target
-from catbell.errors import ContractError
+from catbell.bell import mixed_bell
+from catbell.bosonic import EVEN, ODD, ModeParams, cat, coherent, mode_for
+from catbell.encoding import MODE_A, MODE_B, bell_target
+from catbell.errors import CapacityError, ContractError
 from catbell.hilbert import (
     DensityMatrix,
     SpaceLayout,
     StateVector,
-    basis_state,
     dm_fidelity,
     expectation,
-    partial_trace,
 )
 from catbell.noise import (
+    MAX_STEPS,
     HeatingParams,
     auto_steps,
     delta_of,
     evolve_lindblad,
-    lifted_mixed_bell,
     lindblad_rhs,
-    mixed_bell,
     parity_flip_probability,
     sample_trajectory,
     trajectory_rng,
 )
 from catbell.reference import liouvillian_expm, liouvillian_matrix, poisson_jump_stats
+from conftest import basis_state, on_register, parity_op
 
 
 class TestParams:
@@ -59,6 +58,34 @@ class TestParams:
     def test_auto_steps_floor(self):
         assert auto_steps(1e-6, 1.0, 12) == 100
         assert auto_steps(0.5, 1.0, 12) > 100
+
+    def test_auto_steps_overflow_is_inf(self):
+        assert auto_steps(1e300, 1e10, 12) == np.inf
+        assert auto_steps(1e300, 1.0, 12) == 200.0 * 1e300 * 26
+
+    @pytest.mark.parametrize("params", [
+        HeatingParams(0.01, 1.0, steps=MAX_STEPS + 1),
+        HeatingParams(0.01, 1.0, steps=10 ** 15),
+        HeatingParams(1e-3, 1e300),
+        HeatingParams(1e300, 1e10),
+    ], ids=["given-past-limit", "given-huge", "auto-huge", "auto-inf"])
+    def test_step_limit_refused_before_allocating(self, params, monkeypatch):
+        import catbell.noise
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("integrator arrays allocated past the step limit")
+        monkeypatch.setattr(catbell.noise.np, "linspace", refuse)
+        rho0 = basis_state(SpaceLayout((8,)), (0,)).to_density()
+        with pytest.raises(CapacityError, match="integration steps exceed the limit"):
+            evolve_lindblad(rho0, params)
+
+    def test_step_limit_is_inclusive(self, monkeypatch):
+        import catbell.noise
+        monkeypatch.setattr(catbell.noise, "MAX_STEPS", 150)
+        rho0 = basis_state(SpaceLayout((4,)), (0,)).to_density()
+        assert evolve_lindblad(rho0, HeatingParams(1e-3, 1.0, steps=150)).times.size == 151
+        with pytest.raises(CapacityError, match="151 integration steps"):
+            evolve_lindblad(rho0, HeatingParams(1e-3, 1.0, steps=151))
 
 
 class TestRhs:
@@ -309,10 +336,8 @@ class TestTrajectories:
     def test_embedded_mode_jump(self, enc2):
         # a jump on mode a of the register flips that mode's parity only
         psi = bell_target("phi_plus", enc2)
-        from catbell.encoding import lift_to_full
-
-        pa = lift_to_full(parity_op(enc2.mode_a), "a", enc2)
-        pb = lift_to_full(parity_op(enc2.mode_b), "b", enc2)
+        pa = on_register(parity_op(enc2.mode_a), MODE_A, enc2)
+        pb = on_register(parity_op(enc2.mode_b), MODE_B, enc2)
         for seed in range(300):
             res = sample_trajectory(psi, HeatingParams(1e-3, 10.0), seed, mode_index=0)
             if res.n_jumps == 1:
@@ -322,7 +347,9 @@ class TestTrajectories:
                 # correlation flips sign instead
                 from catbell.hilbert import apply, overlap
 
-                joint = overlap(apply(pa, res.final), apply(pb, res.final).normalized())
+                kicked_b = apply(pb, res.final)
+                joint = overlap(apply(pa, res.final),
+                                StateVector(kicked_b.layout, kicked_b.amps / kicked_b.norm))
                 assert joint.real < -0.99
                 assert abs(corr_a) < 0.1 and abs(corr_b) < 0.1
                 break
@@ -466,21 +493,3 @@ class TestMixtures:
             mixed_bell(-0.01)
         with pytest.raises(ValueError):
             mixed_bell(1.01)
-        with pytest.raises(ValueError):
-            lifted_mixed_bell(2.0, EncodingParams.for_amplitudes(2.0))
-
-    def test_lifted_weights(self, enc2):
-        rho = lifted_mixed_bell(0.3, enc2)
-        assert abs(rho.trace - 1.0) < 1e-10
-        phi = bell_target("phi_plus", enc2)
-        psi = bell_target("psi_plus", enc2)
-        assert dm_fidelity(rho, phi) == pytest.approx(0.7, abs=1e-10)
-        assert dm_fidelity(rho, psi) == pytest.approx(0.3, abs=1e-10)
-
-    def test_lifted_reduces_to_electronic(self, enc2):
-        lifted = lifted_mixed_bell(0.25, enc2)
-        red = partial_trace(lifted, (2, 3))
-        # ions sit in |00> for every component, so the electronic marginal is
-        # a projector, not the two-qubit mixture; check trace and purity
-        assert abs(red.trace - 1.0) < 1e-10
-        assert red.matrix[0, 0].real == pytest.approx(1.0, abs=1e-10)

@@ -91,11 +91,11 @@ class TestDisplacementOracle:
 
 class TestEntangledOracle:
     def test_matches_main_preparation(self, enc2):
-        from catbell.encoding import prepare_entangled
+        from catbell.encoding import prepare_entangled_schmidt
 
         na, nb = enc2.mode_a.cutoff, enc2.mode_b.cutoff
         grid = entangled_amplitudes(2.0, 2.0, na, nb)
-        psi = prepare_entangled(enc2).as_tensor()[:, :, 0, 0]
+        psi = prepare_entangled_schmidt(enc2).to_state().as_tensor()[:, :, 0, 0]
         # main path renormalizes after truncation; compare up to that factor
         psi = psi / np.linalg.norm(psi)
         grid = grid / np.linalg.norm(grid)
