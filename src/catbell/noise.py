@@ -20,6 +20,15 @@ the O(d^3) of dense ladder products.  With a|k> = sqrt(k)|k-1>:
 So gamma (D[a] + D[a+]) rho is two shifted Hadamard products plus the
 diagonal scaling -gamma/2 (s_i + s_j) rho_ij.
 
+The integrator never applies that generator step by step.  L is linear and
+constant, so one RK4 step is the fixed polynomial
+S = I + hL + (hL)^2/2 + (hL)^3/6 + (hL)^4/24, and since L only moves weight
+along the diagonals of rho, S has nine diagonals in the flattened rho, at
+shifts m (d + 1), m = -4..4.  evolve_lindblad builds their weights once, in
+O(d^2), and then advances each step in one pass over rho.  It keeps the
+diagonal and sub-diagonal of every step in fixed-size blocks and reduces
+each block to the <n>, <a> and parity traces.
+
 The jump sampler views the register as (pre, d, post) around the heated
 mode, so it moves no axis.  It computes <n> in one pass over the amplitudes
 for each state it visits (only for the input under constant_rate), and each
@@ -33,6 +42,7 @@ from dataclasses import dataclass
 from math import ceil, exp, isfinite, prod
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import CapacityError, ContractError
 from .hilbert import DensityMatrix, SpaceLayout, StateVector
@@ -42,6 +52,9 @@ TRACE_TOL = 1e-6
 # auto_steps: it keeps four traces of steps + 1 entries (40 MB at the limit),
 # and the largest count a test, demo or benchmark op runs is under 10^3
 MAX_STEPS = 10 ** 6
+# evolve_lindblad reduces the diagonals of rho to its traces in blocks of
+# this many steps, so the trace memory stays O(steps + d^2)
+TRACE_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -145,8 +158,51 @@ class NoiseResult:
     trace_drift: float
 
 
+def _step_stencil(gain: np.ndarray, decay: np.ndarray, h: float,
+                  dim: int) -> np.ndarray:
+    """One RK4 step of the heating equation as nine weight rows.
+
+    For a linear, time-independent L a fourth-order step is exactly
+    S = I + hL (I + hL/2 (I + hL/3 (I + hL/4))).  L couples the flat index f
+    of rho only to f +- (d + 1), so S has nine diagonals, at flat shifts
+    m (d + 1) for m = -4..4.  Row m + 4 holds S[f, f + m (d + 1)] at f,
+    zero where that entry falls outside rho.  Each Horner factor multiplies
+    a band by L, one diagonal wider each time, so the build is O(d^2).
+    Every weight is written twice, for the real and the imaginary float of
+    its entry in the float view of a complex rho.
+    """
+    n = dim * dim
+    shift = dim + 1
+    weights = np.empty((9, n, 2))
+    band = np.ones((1, n))
+    for k in (4, 3, 2, 1):
+        rows = band.shape[0] + 2
+        nxt = weights[:, :, 0] if k == 1 else np.empty((rows, n))
+        np.multiply(band, decay, out=nxt[1:-1])
+        nxt[0] = nxt[-1] = 0.0
+        nxt[2:, :n - shift] += band[:, shift:] * gain   # L[f, f + d + 1]
+        nxt[:-2, shift:] += band[:, :n - shift] * gain  # L[f, f - d - 1]
+        nxt *= h / k
+        nxt[rows // 2] += 1.0
+        band = nxt
+    weights[:, :, 1] = weights[:, :, 0]
+    return weights.reshape(9, 2 * n)
+
+
 def evolve_lindblad(rho0: DensityMatrix, params: HeatingParams) -> NoiseResult:
-    """Fixed-step fourth-order integration of the heating equation."""
+    """Fixed-step fourth-order integration of the heating equation.
+
+    The RK4 step is built once as a nine-diagonal stencil (_step_stencil,
+    O(d^2)).  Each step is then one einsum of the stencil with a read-only
+    strided window of a zero-padded copy of rho, written into a second such
+    copy; the two copies take turns.  Working in the float view lets one
+    real weight serve the real and the imaginary part of an entry.  The
+    diagonal and sub-diagonal of each step are buffered in blocks of
+    TRACE_BLOCK steps and reduced to the traces block by block, so memory
+    is O(steps + d^2).  einsum calls no BLAS, so the result does not depend
+    on the BLAS thread count.  rho0 is not modified, and the result shares
+    no memory with it.
+    """
     dim = _require_single_mode(rho0.layout)
     steps = params.steps or auto_steps(params.gamma, params.duration, dim)
     if not steps <= MAX_STEPS:
@@ -155,45 +211,54 @@ def evolve_lindblad(rho0: DensityMatrix, params: HeatingParams) -> NoiseResult:
             "lower noise.gamma, noise.duration or noise.steps")
     steps = int(steps)
     h = params.duration / steps
-    n_diag = np.arange(dim, dtype=np.float64)
-    root_n = np.sqrt(n_diag[1:])
-    parity_diag = (-1.0) ** np.arange(dim)
+    n = dim * dim
+    shift = dim + 1
+    gain, decay = _generator_weights(dim, params.gamma, np.float64)
+    weights = _step_stencil(gain, decay, h, dim)
 
-    rho = rho0.matrix.copy()
-    gain, decay = _generator_weights(dim, params.gamma, rho.dtype)
-    k1, k2, k3, k4, stage = (np.empty_like(rho) for _ in range(5))
+    # two copies of flat rho, each padded by four diagonal shifts of zeros on
+    # both sides; every step reads one and writes the other's centre, so the
+    # pads stay zero and stand for the entries the stencil reaches outside rho
+    pad = 4 * shift
+    bufs = np.zeros((2, n + 2 * pad), dtype=np.complex128)
+    bufs[0, pad:pad + n] = rho0.matrix.reshape(-1)
+    floats = bufs.view(np.float64)
+    fsize, csize = floats.itemsize, bufs.itemsize
+    windows = [as_strided(f, shape=(9, 2 * n), strides=(2 * shift * fsize, fsize),
+                          writeable=False) for f in floats]
+    centres = [f[2 * pad:2 * (pad + n)] for f in floats]
+    # rho[k, k] and rho[k, k-1] of each copy; the latter reads the pad at k = 0
+    diagonals = [as_strided(b[pad:], shape=(dim, 2), strides=(shift * csize, -csize),
+                            writeable=False) for b in bufs]
+
     times = np.linspace(0.0, params.duration, steps + 1)
     n_trace = np.empty(steps + 1)
     a_trace = np.empty(steps + 1, dtype=np.complex128)
     p_trace = np.empty(steps + 1)
+    levels = np.arange(dim, dtype=np.float64)
+    root = np.sqrt(levels)
+    parity = (-1.0) ** np.arange(dim)
+    block = np.empty((min(steps + 1, TRACE_BLOCK), dim, 2), dtype=np.complex128)
 
-    def record(i: int) -> None:
-        d = np.diagonal(rho).real
-        n_trace[i] = (n_diag * d).sum()
-        a_trace[i] = (np.diagonal(rho, -1) * root_n).sum()
-        p_trace[i] = (parity_diag * d).sum()
+    def reduce(stop: int, count: int) -> None:
+        diag = block[:count, :, 0].real
+        n_trace[stop - count:stop] = np.einsum("ik,k->i", diag, levels)
+        a_trace[stop - count:stop] = np.einsum("ik,k->i", block[:count, :, 1], root)
+        p_trace[stop - count:stop] = np.einsum("ik,k->i", diag, parity)
 
-    record(0)
-    for i in range(steps):
-        _apply_generator(rho, gain, decay, k1)
-        np.multiply(k1, 0.5 * h, out=stage)
-        stage += rho
-        _apply_generator(stage, gain, decay, k2)
-        np.multiply(k2, 0.5 * h, out=stage)
-        stage += rho
-        _apply_generator(stage, gain, decay, k3)
-        np.multiply(k3, h, out=stage)
-        stage += rho
-        _apply_generator(stage, gain, decay, k4)
-        # rho += h/6 (k1 + 2 k2 + 2 k3 + k4), accumulated in k1
-        k2 += k3
-        k2 *= 2.0
-        k1 += k2
-        k1 += k4
-        k1 *= h / 6.0
-        rho += k1
-        record(i + 1)
+    cur, filled = 0, 1
+    block[0] = diagonals[0]
+    for i in range(1, steps + 1):
+        np.einsum("mf,mf->f", weights, windows[cur], out=centres[1 - cur])
+        cur = 1 - cur
+        if filled == len(block):
+            reduce(i, filled)
+            filled = 0
+        block[filled] = diagonals[cur]
+        filled += 1
+    reduce(steps + 1, filled)
 
+    rho = bufs[cur, pad:pad + n].reshape(dim, dim).copy()
     drift = abs(float(np.trace(rho).real) - 1.0)
     if not np.isfinite(drift) or drift > TRACE_TOL:
         raise ContractError(

@@ -623,12 +623,18 @@ class TestMainEntry:
         return outputs
 
     def test_heat_sweep_identical_across_blas_threads(self, tmp_path):
-        one, four = self.csv_under_blas_threads(tmp_path, {
-            "protocol": "heat-sweep",
-            "encoding": {"alpha": 3.0},
-            "noise": {"gamma": 0.002, "durations": [0.5, 1.0, 2.0]},
-        })
-        assert one == four
+        # alpha 6 (cutoff 82) is the largest heating size; it needs the
+        # raised size cap
+        for alpha in (3.0, 6.0):
+            workdir = tmp_path / f"alpha{alpha:g}"
+            workdir.mkdir()
+            one, four = self.csv_under_blas_threads(workdir, {
+                "protocol": "heat-sweep",
+                "encoding": {"alpha": alpha},
+                "noise": {"gamma": 0.002, "durations": [0.5, 1.0, 2.0]},
+            }, CATBELL_MAX_DIM="65536")
+            assert b"trace_drift" in one
+            assert one == four
 
     @pytest.mark.parametrize("alpha", [4.0, 8.0])
     def test_full_pipeline_identical_across_blas_threads(self, tmp_path, alpha):

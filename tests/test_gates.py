@@ -6,7 +6,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from catbell.bell import (
@@ -326,6 +326,10 @@ class TestExchangeAction:
         st.floats(0.0, 1.0, allow_nan=False),
         st.integers(0, 2**31 - 1),
     )
+    # the ends of the kick range, tried whatever the derandomized draws are:
+    # at this alpha, eps_frac 1.0 puts eps * alpha one rounding above pi
+    @example(cut_a=12, cut_b=17, alpha=0.6414318430122907, eps_frac=1.0, seed=0)
+    @example(cut_a=12, cut_b=17, alpha=0.6414318430122907, eps_frac=0.0, seed=0)
     def test_matches_dense_product(self, which, ve, ev, cut_a, cut_b, alpha,
                                    eps_frac, seed):
         # small cutoffs truncate the cats heavily; the algebra is exact

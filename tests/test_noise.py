@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 import warnings
 from math import prod
 
@@ -34,6 +35,26 @@ from catbell.noise import (
 )
 from catbell.reference import liouvillian_expm, liouvillian_matrix, poisson_jump_stats
 from conftest import basis_state, on_register, parity_op
+
+
+def random_density(dim: int, seed: int) -> DensityMatrix:
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = m @ m.conj().T
+    return DensityMatrix(SpaceLayout((dim,)), rho / np.trace(rho).real)
+
+
+def staged_rk4(rho: np.ndarray, gamma: float, h: float, steps: int) -> list:
+    """Oracle: the four-stage RK4 loop on lindblad_rhs; every state visited."""
+    states = [rho]
+    for _ in range(steps):
+        k1 = lindblad_rhs(rho, gamma)
+        k2 = lindblad_rhs(rho + 0.5 * h * k1, gamma)
+        k3 = lindblad_rhs(rho + 0.5 * h * k2, gamma)
+        k4 = lindblad_rhs(rho + h * k3, gamma)
+        rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states.append(rho)
+    return states
 
 
 class TestParams:
@@ -133,7 +154,79 @@ class TestEvolve:
         mode = mode_for(1.5)
         rho0 = cat(1.5, EVEN, mode).to_density()
         res = evolve_lindblad(rho0, HeatingParams(0.0, 1.0, steps=50))
-        assert np.abs(res.final.matrix - rho0.matrix).max() < 1e-12
+        assert np.array_equal(res.final.matrix, rho0.matrix)
+
+    @pytest.mark.parametrize("steps", [1, 2, 7])
+    @pytest.mark.parametrize("dim", [2, 3, 5, 12])
+    def test_step_is_staged_rk4(self, dim, steps, monkeypatch):
+        # a three-step trace block makes seven steps cross two block ends
+        import catbell.noise
+        monkeypatch.setattr(catbell.noise, "TRACE_BLOCK", 3)
+        rho0 = random_density(dim, seed=10 * dim + steps)
+        gamma, duration = 0.03, 0.7
+        res = evolve_lindblad(rho0, HeatingParams(gamma, duration, steps=steps))
+        states = staged_rk4(rho0.matrix, gamma, duration / steps, steps)
+        scale = np.abs(states[-1]).max()
+        assert np.abs(res.final.matrix - states[-1]).max() <= 1e-13 * scale
+        k = np.arange(dim)
+        n_want = [float((k * np.diagonal(r).real).sum()) for r in states]
+        a_want = [(np.sqrt(k[1:]) * np.diagonal(r, -1)).sum() for r in states]
+        p_want = [float(((-1.0) ** k * np.diagonal(r).real).sum()) for r in states]
+        assert np.abs(res.n_trace - n_want).max() <= 1e-13 * dim
+        assert np.abs(res.a_trace - a_want).max() <= 1e-13 * dim
+        assert np.abs(res.parity_trace - p_want).max() <= 1e-13 * dim
+
+    def test_stiff_step_is_the_rk4_polynomial(self):
+        # h gamma (2d) = 0.5 on the top level, which decays fastest: here RK4
+        # and the exact exponential part by more than 1e-4, so matching the
+        # staged loop is matching RK4 itself
+        dim, duration, steps = 12, 1.0, 2
+        gamma = 0.5 / (2 * dim * duration / steps)
+        rho0 = basis_state(SpaceLayout((dim,)), (dim - 1,)).to_density()
+        res = evolve_lindblad(rho0, HeatingParams(gamma, duration, steps=steps))
+        want = staged_rk4(rho0.matrix, gamma, duration / steps, steps)[-1]
+        assert np.abs(want - liouvillian_expm(rho0.matrix, gamma, duration)).max() > 1e-4
+        assert np.abs(res.final.matrix - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_trace_memory_is_linear_in_steps(self):
+        # the four traces take 40 B a step; a (steps, d) float history of the
+        # diagonal alone would add 8 d B a step, 320 B at d = 40
+        dim, steps = 40, 50_000
+        rho0 = basis_state(SpaceLayout((dim,)), (0,)).to_density()
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            res = evolve_lindblad(rho0, HeatingParams(1e-4, 1.0, steps=steps))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert res.n_trace.shape == (steps + 1,)
+        assert peak <= 64 * (steps + 1) + 1024 * dim ** 2
+
+    def test_input_untouched_and_results_unshared(self):
+        rho0 = random_density(6, seed=11)
+        before = rho0.matrix.copy()
+        params = HeatingParams(0.05, 1.0, steps=10)
+        res = evolve_lindblad(rho0, params)
+        assert np.array_equal(rho0.matrix, before)
+        arrays = [rho0.matrix, res.final.matrix, res.times, res.n_trace,
+                  res.a_trace, res.parity_trace]
+        for i, x in enumerate(arrays):
+            for y in arrays[i + 1:]:
+                assert not np.shares_memory(x, y)
+        second = evolve_lindblad(rho0, params)
+        kept = [second.final.matrix.copy(), second.n_trace.copy(),
+                second.a_trace.copy(), second.parity_trace.copy()]
+        for x in arrays[1:]:
+            x[...] = np.nan
+        assert np.array_equal(rho0.matrix, before)
+        got = [second.final.matrix, second.n_trace, second.a_trace,
+               second.parity_trace]
+        assert all(np.array_equal(x, y) for x, y in zip(got, kept))
 
     def test_occupation_growth(self):
         mode = mode_for(2.0)
