@@ -10,7 +10,8 @@ byte-identically; JSON output additionally echoes the normalized config and
 the wall-clock duration.
 
 Exit codes: 0 success, 2 config error, 3 capacity (truncation, size budget
-or integration step count), 4 numerical contract violation.
+or recorded step count), 4 numerical contract violation (for heat-sweep, a
+gamma * duration too large for float64 to resolve).
 """
 
 from __future__ import annotations
@@ -301,12 +302,13 @@ DESCRIPTIONS = {
     "heat-sweep": {
         "stages": [
             "even cat initial state on mode a",
-            "balanced heating master equation, fixed-step integrator",
+            "balanced heating master equation, exact per-diagonal propagator",
             "occupancy, amplitude, and parity traces per duration",
         ],
         "columns": ("duration,n_mean,re_a,im_a,parity,delta,"
                     "flip_probability,trace_drift"),
-        "notes": "noise module master-equation integrator (evolve_lindblad)",
+        "notes": ("noise module exact master-equation solution "
+                  "(evolve_lindblad); noise.steps sets only the record grid"),
     },
     "bell-scan": {
         "stages": [

@@ -17,17 +17,15 @@ the O(d^3) of dense ladder products.  With a|k> = sqrt(k)|k-1>:
 - n + a a+ is diagonal with entries s_k = 2k + 1, except s_{d-1} = d - 1 on
   the top level: the truncated ladder has (a a+)_{d-1} = 0 there.
 
-So gamma (D[a] + D[a+]) rho is two shifted Hadamard products plus the
-diagonal scaling -gamma/2 (s_i + s_j) rho_ij.
-
-The integrator never applies that generator step by step.  L is linear and
-constant, so one RK4 step is the fixed polynomial
-S = I + hL + (hL)^2/2 + (hL)^3/6 + (hL)^4/24, and since L only moves weight
-along the diagonals of rho, S has nine diagonals in the flattened rho, at
-shifts m (d + 1), m = -4..4.  evolve_lindblad builds their weights once, in
-O(d^2), and then advances each step in one pass over rho.  It keeps the
-diagonal and sub-diagonal of every step in fixed-size blocks and reduces
-each block to the <n>, <a> and parity traces.
+So the generator maps each diagonal m of rho, rho[n, n+m] for
+n = 0..d-m-1, to itself, as a real symmetric tridiagonal matrix: entries
+-gamma (s_n + s_{n+m}) / 2 on its diagonal and gamma sqrt(n (n+m)) between
+positions n - 1 and n.  The same matrix acts on diagonal -m.
+evolve_lindblad therefore needs no integrator: one eigendecomposition
+V diag(w) V^T per diagonal gives exp(tL) = V diag(e^{tw}) V^T exactly.  The
+<n>, parity and trace readouts are linear in diagonal 0 and <a> in diagonal
+-1, so the traces of a run take two decompositions; the final rho, which
+takes all d of them, is built only when it is read.
 
 The jump sampler views the register as (pre, d, post) around the heated
 mode, so it moves no axis.  It computes <n> in one pass over the amplitudes
@@ -38,32 +36,33 @@ jump writes one new register.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
-from math import ceil, exp, isfinite, prod
+from dataclasses import dataclass, field
+from functools import cached_property
+from math import exp, isfinite, prod
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
+from scipy.linalg import eigh_tridiagonal
 
 from .errors import CapacityError, ContractError
 from .hilbert import DensityMatrix, SpaceLayout, StateVector
 
 TRACE_TOL = 1e-6
-# evolve_lindblad refuses more integration steps than this, given or from
-# auto_steps: it keeps four traces of steps + 1 entries (40 MB at the limit),
-# and the largest count a test, demo or benchmark op runs is under 10^3
+# evolve_lindblad refuses more recorded steps than this: it keeps three
+# traces and the times of steps + 1 points (40 MB at the limit), and the
+# largest count a test, demo or benchmark op asks for is under 10^5
 MAX_STEPS = 10 ** 6
-# evolve_lindblad reduces the diagonals of rho to its traces in blocks of
-# this many steps, so the trace memory stays O(steps + d^2)
-TRACE_BLOCK = 256
+# evolve_lindblad evaluates its traces this many entries (times x levels) at
+# a time, so their memory stays O(steps + d^2)
+_TABLE_ENTRIES = 2 ** 14
 
 
 @dataclass(frozen=True)
 class HeatingParams:
-    """Reservoir strength and integration settings."""
+    """Reservoir strength, duration and record grid."""
 
     gamma: float
     duration: float
-    steps: int | None = None          # None picks a step count from the size
+    steps: int | None = None          # record grid; None records the endpoints
     constant_rate: bool = False       # freeze jump rates at their initial values
 
     def __post_init__(self) -> None:
@@ -82,42 +81,17 @@ class HeatingParams:
 def _require_single_mode(layout: SpaceLayout) -> int:
     if layout.nsites != 1:
         raise ValueError(
-            "the integrator works on a single-mode layout; "
+            "the master equation is solved on a single-mode layout; "
             "trajectories support embedded modes via mode_index"
         )
     return layout.dims[0]
 
 
-def _generator_weights(dim: int, gamma: float,
-                       dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
-    """Banded gamma (D[a] + D[a+]) as weights on the flattened d x d matrix.
-
-    In row-major order a one-step diagonal shift of rho is a shift of
-    d + 1 in its flat index.  gain holds gamma sqrt(i j) for the pair
-    rho[i-1, j-1] <-> rho[i, j] at the flat index of rho[i-1, j-1], and
-    zero on the last column, whose flat shift would wrap into the next row.
-    decay holds -gamma/2 (s_i + s_j) with the truncation-edge s.
-    """
-    k = np.arange(dim, dtype=np.float64)
-    s = 2.0 * k + 1.0
+def _anticommutator_diagonal(dim: int) -> np.ndarray:
+    """s_k of n + a a+ on the truncated ladder: 2k + 1, and d - 1 on top."""
+    s = 2.0 * np.arange(dim, dtype=np.float64) + 1.0
     s[-1] = dim - 1.0
-    root = np.sqrt(k[1:])
-    gain = np.zeros((dim, dim), dtype=dtype)
-    gain[:-1, :-1] = gamma * np.outer(root, root)
-    decay = (-0.5 * gamma) * np.add.outer(s, s)
-    return gain.reshape(-1)[:-(dim + 1)], decay.reshape(-1).astype(dtype)
-
-
-def _apply_generator(rho: np.ndarray, gain: np.ndarray, decay: np.ndarray,
-                     out: np.ndarray) -> np.ndarray:
-    """out = L rho for the weights of _generator_weights; out is C-contiguous."""
-    shift = rho.shape[0] + 1
-    flat = rho.reshape(-1)
-    acc = out.reshape(-1)
-    np.multiply(decay, flat, out=acc)
-    acc[:-shift] += gain * flat[shift:]   # a rho a+
-    acc[shift:] += gain * flat[:-shift]   # a+ rho a
-    return out
+    return s
 
 
 def lindblad_rhs(rho: np.ndarray, gamma: float) -> np.ndarray:
@@ -129,148 +103,123 @@ def lindblad_rhs(rho: np.ndarray, gamma: float) -> np.ndarray:
     diagonal with entries 2k + 1, except d - 1 on the top level, where the
     truncated ladder has (a a+)_{d-1} = 0.  rho is not modified.
     """
-    dtype = np.result_type(rho, np.float64)
-    gain, decay = _generator_weights(rho.shape[0], gamma, dtype)
-    return _apply_generator(rho, gain, decay, np.empty(rho.shape, dtype))
+    s = _anticommutator_diagonal(rho.shape[0])
+    root = np.sqrt(np.arange(1, rho.shape[0], dtype=np.float64))
+    gain = gamma * np.outer(root, root)
+    out = (-0.5 * gamma) * np.add.outer(s, s) * rho
+    out[:-1, :-1] += gain * rho[1:, 1:]   # a rho a+
+    out[1:, 1:] += gain * rho[:-1, :-1]   # a+ rho a
+    return out
 
 
-def auto_steps(gamma: float, duration: float, dim: int) -> float:
-    """Step count that keeps the integration inside its contract.
+def _diagonal_block(dim: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues w and orthonormal eigenvectors V of the generator on
+    diagonal m of a d x d rho, per unit gamma: L = gamma V diag(w) V^T.
 
-    The fourth-order error is about (gamma (2 dim + 2) h)^5 per step; this
-    keeps the accumulated error orders below the 1e-6 trace tolerance.  A
-    float, integral unless it overflows to inf; evolve_lindblad holds it
-    to MAX_STEPS before converting it.
+    Position n stands for rho[n, n+m] (and rho[n+m, n]), n = 0..d-m-1.  The
+    block is scaled by gamma outside, so it is finite for every finite gamma.
     """
-    count = 200.0 * gamma * duration * (2 * dim + 2)
-    return max(100.0, float(ceil(count))) if isfinite(count) else count
+    s = _anticommutator_diagonal(dim)
+    n = np.arange(1, dim - m, dtype=np.float64)
+    return eigh_tridiagonal(-0.5 * (s[:dim - m] + s[m:]), np.sqrt(n * (n + m)))
 
 
 @dataclass
 class NoiseResult:
-    """Deterministic evolution record."""
+    """Exact evolution record: traces on the record grid and the final rho.
 
-    final: DensityMatrix
+    final is built on first read, from a private copy of the input, and is
+    then kept; it shares no memory with the input or the traces.
+    """
+
     times: np.ndarray
     n_trace: np.ndarray
     a_trace: np.ndarray
     parity_trace: np.ndarray
     trace_drift: float
+    _initial: DensityMatrix = field(repr=False)
+    _rate: float = field(repr=False)   # gamma * duration
 
-
-def _step_stencil(gain: np.ndarray, decay: np.ndarray, h: float,
-                  dim: int) -> np.ndarray:
-    """One RK4 step of the heating equation as nine weight rows.
-
-    For a linear, time-independent L a fourth-order step is exactly
-    S = I + hL (I + hL/2 (I + hL/3 (I + hL/4))).  L couples the flat index f
-    of rho only to f +- (d + 1), so S has nine diagonals, at flat shifts
-    m (d + 1) for m = -4..4.  Row m + 4 holds S[f, f + m (d + 1)] at f,
-    zero where that entry falls outside rho.  Each Horner factor multiplies
-    a band by L, one diagonal wider each time, so the build is O(d^2).
-    Every weight is written twice, for the real and the imaginary float of
-    its entry in the float view of a complex rho.
-    """
-    n = dim * dim
-    shift = dim + 1
-    weights = np.empty((9, n, 2))
-    band = np.ones((1, n))
-    for k in (4, 3, 2, 1):
-        rows = band.shape[0] + 2
-        nxt = weights[:, :, 0] if k == 1 else np.empty((rows, n))
-        np.multiply(band, decay, out=nxt[1:-1])
-        nxt[0] = nxt[-1] = 0.0
-        nxt[2:, :n - shift] += band[:, shift:] * gain   # L[f, f + d + 1]
-        nxt[:-2, shift:] += band[:, :n - shift] * gain  # L[f, f - d - 1]
-        nxt *= h / k
-        nxt[rows // 2] += 1.0
-        band = nxt
-    weights[:, :, 1] = weights[:, :, 0]
-    return weights.reshape(9, 2 * n)
+    @cached_property
+    def final(self) -> DensityMatrix:
+        rho = self._initial.matrix
+        if self._rate == 0.0:
+            return DensityMatrix(self._initial.layout, rho.copy())
+        dim = rho.shape[0]
+        out = np.empty_like(rho)
+        for m in range(dim):
+            w, v = _diagonal_block(dim, m)
+            pair = np.stack([rho.diagonal(m), rho.diagonal(-m)], axis=1)
+            pair = v @ (np.exp(self._rate * w)[:, None] * (v.T @ pair))
+            rows, cols = np.arange(dim - m), np.arange(m, dim)
+            out[rows, cols], out[cols, rows] = pair[:, 0], pair[:, 1]
+        return DensityMatrix(self._initial.layout, out)
 
 
 def evolve_lindblad(rho0: DensityMatrix, params: HeatingParams) -> NoiseResult:
-    """Fixed-step fourth-order integration of the heating equation.
+    """Exact solution of the heating equation on the record grid.
 
-    The RK4 step is built once as a nine-diagonal stencil (_step_stencil,
-    O(d^2)).  Each step is then one einsum of the stencil with a read-only
-    strided window of a zero-padded copy of rho, written into a second such
-    copy; the two copies take turns.  Working in the float view lets one
-    real weight serve the real and the imaginary part of an entry.  The
-    diagonal and sub-diagonal of each step are buffered in blocks of
-    TRACE_BLOCK steps and reduced to the traces block by block, so memory
-    is O(steps + d^2).  einsum calls no BLAS, so the result does not depend
-    on the BLAS thread count.  rho0 is not modified, and the result shares
-    no memory with it.
+    times is linspace(0, duration, steps + 1), or the two endpoints when
+    params.steps is None; the values at a time do not depend on the grid.
+    Diagonals 0 and -1 of rho are propagated in the eigenbasis of their
+    blocks (_diagonal_block): a readout c . rho(t) of diagonal m is
+    sum_j e^{gamma t w_j} (V^T c)_j (V^T x)_j for the diagonal x of rho0, so
+    every trace is one einsum of e^{gamma t w} with a fixed coefficient
+    vector.  The table is evaluated a bounded number of rows at a time, so
+    memory is O(steps + d^2).  einsum calls no BLAS, so the traces do not
+    depend on the BLAS thread count.  rho0 is not modified, and the result
+    shares no memory with it.
     """
     dim = _require_single_mode(rho0.layout)
-    steps = params.steps or auto_steps(params.gamma, params.duration, dim)
-    if not steps <= MAX_STEPS:
+    steps = params.steps or 1
+    if steps > MAX_STEPS:
         raise CapacityError(
-            f"{steps:.4g} integration steps exceed the limit {MAX_STEPS}; "
-            "lower noise.gamma, noise.duration or noise.steps")
-    steps = int(steps)
-    h = params.duration / steps
-    n = dim * dim
-    shift = dim + 1
-    gain, decay = _generator_weights(dim, params.gamma, np.float64)
-    weights = _step_stencil(gain, decay, h, dim)
-
-    # two copies of flat rho, each padded by four diagonal shifts of zeros on
-    # both sides; every step reads one and writes the other's centre, so the
-    # pads stay zero and stand for the entries the stencil reaches outside rho
-    pad = 4 * shift
-    bufs = np.zeros((2, n + 2 * pad), dtype=np.complex128)
-    bufs[0, pad:pad + n] = rho0.matrix.reshape(-1)
-    floats = bufs.view(np.float64)
-    fsize, csize = floats.itemsize, bufs.itemsize
-    windows = [as_strided(f, shape=(9, 2 * n), strides=(2 * shift * fsize, fsize),
-                          writeable=False) for f in floats]
-    centres = [f[2 * pad:2 * (pad + n)] for f in floats]
-    # rho[k, k] and rho[k, k-1] of each copy; the latter reads the pad at k = 0
-    diagonals = [as_strided(b[pad:], shape=(dim, 2), strides=(shift * csize, -csize),
-                            writeable=False) for b in bufs]
-
+            f"{steps:.4g} recorded steps exceed the limit {MAX_STEPS}; "
+            "lower noise.steps")
     times = np.linspace(0.0, params.duration, steps + 1)
+    rho = rho0.matrix
+    levels = np.arange(dim, dtype=np.float64)
+    w0, v0 = _diagonal_block(dim, 0)
+    w1, v1 = _diagonal_block(dim, 1)
+    x0 = np.einsum("nj,n->j", v0, rho.diagonal().real)
+    # coefficients of <n>, parity and the trace on diagonal 0, <a> on -1
+    readouts = np.stack([levels, (-1.0) ** levels, np.ones(dim)])
+    c0 = np.einsum("nj,cn->cj", v0, readouts) * x0
+    c1 = (np.einsum("nj,n->j", v1, np.sqrt(levels[1:]))
+          * np.einsum("nj,n->j", v1, rho.diagonal(-1)))
+
     n_trace = np.empty(steps + 1)
     a_trace = np.empty(steps + 1, dtype=np.complex128)
     p_trace = np.empty(steps + 1)
-    levels = np.arange(dim, dtype=np.float64)
-    root = np.sqrt(levels)
-    parity = (-1.0) ** np.arange(dim)
-    block = np.empty((min(steps + 1, TRACE_BLOCK), dim, 2), dtype=np.complex128)
-
-    def reduce(stop: int, count: int) -> None:
-        diag = block[:count, :, 0].real
-        n_trace[stop - count:stop] = np.einsum("ik,k->i", diag, levels)
-        a_trace[stop - count:stop] = np.einsum("ik,k->i", block[:count, :, 1], root)
-        p_trace[stop - count:stop] = np.einsum("ik,k->i", diag, parity)
-
-    cur, filled = 0, 1
-    block[0] = diagonals[0]
-    for i in range(1, steps + 1):
-        np.einsum("mf,mf->f", weights, windows[cur], out=centres[1 - cur])
-        cur = 1 - cur
-        if filled == len(block):
-            reduce(i, filled)
-            filled = 0
-        block[filled] = diagonals[cur]
-        filled += 1
-    reduce(steps + 1, filled)
-
-    rho = bufs[cur, pad:pad + n].reshape(dim, dim).copy()
-    drift = abs(float(np.trace(rho).real) - 1.0)
-    if not np.isfinite(drift) or drift > TRACE_TOL:
+    rows = max(1, _TABLE_ENTRIES // dim)
+    # far past any physical gamma * t the exponentials overflow; the trace
+    # guard below turns that into a named error
+    with np.errstate(over="ignore", invalid="ignore"):
+        rates = params.gamma * times
+        for start in range(0, steps + 1, rows):
+            span = slice(start, start + rows)
+            table = np.exp(np.multiply.outer(rates[span], w0))
+            np.einsum("ij,j->i", table, c0[0], out=n_trace[span])
+            np.einsum("ij,j->i", table, c0[1], out=p_trace[span])
+            table = np.exp(np.multiply.outer(rates[span], w1))
+            np.einsum("ij,j->i", table, c1, out=a_trace[span])
+        drift = abs(float(np.einsum("j,j->", np.exp(rates[-1] * w0), c0[2])) - 1.0)
+    if not drift <= TRACE_TOL:
         raise ContractError(
-            f"trace drifted by {drift:.3e} over the integration; "
-            f"increase steps (used {steps})"
-        )
-    return NoiseResult(DensityMatrix(rho0.layout, rho), times,
-                       n_trace, a_trace, p_trace, drift)
+            f"trace drifted by {drift:.3e} at gamma*duration = {rates[-1]:.3g}; "
+            "lower noise.gamma or noise.duration")
+    initial = DensityMatrix(rho0.layout, rho.copy())
+    return NoiseResult(times, n_trace, a_trace, p_trace, drift,
+                       initial, float(rates[-1]))
 
 
 def delta_of(gamma: float, alpha: float, duration: float) -> float:
-    """Single-jump probability scale delta = gamma |alpha|^2 t."""
+    """Single-jump probability scale delta = gamma |alpha|^2 t.
+
+    A single-jump approximation: the exact channel flips an even cat's
+    parity with probability gamma (2 nbar + 1) t at small gamma t, nbar the
+    cat's <n>, which is 2.1 to 2.4 times delta for alpha = 3 to 1.5.
+    """
     return gamma * abs(alpha) ** 2 * duration
 
 
@@ -279,7 +228,10 @@ def parity_flip_probability(gamma: float, alpha: float, duration: float) -> floa
 
     Both processes run at about gamma |alpha|^2, so the merged intensity is
     close to 2 gamma |alpha|^2 t = 2 delta, and a parity flip needs an odd
-    number of events.
+    number of events.  Like delta_of, a single-jump approximation: the
+    exact merged rate is gamma (nbar + 1) + gamma nbar, so the exact flip
+    probability gamma (2 nbar + 1) t is 1.06 to 1.2 times this at
+    alpha = 3 to 1.5.
     """
     lam = 2.0 * gamma * abs(alpha) ** 2 * duration
     return (1.0 - exp(-2.0 * lam)) / 2.0

@@ -335,6 +335,40 @@ class TestProtocolRunners:
         assert rows[1]["n_mean"] > rows[0]["n_mean"]
         assert results["final_parity"] == pytest.approx(rows[-1]["parity"])
 
+    @pytest.mark.parametrize("alpha", [2.0, 3.0, 6.0])
+    def test_heat_sweep_rows_ignore_record_grid(self, alpha, monkeypatch):
+        # noise.steps only sets the record grid, and each duration is its own
+        # exact evaluation: a row is the same bytes on every grid, alone or
+        # inside a sweep.  alpha 6 (cutoff 82) needs the raised size cap
+        monkeypatch.setenv("CATBELL_MAX_DIM", "65536")
+        durations = [0.25, 0.5, 1.0, 2.0]
+
+        def lines(steps, sweep):
+            noise = {"gamma": 0.02, "durations": sweep}
+            if steps is not None:
+                noise["steps"] = steps
+            cfg = cfg_for("heat-sweep", encoding={"alpha": alpha}, noise=noise)
+            return render_csv(run_heat_sweep(cfg)[0]).splitlines()[1:]
+        want = lines(None, durations)
+        for steps in (None, 1, 7, 100, 5000):
+            assert lines(steps, durations) == want
+            for i, duration in enumerate(durations):
+                assert lines(steps, [duration]) == [want[i]]
+
+    def test_heat_sweep_decomposes_two_blocks_per_duration(self, monkeypatch):
+        # the sweep reads diagonals 0 and -1 only; building the full final
+        # rho would decompose all d blocks
+        import catbell.noise
+        calls = []
+        block = catbell.noise._diagonal_block
+
+        def counted(dim, m):
+            calls.append(m)
+            return block(dim, m)
+        monkeypatch.setattr(catbell.noise, "_diagonal_block", counted)
+        run_heat_sweep(cfg_for("heat-sweep", noise={"steps": 50}))
+        assert sorted(calls) == [0, 1]
+
     def test_bell_scan_exact(self):
         rows, results, provenance = run_bell_scan(cfg_for("bell-scan"))
         assert provenance == "exact"
@@ -567,13 +601,29 @@ class TestMainEntry:
             in capsys.readouterr().err
 
     def test_contract_error_exit_code(self, tmp_path, capsys):
+        # gamma * duration = 1e18 is past what float64 can resolve
+        cfg_path = self.write_config(tmp_path, {
+            "protocol": "heat-sweep",
+            "encoding": {"alpha": 1.5, "cutoff": 14, "leak_tol": 1e-5},
+            "noise": {"gamma": 1e3, "duration": 1e15, "steps": 20},
+        })
+        assert main(["run", cfg_path, "--output", str(tmp_path)]) == 4
+        err = capsys.readouterr().err
+        assert "contract violation" in err and "gamma*duration = 1e+18" in err
+        assert "Warning" not in err
+
+    def test_long_heating_reaches_the_steady_state(self, tmp_path):
+        # gamma t = 1e3 is exact now; the truncated ladder fills evenly
         cfg_path = self.write_config(tmp_path, {
             "protocol": "heat-sweep",
             "encoding": {"alpha": 1.5, "cutoff": 14, "leak_tol": 1e-5},
             "noise": {"gamma": 1e3, "steps": 20},
+            "output": {"format": "json"},
         })
-        assert main(["run", cfg_path, "--output", str(tmp_path)]) == 4
-        assert "contract violation" in capsys.readouterr().err
+        assert main(["run", cfg_path, "--output", str(tmp_path)]) == 0
+        rows = json.loads((tmp_path / "heat-sweep.json").read_text())["rows"]
+        assert rows[-1]["n_mean"] == pytest.approx((14 - 1) / 2, abs=1e-9)
+        assert abs(rows[-1]["parity"]) <= 1e-9
 
     @pytest.mark.parametrize("protocol,noise", [
         ("full-pipeline", {"delta": float("nan")}),
@@ -587,11 +637,11 @@ class TestMainEntry:
 
     @pytest.mark.parametrize("raw,code,message", [
         ({"protocol": "heat-sweep", "noise": {"steps": 1e15}},
-         3, "capacity error: 1e\\+15 integration steps exceed the limit"),
+         3, "capacity error: 1e\\+15 recorded steps exceed the limit"),
         ({"protocol": "heat-sweep", "noise": {"durations": [1e300]}},
-         3, "capacity error: .* integration steps exceed the limit"),
+         4, "contract violation: .* at gamma\\*duration = 1e\\+297"),
         ({"protocol": "heat-sweep", "noise": {"gamma": 1e300, "duration": 1e10}},
-         3, "capacity error: inf integration steps exceed the limit"),
+         4, "contract violation: .* at gamma\\*duration = inf"),
         ({"protocol": "bell-scan", "bell": {"mode": "sampled", "shots": 1e30}},
          2, "config error: bell.shots must be <= 9223372036854775807"),
         ({"protocol": "full-pipeline", "bell": {"mode": "sampled", "shots": 1e22}},
@@ -602,7 +652,9 @@ class TestMainEntry:
         # each of these ended in a traceback before the limits existed
         cfg_path = self.write_config(tmp_path, raw)
         assert main(["run", cfg_path, "--output", str(tmp_path)]) == code
-        assert re.search(message, capsys.readouterr().err)
+        err = capsys.readouterr().err
+        assert re.search(message, err)
+        assert "Warning" not in err
 
     def csv_under_blas_threads(self, tmp_path, raw: dict, **env_extra) -> list:
         """CSV bytes of `catbell run` on raw with 1 and with 4 BLAS threads."""

@@ -1,4 +1,4 @@
-"""Heating channel: master-equation integration and jump trajectories."""
+"""Heating channel: exact master-equation solution and jump trajectories."""
 
 from __future__ import annotations
 
@@ -22,10 +22,11 @@ from catbell.hilbert import (
     dm_fidelity,
     expectation,
 )
+import catbell.noise
 from catbell.noise import (
     MAX_STEPS,
     HeatingParams,
-    auto_steps,
+    _diagonal_block,
     delta_of,
     evolve_lindblad,
     lindblad_rhs,
@@ -44,17 +45,24 @@ def random_density(dim: int, seed: int) -> DensityMatrix:
     return DensityMatrix(SpaceLayout((dim,)), rho / np.trace(rho).real)
 
 
-def staged_rk4(rho: np.ndarray, gamma: float, h: float, steps: int) -> list:
-    """Oracle: the four-stage RK4 loop on lindblad_rhs; every state visited."""
-    states = [rho]
-    for _ in range(steps):
-        k1 = lindblad_rhs(rho, gamma)
-        k2 = lindblad_rhs(rho + 0.5 * h * k1, gamma)
-        k3 = lindblad_rhs(rho + 0.5 * h * k2, gamma)
-        k4 = lindblad_rhs(rho + h * k3, gamma)
-        rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        states.append(rho)
-    return states
+def random_matrix(dim: int, kind: str, seed: int) -> DensityMatrix:
+    """A unit-trace Hermitian or general complex matrix over one mode."""
+    if kind == "hermitian":
+        return random_density(dim, seed)
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    m /= np.linalg.norm(m)
+    m += (1.0 - np.trace(m)) / dim * np.eye(dim)
+    return DensityMatrix(SpaceLayout((dim,)), m)
+
+
+def readouts(rho: np.ndarray) -> tuple[float, complex, float]:
+    """<n>, <a> and parity of rho, read directly off its diagonals."""
+    k = np.arange(rho.shape[0])
+    diag = np.diagonal(rho).real
+    return (float((k * diag).sum()),
+            complex((np.sqrt(k[1:]) * np.diagonal(rho, -1)).sum()),
+            float(((-1.0) ** k * diag).sum()))
 
 
 class TestParams:
@@ -76,36 +84,23 @@ class TestParams:
         with pytest.raises(ValueError, match="finite"):
             HeatingParams(gamma, duration)
 
-    def test_auto_steps_floor(self):
-        assert auto_steps(1e-6, 1.0, 12) == 100
-        assert auto_steps(0.5, 1.0, 12) > 100
-
-    def test_auto_steps_overflow_is_inf(self):
-        assert auto_steps(1e300, 1e10, 12) == np.inf
-        assert auto_steps(1e300, 1.0, 12) == 200.0 * 1e300 * 26
-
     @pytest.mark.parametrize("params", [
         HeatingParams(0.01, 1.0, steps=MAX_STEPS + 1),
         HeatingParams(0.01, 1.0, steps=10 ** 15),
-        HeatingParams(1e-3, 1e300),
-        HeatingParams(1e300, 1e10),
-    ], ids=["given-past-limit", "given-huge", "auto-huge", "auto-inf"])
+    ], ids=["given-past-limit", "given-huge"])
     def test_step_limit_refused_before_allocating(self, params, monkeypatch):
-        import catbell.noise
-
         def refuse(*args, **kwargs):
-            raise AssertionError("integrator arrays allocated past the step limit")
+            raise AssertionError("record arrays allocated past the step limit")
         monkeypatch.setattr(catbell.noise.np, "linspace", refuse)
         rho0 = basis_state(SpaceLayout((8,)), (0,)).to_density()
-        with pytest.raises(CapacityError, match="integration steps exceed the limit"):
+        with pytest.raises(CapacityError, match="recorded steps exceed the limit"):
             evolve_lindblad(rho0, params)
 
     def test_step_limit_is_inclusive(self, monkeypatch):
-        import catbell.noise
         monkeypatch.setattr(catbell.noise, "MAX_STEPS", 150)
         rho0 = basis_state(SpaceLayout((4,)), (0,)).to_density()
         assert evolve_lindblad(rho0, HeatingParams(1e-3, 1.0, steps=150)).times.size == 151
-        with pytest.raises(CapacityError, match="151 integration steps"):
+        with pytest.raises(CapacityError, match="151 recorded steps"):
             evolve_lindblad(rho0, HeatingParams(1e-3, 1.0, steps=151))
 
 
@@ -148,6 +143,26 @@ class TestRhs:
         assert np.abs(got - want).max() <= 1e-12
         assert np.array_equal(m, before)
 
+    @pytest.mark.parametrize("gamma", [0.3, 2.0])
+    @pytest.mark.parametrize("dim", range(1, 13))
+    def test_diagonal_blocks_are_the_generator(self, dim, gamma):
+        # the generator keeps a rho supported on diagonals +-m there, and on
+        # each of them acts as gamma V diag(w) V^T of _diagonal_block
+        rng = np.random.default_rng(dim)
+        for m in range(dim):
+            w, v = _diagonal_block(dim, m)
+            assert np.abs(v.T @ v - np.eye(dim - m)).max() <= 1e-14
+            block = gamma * (v * w) @ v.T
+            upper, lower = rng.normal(size=(2, dim - m)) + 1j * rng.normal(size=(2, dim - m))
+            upper, lower = upper / np.linalg.norm(upper), lower / np.linalg.norm(lower)
+            rho = np.diag(upper, m) + (np.diag(lower, -m) if m else 0.0)
+            got = lindblad_rhs(rho, gamma)
+            off = np.abs(np.subtract.outer(np.arange(dim), np.arange(dim))) != m
+            assert np.all(got[off] == 0.0)
+            assert np.abs(np.diagonal(got, m) - block @ upper).max() <= 1e-13
+            if m:
+                assert np.abs(np.diagonal(got, -m) - block @ lower).max() <= 1e-13
+
 
 class TestEvolve:
     def test_zero_gamma_identity(self):
@@ -156,37 +171,32 @@ class TestEvolve:
         res = evolve_lindblad(rho0, HeatingParams(0.0, 1.0, steps=50))
         assert np.array_equal(res.final.matrix, rho0.matrix)
 
-    @pytest.mark.parametrize("steps", [1, 2, 7])
+    @pytest.mark.parametrize("kind", ["hermitian", "general"])
+    @pytest.mark.parametrize("gamma", [0.3, 2.0])
     @pytest.mark.parametrize("dim", [2, 3, 5, 12])
-    def test_step_is_staged_rk4(self, dim, steps, monkeypatch):
-        # a three-step trace block makes seven steps cross two block ends
-        import catbell.noise
-        monkeypatch.setattr(catbell.noise, "TRACE_BLOCK", 3)
-        rho0 = random_density(dim, seed=10 * dim + steps)
-        gamma, duration = 0.03, 0.7
-        res = evolve_lindblad(rho0, HeatingParams(gamma, duration, steps=steps))
-        states = staged_rk4(rho0.matrix, gamma, duration / steps, steps)
-        scale = np.abs(states[-1]).max()
-        assert np.abs(res.final.matrix - states[-1]).max() <= 1e-13 * scale
-        k = np.arange(dim)
-        n_want = [float((k * np.diagonal(r).real).sum()) for r in states]
-        a_want = [(np.sqrt(k[1:]) * np.diagonal(r, -1)).sum() for r in states]
-        p_want = [float(((-1.0) ** k * np.diagonal(r).real).sum()) for r in states]
-        assert np.abs(res.n_trace - n_want).max() <= 1e-13 * dim
-        assert np.abs(res.a_trace - a_want).max() <= 1e-13 * dim
-        assert np.abs(res.parity_trace - p_want).max() <= 1e-13 * dim
+    def test_matches_superoperator_exponential(self, dim, gamma, kind):
+        # a one-mode layout has d >= 2, so d = 1 is covered by the block test
+        rho0 = random_matrix(dim, kind, seed=10 * dim + int(gamma))
+        duration = 0.7
+        res = evolve_lindblad(rho0, HeatingParams(gamma, duration, steps=2))
+        assert np.abs(res.final.matrix
+                      - liouvillian_expm(rho0.matrix, gamma, duration)).max() <= 1e-13
+        for i, t in enumerate(res.times):
+            n, a, p = readouts(liouvillian_expm(rho0.matrix, gamma, t))
+            assert abs(res.n_trace[i] - n) <= 1e-13
+            assert abs(res.a_trace[i] - a) <= 1e-13
+            assert abs(res.parity_trace[i] - p) <= 1e-13
 
-    def test_stiff_step_is_the_rk4_polynomial(self):
-        # h gamma (2d) = 0.5 on the top level, which decays fastest: here RK4
-        # and the exact exponential part by more than 1e-4, so matching the
-        # staged loop is matching RK4 itself
-        dim, duration, steps = 12, 1.0, 2
-        gamma = 0.5 / (2 * dim * duration / steps)
+    def test_stiff_top_level_is_exact(self):
+        # h gamma (2d) = 0.5 on the top level for two steps: there the old
+        # fixed-step RK4 integrator was more than 1e-4 off
+        dim, duration = 12, 1.0
+        gamma = 0.5 / (2 * dim * duration / 2)
         rho0 = basis_state(SpaceLayout((dim,)), (dim - 1,)).to_density()
-        res = evolve_lindblad(rho0, HeatingParams(gamma, duration, steps=steps))
-        want = staged_rk4(rho0.matrix, gamma, duration / steps, steps)[-1]
-        assert np.abs(want - liouvillian_expm(rho0.matrix, gamma, duration)).max() > 1e-4
-        assert np.abs(res.final.matrix - want).max() <= 1e-13 * np.abs(want).max()
+        res = evolve_lindblad(rho0, HeatingParams(gamma, duration, steps=2))
+        want = liouvillian_expm(rho0.matrix, gamma, duration)
+        assert np.abs(res.final.matrix - want).max() <= 1e-13
+        assert abs(res.n_trace[-1] - readouts(want)[0]) <= 1e-13
 
     def test_trace_memory_is_linear_in_steps(self):
         # the four traces take 40 B a step; a (steps, d) float history of the
@@ -255,19 +265,55 @@ class TestEvolve:
         res = evolve_lindblad(rho0, HeatingParams(0.02, 1.0))
         assert abs(res.parity_trace[-1] - rec.value) < rec.tolerance
 
-    def test_step_halving_converged(self):
+    def test_values_do_not_depend_on_the_record_grid(self):
+        # the endpoint is the same bits on every grid; a grid point is the
+        # same bits as a run that ends there
         mode = ModeParams(12, leak_tol=1e-5)
         rho0 = cat(1.5, EVEN, mode).to_density()
-        base = auto_steps(0.02, 1.0, 12)
-        a = evolve_lindblad(rho0, HeatingParams(0.02, 1.0, steps=base))
-        b = evolve_lindblad(rho0, HeatingParams(0.02, 1.0, steps=2 * base))
-        assert abs(a.n_trace[-1] - b.n_trace[-1]) < 1e-6
+
+        def endpoint(res):
+            return (res.n_trace[-1], res.a_trace[-1], res.parity_trace[-1],
+                    res.trace_drift)
+        want = endpoint(evolve_lindblad(rho0, HeatingParams(0.02, 1.0)))
+        for steps in (1, 7, 100, 5000):
+            res = evolve_lindblad(rho0, HeatingParams(0.02, 1.0, steps=steps))
+            assert endpoint(res) == want
+        res = evolve_lindblad(rho0, HeatingParams(0.02, 2.0, steps=2))
+        assert endpoint(evolve_lindblad(rho0, HeatingParams(0.02, 1.0)))[:3] == \
+            (res.n_trace[1], res.a_trace[1], res.parity_trace[1])
+
+    def test_long_time_is_the_uniform_steady_state(self):
+        # gamma t = 1e3 is far past every decay time of the truncated ladder;
+        # the balanced channel leaves the levels equally filled
+        dim = 12
+        rho0 = basis_state(SpaceLayout((dim,)), (0,)).to_density()
+        res = evolve_lindblad(rho0, HeatingParams(1e3, 1.0, steps=20))
+        assert abs(res.n_trace[-1] - (dim - 1) / 2) <= 1e-9
+        assert abs(res.parity_trace[-1]) <= 1e-9
+        assert np.abs(res.final.matrix - np.eye(dim) / dim).max() <= 1e-12
 
     def test_trace_drift_guard(self):
-        # grossly undersized step count makes the fixed-step scheme diverge
+        # past float64's reach the exponentials overflow or the rounded
+        # steady-state eigenvalue takes over; either ends in the named error
+        # without a numpy warning
         rho0 = DensityMatrix(SpaceLayout((12,)), np.diag([1.0] + [0.0] * 11))
-        with pytest.raises(ContractError, match="increase steps"):
-            evolve_lindblad(rho0, HeatingParams(1e3, 1.0, steps=20))
+        for gamma, duration in [(1e-3, 1e300), (1e300, 1e10), (1e3, 1e15)]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ContractError, match=r"at gamma\*duration = "):
+                    evolve_lindblad(rho0, HeatingParams(gamma, duration))
+
+    def test_final_is_built_from_a_private_copy(self):
+        rho0 = random_density(6, seed=12)
+        params = HeatingParams(0.05, 1.0, steps=3)
+        want = evolve_lindblad(rho0, params).final.matrix
+        res = evolve_lindblad(rho0, params)
+        rho0.matrix[...] = 0.0
+        assert np.array_equal(res.final.matrix, want)
+        assert res.final is res.final
+        for x in (rho0.matrix, res.times, res.n_trace, res.a_trace,
+                  res.parity_trace):
+            assert not np.shares_memory(res.final.matrix, x)
 
     def test_single_mode_only(self):
         rho0 = basis_state(SpaceLayout((4, 4)), (0, 0)).to_density()
@@ -298,6 +344,21 @@ class TestScales:
     def test_parity_flip_probability_small_rate(self):
         p = parity_flip_probability(1e-5, 2.0, 1.0)
         assert p == pytest.approx(2.0 * 4e-5, rel=1e-3)
+
+    @pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
+    def test_single_jump_formulas_undercount_flips(self, alpha):
+        # the exact channel flips an even cat's parity at gamma (2 nbar + 1)
+        # t for small gamma t, with nbar the cat's own <n>; delta_of and
+        # parity_flip_probability miss that law by the factors
+        # (2 nbar + 1) / alpha^2 and (2 nbar + 1) / (2 alpha^2)
+        gamma, duration = 1e-4, 1.0
+        rho0 = cat(alpha, EVEN, mode_for(alpha)).to_density()
+        res = evolve_lindblad(rho0, HeatingParams(gamma, duration))
+        flip = (1.0 - res.parity_trace[-1]) / 2.0
+        law = gamma * (2.0 * res.n_trace[0] + 1.0) * duration
+        assert flip / law == pytest.approx(1.0, abs=1e-2)
+        assert flip / delta_of(gamma, alpha, duration) > 2.0
+        assert flip / parity_flip_probability(gamma, alpha, duration) > 1.05
 
     def test_parity_flip_probability_matches_poisson_oracle(self):
         # balanced rates gamma alpha^2 up and down, merged intensity 2 delta
@@ -450,7 +511,7 @@ class TestTrajectories:
             pytest.fail("no single-jump register trajectory in 300 seeds")
 
     def test_ensemble_matches_master_equation_parity(self):
-        # 10^4 trajectories against the deterministic integrator.  Parity only
+        # 10^4 trajectories against the exact master equation.  Parity only
         # changes through jumps and the jump intensity is exact to first
         # order, so the ensemble tracks the master equation within noise.
         # Occupation does not: between jumps the state is held fixed, so the
