@@ -13,12 +13,13 @@ failed allocation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, exp, expm1, sqrt
+from math import ceil, exp, expm1, pi, sqrt
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
 from .errors import CapacityError
-from .hilbert import OperatorMatrix, SpaceLayout, StateVector, matrix_exp
+from .hilbert import OperatorMatrix, SpaceLayout, StateVector
 
 EVEN = "+"
 ODD = "-"
@@ -159,12 +160,17 @@ def parity_projectors(mode: ModeParams) -> tuple[OperatorMatrix, OperatorMatrix]
 def displacement(beta: complex, mode: ModeParams) -> OperatorMatrix:
     """D(beta) = exp(beta a† - beta* a) on the truncated basis.
 
-    The truncated generator is still exactly anti-Hermitian, so the result is
-    unitary to machine precision at any cutoff; only its action on states near
-    the cutoff degrades.  Phase bookkeeping follows from the operator itself
-    (D(beta)|alpha> = exp(i Im(beta alpha*)) |alpha+beta> for states well
-    inside the basis), and protocol-level claims are made on moduli only.
+    The generator is R (i |beta| X) R† with X = a + a† real symmetric
+    tridiagonal and R = diag(e^{i (arg beta - pi/2) n}), so one
+    eigh_tridiagonal, X = V diag(w) Vᵀ, gives D = R V diag(e^{i |beta| w}) Vᵀ R†,
+    unitary to machine precision at any cutoff; only its action on states
+    near the cutoff degrades.  D(beta)|alpha> = exp(i Im(beta alpha*))
+    |alpha+beta> holds well inside the basis; protocol-level claims are
+    made on moduli only.
     """
-    a = annihilation(mode).matrix
-    gen = beta * a.conj().T - np.conj(beta) * a
-    return matrix_exp(OperatorMatrix(mode.layout, (0,), gen))
+    layout = mode.layout
+    n = np.arange(mode.cutoff)
+    w, v = eigh_tridiagonal(np.zeros(mode.cutoff), np.sqrt(n[1:]))
+    r = np.exp(1j * (np.angle(beta) - pi / 2.0) * n)
+    m = (v * np.exp(1j * abs(beta) * w)) @ v.T
+    return OperatorMatrix(layout, (0,), r[:, None] * m * r.conj())

@@ -7,11 +7,10 @@ are provided for the vibration-controlled gate:
 * u_ve_ideal: parity projectors routing an electronic flip, an exact CNOT
   with the mode's phonon parity as control.
 * u_ve_literal: the product exp(-i pi n sigma_y) exp(i pi n |1><1|) taken at
-  face value.  On an odd-phonon state exp(-i pi n sigma_y) equals -1, not an
-  electronic flip, so this operator is diagonal in parity and does not
-  perform the flip its construction suggests.  Its report records how far
-  each truth-table row lands from the intended action; no claim is made that
-  it matches the ideal variant.
+  face value.  exp(-i pi n sigma_y) = (-1)^n is not an electronic flip, so
+  the product is exactly diag((-1)^n, 1) on the ion and does not perform the
+  flip its construction suggests.  Its report records how far each
+  truth-table row lands from the intended action.
 
 The electron-controlled gate u_ev is the conditional displacement
 exp(i eps (a + a+) |1><1|) followed by exp(-i pi |1><1| / 2).  A full logical
@@ -24,11 +23,11 @@ epsilon wins over params.epsilon, which wins over the default; the one
 params.epsilon is the kick of both modes, whatever their amplitudes.
 
 u_swap returns the exchange as an Exchange, a pair operator whose apply
-runs the three factors and never a dense product: u_ve[ideal] swaps the two
-ion slices on odd Fock rows, which is indexing only, and u_ev multiplies
-the ion's |1> half by the phase and then by the d x d kick, D(i eps) or the
-code-space rx(pi/2), at 2 d^3 per column of the other factors.
-u_ve[literal] enters as its pair matrix.  The dense matrix, which the
+runs the three factors and never a dense product: either u_ve is indexing
+on the odd Fock rows (u_ve[ideal] swaps the two ion slices, u_ve[literal]
+negates the ion-|0> slice), and u_ev multiplies the ion's |1> half by the
+phase and then by the d x d kick, D(i eps) or the code-space rx(pi/2), at
+2 d^3 per column of the other factors.  The dense matrix, which the
 reports and hilbert.apply read, is the same action run on the pair
 identity, so there is one definition of the sequence; the single-gate
 builds keep their matrices for the truth-table reports.
@@ -131,8 +130,8 @@ def u_ev(which_mode: str, params: EncodingParams,
     """
     kick = _kick(which_mode, params, "displacement", epsilon)
     eye = np.eye(kick.shape[0], dtype=np.complex128)
-    cond = np.kron(eye, np.diag([1.0, 0.0])) + np.kron(kick, EXCITED)
-    m = cond @ np.kron(eye, electronic_phase())
+    # the phase is diagonal and acts first, so it folds into the kicked half
+    m = np.kron(eye, np.diag([1.0, 0.0])) + np.kron(EXCITED_PHASE * kick, EXCITED)
     return OperatorMatrix(pair_layout(which_mode, params), (0, 1), m)
 
 
@@ -143,19 +142,18 @@ EV_VARIANTS = ("displacement", "ideal")
 class Exchange(OperatorMatrix):
     """u_ve u_ev u_ve for one mode: a pair operator with its factors kept apart.
 
-    kick is the d x d mode matrix of u_ev; ve is the 2d x 2d pair matrix of
-    u_ve[literal], or None for the parity-routed flip of u_ve[ideal].
-    apply runs the factors on a state tensor; the dense pair matrix is
-    formed only when .matrix is first read, by running them on the pair
-    identity.
+    kick is the d x d mode matrix of u_ev; literal selects the u_ve build,
+    and either build is an index operation on the odd Fock rows.  apply runs
+    the factors on a state tensor; the dense pair matrix is formed only when
+    .matrix is first read, by running them on the pair identity.
     """
 
     def __init__(self, layout: SpaceLayout, kick: np.ndarray,
-                 ve: np.ndarray | None = None) -> None:
+                 literal: bool = False) -> None:
         self.layout = layout
         self.acts_on = (0, 1)
         self.kick = kick
-        self.ve = ve
+        self.literal = literal
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -164,10 +162,11 @@ class Exchange(OperatorMatrix):
         return self.apply(eye, 0, 1).reshape(2 * d, 2 * d)
 
     def _flip(self, x: np.ndarray) -> np.ndarray:
-        if self.ve is None:
+        if self.literal:
+            x[1::2, 0] *= -1.0  # odd Fock rows: diag((-1)^n, 1) on the ion
+        else:
             x[1::2] = x[1::2, ::-1]  # odd Fock rows: swap the two ion slices
-            return x
-        return (self.ve @ x.reshape(2 * x.shape[0], -1)).reshape(x.shape)
+        return x
 
     def apply(self, psi: np.ndarray, mode_axis: int, ion_axis: int) -> np.ndarray:
         """u_ve u_ev u_ve on the (mode_axis, ion_axis) pair of a state tensor.
@@ -175,7 +174,7 @@ class Exchange(OperatorMatrix):
         psi has one axis per factor; any further axes (the columns of an
         operator, say) ride along.  Returns a new tensor of the same shape.
         u_ev is the electronic phase and then the kick on the ion = 1 half,
-        2 d^3 per column of the other factors; u_ve[ideal] is indexing only.
+        2 d^3 per column of the other factors; u_ve is indexing only.
         """
         t = np.moveaxis(psi, (mode_axis, ion_axis), (0, 1))
         shape = t.shape
@@ -194,9 +193,9 @@ def u_swap(which_mode: str, params: EncodingParams,
         raise ValueError(f"ve_variant must be one of {VE_VARIANTS}")
     if ev_variant not in EV_VARIANTS:
         raise ValueError(f"ev_variant must be one of {EV_VARIANTS}")
-    ve = None if ve_variant == "ideal" else u_ve_literal(which_mode, params).matrix
     return Exchange(pair_layout(which_mode, params),
-                    _kick(which_mode, params, ev_variant, epsilon), ve)
+                    _kick(which_mode, params, ev_variant, epsilon),
+                    literal=ve_variant == "literal")
 
 
 def carrier_rotation(k: float, phase: float) -> OperatorMatrix:

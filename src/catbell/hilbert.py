@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from math import prod
 
 import numpy as np
-import scipy.linalg
 
 from .errors import CapacityError, ContractError
 
@@ -285,23 +284,18 @@ def partial_trace(state: StateVector | DensityMatrix, keep: tuple[int, ...]) -> 
 
 
 def matrix_exp(op: OperatorMatrix, scale: complex = 1.0) -> OperatorMatrix:
-    """exp(scale * op) on the same subsystems.
+    """exp(scale * op) for anti-Hermitian scale * op, on the same subsystems.
 
-    Hermitian and anti-Hermitian arguments go through an eigendecomposition,
-    which keeps unitarity at machine precision; anything else falls back to
-    scaling-and-squaring.
+    An eigendecomposition of the Hermitian i * scale * op keeps the result
+    unitary to machine precision; any other argument is a ValueError.
     """
     m = np.asarray(scale, dtype=np.complex128) * op.matrix
     scale_norm = max(float(np.abs(m).max()), 1.0)
-    if np.abs(m - m.conj().T).max() <= HERM_TOL * scale_norm:
-        w, v = np.linalg.eigh((m + m.conj().T) / 2)
-        exp_m = (v * np.exp(w)) @ v.conj().T
-    elif np.abs(m + m.conj().T).max() <= HERM_TOL * scale_norm:
-        h = (1j * m + (1j * m).conj().T) / 2  # Hermitian part of i*m
-        w, v = np.linalg.eigh(h)
-        exp_m = (v * np.exp(-1j * w)) @ v.conj().T
-    else:
-        exp_m = scipy.linalg.expm(m)
+    if np.abs(m + m.conj().T).max() > HERM_TOL * scale_norm:
+        raise ValueError("matrix_exp needs an anti-Hermitian scale * op")
+    h = (1j * m + (1j * m).conj().T) / 2
+    w, v = np.linalg.eigh(h)
+    exp_m = (v * np.exp(-1j * w)) @ v.conj().T
     return OperatorMatrix(op.layout, op.acts_on, exp_m)
 
 

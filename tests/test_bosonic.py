@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from catbell.bosonic import (
     EVEN,
@@ -232,6 +233,16 @@ class TestDisplacement:
         lhs = displacement(b1, mode).matrix @ displacement(b2, mode).matrix
         rhs = np.exp(1j * np.imag(b1 * np.conj(b2))) * displacement(b1 + b2, mode).matrix
         assert np.abs(lhs - rhs)[:25, :25].max() < 1e-8
+
+    @pytest.mark.parametrize("cutoff", [2, 3, 5, 26, 50, 82, 122])
+    def test_matches_expm_at_the_cutoff_edge(self, cutoff):
+        # every element, the truncated edge included, against a dense
+        # scaling-and-squaring exponential of the truncated generator
+        a = np.diag(np.sqrt(np.arange(1.0, cutoff)), 1)
+        for beta in (0.0, 0.3j, 0.7, -0.4 + 0.9j, 2.5 - 1.5j, 1j * np.pi / 8.0, 5j):
+            want = scipy.linalg.expm(beta * a.T - np.conj(beta) * a)
+            got = displacement(beta, ModeParams(cutoff)).matrix
+            assert np.abs(got - want).max() <= 1e-13, beta
 
 
 class TestCrossKerr:

@@ -688,14 +688,18 @@ class TestMainEntry:
             assert b"trace_drift" in one
             assert one == four
 
-    @pytest.mark.parametrize("alpha", [4.0, 8.0])
-    def test_full_pipeline_identical_across_blas_threads(self, tmp_path, alpha):
+    @pytest.mark.parametrize("alpha,ve_variant", [
+        pytest.param(4.0, "ideal", id="4.0"),
+        pytest.param(8.0, "ideal", id="8.0"),
+        pytest.param(8.0, "literal", id="8.0-literal")])
+    def test_full_pipeline_identical_across_blas_threads(self, tmp_path, alpha,
+                                                         ve_variant):
         # the displacement build; alpha 8 needs the raised size cap
         one, four = self.csv_under_blas_threads(tmp_path, {
             "protocol": "full-pipeline",
             "encoding": {"alpha": alpha},
             "noise": {"delta": 0.1},
-            "gates": {"ev_variant": "displacement"},
+            "gates": {"ve_variant": ve_variant, "ev_variant": "displacement"},
         }, CATBELL_MAX_DIM="65536")
         assert b"electronic_fidelity" in one
         assert one == four

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from catbell import gates
 from catbell.bell import (
     DEFAULT_ANGLES,
     chsh,
@@ -243,6 +245,27 @@ class TestUswap:
         assert SWAP_TABLE[1] == ("0L,1e", "1L,0e")
         assert SWAP_TABLE[2] == ("1L,0e", "0L,1e")
 
+    @pytest.mark.parametrize("ve,ev", VARIANT_PAIRS)
+    def test_exponentiates_nothing(self, monkeypatch, enc2, ve, ev):
+        # u_ve is indexing and the kick comes from a tridiagonal solver, so
+        # no build of the exchange exponentiates a dense generator
+        calls = []
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return counted
+        for module in [m for n, m in sys.modules.items() if n.startswith("catbell.")]:
+            if hasattr(module, "matrix_exp"):
+                monkeypatch.setattr(module, "matrix_exp",
+                                    counting("matrix_exp", module.matrix_exp))
+        monkeypatch.setattr(gates, "u_ve_literal",
+                            counting("u_ve_literal", gates.u_ve_literal))
+        for which in ("a", "b"):
+            u_swap(which, enc2, ve, ev)
+        assert calls == []
+
     def test_displacement_rows_match_frozen_alpha8(self, golden):
         rec = golden("swap_alpha8.json")["swap_rows"]
         enc = EncodingParams.for_amplitudes(8.0)
@@ -429,6 +452,19 @@ class TestPipelineAgainstDense:
                            ev_variant=ev)
         for name, want in dense_pipeline(enc, delta, ev, ve).items():
             assert abs(got[name] - want) <= 1e-12, name
+
+    @pytest.mark.parametrize("ev", EV_VARIANTS)
+    @pytest.mark.parametrize("alpha,beta", AMPLITUDES)
+    def test_literal_build_transfers_nothing(self, alpha, beta, ev):
+        # u_ve[literal] is diag((-1)^n, 1) on the ion, so the ions never leave
+        # |0>|0>: every correlation on the equator is an exact zero
+        enc = EncodingParams.for_amplitudes(alpha, beta)
+        for delta in (0.0, 0.1):
+            got = run_pipeline(enc, delta, DEFAULT_ANGLES, method="exact",
+                               ve_variant="literal", ev_variant=ev)
+            for name in ("e_ab", "e_ab_prime", "e_a_prime_b",
+                         "e_a_prime_b_prime", "b_value"):
+                assert got[name] == 0.0, (name, delta)
 
     @pytest.mark.parametrize("alpha,beta", AMPLITUDES)
     def test_schmidt_terms_rebuild_the_preparation(self, alpha, beta):

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from catbell.bosonic import ModeParams, coherent, mode_for, number_op
 from catbell.errors import CapacityError, ContractError
@@ -253,13 +252,11 @@ class TestMatrixExp:
         u = matrix_exp(op, -1j)
         assert unitarity_residual(u) < 1e-10
 
-    def test_generic_matches_scipy(self):
-        rng = np.random.default_rng(23)
-        m = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-        op = OperatorMatrix(SpaceLayout((5,)), (0,), m)
-        got = matrix_exp(op, 0.3).matrix
-        want = scipy.linalg.expm(0.3 * m)
-        assert np.abs(got - want).max() < 1e-10
+    def test_rejects_hermitian_exponent(self):
+        # the unitary branch is the only one: a Hermitian exponent is refused
+        op = OperatorMatrix(qubit_layout(1), (0,), SX)
+        with pytest.raises(ValueError, match="anti-Hermitian"):
+            matrix_exp(op, 0.3)
 
     def test_scale_zero_identity(self):
         op = OperatorMatrix(qubit_layout(1), (0,), SX)

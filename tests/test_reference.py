@@ -9,7 +9,7 @@ import scipy.linalg
 from catbell.bosonic import EVEN, ModeParams, cat, displacement, mode_for
 from catbell.encoding import EncodingParams
 from catbell.gates import u_swap
-from catbell.hilbert import OperatorMatrix, SpaceLayout, matrix_exp
+from catbell.hilbert import OperatorMatrix, SpaceLayout
 from catbell.noise import HeatingParams, evolve_lindblad
 from catbell.reference import (
     OracleReport,
