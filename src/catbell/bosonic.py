@@ -12,7 +12,9 @@ failed allocation.
 
 from __future__ import annotations
 
+from cmath import isfinite
 from dataclasses import dataclass
+from functools import lru_cache
 from math import ceil, exp, expm1, pi, sqrt
 
 import numpy as np
@@ -130,18 +132,6 @@ def cat(alpha: complex, parity: str, mode: ModeParams) -> StateVector:
     return StateVector(layout, v / sqrt(kept))
 
 
-def annihilation(mode: ModeParams) -> OperatorMatrix:
-    layout = mode.layout
-    m = np.diag(np.sqrt(np.arange(1, mode.cutoff, dtype=np.float64)), 1)
-    return OperatorMatrix(layout, (0,), m)
-
-
-def creation(mode: ModeParams) -> OperatorMatrix:
-    layout = mode.layout
-    m = np.diag(np.sqrt(np.arange(1, mode.cutoff, dtype=np.float64)), -1)
-    return OperatorMatrix(layout, (0,), m)
-
-
 def number_op(mode: ModeParams) -> OperatorMatrix:
     layout = mode.layout
     return OperatorMatrix(layout, (0,), np.diag(np.arange(mode.cutoff, dtype=np.float64)))
@@ -157,20 +147,38 @@ def parity_projectors(mode: ModeParams) -> tuple[OperatorMatrix, OperatorMatrix]
             OperatorMatrix(layout, (0,), odd))
 
 
+# a sweep at one encoding uses one or two cutoffs; an entry is 8 d (d + 1)
+# bytes, so the 16 entries hold at most 16 * 8 * 128 * 129 B = 2.1 MB at d <= 128
+@lru_cache(maxsize=16)
+def _position_eigenbasis(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """eigh_tridiagonal of X = a + a+ on dim levels: X = V diag(w) V^T.
+
+    Memoized per cutoff; both arrays are read-only.
+    """
+    w, v = eigh_tridiagonal(np.zeros(dim), np.sqrt(np.arange(1, dim)))
+    w.flags.writeable = False
+    v.flags.writeable = False
+    return w, v
+
+
 def displacement(beta: complex, mode: ModeParams) -> OperatorMatrix:
     """D(beta) = exp(beta a† - beta* a) on the truncated basis.
 
     The generator is R (i |beta| X) R† with X = a + a† real symmetric
-    tridiagonal and R = diag(e^{i (arg beta - pi/2) n}), so one
-    eigh_tridiagonal, X = V diag(w) Vᵀ, gives D = R V diag(e^{i |beta| w}) Vᵀ R†,
+    tridiagonal and R = diag(e^{i (arg beta - pi/2) n}), so the
+    eigendecomposition X = V diag(w) Vᵀ gives D = R V diag(e^{i |beta| w}) Vᵀ R†,
     unitary to machine precision at any cutoff; only its action on states
-    near the cutoff degrades.  D(beta)|alpha> = exp(i Im(beta alpha*))
-    |alpha+beta> holds well inside the basis; protocol-level claims are
-    made on moduli only.
+    near the cutoff degrades.  (w, V) depend only on the cutoff and are
+    computed once per process (_position_eigenbasis); D itself is built on
+    every call.  D(beta)|alpha> = exp(i Im(beta alpha*)) |alpha+beta> holds
+    well inside the basis; protocol-level claims are made on moduli only.
+    A beta that is not finite is a ValueError.
     """
+    if not isfinite(beta):
+        raise ValueError(f"displacement beta must be finite, got {beta}")
     layout = mode.layout
     n = np.arange(mode.cutoff)
-    w, v = eigh_tridiagonal(np.zeros(mode.cutoff), np.sqrt(n[1:]))
+    w, v = _position_eigenbasis(mode.cutoff)
     r = np.exp(1j * (np.angle(beta) - pi / 2.0) * n)
     m = (v * np.exp(1j * abs(beta) * w)) @ v.T
     return OperatorMatrix(layout, (0,), r[:, None] * m * r.conj())

@@ -98,11 +98,6 @@ def u_ve_literal(which_mode: str, params: EncodingParams) -> OperatorMatrix:
 EXCITED_PHASE = np.exp(-1j * pi / 2.0)  # -i, as the rounded exponential
 
 
-def electronic_phase() -> np.ndarray:
-    """exp(-i pi |1><1| / 2) on one ion."""
-    return np.diag([1.0, EXCITED_PHASE]).astype(np.complex128)
-
-
 def _kick(which_mode: str, params: EncodingParams, ev_variant: str,
           epsilon: float | None = None) -> np.ndarray:
     """The d x d mode matrix that u_ev applies on the ion's |1> half.

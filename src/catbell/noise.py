@@ -23,9 +23,11 @@ n = 0..d-m-1, to itself, as a real symmetric tridiagonal matrix: entries
 positions n - 1 and n.  The same matrix acts on diagonal -m.
 evolve_lindblad therefore needs no integrator: one eigendecomposition
 V diag(w) V^T per diagonal gives exp(tL) = V diag(e^{tw}) V^T exactly.  The
-<n>, parity and trace readouts are linear in diagonal 0 and <a> in diagonal
--1, so the traces of a run take two decompositions; the final rho, which
-takes all d of them, is built only when it is read.
+blocks do not depend on gamma, so each (d, m) is decomposed once per process
+and kept (_diagonal_block).  The <n>, parity and trace readouts are linear in
+diagonal 0 and <a> in diagonal -1, so the traces of every run at one cutoff
+share two decompositions; the final rho, which takes all d of them, is built
+only when it is read.
 
 The jump sampler views the register as (pre, d, post) around the heated
 mode, so it moves no axis.  It computes <n> in one pass over the amplitudes
@@ -37,7 +39,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import exp, isfinite, prod
 
 import numpy as np
@@ -112,16 +114,25 @@ def lindblad_rhs(rho: np.ndarray, gamma: float) -> np.ndarray:
     return out
 
 
+# a heat-sweep reads blocks m = 0, 1 of its cutoff and a final rho all d of
+# them, so 256 entries keep a final rho at d <= 128 and the sweeps of other
+# cutoffs; an entry of n = d - m levels is 8 n (n + 1) bytes, at most
+# 256 * 8 * 128 * 129 B = 34 MB in all at d <= 128
+@lru_cache(maxsize=256)
 def _diagonal_block(dim: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues w and orthonormal eigenvectors V of the generator on
     diagonal m of a d x d rho, per unit gamma: L = gamma V diag(w) V^T.
 
     Position n stands for rho[n, n+m] (and rho[n+m, n]), n = 0..d-m-1.  The
     block is scaled by gamma outside, so it is finite for every finite gamma.
+    Memoized per (dim, m); both arrays are read-only.
     """
     s = _anticommutator_diagonal(dim)
     n = np.arange(1, dim - m, dtype=np.float64)
-    return eigh_tridiagonal(-0.5 * (s[:dim - m] + s[m:]), np.sqrt(n * (n + m)))
+    w, v = eigh_tridiagonal(-0.5 * (s[:dim - m] + s[m:]), np.sqrt(n * (n + m)))
+    w.flags.writeable = False
+    v.flags.writeable = False
+    return w, v
 
 
 @dataclass
@@ -129,7 +140,9 @@ class NoiseResult:
     """Exact evolution record: traces on the record grid and the final rho.
 
     final is built on first read, from a private copy of the input, and is
-    then kept; it shares no memory with the input or the traces.
+    then kept; it shares no memory with the input or the traces.  It takes
+    all d blocks of _diagonal_block, decomposing only those that no earlier
+    run in the process has.
     """
 
     times: np.ndarray
@@ -162,7 +175,8 @@ def evolve_lindblad(rho0: DensityMatrix, params: HeatingParams) -> NoiseResult:
     times is linspace(0, duration, steps + 1), or the two endpoints when
     params.steps is None; the values at a time do not depend on the grid.
     Diagonals 0 and -1 of rho are propagated in the eigenbasis of their
-    blocks (_diagonal_block): a readout c . rho(t) of diagonal m is
+    blocks (_diagonal_block, decomposed on the first run at this cutoff and
+    reused by every later one): a readout c . rho(t) of diagonal m is
     sum_j e^{gamma t w_j} (V^T c)_j (V^T x)_j for the diagonal x of rho0, so
     every trace is one einsum of e^{gamma t w} with a fixed coefficient
     vector.  The table is evaluated a bounded number of rows at a time, so

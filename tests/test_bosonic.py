@@ -6,15 +6,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from catbell import bosonic
 from catbell.bosonic import (
     EVEN,
     ODD,
     ModeParams,
-    annihilation,
     cat,
     cat_norm,
     coherent,
-    creation,
     default_cutoff,
     displacement,
     mode_for,
@@ -25,6 +24,7 @@ from catbell.bosonic import (
 from catbell.encoding import EncodingParams, prepare_entangled_schmidt
 from catbell.errors import CapacityError
 from catbell.hilbert import (
+    OperatorMatrix,
     SpaceLayout,
     StateVector,
     apply,
@@ -157,7 +157,7 @@ class _NoNumpy:
 @pytest.mark.parametrize("build", [
     lambda mode: coherent(2.0, mode),
     lambda mode: cat(2.0, EVEN, mode),
-    annihilation, creation, number_op, parity_projectors,
+    number_op, parity_projectors,
 ])
 def test_size_cap_checked_before_allocation(build, monkeypatch):
     # a cutoff of 1e9 would allocate gigabytes before the layout refused it
@@ -167,23 +167,21 @@ def test_size_cap_checked_before_allocation(build, monkeypatch):
         build(ModeParams(10 ** 9))
 
 
-class TestLadderOperators:
-    def test_commutator_bulk(self):
-        mode = ModeParams(8)
-        a = annihilation(mode).matrix
-        ad = creation(mode).matrix
-        comm = a @ ad - ad @ a
-        # truncation corrupts only the last diagonal entry
-        np.testing.assert_allclose(np.diag(comm)[:-1], 1.0, atol=1e-14)
+def lowering(mode: ModeParams) -> OperatorMatrix:
+    """The truncated ladder a, a|k> = sqrt(k)|k-1>."""
+    m = np.diag(np.sqrt(np.arange(1, mode.cutoff, dtype=np.float64)), 1)
+    return OperatorMatrix(mode.layout, (0,), m)
 
+
+class TestLadderOperators:
     def test_number_from_ladder(self):
         mode = ModeParams(8)
-        got = creation(mode).matrix @ annihilation(mode).matrix
-        np.testing.assert_allclose(got, number_op(mode).matrix, atol=1e-14)
+        a = lowering(mode).matrix
+        np.testing.assert_allclose(a.T @ a, number_op(mode).matrix, atol=1e-14)
 
     def test_annihilation_flips_cat_parity(self):
         mode = mode_for(2.0)
-        kicked = apply(annihilation(mode), cat(2.0, EVEN, mode))
+        kicked = apply(lowering(mode), cat(2.0, EVEN, mode))
         kicked = StateVector(kicked.layout, kicked.amps / kicked.norm)
         assert np.all(kicked.amps[0::2] == 0.0)
         assert state_fidelity(kicked, cat(2.0, ODD, mode)) > 1.0 - 1e-11
@@ -243,6 +241,51 @@ class TestDisplacement:
             want = scipy.linalg.expm(beta * a.T - np.conj(beta) * a)
             got = displacement(beta, ModeParams(cutoff)).matrix
             assert np.abs(got - want).max() <= 1e-13, beta
+
+    @pytest.mark.parametrize("beta", [complex("nan"), complex("inf"),
+                                      complex(1.0, float("nan")),
+                                      float("-inf")])
+    def test_rejects_a_beta_that_is_not_finite(self, beta):
+        with pytest.raises(ValueError, match="beta must be finite"):
+            displacement(beta, ModeParams(6))
+
+
+class TestPositionEigenbasis:
+    """(w, V) of X = a + a+ are decomposed once per cutoff and reused."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 12, 26, 37, 50, 82, 122])
+    def test_cached_equals_a_fresh_decomposition(self, dim):
+        bosonic._position_eigenbasis.cache_clear()
+        fresh = scipy.linalg.eigh_tridiagonal(np.zeros(dim),
+                                              np.sqrt(np.arange(1, dim)))
+        for _ in range(2):  # the cold call, then the hit
+            for got, want in zip(bosonic._position_eigenbasis(dim), fresh):
+                assert np.array_equal(got, want)
+
+    def test_arrays_are_read_only(self):
+        for cached in bosonic._position_eigenbasis(12):
+            with pytest.raises(ValueError, match="read-only"):
+                cached[0] = 1.0
+
+    def test_cold_call_equals_warm_call(self):
+        betas = (0.0, 0.3j, -0.4 + 0.9j, 1j * np.pi / 8.0)
+        cutoffs = (2, 26, 50)
+
+        def build(cold: bool) -> list:
+            out = []
+            for dim in cutoffs:
+                for beta in betas:
+                    if cold:
+                        bosonic._position_eigenbasis.cache_clear()
+                    out.append(displacement(beta, ModeParams(dim)).matrix)
+            return out
+
+        bosonic._position_eigenbasis.cache_clear()
+        build(cold=False)
+        warm = build(cold=False)
+        assert bosonic._position_eigenbasis.cache_info().misses == len(cutoffs)
+        cold = build(cold=True)
+        assert all((got == want).all() for got, want in zip(cold, warm))
 
 
 class TestCrossKerr:

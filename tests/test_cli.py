@@ -12,8 +12,10 @@ from math import pi, sqrt
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import catbell.bosonic
+import catbell.noise
 from catbell.bell import DEFAULT_ANGLES, DELTA_STAR, measurement_pulse
 from catbell.bosonic import displacement
 from catbell.cli import (
@@ -800,6 +802,48 @@ class TestPipelineMemo:
         _pipeline_state(enc, 0.5, "ideal", "ideal")
         assert (rho_again.matrix == want).all()
         assert results["preparation_fidelity"] == -1.0
+
+
+class TestDecompositionCache:
+    """The tridiagonal generators are decomposed once per cutoff and
+    process; every op still propagates its own state and builds its gates."""
+
+    @pytest.fixture
+    def decompositions(self, monkeypatch) -> list:
+        catbell.noise._diagonal_block.cache_clear()
+        catbell.bosonic._position_eigenbasis.cache_clear()
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return scipy.linalg.eigh_tridiagonal(*args, **kwargs)
+        monkeypatch.setattr(catbell.noise, "eigh_tridiagonal", counted)
+        monkeypatch.setattr(catbell.bosonic, "eigh_tridiagonal", counted)
+        return calls
+
+    def test_warm_heat_sweep_decomposes_nothing(self, decompositions):
+        cfg = cfg_for("heat-sweep", encoding={"alpha": 3.0},
+                      noise={"durations": [0.25, 0.5, 1.0, 2.0], "steps": 50})
+        first = run_heat_sweep(cfg)
+        assert len(decompositions) == 2
+        assert run_heat_sweep(cfg) == first
+        assert len(decompositions) == 2
+
+    def test_warm_pipeline_decomposes_nothing_and_builds_its_gates(
+            self, decompositions, monkeypatch):
+        import catbell.pipeline
+        cfg = cfg_for("full-pipeline", gates={"ev_variant": "displacement"})
+        first = run_full_pipeline(cfg)
+        assert len(decompositions) == 1
+        kicks, swaps = [], []
+        displacement_fn = catbell.bosonic.displacement
+        monkeypatch.setattr(catbell.bosonic, "displacement",
+                            lambda *args: kicks.append(args) or displacement_fn(*args))
+        monkeypatch.setattr(catbell.pipeline, "u_swap",
+                            lambda *args: swaps.append(args) or u_swap(*args))
+        assert run_full_pipeline(cfg) == first
+        assert len(decompositions) == 1
+        assert len(kicks) == len(swaps) == 1
 
 
 class TestParserReuse:

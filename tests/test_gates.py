@@ -38,7 +38,6 @@ from catbell.gates import (
     SWAP_TABLE,
     VE_VARIANTS,
     carrier_rotation,
-    electronic_phase,
     lift_pair,
     pair_layout,
     report_u_ev,
@@ -74,8 +73,9 @@ def u_ev_ideal(which: str, enc: EncodingParams) -> OperatorMatrix:
     kick = logical_basis(which, enc).subspace_unitary(rx_matrix(np.pi / 2.0)).matrix
     eye = np.eye(kick.shape[0])
     cond = np.kron(eye, np.diag([1.0, 0.0])) + np.kron(kick, EXCITED)
+    phase = np.diag([1.0, gates.EXCITED_PHASE])
     return OperatorMatrix(pair_layout(which, enc), (0, 1),
-                          cond @ np.kron(eye, electronic_phase()))
+                          cond @ np.kron(eye, phase))
 
 
 def dense_exchange(which: str, enc: EncodingParams, ve: str, ev: str,
@@ -159,8 +159,9 @@ class TestUveLiteral:
 
 
 class TestUev:
-    def test_electronic_phase_matrix(self):
-        np.testing.assert_allclose(electronic_phase(), np.diag([1.0, -1j]), atol=1e-15)
+    def test_excited_phase(self):
+        # exp(-i pi / 2) on the ion's |1>
+        assert gates.EXCITED_PHASE == pytest.approx(-1j, abs=1e-15)
 
     def test_ground_rows_exact(self, enc2):
         rep = report_u_ev("a", enc2)

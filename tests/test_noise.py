@@ -8,6 +8,7 @@ from math import prod
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -328,6 +329,56 @@ class TestEvolve:
         assert res.times[0] == 0.0 and res.times[-1] == 2.0
         assert res.n_trace.shape == res.parity_trace.shape == (121,)
         assert res.trace_drift < 1e-6
+
+
+class TestDiagonalBlockCache:
+    """The heating blocks are decomposed once per (d, m) and reused."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 12, 26, 37, 50, 82, 122])
+    def test_cached_equals_a_fresh_decomposition(self, dim):
+        _diagonal_block.cache_clear()
+        s = 2.0 * np.arange(dim) + 1.0
+        s[-1] = dim - 1.0
+        for m in sorted({0, 1, dim - 1}):
+            n = np.arange(1, dim - m, dtype=np.float64)
+            fresh = scipy.linalg.eigh_tridiagonal(-0.5 * (s[:dim - m] + s[m:]),
+                                                  np.sqrt(n * (n + m)))
+            for _ in range(2):  # the cold call, then the hit
+                for got, want in zip(_diagonal_block(dim, m), fresh):
+                    assert np.array_equal(got, want)
+
+    def test_arrays_are_read_only(self):
+        for cached in _diagonal_block(12, 1):
+            with pytest.raises(ValueError, match="read-only"):
+                cached[0] = 1.0
+
+    def test_cold_run_equals_warm_run(self):
+        runs = [(cat(2.0, EVEN, mode_for(2.0)).to_density(),
+                 HeatingParams(1e-3, 1.0, steps=100)),
+                (cat(2.0, EVEN, mode_for(2.0)).to_density(),
+                 HeatingParams(2e-2, 0.5)),
+                (random_density(12, seed=13), HeatingParams(0.05, 1.0, steps=7))]
+
+        def evolve(cold: bool) -> list:
+            out = []
+            for rho0, params in runs:
+                if cold:
+                    _diagonal_block.cache_clear()
+                res = evolve_lindblad(rho0, params)
+                if cold:
+                    _diagonal_block.cache_clear()
+                out.append((res.times, res.n_trace, res.a_trace,
+                            res.parity_trace, res.trace_drift, res.final.matrix))
+            return out
+
+        _diagonal_block.cache_clear()
+        evolve(cold=False)
+        warm = evolve(cold=False)
+        # the final rho reads every block, and each of d = 26 and d = 12 is
+        # decomposed once
+        assert _diagonal_block.cache_info().misses == 26 + 12
+        for got, want in zip(evolve(cold=True), warm):
+            assert all(np.all(x == y) for x, y in zip(got, want))
 
 
 class TestScales:
