@@ -11,7 +11,7 @@ the wall-clock duration.
 
 Exit codes: 0 success, 2 config error, 3 capacity (truncation, size budget
 or recorded step count), 4 numerical contract violation (for heat-sweep, a
-gamma * duration too large for float64 to resolve).
+gamma * duration that overflows to inf).
 """
 
 from __future__ import annotations

@@ -26,17 +26,20 @@ u_swap returns the exchange as an Exchange, a pair operator whose apply
 runs the three factors and never a dense product: either u_ve is indexing
 on the odd Fock rows (u_ve[ideal] swaps the two ion slices, u_ve[literal]
 negates the ion-|0> slice), and u_ev multiplies the ion's |1> half by the
-phase and then by the d x d kick, D(i eps) or the code-space rx(pi/2), at
-2 d^3 per column of the other factors.  The dense matrix, which the
-reports and hilbert.apply read, is the same action run on the pair
-identity, so there is one definition of the sequence; the single-gate
-builds keep their matrices for the truth-table reports.
+phase and then applies the kick as an action, never as a d x d matrix:
+D(i eps) in the cached eigenbasis of a + a+ (bosonic.displacement_action,
+8 d^2 flops per column of the other factors) or the code-space rx(pi/2)
+as a rank-2 update (LogicalBasis.rotate, O(d) per column).  The dense
+matrix, which the reports and hilbert.apply read, is the same action run
+on the pair identity, so there is one definition of the sequence; the
+single-gate builds keep their matrices for the truth-table reports.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from math import pi
 
 import numpy as np
@@ -99,21 +102,23 @@ EXCITED_PHASE = np.exp(-1j * pi / 2.0)  # -i, as the rounded exponential
 
 
 def _kick(which_mode: str, params: EncodingParams, ev_variant: str,
-          epsilon: float | None = None) -> np.ndarray:
-    """The d x d mode matrix that u_ev applies on the ion's |1> half.
+          epsilon: float | None = None) -> Callable[[np.ndarray], np.ndarray]:
+    """The action x -> K x on the mode axis that u_ev applies on the ion's
+    |1> half; the d x d K is never formed.
 
-    D(i eps) for the displacement build, with eps the explicit epsilon, else
-    params.epsilon, else pi / (4 alpha); the exact code-space rx(pi/2) for
-    the ideal build, which takes no scale.
+    D(i eps) in its cached eigenbasis for the displacement build, with eps
+    the explicit epsilon, else params.epsilon, else pi / (4 alpha); the
+    exact code-space rx(pi/2), a rank-2 update at O(d) per column, for the
+    ideal build, which takes no scale.
     """
     if ev_variant == "ideal":
         basis = encoding.logical_basis(which_mode, params)
-        return basis.subspace_unitary(encoding.rx_matrix(pi / 2.0)).matrix
+        return partial(basis.rotate, encoding.rx_matrix(pi / 2.0))
     if epsilon is None:
         epsilon = params.epsilon
     if epsilon is None:
         epsilon = pi / (4.0 * params.amplitude(which_mode))
-    return bosonic.displacement(1j * epsilon, params.mode(which_mode)).matrix
+    return bosonic.displacement_action(1j * epsilon, params.mode(which_mode))
 
 
 def u_ev(which_mode: str, params: EncodingParams,
@@ -123,8 +128,8 @@ def u_ev(which_mode: str, params: EncodingParams,
     epsilon defaults to params.epsilon when that is set, else to
     pi / (4 alpha), the scale at which D(i eps) rotates the cat qubit by pi/2.
     """
-    kick = _kick(which_mode, params, "displacement", epsilon)
-    eye = np.eye(kick.shape[0], dtype=np.complex128)
+    eye = np.eye(params.mode(which_mode).cutoff, dtype=np.complex128)
+    kick = _kick(which_mode, params, "displacement", epsilon)(eye)  # D(i eps)
     # the phase is diagonal and acts first, so it folds into the kicked half
     m = np.kron(eye, np.diag([1.0, 0.0])) + np.kron(EXCITED_PHASE * kick, EXCITED)
     return OperatorMatrix(pair_layout(which_mode, params), (0, 1), m)
@@ -137,13 +142,15 @@ EV_VARIANTS = ("displacement", "ideal")
 class Exchange(OperatorMatrix):
     """u_ve u_ev u_ve for one mode: a pair operator with its factors kept apart.
 
-    kick is the d x d mode matrix of u_ev; literal selects the u_ve build,
-    and either build is an index operation on the odd Fock rows.  apply runs
-    the factors on a state tensor; the dense pair matrix is formed only when
-    .matrix is first read, by running them on the pair identity.
+    kick is u_ev's action on the mode axis (gates._kick), never a d x d
+    matrix; literal selects the u_ve build, and either build is an index
+    operation on the odd Fock rows.  apply runs the factors on a state
+    tensor; the dense pair matrix is formed only when .matrix is first read,
+    by running them on the pair identity.
     """
 
-    def __init__(self, layout: SpaceLayout, kick: np.ndarray,
+    def __init__(self, layout: SpaceLayout,
+                 kick: Callable[[np.ndarray], np.ndarray],
                  literal: bool = False) -> None:
         self.layout = layout
         self.acts_on = (0, 1)
@@ -152,7 +159,7 @@ class Exchange(OperatorMatrix):
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        d = self.kick.shape[0]
+        d = self.layout.dims[0]
         eye = np.eye(2 * d, dtype=np.complex128).reshape(d, 2, 2 * d)
         return self.apply(eye, 0, 1).reshape(2 * d, 2 * d)
 
@@ -169,13 +176,14 @@ class Exchange(OperatorMatrix):
         psi has one axis per factor; any further axes (the columns of an
         operator, say) ride along.  Returns a new tensor of the same shape.
         u_ev is the electronic phase and then the kick on the ion = 1 half,
-        2 d^3 per column of the other factors; u_ve is indexing only.
+        8 d^2 flops per column of the other factors for D(i eps) and O(d)
+        for the code-space rx(pi/2); u_ve is indexing only.
         """
         t = np.moveaxis(psi, (mode_axis, ion_axis), (0, 1))
         shape = t.shape
         x = np.array(t, dtype=np.complex128, order="C").reshape(shape[0], 2, -1)
         x = self._flip(x)
-        x[:, 1] = self.kick @ (EXCITED_PHASE * x[:, 1])
+        x[:, 1] = self.kick(EXCITED_PHASE * x[:, 1])
         x = self._flip(x)
         return np.moveaxis(x.reshape(shape), (0, 1), (mode_axis, ion_axis))
 

@@ -126,10 +126,21 @@ def _diagonal_block(dim: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     Position n stands for rho[n, n+m] (and rho[n+m, n]), n = 0..d-m-1.  The
     block is scaled by gamma outside, so it is finite for every finite gamma.
     Memoized per (dim, m); both arrays are read-only.
+
+    Block 0 conserves the trace: its rows sum to zero, so ones / sqrt(d) is
+    an exact eigenvector with w = 0, the largest eigenvalue.  The solver
+    rounds that w to about 1e-15, which would make the trace drift linearly
+    in gamma t, so the known pair is written in exactly and the other
+    eigenvectors are projected off it.
     """
     s = _anticommutator_diagonal(dim)
     n = np.arange(1, dim - m, dtype=np.float64)
     w, v = eigh_tridiagonal(-0.5 * (s[:dim - m] + s[m:]), np.sqrt(n * (n + m)))
+    if m == 0:
+        null = np.full(dim, 1.0 / np.sqrt(dim))
+        v -= np.outer(null, null @ v)  # the others, orthogonal to it exactly
+        w[-1] = 0.0
+        v[:, -1] = null
     w.flags.writeable = False
     v.flags.writeable = False
     return w, v
@@ -206,8 +217,9 @@ def evolve_lindblad(rho0: DensityMatrix, params: HeatingParams) -> NoiseResult:
     a_trace = np.empty(steps + 1, dtype=np.complex128)
     p_trace = np.empty(steps + 1)
     rows = max(1, _TABLE_ENTRIES // dim)
-    # far past any physical gamma * t the exponentials overflow; the trace
-    # guard below turns that into a named error
+    # every w is <= 0, so a finite gamma * t cannot overflow; an infinite one
+    # (gamma * duration past 1.8e308) makes inf * 0 = nan on the steady
+    # state, and the trace guard below turns that into a named error
     with np.errstate(over="ignore", invalid="ignore"):
         rates = params.gamma * times
         for start in range(0, steps + 1, rows):

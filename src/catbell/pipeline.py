@@ -239,10 +239,12 @@ def run_pipeline(enc: EncodingParams, delta: float, angles: BellAngles,
     one side of that cut, so the state stays a SchmidtState of two terms.
     The Hadamard and the parity flip are rank-2 code-space updates of the
     left factor at O(d); each exchange runs its factors on one (d, 2, 2)
-    factor at O(d^2), and mode b's is shared by both heating branches;
-    fidelities and the electronic state come from 2 x 2 Gram tables at
-    O(d).  Against 4 d^2 amplitudes and d^3 products per stage, an op is
-    bound by building the gates (the d x d kick), not by the state.
+    factor, its kick an action on the two ion-|1> columns at O(d^2)
+    (D(i eps) in the cached eigenbasis) or O(d) (the code-space rx(pi/2)),
+    and mode b's is shared by both heating branches; fidelities and the
+    electronic state come from 2 x 2 Gram tables at O(d).  No d x d
+    matrix is formed, so a warm op is mostly the overhead of small numpy
+    calls (Gram tables, readout, gate build), not arithmetic on the state.
     The fidelity to mixed_bell(delta) is the closed form of
     bell.mixed_bell_fidelity.
 

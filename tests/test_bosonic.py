@@ -16,6 +16,7 @@ from catbell.bosonic import (
     coherent,
     default_cutoff,
     displacement,
+    displacement_action,
     mode_for,
     number_op,
     parity_projectors,
@@ -234,13 +235,20 @@ class TestDisplacement:
 
     @pytest.mark.parametrize("cutoff", [2, 3, 5, 26, 50, 82, 122])
     def test_matches_expm_at_the_cutoff_edge(self, cutoff):
-        # every element, the truncated edge included, against a dense
+        # every element, the truncated edge included, and the action on a
+        # random (d, 2, 2) factor of unit-norm columns, against a dense
         # scaling-and-squaring exponential of the truncated generator
         a = np.diag(np.sqrt(np.arange(1.0, cutoff)), 1)
+        rng = np.random.default_rng(cutoff)
+        x = rng.standard_normal((cutoff, 2, 2)) + 1j * rng.standard_normal((cutoff, 2, 2))
+        x /= np.linalg.norm(x, axis=0)
         for beta in (0.0, 0.3j, 0.7, -0.4 + 0.9j, 2.5 - 1.5j, 1j * np.pi / 8.0, 5j):
             want = scipy.linalg.expm(beta * a.T - np.conj(beta) * a)
             got = displacement(beta, ModeParams(cutoff)).matrix
             assert np.abs(got - want).max() <= 1e-13, beta
+            moved = displacement_action(beta, ModeParams(cutoff))(x)
+            assert moved.shape == x.shape
+            assert np.abs(moved - np.tensordot(want, x, axes=1)).max() <= 1e-13, beta
 
     @pytest.mark.parametrize("beta", [complex("nan"), complex("inf"),
                                       complex(1.0, float("nan")),
@@ -248,6 +256,8 @@ class TestDisplacement:
     def test_rejects_a_beta_that_is_not_finite(self, beta):
         with pytest.raises(ValueError, match="beta must be finite"):
             displacement(beta, ModeParams(6))
+        with pytest.raises(ValueError, match="beta must be finite"):
+            displacement_action(beta, ModeParams(6))
 
 
 class TestPositionEigenbasis:

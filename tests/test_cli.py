@@ -456,7 +456,8 @@ class TestEpsilonKick:
         _, results, _ = run_full_pipeline(cfg)
         enc = EncodingParams.for_amplitudes(2.0, 3.0)
         carried = dataclasses.replace(enc, epsilon=pi / 8.0)
-        assert np.array_equal(u_swap("b", carried).kick,
+        eye = np.eye(enc.mode_b.cutoff)
+        assert np.array_equal(u_swap("b", carried).kick(eye),
                               displacement(1j * pi / 8.0, enc.mode_b).matrix)
         assert results == run_pipeline(carried, 0.1, DEFAULT_ANGLES,
                                        ev_variant="displacement")
@@ -603,15 +604,21 @@ class TestMainEntry:
             in capsys.readouterr().err
 
     def test_contract_error_exit_code(self, tmp_path, capsys):
-        # gamma * duration = 1e18 is past what float64 can resolve
-        cfg_path = self.write_config(tmp_path, {
-            "protocol": "heat-sweep",
-            "encoding": {"alpha": 1.5, "cutoff": 14, "leak_tol": 1e-5},
-            "noise": {"gamma": 1e3, "duration": 1e15, "steps": 20},
-        })
+        # gamma * duration = 1e18 is the uniform steady state; one that
+        # overflows to inf has no answer
+        raw = {"protocol": "heat-sweep",
+               "encoding": {"alpha": 1.5, "cutoff": 14, "leak_tol": 1e-5},
+               "noise": {"gamma": 1e3, "duration": 1e15, "steps": 20}}
+        cfg_path = self.write_config(tmp_path, raw)
+        assert main(["run", cfg_path, "--output", str(tmp_path)]) == 0
+        lines = (tmp_path / "heat-sweep.csv").read_text().splitlines()
+        assert lines[0].startswith("duration,n_mean,")
+        assert lines[1].startswith("1e+15,6.5,")
+        raw["noise"]["duration"] = 1e306
+        cfg_path = self.write_config(tmp_path, raw)
         assert main(["run", cfg_path, "--output", str(tmp_path)]) == 4
         err = capsys.readouterr().err
-        assert "contract violation" in err and "gamma*duration = 1e+18" in err
+        assert "contract violation" in err and "gamma*duration = inf" in err
         assert "Warning" not in err
 
     def test_long_heating_reaches_the_steady_state(self, tmp_path):
@@ -640,8 +647,8 @@ class TestMainEntry:
     @pytest.mark.parametrize("raw,code,message", [
         ({"protocol": "heat-sweep", "noise": {"steps": 1e15}},
          3, "capacity error: 1e\\+15 recorded steps exceed the limit"),
-        ({"protocol": "heat-sweep", "noise": {"durations": [1e300]}},
-         4, "contract violation: .* at gamma\\*duration = 1e\\+297"),
+        ({"protocol": "heat-sweep", "noise": {"gamma": 1e10, "durations": [1e300]}},
+         4, "contract violation: .* at gamma\\*duration = inf"),
         ({"protocol": "heat-sweep", "noise": {"gamma": 1e300, "duration": 1e10}},
          4, "contract violation: .* at gamma\\*duration = inf"),
         ({"protocol": "bell-scan", "bell": {"mode": "sampled", "shots": 1e30}},
@@ -691,12 +698,15 @@ class TestMainEntry:
             assert one == four
 
     @pytest.mark.parametrize("alpha,ve_variant", [
+        pytest.param(3.0, "ideal", id="3.0"),
         pytest.param(4.0, "ideal", id="4.0"),
+        pytest.param(6.0, "ideal", id="6.0"),
         pytest.param(8.0, "ideal", id="8.0"),
         pytest.param(8.0, "literal", id="8.0-literal")])
     def test_full_pipeline_identical_across_blas_threads(self, tmp_path, alpha,
                                                          ve_variant):
-        # the displacement build; alpha 8 needs the raised size cap
+        # the displacement build, whose kick is a real dgemm on the float
+        # view of the factor; alpha 6 and 8 need the raised size cap
         one, four = self.csv_under_blas_threads(tmp_path, {
             "protocol": "full-pipeline",
             "encoding": {"alpha": alpha},
@@ -836,9 +846,9 @@ class TestDecompositionCache:
         first = run_full_pipeline(cfg)
         assert len(decompositions) == 1
         kicks, swaps = [], []
-        displacement_fn = catbell.bosonic.displacement
-        monkeypatch.setattr(catbell.bosonic, "displacement",
-                            lambda *args: kicks.append(args) or displacement_fn(*args))
+        action_fn = catbell.bosonic.displacement_action
+        monkeypatch.setattr(catbell.bosonic, "displacement_action",
+                            lambda *args: kicks.append(args) or action_fn(*args))
         monkeypatch.setattr(catbell.pipeline, "u_swap",
                             lambda *args: swaps.append(args) or u_swap(*args))
         assert run_full_pipeline(cfg) == first

@@ -7,6 +7,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -67,10 +68,10 @@ from conftest import basis_state, on_register, reference_preparation
 VARIANT_PAIRS = [(ve, ev) for ve in VE_VARIANTS for ev in EV_VARIANTS]
 
 
-def u_ev_ideal(which: str, enc: EncodingParams) -> OperatorMatrix:
-    """Oracle: u_ev with the exact code-space rx(pi/2) in place of D(i eps),
-    applied on the ion's |1> half after the phase exp(-i pi |1><1| / 2)."""
-    kick = logical_basis(which, enc).subspace_unitary(rx_matrix(np.pi / 2.0)).matrix
+def conditional_kick(which: str, enc: EncodingParams,
+                     kick: np.ndarray) -> OperatorMatrix:
+    """Oracle: the phase exp(-i pi |1><1| / 2), then the d x d kick on the
+    ion's |1> half."""
     eye = np.eye(kick.shape[0])
     cond = np.kron(eye, np.diag([1.0, 0.0])) + np.kron(kick, EXCITED)
     phase = np.diag([1.0, gates.EXCITED_PHASE])
@@ -78,12 +79,31 @@ def u_ev_ideal(which: str, enc: EncodingParams) -> OperatorMatrix:
                           cond @ np.kron(eye, phase))
 
 
+def u_ev_ideal(which: str, enc: EncodingParams) -> OperatorMatrix:
+    """Oracle: u_ev with the exact code-space rx(pi/2) in place of D(i eps)."""
+    kick = logical_basis(which, enc).subspace_unitary(rx_matrix(np.pi / 2.0))
+    return conditional_kick(which, enc, kick.matrix)
+
+
+def u_ev_expm(which: str, enc: EncodingParams,
+              epsilon: float | None = None) -> OperatorMatrix:
+    """Oracle: u_ev with D(i eps) = exp(i eps (a + a+)) from scipy's
+    scaling-and-squaring expm of the truncated generator, so the check does
+    not run the eigenbasis action it is checking."""
+    if epsilon is None:
+        epsilon = enc.epsilon
+    if epsilon is None:
+        epsilon = np.pi / (4.0 * enc.amplitude(which))
+    a = np.diag(np.sqrt(np.arange(1.0, enc.mode(which).cutoff)), 1)
+    return conditional_kick(which, enc, scipy.linalg.expm(1j * epsilon * (a + a.T)))
+
+
 def dense_exchange(which: str, enc: EncodingParams, ve: str, ev: str,
                    epsilon: float | None = None) -> np.ndarray:
     """Oracle: the exchange as the dense product of its three gate matrices."""
     v = (u_ve_ideal if ve == "ideal" else u_ve_literal)(which, enc).matrix
     if ev == "displacement":
-        e = u_ev(which, enc, epsilon=epsilon).matrix
+        e = u_ev_expm(which, enc, epsilon).matrix
     else:
         e = u_ev_ideal(which, enc).matrix
     return v @ e @ v
@@ -199,6 +219,18 @@ class TestUev:
 
     def test_unitary(self, enc2):
         assert unitarity_residual(u_ev("a", enc2)) < 1e-10
+
+    def test_matches_the_expm_oracle(self, enc2):
+        for eps in (None, 0.0, 0.1, np.pi / 2.0):
+            got = u_ev("a", enc2, epsilon=eps).matrix
+            assert np.abs(got - u_ev_expm("a", enc2, eps).matrix).max() <= 1e-13
+
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf")])
+    def test_scale_that_is_not_finite_fails_the_build(self, enc2, eps):
+        # the exchange keeps an action, but a bad scale still fails when
+        # the gate is built, not when it is first applied
+        with pytest.raises(ValueError, match="beta must be finite"):
+            u_swap("a", enc2, "ideal", "displacement", epsilon=eps)
 
     def test_params_epsilon_sets_the_kick(self, enc2):
         # an explicit epsilon wins over params.epsilon, which wins over

@@ -293,15 +293,32 @@ class TestEvolve:
         assert abs(res.parity_trace[-1]) <= 1e-9
         assert np.abs(res.final.matrix - np.eye(dim) / dim).max() <= 1e-12
 
+    @pytest.mark.parametrize("rate", [1e3, 1e9])
+    def test_steady_state_holds_its_trace_at_any_rate(self, rate):
+        # the w = 0 pair of block 0 is exact, so the trace does not drift
+        # linearly in gamma t (2.8e-12 at 1e3 and an error at 1e9 when the
+        # solver's rounded eigenvalue, about 1e-15, was used)
+        dim = 26
+        rho0 = cat(2.0, EVEN, mode_for(2.0)).to_density()
+        assert rho0.matrix.shape[0] == dim
+        res = evolve_lindblad(rho0, HeatingParams(1.0, rate, steps=20))
+        assert res.trace_drift <= 1e-12
+        assert abs(res.n_trace[-1] - (dim - 1) / 2) <= 1e-12
+
     def test_trace_drift_guard(self):
-        # past float64's reach the exponentials overflow or the rounded
-        # steady-state eigenvalue takes over; either ends in the named error
-        # without a numpy warning
+        # an infinite gamma t leaves exp(gamma t w) undefined on the
+        # steady state and ends in the named error without a numpy warning;
+        # a huge finite one is the uniform steady state
         rho0 = DensityMatrix(SpaceLayout((12,)), np.diag([1.0] + [0.0] * 11))
         for gamma, duration in [(1e-3, 1e300), (1e300, 1e10), (1e3, 1e15)]:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                with pytest.raises(ContractError, match=r"at gamma\*duration = "):
+                if np.isfinite(gamma * duration):
+                    res = evolve_lindblad(rho0, HeatingParams(gamma, duration))
+                    assert res.trace_drift <= 1e-12
+                    assert abs(res.n_trace[-1] - 5.5) <= 1e-12
+                    continue
+                with pytest.raises(ContractError, match=r"at gamma\*duration = inf"):
                     evolve_lindblad(rho0, HeatingParams(gamma, duration))
 
     def test_final_is_built_from_a_private_copy(self):
@@ -343,9 +360,27 @@ class TestDiagonalBlockCache:
             n = np.arange(1, dim - m, dtype=np.float64)
             fresh = scipy.linalg.eigh_tridiagonal(-0.5 * (s[:dim - m] + s[m:]),
                                                   np.sqrt(n * (n + m)))
+            if m == 0:  # deflated, checked in test_block_zero_deflation
+                fresh = _diagonal_block.__wrapped__(dim, 0)
             for _ in range(2):  # the cold call, then the hit
                 for got, want in zip(_diagonal_block(dim, m), fresh):
                     assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("dim", [2, 3, 12, 26, 82, 122])
+    def test_block_zero_deflation(self, dim):
+        # the steady-state pair is exact; the rest is the solver's
+        # decomposition with that vector projected off
+        s = 2.0 * np.arange(dim) + 1.0
+        s[-1] = dim - 1.0
+        w_raw, v_raw = scipy.linalg.eigh_tridiagonal(-s, np.arange(1.0, dim))
+        w, v = _diagonal_block(dim, 0)
+        assert w[-1] == 0.0 and np.all(v[:, -1] == 1.0 / np.sqrt(dim))
+        assert np.array_equal(w[:-1], w_raw[:-1])
+        assert np.abs(v[:, :-1] - v_raw[:, :-1]).max() <= 1e-13
+        assert np.abs(v.T @ v - np.eye(dim)).max() <= 1e-14
+        block = np.diag(-s) + np.diag(np.arange(1.0, dim), 1) \
+            + np.diag(np.arange(1.0, dim), -1)
+        assert np.abs(block @ v - v * w).max() <= 1e-12 * dim
 
     def test_arrays_are_read_only(self):
         for cached in _diagonal_block(12, 1):
