@@ -9,9 +9,9 @@ carries pure data rows with 12-significant-digit numbers so reruns diff
 byte-identically; JSON output additionally echoes the normalized config and
 the wall-clock duration.
 
-Exit codes: 0 success, 2 config error, 3 capacity (truncation, size budget
-or recorded step count), 4 numerical contract violation (for heat-sweep, a
-gamma * duration that overflows to inf).
+Exit codes: 0 success, 2 config error (or an output that cannot be written),
+3 capacity (truncation, size budget or recorded step count), 4 numerical
+contract violation (for heat-sweep, a gamma * duration that overflows to inf).
 """
 
 from __future__ import annotations
@@ -261,7 +261,10 @@ def execute(cfg: dict, output_dir: str | None = None) -> str:
             "version": __version__,
         }
         text = json.dumps(record, indent=2) + "\n"
-    _atomic_write(path, text)
+    try:
+        _atomic_write(path, text)
+    except OSError as err:
+        raise ConfigError(f"cannot write output {path}: {err}") from err
     print(f"{cfg['protocol']}: {len(rows)} rows ({provenance}) -> {path}")
     for name, value in results.items():
         if isinstance(value, (int, float)):
@@ -316,7 +319,7 @@ DESCRIPTIONS = {
             "CHSH combination at the configured angles",
             "interpolated crossing of the classical bound 2",
         ],
-        "columns": "delta,B (exact) or delta,B,std_error (sampled)",
+        "columns": "delta,B (exact, rotated) or delta,B,std_error (sampled)",
         "notes": "bell module; B(0) = 2 sqrt(2) at the default angles",
     },
     "full-pipeline": {

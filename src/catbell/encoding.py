@@ -240,30 +240,21 @@ def entangled_target_schmidt(params: EncodingParams) -> SchmidtState:
 def entangled_target_cat_form(params: EncodingParams, side: str = "b") -> SchmidtState:
     """Same state written with cats on one side and coherent kets on the other.
 
-    side "b": sum over |+-alpha>_a (x) cat_+-(beta)_b with the cat
-    normalization constants carried explicitly; side "a" mirrors it.  Both
-    are two Schmidt terms, normalized.  Used to check that both
+    side "b": sum over |+-alpha>_a (x) cat_+-(beta)_b with the cat weights
+    0.5 / N+- on the mode-a factor; side "a" mirrors it, the weights still on
+    mode a.  Both are two Schmidt terms, normalized.  Used to check that both
     factorizations describe one and the same vector.
     """
-    if side == "b":
-        k_p = bosonic.coherent(params.alpha, params.mode_a).amps
-        k_m = bosonic.coherent(-params.alpha, params.mode_a).amps
-        c_p = bosonic.cat(params.beta, EVEN, params.mode_b).amps
-        c_m = bosonic.cat(params.beta, ODD, params.mode_b).amps
-        w_p = 0.5 / bosonic.cat_norm(params.beta, EVEN)
-        w_m = 0.5 / bosonic.cat_norm(params.beta, ODD)
-        left, right = (w_p * k_p, w_m * k_m), (c_p, c_m)
-    elif side == "a":
-        c_p = bosonic.cat(params.alpha, EVEN, params.mode_a).amps
-        c_m = bosonic.cat(params.alpha, ODD, params.mode_a).amps
-        k_p = bosonic.coherent(params.beta, params.mode_b).amps
-        k_m = bosonic.coherent(-params.beta, params.mode_b).amps
-        w_p = 0.5 / bosonic.cat_norm(params.alpha, EVEN)
-        w_m = 0.5 / bosonic.cat_norm(params.alpha, ODD)
-        left, right = (w_p * c_p, w_m * c_m), (k_p, k_m)
-    else:
+    if side not in ("a", "b"):
         raise ValueError(f"side must be 'a' or 'b', got {side!r}")
-    psi = SchmidtState(full_layout(params), _on_ion_ground(*left),
+    other = "b" if side == "a" else "a"
+    amp, ket = params.amplitude(side), params.amplitude(other)
+    cats = [bosonic.cat(amp, p, params.mode(side)).amps for p in (EVEN, ODD)]
+    kets = [bosonic.coherent(k, params.mode(other)).amps for k in (ket, -ket)]
+    left, right = (cats, kets) if side == "a" else (kets, cats)
+    weights = [0.5 / bosonic.cat_norm(amp, p) for p in (EVEN, ODD)]
+    psi = SchmidtState(full_layout(params),
+                       _on_ion_ground(*(w * x for w, x in zip(weights, left))),
                        _on_ion_ground(*right))
     return SchmidtState(psi.layout, psi.left / psi.norm, psi.right)
 

@@ -26,8 +26,8 @@ V diag(w) V^T per diagonal gives exp(tL) = V diag(e^{tw}) V^T exactly.  The
 blocks do not depend on gamma, so each (d, m) is decomposed once per process
 and kept (_diagonal_block).  The <n>, parity and trace readouts are linear in
 diagonal 0 and <a> in diagonal -1, so the traces of every run at one cutoff
-share two decompositions; the final rho, which takes all d of them, is built
-only when it is read.
+share two decompositions (evolve_lindblad); rho itself, which takes all d of
+them, comes from propagate.
 
 The jump sampler views the register as (pre, d, post) around the heated
 mode, so it moves no axis.  It computes <n> in one pass over the amplitudes
@@ -38,8 +38,8 @@ jump writes one new register.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from dataclasses import dataclass
+from functools import lru_cache
 from math import exp, isfinite, prod
 
 import numpy as np
@@ -114,9 +114,9 @@ def lindblad_rhs(rho: np.ndarray, gamma: float) -> np.ndarray:
     return out
 
 
-# a heat-sweep reads blocks m = 0, 1 of its cutoff and a final rho all d of
-# them, so 256 entries keep a final rho at d <= 128 and the sweeps of other
-# cutoffs; an entry of n = d - m levels is 8 n (n + 1) bytes, at most
+# a heat-sweep reads blocks m = 0, 1 of its cutoff and propagate all d of
+# them, so 256 entries keep propagate's blocks at d <= 128 and the sweeps of
+# other cutoffs; an entry of n = d - m levels is 8 n (n + 1) bytes, at most
 # 256 * 8 * 128 * 129 B = 34 MB in all at d <= 128
 @lru_cache(maxsize=256)
 def _diagonal_block(dim: int, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -148,36 +148,39 @@ def _diagonal_block(dim: int, m: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class NoiseResult:
-    """Exact evolution record: traces on the record grid and the final rho.
-
-    final is built on first read, from a private copy of the input, and is
-    then kept; it shares no memory with the input or the traces.  It takes
-    all d blocks of _diagonal_block, decomposing only those that no earlier
-    run in the process has.
-    """
+    """Exact evolution record: the traces on the record grid."""
 
     times: np.ndarray
     n_trace: np.ndarray
     a_trace: np.ndarray
     parity_trace: np.ndarray
     trace_drift: float
-    _initial: DensityMatrix = field(repr=False)
-    _rate: float = field(repr=False)   # gamma * duration
 
-    @cached_property
-    def final(self) -> DensityMatrix:
-        rho = self._initial.matrix
-        if self._rate == 0.0:
-            return DensityMatrix(self._initial.layout, rho.copy())
-        dim = rho.shape[0]
-        out = np.empty_like(rho)
-        for m in range(dim):
-            w, v = _diagonal_block(dim, m)
-            pair = np.stack([rho.diagonal(m), rho.diagonal(-m)], axis=1)
-            pair = v @ (np.exp(self._rate * w)[:, None] * (v.T @ pair))
-            rows, cols = np.arange(dim - m), np.arange(m, dim)
-            out[rows, cols], out[cols, rows] = pair[:, 0], pair[:, 1]
-        return DensityMatrix(self._initial.layout, out)
+
+def propagate(rho0: DensityMatrix, params: HeatingParams) -> DensityMatrix:
+    """rho at params.duration under the heating channel, exactly.
+
+    Diagonals m and -m of rho0 go through V diag(e^{gamma t w}) V^T of block
+    m (_diagonal_block, all d blocks).  Linear and with no trace check, so
+    rho0 may be any operator on a single-mode layout, a traceless one too.
+    An exact copy at gamma t = 0; rho0 is not modified and shares no memory
+    with the result.
+    """
+    dim = _require_single_mode(rho0.layout)
+    rho = rho0.matrix
+    rate = params.gamma * params.duration
+    if not isfinite(rate):
+        raise ContractError(f"cannot propagate at gamma*duration = {rate}")
+    if rate == 0.0:
+        return DensityMatrix(rho0.layout, rho.copy())
+    out = np.empty_like(rho)
+    for m in range(dim):
+        w, v = _diagonal_block(dim, m)
+        pair = np.stack([rho.diagonal(m), rho.diagonal(-m)], axis=1)
+        pair = v @ (np.exp(rate * w)[:, None] * (v.T @ pair))
+        rows, cols = np.arange(dim - m), np.arange(m, dim)
+        out[rows, cols], out[cols, rows] = pair[:, 0], pair[:, 1]
+    return DensityMatrix(rho0.layout, out)
 
 
 def evolve_lindblad(rho0: DensityMatrix, params: HeatingParams) -> NoiseResult:
@@ -234,9 +237,7 @@ def evolve_lindblad(rho0: DensityMatrix, params: HeatingParams) -> NoiseResult:
         raise ContractError(
             f"trace drifted by {drift:.3e} at gamma*duration = {rates[-1]:.3g}; "
             "lower noise.gamma or noise.duration")
-    initial = DensityMatrix(rho0.layout, rho.copy())
-    return NoiseResult(times, n_trace, a_trace, p_trace, drift,
-                       initial, float(rates[-1]))
+    return NoiseResult(times, n_trace, a_trace, p_trace, drift)
 
 
 def delta_of(gamma: float, alpha: float, duration: float) -> float:

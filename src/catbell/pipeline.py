@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from math import sqrt
+from math import isfinite, sqrt
 
 import numpy as np
 
@@ -101,8 +101,11 @@ def run_prepare(cfg: dict) -> tuple[list[dict], dict, str]:
 def run_rotate(cfg: dict) -> tuple[list[dict], dict, str]:
     enc = _encoding_params(cfg)
     rows = []
-    for eps in cfg["encoding"]["epsilons"]:
+    for i, eps in enumerate(cfg["encoding"]["epsilons"]):
         theta = 2.0 * enc.alpha * eps
+        if not isfinite(theta):
+            raise ConfigError(f"encoding.epsilons[{i}] = {eps!r} makes the "
+                              "angle 2 alpha epsilon overflow")
         r = rotation_fidelity(theta, enc, "a")
         rows.append({"epsilon": r.epsilon, "theta": r.theta,
                      "f_zero": r.f_zero_branch, "f_one": r.f_one_branch,

@@ -10,6 +10,7 @@ but several tests do; test modules import them with `from conftest import`.
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ from catbell.hilbert import OperatorMatrix, SpaceLayout, StateVector, on_layout,
 from catbell.reference import entangled_amplitudes, read_fixture
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 ACCEPTANCE_LINES: dict[str, str] = {}
 
@@ -34,6 +36,16 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config) -> None:
         terminalreporter.section("acceptance criteria")
         for key in sorted(ACCEPTANCE_LINES):
             terminalreporter.write_line(ACCEPTANCE_LINES[key])
+
+
+def child_env(**extra: str) -> dict[str, str]:
+    """The environment for a child Python process, with extra set and src
+    first on PYTHONPATH, so that the child imports the catbell under test
+    without an install."""
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC_DIR)] + [p for p in [env.get("PYTHONPATH")] if p])
+    return env
 
 
 @pytest.fixture(scope="session")

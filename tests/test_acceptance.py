@@ -17,7 +17,6 @@ from the closed-form ingredients in catbell.reference.
 from __future__ import annotations
 
 import json
-import os
 import subprocess
 import sys
 import time
@@ -64,6 +63,7 @@ from catbell.hilbert import (
 from catbell.noise import (
     HeatingParams,
     evolve_lindblad,
+    propagate,
     sample_trajectory,
     trajectory_rng,
 )
@@ -73,7 +73,7 @@ from catbell.reference import (
     displacement_elements,
     liouvillian_expm,
 )
-from conftest import basis_state, parity_op, reference_preparation
+from conftest import basis_state, child_env, parity_op, reference_preparation
 
 RT8 = 2.0 * sqrt(2.0)
 
@@ -220,8 +220,8 @@ def test_criterion_05_heating_master_equation(acceptance_log):
         a_ok = a_dev <= 1e-9
 
         rho0 = cat(1.5, "+", ModeParams(12, leak_tol=1e-5)).to_density()
-        res_c = evolve_lindblad(rho0, HeatingParams(0.02, 1.0))
-        sup_dev = np.abs(res_c.final.matrix
+        rho_c = propagate(rho0, HeatingParams(0.02, 1.0))
+        sup_dev = np.abs(rho_c.matrix
                          - liouvillian_expm(rho0.matrix, 0.02, 1.0)).max()
         sup_ok = sup_dev <= 1e-6
         elapsed = time.perf_counter() - start
@@ -319,7 +319,7 @@ def test_criterion_09_determinism(acceptance_log, tmp_path):
         outputs = []
         for label, threads in (("one", 1), ("again", 1), ("four", 4)):
             outdir = tmp_path / label
-            env = dict(os.environ)
+            env = child_env()
             for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                         "MKL_NUM_THREADS"):
                 env[var] = str(threads)

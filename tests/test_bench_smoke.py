@@ -15,6 +15,7 @@ from math import sqrt
 from pathlib import Path
 
 import pytest
+from conftest import child_env
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
@@ -86,7 +87,7 @@ def test_pipeline_op_hit_writes_the_miss_results(tmp_path):
 
 def test_full_pipeline_demo_tracks_linear_law():
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / "06_full_pipeline.py")],
-                          capture_output=True, text=True, timeout=120)
+                          env=child_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     rows = []
     for line in proc.stdout.splitlines():

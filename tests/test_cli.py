@@ -16,13 +16,14 @@ import scipy.linalg
 
 import catbell.bosonic
 import catbell.noise
-from catbell.bell import DEFAULT_ANGLES, DELTA_STAR, measurement_pulse
+from catbell.bell import CHSH_METHODS, DEFAULT_ANGLES, DELTA_STAR, measurement_pulse
 from catbell.bosonic import displacement
 from catbell.cli import (
     DEFAULT_DELTAS,
     DEFAULT_EPSILONS,
     FIELDS,
     PROTOCOLS,
+    RUNNERS,
     _build_parser,
     describe,
     execute,
@@ -44,6 +45,7 @@ from catbell.pipeline import (
     run_rotate,
     run_swap_report,
 )
+from conftest import child_env
 
 
 def cfg_for(protocol: str, **overrides) -> dict:
@@ -286,7 +288,17 @@ class TestDescribe:
         text = describe(protocol)
         assert f"protocol: {protocol}" in text
         assert "stages:" in text
-        assert "columns:" in text
+        columns = next(line for line in text.splitlines()
+                       if line.startswith("columns: "))
+        # each header the protocol writes at its defaults, and for bell-scan
+        # under every bell.mode, named as a whole and with the mode it is for
+        modes = CHSH_METHODS if protocol == "bell-scan" else ("exact",)
+        for mode in modes:
+            rows = RUNNERS[protocol](cfg_for(protocol, bell={"mode": mode}))[0]
+            header = re.escape(render_csv(rows).splitlines()[0])
+            assert re.search(rf" {header}( |$)", columns)
+            if protocol == "bell-scan":
+                assert re.search(rf" {header} \([^)]*\b{mode}\b", columns)
 
     def test_pipeline_mentions_chsh(self):
         assert "CHSH" in describe("full-pipeline")
@@ -555,6 +567,21 @@ class TestMainEntry:
         assert main(["run", str(tmp_path / "absent.json")]) == 2
         assert "cannot read config" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", ["output-dir-is-a-file",
+                                      "output-path-is-a-directory"])
+    def test_unwritable_output_is_config_error(self, tmp_path, capsys, case):
+        cfg_path = self.write_config(tmp_path, {"protocol": "prepare"})
+        outdir = tmp_path / "out"
+        if case == "output-dir-is-a-file":
+            outdir.write_text("", encoding="utf-8")
+        else:
+            (outdir / "prepare.csv").mkdir(parents=True)
+        assert main(["run", cfg_path, "--output", str(outdir)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: cannot write output {outdir / 'prepare.csv'}: " in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.rglob(".catbell-*.tmp"))
+
     def test_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json", encoding="utf-8")
@@ -655,8 +682,10 @@ class TestMainEntry:
          2, "config error: bell.shots must be <= 9223372036854775807"),
         ({"protocol": "full-pipeline", "bell": {"mode": "sampled", "shots": 1e22}},
          2, "config error: bell.shots must be <= 9223372036854775807"),
+        ({"protocol": "rotate", "encoding": {"epsilons": [0.1, 1e308]}},
+         2, "config error: encoding\\.epsilons\\[1\\] = 1e\\+308 makes the angle"),
     ], ids=["steps", "durations", "auto-steps-overflow", "bell-scan-shots",
-            "full-pipeline-shots"])
+            "full-pipeline-shots", "rotate-angle-overflow"])
     def test_step_and_shot_limits(self, tmp_path, capsys, raw, code, message):
         # each of these ended in a traceback before the limits existed
         cfg_path = self.write_config(tmp_path, raw)
@@ -671,7 +700,7 @@ class TestMainEntry:
         outputs = []
         for threads in (1, 4):
             outdir = tmp_path / f"threads{threads}"
-            env = dict(os.environ, **env_extra)
+            env = child_env(**env_extra)
             for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                         "MKL_NUM_THREADS"):
                 env[var] = str(threads)
@@ -734,7 +763,7 @@ class TestMainEntry:
         proc = subprocess.run(
             [sys.executable, "-m", "catbell.cli", "run", cfg_path,
              "--output", str(tmp_path)],
-            capture_output=True, text=True)
+            env=child_env(), capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "bell-scan.csv").exists()
 

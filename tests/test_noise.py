@@ -32,6 +32,7 @@ from catbell.noise import (
     evolve_lindblad,
     lindblad_rhs,
     parity_flip_probability,
+    propagate,
     sample_trajectory,
     trajectory_rng,
 )
@@ -169,8 +170,8 @@ class TestEvolve:
     def test_zero_gamma_identity(self):
         mode = mode_for(1.5)
         rho0 = cat(1.5, EVEN, mode).to_density()
-        res = evolve_lindblad(rho0, HeatingParams(0.0, 1.0, steps=50))
-        assert np.array_equal(res.final.matrix, rho0.matrix)
+        got = propagate(rho0, HeatingParams(0.0, 1.0, steps=50))
+        assert np.array_equal(got.matrix, rho0.matrix)
 
     @pytest.mark.parametrize("kind", ["hermitian", "general"])
     @pytest.mark.parametrize("gamma", [0.3, 2.0])
@@ -179,8 +180,9 @@ class TestEvolve:
         # a one-mode layout has d >= 2, so d = 1 is covered by the block test
         rho0 = random_matrix(dim, kind, seed=10 * dim + int(gamma))
         duration = 0.7
-        res = evolve_lindblad(rho0, HeatingParams(gamma, duration, steps=2))
-        assert np.abs(res.final.matrix
+        params = HeatingParams(gamma, duration, steps=2)
+        res = evolve_lindblad(rho0, params)
+        assert np.abs(propagate(rho0, params).matrix
                       - liouvillian_expm(rho0.matrix, gamma, duration)).max() <= 1e-13
         for i, t in enumerate(res.times):
             n, a, p = readouts(liouvillian_expm(rho0.matrix, gamma, t))
@@ -194,9 +196,10 @@ class TestEvolve:
         dim, duration = 12, 1.0
         gamma = 0.5 / (2 * dim * duration / 2)
         rho0 = basis_state(SpaceLayout((dim,)), (dim - 1,)).to_density()
-        res = evolve_lindblad(rho0, HeatingParams(gamma, duration, steps=2))
+        params = HeatingParams(gamma, duration, steps=2)
+        res = evolve_lindblad(rho0, params)
         want = liouvillian_expm(rho0.matrix, gamma, duration)
-        assert np.abs(res.final.matrix - want).max() <= 1e-13
+        assert np.abs(propagate(rho0, params).matrix - want).max() <= 1e-13
         assert abs(res.n_trace[-1] - readouts(want)[0]) <= 1e-13
 
     def test_trace_memory_is_linear_in_steps(self):
@@ -223,19 +226,20 @@ class TestEvolve:
         before = rho0.matrix.copy()
         params = HeatingParams(0.05, 1.0, steps=10)
         res = evolve_lindblad(rho0, params)
+        final = propagate(rho0, params)
         assert np.array_equal(rho0.matrix, before)
-        arrays = [rho0.matrix, res.final.matrix, res.times, res.n_trace,
+        arrays = [rho0.matrix, final.matrix, res.times, res.n_trace,
                   res.a_trace, res.parity_trace]
         for i, x in enumerate(arrays):
             for y in arrays[i + 1:]:
                 assert not np.shares_memory(x, y)
-        second = evolve_lindblad(rho0, params)
-        kept = [second.final.matrix.copy(), second.n_trace.copy(),
+        second, second_final = evolve_lindblad(rho0, params), propagate(rho0, params)
+        kept = [second_final.matrix.copy(), second.n_trace.copy(),
                 second.a_trace.copy(), second.parity_trace.copy()]
         for x in arrays[1:]:
             x[...] = np.nan
         assert np.array_equal(rho0.matrix, before)
-        got = [second.final.matrix, second.n_trace, second.a_trace,
+        got = [second_final.matrix, second.n_trace, second.a_trace,
                second.parity_trace]
         assert all(np.array_equal(x, y) for x, y in zip(got, kept))
 
@@ -255,9 +259,9 @@ class TestEvolve:
     def test_matches_exponentiated_generator(self):
         mode = ModeParams(12, leak_tol=1e-2)
         rho0 = cat(2.0, EVEN, mode).to_density()
-        res = evolve_lindblad(rho0, HeatingParams(0.01, 1.0))
+        got = propagate(rho0, HeatingParams(0.01, 1.0))
         want = liouvillian_expm(rho0.matrix, 0.01, 1.0)
-        assert np.abs(res.final.matrix - want).max() < 1e-6
+        assert np.abs(got.matrix - want).max() < 1e-6
 
     def test_parity_matches_frozen(self, golden):
         rec = golden("heating_parity.json")["cat_parity_after_heating"]
@@ -288,10 +292,11 @@ class TestEvolve:
         # the balanced channel leaves the levels equally filled
         dim = 12
         rho0 = basis_state(SpaceLayout((dim,)), (0,)).to_density()
-        res = evolve_lindblad(rho0, HeatingParams(1e3, 1.0, steps=20))
+        params = HeatingParams(1e3, 1.0, steps=20)
+        res = evolve_lindblad(rho0, params)
         assert abs(res.n_trace[-1] - (dim - 1) / 2) <= 1e-9
         assert abs(res.parity_trace[-1]) <= 1e-9
-        assert np.abs(res.final.matrix - np.eye(dim) / dim).max() <= 1e-12
+        assert np.abs(propagate(rho0, params).matrix - np.eye(dim) / dim).max() <= 1e-12
 
     @pytest.mark.parametrize("rate", [1e3, 1e9])
     def test_steady_state_holds_its_trace_at_any_rate(self, rate):
@@ -307,36 +312,61 @@ class TestEvolve:
 
     def test_trace_drift_guard(self):
         # an infinite gamma t leaves exp(gamma t w) undefined on the
-        # steady state and ends in the named error without a numpy warning;
-        # a huge finite one is the uniform steady state
+        # steady state and ends in the named error without a numpy warning,
+        # in evolve_lindblad and in propagate; a huge finite one is the
+        # uniform steady state
         rho0 = DensityMatrix(SpaceLayout((12,)), np.diag([1.0] + [0.0] * 11))
         for gamma, duration in [(1e-3, 1e300), (1e300, 1e10), (1e3, 1e15)]:
+            params = HeatingParams(gamma, duration)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 if np.isfinite(gamma * duration):
-                    res = evolve_lindblad(rho0, HeatingParams(gamma, duration))
+                    res = evolve_lindblad(rho0, params)
                     assert res.trace_drift <= 1e-12
                     assert abs(res.n_trace[-1] - 5.5) <= 1e-12
+                    assert np.abs(propagate(rho0, params).matrix
+                                  - np.eye(12) / 12).max() <= 1e-12
                     continue
-                with pytest.raises(ContractError, match=r"at gamma\*duration = inf"):
-                    evolve_lindblad(rho0, HeatingParams(gamma, duration))
+                for run in (evolve_lindblad, propagate):
+                    with pytest.raises(ContractError,
+                                       match=r"at gamma\*duration = inf"):
+                        run(rho0, params)
 
-    def test_final_is_built_from_a_private_copy(self):
-        rho0 = random_density(6, seed=12)
-        params = HeatingParams(0.05, 1.0, steps=3)
-        want = evolve_lindblad(rho0, params).final.matrix
-        res = evolve_lindblad(rho0, params)
-        rho0.matrix[...] = 0.0
-        assert np.array_equal(res.final.matrix, want)
-        assert res.final is res.final
-        for x in (rho0.matrix, res.times, res.n_trace, res.a_trace,
-                  res.parity_trace):
-            assert not np.shares_memory(res.final.matrix, x)
+    def test_propagate_result_is_private(self):
+        # at gamma t = 0 too, where the result is a copy of the input
+        for gamma in (0.0, 0.05):
+            rho0 = random_density(6, seed=12)
+            params = HeatingParams(gamma, 1.0, steps=3)
+            want = propagate(rho0, params).matrix
+            got = propagate(rho0, params)
+            rho0.matrix[...] = 0.0
+            assert np.array_equal(got.matrix, want)
+            for x in (rho0.matrix, want):
+                assert not np.shares_memory(got.matrix, x)
+
+    def test_propagate_takes_traceless_operators(self):
+        # the channel is linear, so it maps |k><l| and a traceless diagonal
+        # as it maps any rho; evolve_lindblad refuses them by its trace check
+        dim, gamma, duration = 8, 0.3, 0.7
+        layout = SpaceLayout((dim,))
+        for k, l in [(0, 3), (5, 2), (7, 7)]:
+            op = np.zeros((dim, dim), dtype=np.complex128)
+            op[k, l] = 1.0
+            if k == l:
+                op[0, 0] = -1.0
+            rho0 = DensityMatrix(layout, op)
+            got = propagate(rho0, HeatingParams(gamma, duration))
+            want = liouvillian_expm(op, gamma, duration)
+            assert np.abs(got.matrix - want).max() <= 1e-13
+            assert np.array_equal(rho0.matrix, op)
+            with pytest.raises(ContractError, match="trace drifted"):
+                evolve_lindblad(rho0, HeatingParams(gamma, duration))
 
     def test_single_mode_only(self):
         rho0 = basis_state(SpaceLayout((4, 4)), (0, 0)).to_density()
-        with pytest.raises(ValueError):
-            evolve_lindblad(rho0, HeatingParams(0.01, 1.0))
+        for run in (evolve_lindblad, propagate):
+            with pytest.raises(ValueError):
+                run(rho0, HeatingParams(0.01, 1.0))
 
     def test_trace_record_shapes(self):
         mode = ModeParams(10)
@@ -399,17 +429,17 @@ class TestDiagonalBlockCache:
             for rho0, params in runs:
                 if cold:
                     _diagonal_block.cache_clear()
-                res = evolve_lindblad(rho0, params)
+                res, final = evolve_lindblad(rho0, params), propagate(rho0, params)
                 if cold:
                     _diagonal_block.cache_clear()
                 out.append((res.times, res.n_trace, res.a_trace,
-                            res.parity_trace, res.trace_drift, res.final.matrix))
+                            res.parity_trace, res.trace_drift, final.matrix))
             return out
 
         _diagonal_block.cache_clear()
         evolve(cold=False)
         warm = evolve(cold=False)
-        # the final rho reads every block, and each of d = 26 and d = 12 is
+        # propagate reads every block, and each of d = 26 and d = 12 is
         # decomposed once
         assert _diagonal_block.cache_info().misses == 26 + 12
         for got, want in zip(evolve(cold=True), warm):
