@@ -19,10 +19,9 @@ from functools import lru_cache
 from math import ceil, exp, expm1, pi, sqrt
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import CapacityError
-from .hilbert import OperatorMatrix, SpaceLayout, StateVector
+from .hilbert import OperatorMatrix, SpaceLayout, StateVector, band_eigh
 
 EVEN = "+"
 ODD = "-"
@@ -152,11 +151,12 @@ def parity_projectors(mode: ModeParams) -> tuple[OperatorMatrix, OperatorMatrix]
 # bytes, so the 16 entries hold at most 16 * 8 * 128 * 129 B = 2.1 MB at d <= 128
 @lru_cache(maxsize=16)
 def _position_eigenbasis(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """eigh_tridiagonal of X = a + a+ on dim levels: X = V diag(w) V^T.
+    """X = a + a+ on dim levels as X = V diag(w) V^T, from hilbert.band_eigh
+    of its zero diagonal and off-diagonal sqrt(n).
 
     Memoized per cutoff; both arrays are read-only.
     """
-    w, v = eigh_tridiagonal(np.zeros(dim), np.sqrt(np.arange(1, dim)))
+    w, v = band_eigh(np.zeros(dim), np.sqrt(np.arange(1, dim)))
     w.flags.writeable = False
     v.flags.writeable = False
     return w, v
@@ -177,16 +177,22 @@ def displacement_action(beta: complex, mode: ModeParams
     products and 8 d^2 flops per column.  D(beta)|alpha> =
     exp(i Im(beta alpha*)) |alpha+beta> holds well inside the basis;
     protocol-level claims are made on moduli only.  A beta that is not
-    finite is a ValueError here, when the action is built, not on its
-    first call.
+    finite is a ValueError, and a finite one whose phases |beta| w pass the
+    float range an OverflowError, both here, when the action is built, not
+    on its first call.
     """
     if not isfinite(beta):
         raise ValueError(f"displacement beta must be finite, got {beta}")
     dim = mode.layout.dims[0]
     w, v = _position_eigenbasis(dim)
+    size = abs(complex(beta))
+    # Python floats: a product past the float range is inf, with no warning
+    if not isfinite(size * float(max(w[-1], -w[0]))):
+        raise OverflowError(f"displacement |beta| = {size!r} makes the phases "
+                            f"|beta| w overflow at cutoff {dim}")
     r = np.exp(1j * (np.angle(beta) - pi / 2.0) * np.arange(dim))
     r_conj = r.conj()[:, None]
-    phases = np.exp(1j * abs(beta) * w)[:, None]
+    phases = np.exp(1j * size * w)[:, None]
 
     def act(x: np.ndarray) -> np.ndarray:
         shape = np.shape(x)

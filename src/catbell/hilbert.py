@@ -299,6 +299,19 @@ def matrix_exp(op: OperatorMatrix, scale: complex = 1.0) -> OperatorMatrix:
     return OperatorMatrix(op.layout, op.acts_on, exp_m)
 
 
+def band_eigh(diagonal: np.ndarray, off_diagonal: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """(w, V) of a real symmetric tridiagonal band: M = V diag(w) V^T, w
+    ascending.  A dense eigh, O(d^3), that its callers cache per cutoff.
+    V is column-major, as LAPACK writes it; a row-major V would sum the
+    products with V in another order and move rounding-residue bytes of
+    the output (trace_drift, b_value at delta = 1).
+    """
+    band = np.diag(diagonal) + np.diag(off_diagonal, 1) + np.diag(off_diagonal, -1)
+    w, v = np.linalg.eigh(band)
+    return w, np.asfortranarray(v)
+
+
 def check_normalized(state, what: str) -> None:
     """ContractError unless the trace of a DensityMatrix, or the norm of any
     other state, is 1 within NORM_TOL."""

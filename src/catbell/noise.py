@@ -43,10 +43,9 @@ from functools import lru_cache
 from math import exp, isfinite, prod
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import CapacityError, ContractError
-from .hilbert import DensityMatrix, SpaceLayout, StateVector
+from .hilbert import DensityMatrix, SpaceLayout, StateVector, band_eigh
 
 TRACE_TOL = 1e-6
 # evolve_lindblad refuses more recorded steps than this: it keeps three
@@ -128,14 +127,14 @@ def _diagonal_block(dim: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     Memoized per (dim, m); both arrays are read-only.
 
     Block 0 conserves the trace: its rows sum to zero, so ones / sqrt(d) is
-    an exact eigenvector with w = 0, the largest eigenvalue.  The solver
-    rounds that w to about 1e-15, which would make the trace drift linearly
-    in gamma t, so the known pair is written in exactly and the other
-    eigenvectors are projected off it.
+    an exact eigenvector with w = 0, the largest eigenvalue.  The
+    eigensolver (hilbert.band_eigh) rounds that w to about 1e-15, which
+    would make the trace drift linearly in gamma t, so the known pair is
+    written in exactly and the other eigenvectors are projected off it.
     """
     s = _anticommutator_diagonal(dim)
     n = np.arange(1, dim - m, dtype=np.float64)
-    w, v = eigh_tridiagonal(-0.5 * (s[:dim - m] + s[m:]), np.sqrt(n * (n + m)))
+    w, v = band_eigh(-0.5 * (s[:dim - m] + s[m:]), np.sqrt(n * (n + m)))
     if m == 0:
         null = np.full(dim, 1.0 / np.sqrt(dim))
         v -= np.outer(null, null @ v)  # the others, orthogonal to it exactly

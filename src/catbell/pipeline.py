@@ -106,7 +106,10 @@ def run_rotate(cfg: dict) -> tuple[list[dict], dict, str]:
         if not isfinite(theta):
             raise ConfigError(f"encoding.epsilons[{i}] = {eps!r} makes the "
                               "angle 2 alpha epsilon overflow")
-        r = rotation_fidelity(theta, enc, "a")
+        try:
+            r = rotation_fidelity(theta, enc, "a")
+        except OverflowError as err:  # only the kick's phases can overflow
+            raise ConfigError(f"encoding.epsilons[{i}] = {eps!r}: {err}") from None
         rows.append({"epsilon": r.epsilon, "theta": r.theta,
                      "f_zero": r.f_zero_branch, "f_one": r.f_one_branch,
                      "analytic": r.analytic})

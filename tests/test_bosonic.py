@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+from math import inf, isinf, nextafter
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -29,6 +32,7 @@ from catbell.hilbert import (
     SpaceLayout,
     StateVector,
     apply,
+    band_eigh,
     expectation,
     overlap,
     state_fidelity,
@@ -259,6 +263,25 @@ class TestDisplacement:
         with pytest.raises(ValueError, match="beta must be finite"):
             displacement_action(beta, ModeParams(6))
 
+    @pytest.mark.parametrize("cutoff", [3, 14, 122])
+    def test_refuses_exactly_the_kicks_whose_phases_overflow(self, cutoff):
+        # the largest |beta| with |beta| max|w| finite still builds, and
+        # the next float up is an OverflowError; neither warns
+        w, _ = bosonic._position_eigenbasis(cutoff)
+        w_max = float(max(w[-1], -w[0]))
+        size = sys.float_info.max / w_max
+        while isinf(size * w_max):
+            size = nextafter(size, 0.0)
+        while not isinf(nextafter(size, inf) * w_max):
+            size = nextafter(size, inf)
+        mode = ModeParams(cutoff)
+        x = np.eye(cutoff, dtype=complex)
+        for unit in (1j, -1.0):
+            kicked = displacement_action(unit * size, mode)(x)
+            assert np.isfinite(kicked).all()
+            with pytest.raises(OverflowError, match="overflow at cutoff"):
+                displacement_action(unit * nextafter(size, inf), mode)
+
 
 class TestPositionEigenbasis:
     """(w, V) of X = a + a+ are decomposed once per cutoff and reused."""
@@ -266,11 +289,23 @@ class TestPositionEigenbasis:
     @pytest.mark.parametrize("dim", [2, 3, 12, 26, 37, 50, 82, 122])
     def test_cached_equals_a_fresh_decomposition(self, dim):
         bosonic._position_eigenbasis.cache_clear()
-        fresh = scipy.linalg.eigh_tridiagonal(np.zeros(dim),
-                                              np.sqrt(np.arange(1, dim)))
+        fresh = band_eigh(np.zeros(dim), np.sqrt(np.arange(1, dim)))
         for _ in range(2):  # the cold call, then the hit
             for got, want in zip(bosonic._position_eigenbasis(dim), fresh):
                 assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("dim", [2, 3, 12, 26, 37, 50, 82, 122])
+    def test_matches_an_independent_tridiagonal_solver(self, dim):
+        # scipy's eigh_tridiagonal as the oracle: the spectrum of X is simple,
+        # so each eigenvector is fixed up to its sign
+        off = np.sqrt(np.arange(1, dim))
+        w_raw, v_raw = scipy.linalg.eigh_tridiagonal(np.zeros(dim), off)
+        w, v = bosonic._position_eigenbasis(dim)
+        assert np.abs(w - w_raw).max() <= 1e-13
+        signs = np.sign(np.sum(v * v_raw, axis=0))
+        assert np.abs(v * signs - v_raw).max() <= 1e-13
+        x = np.diag(off, 1) + np.diag(off, -1)
+        assert np.abs(x @ v - v * w).max() <= 1e-12 * dim
 
     def test_arrays_are_read_only(self):
         for cached in bosonic._position_eigenbasis(12):

@@ -8,13 +8,15 @@ import os
 import re
 import subprocess
 import sys
+import textwrap
+import warnings
 from math import pi, sqrt
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 import catbell.bosonic
+import catbell.hilbert
 import catbell.noise
 from catbell.bell import CHSH_METHODS, DEFAULT_ANGLES, DELTA_STAR, measurement_pulse
 from catbell.bosonic import displacement
@@ -694,6 +696,28 @@ class TestMainEntry:
         assert re.search(message, err)
         assert "Warning" not in err
 
+    @pytest.mark.parametrize("eps", [5e307, 1e308])
+    def test_rotate_kick_overflow_is_a_config_error(self, tmp_path, capsys, eps):
+        # at alpha 0.5 the angle 2 alpha eps = eps is finite, but the kick's
+        # phases eps w are not (cutoff 14, max w = 6.09)
+        cfg_path = self.write_config(tmp_path, {
+            "protocol": "rotate", "encoding": {"alpha": 0.5, "epsilons": [0.1, eps]}})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", cfg_path, "--output", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert re.search(r"config error: encoding\.epsilons\[1\] = "
+                         r"[0-9.e+]+: displacement .* overflow", err)
+        assert not (tmp_path / "rotate.csv").exists()
+
+    def test_rotate_large_finite_kick_still_runs(self, tmp_path):
+        cfg_path = self.write_config(tmp_path, {
+            "protocol": "rotate", "encoding": {"alpha": 0.5, "epsilons": [1e307]}})
+        assert main(["run", cfg_path, "--output", str(tmp_path)]) == 0
+        text = (tmp_path / "rotate.csv").read_text()
+        assert text.splitlines()[1].startswith("1e+307,1e+307,")
+        assert "nan" not in text and "inf" not in text
+
     def csv_under_blas_threads(self, tmp_path, raw: dict, **env_extra) -> list:
         """CSV bytes of `catbell run` on raw with 1 and with 4 BLAS threads."""
         cfg_path = self.write_config(tmp_path, raw)
@@ -766,6 +790,41 @@ class TestMainEntry:
             env=child_env(), capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "bell-scan.csv").exists()
+
+    def test_run_path_loads_no_scipy(self, tmp_path):
+        # a fresh interpreter imports the command line and runs every
+        # protocol (full-pipeline with both gate builds): numpy is the one
+        # runtime dependency, and scipy serves only the oracles and tests
+        script = textwrap.dedent("""\
+            import json, sys
+            from catbell import cli
+            from catbell.gates import EV_VARIANTS
+
+            def scipy_modules():
+                return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+            loaded = {"import": scipy_modules()}
+            configs = [{"protocol": p} for p in cli.RUNNERS if p != "full-pipeline"]
+            configs += [{"protocol": "full-pipeline", "gates": {"ev_variant": ev},
+                         "output": {"path": "full-pipeline-" + ev}}
+                        for ev in EV_VARIANTS]
+            codes = []
+            for i, cfg in enumerate(configs):
+                path = f"{sys.argv[1]}/config{i}.json"
+                with open(path, "w") as handle:
+                    json.dump(cfg, handle)
+                codes.append(cli.main(["run", path, "--output", sys.argv[1]]))
+            loaded["runs"] = scipy_modules()
+            print(json.dumps({"codes": codes, "loaded": loaded}))
+            """)
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                              env=child_env(), capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout.splitlines()[-1])
+        runs = len(RUNNERS) - 1 + len(EV_VARIANTS)
+        assert report["codes"] == [0] * runs
+        assert report["loaded"] == {"import": [], "runs": []}
+        assert len(list(tmp_path.glob("*.csv"))) == runs
 
 
 class TestPipelineMemo:
@@ -853,11 +912,11 @@ class TestDecompositionCache:
         catbell.bosonic._position_eigenbasis.cache_clear()
         calls = []
 
-        def counted(*args, **kwargs):
+        def counted(*args):
             calls.append(args[0].shape)
-            return scipy.linalg.eigh_tridiagonal(*args, **kwargs)
-        monkeypatch.setattr(catbell.noise, "eigh_tridiagonal", counted)
-        monkeypatch.setattr(catbell.bosonic, "eigh_tridiagonal", counted)
+            return catbell.hilbert.band_eigh(*args)
+        monkeypatch.setattr(catbell.noise, "band_eigh", counted)
+        monkeypatch.setattr(catbell.bosonic, "band_eigh", counted)
         return calls
 
     def test_warm_heat_sweep_decomposes_nothing(self, decompositions):

@@ -14,6 +14,7 @@ from catbell.hilbert import (
     SpaceLayout,
     StateVector,
     apply,
+    band_eigh,
     dm_fidelity,
     embed,
     expectation,
@@ -261,6 +262,19 @@ class TestMatrixExp:
     def test_scale_zero_identity(self):
         op = OperatorMatrix(qubit_layout(1), (0,), SX)
         np.testing.assert_allclose(matrix_exp(op, 0.0).matrix, np.eye(2), atol=1e-15)
+
+
+class TestBandEigh:
+    @pytest.mark.parametrize("dim", [2, 3, 17, 64])
+    def test_decomposes_the_band(self, dim):
+        rng = np.random.default_rng(dim)
+        diagonal, off = rng.normal(size=dim), rng.normal(size=dim - 1)
+        band = np.diag(diagonal) + np.diag(off, 1) + np.diag(off, -1)
+        w, v = band_eigh(diagonal, off)
+        assert np.all(np.diff(w) >= 0.0)
+        assert np.abs(v.T @ v - np.eye(dim)).max() <= 1e-14 * dim
+        assert np.abs(band @ v - v * w).max() <= 1e-13 * dim
+        assert v.flags.f_contiguous
 
 
 class TestFidelity:
