@@ -254,7 +254,7 @@ def violation_scan(deltas, angles: BellAngles = DEFAULT_ANGLES) -> ViolationScan
     return ViolationScan(ds, bs, crossing, angles)
 
 
-def reduced_electronic(state: StateVector | DensityMatrix) -> DensityMatrix:
+def reduced_electronic(state: StateVector) -> DensityMatrix:
     """Trace the four-factor register down to the two electronic qubits."""
     layout = state.layout
     if layout.nsites != 4 or layout.dims[ION_1:] != (2, 2):

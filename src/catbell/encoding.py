@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from math import cos, exp, pi, sin, sqrt
+from math import cos, exp, isfinite, pi, sin, sqrt
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .hilbert import (
     OperatorMatrix,
     SpaceLayout,
     StateVector,
-    apply,
     check_normalized,
     state_fidelity,
 )
@@ -48,6 +47,10 @@ class EncodingParams:
     epsilon: float | None = None  # explicit displacement scale, optional
 
     def __post_init__(self) -> None:
+        for name in ("alpha", "beta", "epsilon"):
+            value = getattr(self, name)
+            if value is not None and not isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.alpha <= 0 or self.beta <= 0:
             raise ValueError("cat amplitudes must be positive")
         # below this |alpha|^2 is subnormal or 0 and the odd cat has no norm
@@ -307,11 +310,11 @@ def rotation_fidelity(theta: float, params: EncodingParams,
     """Fidelity of D(i eps) against the ideal rx(theta) on both code branches."""
     basis = logical_basis(which_mode, params)
     eps = theta / (2.0 * params.amplitude(which_mode))
-    d = bosonic.displacement(1j * eps, params.mode(which_mode))
+    kick = bosonic.displacement_action(1j * eps, params.mode(which_mode))
     tgt0 = StateVector(basis.zero.layout,
                        cos(theta) * basis.zero.amps + 1j * sin(theta) * basis.one.amps)
     tgt1 = StateVector(basis.zero.layout,
                        1j * sin(theta) * basis.zero.amps + cos(theta) * basis.one.amps)
-    f0 = state_fidelity(tgt0, apply(d, basis.zero))
-    f1 = state_fidelity(tgt1, apply(d, basis.one))
+    f0 = state_fidelity(tgt0, StateVector(tgt0.layout, kick(basis.zero.amps)))
+    f1 = state_fidelity(tgt1, StateVector(tgt1.layout, kick(basis.one.amps)))
     return RotationFidelity(theta, eps, f0, f1, exp(-eps * eps))

@@ -4,8 +4,8 @@ Each gate matrix lives on the compact pair layout [mode, ion]; lift_pair
 places it on the four-factor register.  Two controlled-flip constructions
 are provided for the vibration-controlled gate:
 
-* u_ve_ideal: parity projectors routing an electronic flip, an exact CNOT
-  with the mode's phonon parity as control.
+* u_ve_ideal: the ion flipped on the odd Fock rows, an exact CNOT with the
+  mode's phonon parity as control.
 * u_ve_literal: the product exp(-i pi n sigma_y) exp(i pi n |1><1|) taken at
   face value.  exp(-i pi n sigma_y) = (-1)^n is not an electronic flip, so
   the product is exactly diag((-1)^n, 1) on the ion and does not perform the
@@ -24,15 +24,16 @@ params.epsilon is the kick of both modes, whatever their amplitudes.
 
 u_swap returns the exchange as an Exchange, a pair operator whose apply
 runs the three factors and never a dense product: either u_ve is indexing
-on the odd Fock rows (u_ve[ideal] swaps the two ion slices, u_ve[literal]
-negates the ion-|0> slice), and u_ev multiplies the ion's |1> half by the
-phase and then applies the kick as an action, never as a d x d matrix:
-D(i eps) in the cached eigenbasis of a + a+ (bosonic.displacement_action,
-8 d^2 flops per column of the other factors) or the code-space rx(pi/2)
-as a rank-2 update (LogicalBasis.rotate, O(d) per column).  The dense
-matrix, which the reports and hilbert.apply read, is the same action run
-on the pair identity, so there is one definition of the sequence; the
-single-gate builds keep their matrices for the truth-table reports.
+on the odd Fock rows (_flip: u_ve[ideal] swaps the two ion slices,
+u_ve[literal] negates the ion-|0> slice), and u_ev (_phase_kick) multiplies
+the ion's |1> half by the phase and then applies the kick as an action,
+never as a d x d matrix: D(i eps) in the cached eigenbasis of a + a+
+(bosonic.displacement_action, 8 d^2 flops per column of the other factors)
+or the code-space rx(pi/2) as a rank-2 update (LogicalBasis.rotate, O(d)
+per column).  The dense matrices that the reports read, the exchange's,
+u_ve_ideal's and u_ev's, are those steps run on the pair identity, so each
+gate has one definition; only u_ve_literal, the audit of the formula as
+written, is built from its exponentials.
 """
 
 from __future__ import annotations
@@ -62,6 +63,7 @@ SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 EXCITED = np.diag([0.0, 1.0]).astype(np.complex128)
+EXCITED_PHASE = np.exp(-1j * pi / 2.0)  # -i, as the rounded exponential
 
 
 def pair_layout(which_mode: str, params: EncodingParams) -> SpaceLayout:
@@ -76,12 +78,35 @@ def lift_pair(op: OperatorMatrix, which_mode: str,
     return on_layout(op, encoding.full_layout(params), slots)
 
 
+def _flip(x: np.ndarray, literal: bool = False) -> np.ndarray:
+    """u_ve on axes (mode, ion) of x, in place, by indexing the odd Fock rows."""
+    if literal:
+        x[1::2, 0] *= -1.0  # diag((-1)^n, 1) on the ion
+    else:
+        x[1::2] = x[1::2, ::-1]  # swap the two ion slices
+    return x
+
+
+def _phase_kick(x: np.ndarray, kick: Callable[[np.ndarray], np.ndarray]
+                ) -> np.ndarray:
+    """u_ev on axes (mode, ion) of x, in place: the electronic phase and then
+    the kick on the ion-|1> half."""
+    x[:, 1] = kick(EXCITED_PHASE * x[:, 1])
+    return x
+
+
+def _pair_matrix(layout: SpaceLayout,
+                 step: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """The dense pair matrix of a step: the step run on the pair identity."""
+    d = layout.dims[0]
+    eye = np.eye(2 * d, dtype=np.complex128).reshape(d, 2, 2 * d)
+    return step(eye).reshape(2 * d, 2 * d)
+
+
 def u_ve_ideal(which_mode: str, params: EncodingParams) -> OperatorMatrix:
     """CNOT with phonon parity as control: flip the ion on odd parity."""
-    mode = params.mode(which_mode)
-    even, odd = bosonic.parity_projectors(mode)
-    m = np.kron(even.matrix, np.eye(2)) + np.kron(odd.matrix, SIGMA_X)
-    return OperatorMatrix(pair_layout(which_mode, params), (0, 1), m)
+    layout = pair_layout(which_mode, params)
+    return OperatorMatrix(layout, (0, 1), _pair_matrix(layout, _flip))
 
 
 def u_ve_literal(which_mode: str, params: EncodingParams) -> OperatorMatrix:
@@ -96,9 +121,6 @@ def u_ve_literal(which_mode: str, params: EncodingParams) -> OperatorMatrix:
         OperatorMatrix(layout, (0, 1), np.kron(n, EXCITED)), scale=1j * pi
     )
     return OperatorMatrix(layout, (0, 1), first.matrix @ second.matrix)
-
-
-EXCITED_PHASE = np.exp(-1j * pi / 2.0)  # -i, as the rounded exponential
 
 
 def _kick(which_mode: str, params: EncodingParams, ev_variant: str,
@@ -128,11 +150,10 @@ def u_ev(which_mode: str, params: EncodingParams,
     epsilon defaults to params.epsilon when that is set, else to
     pi / (4 alpha), the scale at which D(i eps) rotates the cat qubit by pi/2.
     """
-    eye = np.eye(params.mode(which_mode).cutoff, dtype=np.complex128)
-    kick = _kick(which_mode, params, "displacement", epsilon)(eye)  # D(i eps)
-    # the phase is diagonal and acts first, so it folds into the kicked half
-    m = np.kron(eye, np.diag([1.0, 0.0])) + np.kron(EXCITED_PHASE * kick, EXCITED)
-    return OperatorMatrix(pair_layout(which_mode, params), (0, 1), m)
+    layout = pair_layout(which_mode, params)
+    kick = _kick(which_mode, params, "displacement", epsilon)  # D(i eps)
+    return OperatorMatrix(layout, (0, 1),
+                          _pair_matrix(layout, partial(_phase_kick, kick=kick)))
 
 
 VE_VARIANTS = ("ideal", "literal")
@@ -143,10 +164,9 @@ class Exchange(OperatorMatrix):
     """u_ve u_ev u_ve for one mode: a pair operator with its factors kept apart.
 
     kick is u_ev's action on the mode axis (gates._kick), never a d x d
-    matrix; literal selects the u_ve build, and either build is an index
-    operation on the odd Fock rows.  apply runs the factors on a state
-    tensor; the dense pair matrix is formed only when .matrix is first read,
-    by running them on the pair identity.
+    matrix; literal selects the u_ve build (gates._flip).  apply runs the
+    factors on a state tensor; the dense pair matrix is formed only when
+    .matrix is first read, by running them on the pair identity.
     """
 
     def __init__(self, layout: SpaceLayout,
@@ -159,16 +179,7 @@ class Exchange(OperatorMatrix):
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        d = self.layout.dims[0]
-        eye = np.eye(2 * d, dtype=np.complex128).reshape(d, 2, 2 * d)
-        return self.apply(eye, 0, 1).reshape(2 * d, 2 * d)
-
-    def _flip(self, x: np.ndarray) -> np.ndarray:
-        if self.literal:
-            x[1::2, 0] *= -1.0  # odd Fock rows: diag((-1)^n, 1) on the ion
-        else:
-            x[1::2] = x[1::2, ::-1]  # odd Fock rows: swap the two ion slices
-        return x
+        return _pair_matrix(self.layout, partial(self.apply, mode_axis=0, ion_axis=1))
 
     def apply(self, psi: np.ndarray, mode_axis: int, ion_axis: int) -> np.ndarray:
         """u_ve u_ev u_ve on the (mode_axis, ion_axis) pair of a state tensor.
@@ -182,9 +193,9 @@ class Exchange(OperatorMatrix):
         t = np.moveaxis(psi, (mode_axis, ion_axis), (0, 1))
         shape = t.shape
         x = np.array(t, dtype=np.complex128, order="C").reshape(shape[0], 2, -1)
-        x = self._flip(x)
-        x[:, 1] = self.kick(EXCITED_PHASE * x[:, 1])
-        x = self._flip(x)
+        x = _flip(x, self.literal)
+        x = _phase_kick(x, self.kick)
+        x = _flip(x, self.literal)
         return np.moveaxis(x.reshape(shape), (0, 1), (mode_axis, ion_axis))
 
 

@@ -5,6 +5,7 @@ sparse or symbolic path.  A layout lists the factor dimensions in a fixed
 order, with the first factor varying slowest in the flattened index (the
 ordering produced by ``numpy.kron``).  Operators are stored compactly on the
 subsystems they touch and are embedded with identity padding only on demand.
+tensor, expectation and partial_trace take pure states only.
 """
 
 from __future__ import annotations
@@ -161,34 +162,18 @@ class OperatorMatrix:
         return self.layout.dims_of(self.acts_on)
 
 
-def tensor(parts: list) -> StateVector | OperatorMatrix:
-    """Kronecker product of states or of operators, first factor slowest.
-
-    All parts must be of the same kind.  Operator parts are taken as written
-    over their own layouts; the result lives on the concatenated layout.
-    """
+def tensor(parts: list[StateVector]) -> StateVector:
+    """Kronecker product of states, first factor slowest."""
     if not parts:
         raise ValueError("tensor of an empty list")
-    if all(isinstance(p, StateVector) for p in parts):
-        dims: tuple[int, ...] = ()
-        amps = np.ones(1, dtype=np.complex128)
-        for p in parts:
-            dims = dims + p.layout.dims
-            amps = np.kron(amps, p.amps)
-        return StateVector(SpaceLayout(dims), amps)
-    if all(isinstance(p, OperatorMatrix) for p in parts):
-        dims = ()
-        acts: tuple[int, ...] = ()
-        mat = np.ones((1, 1), dtype=np.complex128)
-        for p in parts:
-            if p.acts_on != tuple(range(p.layout.nsites)):
-                # keep the product unambiguous: no implicit-identity holes
-                p = embed(p)
-            acts = acts + tuple(i + len(dims) for i in p.acts_on)
-            dims = dims + p.layout.dims
-            mat = np.kron(mat, p.matrix)
-        return OperatorMatrix(SpaceLayout(dims), acts, mat)
-    raise TypeError("tensor() needs a list of StateVector or a list of OperatorMatrix")
+    if not all(isinstance(p, StateVector) for p in parts):
+        raise TypeError("tensor() needs a list of StateVector")
+    dims: tuple[int, ...] = ()
+    amps = np.ones(1, dtype=np.complex128)
+    for p in parts:
+        dims = dims + p.layout.dims
+        amps = np.kron(amps, p.amps)
+    return StateVector(SpaceLayout(dims), amps)
 
 
 def on_layout(op: OperatorMatrix, layout: SpaceLayout, at: tuple[int, ...]) -> OperatorMatrix:
@@ -245,21 +230,22 @@ def apply(op: OperatorMatrix, state: StateVector) -> StateVector:
     return StateVector(state.layout, out.reshape(-1))
 
 
-def expectation(op: OperatorMatrix, state: StateVector | DensityMatrix) -> complex:
-    """<op> in a pure or mixed state; complex, imaginary part ~0 for Hermitian op."""
-    if isinstance(state, StateVector):
-        return complex(np.vdot(state.amps, apply(op, state).amps))
-    u = embed(op).matrix if op.acts_on != tuple(range(op.layout.nsites)) else op.matrix
-    return complex(np.trace(state.matrix @ u))
+def expectation(op: OperatorMatrix, state: StateVector) -> complex:
+    """<op> in a pure state; complex, imaginary part ~0 for Hermitian op."""
+    if not isinstance(state, StateVector):
+        raise TypeError("expectation() needs a StateVector")
+    return complex(np.vdot(state.amps, apply(op, state).amps))
 
 
-def partial_trace(state: StateVector | DensityMatrix, keep: tuple[int, ...]) -> DensityMatrix:
+def partial_trace(state: StateVector, keep: tuple[int, ...]) -> DensityMatrix:
     """Trace out every factor not listed in ``keep``.
 
-    For pure states the reduced matrix is contracted directly from the
-    amplitude tensor, so tracing a large space down to a small subsystem never
-    builds the full outer product.
+    The reduced matrix is contracted directly from the amplitude tensor, so
+    tracing a large space down to a small subsystem never builds the full
+    outer product.
     """
+    if not isinstance(state, StateVector):
+        raise TypeError("partial_trace() needs a StateVector")
     keep = tuple(int(i) for i in keep)
     layout = state.layout
     if list(keep) != sorted(set(keep)):
@@ -268,19 +254,11 @@ def partial_trace(state: StateVector | DensityMatrix, keep: tuple[int, ...]) -> 
         raise ValueError(f"keep {keep} out of range")
     kept_layout = SpaceLayout(layout.dims_of(keep))
     drop = tuple(i for i in range(layout.nsites) if i not in keep)
-    if isinstance(state, StateVector):
-        psi = state.as_tensor()
-        red = np.tensordot(psi, psi.conj(), axes=(drop, drop))
-        # axes are now (kept_bra..., kept_ket...) in layout order
-        d = kept_layout.total_dim
-        return DensityMatrix(kept_layout, red.reshape(d, d))
-    k = layout.nsites
-    t = state.matrix.reshape(layout.dims + layout.dims)
-    for i in sorted(drop, reverse=True):
-        t = np.trace(t, axis1=i, axis2=i + k)
-        k -= 1
+    psi = state.as_tensor()
+    red = np.tensordot(psi, psi.conj(), axes=(drop, drop))
+    # axes are now (kept_bra..., kept_ket...) in layout order
     d = kept_layout.total_dim
-    return DensityMatrix(kept_layout, t.reshape(d, d))
+    return DensityMatrix(kept_layout, red.reshape(d, d))
 
 
 def matrix_exp(op: OperatorMatrix, scale: complex = 1.0) -> OperatorMatrix:

@@ -41,8 +41,9 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config) -> None:
 def child_env(**extra: str) -> dict[str, str]:
     """The environment for a child Python process, with extra set and src
     first on PYTHONPATH, so that the child imports the catbell under test
-    without an install."""
-    env = dict(os.environ, **extra)
+    without an install.  A numpy RuntimeWarning is an error in the child,
+    as pyproject's filter makes it in this process."""
+    env = dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning", **extra)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC_DIR)] + [p for p in [env.get("PYTHONPATH")] if p])
     return env

@@ -234,6 +234,33 @@ class TestViolationScan:
         assert scan.b_values[0] == pytest.approx(TSIRELSON, abs=1e-8)
         assert scan.crossing is None
 
+    @pytest.fixture(scope="class")
+    def exact_hit(self) -> float:
+        """A weight next to DELTA_STAR whose B rounds to exactly 2.
+
+        Near the crossing one ulp of delta moves B by less than one ulp of
+        2, so some weight within a few ulps lands on 2 itself.
+        """
+        ulp = np.spacing(DELTA_STAR)
+        for k in range(-256, 257):
+            delta = float(DELTA_STAR + k * ulp)
+            if chsh(mixed_bell(delta)).b_value == 2.0:
+                return delta
+        pytest.fail("no weight near DELTA_STAR gives B == 2 exactly")
+
+    def test_exact_hit_is_the_crossing(self, exact_hit):
+        # B(0) > 2 then B == 2: the bracket test sees a zero product, and
+        # the crossing is the weight that hits 2, not an interpolation
+        scan = violation_scan([0.0, exact_hit, 1.0])
+        assert scan.b_values[1] == 2.0
+        assert scan.crossing == exact_hit
+
+    @pytest.mark.parametrize("lead", [[], [0.0]], ids=["alone", "after-0"])
+    def test_exact_hit_at_the_last_weight(self, exact_hit, lead):
+        scan = violation_scan(lead + [exact_hit])
+        assert scan.b_values[-1] == 2.0
+        assert scan.crossing == exact_hit
+
     def test_range_validation(self):
         with pytest.raises(ValueError):
             violation_scan([])

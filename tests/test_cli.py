@@ -686,10 +686,17 @@ class TestMainEntry:
          2, "config error: bell.shots must be <= 9223372036854775807"),
         ({"protocol": "rotate", "encoding": {"epsilons": [0.1, 1e308]}},
          2, "config error: encoding\\.epsilons\\[1\\] = 1e\\+308 makes the angle"),
+        ({"protocol": "full-pipeline", "noise": {"gamma": 0.5, "duration": 1.0}},
+         2, "config error: noise: gamma \\* alpha\\^2 \\* duration exceeds 1; "
+            "set noise\\.delta explicitly"),
+        ({"protocol": "prepare", "encoding": {"alpha": 1000, "cutoff": 30}},
+         3, "capacity error: no finite cutoff found for \\|alpha\\|\\^2 = 1000000"),
     ], ids=["steps", "durations", "auto-steps-overflow", "bell-scan-shots",
-            "full-pipeline-shots", "rotate-angle-overflow"])
+            "full-pipeline-shots", "rotate-angle-overflow",
+            "default-delta-above-one", "no-finite-cutoff"])
     def test_step_and_shot_limits(self, tmp_path, capsys, raw, code, message):
-        # each of these ended in a traceback before the limits existed
+        # each of these must end in a named error and its exit code; the
+        # first six ended in a traceback before their limits existed
         cfg_path = self.write_config(tmp_path, raw)
         assert main(["run", cfg_path, "--output", str(tmp_path)]) == code
         err = capsys.readouterr().err

@@ -85,6 +85,14 @@ class TestParams:
             EncodingParams(alpha, alpha, ModeParams(8), ModeParams(8),
                            epsilon=float(np.nextafter(eps, np.inf)))
 
+    @pytest.mark.parametrize("field", ["alpha", "beta", "epsilon"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_value_that_is_not_finite_rejected(self, field, value):
+        # the error names the field before any arithmetic reads the value
+        kwargs = {"alpha": 2.0, "beta": 2.0, "epsilon": None, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            EncodingParams(mode_a=ModeParams(26), mode_b=ModeParams(26), **kwargs)
+
     def test_accessors(self):
         enc = EncodingParams.for_amplitudes(2.0, beta=3.0)
         assert enc.amplitude("b") == 3.0

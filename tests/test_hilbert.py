@@ -114,6 +114,13 @@ class TestTensorAndEmbed:
         assert ab.layout.dims == (2, 3)
         np.testing.assert_array_equal(ab.amps, [0, 1, 0, 0, 0, 0])
 
+    def test_tensor_refuses_operators(self):
+        op = OperatorMatrix(SpaceLayout((2,)), (0,), SX)
+        with pytest.raises(TypeError):
+            tensor([op, op])
+        with pytest.raises(TypeError):
+            tensor([StateVector(SpaceLayout((2,)), [1, 0]), op])
+
     def test_tensor_coherent_pair_normalized(self):
         mode = ModeParams(30)
         ab = tensor([coherent(2.0, mode), coherent(2.0, mode)])
@@ -192,14 +199,11 @@ class TestApply:
         assert abs(n_mean.real - 4.0) < 1e-9
         assert abs(n_mean.imag) < 1e-12
 
-    def test_expectation_density_agrees(self):
+    def test_expectation_refuses_a_density_matrix(self):
         mode = mode_for(1.5)
         psi = coherent(1.5, mode)
-        op = number_op(mode)
-        assert expectation(op, psi.to_density()).real == pytest.approx(
-            expectation(op, psi).real, abs=1e-12
-        )
-
+        with pytest.raises(TypeError):
+            expectation(number_op(mode), psi.to_density())
 
 
 class TestPartialTrace:
@@ -209,22 +213,20 @@ class TestPartialTrace:
         red = partial_trace(psi, (0,))
         np.testing.assert_allclose(red.matrix, np.eye(2) / 2, atol=1e-12)
 
-    def test_trace_preserved(self):
-        rng = np.random.default_rng(3)
-        lay = SpaceLayout((3, 2, 2))
-        m = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
-        rho = DensityMatrix(lay, m @ m.conj().T / np.trace(m @ m.conj().T).real)
-        red = partial_trace(rho, (0, 2))
-        assert abs(red.trace - rho.trace) < 1e-12
-
-    def test_pure_and_density_paths_agree(self):
+    def test_matches_the_traced_outer_product(self):
+        # the contraction against tr_0 |psi><psi|, summed index by index
         rng = np.random.default_rng(5)
         lay = SpaceLayout((4, 3))
         amps = rng.normal(size=12) + 1j * rng.normal(size=12)
         psi = StateVector(lay, amps / np.linalg.norm(amps))
-        a = partial_trace(psi, (1,)).matrix
-        b = partial_trace(psi.to_density(), (1,)).matrix
-        assert np.abs(a - b).max() < 1e-12
+        grid = psi.as_tensor()
+        want = np.einsum("ai,aj->ij", grid, grid.conj())
+        assert np.abs(partial_trace(psi, (1,)).matrix - want).max() < 1e-12
+
+    def test_refuses_a_density_matrix(self):
+        rho = basis_state(qubit_layout(2), (0, 1)).to_density()
+        with pytest.raises(TypeError):
+            partial_trace(rho, (0,))
 
     def test_keep_all_is_identity_map(self):
         lay = qubit_layout(2)
