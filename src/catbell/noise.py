@@ -30,9 +30,14 @@ share two decompositions (evolve_lindblad); rho itself, which takes all d of
 them, comes from propagate.
 
 The jump sampler views the register as (pre, d, post) around the heated
-mode, so it moves no axis.  It computes <n> in one pass over the amplitudes
-for each state it visits (only for the input under constant_rate), and each
-jump writes one new register.
+mode, so it moves no axis.  It draws the first waiting time before it looks
+at the state.  Under state-following rates, a trajectory whose first wait
+ends past the duration even at the rates of the bound
+<n> <= (d - 1) ||psi||^2 (one dot over the register) cannot jump, and it
+returns without computing <n>; the draws and the output are those of the
+loop alone, bit for bit.  Every other trajectory computes <n> in one pass
+over the amplitudes for each state it visits (only for the input under
+constant_rate), and each jump writes one new register.
 """
 
 from __future__ import annotations
@@ -55,6 +60,9 @@ MAX_STEPS = 10 ** 6
 # evolve_lindblad evaluates its traces this many entries (times x levels) at
 # a time, so their memory stays O(steps + d^2)
 _TABLE_ENTRIES = 2 ** 14
+# machine epsilon and the smallest subnormal, for _occupancy_bound's margin
+_EPS = float(np.finfo(np.float64).eps)
+_TINY = float(np.finfo(np.float64).smallest_subnormal)
 
 
 @dataclass(frozen=True)
@@ -274,6 +282,69 @@ class TrajectoryResult:
         return len(self.jumps)
 
 
+# one entry per (layout, heated mode), 16 d bytes of arrays each: at most
+# 32 * 16 * 128 B = 64 KB at d <= 128
+@lru_cache(maxsize=32)
+def _mode_view(dims: tuple[int, ...], mode_index: int
+               ) -> tuple[tuple[int, int, int], np.ndarray, np.ndarray]:
+    """The (pre, d, post) view shape of a register around one mode, its
+    levels 0..d-1 and the column sqrt(1..d-1) of the ladder.
+
+    Memoized per (dims, mode_index); both arrays are read-only.
+    """
+    dim = dims[mode_index]
+    shape = (prod(dims[:mode_index]), dim, prod(dims[mode_index + 1:]))
+    levels = np.arange(dim, dtype=np.float64)
+    root = np.sqrt(levels[1:])[:, None]
+    levels.flags.writeable = False
+    root.flags.writeable = False
+    return shape, levels, root
+
+
+def _occupancy(psi: np.ndarray, levels: np.ndarray) -> float:
+    """<n> of the (pre, d, post) view psi, unnormalized: the sum over pre
+    and post of |psi|^2 as re^2 + im^2 of the float view."""
+    f = psi.view(np.float64)
+    return float(levels @ np.einsum("pkq,pkq->k", f, f))
+
+
+def _occupancy_bound(amps: np.ndarray, dim: int) -> float:
+    """An upper bound on _occupancy of any d-level mode of the register.
+
+    <n> <= (d - 1) ||psi||^2, and ||psi||^2 is one dot of the float view.
+    The factor 1 + 4 N eps, for N floats, dominates the relative rounding
+    of both sums (each is within about N eps/2 of its exact value, in any
+    order of summation); the N + 2 smallest subnormals dominate the
+    absolute rounding of products that underflow.
+    """
+    f = amps.view(np.float64)
+    n = f.size
+    return (dim - 1) * (float(f @ f) * (1.0 + 4.0 * n * _EPS) + (n + 2) * _TINY)
+
+
+def _jump(psi: np.ndarray, up: bool, root: np.ndarray) -> np.ndarray | None:
+    """a+ psi (up) or a psi on the middle axis of the view, normalized; None
+    when the event annihilates psi."""
+    out = np.zeros_like(psi)
+    if up:
+        np.multiply(root, psi[:, :-1], out=out[:, 1:])
+    else:
+        np.multiply(root, psi[:, 1:], out=out[:, :-1])
+    nrm = np.linalg.norm(out)
+    if nrm == 0.0:
+        return None
+    out /= nrm
+    return out
+
+
+def _rates(params: HeatingParams, n_mean: float) -> tuple[float, float]:
+    """Upward and downward jump rates at occupancy n_mean; both are
+    nondecreasing in n_mean."""
+    if params.constant_rate:
+        return params.gamma * n_mean, params.gamma * n_mean
+    return params.gamma * (n_mean + 1.0), params.gamma * n_mean
+
+
 def sample_trajectory(state: StateVector, params: HeatingParams,
                       seed_or_rng, mode_index: int = 0) -> TrajectoryResult:
     """One jump-process realization of the heating channel.
@@ -286,12 +357,25 @@ def sample_trajectory(state: StateVector, params: HeatingParams,
     such events are resampled (skipped), which only matters under frozen
     rates.  Deterministic for a given seed.
 
+    Each wait is (1 / total rate) E for a standard exponential E, which is
+    what Generator.exponential(1 / total rate) returns, bit for bit.  When
+    gamma > 0 and the rates follow the state, the loop's first step always
+    draws one E, so it is drawn up front.  If even the rates of the bound
+    (d - 1) ||psi||^2 >= <n> (_occupancy_bound, one dot over the register)
+    make that wait end past the duration, so do the true rates, because the
+    rates, the division and the product all round monotonically: the record
+    is empty, and <n> is never computed.  This exit is taken only when the
+    bound is also below the depth warning's threshold, so the warning is
+    decided on the true <n>.  Otherwise the loop runs, its first wait uses
+    the drawn E, and <n> takes one pass over the amplitudes per visited
+    state: once for the input and once after each jump (never after a jump
+    under constant_rate).  Either way the draws, the record and the final
+    amplitudes are those of the loop alone.
+
     The register is viewed as (pre, d, post) around the heated mode, so
-    neither the occupancy nor a jump moves an axis.  <n> takes one pass over
-    the amplitudes per visited state: once for the input and once after each
-    jump (never after a jump under constant_rate).  A jump writes one new
-    register.  The input is not modified and the result never shares its
-    memory.
+    neither the occupancy nor a jump moves an axis, and a jump writes one
+    new register.  The input is not modified and the result never shares
+    its memory.
     """
     layout = state.layout
     if not 0 <= mode_index < layout.nsites:
@@ -301,60 +385,45 @@ def sample_trajectory(state: StateVector, params: HeatingParams,
         )
     rng = (seed_or_rng if isinstance(seed_or_rng, np.random.Generator)
            else np.random.default_rng(seed_or_rng))
-    dims = layout.dims
-    dim = dims[mode_index]
-    shape = (prod(dims[:mode_index]), dim, prod(dims[mode_index + 1:]))
-    levels = np.arange(dim, dtype=np.float64)
-    sq = np.sqrt(levels[1:])[:, None]
-
-    def occupancy(amps: np.ndarray) -> float:
-        # sum over pre and post of |amps|^2 as re^2 + im^2 of the float view
-        f = amps.view(np.float64)
-        return float(levels @ np.einsum("pkq,pkq->k", f, f))
-
-    def jump(amps: np.ndarray, up: bool) -> np.ndarray | None:
-        out = np.zeros_like(amps)
-        if up:
-            np.multiply(sq, amps[:, :-1], out=out[:, 1:])
-        else:
-            np.multiply(sq, amps[:, 1:], out=out[:, :-1])
-        nrm = np.linalg.norm(out)
-        if nrm == 0.0:
-            return None
-        out /= nrm
-        return out
-
-    def rates(n_mean: float) -> tuple[float, float]:
-        if params.constant_rate:
-            return params.gamma * n_mean, params.gamma * n_mean
-        return params.gamma * (n_mean + 1.0), params.gamma * n_mean
-
+    shape, levels, root = _mode_view(layout.dims, mode_index)
     psi = state.amps.reshape(shape)
-    n0 = occupancy(psi)
-    if params.gamma * params.duration * n0 >= 0.5:
+    depth = params.gamma * params.duration
+    draw = None
+    if params.gamma > 0.0 and not params.constant_rate:
+        # the loop's first step would draw exactly this E
+        draw = rng.standard_exponential()
+        n_hi = _occupancy_bound(state.amps, levels.size)
+        up_hi, down_hi = _rates(params, n_hi)
+        if depth * n_hi < 0.5 and (1.0 / (up_hi + down_hi)) * draw >= params.duration:
+            return TrajectoryResult(StateVector(layout, state.amps.copy()), [], False)
+    n0 = _occupancy(psi, levels)
+    if depth * n0 >= 0.5:
         warnings.warn(
-            f"gamma*duration*<n> = {params.gamma * params.duration * n0:.3g} "
+            f"gamma*duration*<n> = {depth * n0:.3g} "
             "is not small; single-jump statistics are unreliable at this depth",
             stacklevel=2,
         )
-    r_up, r_down = rates(n0)
+    r_up, r_down = _rates(params, n0)
     jumps: list = []
     t = 0.0
     while True:
         total = r_up + r_down
         if total <= 0.0:
             break
-        t += rng.exponential(1.0 / total)
+        if draw is None:
+            draw = rng.standard_exponential()
+        t += (1.0 / total) * draw
+        draw = None
         if t >= params.duration:
             break
         up = rng.random() < r_up / total
-        kicked = jump(psi, up)
+        kicked = _jump(psi, up, root)
         if kicked is None:
             continue
         psi = kicked
         jumps.append((t, "+" if up else "-"))
         if not params.constant_rate:
-            r_up, r_down = rates(occupancy(psi))
+            r_up, r_down = _rates(params, _occupancy(psi, levels))
     final = psi.reshape(-1) if jumps else state.amps.copy()
     return TrajectoryResult(StateVector(layout, final), jumps, len(jumps) % 2 == 1)
 

@@ -776,6 +776,14 @@ class TestMainEntry:
         assert b"electronic_fidelity" in one
         assert one == four
 
+    def test_swap_report_identical_across_blas_threads(self, tmp_path):
+        # alpha 8 (cutoff 122): the unitarity column takes U†U of 244 x 244
+        # pair matrices
+        one, four = self.csv_under_blas_threads(tmp_path, {
+            "protocol": "swap-report", "encoding": {"alpha": 8.0}})
+        assert b"unitarity" in one
+        assert one == four
+
     def test_seed_override_changes_sampled_output(self, tmp_path):
         cfg_path = self.write_config(tmp_path, {
             "protocol": "bell-scan",

@@ -593,6 +593,53 @@ class TestTrajectories:
             warnings.simplefilter("error")
             sample_trajectory(psi, HeatingParams(1e-3, 10.0), 0)
 
+    def test_depth_warning_follows_the_occupancy_not_its_bound(self):
+        # in 8 levels the no-jump exit's bound 7 ||psi||^2 is past
+        # 0.5 / (gamma t) = 5.  <n> = 1 of |1> is not, so no call may warn;
+        # <n> = 7 of |7> is, so every call warns, those with no jump too
+        # (about a fifth of them wait past the duration even at the bound's
+        # rates)
+        lay = SpaceLayout((8,))
+        params = HeatingParams(0.01, 10.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for seed in range(40):
+                sample_trajectory(basis_state(lay, (1,)), params, seed)
+        empty = 0
+        for seed in range(40):
+            with pytest.warns(UserWarning, match="not small"):
+                res = sample_trajectory(basis_state(lay, (7,)), params, seed)
+            empty += res.n_jumps == 0
+        assert empty > 0
+
+    def test_no_jump_exit_skips_the_occupancy(self, monkeypatch):
+        # at gamma t = 1e-9 every first wait of these seeds ends past the
+        # duration even at the bound's rates, so <n> is never computed
+        psi = cat(2.0, EVEN, mode_for(2.0))
+
+        def refuse(*args):
+            raise AssertionError("occupancy computed")
+
+        monkeypatch.setattr(catbell.noise, "_occupancy", refuse)
+        for seed in range(40):
+            res = sample_trajectory(psi, HeatingParams(1e-9, 1.0), seed)
+            assert res.jumps == [] and not res.parity_flipped
+            assert np.array_equal(res.final.amps, psi.amps)
+            assert not np.shares_memory(res.final.amps, psi.amps)
+
+    def test_exponential_is_scaled_standard_exponential(self):
+        # the sampler draws E with standard_exponential() and waits
+        # (1 / total) E, which is exactly what exponential(1 / total)
+        # returns; the no-jump exit, which draws E before it knows the
+        # total, rests on this
+        scales = [0.0, 5e-324, 1e-300, 1e-9, 0.37, 1.0, 3.5, 1e6, 1e300]
+        scales += list(1.0 / np.random.default_rng(0).uniform(1e-4, 1e2, size=40))
+        for seed in range(200):
+            a, b = trajectory_rng(seed, 0), trajectory_rng(seed, 0)
+            for s in scales:
+                assert a.exponential(s) == s * b.standard_exponential()
+            assert a.bit_generator.state == b.bit_generator.state
+
     @pytest.mark.parametrize("mode_index", [-3, -1, 4, 5])
     def test_mode_index_out_of_range(self, enc2, mode_index):
         # the register has four factors: mode a, mode b and the two ions
@@ -739,6 +786,59 @@ class TestTrajectoryOracle:
                 assert np.abs(res.final.amps - chain).max() <= 1e-12
                 assert np.array_equal(psi.amps, before)
                 assert not np.shares_memory(res.final.amps, psi.amps)
+
+    @settings(max_examples=40)
+    @given(dims=st.lists(st.integers(2, 5), min_size=1, max_size=3),
+           scale=st.floats(0.25, 2.0),
+           duration=st.floats(1e-3, 2e-2),
+           seed=st.integers(0, 2**32 - 1))
+    def test_no_jump_exit_keeps_the_record_and_the_draws(self, dims, scale,
+                                                         duration, seed):
+        # at small gamma t most records end at the no-jump exit and the rest
+        # take the loop with the exit's draw as their first wait; either way
+        # a shared generator must end where the oracle's does.  ||psi||^2 =
+        # scale^2, so unnormalized registers are included
+        rng = np.random.default_rng(seed)
+        amps = rng.normal(size=prod(dims)) + 1j * rng.normal(size=prod(dims))
+        psi = StateVector(SpaceLayout(tuple(dims)), scale * amps / np.linalg.norm(amps))
+        params = HeatingParams(1.0, duration)
+        for mode_index in range(len(dims)):
+            lower = _lifted_lowering(dims, mode_index)
+            for index in range(8):
+                got_rng = trajectory_rng(seed, 8 * mode_index + index)
+                want_rng = trajectory_rng(seed, 8 * mode_index + index)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    res = sample_trajectory(psi, params, got_rng, mode_index=mode_index)
+                want = _reference_jumps(psi, params, want_rng, mode_index)
+                assert got_rng.bit_generator.state == want_rng.bit_generator.state
+                assert [k for _, k in res.jumps] == [k for _, k in want]
+                for (t_got, _), (t_want, _) in zip(res.jumps, want):
+                    assert abs(t_got - t_want) <= 1e-12 * t_want
+                if not want:
+                    assert np.array_equal(res.final.amps, psi.amps)
+                    continue
+                chain = psi.amps
+                for _, kind in want:
+                    chain = (lower.T if kind == "+" else lower) @ chain
+                chain = chain / np.linalg.norm(chain)
+                assert np.abs(res.final.amps - chain).max() <= 1e-12
+
+    @pytest.mark.parametrize("gamma,constant_rate,level", [
+        (0.0, False, 3), (0.0, True, 3), (0.5, True, 0)])
+    def test_no_draw_where_no_wait_is_drawn(self, gamma, constant_rate, level):
+        # at gamma = 0, and for the vacuum under frozen rates, every rate is
+        # 0: the sampler must leave the generator untouched
+        psi = basis_state(SpaceLayout((6, 3)), (level, 1))
+        for seed in range(10):
+            rng = trajectory_rng(seed, 0)
+            before = rng.bit_generator.state
+            res = sample_trajectory(psi, HeatingParams(gamma, 2.0,
+                                                       constant_rate=constant_rate), rng)
+            assert rng.bit_generator.state == before
+            assert res.jumps == []
+            assert np.array_equal(res.final.amps, psi.amps)
+            assert not np.shares_memory(res.final.amps, psi.amps)
 
 
 class TestMixtures:
