@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from math import cos, exp, isfinite, pi, sin, sqrt
 
 import numpy as np
@@ -139,6 +140,20 @@ def logical_basis(which_mode: str, params: EncodingParams) -> LogicalBasis:
     dz = StateVector(mode.layout, (zero.amps + one.amps) / sqrt(2.0))
     do = StateVector(mode.layout, (zero.amps - one.amps) / sqrt(2.0))
     return LogicalBasis(zero, one, dz, do)
+
+
+# the ideal kick and the Hadamard stage read a code basis on every pipeline
+# op; an entry is four d-vectors, 64 d bytes: 32 * 64 * 128 B = 256 KB
+@lru_cache(maxsize=32)
+def code_basis(which_mode: str, params: EncodingParams) -> LogicalBasis:
+    """logical_basis(which_mode, params), built once per key and shared.
+
+    Memoized per (which_mode, params); its four arrays are read-only.
+    """
+    basis = logical_basis(which_mode, params)
+    for state in (basis.zero, basis.one, basis.dft_zero, basis.dft_one):
+        state.amps.flags.writeable = False
+    return basis
 
 
 @dataclass

@@ -346,9 +346,15 @@ def overlap(a: StateVector, b: StateVector) -> complex:
 def unitarity_residual(op: OperatorMatrix) -> float:
     """max |U†U - 1|, a cheap contract check after exponentiation.
 
-    U†U is an einsum, which calls no BLAS, so the residual does not depend
+    With U = A + iB, U†U = (AᵀA + BᵀB) + i(AᵀB - BᵀA).  Row i of
+    P = [Aᵀ | Bᵀ] and of Q = [Bᵀ | -Aᵀ] holds column i of U, so the real
+    part is P Pᵀ and the imaginary part P Qᵀ: two real einsums over
+    contiguous rows.  einsum calls no BLAS, so the residual does not depend
     on the BLAS thread count.
     """
     m = op.matrix
-    gram = np.einsum("ki,kj->ij", m.conj(), m)
-    return float(np.abs(gram - np.eye(m.shape[0])).max())
+    p = np.concatenate([m.real.T, m.imag.T], axis=1)
+    q = np.concatenate([m.imag.T, -m.real.T], axis=1)
+    re = np.einsum("ik,jk->ij", p, p)
+    re -= np.eye(m.shape[0])
+    return float(np.hypot(re, np.einsum("ik,jk->ij", p, q)).max())

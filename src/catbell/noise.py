@@ -38,10 +38,18 @@ returns without computing <n>; the draws and the output are those of the
 loop alone, bit for bit.  Every other trajectory computes <n> in one pass
 over the amplitudes for each state it visits (only for the input under
 constant_rate), and each jump writes one new register.
+
+Each trajectory's stream is np.random.default_rng([master_seed, index]),
+bit for bit (trajectory_rng).  Building a SeedSequence per key costs more
+than most trajectories, so numpy's entropy hash is ported to uint32 array
+arithmetic and run over an aligned block of 512 indices at once
+(_seed_state, _seed_block); a generator is then PCG64 seeded from its row
+of the block's words.
 """
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -63,6 +71,16 @@ _TABLE_ENTRIES = 2 ** 14
 # machine epsilon and the smallest subnormal, for _occupancy_bound's margin
 _EPS = float(np.finfo(np.float64).eps)
 _TINY = float(np.finfo(np.float64).smallest_subnormal)
+# numpy's SeedSequence: pool size, the two hashes' constants, the mix's
+# multipliers (numpy/random/bit_generator.pyx)
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_WORD = 0xFFFFFFFF
+# trajectory keys hashed at once, an aligned run of indices; a power of two
+# below 2^32, so a block never straddles a change of word count
+_SEED_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -428,6 +446,123 @@ def sample_trajectory(state: StateVector, params: HeatingParams,
     return TrajectoryResult(StateVector(layout, final), jumps, len(jumps) % 2 == 1)
 
 
+def _uint32_words(value: int) -> list[int]:
+    """The 32-bit words of a non-negative integer, least significant first,
+    one zero word for 0: numpy's coercion of an integer seed."""
+    words = [value & _WORD]
+    value >>= 32
+    while value:
+        words.append(value & _WORD)
+        value >>= 32
+    return words
+
+
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """init * mult^j mod 2^32 for j = 0..count, as uint32: call j of a
+    SeedSequence hash xors with entry j and multiplies by entry j + 1."""
+    out = [init]
+    for _ in range(count):
+        out.append(out[-1] * mult & _WORD)
+    return np.array(out, dtype=np.uint32)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return out ^ (out >> 16)
+
+
+def _seed_state(entropy: np.ndarray) -> np.ndarray:
+    """SeedSequence(words).generate_state(4, np.uint64) for every column of
+    the (L, n) uint32 entropy, as an (n, 4) C-ordered uint64 array.
+
+    numpy's mix_entropy and generate_state, each hash a uint32 array
+    operation over the n keys: the first four words (zeros past the
+    entropy) are hashed into the pool, every pool word is mixed into every
+    other in order, and each later word into all four.  The eight output
+    words are the pool, cycled, through the second hash; word pairs are
+    little-endian 64-bit words.
+    """
+    length, n = entropy.shape
+    h = _hash_constants(_INIT_A, _MULT_A,
+                        _POOL * _POOL + _POOL * max(0, length - _POOL))
+    pool = np.zeros((_POOL, n), dtype=np.uint32)
+    pool[:length] = entropy[:_POOL]
+    pool = (pool ^ h[:_POOL, None]) * h[1:_POOL + 1, None]
+    pool ^= pool >> 16
+    j = _POOL
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if dst != src:
+                x = (pool[src] ^ h[j]) * h[j + 1]
+                pool[dst] = _mix(pool[dst], x ^ (x >> 16))
+                j += 1
+    for word in entropy[_POOL:]:
+        x = (word ^ h[j:j + _POOL, None]) * h[j + 1:j + _POOL + 1, None]
+        pool = _mix(pool, x ^ (x >> 16))
+        j += _POOL
+    g = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL)
+    out = (np.tile(pool, (2, 1)) ^ g[:-1, None]) * g[1:, None]
+    out = (out ^ (out >> 16)).astype(np.uint64)
+    return np.ascontiguousarray((out[0::2] | (out[1::2] << 32)).T)
+
+
+# an ensemble that runs its indices in order needs one entry at a time; an
+# entry is 512 x 4 uint64 = 16 KB, 8 * 16 KB = 128 KB in all
+@lru_cache(maxsize=8)
+def _seed_block(master_seed: int, block: int) -> np.ndarray:
+    """PCG64 seed words of the keys [master_seed, i] for i in
+    [block * B, (block + 1) * B), B = _SEED_BLOCK: an (B, 4) read-only
+    uint64 array, row i - block * B of which is what
+    SeedSequence([master_seed, i]).generate_state(4, np.uint64) returns.
+
+    B divides 2^32, so the indices of a block share their word count and
+    every word but the lowest, which is the first index's plus 0..B-1 with
+    no carry.
+    """
+    index_words = _uint32_words(block * _SEED_BLOCK)
+    words = _uint32_words(master_seed) + index_words
+    entropy = np.repeat(np.array(words, dtype=np.uint32)[:, None], _SEED_BLOCK, axis=1)
+    entropy[-len(index_words)] += np.arange(_SEED_BLOCK, dtype=np.uint32)
+    state = _seed_state(entropy)
+    state.flags.writeable = False
+    return state
+
+
+@lru_cache(maxsize=1)
+def _seed_words_class() -> type:
+    """An ISeedSequence that holds a precomputed seed for PCG64: its
+    generate_state returns the four 64-bit words PCG64 asks for, and
+    nothing else.  Defined on first use, so that importing catbell does not
+    import numpy.random (5 MB and 13 ms)."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        def __init__(self, words: np.ndarray) -> None:
+            self.words = words
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError("holds only the four uint64 words PCG64 reads")
+            return self.words
+
+    return SeedWords
+
+
 def trajectory_rng(master_seed: int, index: int) -> np.random.Generator:
-    """Independent per-trajectory stream keyed by (master seed, index)."""
-    return np.random.default_rng([master_seed, index])
+    """Independent per-trajectory stream keyed by (master seed, index).
+
+    The stream is that of np.random.default_rng([master_seed, index]), bit
+    for bit, for every pair of non-negative integers, but no SeedSequence
+    is built: the seed words come from the hash of the key's block
+    (_seed_block), memoized per (master_seed, index // 512).  So
+    bit_generator.seed_seq is not a SeedSequence, and Generator.spawn is
+    not offered; nothing in catbell spawns.  A negative key raises
+    ValueError and a key that is not an integer TypeError.
+    """
+    master_seed, index = operator.index(master_seed), operator.index(index)
+    if master_seed < 0 or index < 0:
+        raise ValueError(f"trajectory keys must be non-negative, got "
+                         f"({master_seed}, {index})")
+    block, row = divmod(index, _SEED_BLOCK)
+    words = _seed_block(master_seed, block)[row]
+    return np.random.Generator(np.random.PCG64(_seed_words_class()(words)))

@@ -27,14 +27,13 @@ from .bell import (
 from .bosonic import EVEN, cat
 from .encoding import (
     EncodingParams,
-    LogicalBasis,
     SchmidtState,
     bell_target_schmidt,
+    code_basis,
     entangled_target_cat_form,
     entangled_target_schmidt,
     full_layout,
     hadamard_matrix,
-    logical_basis,
     prepare_entangled_schmidt,
     rotation_fidelity,
     schmidt_fidelity,
@@ -184,38 +183,37 @@ def run_bell_scan(cfg: dict) -> tuple[list[dict], dict, str]:
     return rows, results, "sampled" if mode == "sampled" else "exact"
 
 
-# a delta sweep at one encoding hits one key; an entry is two floats, mode
-# a's code basis and the two (d, 2, 2) factors, about 12 d complex numbers
+# a delta sweep at one encoding hits one key; an entry is two floats and
+# the two (d, 2, 2) factors, 8 d complex numbers
 @functools.lru_cache(maxsize=16)
 def _hadamard_stage(enc: EncodingParams
-                    ) -> tuple[float, float, LogicalBasis, np.ndarray, np.ndarray]:
+                    ) -> tuple[float, float, np.ndarray, np.ndarray]:
     """The gate-free stages of run_pipeline, which depend on enc only: the
-    preparation and Hadamard fidelities, mode a's code basis and the left
-    and right factors after the Hadamard.  The arrays are read-only."""
+    preparation and Hadamard fidelities and the left and right factors
+    after the Hadamard.  The arrays are read-only."""
     psi = prepare_entangled_schmidt(enc)  # held to the register's size cap
     prep = schmidt_fidelity(psi, entangled_target_schmidt(enc))
-    code_a = logical_basis("a", enc)
+    code_a = code_basis("a", enc)
     psi = SchmidtState(psi.layout, code_a.rotate(hadamard_matrix(), psi.left),
                        psi.right)
     had = schmidt_fidelity(psi, bell_target_schmidt("phi_plus", enc))
-    for array in (psi.left, psi.right, code_a.zero.amps, code_a.one.amps,
-                  code_a.dft_zero.amps, code_a.dft_one.amps):
-        array.flags.writeable = False
-    return prep, had, code_a, psi.left, psi.right
+    psi.left.flags.writeable = False
+    psi.right.flags.writeable = False
+    return prep, had, psi.left, psi.right
 
 
 def _pipeline_state(enc: EncodingParams, delta: float, ve_variant: str,
                     ev_variant: str) -> tuple[dict, DensityMatrix]:
     """The coherent stages of run_pipeline: stage fidelities and the
     electronic pair after both exchanges."""
-    prep, had, code_a, left, right = _hadamard_stage(enc)
+    prep, had, left, right = _hadamard_stage(enc)
     # a hit skips the stages' size checks; the cap may have been lowered
     layout = full_layout(enc)
     results = {"preparation_fidelity": prep, "hadamard_fidelity": had}
 
     lefts = [(1.0 - delta, left)]
     if delta > 0.0:
-        lefts.append((delta, code_a.rotate(SIGMA_X, left)))
+        lefts.append((delta, code_basis("a", enc).rotate(SIGMA_X, left)))
     swap_a = u_swap("a", enc, ve_variant, ev_variant)
     same_modes = (enc.mode_a, enc.alpha) == (enc.mode_b, enc.beta)
     swap_b = swap_a if same_modes else u_swap("b", enc, ve_variant, ev_variant)
@@ -256,10 +254,11 @@ def run_pipeline(enc: EncodingParams, delta: float, angles: BellAngles,
 
     The stages before the gates (preparation, Hadamard and their
     fidelities) depend only on enc, so they are memoized per process on
-    enc, at most 16 keys of two floats, mode a's code basis and the two
-    read-only (d, 2, 2) factors each.  The exchanges, the flip branch and
-    the readout run on every call, so a delta sweep at one encoding skips
-    the bosonic constructors and still pays for its gates.  Warm calls
+    enc, at most 16 keys of two floats and the two read-only (d, 2, 2)
+    factors each; mode a's code basis, which the flip branch and the ideal
+    kick read, is memoized by encoding.code_basis.  The exchanges, the flip
+    branch and the readout run on every call, so a delta sweep at one
+    encoding skips the bosonic constructors and still pays for its gates.  Warm calls
     give the same bits as cold ones; a cold call, such as one
     `catbell run`, does the work it did without the memo.
     """

@@ -33,7 +33,7 @@ from catbell.cli import (
     normalize_config,
     render_csv,
 )
-from catbell.encoding import EncodingParams
+from catbell.encoding import EncodingParams, code_basis
 from catbell.errors import CapacityError, ConfigError
 from catbell.gates import EV_VARIANTS, u_swap
 from catbell.pipeline import (
@@ -880,6 +880,19 @@ class TestPipelineMemo:
         run_pipeline(enc, 0.1, DEFAULT_ANGLES)
         assert calls == [("a", enc, "ideal", "ideal")]
 
+    def test_warm_ideal_op_builds_no_code_basis(self, monkeypatch):
+        # the ideal kick, the Hadamard stage and the flip branch share the
+        # memoized code basis; a warm op builds no cat
+        import catbell.encoding
+        enc = EncodingParams.for_amplitudes(3.0)
+        want = run_pipeline(enc, 0.1, DEFAULT_ANGLES, ev_variant="ideal")
+
+        def refuse(*args):
+            raise AssertionError("code basis rebuilt")
+
+        monkeypatch.setattr(catbell.encoding, "logical_basis", refuse)
+        assert run_pipeline(enc, 0.1, DEFAULT_ANGLES, ev_variant="ideal") == want
+
     def test_hit_still_holds_the_size_cap(self, monkeypatch):
         # alpha 6 (d = 82) needs the raised cap; a hit must not skip it
         enc = EncodingParams.for_amplitudes(6.0)
@@ -893,7 +906,8 @@ class TestPipelineMemo:
 
     def test_cached_arrays_are_read_only(self):
         enc = EncodingParams.for_amplitudes(2.0)
-        _, _, code_a, left, right = _hadamard_stage(enc)
+        _, _, left, right = _hadamard_stage(enc)
+        code_a = code_basis("a", enc)
         for cached in (left, right, code_a.zero.amps, code_a.one.amps,
                        code_a.dft_zero.amps, code_a.dft_one.amps,
                        measurement_pulse(0.3)):

@@ -28,6 +28,7 @@ import catbell.noise
 from catbell.noise import (
     MAX_STEPS,
     HeatingParams,
+    _SEED_BLOCK,
     _diagonal_block,
     delta_of,
     evolve_lindblad,
@@ -839,6 +840,102 @@ class TestTrajectoryOracle:
             assert res.jumps == []
             assert np.array_equal(res.final.amps, psi.amps)
             assert not np.shares_memory(res.final.amps, psi.amps)
+
+
+class TestTrajectoryStreams:
+    """trajectory_rng(m, i) is np.random.default_rng([m, i]), bit for bit,
+    without building a SeedSequence."""
+
+    # index words change at 2^32 and 2^64; blocks are _SEED_BLOCK long
+    EDGE_INDICES = [0, 1, _SEED_BLOCK - 1, _SEED_BLOCK, _SEED_BLOCK + 1,
+                    2 * _SEED_BLOCK - 1, 2 ** 32 - _SEED_BLOCK, 2 ** 32 - 1,
+                    2 ** 32, 2 ** 32 + _SEED_BLOCK, 2 ** 64 - 1, 2 ** 64,
+                    2 ** 64 + _SEED_BLOCK - 1]
+    EDGE_SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, 2 ** 64 + 7,
+                  2 ** 96, 2 ** 128 - 1]
+
+    @staticmethod
+    def assert_same_stream(master_seed, index):
+        got = trajectory_rng(master_seed, index)
+        want = np.random.default_rng([master_seed, index])
+        assert got.bit_generator.state == want.bit_generator.state
+        assert np.array_equal(got.random(8), want.random(8))
+        assert got.bit_generator.state == want.bit_generator.state
+
+    @settings(max_examples=200)
+    @given(master_seed=st.integers(0, 2 ** 128 - 1),
+           index=st.one_of(
+               st.integers(0, 4 * _SEED_BLOCK),
+               st.builds(lambda block, offset: block * _SEED_BLOCK + offset,
+                         st.integers(0, 2 ** 64 // _SEED_BLOCK + 1),
+                         st.sampled_from([0, 1, _SEED_BLOCK - 2, _SEED_BLOCK - 1])),
+               st.sampled_from(EDGE_INDICES),
+               st.integers(0, 2 ** 70)))
+    def test_matches_default_rng(self, master_seed, index):
+        self.assert_same_stream(master_seed, index)
+
+    @pytest.mark.parametrize("master_seed", EDGE_SEEDS)
+    def test_edge_keys(self, master_seed):
+        for index in self.EDGE_INDICES:
+            self.assert_same_stream(master_seed, index)
+
+    def test_integer_types(self):
+        # numpy integers and bools are integer keys, as they are to numpy
+        for m, i in [(np.int64(5), np.int32(3)), (np.uint64(2 ** 64 - 1), 7),
+                     (True, np.uint8(255)), (3, False)]:
+            got = trajectory_rng(m, i)
+            want = np.random.default_rng([m, i])
+            assert got.bit_generator.state == want.bit_generator.state
+
+    def test_generators_of_one_key_are_separate(self):
+        a, b = trajectory_rng(11, 700), trajectory_rng(11, 700)
+        assert a is not b and a.bit_generator is not b.bit_generator
+        before = b.bit_generator.state
+        a.random(100)
+        a.standard_exponential(5)
+        assert b.bit_generator.state == before
+        assert np.array_equal(b.random(8), np.random.default_rng([11, 700]).random(8))
+
+    def test_builds_no_seed_sequence(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("SeedSequence built")
+
+        catbell.noise._seed_block.cache_clear()
+        monkeypatch.setattr(np.random, "SeedSequence", refuse)
+        monkeypatch.setattr(np.random.bit_generator, "SeedSequence", refuse)
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        rngs = [trajectory_rng(2 ** 40 + 3, i) for i in (0, 1, 2 * _SEED_BLOCK + 5)]
+        monkeypatch.undo()
+        for rng, i in zip(rngs, (0, 1, 2 * _SEED_BLOCK + 5)):
+            assert not isinstance(rng.bit_generator.seed_seq, np.random.SeedSequence)
+            want = np.random.default_rng([2 ** 40 + 3, i])
+            assert rng.bit_generator.state == want.bit_generator.state
+        with pytest.raises(TypeError):
+            rngs[0].spawn(2)
+
+    def test_block_is_read_only(self):
+        words = catbell.noise._seed_block(5, 0)
+        assert words.shape == (_SEED_BLOCK, 4) and words.dtype == np.uint64
+        assert not words.flags.writeable
+
+    @pytest.mark.parametrize("key", [(-1, 0), (0, -1), (-(2 ** 70), 3)])
+    def test_negative_key_raises_value_error(self, key):
+        with pytest.raises(ValueError):
+            np.random.default_rng(list(key))
+        with pytest.raises(ValueError):
+            trajectory_rng(*key)
+
+    @pytest.mark.parametrize("key", [(1.5, 0), (0, 2.0), (np.float64(3.0), 1)])
+    def test_float_key_raises_type_error(self, key):
+        with pytest.raises(TypeError):
+            np.random.default_rng(list(key))
+        with pytest.raises(TypeError):
+            trajectory_rng(*key)
+
+    def test_string_key_raises_type_error(self):
+        # numpy would parse "5" as 5; trajectory keys are integers only
+        with pytest.raises(TypeError):
+            trajectory_rng("5", 0)
 
 
 class TestMixtures:
