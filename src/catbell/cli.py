@@ -260,7 +260,7 @@ def execute(cfg: dict, output_dir: str | None = None) -> str:
             "duration_seconds": duration,
             "version": __version__,
         }
-        text = json.dumps(record, indent=2) + "\n"
+        text = json.dumps(record) + "\n"
     try:
         _atomic_write(path, text)
     except OSError as err:

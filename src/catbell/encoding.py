@@ -102,7 +102,7 @@ def qubit_state(bit: int) -> StateVector:
     return StateVector(QUBIT, v)
 
 
-@dataclass
+@dataclass(frozen=True)
 class LogicalBasis:
     """Cat-code basis of one mode: logical pair plus its Fourier combinations."""
 
@@ -132,28 +132,22 @@ class LogicalBasis:
         return OperatorMatrix(self.zero.layout, (0,), full)
 
 
+# the ideal kick, the Hadamard stage, the flip branch and the Bell target
+# read a code basis on every pipeline op; an entry is four d-vectors,
+# 64 d bytes: 32 * 64 * 128 B = 256 KB
+@lru_cache(maxsize=32)
 def logical_basis(which_mode: str, params: EncodingParams) -> LogicalBasis:
+    """The cat-code basis of one mode, built once per (which_mode, params)
+    and shared: the basis is frozen and its four arrays are read-only."""
     mode = params.mode(which_mode)
     amp = params.amplitude(which_mode)
     zero = bosonic.cat(amp, EVEN, mode)
     one = bosonic.cat(amp, ODD, mode)
     dz = StateVector(mode.layout, (zero.amps + one.amps) / sqrt(2.0))
     do = StateVector(mode.layout, (zero.amps - one.amps) / sqrt(2.0))
-    return LogicalBasis(zero, one, dz, do)
-
-
-# the ideal kick and the Hadamard stage read a code basis on every pipeline
-# op; an entry is four d-vectors, 64 d bytes: 32 * 64 * 128 B = 256 KB
-@lru_cache(maxsize=32)
-def code_basis(which_mode: str, params: EncodingParams) -> LogicalBasis:
-    """logical_basis(which_mode, params), built once per key and shared.
-
-    Memoized per (which_mode, params); its four arrays are read-only.
-    """
-    basis = logical_basis(which_mode, params)
-    for state in (basis.zero, basis.one, basis.dft_zero, basis.dft_one):
+    for state in (zero, one, dz, do):
         state.amps.flags.writeable = False
-    return basis
+    return LogicalBasis(zero, one, dz, do)
 
 
 @dataclass

@@ -131,11 +131,11 @@ def _kick(which_mode: str, params: EncodingParams, ev_variant: str,
     D(i eps) in its cached eigenbasis for the displacement build, with eps
     the explicit epsilon, else params.epsilon, else pi / (4 alpha); the
     exact code-space rx(pi/2), a rank-2 update at O(d) per column on the
-    memoized code basis (encoding.code_basis), for the ideal build, which
+    memoized code basis (encoding.logical_basis), for the ideal build, which
     takes no scale.
     """
     if ev_variant == "ideal":
-        basis = encoding.code_basis(which_mode, params)
+        basis = encoding.logical_basis(which_mode, params)
         return partial(basis.rotate, encoding.rx_matrix(pi / 2.0))
     if epsilon is None:
         epsilon = params.epsilon

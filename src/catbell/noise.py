@@ -9,8 +9,8 @@ cat-encoded Bell pair decays toward an incoherent parity-flipped mixture; the
 small-probability single-jump picture gives the standard two-component
 mixture used by the correlation tests.
 
-In the truncated Fock basis the generator is banded and costs O(d^2), not
-the O(d^3) of dense ladder products.  With a|k> = sqrt(k)|k-1>:
+In the truncated Fock basis the generator is banded.  With
+a|k> = sqrt(k)|k-1>:
 
 - a rho a+ is rho shifted one step up its diagonal, weighted by
   sqrt(i+1) sqrt(j+1); a+ rho a is the same shift downward.
@@ -114,31 +114,6 @@ def _require_single_mode(layout: SpaceLayout) -> int:
     return layout.dims[0]
 
 
-def _anticommutator_diagonal(dim: int) -> np.ndarray:
-    """s_k of n + a a+ on the truncated ladder: 2k + 1, and d - 1 on top."""
-    s = 2.0 * np.arange(dim, dtype=np.float64) + 1.0
-    s[-1] = dim - 1.0
-    return s
-
-
-def lindblad_rhs(rho: np.ndarray, gamma: float) -> np.ndarray:
-    """Right-hand side of the balanced heating master equation.
-
-    Banded, O(d^2): gamma (a rho a+ + a+ rho a) - gamma/2 {n + a a+, rho}.
-    a rho a+ is rho shifted one step up its diagonal and weighted by
-    sqrt(i+1) sqrt(j+1); a+ rho a is the same shift downward.  n + a a+ is
-    diagonal with entries 2k + 1, except d - 1 on the top level, where the
-    truncated ladder has (a a+)_{d-1} = 0.  rho is not modified.
-    """
-    s = _anticommutator_diagonal(rho.shape[0])
-    root = np.sqrt(np.arange(1, rho.shape[0], dtype=np.float64))
-    gain = gamma * np.outer(root, root)
-    out = (-0.5 * gamma) * np.add.outer(s, s) * rho
-    out[:-1, :-1] += gain * rho[1:, 1:]   # a rho a+
-    out[1:, 1:] += gain * rho[:-1, :-1]   # a+ rho a
-    return out
-
-
 # a heat-sweep reads blocks m = 0, 1 of its cutoff and propagate all d of
 # them, so 256 entries keep propagate's blocks at d <= 128 and the sweeps of
 # other cutoffs; an entry of n = d - m levels is 8 n (n + 1) bytes, at most
@@ -158,7 +133,9 @@ def _diagonal_block(dim: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     would make the trace drift linearly in gamma t, so the known pair is
     written in exactly and the other eigenvectors are projected off it.
     """
-    s = _anticommutator_diagonal(dim)
+    # s_k of n + a a+ on the truncated ladder: 2k + 1, and d - 1 on top
+    s = 2.0 * np.arange(dim, dtype=np.float64) + 1.0
+    s[-1] = dim - 1.0
     n = np.arange(1, dim - m, dtype=np.float64)
     w, v = band_eigh(-0.5 * (s[:dim - m] + s[m:]), np.sqrt(n * (n + m)))
     if m == 0:

@@ -29,11 +29,11 @@ from .encoding import (
     EncodingParams,
     SchmidtState,
     bell_target_schmidt,
-    code_basis,
     entangled_target_cat_form,
     entangled_target_schmidt,
     full_layout,
     hadamard_matrix,
+    logical_basis,
     prepare_entangled_schmidt,
     rotation_fidelity,
     schmidt_fidelity,
@@ -193,7 +193,7 @@ def _hadamard_stage(enc: EncodingParams
     after the Hadamard.  The arrays are read-only."""
     psi = prepare_entangled_schmidt(enc)  # held to the register's size cap
     prep = schmidt_fidelity(psi, entangled_target_schmidt(enc))
-    code_a = code_basis("a", enc)
+    code_a = logical_basis("a", enc)
     psi = SchmidtState(psi.layout, code_a.rotate(hadamard_matrix(), psi.left),
                        psi.right)
     had = schmidt_fidelity(psi, bell_target_schmidt("phi_plus", enc))
@@ -213,7 +213,7 @@ def _pipeline_state(enc: EncodingParams, delta: float, ve_variant: str,
 
     lefts = [(1.0 - delta, left)]
     if delta > 0.0:
-        lefts.append((delta, code_basis("a", enc).rotate(SIGMA_X, left)))
+        lefts.append((delta, logical_basis("a", enc).rotate(SIGMA_X, left)))
     swap_a = u_swap("a", enc, ve_variant, ev_variant)
     same_modes = (enc.mode_a, enc.alpha) == (enc.mode_b, enc.beta)
     swap_b = swap_a if same_modes else u_swap("b", enc, ve_variant, ev_variant)
@@ -256,7 +256,7 @@ def run_pipeline(enc: EncodingParams, delta: float, angles: BellAngles,
     fidelities) depend only on enc, so they are memoized per process on
     enc, at most 16 keys of two floats and the two read-only (d, 2, 2)
     factors each; mode a's code basis, which the flip branch and the ideal
-    kick read, is memoized by encoding.code_basis.  The exchanges, the flip
+    kick read, is memoized by encoding.logical_basis.  The exchanges, the flip
     branch and the readout run on every call, so a delta sweep at one
     encoding skips the bosonic constructors and still pays for its gates.  Warm calls
     give the same bits as cold ones; a cold call, such as one

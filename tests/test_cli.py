@@ -11,6 +11,7 @@ import sys
 import textwrap
 import warnings
 from math import pi, sqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from catbell.cli import (
     normalize_config,
     render_csv,
 )
-from catbell.encoding import EncodingParams, code_basis
+from catbell.encoding import EncodingParams, logical_basis
 from catbell.errors import CapacityError, ConfigError
 from catbell.gates import EV_VARIANTS, u_swap
 from catbell.pipeline import (
@@ -446,8 +447,8 @@ class TestEpsilonKick:
         plain = cfg_for(protocol, encoding={"alpha": 2.0}, **self.DISPLACEMENT)
         explicit = cfg_for(protocol, encoding={"alpha": 2.0, "epsilon": pi / 8.0},
                            **self.DISPLACEMENT)
-        a = open(execute(plain, str(tmp_path / "plain")), "rb").read()
-        b = open(execute(explicit, str(tmp_path / "explicit")), "rb").read()
+        a = Path(execute(plain, str(tmp_path / "plain"))).read_bytes()
+        b = Path(execute(explicit, str(tmp_path / "explicit"))).read_bytes()
         assert a == b
 
     def test_explicit_scale_changes_b(self):
@@ -497,29 +498,29 @@ class TestOutputFiles:
         cfg = cfg_for("prepare", output={"path": "prep"})
         path = execute(cfg, str(tmp_path))
         assert path == str(tmp_path / "prep.csv")
-        text = open(path, encoding="utf-8").read()
+        text = Path(path).read_text(encoding="utf-8")
         assert text.startswith("quantity,value\n")
         assert text.endswith("\n")
 
     def test_csv_reruns_byte_identical(self, tmp_path):
         cfg = cfg_for("bell-scan",
                       bell={"mode": "sampled", "shots": 512, "deltas": [0.0, 0.1]})
-        a = open(execute(cfg, str(tmp_path / "one")), "rb").read()
-        b = open(execute(cfg, str(tmp_path / "two")), "rb").read()
+        a = Path(execute(cfg, str(tmp_path / "one"))).read_bytes()
+        b = Path(execute(cfg, str(tmp_path / "two"))).read_bytes()
         assert a == b
 
     def test_different_seeds_differ(self, tmp_path):
         base = {"bell": {"mode": "sampled", "shots": 512, "deltas": [0.1]}}
-        a = open(execute(cfg_for("bell-scan", seed=0, **base),
-                         str(tmp_path / "one")), "rb").read()
-        b = open(execute(cfg_for("bell-scan", seed=1, **base),
-                         str(tmp_path / "two")), "rb").read()
+        a = Path(execute(cfg_for("bell-scan", seed=0, **base),
+                         str(tmp_path / "one"))).read_bytes()
+        b = Path(execute(cfg_for("bell-scan", seed=1, **base),
+                         str(tmp_path / "two"))).read_bytes()
         assert a != b
 
     def test_json_record_fields(self, tmp_path):
         cfg = cfg_for("prepare", output={"format": "json"})
         path = execute(cfg, str(tmp_path))
-        record = json.load(open(path, encoding="utf-8"))
+        record = json.loads(Path(path).read_text(encoding="utf-8"))
         assert set(record) == {"protocol", "config", "results", "rows",
                                "provenance", "duration_seconds", "version"}
         assert record["config"] == cfg
@@ -809,7 +810,8 @@ class TestMainEntry:
     def test_run_path_loads_no_scipy(self, tmp_path):
         # a fresh interpreter imports the command line and runs every
         # protocol (full-pipeline with both gate builds): numpy is the one
-        # runtime dependency, and scipy serves only the oracles and tests
+        # runtime dependency, and scipy serves only the oracles and tests;
+        # the import leaves numpy.random to the runs that sample
         script = textwrap.dedent("""\
             import json, sys
             from catbell import cli
@@ -818,7 +820,8 @@ class TestMainEntry:
             def scipy_modules():
                 return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
-            loaded = {"import": scipy_modules()}
+            loaded = {"import": scipy_modules()
+                                + sorted({"numpy.random"} & set(sys.modules))}
             configs = [{"protocol": p} for p in cli.RUNNERS if p != "full-pipeline"]
             configs += [{"protocol": "full-pipeline", "gates": {"ev_variant": ev},
                          "output": {"path": "full-pipeline-" + ev}}
@@ -883,14 +886,13 @@ class TestPipelineMemo:
     def test_warm_ideal_op_builds_no_code_basis(self, monkeypatch):
         # the ideal kick, the Hadamard stage and the flip branch share the
         # memoized code basis; a warm op builds no cat
-        import catbell.encoding
         enc = EncodingParams.for_amplitudes(3.0)
         want = run_pipeline(enc, 0.1, DEFAULT_ANGLES, ev_variant="ideal")
 
         def refuse(*args):
             raise AssertionError("code basis rebuilt")
 
-        monkeypatch.setattr(catbell.encoding, "logical_basis", refuse)
+        monkeypatch.setattr(catbell.bosonic, "cat", refuse)
         assert run_pipeline(enc, 0.1, DEFAULT_ANGLES, ev_variant="ideal") == want
 
     def test_hit_still_holds_the_size_cap(self, monkeypatch):
@@ -907,7 +909,10 @@ class TestPipelineMemo:
     def test_cached_arrays_are_read_only(self):
         enc = EncodingParams.for_amplitudes(2.0)
         _, _, left, right = _hadamard_stage(enc)
-        code_a = code_basis("a", enc)
+        code_a = logical_basis("a", enc)
+        assert logical_basis("a", enc) is code_a
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            code_a.zero = code_a.one
         for cached in (left, right, code_a.zero.amps, code_a.one.amps,
                        code_a.dft_zero.amps, code_a.dft_one.amps,
                        measurement_pulse(0.3)):
