@@ -1,10 +1,17 @@
 """Correlation tests on the electronic pair after the state exchange.
 
 Measurement axes live in the equatorial plane of the Bloch sphere:
-sigma(theta) = cos(theta) sigma_x + sin(theta) sigma_y.  Each setting can be
-evaluated three ways: exact expectation values, expectation values after an
-explicit carrier pulse maps the axis onto sigma_z, and shot sampling from the
-rotated populations.  The two-qubit combination
+sigma(theta) = cos(theta) sigma_x + sin(theta) sigma_y.  The readout starts
+from the Pauli correlation tensor T_mn = tr rho (sigma_m (x) sigma_n) with
+sigma = (1, x, y, z) (Horodecki, Horodecki & Horodecki, Phys. Lett. A 200,
+340 (1995)).  With u(theta) = (cos theta, sin theta) on its x, y block, a
+setting's correlator is E = u(theta_a)^T T u(theta_b), and the populations
+of the four outcomes after both axes are rotated onto sigma_z are
+(T_00 + s_a r_a + s_b r_b + s_a s_b E) / 4, with signs s = +-1 and r_a,
+r_b the Bloch components of each qubit along its axis.  Each setting can be
+evaluated three ways: exact correlators read from T, correlators after an
+explicit carrier pulse maps the axis onto sigma_z (an audit of the pulses),
+and shot sampling from the populations.  The two-qubit combination
 
     B = |E(a, b) + E(a, b') + E(a', b) - E(a', b')|
 
@@ -15,9 +22,9 @@ weight delta is mixed in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
-from math import pi, sqrt
+from math import isfinite, pi, sqrt
 
 import numpy as np
 
@@ -31,20 +38,25 @@ from .hilbert import (
     partial_trace,
 )
 
-PAIR = SpaceLayout((2, 2))
 TSIRELSON = 2.0 * sqrt(2.0)
 DELTA_STAR = 1.0 - 1.0 / sqrt(2.0)   # mixture weight where B drops to 2
+
+# |phi+> and |psi+> in BELL_KINDS order, read-only.  The pair layout is
+# built where a state is made, so that its size meets the cap in force.
+_BELLS = (np.array([1.0, 0.0, 0.0, 1.0], dtype=np.complex128) / sqrt(2.0),
+          np.array([0.0, 1.0, 1.0, 0.0], dtype=np.complex128) / sqrt(2.0))
+for _amps in _BELLS:
+    _amps.flags.writeable = False
+
+_PAULIS = np.stack([np.eye(2, dtype=np.complex128), SIGMA_X, SIGMA_Y, SIGMA_Z])
+_PAULIS.flags.writeable = False
 
 
 def electronic_bell(kind: str) -> StateVector:
     """|phi+> = (|00> + |11>)/sqrt(2) or |psi+> = (|01> + |10>)/sqrt(2)."""
-    if kind == "phi_plus":
-        amps = np.array([1.0, 0.0, 0.0, 1.0], dtype=np.complex128)
-    elif kind == "psi_plus":
-        amps = np.array([0.0, 1.0, 1.0, 0.0], dtype=np.complex128)
-    else:
+    if kind not in BELL_KINDS:
         raise ValueError(f"kind must be one of {BELL_KINDS}, got {kind!r}")
-    return StateVector(PAIR, amps / sqrt(2.0))
+    return StateVector(SpaceLayout((2, 2)), _BELLS[BELL_KINDS.index(kind)].copy())
 
 
 def mixed_bell(delta: float) -> DensityMatrix:
@@ -55,11 +67,10 @@ def mixed_bell(delta: float) -> DensityMatrix:
     """
     if not 0.0 <= delta <= 1.0:
         raise ValueError(f"delta must be in [0, 1], got {delta}")
-    phi = electronic_bell("phi_plus").amps
-    psi = electronic_bell("psi_plus").amps
+    phi, psi = _BELLS
     m = ((1.0 - delta) * np.outer(phi, phi.conj())
          + delta * np.outer(psi, psi.conj()))
-    return DensityMatrix(PAIR, m)
+    return DensityMatrix(SpaceLayout((2, 2)), m)
 
 
 def mixed_bell_fidelity(rho: DensityMatrix, delta: float) -> float:
@@ -75,14 +86,13 @@ def mixed_bell_fidelity(rho: DensityMatrix, delta: float) -> float:
     """
     if not 0.0 <= delta <= 1.0:
         raise ValueError(f"delta must be in [0, 1], got {delta}")
-    if rho.layout != PAIR:
+    if rho.layout.dims != (2, 2):
         raise ValueError("states live on different layouts")
     check_normalized(rho, "first state")
     weights = (1.0 - delta, delta)
-    bells = [electronic_bell(kind).amps for kind in BELL_KINDS]
     block = np.array([[sqrt(wi * wj) * np.vdot(bi, rho.matrix @ bj)
-                       for wj, bj in zip(weights, bells)]
-                      for wi, bi in zip(weights, bells)])
+                       for wj, bj in zip(weights, _BELLS)]
+                      for wi, bi in zip(weights, _BELLS)])
     det = (block[0, 0] * block[1, 1]).real - abs(block[0, 1]) ** 2
     return float(np.trace(block).real) + 2.0 * sqrt(max(det, 0.0))
 
@@ -95,6 +105,12 @@ class BellAngles:
     theta_a_prime: float = pi / 2
     theta_b: float = -pi / 4
     theta_b_prime: float = pi / 4
+
+    def __post_init__(self) -> None:
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not isfinite(value):
+                raise ValueError(f"{field.name} must be finite, got {value}")
 
     def settings(self) -> tuple[tuple[float, float], ...]:
         """Setting pairs in combination order; the last enters with a minus."""
@@ -131,11 +147,99 @@ def _as_pair_dm(state: StateVector | DensityMatrix) -> DensityMatrix:
     return rho
 
 
+def correlation_tensor(state: StateVector | DensityMatrix) -> np.ndarray:
+    """T_mn = tr rho (sigma_m (x) sigma_n), sigma = (1, x, y, z), real 4 x 4.
+
+    T_00 is the trace, T_m0 and T_0n the Bloch vectors of the two qubits
+    and the 3 x 3 block their correlations.  One einsum over the
+    (2, 2, 2, 2) view of rho; einsum calls no BLAS, so T does not depend on
+    the BLAS thread count.
+    """
+    rho = _as_pair_dm(state).matrix.reshape(2, 2, 2, 2)
+    return np.einsum("abcd,mca,ndb->mn", rho, _PAULIS, _PAULIS).real
+
+
+OUTCOME_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
+# s_a and s_b of the outcomes |00>, |01>, |10>, |11> once the pulses map
+# each axis onto sigma_z, where |0> reads +1; OUTCOME_SIGNS = s_a s_b
+_SIGNS_A = np.array([1.0, 1.0, -1.0, -1.0])
+_SIGNS_B = np.array([1.0, -1.0, 1.0, -1.0])
+
+
+def _projectors(u: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """(k, 4, 3) components on (1, sigma_x, sigma_y) of the projector
+    (1 + s sigma(theta)) / 2 onto sign s = signs[o] of axis row k of u."""
+    out = np.full((len(u), len(signs), 3), 0.5)
+    out[..., 1:] = 0.5 * signs[:, None] * u[:, None, :]
+    return out
+
+
+def _readout_vectors(thetas_a, thetas_b) -> tuple[np.ndarray, ...]:
+    """For the settings k = (thetas_a[k], thetas_b[k]): the axes u(theta) =
+    (cos theta, sin theta) of both qubits as (k, 2) rows, and the (k, 4, 3)
+    projector components of both qubits' outcome signs."""
+    ua, ub = (np.stack([np.cos(t), np.sin(t)], axis=-1)
+              for t in (thetas_a, thetas_b))
+    return ua, ub, _projectors(ua, _SIGNS_A), _projectors(ub, _SIGNS_B)
+
+
+# every chsh call reads one angle set, most often DEFAULT_ANGLES; an entry
+# is two (4, 2) and two (4, 4, 3) float arrays, 896 B of data
+@lru_cache(maxsize=64)
+def _setting_vectors(angles: BellAngles) -> tuple[np.ndarray, ...]:
+    """_readout_vectors of the four settings in combination order,
+    memoized per angle set; the arrays are read-only."""
+    vectors = _readout_vectors(*zip(*angles.settings()))
+    for v in vectors:
+        v.flags.writeable = False
+    return vectors
+
+
+def _correlators(t: np.ndarray, ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
+    """E_k = u(theta_a)^T T_xy u(theta_b) for each setting row k."""
+    return np.einsum("ki,ij,kj->k", ua, t[1:3, 1:3], ub)
+
+
+def _populations(t: np.ndarray, pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
+    """(k, 4) outcome probabilities of the settings, quantized.
+
+    The population of outcome (s_a, s_b) is tr rho (P_a (x) P_b) =
+    pa^T T pb = (T_00 + s_a r_a + s_b r_b + s_a s_b E) / 4, the diagonal
+    of the pulse-rotated rho; it is clipped at 0, normalized and rounded to
+    12 decimals, so sampled counts cannot depend on last-ulp jitter of the
+    upstream linear algebra (thread-count independent reruns).
+    """
+    p = np.maximum(np.einsum("koi,ij,koj->ko", pa, t[:3, :3], pb), 0.0)
+    p = np.round(p / p.sum(axis=1, keepdims=True), 12)
+    return p / p.sum(axis=1, keepdims=True)
+
+
+@dataclass(frozen=True)
+class SampledCorrelation:
+    value: float
+    std_error: float
+    counts: tuple[int, int, int, int]
+
+
+def _draw(p: np.ndarray, shots: int,
+          rng: np.random.Generator) -> list[SampledCorrelation]:
+    """One multinomial draw of shots per row of p, in row order."""
+    if shots < 1:
+        raise ValueError("shots must be positive")
+    out = []
+    for row in p:
+        counts = rng.multinomial(shots, row)
+        value = float(counts @ OUTCOME_SIGNS) / shots
+        std_error = sqrt(max(1.0 - value * value, 0.0) / shots)
+        out.append(SampledCorrelation(value, std_error, tuple(counts.tolist())))
+    return out
+
+
 def correlation_exact(state: StateVector | DensityMatrix,
                       theta_a: float, theta_b: float) -> float:
-    rho = _as_pair_dm(state)
-    obs = np.kron(sigma_theta(theta_a), sigma_theta(theta_b))
-    return float(np.trace(rho.matrix @ obs).real)
+    """tr rho (sigma(theta_a) (x) sigma(theta_b)), read from T."""
+    ua, ub, _, _ = _readout_vectors([theta_a], [theta_b])
+    return float(_correlators(correlation_tensor(state), ua, ub)[0])
 
 
 def correlation_rotated(state: StateVector | DensityMatrix,
@@ -148,39 +252,12 @@ def correlation_rotated(state: StateVector | DensityMatrix,
     return float(np.trace(rho.matrix @ obs).real)
 
 
-def _outcome_probabilities(rho: DensityMatrix,
-                           theta_a: float, theta_b: float) -> np.ndarray:
-    w = np.kron(measurement_pulse(theta_a), measurement_pulse(theta_b))
-    rotated = w.conj().T @ rho.matrix @ w
-    p = np.clip(np.diag(rotated).real, 0.0, None)
-    # quantized so sampled counts cannot depend on last-ulp jitter of the
-    # upstream linear algebra (thread-count independent reruns)
-    p = np.round(p / p.sum(), 12)
-    return p / p.sum()
-
-
-OUTCOME_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
-
-
-@dataclass(frozen=True)
-class SampledCorrelation:
-    value: float
-    std_error: float
-    counts: tuple[int, int, int, int]
-
-
 def correlation_sampled(state: StateVector | DensityMatrix,
                         theta_a: float, theta_b: float,
                         shots: int, rng: np.random.Generator) -> SampledCorrelation:
     """Multinomial draw from the four rotated populations."""
-    if shots < 1:
-        raise ValueError("shots must be positive")
-    rho = _as_pair_dm(state)
-    p = _outcome_probabilities(rho, theta_a, theta_b)
-    counts = rng.multinomial(shots, p)
-    value = float(counts @ OUTCOME_SIGNS) / shots
-    std_error = sqrt(max(1.0 - value * value, 0.0) / shots)
-    return SampledCorrelation(value, std_error, tuple(int(c) for c in counts))
+    _, _, pa, pb = _readout_vectors([theta_a], [theta_b])
+    return _draw(_populations(correlation_tensor(state), pa, pb), shots, rng)[0]
 
 
 @dataclass(frozen=True)
@@ -203,21 +280,28 @@ def chsh(state: StateVector | DensityMatrix,
          seed: int | list[int] = 0) -> BellOutcome:
     """CHSH combination over the four settings of `angles`.
 
-    The seed may be any value np.random.default_rng accepts, including a
-    list used to derive independent per-grid-point streams.
+    exact and sampled read all four settings from one correlation tensor;
+    sampled draws the four settings in combination order from one
+    np.random.default_rng(seed).  The seed may be any value default_rng
+    accepts, including a list used to derive independent per-grid-point
+    streams.
     """
     if method not in CHSH_METHODS:
         raise ValueError(f"method must be one of {CHSH_METHODS}, got {method!r}")
+    if method == "rotated":
+        es = [correlation_rotated(state, ta, tb) for ta, tb in angles.settings()]
+        combo = es[0] + es[1] + es[2] - es[3]
+        return BellOutcome(abs(combo), tuple(es), angles, method)
+    t = correlation_tensor(state)
+    ua, ub, pa, pb = _setting_vectors(angles)
     if method == "sampled":
         rng = np.random.default_rng(seed)
-        sampled = [correlation_sampled(state, ta, tb, shots, rng)
-                   for ta, tb in angles.settings()]
+        sampled = _draw(_populations(t, pa, pb), shots, rng)
         es = [s.value for s in sampled]
         err = sqrt(sum(s.std_error ** 2 for s in sampled))
         combo = es[0] + es[1] + es[2] - es[3]
         return BellOutcome(abs(combo), tuple(es), angles, method, shots, err)
-    corr = correlation_exact if method == "exact" else correlation_rotated
-    es = [corr(state, ta, tb) for ta, tb in angles.settings()]
+    es = _correlators(t, ua, ub).tolist()
     combo = es[0] + es[1] + es[2] - es[3]
     return BellOutcome(abs(combo), tuple(es), angles, method)
 
@@ -271,4 +355,4 @@ def reduced_electronic_schmidt(state: SchmidtState) -> DensityMatrix:
     gl = np.einsum("aik,ajl->ijkl", state.left, state.left.conj())
     gr = np.einsum("aik,ajl->ijkl", state.right, state.right.conj())
     rho = np.einsum("ijkl,mnkl->imjn", gl, gr)
-    return DensityMatrix(PAIR, rho.reshape(4, 4))
+    return DensityMatrix(SpaceLayout((2, 2)), rho.reshape(4, 4))

@@ -163,7 +163,11 @@ class OperatorMatrix:
 
 
 def tensor(parts: list[StateVector]) -> StateVector:
-    """Kronecker product of states, first factor slowest."""
+    """Kronecker product of states, first factor slowest.
+
+    Each step is the flattened outer product, the bits of np.kron on
+    vectors without its generic n-d set-up.
+    """
     if not parts:
         raise ValueError("tensor of an empty list")
     if not all(isinstance(p, StateVector) for p in parts):
@@ -172,7 +176,7 @@ def tensor(parts: list[StateVector]) -> StateVector:
     amps = np.ones(1, dtype=np.complex128)
     for p in parts:
         dims = dims + p.layout.dims
-        amps = np.kron(amps, p.amps)
+        amps = np.multiply.outer(amps, p.amps).reshape(-1)
     return StateVector(SpaceLayout(dims), amps)
 
 

@@ -16,7 +16,6 @@ from math import isfinite, sqrt
 import numpy as np
 
 from .bell import (
-    PAIR,
     BellAngles,
     chsh,
     mixed_bell,
@@ -40,7 +39,7 @@ from .encoding import (
 )
 from .errors import ConfigError
 from .gates import SIGMA_X, report_u_ev, report_u_swap, report_u_ve, u_swap
-from .hilbert import DensityMatrix
+from .hilbert import DensityMatrix, SpaceLayout
 from .noise import (
     HeatingParams,
     delta_of,
@@ -222,7 +221,7 @@ def _pipeline_state(enc: EncodingParams, delta: float, ve_variant: str,
     for weight, left in lefts:
         out = SchmidtState(layout, swap_a.apply(left, 0, 1), right)
         rho += weight * reduced_electronic_schmidt(out).matrix
-    return results, DensityMatrix(PAIR, rho)
+    return results, DensityMatrix(SpaceLayout((2, 2)), rho)
 
 
 def run_pipeline(enc: EncodingParams, delta: float, angles: BellAngles,
@@ -250,7 +249,9 @@ def run_pipeline(enc: EncodingParams, delta: float, angles: BellAngles,
     matrix is formed, so a warm op is mostly the overhead of small numpy
     calls (Gram tables, readout, gate build), not arithmetic on the state.
     The fidelity to mixed_bell(delta) is the closed form of
-    bell.mixed_bell_fidelity.
+    bell.mixed_bell_fidelity.  The exact and sampled readouts read all four
+    settings from the one 4 x 4 Pauli correlation tensor of the electronic
+    pair (bell.correlation_tensor), with no kron product per setting.
 
     The stages before the gates (preparation, Hadamard and their
     fidelities) depend only on enc, so they are memoized per process on

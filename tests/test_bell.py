@@ -12,13 +12,14 @@ from catbell.bell import (
     DEFAULT_ANGLES,
     DELTA_STAR,
     OUTCOME_SIGNS,
-    PAIR,
     TSIRELSON,
     BellAngles,
+    _setting_vectors,
     chsh,
     correlation_exact,
     correlation_rotated,
     correlation_sampled,
+    correlation_tensor,
     electronic_bell,
     measurement_pulse,
     mixed_bell,
@@ -29,7 +30,13 @@ from catbell.bell import (
     violation_scan,
 )
 from catbell.bosonic import ModeParams
-from catbell.encoding import EncodingParams, SchmidtState, bell_target, full_layout
+from catbell.encoding import (
+    BELL_KINDS,
+    EncodingParams,
+    SchmidtState,
+    bell_target,
+    full_layout,
+)
 from catbell.errors import ContractError
 from catbell.hilbert import (
     DensityMatrix,
@@ -39,6 +46,10 @@ from catbell.hilbert import (
 )
 from conftest import basis_state
 
+PAIR = SpaceLayout((2, 2))
+
+SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
+SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 SIGMA_Z = np.diag([1.0, -1.0]).astype(np.complex128)
 
 
@@ -65,6 +76,17 @@ class TestStatesAndAngles:
         s = DEFAULT_ANGLES.settings()
         assert s[0] == (0.0, DEFAULT_ANGLES.theta_b)
         assert s[3] == (DEFAULT_ANGLES.theta_a_prime, DEFAULT_ANGLES.theta_b_prime)
+
+    @pytest.mark.parametrize("method", CHSH_METHODS)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", ["theta_a", "theta_a_prime",
+                                       "theta_b", "theta_b_prime"])
+    def test_non_finite_angle_is_refused(self, field, bad, method):
+        # unchecked, a NaN angle makes exact B nan and the sampler's
+        # probabilities NaN, which numpy refuses without naming the angle
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            chsh(mixed_bell(0.1), BellAngles(**{field: bad}), method)
 
     def test_constants(self):
         assert TSIRELSON == pytest.approx(2.0 * np.sqrt(2.0))
@@ -132,6 +154,126 @@ class TestCorrelators:
         bad = basis_state(SpaceLayout((3, 2)), (0, 0))
         with pytest.raises(ValueError):
             correlation_exact(bad, 0.0, 0.0)
+
+
+def random_pair_dm(rng: np.random.Generator, floor: float,
+                   rank: int = 4) -> DensityMatrix:
+    """A two-qubit state: the Gram matrix G G^dag of a random complex
+    4 x rank G, plus floor * 1, normalized."""
+    a = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
+    m = a @ a.conj().T + floor * np.eye(4)
+    return DensityMatrix(PAIR, m / np.trace(m).real)
+
+
+PAULIS = [np.eye(2), SIGMA_X, SIGMA_Y, SIGMA_Z]
+
+
+class TestCorrelationTensor:
+    def test_definition(self):
+        rho = random_pair_dm(np.random.default_rng(8), 0.0)
+        want = [[np.trace(rho.matrix @ np.kron(a, b)).real for b in PAULIS]
+                for a in PAULIS]
+        assert np.abs(correlation_tensor(rho) - want).max() <= 1e-15
+
+    def test_bell_states(self):
+        # T_00 = 1 and T = diag(1, -1, 1) on phi+, diag(1, 1, -1) on psi+
+        np.testing.assert_allclose(correlation_tensor(electronic_bell("phi_plus")),
+                                   np.diag([1, 1, -1, 1]), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(correlation_tensor(mixed_bell(1.0)),
+                                   np.diag([1, 1, 1, -1]), rtol=0, atol=1e-15)
+
+    def test_layout_guard(self):
+        with pytest.raises(ValueError, match="two-qubit"):
+            correlation_tensor(basis_state(SpaceLayout((3, 2)), (0, 0)))
+
+    @settings(max_examples=200)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4),
+           st.lists(st.floats(-2 * np.pi, 2 * np.pi), min_size=4, max_size=4))
+    def test_exact_correlators_match_the_kron_trace(self, seed, rank, thetas):
+        rho = random_pair_dm(np.random.default_rng(seed), 0.0, rank)
+        angles = BellAngles(*thetas)
+        want = [np.trace(rho.matrix @ np.kron(sigma_theta(ta), sigma_theta(tb))).real
+                for ta, tb in angles.settings()]
+        got = chsh(rho, angles).correlations
+        assert np.abs(np.subtract(got, want)).max() <= 1e-15
+        for (ta, tb), w in zip(angles.settings(), want):
+            assert abs(correlation_exact(rho, ta, tb) - w) <= 1e-15
+        rotated = chsh(rho, angles, "rotated").correlations
+        assert np.abs(np.subtract(got, rotated)).max() <= 1e-12
+
+    def test_setting_vectors_are_memoized_and_read_only(self):
+        angles = BellAngles(0.1, 0.2, 0.3, 0.4)
+        vectors = _setting_vectors(angles)
+        assert _setting_vectors(BellAngles(0.1, 0.2, 0.3, 0.4)) is vectors
+        for v in vectors:
+            assert not v.flags.writeable
+
+    def test_signed_zero_angles_read_alike(self):
+        # -0.0 and 0.0 share a memo key, so they must read the same bits:
+        # the sums start from +0.0, so the sign of a zero product is lost
+        _setting_vectors.cache_clear()
+        rho = random_pair_dm(np.random.default_rng(3), 0.0)
+        neg = chsh(rho, BellAngles(-0.0, 0.5, -0.0, 0.5)).correlations
+        _setting_vectors.cache_clear()
+        pos = chsh(rho, BellAngles(0.0, 0.5, 0.0, 0.5)).correlations
+        assert np.array_equal(np.array(neg).view(np.uint64),
+                              np.array(pos).view(np.uint64))
+        assert correlation_exact(rho, -0.0, -0.0) == pos[0]
+
+    def test_readout_builds_no_kron(self, monkeypatch):
+        rho = mixed_bell(0.1)
+        want = (chsh(rho), chsh(rho, method="sampled", shots=512, seed=4))
+
+        def refuse(*args):
+            raise AssertionError("np.kron called by the readout")
+
+        monkeypatch.setattr(np, "kron", refuse)
+        assert chsh(rho) == want[0]
+        assert chsh(rho, method="sampled", shots=512, seed=4) == want[1]
+        with pytest.raises(AssertionError, match="np.kron"):
+            chsh(rho, method="rotated")
+
+
+def pulse_counts(rho: DensityMatrix, theta_a: float, theta_b: float,
+                 shots: int, rng: np.random.Generator) -> np.ndarray:
+    """A multinomial draw from the populations of the pulse-rotated rho,
+    the way the sampler drew before it read the correlation tensor."""
+    w = np.kron(measurement_pulse(theta_a), measurement_pulse(theta_b))
+    rotated = w.conj().T @ rho.matrix @ w
+    p = np.clip(np.diag(rotated).real, 0.0, None)
+    p = np.round(p / p.sum(), 12)
+    return rng.multinomial(shots, p / p.sum())
+
+
+class TestSampledCounts:
+    """Populations read from T draw the counts the pulse-rotated rho drew."""
+
+    def cases(self):
+        rng = np.random.default_rng(2024)
+        for i in range(60):
+            if i % 6 == 0:
+                rho = mixed_bell(float(rng.uniform()))
+            elif i % 6 == 1:
+                rho = electronic_bell(BELL_KINDS[i % 2]).to_density()
+            else:
+                rho = random_pair_dm(rng, 0.0, int(rng.integers(1, 5)))
+            angles = BellAngles(*rng.uniform(-np.pi, np.pi, 4))
+            shots = int(rng.choice([1, 7, 512, 4096, 10**6]))
+            yield rho, angles, shots, int(rng.integers(2**32))
+
+    def test_counts_equal_the_pulse_path(self):
+        draws = 0
+        for rho, angles, shots, seed in self.cases():
+            rng = np.random.default_rng(seed)
+            want = [pulse_counts(rho, ta, tb, shots, rng) for ta, tb in angles.settings()]
+            rng = np.random.default_rng(seed)
+            for (ta, tb), counts in zip(angles.settings(), want):
+                assert correlation_sampled(rho, ta, tb, shots, rng).counts == tuple(counts)
+                draws += 1
+            out = chsh(rho, angles, "sampled", shots, seed)
+            assert out.correlations == tuple(float(c @ OUTCOME_SIGNS) / shots
+                                             for c in want)
+        assert draws >= 200
 
 
 class TestSampling:
@@ -298,13 +440,6 @@ class TestReducedElectronic:
         got = reduced_electronic_schmidt(state).matrix
         want = reduced_electronic(state.to_state()).matrix
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-
-
-def random_pair_dm(rng: np.random.Generator, floor: float) -> DensityMatrix:
-    """A full-rank two-qubit state: a random Gram matrix plus floor * 1."""
-    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    m = a @ a.conj().T + floor * np.eye(4)
-    return DensityMatrix(PAIR, m / np.trace(m).real)
 
 
 class TestMixedBellFidelity:

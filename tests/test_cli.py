@@ -19,7 +19,13 @@ import pytest
 import catbell.bosonic
 import catbell.hilbert
 import catbell.noise
-from catbell.bell import CHSH_METHODS, DEFAULT_ANGLES, DELTA_STAR, measurement_pulse
+from catbell.bell import (
+    CHSH_METHODS,
+    DEFAULT_ANGLES,
+    DELTA_STAR,
+    _setting_vectors,
+    measurement_pulse,
+)
 from catbell.bosonic import displacement
 from catbell.cli import (
     DEFAULT_DELTAS,
@@ -777,6 +783,46 @@ class TestMainEntry:
         assert b"electronic_fidelity" in one
         assert one == four
 
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    def test_bell_scan_identical_across_blas_threads(self, tmp_path, mode):
+        one, four = self.csv_under_blas_threads(tmp_path, {
+            "protocol": "bell-scan", "bell": {"mode": mode}, "seed": 11})
+        assert one.startswith(b"delta,B")
+        assert one == four
+
+    def test_sampled_full_pipeline_identical_across_blas_threads(self, tmp_path):
+        one, four = self.csv_under_blas_threads(tmp_path, {
+            "protocol": "full-pipeline",
+            "encoding": {"alpha": 4.0},
+            "noise": {"delta": 0.3},
+            "bell": {"mode": "sampled"},
+            "gates": {"ev_variant": "displacement"},
+            "seed": 5,
+        })
+        assert b"b_std_error" in one
+        assert one == four
+
+    def test_output_matrix_identical_across_blas_threads(self, tmp_path):
+        # the alpha 2 part of the comparison set that tests/output_matrix.py
+        # writes: every protocol, and full-pipeline over both gate builds of
+        # each exchange, exact and sampled, at delta 0, 0.1 and 1
+        script = Path(__file__).resolve().parent / "output_matrix.py"
+        outputs = []
+        for threads in (1, 4):
+            outdir = tmp_path / f"threads{threads}"
+            env = child_env()
+            for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                        "MKL_NUM_THREADS"):
+                env[var] = str(threads)
+            proc = subprocess.run(
+                [sys.executable, str(script), str(outdir), "--alpha", "2"],
+                env=env, capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append({p.name: p.read_bytes() for p in outdir.iterdir()})
+        one, four = outputs
+        assert len(one) == len(PROTOCOLS) - 1 + 2 * 2 * 2 * 3
+        assert one == four
+
     def test_swap_report_identical_across_blas_threads(self, tmp_path):
         # alpha 8 (cutoff 122): the unitarity column takes U†U of 244 x 244
         # pair matrices
@@ -845,6 +891,44 @@ class TestMainEntry:
         assert len(list(tmp_path.glob("*.csv"))) == runs
 
 
+class TestSizeCapVariable:
+    """A bad or tiny CATBELL_MAX_DIM is a capacity error of the run that
+    sizes a register, never of `import catbell`."""
+
+    @pytest.mark.parametrize("cap", ["abc", "", "1", "2", "3"])
+    def test_only_runs_are_refused(self, tmp_path, cap):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"protocol": "full-pipeline"}))
+        env = child_env(CATBELL_MAX_DIM=cap)
+        commands = [["version"], ["describe", "full-pipeline"],
+                    ["run", str(cfg_path), "--output", str(tmp_path)]]
+        procs = [subprocess.run([sys.executable, "-m", "catbell.cli", *cmd],
+                                env=env, capture_output=True, text=True)
+                 for cmd in commands]
+        assert [p.returncode for p in procs] == [0, 0, 3], procs[-1].stderr
+        assert procs[0].stdout.startswith("catbell ")
+        assert all("Traceback" not in p.stderr for p in procs)
+        assert re.match(r"capacity error: CATBELL_MAX_DIM must be|capacity "
+                        r"error: total dimension \d+ exceeds the cap [23];",
+                        procs[-1].stderr)
+        assert not (tmp_path / "full-pipeline.csv").exists()
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_warm_run_refuses_a_lowered_cap(self, tmp_path, monkeypatch, capsys,
+                                            protocol):
+        # the memos (encoding, code basis, readout vectors) are warm, and
+        # the run still sizes its registers against the cap in force
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"protocol": protocol}))
+        argv = ["run", str(cfg_path), "--output", str(tmp_path)]
+        monkeypatch.delenv("CATBELL_MAX_DIM", raising=False)
+        assert main(argv) == 0
+        monkeypatch.setenv("CATBELL_MAX_DIM", "3")
+        capsys.readouterr()
+        assert main(argv) == 3
+        assert "exceeds the cap 3" in capsys.readouterr().err
+
+
 class TestPipelineMemo:
     """run_pipeline memoizes its gate-free stages per encoding."""
 
@@ -861,6 +945,7 @@ class TestPipelineMemo:
                         if cold:
                             _hadamard_stage.cache_clear()
                             measurement_pulse.cache_clear()
+                            _setting_vectors.cache_clear()
                         out.append(run_pipeline(enc, delta, DEFAULT_ANGLES,
                                                 method, 512, 3, "literal", ev))
             return out
@@ -915,7 +1000,7 @@ class TestPipelineMemo:
             code_a.zero = code_a.one
         for cached in (left, right, code_a.zero.amps, code_a.one.amps,
                        code_a.dft_zero.amps, code_a.dft_one.amps,
-                       measurement_pulse(0.3)):
+                       measurement_pulse(0.3), *_setting_vectors(DEFAULT_ANGLES)):
             with pytest.raises(ValueError, match="read-only"):
                 cached[0] = 1.0
 

@@ -288,6 +288,32 @@ class TestSchmidtState:
         assert abs(schmidt_fidelity(a, b) - want) <= 1e-14
 
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_register_has_the_einsum_bits(self, k):
+        # to_state sums the broadcast products from zero in k order, as
+        # einsum does: the same bits, signed zeros included
+        rng = np.random.default_rng(40 + k)
+        enc = EncodingParams(1.0, 1.0, ModeParams(5, 0.999), ModeParams(4, 0.999))
+
+        def factor(d):
+            f = rng.standard_normal((d, 2, k)) + 1j * rng.standard_normal((d, 2, k))
+            for part in (f.real, f.imag):
+                zero = rng.random(f.shape) < 0.3
+                part[zero] = np.copysign(0.0, rng.standard_normal(zero.sum()))
+            return f
+
+        state = SchmidtState(full_layout(enc), factor(5), factor(4))
+        want = np.einsum("aik,bjk->abij", state.left, state.right).reshape(-1)
+        got = state.to_state().amps
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        if k == 1:
+            # the products alone keep a -0.0 that the sum from zero drops,
+            # so the signed-zero rule is exercised
+            plain = (state.left[:, None, :, None, 0]
+                     * state.right[None, :, None, :, 0]).reshape(-1)
+            assert not np.array_equal(plain.view(np.uint64), want.view(np.uint64))
+
+
 class TestBellTargets:
     def test_kinds(self, enc2):
         with pytest.raises(ValueError):

@@ -114,6 +114,25 @@ class TestTensorAndEmbed:
         assert ab.layout.dims == (2, 3)
         np.testing.assert_array_equal(ab.amps, [0, 1, 0, 0, 0, 0])
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_tensor_has_the_kron_bits(self, n):
+        # each step is the flattened outer product: the bits of the np.kron
+        # chain from ones(1), signed zeros included
+        rng = np.random.default_rng(60 + n)
+        parts = []
+        for d in (5, 4, 2, 3)[:n]:
+            v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+            for part in (v.real, v.imag):
+                zero = rng.random(d) < 0.4
+                part[zero] = np.copysign(0.0, rng.standard_normal(zero.sum()))
+            parts.append(StateVector(SpaceLayout((d,)), v))
+        want = np.ones(1, dtype=np.complex128)
+        for p in parts:
+            want = np.kron(want, p.amps)
+        got = tensor(parts)
+        assert got.layout.dims == (5, 4, 2, 3)[:n]
+        assert np.array_equal(got.amps.view(np.uint64), want.view(np.uint64))
+
     def test_tensor_refuses_operators(self):
         op = OperatorMatrix(SpaceLayout((2,)), (0,), SX)
         with pytest.raises(TypeError):
