@@ -8,10 +8,12 @@ sigma = (1, x, y, z) (Horodecki, Horodecki & Horodecki, Phys. Lett. A 200,
 setting's correlator is E = u(theta_a)^T T u(theta_b), and the populations
 of the four outcomes after both axes are rotated onto sigma_z are
 (T_00 + s_a r_a + s_b r_b + s_a s_b E) / 4, with signs s = +-1 and r_a,
-r_b the Bloch components of each qubit along its axis.  Each setting can be
-evaluated three ways: exact correlators read from T, correlators after an
-explicit carrier pulse maps the axis onto sigma_z (an audit of the pulses),
-and shot sampling from the populations.  The two-qubit combination
+r_b the Bloch components of each qubit along its axis.  chsh is the one
+readout, and it reads the four settings of a BellAngles three ways: exact
+correlators read from T, correlators after an explicit carrier pulse maps
+each axis onto sigma_z (an audit of the pulses), and shot sampling from the
+populations.  It refuses a state whose trace is not 1.  The two-qubit
+combination
 
     B = |E(a, b) + E(a, b') + E(a', b) - E(a', b')|
 
@@ -174,30 +176,20 @@ def _projectors(u: np.ndarray, signs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _readout_vectors(thetas_a, thetas_b) -> tuple[np.ndarray, ...]:
-    """For the settings k = (thetas_a[k], thetas_b[k]): the axes u(theta) =
-    (cos theta, sin theta) of both qubits as (k, 2) rows, and the (k, 4, 3)
-    projector components of both qubits' outcome signs."""
-    ua, ub = (np.stack([np.cos(t), np.sin(t)], axis=-1)
-              for t in (thetas_a, thetas_b))
-    return ua, ub, _projectors(ua, _SIGNS_A), _projectors(ub, _SIGNS_B)
-
-
 # every chsh call reads one angle set, most often DEFAULT_ANGLES; an entry
 # is two (4, 2) and two (4, 4, 3) float arrays, 896 B of data
 @lru_cache(maxsize=64)
 def _setting_vectors(angles: BellAngles) -> tuple[np.ndarray, ...]:
-    """_readout_vectors of the four settings in combination order,
-    memoized per angle set; the arrays are read-only."""
-    vectors = _readout_vectors(*zip(*angles.settings()))
+    """For the four settings of `angles` in combination order: the axes
+    u(theta) = (cos theta, sin theta) of both qubits as (4, 2) rows, and the
+    (4, 4, 3) projector components of both qubits' outcome signs.  Memoized
+    per angle set; the arrays are read-only."""
+    ua, ub = (np.stack([np.cos(t), np.sin(t)], axis=-1)
+              for t in zip(*angles.settings()))
+    vectors = (ua, ub, _projectors(ua, _SIGNS_A), _projectors(ub, _SIGNS_B))
     for v in vectors:
         v.flags.writeable = False
     return vectors
-
-
-def _correlators(t: np.ndarray, ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
-    """E_k = u(theta_a)^T T_xy u(theta_b) for each setting row k."""
-    return np.einsum("ki,ij,kj->k", ua, t[1:3, 1:3], ub)
 
 
 def _populations(t: np.ndarray, pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
@@ -214,50 +206,12 @@ def _populations(t: np.ndarray, pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
     return p / p.sum(axis=1, keepdims=True)
 
 
-@dataclass(frozen=True)
-class SampledCorrelation:
-    value: float
-    std_error: float
-    counts: tuple[int, int, int, int]
-
-
-def _draw(p: np.ndarray, shots: int,
-          rng: np.random.Generator) -> list[SampledCorrelation]:
-    """One multinomial draw of shots per row of p, in row order."""
+def _draw(p: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:
+    """(k, 4) counts: one multinomial draw of shots per row of p, in row
+    order, as successive draws of one row each take them from rng."""
     if shots < 1:
         raise ValueError("shots must be positive")
-    out = []
-    for row in p:
-        counts = rng.multinomial(shots, row)
-        value = float(counts @ OUTCOME_SIGNS) / shots
-        std_error = sqrt(max(1.0 - value * value, 0.0) / shots)
-        out.append(SampledCorrelation(value, std_error, tuple(counts.tolist())))
-    return out
-
-
-def correlation_exact(state: StateVector | DensityMatrix,
-                      theta_a: float, theta_b: float) -> float:
-    """tr rho (sigma(theta_a) (x) sigma(theta_b)), read from T."""
-    ua, ub, _, _ = _readout_vectors([theta_a], [theta_b])
-    return float(_correlators(correlation_tensor(state), ua, ub)[0])
-
-
-def correlation_rotated(state: StateVector | DensityMatrix,
-                        theta_a: float, theta_b: float) -> float:
-    """Same correlator, but the axes come from explicit carrier pulses."""
-    rho = _as_pair_dm(state)
-    va = measurement_pulse(theta_a)
-    vb = measurement_pulse(theta_b)
-    obs = np.kron(va @ SIGMA_Z @ va.conj().T, vb @ SIGMA_Z @ vb.conj().T)
-    return float(np.trace(rho.matrix @ obs).real)
-
-
-def correlation_sampled(state: StateVector | DensityMatrix,
-                        theta_a: float, theta_b: float,
-                        shots: int, rng: np.random.Generator) -> SampledCorrelation:
-    """Multinomial draw from the four rotated populations."""
-    _, _, pa, pb = _readout_vectors([theta_a], [theta_b])
-    return _draw(_populations(correlation_tensor(state), pa, pb), shots, rng)[0]
+    return rng.multinomial(shots, p)
 
 
 @dataclass(frozen=True)
@@ -284,26 +238,37 @@ def chsh(state: StateVector | DensityMatrix,
     sampled draws the four settings in combination order from one
     np.random.default_rng(seed).  The seed may be any value default_rng
     accepts, including a list used to derive independent per-grid-point
-    streams.
+    streams.  rotated takes tr rho (V sigma_z V^dag (x) W sigma_z W^dag)
+    with the carrier pulses V, W of measurement_pulse, an audit of the
+    pulses.  A state whose trace is not 1 is a ContractError.
     """
     if method not in CHSH_METHODS:
         raise ValueError(f"method must be one of {CHSH_METHODS}, got {method!r}")
+    rho = _as_pair_dm(state)
+    check_normalized(rho, "readout state")
+    drawn = err = None
     if method == "rotated":
-        es = [correlation_rotated(state, ta, tb) for ta, tb in angles.settings()]
-        combo = es[0] + es[1] + es[2] - es[3]
-        return BellOutcome(abs(combo), tuple(es), angles, method)
-    t = correlation_tensor(state)
-    ua, ub, pa, pb = _setting_vectors(angles)
-    if method == "sampled":
-        rng = np.random.default_rng(seed)
-        sampled = _draw(_populations(t, pa, pb), shots, rng)
-        es = [s.value for s in sampled]
-        err = sqrt(sum(s.std_error ** 2 for s in sampled))
-        combo = es[0] + es[1] + es[2] - es[3]
-        return BellOutcome(abs(combo), tuple(es), angles, method, shots, err)
-    es = _correlators(t, ua, ub).tolist()
+        es = []
+        for ta, tb in angles.settings():
+            va, vb = measurement_pulse(ta), measurement_pulse(tb)
+            obs = np.kron(va @ SIGMA_Z @ va.conj().T, vb @ SIGMA_Z @ vb.conj().T)
+            es.append(float(np.trace(rho.matrix @ obs).real))
+    else:
+        t = correlation_tensor(rho)
+        ua, ub, pa, pb = _setting_vectors(angles)
+        if method == "exact":
+            # E_k = u(theta_a)^T T_xy u(theta_b) for each setting row k
+            es = np.einsum("ki,ij,kj->k", ua, t[1:3, 1:3], ub).tolist()
+        else:
+            rng = np.random.default_rng(seed)
+            counts = _draw(_populations(t, pa, pb), shots, rng)
+            es = [float(c @ OUTCOME_SIGNS) / shots for c in counts]
+            drawn = shots
+            # sums the squares of the per-setting errors sqrt((1 - E^2) / shots),
+            # not the variances themselves: the two differ in the last bit
+            err = sqrt(sum(sqrt(max(1.0 - e * e, 0.0) / shots) ** 2 for e in es))
     combo = es[0] + es[1] + es[2] - es[3]
-    return BellOutcome(abs(combo), tuple(es), angles, method)
+    return BellOutcome(abs(combo), tuple(es), angles, method, drawn, err)
 
 
 @dataclass(frozen=True)

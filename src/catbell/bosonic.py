@@ -48,7 +48,13 @@ class ModeParams:
 def default_cutoff(alpha: complex) -> int:
     """Fock levels that hold a coherent state of this size with room to spare."""
     a = abs(alpha)
-    return int(ceil(a * a + 6.0 * a + 10.0))
+    if not isfinite(a):
+        raise ValueError(f"amplitude must be finite, got {alpha}")
+    levels = a * a + 6.0 * a + 10.0
+    if not isfinite(levels):
+        raise CapacityError(f"no finite cutoff for |alpha| = {a:.3g}: "
+                            "|alpha|^2 overflows")
+    return int(ceil(levels))
 
 
 def mode_for(alpha: complex, leak_tol: float = 1e-10) -> ModeParams:

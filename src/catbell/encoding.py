@@ -24,6 +24,7 @@ import numpy as np
 
 from . import bosonic
 from .bosonic import EVEN, ODD, ModeParams
+from .errors import CapacityError
 from .hilbert import (
     OperatorMatrix,
     SpaceLayout,
@@ -53,11 +54,14 @@ class EncodingParams:
         if self.alpha <= 0 or self.beta <= 0:
             raise ValueError("cat amplitudes must be positive")
         # below this |alpha|^2 is subnormal or 0 and the odd cat has no norm
-        if min(self.alpha, self.beta) ** 2 < sys.float_info.min:
+        low, high = min(self.alpha, self.beta), max(self.alpha, self.beta)
+        if low * low < sys.float_info.min:
             raise ValueError(
                 "cat amplitudes must be at least "
-                f"{sqrt(sys.float_info.min):.3g}, got "
-                f"{min(self.alpha, self.beta):.3g}")
+                f"{sqrt(sys.float_info.min):.3g}, got {low:.3g}")
+        if not isfinite(high * high):
+            raise CapacityError(
+                f"cat amplitude {high:.3g} is too large: |alpha|^2 overflows")
         if self.epsilon is not None and self.epsilon < 0:
             raise ValueError("epsilon must be nonnegative")
         # the one epsilon kicks both modes, so it bounds both rotations;

@@ -1,6 +1,8 @@
-"""CHSH correlators: exact, pulse-rotated, and sampled."""
+"""The CHSH readout: exact, pulse-rotated, and sampled correlators."""
 
 from __future__ import annotations
+
+from math import sqrt
 
 import numpy as np
 import pytest
@@ -14,11 +16,10 @@ from catbell.bell import (
     OUTCOME_SIGNS,
     TSIRELSON,
     BellAngles,
+    _draw,
+    _populations,
     _setting_vectors,
     chsh,
-    correlation_exact,
-    correlation_rotated,
-    correlation_sampled,
     correlation_tensor,
     electronic_bell,
     measurement_pulse,
@@ -111,49 +112,73 @@ class TestAxes:
             assert np.abs(got - sigma_theta(theta)).max() < 1e-12
 
 
+def setting(theta_a: float, theta_b: float) -> BellAngles:
+    """Angles whose first setting, and so correlations[0], is (theta_a, theta_b)."""
+    return BellAngles(theta_a, 0.0, theta_b, 0.0)
+
+
 class TestCorrelators:
     def test_phi_plus_aligned(self):
-        assert correlation_exact(electronic_bell("phi_plus"), 0.0, 0.0) == pytest.approx(1.0)
+        out = chsh(electronic_bell("phi_plus"), setting(0.0, 0.0))
+        assert out.correlations[0] == pytest.approx(1.0)
 
     def test_mixture_formula_agreement(self):
         # E(t1, t2) on the mixture equals the closed form
-        # (1 - delta) cos(t1 + t2) + delta cos(t1 - t2)
+        # (1 - delta) cos(t1 + t2) + delta cos(t1 - t2), in every setting
         for delta in (0.0, 0.1, 0.29, 0.5):
             rho = mixed_bell(delta)
-            for ta, tb in ((0.3, -0.7), (np.pi / 6, np.pi / 12), (1.0, 2.0)):
-                want = (1.0 - delta) * np.cos(ta + tb) + delta * np.cos(ta - tb)
-                assert correlation_exact(rho, ta, tb) == pytest.approx(want, abs=1e-10)
+            for angles in (BellAngles(0.3, np.pi / 6, -0.7, np.pi / 12),
+                           BellAngles(1.0, -0.4, 2.0, 0.25)):
+                got = chsh(rho, angles).correlations
+                for (ta, tb), e in zip(angles.settings(), got):
+                    want = (1.0 - delta) * np.cos(ta + tb) + delta * np.cos(ta - tb)
+                    assert e == pytest.approx(want, abs=1e-10)
 
     def test_example_point(self):
-        got = correlation_exact(mixed_bell(0.1), np.pi / 6, np.pi / 12)
+        got = chsh(mixed_bell(0.1), setting(np.pi / 6, np.pi / 12)).correlations[0]
         want = 0.9 * np.cos(np.pi / 4) + 0.1 * np.cos(np.pi / 12)
         assert got == pytest.approx(want, abs=1e-10)
 
     def test_symmetric_in_settings(self):
         rho = mixed_bell(0.2)
         for ta, tb in ((0.4, 1.3), (-0.2, 0.9)):
-            assert correlation_exact(rho, ta, tb) == pytest.approx(
-                correlation_exact(rho, tb, ta), abs=1e-10
+            assert chsh(rho, setting(ta, tb)).correlations[0] == pytest.approx(
+                chsh(rho, setting(tb, ta)).correlations[0], abs=1e-10
             )
 
     def test_rotated_matches_exact(self):
         rng = np.random.default_rng(17)
         rho = mixed_bell(0.1)
         for _ in range(20):
-            ta, tb = rng.uniform(-np.pi, np.pi, size=2)
-            assert correlation_rotated(rho, ta, tb) == pytest.approx(
-                correlation_exact(rho, ta, tb), abs=1e-8
-            )
+            angles = BellAngles(*rng.uniform(-np.pi, np.pi, size=4))
+            rotated = chsh(rho, angles, "rotated").correlations
+            exact = chsh(rho, angles).correlations
+            assert np.abs(np.subtract(rotated, exact)).max() <= 1e-8
 
     def test_product_state_uncorrelated(self):
         psi = basis_state(PAIR, (0, 0))
         for theta in np.linspace(0, np.pi, 7):
-            assert abs(correlation_exact(psi, theta, -theta)) < 1e-10
+            angles = BellAngles(theta, theta + 0.5, -theta, 0.5 - theta)
+            assert np.abs(chsh(psi, angles).correlations).max() < 1e-10
 
     def test_layout_guard(self):
         bad = basis_state(SpaceLayout((3, 2)), (0, 0))
-        with pytest.raises(ValueError):
-            correlation_exact(bad, 0.0, 0.0)
+        for method in CHSH_METHODS:
+            with pytest.raises(ValueError, match="two-qubit"):
+                chsh(bad, method=method)
+
+    @pytest.mark.parametrize("method", CHSH_METHODS)
+    @pytest.mark.parametrize("scale", [2.0, 0.0, 1.0 + 1e-6],
+                             ids=["trace-2", "zero", "trace-1+1e-6"])
+    def test_unnormalized_state_is_refused(self, method, scale):
+        # unchecked, a trace-2 phi+ reads B = 4 sqrt(2), above the Tsirelson
+        # bound, and the zero matrix gives the sampler NaN probabilities
+        rho = DensityMatrix(PAIR, scale * mixed_bell(0.0).matrix)
+        with pytest.raises(ContractError, match="readout state is not normalized"):
+            chsh(rho, method=method)
+        psi = StateVector(PAIR, np.sqrt(scale) * electronic_bell("phi_plus").amps)
+        with pytest.raises(ContractError, match="readout state is not normalized"):
+            chsh(psi, method=method)
 
 
 def random_pair_dm(rng: np.random.Generator, floor: float,
@@ -196,8 +221,6 @@ class TestCorrelationTensor:
                 for ta, tb in angles.settings()]
         got = chsh(rho, angles).correlations
         assert np.abs(np.subtract(got, want)).max() <= 1e-15
-        for (ta, tb), w in zip(angles.settings(), want):
-            assert abs(correlation_exact(rho, ta, tb) - w) <= 1e-15
         rotated = chsh(rho, angles, "rotated").correlations
         assert np.abs(np.subtract(got, rotated)).max() <= 1e-12
 
@@ -218,7 +241,6 @@ class TestCorrelationTensor:
         pos = chsh(rho, BellAngles(0.0, 0.5, 0.0, 0.5)).correlations
         assert np.array_equal(np.array(neg).view(np.uint64),
                               np.array(pos).view(np.uint64))
-        assert correlation_exact(rho, -0.0, -0.0) == pos[0]
 
     def test_readout_builds_no_kron(self, monkeypatch):
         rho = mixed_bell(0.1)
@@ -245,6 +267,14 @@ def pulse_counts(rho: DensityMatrix, theta_a: float, theta_b: float,
     return rng.multinomial(shots, p / p.sum())
 
 
+def sampled_counts(rho, angles: BellAngles, shots: int,
+                   seed: int) -> np.ndarray:
+    """The (4, 4) counts behind chsh(rho, angles, "sampled", shots, seed)."""
+    _, _, pa, pb = _setting_vectors(angles)
+    return _draw(_populations(correlation_tensor(rho), pa, pb), shots,
+                 np.random.default_rng(seed))
+
+
 class TestSampledCounts:
     """Populations read from T draw the counts the pulse-rotated rho drew."""
 
@@ -266,9 +296,9 @@ class TestSampledCounts:
         for rho, angles, shots, seed in self.cases():
             rng = np.random.default_rng(seed)
             want = [pulse_counts(rho, ta, tb, shots, rng) for ta, tb in angles.settings()]
-            rng = np.random.default_rng(seed)
-            for (ta, tb), counts in zip(angles.settings(), want):
-                assert correlation_sampled(rho, ta, tb, shots, rng).counts == tuple(counts)
+            got = sampled_counts(rho, angles, shots, seed)
+            for row, counts in zip(got, want):
+                assert np.array_equal(row, counts)
                 draws += 1
             out = chsh(rho, angles, "sampled", shots, seed)
             assert out.correlations == tuple(float(c @ OUTCOME_SIGNS) / shots
@@ -278,31 +308,37 @@ class TestSampledCounts:
 
 class TestSampling:
     def test_counts_sum_to_shots(self):
-        rng = np.random.default_rng(3)
-        res = correlation_sampled(electronic_bell("phi_plus"), 0.1, 0.2, 500, rng)
-        assert sum(res.counts) == 500
+        counts = sampled_counts(electronic_bell("phi_plus"),
+                                BellAngles(0.1, 0.7, 0.2, -0.4), 500, 3)
+        assert counts.shape == (4, 4)
+        assert np.array_equal(counts.sum(axis=1), [500] * 4)
 
     def test_single_shot_is_a_sign(self):
-        rng = np.random.default_rng(5)
-        res = correlation_sampled(electronic_bell("phi_plus"), 0.3, -0.2, 1, rng)
-        assert res.value in (-1.0, 1.0)
+        out = chsh(electronic_bell("phi_plus"), BellAngles(0.3, 1.1, -0.2, 0.6),
+                   "sampled", shots=1, seed=5)
+        assert all(e in (-1.0, 1.0) for e in out.correlations)
 
     def test_shots_positive(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            correlation_sampled(electronic_bell("phi_plus"), 0.0, 0.0, 0, rng)
+        with pytest.raises(ValueError, match="shots must be positive"):
+            chsh(electronic_bell("phi_plus"), method="sampled", shots=0)
 
     def test_deterministic_for_seed(self):
-        a = correlation_sampled(mixed_bell(0.2), 0.4, 0.1, 1000, np.random.default_rng(11))
-        b = correlation_sampled(mixed_bell(0.2), 0.4, 0.1, 1000, np.random.default_rng(11))
-        assert a.counts == b.counts
-        assert a.value == b.value
+        angles = BellAngles(0.4, 1.2, 0.1, -0.8)
+        a = chsh(mixed_bell(0.2), angles, "sampled", 1000, 11)
+        b = chsh(mixed_bell(0.2), angles, "sampled", 1000, 11)
+        assert a == b
+        assert np.array_equal(sampled_counts(mixed_bell(0.2), angles, 1000, 11),
+                              sampled_counts(mixed_bell(0.2), angles, 1000, 11))
 
     def test_estimator_consistency(self):
-        res = correlation_sampled(mixed_bell(0.1), 0.5, -0.3, 2000, np.random.default_rng(7))
-        signed = (OUTCOME_SIGNS * np.array(res.counts)).sum() / 2000
-        assert res.value == pytest.approx(signed, abs=1e-15)
-        assert 0.0 < res.std_error < 1.0
+        angles = BellAngles(0.5, 1.3, -0.3, 0.2)
+        out = chsh(mixed_bell(0.1), angles, "sampled", 2000, 7)
+        counts = sampled_counts(mixed_bell(0.1), angles, 2000, 7)
+        assert out.correlations == tuple(float(c @ OUTCOME_SIGNS) / 2000
+                                         for c in counts)
+        se = [sqrt(max(1.0 - e * e, 0.0) / 2000) for e in out.correlations]
+        assert out.std_error == sqrt(sum(x ** 2 for x in se))
+        assert 0.0 < out.std_error < 1.0
 
     def test_large_sample_near_exact(self):
         out = chsh(electronic_bell("phi_plus"), method="sampled", shots=100_000, seed=0)

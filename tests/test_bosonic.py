@@ -60,6 +60,16 @@ class TestModeParams:
         assert default_cutoff(2.0) == 26
         assert default_cutoff(8.0) == 122
 
+    @pytest.mark.parametrize("alpha", [1.35e154, 1e200, 1.7e308, 1e200j])
+    def test_default_cutoff_of_an_overflowing_square(self, alpha):
+        with pytest.raises(CapacityError, match=r"\|alpha\|\^2 overflows"):
+            default_cutoff(alpha)
+
+    @pytest.mark.parametrize("alpha", [inf, -inf, float("nan"), complex(0, inf)])
+    def test_default_cutoff_of_a_non_finite_amplitude(self, alpha):
+        with pytest.raises(ValueError, match="amplitude must be finite"):
+            default_cutoff(alpha)
+
     def test_required_cutoff_is_tight(self):
         need = required_cutoff(2.0, 1e-10)
         coherent(2.0, ModeParams(need))

@@ -2,19 +2,25 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import textwrap
 import warnings
-from math import pi, sqrt
+from math import inf, nextafter, pi, sqrt
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 
 import catbell.bosonic
 import catbell.hilbert
@@ -639,6 +645,23 @@ class TestMainEntry:
         assert "config error: encoding: cat amplitudes must be at least" \
             in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cutoff", [None, 30], ids=["default-cutoff",
+                                                        "cutoff-30"])
+    @pytest.mark.parametrize("amplitudes", [
+        {"alpha": 1.35e154}, {"alpha": 1e200}, {"alpha": 2.0, "beta": 1e200},
+    ], ids=["alpha-1.35e154", "alpha-1e200", "beta-1e200"])
+    @pytest.mark.parametrize("protocol", [p for p in PROTOCOLS
+                                          if p != "bell-scan"])
+    def test_alpha_whose_square_overflows_is_capacity_error(
+            self, tmp_path, capsys, protocol, amplitudes, cutoff):
+        # |alpha|^2 overflows: before, an OverflowError traceback and exit 1
+        cfg_path = self.write_config(tmp_path, {
+            "protocol": protocol, "encoding": {**amplitudes, "cutoff": cutoff}})
+        assert main(["run", cfg_path, "--output", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert re.match(r"capacity error: .*\|alpha\|\^2 overflows\n$", err)
+        assert not (tmp_path / f"{protocol}.csv").exists()
+
     def test_contract_error_exit_code(self, tmp_path, capsys):
         # gamma * duration = 1e18 is the uniform steady state; one that
         # overflows to inf has no answer
@@ -1102,3 +1125,165 @@ class TestParserReuse:
         assert [r[0] for r in reused[:5]] == [0, 0, 0, 0, 2]
         assert reused[5][0] == ("exit", 2)
         assert reused[-1] == reused[0]
+
+
+# ---------------------------------------------------------------- fuzzer ---
+
+SECTIONS = tuple(dict.fromkeys(f.section for f in FIELDS if f.section))
+
+
+def in_range(field) -> st.SearchStrategy:
+    """Accepted values of one field, at sizes that run in milliseconds:
+    numbers on a grid of 1000 steps up to 4 above their lower bound,
+    integers within 100 (10**4 where the field has an upper bound, as shots
+    and seed do), lists of 1-3.  The bounds themselves are boundary()'s."""
+    if field.kind == "choice":
+        out = st.sampled_from(field.choices)
+    elif field.kind == "bool":
+        out = st.booleans()
+    elif field.kind == "string":
+        out = st.sampled_from(["run", "sub/run", "run.csv", "run.json"])
+    else:
+        lo = next((b for b in (field.ge, field.gt) if b is not None), -4.0)
+        if field.kind == "integer":
+            hi = lo + 100 if field.le is None else min(field.le, lo + 10 ** 4)
+            out = st.integers(lo, hi)
+        else:
+            hi = next((b for b in (field.le, field.lt) if b is not None), lo + 4.0)
+            out = st.integers(1, 999).map(lambda k: lo + (hi - lo) * k / 1000)
+        if field.kind == "numbers":
+            out = st.lists(out, min_size=1, max_size=3)
+    return st.none() | out if field.optional else out
+
+
+def boundary(field) -> list:
+    """The accepted values at the bounds of a numeric field: an inclusive
+    bound itself, the next value inside an exclusive one."""
+    integer = field.kind == "integer"
+    out = [b for b in (field.ge, field.le) if b is not None]
+    if field.gt is not None:
+        out.append(field.gt + 1 if integer else nextafter(field.gt, inf))
+    if field.lt is not None:
+        out.append(field.lt - 1 if integer else nextafter(field.lt, -inf))
+    return [[v] for v in out] if field.kind == "numbers" else out
+
+
+def put(raw: dict, field, value) -> None:
+    if field.section:
+        raw.setdefault(field.section, {})[field.key] = value
+    else:
+        raw[field.key] = value
+
+
+@st.composite
+def raw_configs(draw) -> dict:
+    """A raw config drawn from FIELDS: each field omitted (unless it is
+    required) or in range, then at most one field on a boundary and at most
+    one fault: a wrong-typed or out-of-range value, an unknown field or
+    section, a missing section or a section that is not an object."""
+    raw: dict = {}
+    for field in FIELDS:
+        required = field.default is None and not field.optional
+        if required or draw(st.integers(0, 3)):
+            put(raw, field, draw(in_range(field)))
+    edge = draw(st.sampled_from([None] + [f for f in FIELDS if boundary(f)]))
+    if edge is not None:
+        put(raw, edge, draw(st.sampled_from(boundary(edge))))
+    fault = draw(st.sampled_from([None] * 5 + [
+        "value", "unknown-field", "unknown-section", "missing-section",
+        "non-object-section"]))
+    section = draw(st.sampled_from(SECTIONS))
+    if fault == "value":
+        field = draw(st.sampled_from(FIELDS))
+        put(raw, field, draw(st.sampled_from(bad_values(field))))
+    elif fault == "unknown-field":
+        raw.setdefault(section, {})["zz_unknown"] = 1
+    elif fault == "unknown-section":
+        raw["zz_section"] = {}
+    elif fault == "missing-section":
+        raw.pop(section, None)
+    elif fault == "non-object-section":
+        raw[section] = draw(st.sampled_from([[], 3, "x", None, True]))
+    return raw
+
+
+def nonfinite_cells(path: Path) -> list:
+    """The numbers of a CSV or JSON output that are NaN or infinite."""
+    text = path.read_text(encoding="utf-8")
+    if path.suffix == ".json":
+        def numbers(node):
+            if isinstance(node, dict):
+                node = list(node.values())
+            if isinstance(node, list):
+                return [x for item in node for x in numbers(item)]
+            return [node] if isinstance(node, float) else []
+        cells = numbers(json.loads(text))
+    else:
+        cells = []
+        for cell in re.split(r"[,\n]", text):
+            try:
+                cells.append(float(cell))
+            except ValueError:
+                pass
+    return [c for c in cells if not np.isfinite(c)]
+
+
+class TestConfigFuzzer:
+    """Any config ends in a documented exit code, never in a traceback."""
+
+    @settings(max_examples=100)
+    @given(raw=raw_configs(),
+           seed=st.none() | st.integers(-1, 2 ** 64 - 1))
+    # every input that once ended in a traceback, a NaN or a wrong code
+    @example(raw={"protocol": "full-pipeline", "noise": {"delta": float("nan")}},
+             seed=None)
+    @example(raw={"protocol": "heat-sweep",
+                  "noise": {"gamma": 1e10, "durations": [1e300]}}, seed=None)
+    @example(raw={"protocol": "bell-scan",
+                  "bell": {"mode": "sampled", "shots": 1e30}}, seed=None)
+    @example(raw={"protocol": "full-pipeline", "encoding": {"alpha": 1e-9}},
+             seed=None)
+    @example(raw={"protocol": "full-pipeline", "encoding": {"alpha": 1e-200}},
+             seed=None)
+    @example(raw={"protocol": "full-pipeline", "encoding": {
+        "alpha": 0.6414318430122907, "epsilon": pi / 0.6414318430122907}},
+        seed=None)
+    @example(raw={"protocol": "rotate",
+                  "encoding": {"alpha": 0.5, "epsilons": [0.1, 5e307]}}, seed=None)
+    @example(raw={"protocol": "rotate",
+                  "encoding": {"alpha": 0.5, "epsilons": [0.1, 1e308]}}, seed=None)
+    @example(raw={"protocol": "prepare", "encoding": {"alpha": 1e200}}, seed=None)
+    @example(raw={"protocol": "swap-report",
+                  "encoding": {"alpha": 1e200, "cutoff": 30}}, seed=None)
+    @example(raw={"protocol": "heat-sweep",
+                  "encoding": {"alpha": 2.0, "beta": 1e200}}, seed=None)
+    @example(raw={"protocol": "full-pipeline",
+                  "encoding": {"alpha": 1.35e154, "cutoff": 30}}, seed=None)
+    def test_every_config_ends_in_a_documented_exit(self, raw, seed):
+        argv_seed = [] if seed is None else ["--seed", str(seed)]
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.dict(os.environ, {"CATBELL_MAX_DIM": "4096"}):
+            cfg_path = Path(tmp) / "config.json"
+            cfg_path.write_text(json.dumps(raw), encoding="utf-8")
+            outdir = Path(tmp) / "out"
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                code = main(["run", str(cfg_path), "--output", str(outdir),
+                             *argv_seed])
+            err = err.getvalue()
+            outputs = list(outdir.glob("*")) if outdir.exists() else []
+            event(f"exit {code}")
+            assert code in (0, 2, 3, 4), err
+            assert "Traceback" not in err
+            if code == 0:
+                assert len(outputs) == 1
+                assert nonfinite_cells(outputs[0]) == []
+                return
+            assert outputs == []
+            prefix = {2: "config error: ", 3: "capacity error: ",
+                      4: "numerical contract violation: "}[code]
+            assert err.startswith(prefix), err
+            if code == 2:
+                names = {f.name for f in FIELDS} | set(SECTIONS) | set(raw)
+                assert any(name in err for name in names), err

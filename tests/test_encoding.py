@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+from math import inf, isfinite, nextafter, sqrt
+
 import numpy as np
 import pytest
 
@@ -25,7 +28,7 @@ from catbell.encoding import (
     rx_matrix,
     schmidt_fidelity,
 )
-from catbell.errors import ContractError
+from catbell.errors import CapacityError, ContractError
 from catbell.hilbert import (
     apply,
     expectation,
@@ -64,6 +67,32 @@ class TestParams:
             EncodingParams.for_amplitudes(1e-200)
         with pytest.raises(ValueError, match="at least"):
             EncodingParams.for_amplitudes(2.0, beta=1e-200)
+
+    def test_amplitude_bounds_sit_where_the_square_leaves_the_normals(self):
+        # the smallest amplitude whose square is a normal double is accepted,
+        # the one below it refused; the largest whose square is finite is
+        # accepted, the one above it is a CapacityError
+        low = sqrt(sys.float_info.min)
+        while low * low < sys.float_info.min:
+            low = nextafter(low, inf)
+        high = sqrt(sys.float_info.max)
+        while not isfinite(high * high):
+            high = nextafter(high, 0.0)
+        mode = ModeParams(30)
+        for amp in (low, high):
+            EncodingParams(amp, amp, mode, mode)
+        with pytest.raises(ValueError, match="at least 1.49e-154"):
+            EncodingParams(nextafter(low, 0.0), 1.0, mode, mode)
+        above = nextafter(high, inf)
+        for alpha, beta in ((above, 1.0), (1.0, above)):
+            with pytest.raises(CapacityError, match="overflows"):
+                EncodingParams(alpha, beta, mode, mode)
+
+    @pytest.mark.parametrize("cutoff", [None, 30])
+    def test_amplitude_whose_square_overflows_is_a_capacity_error(self, cutoff):
+        for alpha, beta in ((1e200, None), (2.0, 1e200), (1.7e308, 1.7e308)):
+            with pytest.raises(CapacityError, match=r"\|alpha\|\^2 overflows"):
+                EncodingParams.for_amplitudes(alpha, beta, cutoff)
 
     def test_negative_epsilon_rejected(self):
         with pytest.raises(ValueError):

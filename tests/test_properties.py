@@ -17,9 +17,11 @@ from catbell.bell import (
     DEFAULT_ANGLES,
     TSIRELSON,
     BellAngles,
+    _draw,
+    _populations,
+    _setting_vectors,
     chsh,
-    correlation_exact,
-    correlation_sampled,
+    correlation_tensor,
     electronic_bell,
     mixed_bell,
 )
@@ -297,21 +299,21 @@ class TestBellBounds:
             assert chsh(state, angles).b_value <= TSIRELSON + 1e-6
 
     @settings(max_examples=40)
-    @given(
-        st.floats(0.0, 2.0 * np.pi, allow_nan=False),
-        st.floats(0.0, 2.0 * np.pi, allow_nan=False),
-    )
-    def test_correlators_bounded(self, ta: float, tb: float):
-        assert abs(correlation_exact(electronic_bell("phi_plus"), ta, tb)) <= 1.0 + 1e-12
+    @given(st.lists(st.floats(0.0, 2.0 * np.pi, allow_nan=False),
+                    min_size=4, max_size=4))
+    def test_correlators_bounded(self, thetas: list[float]):
+        out = chsh(electronic_bell("phi_plus"), BellAngles(*thetas))
+        assert np.abs(out.correlations).max() <= 1.0 + 1e-12
 
     @settings(max_examples=25)
     @given(st.integers(0, 2**32 - 1))
     def test_sampled_correlation_deterministic_in_seed(self, seed: int):
-        state = electronic_bell("phi_plus")
-        a = correlation_sampled(state, 0.3, 0.7, 500, np.random.default_rng(seed))
-        b = correlation_sampled(state, 0.3, 0.7, 500, np.random.default_rng(seed))
-        assert a.counts == b.counts
-        assert a.value == b.value
+        angles = BellAngles(0.3, 1.0, 0.7, -0.2)
+        _, _, pa, pb = _setting_vectors(angles)
+        p = _populations(correlation_tensor(electronic_bell("phi_plus")), pa, pb)
+        a = _draw(p, 500, np.random.default_rng(seed))
+        b = _draw(p, 500, np.random.default_rng(seed))
+        assert np.array_equal(a, b)
 
     @settings(max_examples=25)
     @given(st.integers(0, 2**31 - 1))
