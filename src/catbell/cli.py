@@ -22,7 +22,6 @@ import itertools
 import json
 import os
 import sys
-import tempfile
 import time
 from math import isfinite, pi
 from typing import NamedTuple
@@ -219,12 +218,27 @@ def render_csv(rows: list[dict]) -> str:
 
 
 def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".catbell-", suffix=".tmp")
+    """Write text to a fresh .catbell-<pid>-<n>.tmp beside path (mode 0o600),
+    then rename it over path; the directory is made only if missing."""
+    directory = os.path.dirname(path)
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_CLOEXEC
+    n = 0
+    while True:
+        tmp = os.path.join(directory, f".catbell-{os.getpid()}-{n}.tmp")
+        try:
+            fd = os.open(tmp, flags, 0o600)
+            break
+        except FileExistsError:
+            n += 1
+        except FileNotFoundError:
+            os.makedirs(directory, exist_ok=True)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        try:
+            data = memoryview(text.encode("utf-8"))
+            while data:
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from math import prod
+from math import log10, prod
 
 import numpy as np
 
@@ -43,6 +43,15 @@ def max_total_dim() -> int:
     return value
 
 
+def _count(n: int) -> str:
+    """n in full up to 15 digits; beyond, to 3 significant digits."""
+    if n < 10 ** 15:
+        return str(n)
+    exp = int(log10(n))  # may be one off; the 'e' format renormalizes
+    mantissa, shift = f"{n / 10 ** exp:.2e}".split("e")
+    return f"{float(mantissa):g}e+{exp + int(shift)}"
+
+
 @dataclass(frozen=True)
 class SpaceLayout:
     """Ordered factor dimensions of a tensor-product space."""
@@ -57,9 +66,10 @@ class SpaceLayout:
         if any(d < 2 for d in dims):
             raise ValueError(f"factor dimensions must be >= 2, got {dims}")
         cap = max_total_dim()
-        if prod(dims) > cap:
+        total = prod(dims)
+        if total > cap:
             raise CapacityError(
-                f"total dimension {prod(dims)} exceeds the cap {cap}; "
+                f"total dimension {_count(total)} exceeds the cap {cap}; "
                 f"raise {MAX_DIM_ENV} if this is intentional"
             )
 

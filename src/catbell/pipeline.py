@@ -182,45 +182,48 @@ def run_bell_scan(cfg: dict) -> tuple[list[dict], dict, str]:
     return rows, results, "sampled" if mode == "sampled" else "exact"
 
 
-# a delta sweep at one encoding hits one key; an entry is two floats and
-# the two (d, 2, 2) factors, 8 d complex numbers
-@functools.lru_cache(maxsize=16)
-def _hadamard_stage(enc: EncodingParams
-                    ) -> tuple[float, float, np.ndarray, np.ndarray]:
-    """The gate-free stages of run_pipeline, which depend on enc only: the
-    preparation and Hadamard fidelities and the left and right factors
-    after the Hadamard.  The arrays are read-only."""
+# a delta sweep at one encoding and build hits one key; an entry is two
+# floats and two 4 x 4 complex matrices, about 1.2 KB with their headers
+@functools.lru_cache(maxsize=64)
+def _coherent_stages(enc: EncodingParams, ve_variant: str, ev_variant: str
+                     ) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """The stages of run_pipeline that do not depend on delta: the
+    preparation and Hadamard fidelities, and the electronic pair after both
+    exchanges of the Hadamard-stage state (rho_keep) and of the same state
+    with mode a parity-flipped (rho_flip).  The matrices are read-only."""
     psi = prepare_entangled_schmidt(enc)  # held to the register's size cap
     prep = schmidt_fidelity(psi, entangled_target_schmidt(enc))
     code_a = logical_basis("a", enc)
-    psi = SchmidtState(psi.layout, code_a.rotate(hadamard_matrix(), psi.left),
-                       psi.right)
+    left = code_a.rotate(hadamard_matrix(), psi.left)
+    psi = SchmidtState(psi.layout, left, psi.right)
     had = schmidt_fidelity(psi, bell_target_schmidt("phi_plus", enc))
-    psi.left.flags.writeable = False
-    psi.right.flags.writeable = False
-    return prep, had, psi.left, psi.right
+
+    swap_a = u_swap("a", enc, ve_variant, ev_variant)
+    same_modes = (enc.mode_a, enc.alpha) == (enc.mode_b, enc.beta)
+    swap_b = swap_a if same_modes else u_swap("b", enc, ve_variant, ev_variant)
+    right = swap_b.apply(psi.right, 0, 1)
+    rhos = []
+    for branch in (left, code_a.rotate(SIGMA_X, left)):
+        out = SchmidtState(psi.layout, swap_a.apply(branch, 0, 1), right)
+        rho = reduced_electronic_schmidt(out).matrix
+        rho.flags.writeable = False
+        rhos.append(rho)
+    return prep, had, rhos[0], rhos[1]
 
 
 def _pipeline_state(enc: EncodingParams, delta: float, ve_variant: str,
                     ev_variant: str) -> tuple[dict, DensityMatrix]:
-    """The coherent stages of run_pipeline: stage fidelities and the
-    electronic pair after both exchanges."""
-    prep, had, left, right = _hadamard_stage(enc)
+    """The stage fidelities and the electronic pair of run_pipeline: the
+    memoized coherent stages, mixed with the parity flip of weight delta."""
+    prep, had, rho_keep, rho_flip = _coherent_stages(enc, ve_variant,
+                                                     ev_variant)
     # a hit skips the stages' size checks; the cap may have been lowered
-    layout = full_layout(enc)
-    results = {"preparation_fidelity": prep, "hadamard_fidelity": had}
-
-    lefts = [(1.0 - delta, left)]
-    if delta > 0.0:
-        lefts.append((delta, logical_basis("a", enc).rotate(SIGMA_X, left)))
-    swap_a = u_swap("a", enc, ve_variant, ev_variant)
-    same_modes = (enc.mode_a, enc.alpha) == (enc.mode_b, enc.beta)
-    swap_b = swap_a if same_modes else u_swap("b", enc, ve_variant, ev_variant)
-    right = swap_b.apply(right, 0, 1)
+    full_layout(enc)
     rho = np.zeros((4, 4), dtype=np.complex128)
-    for weight, left in lefts:
-        out = SchmidtState(layout, swap_a.apply(left, 0, 1), right)
-        rho += weight * reduced_electronic_schmidt(out).matrix
+    rho += (1.0 - delta) * rho_keep
+    if delta > 0.0:
+        rho += delta * rho_flip
+    results = {"preparation_fidelity": prep, "hadamard_fidelity": had}
     return results, DensityMatrix(SpaceLayout((2, 2)), rho)
 
 
@@ -246,22 +249,18 @@ def run_pipeline(enc: EncodingParams, delta: float, angles: BellAngles,
     (D(i eps) in the cached eigenbasis) or O(d) (the code-space rx(pi/2)),
     and mode b's is shared by both heating branches; fidelities and the
     electronic state come from 2 x 2 Gram tables at O(d).  No d x d
-    matrix is formed, so a warm op is mostly the overhead of small numpy
-    calls (Gram tables, readout, gate build), not arithmetic on the state.
-    The fidelity to mixed_bell(delta) is the closed form of
-    bell.mixed_bell_fidelity.  The exact and sampled readouts read all four
-    settings from the one 4 x 4 Pauli correlation tensor of the electronic
-    pair (bell.correlation_tensor), with no kron product per setting.
+    matrix is formed.  The fidelity to mixed_bell(delta) is the closed form
+    of bell.mixed_bell_fidelity.  The exact and sampled readouts read all
+    four settings from the one 4 x 4 Pauli correlation tensor of the
+    electronic pair (bell.correlation_tensor).
 
-    The stages before the gates (preparation, Hadamard and their
-    fidelities) depend only on enc, so they are memoized per process on
-    enc, at most 16 keys of two floats and the two read-only (d, 2, 2)
-    factors each; mode a's code basis, which the flip branch and the ideal
-    kick read, is memoized by encoding.logical_basis.  The exchanges, the flip
-    branch and the readout run on every call, so a delta sweep at one
-    encoding skips the bosonic constructors and still pays for its gates.  Warm calls
-    give the same bits as cold ones; a cold call, such as one
-    `catbell run`, does the work it did without the memo.
+    Everything before the mixture depends only on (enc, ve_variant,
+    ev_variant), so it is memoized per process on that key: at most 64
+    keys of two floats and the two read-only 4 x 4 electronic pairs, kept
+    and flipped.  A warm call mixes the two pairs with weight delta and
+    reads out; it builds no state and no gate.  Warm calls give the same
+    bits as cold ones; a cold call, such as one `catbell run`, also runs
+    the flip branch at delta = 0.
     """
     results, electronic = _pipeline_state(enc, delta, ve_variant, ev_variant)
     results["delta"] = delta

@@ -66,19 +66,20 @@ def test_alpha8_pipeline_op_passes_its_check(tmp_path, monkeypatch):
 
 
 def test_pipeline_op_hit_writes_the_miss_results(tmp_path):
-    # a second op of a class in one process reuses the memoized gate-free
-    # stages; its results must be the cold op's, byte for byte
+    # a second op of a class in one process reuses the memoized coherent
+    # stages, exchanges included; its results must be the cold op's, byte
+    # for byte
     import catbell.pipeline
     runner = worker.Runner(str(tmp_path))
     (op,) = [op for op in workloads.cycle_ops("pipeline", 0, 0)
              if op["class"] == "alpha4-displacement-sampled"]
-    catbell.pipeline._hadamard_stage.cache_clear()
+    catbell.pipeline._coherent_stages.cache_clear()
     outputs = []
     for _ in range(2):
         _, output = runner.run(op)
         runner.verify(op, output)
         outputs.append(output)
-    info = catbell.pipeline._hadamard_stage.cache_info()
+    info = catbell.pipeline._coherent_stages.cache_info()
     assert (info.misses, info.hits) == (1, 1)
     assert runner.failures == []
     miss, hit = (json.dumps(out["results"]) for out in outputs)

@@ -48,9 +48,9 @@ from catbell.cli import (
 )
 from catbell.encoding import EncodingParams, logical_basis
 from catbell.errors import CapacityError, ConfigError
-from catbell.gates import EV_VARIANTS, u_swap
+from catbell.gates import EV_VARIANTS, VE_VARIANTS, u_swap
 from catbell.pipeline import (
-    _hadamard_stage,
+    _coherent_stages,
     _pipeline_state,
     run_bell_scan,
     run_full_pipeline,
@@ -544,6 +544,25 @@ class TestOutputFiles:
         leftovers = [n for n in os.listdir(tmp_path) if n.endswith(".tmp")]
         assert leftovers == []
 
+    def test_output_file_mode_is_owner_only(self, tmp_path):
+        path = execute(cfg_for("prepare"), str(tmp_path))
+        assert os.stat(path).st_mode & 0o777 == 0o600
+
+    def test_stale_temp_file_does_not_block_the_write(self, tmp_path):
+        # a temp file left under the name the next write would take first
+        stale = tmp_path / f".catbell-{os.getpid()}-0.tmp"
+        stale.write_text("stale", encoding="utf-8")
+        path = execute(cfg_for("prepare"), str(tmp_path))
+        assert Path(path).read_text(encoding="utf-8").startswith("quantity,")
+        assert stale.read_text(encoding="utf-8") == "stale"
+        assert sorted(os.listdir(tmp_path)) == [stale.name, "prepare.csv"]
+
+    def test_missing_nested_output_directory_is_created(self, tmp_path):
+        outdir = tmp_path / "one" / "two" / "three"
+        path = execute(cfg_for("prepare"), str(outdir))
+        assert path == str(outdir / "prepare.csv")
+        assert os.listdir(outdir) == ["prepare.csv"]
+
     def test_suffix_not_duplicated(self, tmp_path):
         cfg = cfg_for("prepare", output={"path": "named.csv"})
         path = execute(cfg, str(tmp_path))
@@ -661,6 +680,16 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert re.match(r"capacity error: .*\|alpha\|\^2 overflows\n$", err)
         assert not (tmp_path / f"{protocol}.csv").exists()
+
+    def test_huge_default_cutoff_names_a_compact_total(self, tmp_path, capsys):
+        # the default cutoff at alpha 1e153 is about 1e306: the message gives
+        # the total in 3 significant digits, not 307
+        cfg_path = self.write_config(tmp_path, {
+            "protocol": "prepare", "encoding": {"alpha": 1e153}})
+        assert main(["run", cfg_path, "--output", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == (
+            "capacity error: total dimension 1e+306 exceeds the cap 16384; "
+            "raise CATBELL_MAX_DIM if this is intentional\n")
 
     def test_contract_error_exit_code(self, tmp_path, capsys):
         # gamma * duration = 1e18 is the uniform steady state; one that
@@ -846,6 +875,28 @@ class TestMainEntry:
         assert len(one) == len(PROTOCOLS) - 1 + 2 * 2 * 2 * 3
         assert one == four
 
+    def test_warm_full_pipeline_writes_the_cold_bytes(self, tmp_path):
+        # the alpha 2 full-pipeline configs of the comparison set, run once
+        # with the memos kept across configs and once with them cleared
+        # before each config
+        from output_matrix import configs
+        matrix = {name: raw for name, raw in configs((2.0,)).items()
+                  if raw["protocol"] == "full-pipeline"}
+        outputs = []
+        for cold in (False, True):
+            outdir = tmp_path / ("cold" if cold else "warm")
+            for name, raw in matrix.items():
+                if cold:
+                    _coherent_stages.cache_clear()
+                    logical_basis.cache_clear()
+                    _setting_vectors.cache_clear()
+                execute(normalize_config(dict(raw, output={"path": name})),
+                        str(outdir))
+            outputs.append({p.name: p.read_bytes() for p in outdir.iterdir()})
+        warm, cold = outputs
+        assert len(warm) == 2 * 2 * 2 * 3
+        assert warm == cold
+
     def test_swap_report_identical_across_blas_threads(self, tmp_path):
         # alpha 8 (cutoff 122): the unitarity column takes U†U of 244 x 244
         # pair matrices
@@ -953,7 +1004,8 @@ class TestSizeCapVariable:
 
 
 class TestPipelineMemo:
-    """run_pipeline memoizes its gate-free stages per encoding."""
+    """run_pipeline memoizes its coherent stages, both exchanges included,
+    per (encoding, ve_variant, ev_variant)."""
 
     @pytest.mark.parametrize("alpha,beta", [(2.0, 2.0), (2.0, 3.0)])
     def test_warm_sweep_equals_cold_calls(self, alpha, beta):
@@ -963,33 +1015,53 @@ class TestPipelineMemo:
         def sweep(cold: bool) -> list:
             out = []
             for delta in deltas:
-                for ev in EV_VARIANTS:
-                    for method in ("exact", "sampled"):
-                        if cold:
-                            _hadamard_stage.cache_clear()
-                            measurement_pulse.cache_clear()
-                            _setting_vectors.cache_clear()
-                        out.append(run_pipeline(enc, delta, DEFAULT_ANGLES,
-                                                method, 512, 3, "literal", ev))
+                for ve in VE_VARIANTS:
+                    for ev in EV_VARIANTS:
+                        for method in ("exact", "sampled"):
+                            if cold:
+                                _coherent_stages.cache_clear()
+                                logical_basis.cache_clear()
+                                measurement_pulse.cache_clear()
+                                _setting_vectors.cache_clear()
+                            out.append(repr(run_pipeline(
+                                enc, delta, DEFAULT_ANGLES, method, 512, 3,
+                                ve, ev)))
             return out
 
-        _hadamard_stage.cache_clear()
+        _coherent_stages.cache_clear()
         warm = sweep(cold=False)
-        info = _hadamard_stage.cache_info()
-        assert info.misses == 1
-        assert info.hits == len(warm) - 1
+        info = _coherent_stages.cache_info()
+        builds = len(VE_VARIANTS) * len(EV_VARIANTS)
+        assert info.misses == builds
+        assert info.hits == len(warm) - builds
         assert warm == sweep(cold=True)
 
-    def test_every_call_builds_its_gates(self, monkeypatch):
-        # the memo stops before the exchange: a warm call still builds it
+    def test_only_a_cold_call_builds_its_gates(self, monkeypatch):
+        # the memo ends after both exchanges: a cold call builds mode a's
+        # exchange, and mode b's too when the modes differ; a warm call
+        # builds neither an exchange nor a kick
+        import catbell.gates
         import catbell.pipeline
-        enc = EncodingParams.for_amplitudes(2.0)
-        run_pipeline(enc, 0.1, DEFAULT_ANGLES)
-        calls = []
+        swaps, kicks = [], []
+        kick_fn = catbell.gates._kick
+        monkeypatch.setattr(catbell.gates, "_kick",
+                            lambda *args: kicks.append(args) or kick_fn(*args))
         monkeypatch.setattr(catbell.pipeline, "u_swap",
-                            lambda *args: calls.append(args) or u_swap(*args))
-        run_pipeline(enc, 0.1, DEFAULT_ANGLES)
-        assert calls == [("a", enc, "ideal", "ideal")]
+                            lambda *args: swaps.append(args) or u_swap(*args))
+        for beta, modes in ((2.0, ["a"]), (3.0, ["a", "b"])):
+            enc = EncodingParams.for_amplitudes(2.0, beta)
+            for ev in EV_VARIANTS:
+                _coherent_stages.cache_clear()
+                cold = run_pipeline(enc, 0.1, DEFAULT_ANGLES, ev_variant=ev)
+                assert [args[0] for args in swaps] == modes
+                assert [args[0] for args in kicks] == modes
+                swaps.clear()
+                kicks.clear()
+                for delta in (0.0, 0.7, 0.1):
+                    warm = run_pipeline(enc, delta, DEFAULT_ANGLES,
+                                        ev_variant=ev)
+                assert swaps == kicks == []
+                assert repr(warm) == repr(cold)
 
     def test_warm_ideal_op_builds_no_code_basis(self, monkeypatch):
         # the ideal kick, the Hadamard stage and the flip branch share the
@@ -1006,22 +1078,23 @@ class TestPipelineMemo:
     def test_hit_still_holds_the_size_cap(self, monkeypatch):
         # alpha 6 (d = 82) needs the raised cap; a hit must not skip it
         enc = EncodingParams.for_amplitudes(6.0)
-        monkeypatch.setenv("CATBELL_MAX_DIM", "65536")
-        run_pipeline(enc, 0.1, DEFAULT_ANGLES)
-        monkeypatch.delenv("CATBELL_MAX_DIM")
-        hits = _hadamard_stage.cache_info().hits
-        with pytest.raises(CapacityError, match="exceeds the cap 16384"):
-            run_pipeline(enc, 0.1, DEFAULT_ANGLES)
-        assert _hadamard_stage.cache_info().hits == hits + 1
+        for ev in EV_VARIANTS:
+            monkeypatch.setenv("CATBELL_MAX_DIM", "65536")
+            run_pipeline(enc, 0.1, DEFAULT_ANGLES, ev_variant=ev)
+            monkeypatch.delenv("CATBELL_MAX_DIM")
+            hits = _coherent_stages.cache_info().hits
+            with pytest.raises(CapacityError, match="exceeds the cap 16384"):
+                run_pipeline(enc, 0.1, DEFAULT_ANGLES, ev_variant=ev)
+            assert _coherent_stages.cache_info().hits == hits + 1
 
     def test_cached_arrays_are_read_only(self):
         enc = EncodingParams.for_amplitudes(2.0)
-        _, _, left, right = _hadamard_stage(enc)
+        _, _, rho_keep, rho_flip = _coherent_stages(enc, "ideal", "ideal")
         code_a = logical_basis("a", enc)
         assert logical_basis("a", enc) is code_a
         with pytest.raises(dataclasses.FrozenInstanceError):
             code_a.zero = code_a.one
-        for cached in (left, right, code_a.zero.amps, code_a.one.amps,
+        for cached in (rho_keep, rho_flip, code_a.zero.amps, code_a.one.amps,
                        code_a.dft_zero.amps, code_a.dft_one.amps,
                        measurement_pulse(0.3), *_setting_vectors(DEFAULT_ANGLES)):
             with pytest.raises(ValueError, match="read-only"):
@@ -1029,24 +1102,31 @@ class TestPipelineMemo:
 
     def test_returned_state_is_the_callers(self):
         enc = EncodingParams.for_amplitudes(2.0)
-        _hadamard_stage.cache_clear()
+        _coherent_stages.cache_clear()
         results, rho = _pipeline_state(enc, 0.15, "ideal", "ideal")
         want = rho.matrix.copy()
+        assert rho.matrix.flags.writeable
         rho.matrix[:] = 0.0
         results["preparation_fidelity"] = -1.0
         results_again, rho_again = _pipeline_state(enc, 0.15, "ideal", "ideal")
-        assert _hadamard_stage.cache_info().hits == 1
+        assert _coherent_stages.cache_info().hits == 1
         assert (rho_again.matrix == want).all()
         assert results_again["preparation_fidelity"] > 0.99
-        # and a later call does not write into a state handed out before
-        _pipeline_state(enc, 0.5, "ideal", "ideal")
+        # a later call neither writes into a state handed out before nor
+        # hands out a cached pair, even at delta 0, where the flip drops out
+        _, rho_zero = _pipeline_state(enc, 0.0, "ideal", "ideal")
+        _, _, rho_keep, _ = _coherent_stages(enc, "ideal", "ideal")
+        assert not np.shares_memory(rho_zero.matrix, rho_keep)
+        rho_zero.matrix[:] = 0.0
         assert (rho_again.matrix == want).all()
+        assert (_pipeline_state(enc, 0.15, "ideal", "ideal")[1].matrix
+                == want).all()
         assert results["preparation_fidelity"] == -1.0
 
 
 class TestDecompositionCache:
     """The tridiagonal generators are decomposed once per cutoff and
-    process; every op still propagates its own state and builds its gates."""
+    process; every heat-sweep op still propagates its own state."""
 
     @pytest.fixture
     def decompositions(self, monkeypatch) -> list:
@@ -1069,21 +1149,21 @@ class TestDecompositionCache:
         assert run_heat_sweep(cfg) == first
         assert len(decompositions) == 2
 
-    def test_warm_pipeline_decomposes_nothing_and_builds_its_gates(
+    def test_warm_pipeline_decomposes_nothing_and_builds_no_gate(
             self, decompositions, monkeypatch):
         import catbell.pipeline
         cfg = cfg_for("full-pipeline", gates={"ev_variant": "displacement"})
-        first = run_full_pipeline(cfg)
-        assert len(decompositions) == 1
+        _coherent_stages.cache_clear()
         kicks, swaps = [], []
         action_fn = catbell.bosonic.displacement_action
         monkeypatch.setattr(catbell.bosonic, "displacement_action",
                             lambda *args: kicks.append(args) or action_fn(*args))
         monkeypatch.setattr(catbell.pipeline, "u_swap",
                             lambda *args: swaps.append(args) or u_swap(*args))
+        first = run_full_pipeline(cfg)
+        assert len(decompositions) == len(kicks) == len(swaps) == 1
         assert run_full_pipeline(cfg) == first
-        assert len(decompositions) == 1
-        assert len(kicks) == len(swaps) == 1
+        assert len(decompositions) == len(kicks) == len(swaps) == 1
 
 
 class TestParserReuse:

@@ -72,6 +72,24 @@ class TestLayout:
         with pytest.raises(CapacityError):
             SpaceLayout((2, 2))
 
+    @pytest.mark.parametrize("dims,shown", [
+        ((129, 128), "16512"),
+        ((999999999999999,), "999999999999999"),
+        ((10 ** 15,), "1e+15"),
+        ((2, 10 ** 15 - 1), "2e+15"),
+        ((99999 * 10 ** 300,), "1e+305"),
+        ((123456, 10 ** 400), "1.23e+405"),
+        ((10 ** 2000, 10 ** 2000, 2, 2), "4e+4000"),
+    ])
+    def test_cap_message_shows_a_huge_total_compactly(self, monkeypatch, dims,
+                                                      shown):
+        # up to 15 digits in full, beyond that 3 significant digits
+        monkeypatch.delenv("CATBELL_MAX_DIM", raising=False)
+        with pytest.raises(CapacityError) as err:
+            SpaceLayout(dims)
+        assert str(err.value).startswith(
+            f"total dimension {shown} exceeds the cap {DEFAULT_MAX_DIM}; ")
+
 
 class TestStates:
     def test_basis_state(self):
