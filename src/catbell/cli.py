@@ -324,8 +324,11 @@ DESCRIPTIONS = {
         ],
         "columns": ("duration,n_mean,re_a,im_a,parity,delta,"
                     "flip_probability,trace_drift"),
-        "notes": ("noise module exact master-equation solution "
-                  "(evolve_lindblad); noise.steps sets only the record grid"),
+        "notes": ("noise module exact master-equation solution: the even "
+                  "cat's trace coefficients (trace_coefficients, memoized "
+                  "per encoding) evaluated at each duration alone "
+                  "(evaluate_traces); noise.steps sets only the record grid "
+                  "and is held to noise.MAX_STEPS"),
     },
     "bell-scan": {
         "stages": [

@@ -26,8 +26,12 @@ V diag(w) V^T per diagonal gives exp(tL) = V diag(e^{tw}) V^T exactly.  The
 blocks do not depend on gamma, so each (d, m) is decomposed once per process
 and kept (_diagonal_block).  The <n>, parity and trace readouts are linear in
 diagonal 0 and <a> in diagonal -1, so the traces of every run at one cutoff
-share two decompositions (evolve_lindblad); rho itself, which takes all d of
-them, comes from propagate.
+share two decompositions.  evolve_lindblad runs in two stages:
+trace_coefficients folds rho0 into one coefficient vector per readout, free
+of gamma and t, and evaluate_traces sums each against e^{gamma t w} at the
+record times.  A caller that evaluates one rho0 again and again keeps the
+coefficients (pipeline's heat-sweep memo) and may ask for one time alone.
+rho itself, which takes all d blocks, comes from propagate.
 
 The jump sampler views the register as (pre, d, post) around the heated
 mode, so it moves no axis.  It draws the first waiting time before it looks
@@ -37,7 +41,8 @@ ends past the duration even at the rates of the bound
 returns without computing <n>; the draws and the output are those of the
 loop alone, bit for bit.  Every other trajectory computes <n> in one pass
 over the amplitudes for each state it visits (only for the input under
-constant_rate), and each jump writes one new register.
+constant_rate), and each jump writes one new register, scaling the float
+view of the amplitudes by the real ladder column.
 
 Each trajectory's stream is np.random.default_rng([master_seed, index]),
 bit for bit (trajectory_rng).  Building a SeedSequence per key costs more
@@ -58,14 +63,14 @@ from math import exp, isfinite, prod
 import numpy as np
 
 from .errors import CapacityError, ContractError
-from .hilbert import DensityMatrix, SpaceLayout, StateVector, band_eigh
+from .hilbert import DensityMatrix, SpaceLayout, StateVector, _count, band_eigh
 
 TRACE_TOL = 1e-6
-# evolve_lindblad refuses more recorded steps than this: it keeps three
-# traces and the times of steps + 1 points (40 MB at the limit), and the
-# largest count a test, demo or benchmark op asks for is under 10^5
+# record_steps refuses more recorded steps than this: evolve_lindblad keeps
+# three traces and the times of steps + 1 points (40 MB at the limit), and
+# the largest count a test, demo or benchmark op asks for is under 10^5
 MAX_STEPS = 10 ** 6
-# evolve_lindblad evaluates its traces this many entries (times x levels) at
+# evaluate_traces evaluates its traces this many entries (times x levels) at
 # a time, so their memory stays O(steps + d^2)
 _TABLE_ENTRIES = 2 ** 14
 # machine epsilon and the smallest subnormal, for _occupancy_bound's margin
@@ -185,49 +190,80 @@ def propagate(rho0: DensityMatrix, params: HeatingParams) -> DensityMatrix:
     return DensityMatrix(rho0.layout, out)
 
 
-def evolve_lindblad(rho0: DensityMatrix, params: HeatingParams) -> NoiseResult:
-    """Exact solution of the heating equation on the record grid.
-
-    times is linspace(0, duration, steps + 1), or the two endpoints when
-    params.steps is None; the values at a time do not depend on the grid.
-    Diagonals 0 and -1 of rho are propagated in the eigenbasis of their
-    blocks (_diagonal_block, decomposed on the first run at this cutoff and
-    reused by every later one): a readout c . rho(t) of diagonal m is
-    sum_j e^{gamma t w_j} (V^T c)_j (V^T x)_j for the diagonal x of rho0, so
-    every trace is one einsum of e^{gamma t w} with a fixed coefficient
-    vector.  The table is evaluated a bounded number of rows at a time, so
-    memory is O(steps + d^2).  einsum calls no BLAS, so the traces do not
-    depend on the BLAS thread count.  rho0 is not modified, and the result
-    shares no memory with it.
-    """
-    dim = _require_single_mode(rho0.layout)
+def record_steps(params: HeatingParams) -> int:
+    """The step count of params' record grid, 1 when params.steps is None;
+    a CapacityError past MAX_STEPS."""
     steps = params.steps or 1
     if steps > MAX_STEPS:
         raise CapacityError(
-            f"{steps:.4g} recorded steps exceed the limit {MAX_STEPS}; "
+            f"{_count(steps)} recorded steps exceed the limit {MAX_STEPS}; "
             "lower noise.steps")
-    times = np.linspace(0.0, params.duration, steps + 1)
+    return steps
+
+
+@dataclass(frozen=True)
+class TraceCoefficients:
+    """The gamma- and t-free part of the heating traces of one rho0.
+
+    At rate r = gamma t, <n>, parity and the trace are sum_j e^{r w0_j}
+    c0[k, j] for k = 0, 1, 2, and <a> is sum_j e^{r w1_j} c1_j.  w0 and w1
+    are the eigenvalues of blocks 0 and 1 (_diagonal_block); every array is
+    read-only, so one instance can be shared.
+    """
+
+    w0: np.ndarray
+    c0: np.ndarray
+    w1: np.ndarray
+    c1: np.ndarray
+
+
+def trace_coefficients(rho0: DensityMatrix) -> TraceCoefficients:
+    """The coefficients of evolve_lindblad's traces from rho0.
+
+    A readout c . rho(t) of diagonal m is sum_j e^{gamma t w_j} (V^T c)_j
+    (V^T x)_j for the diagonal x of rho0, (w, V) the block of diagonal m:
+    diagonal 0 gives <n>, parity and the trace, diagonal -1 gives <a>.  The
+    blocks are decomposed on the first run at this cutoff and reused by
+    every later one.  rho0 is not modified, and the result shares no memory
+    with it.
+    """
+    dim = _require_single_mode(rho0.layout)
     rho = rho0.matrix
     levels = np.arange(dim, dtype=np.float64)
     w0, v0 = _diagonal_block(dim, 0)
     w1, v1 = _diagonal_block(dim, 1)
     x0 = np.einsum("nj,n->j", v0, rho.diagonal().real)
-    # coefficients of <n>, parity and the trace on diagonal 0, <a> on -1
     readouts = np.stack([levels, (-1.0) ** levels, np.ones(dim)])
     c0 = np.einsum("nj,cn->cj", v0, readouts) * x0
     c1 = (np.einsum("nj,n->j", v1, np.sqrt(levels[1:]))
           * np.einsum("nj,n->j", v1, rho.diagonal(-1)))
+    c0.flags.writeable = False
+    c1.flags.writeable = False
+    return TraceCoefficients(w0, c0, w1, c1)
 
-    n_trace = np.empty(steps + 1)
-    a_trace = np.empty(steps + 1, dtype=np.complex128)
-    p_trace = np.empty(steps + 1)
-    rows = max(1, _TABLE_ENTRIES // dim)
+
+def evaluate_traces(coeffs: TraceCoefficients, gamma: float,
+                    times: np.ndarray) -> NoiseResult:
+    """The traces of coeffs at gamma and each of the (nonempty) times.
+
+    Each trace is one einsum of e^{gamma t w} with a coefficient vector.
+    The table is evaluated a bounded number of rows at a time, so memory is
+    O(len(times) + d^2).  einsum calls no BLAS, so the traces do not depend
+    on the BLAS thread count, and a time's values do not depend on the
+    other times.  The trace drift is read at the last time.
+    """
+    w0, c0, w1, c1 = coeffs.w0, coeffs.c0, coeffs.w1, coeffs.c1
+    count = times.size
+    n_trace = np.empty(count)
+    a_trace = np.empty(count, dtype=np.complex128)
+    p_trace = np.empty(count)
+    rows = max(1, _TABLE_ENTRIES // w0.size)
     # every w is <= 0, so a finite gamma * t cannot overflow; an infinite one
     # (gamma * duration past 1.8e308) makes inf * 0 = nan on the steady
     # state, and the trace guard below turns that into a named error
     with np.errstate(over="ignore", invalid="ignore"):
-        rates = params.gamma * times
-        for start in range(0, steps + 1, rows):
+        rates = gamma * times
+        for start in range(0, count, rows):
             span = slice(start, start + rows)
             table = np.exp(np.multiply.outer(rates[span], w0))
             np.einsum("ij,j->i", table, c0[0], out=n_trace[span])
@@ -240,6 +276,21 @@ def evolve_lindblad(rho0: DensityMatrix, params: HeatingParams) -> NoiseResult:
             f"trace drifted by {drift:.3e} at gamma*duration = {rates[-1]:.3g}; "
             "lower noise.gamma or noise.duration")
     return NoiseResult(times, n_trace, a_trace, p_trace, drift)
+
+
+def evolve_lindblad(rho0: DensityMatrix, params: HeatingParams) -> NoiseResult:
+    """Exact solution of the heating equation on the record grid.
+
+    times is linspace(0, duration, steps + 1), or the two endpoints when
+    params.steps is None; the values at a time do not depend on the grid.
+    The traces are trace_coefficients(rho0) evaluated at each time
+    (evaluate_traces); more than MAX_STEPS steps are refused
+    (record_steps).  rho0 is not modified, and the result shares no memory
+    with it.
+    """
+    coeffs = trace_coefficients(rho0)
+    times = np.linspace(0.0, params.duration, record_steps(params) + 1)
+    return evaluate_traces(coeffs, params.gamma, times)
 
 
 def delta_of(gamma: float, alpha: float, duration: float) -> float:
@@ -319,16 +370,26 @@ def _occupancy_bound(amps: np.ndarray, dim: int) -> float:
 
 def _jump(psi: np.ndarray, up: bool, root: np.ndarray) -> np.ndarray | None:
     """a+ psi (up) or a psi on the middle axis of the view, normalized; None
-    when the event annihilates psi."""
-    out = np.zeros_like(psi)
+    when the event annihilates psi.
+
+    The ladder column is real, so it scales the float view of psi, and only
+    the vacated edge level is zeroed.  Scaling by 1 / nrm is what numpy's
+    complex division by a real nrm computes, so every nonzero amplitude has
+    the bits of the complex products and division; a zero may differ from
+    them in its sign.
+    """
+    out = np.empty_like(psi)
+    f, src = out.view(np.float64), psi.view(np.float64)
     if up:
-        np.multiply(root, psi[:, :-1], out=out[:, 1:])
+        np.multiply(root, src[:, :-1], out=f[:, 1:])
+        f[:, 0] = 0.0
     else:
-        np.multiply(root, psi[:, 1:], out=out[:, :-1])
+        np.multiply(root, src[:, 1:], out=f[:, :-1])
+        f[:, -1] = 0.0
     nrm = np.linalg.norm(out)
     if nrm == 0.0:
         return None
-    out /= nrm
+    f *= 1.0 / nrm
     return out
 
 

@@ -51,6 +51,7 @@ from catbell.errors import CapacityError, ConfigError
 from catbell.gates import EV_VARIANTS, VE_VARIANTS, u_swap
 from catbell.pipeline import (
     _coherent_stages,
+    _heat_coefficients,
     _pipeline_state,
     run_bell_scan,
     run_full_pipeline,
@@ -386,8 +387,10 @@ class TestProtocolRunners:
 
     def test_heat_sweep_decomposes_two_blocks_per_duration(self, monkeypatch):
         # the sweep reads diagonals 0 and -1 only; building the full final
-        # rho would decompose all d blocks
+        # rho would decompose all d blocks.  A cold memo, so that the
+        # coefficients are computed here
         import catbell.noise
+        _heat_coefficients.cache_clear()
         calls = []
         block = catbell.noise._diagonal_block
 
@@ -735,6 +738,8 @@ class TestMainEntry:
     @pytest.mark.parametrize("raw,code,message", [
         ({"protocol": "heat-sweep", "noise": {"steps": 1e15}},
          3, "capacity error: 1e\\+15 recorded steps exceed the limit"),
+        ({"protocol": "heat-sweep", "noise": {"steps": 1000001}},
+         3, "capacity error: 1000001 recorded steps exceed the limit 1000000;"),
         ({"protocol": "heat-sweep", "noise": {"gamma": 1e10, "durations": [1e300]}},
          4, "contract violation: .* at gamma\\*duration = inf"),
         ({"protocol": "heat-sweep", "noise": {"gamma": 1e300, "duration": 1e10}},
@@ -750,8 +755,8 @@ class TestMainEntry:
             "set noise\\.delta explicitly"),
         ({"protocol": "prepare", "encoding": {"alpha": 1000, "cutoff": 30}},
          3, "capacity error: no finite cutoff found for \\|alpha\\|\\^2 = 1000000"),
-    ], ids=["steps", "durations", "auto-steps-overflow", "bell-scan-shots",
-            "full-pipeline-shots", "rotate-angle-overflow",
+    ], ids=["steps", "steps-one-past-limit", "durations", "auto-steps-overflow",
+            "bell-scan-shots", "full-pipeline-shots", "rotate-angle-overflow",
             "default-delta-above-one", "no-finite-cutoff"])
     def test_step_and_shot_limits(self, tmp_path, capsys, raw, code, message):
         # each of these must end in a named error and its exit code; the
@@ -1124,9 +1129,61 @@ class TestPipelineMemo:
         assert results["preparation_fidelity"] == -1.0
 
 
+class TestHeatSweepMemo:
+    """run_heat_sweep memoizes the even cat's trace coefficients per
+    encoding and evaluates each duration at its endpoint."""
+
+    @pytest.mark.parametrize("alpha", [2.0, 3.0, 4.0, 6.0])
+    def test_warm_calls_equal_cold_ones(self, alpha, monkeypatch):
+        monkeypatch.setenv("CATBELL_MAX_DIM", "65536")
+        cfgs = [cfg_for("heat-sweep", encoding={"alpha": alpha},
+                        noise={"gamma": gamma, "durations": [0.0, 0.5, 2.0],
+                               "steps": steps})
+                for gamma in (1e-3, 0.02, 3.0) for steps in (None, 1, 100)]
+
+        def sweep(cold: bool) -> list:
+            out = []
+            for cfg in cfgs:
+                if cold:
+                    _heat_coefficients.cache_clear()
+                    catbell.noise._diagonal_block.cache_clear()
+                rows, results, _ = run_heat_sweep(cfg)
+                out.append(render_csv(rows) + repr(results))
+            return out
+
+        _heat_coefficients.cache_clear()
+        warm = sweep(cold=False)
+        info = _heat_coefficients.cache_info()
+        assert (info.misses, info.hits) == (1, len(cfgs) - 1)
+        assert warm == sweep(cold=True)
+
+    def test_hit_still_holds_the_size_cap_and_the_step_limit(self, monkeypatch):
+        cfg = cfg_for("heat-sweep", encoding={"alpha": 2.0})
+        _heat_coefficients.cache_clear()
+        run_heat_sweep(cfg)
+        monkeypatch.setenv("CATBELL_MAX_DIM", "3")
+        with pytest.raises(CapacityError, match="exceeds the cap 3"):
+            run_heat_sweep(cfg)
+        monkeypatch.delenv("CATBELL_MAX_DIM")
+        too_many = cfg_for("heat-sweep", encoding={"alpha": 2.0},
+                           noise={"steps": catbell.noise.MAX_STEPS + 1})
+        with pytest.raises(CapacityError, match="1000001 recorded steps"):
+            run_heat_sweep(too_many)
+        assert _heat_coefficients.cache_info().hits == 2
+
+    def test_cached_arrays_are_read_only(self):
+        coeffs = _heat_coefficients(EncodingParams.for_amplitudes(2.0))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            coeffs.c0 = coeffs.c1
+        for cached in (coeffs.w0, coeffs.c0, coeffs.w1, coeffs.c1):
+            with pytest.raises(ValueError, match="read-only"):
+                cached[0] = 1.0
+
+
 class TestDecompositionCache:
     """The tridiagonal generators are decomposed once per cutoff and
-    process; every heat-sweep op still propagates its own state."""
+    process; heat-sweep's trace coefficients are memoized per encoding
+    (TestHeatSweepMemo)."""
 
     @pytest.fixture
     def decompositions(self, monkeypatch) -> list:
@@ -1142,6 +1199,7 @@ class TestDecompositionCache:
         return calls
 
     def test_warm_heat_sweep_decomposes_nothing(self, decompositions):
+        _heat_coefficients.cache_clear()
         cfg = cfg_for("heat-sweep", encoding={"alpha": 3.0},
                       noise={"durations": [0.25, 0.5, 1.0, 2.0], "steps": 50})
         first = run_heat_sweep(cfg)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import tracemalloc
 import warnings
 from math import prod
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from catbell.bell import mixed_bell
 from catbell.bosonic import EVEN, ODD, ModeParams, cat, coherent, mode_for
-from catbell.encoding import MODE_A, MODE_B, bell_target
+from catbell.encoding import MODE_A, MODE_B, EncodingParams, bell_target
 from catbell.errors import CapacityError, ContractError
 from catbell.hilbert import (
     DensityMatrix,
@@ -30,11 +31,15 @@ from catbell.noise import (
     HeatingParams,
     _SEED_BLOCK,
     _diagonal_block,
+    _jump,
+    _mode_view,
     delta_of,
+    evaluate_traces,
     evolve_lindblad,
     parity_flip_probability,
     propagate,
     sample_trajectory,
+    trace_coefficients,
     trajectory_rng,
 )
 from catbell.reference import liouvillian_expm, liouvillian_matrix, poisson_jump_stats
@@ -105,6 +110,11 @@ class TestParams:
         assert evolve_lindblad(rho0, HeatingParams(1e-3, 1.0, steps=150)).times.size == 151
         with pytest.raises(CapacityError, match="151 recorded steps"):
             evolve_lindblad(rho0, HeatingParams(1e-3, 1.0, steps=151))
+        # the count is printed in full, not rounded to 1e+06
+        monkeypatch.undo()
+        with pytest.raises(CapacityError, match=re.escape(
+                f"{MAX_STEPS + 1} recorded steps exceed the limit {MAX_STEPS};")):
+            evolve_lindblad(rho0, HeatingParams(1e-3, 1.0, steps=MAX_STEPS + 1))
 
 
 def block_generator(rho: np.ndarray, gamma: float) -> np.ndarray:
@@ -466,6 +476,33 @@ class TestDiagonalBlockCache:
         assert _diagonal_block.cache_info().misses == 26 + 12
         for got, want in zip(evolve(cold=True), warm):
             assert all(np.all(x == y) for x, y in zip(got, want))
+
+
+class TestTraceStages:
+    """evolve_lindblad is trace_coefficients, then evaluate_traces on the
+    record grid; a time's traces do not depend on the other times."""
+
+    @pytest.mark.parametrize("steps", [None, 1, 7, 100])
+    def test_endpoint_alone_has_the_grid_bits(self, steps):
+        runs = [(cat(2.0, EVEN, mode_for(2.0)).to_density(), 2e-2, 1.3),
+                (random_density(12, seed=5), 0.4, 0.7)]
+        for rho0, gamma, duration in runs:
+            res = evolve_lindblad(rho0, HeatingParams(gamma, duration, steps))
+            end = evaluate_traces(trace_coefficients(rho0), gamma,
+                                  np.array([duration]))
+            for got, want in ((end.n_trace, res.n_trace),
+                              (end.a_trace, res.a_trace),
+                              (end.parity_trace, res.parity_trace)):
+                assert got.tobytes() == want[-1:].tobytes()
+            assert end.trace_drift == res.trace_drift
+
+    def test_coefficients_leave_the_input_alone(self):
+        rho0 = random_density(9, seed=2)
+        before = rho0.matrix.copy()
+        coeffs = trace_coefficients(rho0)
+        assert np.array_equal(rho0.matrix, before)
+        for array in (coeffs.w0, coeffs.c0, coeffs.w1, coeffs.c1):
+            assert not np.shares_memory(array, rho0.matrix)
 
 
 class TestScales:
@@ -861,6 +898,62 @@ class TestTrajectoryOracle:
             assert res.jumps == []
             assert np.array_equal(res.final.amps, psi.amps)
             assert not np.shares_memory(res.final.amps, psi.amps)
+
+
+def _complex_jump(psi: np.ndarray, up: bool, root: np.ndarray):
+    """_jump as complex arithmetic: the ladder column cast to complex and a
+    complex division by the norm."""
+    out = np.zeros_like(psi)
+    if up:
+        np.multiply(root, psi[:, :-1], out=out[:, 1:])
+    else:
+        np.multiply(root, psi[:, 1:], out=out[:, :-1])
+    nrm = np.linalg.norm(out)
+    if nrm == 0.0:
+        return None
+    out /= nrm
+    return out
+
+
+class TestJumpKernel:
+    """_jump scales the float view of the register by the real ladder
+    column and by 1 / norm, and has the bits of the complex arithmetic."""
+
+    @pytest.mark.parametrize("alpha", [2.0, 3.0, 4.0])
+    def test_phi_plus_jump_chains_keep_their_bytes(self, alpha):
+        psi0 = bell_target("phi_plus", EncodingParams.for_amplitudes(alpha))
+        for mode_index in (MODE_A, MODE_B):
+            shape, _, root = _mode_view(psi0.layout.dims, mode_index)
+            for kinds in ((True,), (False,), (True, True, False),
+                          (False, True, False)):
+                got = want = psi0.amps.reshape(shape)
+                for up in kinds:
+                    got, want = _jump(got, up, root), _complex_jump(want, up, root)
+                    assert got.tobytes() == want.tobytes()
+
+    def test_signed_zeros_keep_their_values(self):
+        # a -0.0 amplitude may leave a zero of the other sign; every value,
+        # and the bits of every nonzero one, are the complex arithmetic's
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            dims = tuple(int(d) for d in rng.integers(2, 7, size=rng.integers(1, 4)))
+            mode_index = int(rng.integers(len(dims)))
+            shape, _, root = _mode_view(dims, mode_index)
+            f = rng.normal(size=2 * prod(dims))
+            f[rng.random(f.size) < 0.4] = 0.0
+            f[rng.random(f.size) < 0.5] *= -1.0
+            psi = f.view(np.complex128).reshape(shape)
+            before = psi.copy()
+            for up in (True, False):
+                got, want = _jump(psi, up, root), _complex_jump(psi, up, root)
+                if want is None:
+                    assert got is None
+                    continue
+                got, want = got.view(np.float64), want.view(np.float64)
+                assert np.array_equal(got, want)
+                assert got[got != 0].tobytes() == want[want != 0].tobytes()
+                assert not np.shares_memory(got, psi)
+            assert psi.tobytes() == before.tobytes()
 
 
 class TestTrajectoryStreams:
