@@ -91,7 +91,11 @@ def _as_complex(a: np.ndarray) -> np.ndarray:
 
 @dataclass
 class StateVector:
-    """Pure state over a layout, stored as a flat complex vector."""
+    """Pure state over a layout, stored as a flat complex vector.
+
+    amps read-only down their .base chain make the state immutable: then
+    noise.sample_trajectory keeps its <n> as _mean_n = (amps, {mode view:
+    <n>}), served while state.amps is that object, and may share amps."""
 
     layout: SpaceLayout
     amps: np.ndarray

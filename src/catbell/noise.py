@@ -34,15 +34,14 @@ coefficients (pipeline's heat-sweep memo) and may ask for one time alone.
 rho itself, which takes all d blocks, comes from propagate.
 
 The jump sampler views the register as (pre, d, post) around the heated
-mode, so it moves no axis.  It draws the first waiting time before it looks
-at the state.  Under state-following rates, a trajectory whose first wait
-ends past the duration even at the rates of the bound
-<n> <= (d - 1) ||psi||^2 (one dot over the register) cannot jump, and it
-returns without computing <n>; the draws and the output are those of the
-loop alone, bit for bit.  Every other trajectory computes <n> in one pass
-over the amplitudes for each state it visits (only for the input under
+mode, so it moves no axis.  It computes <n> in one pass over the
+amplitudes for each state it visits (only for the input under
 constant_rate), and each jump writes one new register, scaling the float
-view of the amplitudes by the real ladder column.
+view of the amplitudes by the real ladder column.  A register whose
+amplitudes are read-only down their .base chain is immutable: its input
+<n> is computed once per heated mode and kept on the state, and a
+trajectory with no jump returns the input's amplitudes uncopied, so an
+ensemble of one register (bell_target's, say) pays for it once.
 
 Each trajectory's stream is np.random.default_rng([master_seed, index]),
 bit for bit (trajectory_rng).  Building a SeedSequence per key costs more
@@ -73,9 +72,6 @@ MAX_STEPS = 10 ** 6
 # evaluate_traces evaluates its traces this many entries (times x levels) at
 # a time, so their memory stays O(steps + d^2)
 _TABLE_ENTRIES = 2 ** 14
-# machine epsilon and the smallest subnormal, for _occupancy_bound's margin
-_EPS = float(np.finfo(np.float64).eps)
-_TINY = float(np.finfo(np.float64).smallest_subnormal)
 # numpy's SeedSequence: pool size, the two hashes' constants, the mix's
 # multipliers (numpy/random/bit_generator.pyx)
 _POOL = 4
@@ -106,8 +102,11 @@ class HeatingParams:
             raise ValueError("gamma must be nonnegative")
         if self.duration < 0:
             raise ValueError("duration must be nonnegative")
-        if self.steps is not None and self.steps < 1:
-            raise ValueError("steps must be positive")
+        if self.steps is not None:
+            if isinstance(self.steps, bool) or not hasattr(type(self.steps), "__index__"):
+                raise ValueError(f"steps must be an integer or None, got {self.steps!r}")
+            if operator.index(self.steps) < 1:
+                raise ValueError("steps must be positive")
 
 
 def _require_single_mode(layout: SpaceLayout) -> int:
@@ -354,18 +353,14 @@ def _occupancy(psi: np.ndarray, levels: np.ndarray) -> float:
     return float(levels @ np.einsum("pkq,pkq->k", f, f))
 
 
-def _occupancy_bound(amps: np.ndarray, dim: int) -> float:
-    """An upper bound on _occupancy of any d-level mode of the register.
-
-    <n> <= (d - 1) ||psi||^2, and ||psi||^2 is one dot of the float view.
-    The factor 1 + 4 N eps, for N floats, dominates the relative rounding
-    of both sums (each is within about N eps/2 of its exact value, in any
-    order of summation); the N + 2 smallest subnormals dominate the
-    absolute rounding of products that underflow.
-    """
-    f = amps.view(np.float64)
-    n = f.size
-    return (dim - 1) * (float(f @ f) * (1.0 + 4.0 * n * _EPS) + (n + 2) * _TINY)
+def _immutable(amps: np.ndarray) -> bool:
+    """True when amps and every array in its .base chain are read-only,
+    which sample_trajectory takes to mean that its values never change."""
+    while isinstance(amps, np.ndarray):
+        if amps.flags.writeable:
+            return False
+        amps = amps.base
+    return amps is None
 
 
 def _jump(psi: np.ndarray, up: bool, root: np.ndarray) -> np.ndarray | None:
@@ -394,8 +389,7 @@ def _jump(psi: np.ndarray, up: bool, root: np.ndarray) -> np.ndarray | None:
 
 
 def _rates(params: HeatingParams, n_mean: float) -> tuple[float, float]:
-    """Upward and downward jump rates at occupancy n_mean; both are
-    nondecreasing in n_mean."""
+    """Upward and downward jump rates at occupancy n_mean."""
     if params.constant_rate:
         return params.gamma * n_mean, params.gamma * n_mean
     return params.gamma * (n_mean + 1.0), params.gamma * n_mean
@@ -411,27 +405,20 @@ def sample_trajectory(state: StateVector, params: HeatingParams,
     constant_rate froze them at their initial values.  A downward event drawn
     against a state with no support above the vacuum would annihilate it;
     such events are resampled (skipped), which only matters under frozen
-    rates.  Deterministic for a given seed.
-
-    Each wait is (1 / total rate) E for a standard exponential E, which is
-    what Generator.exponential(1 / total rate) returns, bit for bit.  When
-    gamma > 0 and the rates follow the state, the loop's first step always
-    draws one E, so it is drawn up front.  If even the rates of the bound
-    (d - 1) ||psi||^2 >= <n> (_occupancy_bound, one dot over the register)
-    make that wait end past the duration, so do the true rates, because the
-    rates, the division and the product all round monotonically: the record
-    is empty, and <n> is never computed.  This exit is taken only when the
-    bound is also below the depth warning's threshold, so the warning is
-    decided on the true <n>.  Otherwise the loop runs, its first wait uses
-    the drawn E, and <n> takes one pass over the amplitudes per visited
-    state: once for the input and once after each jump (never after a jump
-    under constant_rate).  Either way the draws, the record and the final
-    amplitudes are those of the loop alone.
+    rates.  Deterministic for a given seed.  Each wait is (1 / total rate) E
+    for a standard exponential E: Generator.exponential(1 / total), bit for
+    bit.
 
     The register is viewed as (pre, d, post) around the heated mode, so
     neither the occupancy nor a jump moves an axis, and a jump writes one
-    new register.  The input is not modified and the result never shares
-    its memory.
+    new register.  <n> takes one pass over the amplitudes per visited
+    state: the input, and each state after a jump (none under
+    constant_rate).  The input is not modified.  If its amplitudes are
+    read-only down their .base chain, the state is immutable: its <n> is
+    kept on it (StateVector), paid once per (state, mode_index), and a
+    jump-free final shares its amplitudes.  Any other input pays the pass
+    on every call and never shares its memory with the result.  The draws,
+    record, warning and final amplitudes are the same either way.
     """
     layout = state.layout
     if not 0 <= mode_index < layout.nsites:
@@ -442,17 +429,16 @@ def sample_trajectory(state: StateVector, params: HeatingParams,
     rng = (seed_or_rng if isinstance(seed_or_rng, np.random.Generator)
            else np.random.default_rng(seed_or_rng))
     shape, levels, root = _mode_view(layout.dims, mode_index)
-    psi = state.amps.reshape(shape)
+    amps = state.amps
+    psi = amps.reshape(shape)
+    immutable = _immutable(amps)
+    if immutable and state.__dict__.get("_mean_n", (None,))[0] is not amps:
+        state._mean_n = (amps, {})
+    kept = state._mean_n[1] if immutable else {}
+    n0 = kept.get(shape)
+    if n0 is None:
+        n0 = kept[shape] = _occupancy(psi, levels)
     depth = params.gamma * params.duration
-    draw = None
-    if params.gamma > 0.0 and not params.constant_rate:
-        # the loop's first step would draw exactly this E
-        draw = rng.standard_exponential()
-        n_hi = _occupancy_bound(state.amps, levels.size)
-        up_hi, down_hi = _rates(params, n_hi)
-        if depth * n_hi < 0.5 and (1.0 / (up_hi + down_hi)) * draw >= params.duration:
-            return TrajectoryResult(StateVector(layout, state.amps.copy()), [], False)
-    n0 = _occupancy(psi, levels)
     if depth * n0 >= 0.5:
         warnings.warn(
             f"gamma*duration*<n> = {depth * n0:.3g} "
@@ -466,10 +452,7 @@ def sample_trajectory(state: StateVector, params: HeatingParams,
         total = r_up + r_down
         if total <= 0.0:
             break
-        if draw is None:
-            draw = rng.standard_exponential()
-        t += (1.0 / total) * draw
-        draw = None
+        t += (1.0 / total) * rng.standard_exponential()
         if t >= params.duration:
             break
         up = rng.random() < r_up / total
@@ -480,7 +463,7 @@ def sample_trajectory(state: StateVector, params: HeatingParams,
         jumps.append((t, "+" if up else "-"))
         if not params.constant_rate:
             r_up, r_down = _rates(params, _occupancy(psi, levels))
-    final = psi.reshape(-1) if jumps else state.amps.copy()
+    final = psi.reshape(-1) if jumps else amps if immutable else amps.copy()
     return TrajectoryResult(StateVector(layout, final), jumps, len(jumps) % 2 == 1)
 
 

@@ -9,8 +9,12 @@ The set is every protocol at each amplitude, and full-pipeline over both
 ve_variants and both ev_variants, exact and sampled readout, at delta = 0,
 0.1 and 1: 29 CSVs per amplitude, 87 in all.  Every config runs in this one
 process through cli.execute, so the memoized stages are warm for most of
-them, as in a sweep.  Two checkouts, or two BLAS thread counts, compare
-with `diff -r` of their output directories.
+them, as in a sweep.  Beside them, jump-ensemble.txt holds the jump
+sampler's output: criterion 06's loop (heated phi+ register, trajectories
+projected on the logical basis) at alpha 2 and 3, modes a and b and three
+master seeds, whatever --alpha says, as the flip and jump counts and the
+bytes of the projected 4 x 4 mixture.  Two checkouts, or two BLAS thread
+counts, compare with `diff -r` of their output directories.
 """
 
 from __future__ import annotations
@@ -21,12 +25,18 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from catbell import cli  # noqa: E402
+import numpy as np  # noqa: E402
+
+from catbell import cli, encoding, hilbert, noise  # noqa: E402
 from catbell.gates import EV_VARIANTS, VE_VARIANTS  # noqa: E402
 
 ALPHAS = (2.0, 3.0, 4.0)
 DELTAS = (0.0, 0.1, 1.0)
 READOUTS = ("exact", "sampled")
+ENSEMBLE_ALPHAS = (2.0, 3.0)
+ENSEMBLE_SEEDS = (2718, 1801, 4294967295)
+ENSEMBLE_TRAJECTORIES = 2000
+ENSEMBLE_HEATING = noise.HeatingParams(1e-3, 10.0)
 
 
 def configs(alphas=ALPHAS) -> dict[str, dict]:
@@ -53,6 +63,29 @@ def configs(alphas=ALPHAS) -> dict[str, dict]:
     return out
 
 
+def jump_ensemble(alpha: float, mode_index: int, master_seed: int) -> str:
+    """One line of criterion 06's loop: flips, jumps and the bytes of the
+    unnormalized projected mixture, in hex."""
+    enc = encoding.EncodingParams.for_amplitudes(alpha)
+    psi0 = encoding.bell_target("phi_plus", enc)
+    ba, bb = encoding.logical_basis("a", enc), encoding.logical_basis("b", enc)
+    ion = encoding.qubit_state(0)
+    proj = np.stack([hilbert.tensor([x, y, ion, ion]).amps.conj()
+                     for x in (ba.zero, ba.one) for y in (bb.zero, bb.one)])
+    rho4 = np.zeros((4, 4), dtype=np.complex128)
+    flips = jumps = 0
+    for i in range(ENSEMBLE_TRAJECTORIES):
+        res = noise.sample_trajectory(psi0, ENSEMBLE_HEATING,
+                                      noise.trajectory_rng(master_seed, i),
+                                      mode_index=mode_index)
+        flips += res.parity_flipped
+        jumps += res.n_jumps
+        vec = proj @ res.final.amps
+        rho4 += np.outer(vec, vec.conj())
+    return (f"alpha={alpha:g} mode={'ab'[mode_index]} seed={master_seed} "
+            f"flips={flips} jumps={jumps} rho4={rho4.tobytes().hex()}\n")
+
+
 def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -63,6 +96,11 @@ def main(argv: list[str] | None = None) -> None:
     for name, raw in configs(args.alpha or ALPHAS).items():
         cfg = cli.normalize_config(dict(raw, output={"path": name}))
         cli.execute(cfg, args.outdir)
+    lines = [jump_ensemble(alpha, mode_index, seed)
+             for alpha in ENSEMBLE_ALPHAS
+             for mode_index in (encoding.MODE_A, encoding.MODE_B)
+             for seed in ENSEMBLE_SEEDS]
+    Path(args.outdir, "jump-ensemble.txt").write_text("".join(lines))
 
 
 if __name__ == "__main__":

@@ -862,7 +862,8 @@ class TestMainEntry:
     def test_output_matrix_identical_across_blas_threads(self, tmp_path):
         # the alpha 2 part of the comparison set that tests/output_matrix.py
         # writes: every protocol, and full-pipeline over both gate builds of
-        # each exchange, exact and sampled, at delta 0, 0.1 and 1
+        # each exchange, exact and sampled, at delta 0, 0.1 and 1, and the
+        # jump-ensemble file
         script = Path(__file__).resolve().parent / "output_matrix.py"
         outputs = []
         for threads in (1, 4):
@@ -877,7 +878,8 @@ class TestMainEntry:
             assert proc.returncode == 0, proc.stderr
             outputs.append({p.name: p.read_bytes() for p in outdir.iterdir()})
         one, four = outputs
-        assert len(one) == len(PROTOCOLS) - 1 + 2 * 2 * 2 * 3
+        assert len(one) == len(PROTOCOLS) - 1 + 2 * 2 * 2 * 3 + 1
+        assert "jump-ensemble.txt" in one
         assert one == four
 
     def test_warm_full_pipeline_writes_the_cold_bytes(self, tmp_path):

@@ -82,6 +82,18 @@ class TestParams:
         with pytest.raises(ValueError):
             HeatingParams(0.1, 1.0, steps=0)
 
+    @pytest.mark.parametrize("steps", [2.5, 1e7, 3.0, True, False, "4",
+                                       np.float64(5.0)])
+    def test_non_integer_steps_refused(self, steps):
+        # a float would reach np.linspace as a TypeError, or print as
+        # "10000000.0 recorded steps"; a bool is not a count either
+        with pytest.raises(ValueError, match="steps must be an integer"):
+            HeatingParams(0.01, 1.0, steps=steps)
+
+    @pytest.mark.parametrize("steps", [1, 7, np.int64(3), MAX_STEPS + 1])
+    def test_integer_steps_accepted(self, steps):
+        assert HeatingParams(0.01, 1.0, steps=steps).steps == steps
+
     # a non-finite rate or duration would leave sample_trajectory drawing
     # jump times forever, so the parameters themselves must refuse it
     @pytest.mark.parametrize("gamma,duration", [
@@ -653,11 +665,9 @@ class TestTrajectories:
             sample_trajectory(psi, HeatingParams(1e-3, 10.0), 0)
 
     def test_depth_warning_follows_the_occupancy_not_its_bound(self):
-        # in 8 levels the no-jump exit's bound 7 ||psi||^2 is past
+        # in 8 levels the bound 7 ||psi||^2 on <n> is past
         # 0.5 / (gamma t) = 5.  <n> = 1 of |1> is not, so no call may warn;
         # <n> = 7 of |7> is, so every call warns, those with no jump too
-        # (about a fifth of them wait past the duration even at the bound's
-        # rates)
         lay = SpaceLayout((8,))
         params = HeatingParams(0.01, 10.0)
         with warnings.catch_warnings():
@@ -671,26 +681,41 @@ class TestTrajectories:
             empty += res.n_jumps == 0
         assert empty > 0
 
-    def test_no_jump_exit_skips_the_occupancy(self, monkeypatch):
-        # at gamma t = 1e-9 every first wait of these seeds ends past the
-        # duration even at the bound's rates, so <n> is never computed
-        psi = cat(2.0, EVEN, mode_for(2.0))
+    def test_immutable_register_pays_one_occupancy(self, enc2, monkeypatch):
+        # at gamma t = 1e-9 no trajectory of these seeds jumps.  The
+        # read-only phi+ cat keeps its <n> per heated mode: one pass for
+        # all 40 seeds, one more per other mode, and every final shares its
+        # amplitudes.  A writable copy pays a pass per call and is copied
+        psi = bell_target("phi_plus", enc2)
+        passes = []
+        occupancy = catbell.noise._occupancy
 
-        def refuse(*args):
-            raise AssertionError("occupancy computed")
+        def counted(*args):
+            passes.append(args)
+            return occupancy(*args)
 
-        monkeypatch.setattr(catbell.noise, "_occupancy", refuse)
+        monkeypatch.setattr(catbell.noise, "_occupancy", counted)
+        params = HeatingParams(1e-9, 1.0)
+        for mode_index in range(psi.layout.nsites):
+            for seed in range(40):
+                res = sample_trajectory(psi, params, seed, mode_index=mode_index)
+                assert res.jumps == [] and not res.parity_flipped
+                assert np.array_equal(res.final.amps, psi.amps)
+                assert np.shares_memory(res.final.amps, psi.amps)
+            assert len(passes) == mode_index + 1
+        writable = StateVector(psi.layout, psi.amps.copy())
         for seed in range(40):
-            res = sample_trajectory(psi, HeatingParams(1e-9, 1.0), seed)
-            assert res.jumps == [] and not res.parity_flipped
-            assert np.array_equal(res.final.amps, psi.amps)
-            assert not np.shares_memory(res.final.amps, psi.amps)
+            res = sample_trajectory(writable, params, seed)
+            assert res.jumps == []
+            assert np.array_equal(res.final.amps, writable.amps)
+            assert not np.shares_memory(res.final.amps, writable.amps)
+        assert len(passes) == psi.layout.nsites + 40
 
     def test_exponential_is_scaled_standard_exponential(self):
         # the sampler draws E with standard_exponential() and waits
         # (1 / total) E, which is exactly what exponential(1 / total)
-        # returns; the no-jump exit, which draws E before it knows the
-        # total, rests on this
+        # returns; the oracle chain (_reference_jumps) draws the latter, so
+        # the bit-for-bit comparisons with it rest on this
         scales = [0.0, 5e-324, 1e-300, 1e-9, 0.37, 1.0, 3.5, 1e6, 1e300]
         scales += list(1.0 / np.random.default_rng(0).uniform(1e-4, 1e2, size=40))
         for seed in range(200):
@@ -813,6 +838,27 @@ def _reference_jumps(psi: StateVector, params: HeatingParams, rng,
     return jumps
 
 
+def _read_only(state: StateVector) -> StateVector:
+    """state with its amplitudes and their .base chain made read-only."""
+    amps = state.amps
+    while amps is not None:
+        amps.flags.writeable = False
+        amps = amps.base
+    return state
+
+
+def _traced_run(state: StateVector, params: HeatingParams, seed: int,
+                mode_index: int) -> tuple:
+    """A trajectory's generator end state, record, warning messages and
+    final bytes, from trajectory_rng(seed, mode_index)."""
+    rng = trajectory_rng(seed, mode_index)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = sample_trajectory(state, params, rng, mode_index=mode_index)
+    return (rng.bit_generator.state, res.jumps,
+            [str(w.message) for w in caught], res.final.amps.tobytes())
+
+
 class TestTrajectoryOracle:
     @settings(max_examples=40)
     @given(dims=st.lists(st.integers(2, 5), min_size=2, max_size=4),
@@ -853,10 +899,10 @@ class TestTrajectoryOracle:
            seed=st.integers(0, 2**32 - 1))
     def test_no_jump_exit_keeps_the_record_and_the_draws(self, dims, scale,
                                                          duration, seed):
-        # at small gamma t most records end at the no-jump exit and the rest
-        # take the loop with the exit's draw as their first wait; either way
-        # a shared generator must end where the oracle's does.  ||psi||^2 =
-        # scale^2, so unnormalized registers are included
+        # at small gamma t most records are empty after one draw, and the
+        # rest jump; either way a shared generator must end where the
+        # oracle's does.  ||psi||^2 = scale^2, so unnormalized registers are
+        # included
         rng = np.random.default_rng(seed)
         amps = rng.normal(size=prod(dims)) + 1j * rng.normal(size=prod(dims))
         psi = StateVector(SpaceLayout(tuple(dims)), scale * amps / np.linalg.norm(amps))
@@ -882,6 +928,58 @@ class TestTrajectoryOracle:
                     chain = (lower.T if kind == "+" else lower) @ chain
                 chain = chain / np.linalg.norm(chain)
                 assert np.abs(res.final.amps - chain).max() <= 1e-12
+
+    @settings(max_examples=40)
+    @given(dims=st.lists(st.integers(2, 5), min_size=1, max_size=3),
+           scale=st.floats(0.25, 2.0),
+           duration=st.floats(1e-3, 2.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_immutable_register_keeps_the_bits(self, dims, scale, duration,
+                                              seed):
+        # a read-only register, its second call, and a writable copy of it
+        # end their generators alike and give the same records, warnings
+        # and final bytes, short and deep in gamma t alike
+        rng = np.random.default_rng(seed)
+        amps = rng.normal(size=prod(dims)) + 1j * rng.normal(size=prod(dims))
+        layout = SpaceLayout(tuple(dims))
+        amps = scale * amps / np.linalg.norm(amps)
+        frozen = _read_only(StateVector(layout, amps.copy()))
+        for mode_index in range(len(dims)):
+            for constant_rate in (False, True):
+                params = HeatingParams(1.0, duration, constant_rate=constant_rate)
+                runs = [_traced_run(state, params, seed, mode_index)
+                        for state in (StateVector(layout, amps.copy()),
+                                      frozen, frozen)]
+                for run in runs[1:]:
+                    assert run == runs[0]
+        # a new array in state.amps, read-only too, is never served the old
+        # <n>; it samples what a writable copy of it samples
+        other = rng.normal(size=prod(dims)) + 1j * rng.normal(size=prod(dims))
+        other = 3.0 * scale * other / np.linalg.norm(other)
+        frozen.amps = _read_only(StateVector(layout, other.copy())).amps
+        for mode_index in range(len(dims)):
+            params = HeatingParams(1.0, duration)
+            assert (_traced_run(frozen, params, seed, mode_index)
+                    == _traced_run(StateVector(layout, other.copy()), params,
+                                   seed, mode_index))
+
+    def test_read_only_view_of_a_writable_base_is_mutable(self):
+        # the base can be written through, so nothing is kept on the state
+        # and the final is a copy; a write to the base is seen next call
+        lay = SpaceLayout((6, 3))
+        base = basis_state(lay, (1, 0)).amps.copy()
+        view = base.view()
+        view.flags.writeable = False
+        psi = StateVector(lay, view)
+        params = HeatingParams(1e-9, 1.0)
+        res = sample_trajectory(psi, params, 0)
+        assert res.jumps == [] and "_mean_n" not in vars(psi)
+        assert not np.shares_memory(res.final.amps, base)
+        # |5, 0> has <n> = 5: at gamma t = 0.2 the depth warning must fire
+        base[:] = basis_state(lay, (5, 0)).amps
+        params = HeatingParams(0.2, 1.0)
+        with pytest.warns(UserWarning, match="= 1 is not small"):
+            sample_trajectory(psi, params, 0)
 
     @pytest.mark.parametrize("gamma,constant_rate,level", [
         (0.0, False, 3), (0.0, True, 3), (0.5, True, 0)])
