@@ -30,14 +30,13 @@ from math import isfinite, pi, sqrt
 
 import numpy as np
 
-from .encoding import BELL_KINDS, ION_1, ION_2, SchmidtState
+from .encoding import BELL_KINDS, SchmidtState
 from .gates import SIGMA_X, SIGMA_Y, SIGMA_Z, carrier_rotation
 from .hilbert import (
     DensityMatrix,
     SpaceLayout,
     StateVector,
     check_normalized,
-    partial_trace,
 )
 
 TSIRELSON = 2.0 * sqrt(2.0)
@@ -125,21 +124,14 @@ class BellAngles:
 DEFAULT_ANGLES = BellAngles()
 
 
-def sigma_theta(theta: float) -> np.ndarray:
-    return np.cos(theta) * SIGMA_X + np.sin(theta) * SIGMA_Y
-
-
-@lru_cache(maxsize=64)
 def measurement_pulse(theta: float) -> np.ndarray:
     """Half-rotation carrier pulse that maps sigma(theta) onto sigma_z.
 
     Conjugation by a half pulse with phase phi turns sigma_z into an
     equatorial axis at angle -phi - pi/2, so measuring along theta takes
-    phi = -theta - pi/2.  Memoized per angle; the result is read-only.
+    phi = -theta - pi/2.
     """
-    pulse = carrier_rotation(0.5, -theta - pi / 2).matrix
-    pulse.flags.writeable = False
-    return pulse
+    return carrier_rotation(0.5, -theta - pi / 2).matrix
 
 
 def _as_pair_dm(state: StateVector | DensityMatrix) -> DensityMatrix:
@@ -303,16 +295,9 @@ def violation_scan(deltas, angles: BellAngles = DEFAULT_ANGLES) -> ViolationScan
     return ViolationScan(ds, bs, crossing, angles)
 
 
-def reduced_electronic(state: StateVector) -> DensityMatrix:
-    """Trace the four-factor register down to the two electronic qubits."""
-    layout = state.layout
-    if layout.nsites != 4 or layout.dims[ION_1:] != (2, 2):
-        raise ValueError(f"expected a mode/mode/qubit/qubit register, got {layout.dims}")
-    return partial_trace(state, keep=(ION_1, ION_2))
-
-
 def reduced_electronic_schmidt(state: SchmidtState) -> DensityMatrix:
-    """reduced_electronic of a Schmidt-form register, at O(d K^2).
+    """The two electronic qubits of a Schmidt-form register, the modes
+    traced out, at O(d K^2) with no register built.
 
     rho = sum_kl G^L_kl (x) G^R_kl, with G^L_kl = tr_a |L_k><L_l| the 2x2
     ion-1 Gram table of the left factor and G^R_kl that of the right.

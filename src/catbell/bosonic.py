@@ -143,16 +143,6 @@ def number_op(mode: ModeParams) -> OperatorMatrix:
     return OperatorMatrix(layout, (0,), np.diag(np.arange(mode.cutoff, dtype=np.float64)))
 
 
-def parity_projectors(mode: ModeParams) -> tuple[OperatorMatrix, OperatorMatrix]:
-    """(even, odd) projectors; they sum to the identity exactly."""
-    layout = mode.layout
-    n = np.arange(mode.cutoff)
-    even = np.diag(((n + 1) % 2).astype(np.float64))
-    odd = np.diag((n % 2).astype(np.float64))
-    return (OperatorMatrix(layout, (0,), even),
-            OperatorMatrix(layout, (0,), odd))
-
-
 # a sweep at one encoding uses one or two cutoffs; an entry is 8 d (d + 1)
 # bytes, so the 16 entries hold at most 16 * 8 * 128 * 129 B = 2.1 MB at d <= 128
 @lru_cache(maxsize=16)

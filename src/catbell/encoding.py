@@ -26,7 +26,6 @@ from . import bosonic
 from .bosonic import EVEN, ODD, ModeParams
 from .errors import CapacityError
 from .hilbert import (
-    OperatorMatrix,
     SpaceLayout,
     StateVector,
     check_normalized,
@@ -126,12 +125,6 @@ class LogicalBasis:
         code = basis.conj().T @ flat
         out = flat + basis @ ((m2 - np.eye(2)) @ code)
         return out.reshape(np.shape(x))
-
-    def subspace_unitary(self, m2: np.ndarray) -> OperatorMatrix:
-        """Lift a 2x2 unitary to the mode: act on the code, fix the rest."""
-        dim = self.zero.layout.total_dim
-        full = self.rotate(m2, np.eye(dim, dtype=np.complex128))
-        return OperatorMatrix(self.zero.layout, (0,), full)
 
 
 # the ideal kick, the Hadamard stage, the flip branch and the Bell target

@@ -1,8 +1,8 @@
 """Entanglement-transfer gates between a vibrational mode and its ion.
 
-Each gate matrix lives on the compact pair layout [mode, ion]; lift_pair
-places it on the four-factor register.  Two controlled-flip constructions
-are provided for the vibration-controlled gate:
+Each gate matrix lives on the pair layout [mode, ion]; Exchange.apply runs on
+the (mode, ion) axes of any tensor, such as a register's Schmidt factor.  Two
+controlled-flip constructions are provided for the vibration-controlled gate:
 
 * u_ve_ideal: the ion flipped on the odd Fock rows, an exact CNOT with the
   mode's phonon parity as control.
@@ -18,9 +18,10 @@ flip needs the displacement-rotation angle 2*alpha*eps to equal pi/2, so the
 default scale is eps = pi/(4 alpha); the flipped rows then reach the ideal
 targets with fidelity exp(-eps^2).  The trailing electronic phase exactly
 cancels the i of the rotated branch, which is what makes the three-gate
-sequence u_ve u_ev u_ve an exchange of the mode and ion qubits.  An explicit
-epsilon wins over params.epsilon, which wins over the default; the one
-params.epsilon is the kick of both modes, whatever their amplitudes.
+sequence u_ve u_ev u_ve an exchange of the mode and ion qubits.  The kick is
+params.epsilon when that is set, else the default; the one params.epsilon,
+validated by EncodingParams, is the kick of both modes, whatever their
+amplitudes.
 
 u_swap returns the exchange as an Exchange, a pair operator whose apply
 runs the three factors and never a dense product: either u_ve is indexing
@@ -53,7 +54,6 @@ from .hilbert import (
     StateVector,
     apply,
     matrix_exp,
-    on_layout,
     overlap,
     tensor,
     unitarity_residual,
@@ -68,14 +68,6 @@ EXCITED_PHASE = np.exp(-1j * pi / 2.0)  # -i, as the rounded exponential
 
 def pair_layout(which_mode: str, params: EncodingParams) -> SpaceLayout:
     return SpaceLayout((params.mode(which_mode).cutoff, 2))
-
-
-def lift_pair(op: OperatorMatrix, which_mode: str,
-              params: EncodingParams) -> OperatorMatrix:
-    """Place a [mode, ion] pair operator on the full register layout."""
-    slots = (encoding.MODE_A, encoding.ION_1) if which_mode == "a" \
-        else (encoding.MODE_B, encoding.ION_2)
-    return on_layout(op, encoding.full_layout(params), slots)
 
 
 def _flip(x: np.ndarray, literal: bool = False) -> np.ndarray:
@@ -123,13 +115,13 @@ def u_ve_literal(which_mode: str, params: EncodingParams) -> OperatorMatrix:
     return OperatorMatrix(layout, (0, 1), first.matrix @ second.matrix)
 
 
-def _kick(which_mode: str, params: EncodingParams, ev_variant: str,
-          epsilon: float | None = None) -> Callable[[np.ndarray], np.ndarray]:
+def _kick(which_mode: str, params: EncodingParams, ev_variant: str
+          ) -> Callable[[np.ndarray], np.ndarray]:
     """The action x -> K x on the mode axis that u_ev applies on the ion's
     |1> half; the d x d K is never formed.
 
     D(i eps) in its cached eigenbasis for the displacement build, with eps
-    the explicit epsilon, else params.epsilon, else pi / (4 alpha); the
+    params.epsilon (validated by EncodingParams), else pi / (4 alpha); the
     exact code-space rx(pi/2), a rank-2 update at O(d) per column on the
     memoized code basis (encoding.logical_basis), for the ideal build, which
     takes no scale.
@@ -137,22 +129,20 @@ def _kick(which_mode: str, params: EncodingParams, ev_variant: str,
     if ev_variant == "ideal":
         basis = encoding.logical_basis(which_mode, params)
         return partial(basis.rotate, encoding.rx_matrix(pi / 2.0))
-    if epsilon is None:
-        epsilon = params.epsilon
+    epsilon = params.epsilon
     if epsilon is None:
         epsilon = pi / (4.0 * params.amplitude(which_mode))
     return bosonic.displacement_action(1j * epsilon, params.mode(which_mode))
 
 
-def u_ev(which_mode: str, params: EncodingParams,
-         epsilon: float | None = None) -> OperatorMatrix:
+def u_ev(which_mode: str, params: EncodingParams) -> OperatorMatrix:
     """CNOT with the ion as control, realized by a conditional displacement.
 
-    epsilon defaults to params.epsilon when that is set, else to
-    pi / (4 alpha), the scale at which D(i eps) rotates the cat qubit by pi/2.
+    eps is params.epsilon when that is set, else pi / (4 alpha), the scale
+    at which D(i eps) rotates the cat qubit by pi/2.
     """
     layout = pair_layout(which_mode, params)
-    kick = _kick(which_mode, params, "displacement", epsilon)  # D(i eps)
+    kick = _kick(which_mode, params, "displacement")  # D(i eps)
     return OperatorMatrix(layout, (0, 1),
                           _pair_matrix(layout, partial(_phase_kick, kick=kick)))
 
@@ -201,15 +191,15 @@ class Exchange(OperatorMatrix):
 
 
 def u_swap(which_mode: str, params: EncodingParams,
-           ve_variant: str = "ideal", ev_variant: str = "displacement",
-           epsilon: float | None = None) -> Exchange:
+           ve_variant: str = "ideal", ev_variant: str = "displacement"
+           ) -> Exchange:
     """Three-step exchange of the mode qubit and its ion qubit."""
     if ve_variant not in VE_VARIANTS:
         raise ValueError(f"ve_variant must be one of {VE_VARIANTS}")
     if ev_variant not in EV_VARIANTS:
         raise ValueError(f"ev_variant must be one of {EV_VARIANTS}")
     return Exchange(pair_layout(which_mode, params),
-                    _kick(which_mode, params, ev_variant, epsilon),
+                    _kick(which_mode, params, ev_variant),
                     literal=ve_variant == "literal")
 
 
@@ -284,9 +274,8 @@ def report_u_ve(variant: str, which_mode: str, params: EncodingParams) -> GateRe
     return _report(gate, f"u_ve[{variant}]", which_mode, params, CNOT_VE_TABLE)
 
 
-def report_u_ev(which_mode: str, params: EncodingParams,
-                epsilon: float | None = None) -> GateReport:
-    gate = u_ev(which_mode, params, epsilon=epsilon)
+def report_u_ev(which_mode: str, params: EncodingParams) -> GateReport:
+    gate = u_ev(which_mode, params)
     return _report(gate, "u_ev[displacement]", which_mode, params, CNOT_EV_TABLE)
 
 

@@ -4,8 +4,9 @@ Everything is exact complex arithmetic on explicit numpy arrays; there is no
 sparse or symbolic path.  A layout lists the factor dimensions in a fixed
 order, with the first factor varying slowest in the flattened index (the
 ordering produced by ``numpy.kron``).  Operators are stored compactly on the
-subsystems they touch and are embedded with identity padding only on demand.
-tensor, expectation and partial_trace take pure states only.
+subsystems they touch; apply contracts them with those axes of a state and
+never pads them with identities.  tensor and partial_trace take pure states
+only.
 """
 
 from __future__ import annotations
@@ -194,45 +195,6 @@ def tensor(parts: list[StateVector]) -> StateVector:
     return StateVector(SpaceLayout(dims), amps)
 
 
-def on_layout(op: OperatorMatrix, layout: SpaceLayout, at: tuple[int, ...]) -> OperatorMatrix:
-    """Retarget a compact operator onto ``at`` within a (usually larger) layout."""
-    at = tuple(int(i) for i in at)
-    if len(at) != len(op.acts_on):
-        raise ValueError(f"need {len(op.acts_on)} target subsystems, got {at}")
-    if layout.dims_of(at) != op.sub_dims:
-        raise ValueError(
-            f"target dimensions {layout.dims_of(at)} do not match operator "
-            f"dimensions {op.sub_dims}"
-        )
-    return OperatorMatrix(layout, at, op.matrix)
-
-
-def embed(op: OperatorMatrix) -> OperatorMatrix:
-    """Materialize the full matrix of ``op`` over its whole layout.
-
-    Identity padding on untouched factors; axes are permuted back to layout
-    order.  The result acts on every factor.
-    """
-    layout = op.layout
-    k = layout.nsites
-    sel = op.acts_on
-    rest = tuple(i for i in range(k) if i not in sel)
-    if not rest:
-        return OperatorMatrix(layout, sel, op.matrix.copy())
-    d_rest = prod(layout.dims_of(rest))
-    big = np.kron(op.matrix, np.eye(d_rest, dtype=np.complex128))
-    # big is ordered (sel..., rest...) on both row and column axes
-    shaped = big.reshape(
-        layout.dims_of(sel) + layout.dims_of(rest)
-        + layout.dims_of(sel) + layout.dims_of(rest)
-    )
-    order = sel + rest
-    perm = [order.index(i) for i in range(k)]
-    shaped = shaped.transpose(perm + [k + p for p in perm])
-    d = layout.total_dim
-    return OperatorMatrix(layout, tuple(range(k)), shaped.reshape(d, d))
-
-
 def apply(op: OperatorMatrix, state: StateVector) -> StateVector:
     """Apply an operator to a state without materializing the full matrix."""
     if op.layout != state.layout:
@@ -246,13 +208,6 @@ def apply(op: OperatorMatrix, state: StateVector) -> StateVector:
     # tensordot leaves the operator's output axes first; restore layout order
     out = np.moveaxis(out, tuple(range(nin)), sel)
     return StateVector(state.layout, out.reshape(-1))
-
-
-def expectation(op: OperatorMatrix, state: StateVector) -> complex:
-    """<op> in a pure state; complex, imaginary part ~0 for Hermitian op."""
-    if not isinstance(state, StateVector):
-        raise TypeError("expectation() needs a StateVector")
-    return complex(np.vdot(state.amps, apply(op, state).amps))
 
 
 def partial_trace(state: StateVector, keep: tuple[int, ...]) -> DensityMatrix:

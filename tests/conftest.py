@@ -11,15 +11,32 @@ but several tests do; test modules import them with `from conftest import`.
 from __future__ import annotations
 
 import os
+from math import prod
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from catbell.bosonic import ModeParams, parity_projectors
-from catbell.encoding import EncodingParams, full_layout
-from catbell.hilbert import OperatorMatrix, SpaceLayout, StateVector, on_layout, tensor
+from catbell.bosonic import ModeParams
+from catbell.encoding import (
+    ION_1,
+    ION_2,
+    MODE_A,
+    MODE_B,
+    EncodingParams,
+    LogicalBasis,
+    full_layout,
+)
+from catbell.hilbert import (
+    DensityMatrix,
+    OperatorMatrix,
+    SpaceLayout,
+    StateVector,
+    apply,
+    partial_trace,
+    tensor,
+)
 from catbell.reference import entangled_amplitudes, read_fixture
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -86,15 +103,74 @@ def basis_state(layout: SpaceLayout, occupations: tuple[int, ...]) -> StateVecto
     return tensor(parts)
 
 
+def expectation(op: OperatorMatrix, state: StateVector) -> complex:
+    """<op> in a pure state; complex, imaginary part ~0 for Hermitian op."""
+    return complex(np.vdot(state.amps, apply(op, state).amps))
+
+
+def embed(op: OperatorMatrix) -> OperatorMatrix:
+    """Materialize the full matrix of ``op`` over its whole layout, the
+    oracle of hilbert.apply.
+
+    Identity padding on untouched factors; axes are permuted back to layout
+    order.  The result acts on every factor.
+    """
+    layout = op.layout
+    k = layout.nsites
+    sel = op.acts_on
+    rest = tuple(i for i in range(k) if i not in sel)
+    if not rest:
+        return OperatorMatrix(layout, sel, op.matrix.copy())
+    d_rest = prod(layout.dims_of(rest))
+    big = np.kron(op.matrix, np.eye(d_rest, dtype=np.complex128))
+    # big is ordered (sel..., rest...) on both row and column axes
+    shaped = big.reshape(
+        layout.dims_of(sel) + layout.dims_of(rest)
+        + layout.dims_of(sel) + layout.dims_of(rest)
+    )
+    order = sel + rest
+    perm = [order.index(i) for i in range(k)]
+    shaped = shaped.transpose(perm + [k + p for p in perm])
+    d = layout.total_dim
+    return OperatorMatrix(layout, tuple(range(k)), shaped.reshape(d, d))
+
+
+def parity_projectors(mode: ModeParams) -> tuple[OperatorMatrix, OperatorMatrix]:
+    """(even, odd) projectors; they sum to the identity exactly."""
+    n = np.arange(mode.cutoff)
+    even = np.diag(((n + 1) % 2).astype(np.float64))
+    odd = np.diag((n % 2).astype(np.float64))
+    return (OperatorMatrix(mode.layout, (0,), even),
+            OperatorMatrix(mode.layout, (0,), odd))
+
+
 def parity_op(mode: ModeParams) -> OperatorMatrix:
     """Phonon parity (-1)^n, the difference of the two parity projectors."""
     even, odd = parity_projectors(mode)
     return OperatorMatrix(mode.layout, (0,), even.matrix - odd.matrix)
 
 
+def subspace_unitary(basis: LogicalBasis, m2: np.ndarray) -> OperatorMatrix:
+    """A 2x2 unitary lifted to the mode: act on the code, fix the rest."""
+    layout = basis.zero.layout
+    return OperatorMatrix(layout, (0,), basis.rotate(m2, np.eye(layout.total_dim)))
+
+
 def on_register(op: OperatorMatrix, slot: int, params: EncodingParams) -> OperatorMatrix:
     """A single-factor operator placed at one slot of the four-factor register."""
-    return on_layout(op, full_layout(params), (slot,))
+    return OperatorMatrix(full_layout(params), (slot,), op.matrix)
+
+
+def lift_pair(gate: OperatorMatrix, which_mode: str,
+              params: EncodingParams) -> OperatorMatrix:
+    """A [mode, ion] pair operator placed on the full register layout."""
+    slots = (MODE_A, ION_1) if which_mode == "a" else (MODE_B, ION_2)
+    return OperatorMatrix(full_layout(params), slots, gate.matrix)
+
+
+def reduced_electronic(state: StateVector) -> DensityMatrix:
+    """The four-factor register traced down to the two electronic qubits."""
+    return partial_trace(state, (ION_1, ION_2))
 
 
 def reference_preparation(params: EncodingParams) -> StateVector:

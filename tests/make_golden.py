@@ -141,10 +141,13 @@ def check_against_main_path() -> None:
     """Print fast-path values next to the oracle values; writes nothing."""
     os.environ["CATBELL_MAX_DIM"] = "65536"
     from catbell.bosonic import EVEN, ModeParams, cat
-    from catbell.encoding import EncodingParams, bell_target, logical_basis, qubit_state
-    from catbell.gates import lift_pair, report_u_swap, u_swap
-    from catbell.hilbert import apply, state_fidelity, tensor
-    from catbell.bell import electronic_bell, reduced_electronic
+    from catbell.encoding import (ION_1, ION_2, MODE_A, MODE_B, EncodingParams,
+                                  bell_target, full_layout, logical_basis,
+                                  qubit_state)
+    from catbell.gates import report_u_swap, u_swap
+    from catbell.hilbert import (OperatorMatrix, apply, partial_trace,
+                                 state_fidelity, tensor)
+    from catbell.bell import electronic_bell
     from catbell.hilbert import dm_fidelity
     from catbell.noise import HeatingParams, evolve_lindblad
 
@@ -162,9 +165,12 @@ def check_against_main_path() -> None:
           state_fidelity(StateVector(plus.layout, tgt_amps), out))
 
     psi = bell_target("phi_plus", enc)
-    sa = lift_pair(u_swap("a", enc, "ideal", "displacement"), "a", enc)
-    sb = lift_pair(u_swap("b", enc, "ideal", "displacement"), "b", enc)
-    red = reduced_electronic(apply(sb, apply(sa, psi)))
+    layout = full_layout(enc)
+    sa = OperatorMatrix(layout, (MODE_A, ION_1),
+                        u_swap("a", enc, "ideal", "displacement").matrix)
+    sb = OperatorMatrix(layout, (MODE_B, ION_2),
+                        u_swap("b", enc, "ideal", "displacement").matrix)
+    red = partial_trace(apply(sb, apply(sa, psi)), (ION_1, ION_2))
     print("electronic fidelity (main path):",
           dm_fidelity(red, electronic_bell("phi_plus")))
 

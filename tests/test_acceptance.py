@@ -54,7 +54,6 @@ from catbell.hilbert import (
     StateVector,
     apply,
     dm_fidelity,
-    expectation,
     matrix_exp,
     state_fidelity,
     tensor,
@@ -73,7 +72,13 @@ from catbell.reference import (
     displacement_elements,
     liouvillian_expm,
 )
-from conftest import basis_state, child_env, parity_op, reference_preparation
+from conftest import (
+    basis_state,
+    child_env,
+    expectation,
+    parity_op,
+    reference_preparation,
+)
 
 RT8 = 2.0 * sqrt(2.0)
 

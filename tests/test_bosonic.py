@@ -22,7 +22,6 @@ from catbell.bosonic import (
     displacement_action,
     mode_for,
     number_op,
-    parity_projectors,
     required_cutoff,
 )
 from catbell.encoding import EncodingParams, prepare_entangled_schmidt
@@ -33,13 +32,12 @@ from catbell.hilbert import (
     StateVector,
     apply,
     band_eigh,
-    expectation,
     overlap,
     state_fidelity,
     unitarity_residual,
 )
 from catbell.reference import cat_amplitudes, coherent_amplitudes
-from conftest import parity_op
+from conftest import expectation, parity_op, parity_projectors
 
 
 class TestModeParams:
@@ -172,7 +170,7 @@ class _NoNumpy:
 @pytest.mark.parametrize("build", [
     lambda mode: coherent(2.0, mode),
     lambda mode: cat(2.0, EVEN, mode),
-    number_op, parity_projectors,
+    number_op,
 ])
 def test_size_cap_checked_before_allocation(build, monkeypatch):
     # a cutoff of 1e9 would allocate gigabytes before the layout refused it

@@ -30,7 +30,6 @@ from catbell.bell import (
     DEFAULT_ANGLES,
     DELTA_STAR,
     _setting_vectors,
-    measurement_pulse,
 )
 from catbell.bosonic import displacement
 from catbell.cli import (
@@ -1028,7 +1027,6 @@ class TestPipelineMemo:
                             if cold:
                                 _coherent_stages.cache_clear()
                                 logical_basis.cache_clear()
-                                measurement_pulse.cache_clear()
                                 _setting_vectors.cache_clear()
                             out.append(repr(run_pipeline(
                                 enc, delta, DEFAULT_ANGLES, method, 512, 3,
@@ -1103,7 +1101,7 @@ class TestPipelineMemo:
             code_a.zero = code_a.one
         for cached in (rho_keep, rho_flip, code_a.zero.amps, code_a.one.amps,
                        code_a.dft_zero.amps, code_a.dft_one.amps,
-                       measurement_pulse(0.3), *_setting_vectors(DEFAULT_ANGLES)):
+                       *_setting_vectors(DEFAULT_ANGLES)):
             with pytest.raises(ValueError, match="read-only"):
                 cached[0] = 1.0
 

@@ -31,13 +31,18 @@ from catbell.encoding import (
 from catbell.errors import CapacityError, ContractError
 from catbell.hilbert import (
     apply,
-    expectation,
     overlap,
     partial_trace,
     state_fidelity,
     unitarity_residual,
 )
-from conftest import on_register, parity_op, reference_preparation
+from conftest import (
+    expectation,
+    on_register,
+    parity_op,
+    reference_preparation,
+    subspace_unitary,
+)
 
 
 def prepared(enc: EncodingParams):
@@ -186,7 +191,7 @@ class TestLogicalBasis:
         assert np.abs(proj @ proj - proj).max() < 1e-12
 
     def test_subspace_unitary_is_unitary(self, enc2):
-        op = logical_basis("a", enc2).subspace_unitary(rx_matrix(0.3))
+        op = subspace_unitary(logical_basis("a", enc2), rx_matrix(0.3))
         assert unitarity_residual(op) < 1e-10
 
     def test_rotate_is_the_lifted_unitary(self, enc2):
@@ -375,7 +380,7 @@ class TestBellTargets:
 
     def test_hadamard_turns_preparation_into_phi_plus(self, enc2, enc3):
         for enc, floor in ((enc2, 1e-7), (enc3, 1e-8)):
-            h = logical_basis("a", enc).subspace_unitary(hadamard_matrix())
+            h = subspace_unitary(logical_basis("a", enc), hadamard_matrix())
             rotated = apply(on_register(h, MODE_A, enc), prepared(enc))
             assert state_fidelity(bell_target("phi_plus", enc), rotated) >= 1.0 - floor
 
@@ -388,21 +393,21 @@ class TestBellTargets:
 
 
 class TestRotations:
-    """Exact code-space rotations, lifted with LogicalBasis.subspace_unitary."""
+    """Exact code-space rotations, lifted with conftest.subspace_unitary."""
 
     def test_rx_zero_is_identity(self, enc2):
-        op = logical_basis("a", enc2).subspace_unitary(rx_matrix(0.0))
+        op = subspace_unitary(logical_basis("a", enc2), rx_matrix(0.0))
         assert np.abs(op.matrix - np.eye(enc2.mode_a.cutoff)).max() < 1e-12
 
     def test_hadamard_squares_to_identity(self, enc2):
         basis = logical_basis("a", enc2)
-        h = basis.subspace_unitary(hadamard_matrix())
+        h = subspace_unitary(basis, hadamard_matrix())
         zero = basis.zero
         assert state_fidelity(apply(h, apply(h, zero)), zero) > 1.0 - 1e-12
 
     def test_rx_half_turn_flips_with_phase(self, enc2):
         basis = logical_basis("a", enc2)
-        out = apply(basis.subspace_unitary(rx_matrix(np.pi / 2)), basis.zero)
+        out = apply(subspace_unitary(basis, rx_matrix(np.pi / 2)), basis.zero)
         assert overlap(basis.one, out) == pytest.approx(1j, abs=1e-12)
 
     def test_hadamard_matrix_involution(self):

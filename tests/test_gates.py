@@ -16,9 +16,8 @@ from catbell.bell import (
     DEFAULT_ANGLES,
     chsh,
     mixed_bell_fidelity,
-    reduced_electronic,
 )
-from catbell.bosonic import ModeParams, number_op, parity_projectors
+from catbell.bosonic import ModeParams, number_op
 from catbell.encoding import (
     MODE_A,
     EncodingParams,
@@ -39,7 +38,6 @@ from catbell.gates import (
     SWAP_TABLE,
     VE_VARIANTS,
     carrier_rotation,
-    lift_pair,
     pair_layout,
     report_u_ev,
     report_u_swap,
@@ -63,7 +61,15 @@ from catbell.hilbert import (
     unitarity_residual,
 )
 from catbell.pipeline import _pipeline_state, run_pipeline
-from conftest import basis_state, on_register, reference_preparation
+from conftest import (
+    basis_state,
+    lift_pair,
+    on_register,
+    parity_projectors,
+    reduced_electronic,
+    reference_preparation,
+    subspace_unitary,
+)
 
 VARIANT_PAIRS = [(ve, ev) for ve in VE_VARIANTS for ev in EV_VARIANTS]
 
@@ -81,29 +87,26 @@ def conditional_kick(which: str, enc: EncodingParams,
 
 def u_ev_ideal(which: str, enc: EncodingParams) -> OperatorMatrix:
     """Oracle: u_ev with the exact code-space rx(pi/2) in place of D(i eps)."""
-    kick = logical_basis(which, enc).subspace_unitary(rx_matrix(np.pi / 2.0))
+    kick = subspace_unitary(logical_basis(which, enc), rx_matrix(np.pi / 2.0))
     return conditional_kick(which, enc, kick.matrix)
 
 
-def u_ev_expm(which: str, enc: EncodingParams,
-              epsilon: float | None = None) -> OperatorMatrix:
+def u_ev_expm(which: str, enc: EncodingParams) -> OperatorMatrix:
     """Oracle: u_ev with D(i eps) = exp(i eps (a + a+)) from scipy's
     scaling-and-squaring expm of the truncated generator, so the check does
     not run the eigenbasis action it is checking."""
-    if epsilon is None:
-        epsilon = enc.epsilon
+    epsilon = enc.epsilon
     if epsilon is None:
         epsilon = np.pi / (4.0 * enc.amplitude(which))
     a = np.diag(np.sqrt(np.arange(1.0, enc.mode(which).cutoff)), 1)
     return conditional_kick(which, enc, scipy.linalg.expm(1j * epsilon * (a + a.T)))
 
 
-def dense_exchange(which: str, enc: EncodingParams, ve: str, ev: str,
-                   epsilon: float | None = None) -> np.ndarray:
+def dense_exchange(which: str, enc: EncodingParams, ve: str, ev: str) -> np.ndarray:
     """Oracle: the exchange as the dense product of its three gate matrices."""
     v = (u_ve_ideal if ve == "ideal" else u_ve_literal)(which, enc).matrix
     if ev == "displacement":
-        e = u_ev_expm(which, enc, epsilon).matrix
+        e = u_ev_expm(which, enc).matrix
     else:
         e = u_ev_ideal(which, enc).matrix
     return v @ e @ v
@@ -191,7 +194,7 @@ class TestUev:
 
     def test_default_epsilon_dictionary(self, enc2):
         # default scale pi/(4 alpha) realizes the quarter turn
-        explicit = u_ev("a", enc2, epsilon=np.pi / 8.0)
+        explicit = u_ev("a", dataclasses.replace(enc2, epsilon=np.pi / 8.0))
         assert np.abs(u_ev("a", enc2).matrix - explicit.matrix).max() < 1e-14
 
     def test_flip_rows_follow_quarter_scale_law(self):
@@ -208,11 +211,12 @@ class TestUev:
         # eps = pi/(2 alpha) drives a half turn: the intended flip rows are
         # empty and the kicked branch returns to its input at exp(-eps^2)
         eps = np.pi / 6.0
-        rep = report_u_ev("a", enc3, epsilon=eps)
+        enc = dataclasses.replace(enc3, epsilon=eps)
+        rep = report_u_ev("a", enc)
         rows = {r.input_label: r for r in rep.rows}
         assert rows["0L,1e"].fidelity < 1e-6
         assert rows["1L,1e"].fidelity < 1e-6
-        u = u_ev("a", enc3, epsilon=eps)
+        u = u_ev("a", enc)
         psi = pair_state("0L,1e", "a", enc3)
         back = abs(overlap(psi, apply(u, psi))) ** 2
         assert abs(back - np.exp(-eps * eps)) < 1e-3
@@ -222,24 +226,25 @@ class TestUev:
 
     def test_matches_the_expm_oracle(self, enc2):
         for eps in (None, 0.0, 0.1, np.pi / 2.0):
-            got = u_ev("a", enc2, epsilon=eps).matrix
-            assert np.abs(got - u_ev_expm("a", enc2, eps).matrix).max() <= 1e-13
+            enc = dataclasses.replace(enc2, epsilon=eps)
+            got = u_ev("a", enc).matrix
+            assert np.abs(got - u_ev_expm("a", enc).matrix).max() <= 1e-13
 
     @pytest.mark.parametrize("eps", [float("nan"), float("inf")])
     def test_scale_that_is_not_finite_fails_the_build(self, enc2, eps):
-        # the exchange keeps an action, but a bad scale still fails when
-        # the gate is built, not when it is first applied
-        with pytest.raises(ValueError, match="beta must be finite"):
-            u_swap("a", enc2, "ideal", "displacement", epsilon=eps)
+        # the kick comes from EncodingParams alone, so a bad scale fails
+        # before any gate is built, not when the exchange is first applied
+        with pytest.raises(ValueError, match="epsilon must be finite"):
+            u_swap("a", dataclasses.replace(enc2, epsilon=eps), "ideal",
+                   "displacement")
 
     def test_params_epsilon_sets_the_kick(self, enc2):
-        # an explicit epsilon wins over params.epsilon, which wins over
-        # the pi/(4 alpha) default
+        # params.epsilon, when set, replaces the pi/(4 alpha) default; set
+        # to that default it builds the default's bits
         carried = dataclasses.replace(enc2, epsilon=0.1)
-        want = u_ev("a", enc2, epsilon=0.1).matrix
-        assert np.array_equal(u_ev("a", carried).matrix, want)
-        assert np.array_equal(u_ev("a", carried, epsilon=np.pi / 8.0).matrix,
-                              u_ev("a", enc2).matrix)
+        assert np.array_equal(
+            u_ev("a", dataclasses.replace(enc2, epsilon=np.pi / 8.0)).matrix,
+            u_ev("a", enc2).matrix)
         assert np.abs(u_ev("a", carried).matrix - u_ev("a", enc2).matrix).max() > 0.01
 
 
@@ -393,7 +398,7 @@ class TestExchangeAction:
         eps = eps_frac * np.pi / alpha
         enc = EncodingParams(alpha, alpha, ModeParams(cut_a, 0.999),
                              ModeParams(cut_b, 0.999), epsilon=eps)
-        dense = dense_exchange(which, enc, ve, ev, epsilon=eps)
+        dense = dense_exchange(which, enc, ve, ev)
         swap = u_swap(which, enc, ve, ev).matrix
         assert np.abs(swap - dense).max() <= 1e-13
 
@@ -429,8 +434,8 @@ def dense_electronic(enc: EncodingParams, delta: float, ve: str,
     lifted dense code-space rotations and exchange matrices."""
     code_a = logical_basis("a", enc)
     psi = reference_preparation(enc)
-    psi = apply(on_register(code_a.subspace_unitary(hadamard_matrix()), MODE_A, enc), psi)
-    flip = on_register(code_a.subspace_unitary(SIGMA_X), MODE_A, enc)
+    psi = apply(on_register(subspace_unitary(code_a, hadamard_matrix()), MODE_A, enc), psi)
+    flip = on_register(subspace_unitary(code_a, SIGMA_X), MODE_A, enc)
     rho = np.zeros((4, 4), dtype=np.complex128)
     for weight, branch in ((1.0 - delta, psi), (delta, apply(flip, psi))):
         for which in ("a", "b"):

@@ -16,18 +16,15 @@ from catbell.hilbert import (
     apply,
     band_eigh,
     dm_fidelity,
-    embed,
-    expectation,
     matrix_exp,
     max_total_dim,
-    on_layout,
     overlap,
     partial_trace,
     state_fidelity,
     tensor,
     unitarity_residual,
 )
-from conftest import basis_state
+from conftest import basis_state, embed, expectation
 
 SX = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 SY = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
@@ -186,19 +183,6 @@ class TestTensorAndEmbed:
         rhs = embed(op_a).matrix @ embed(op_b).matrix
         assert np.abs(lhs - rhs).max() < 1e-12
 
-    def test_on_layout_retargets(self):
-        small = SpaceLayout((2,))
-        big = SpaceLayout((3, 2, 2))
-        op = OperatorMatrix(small, (0,), SX)
-        moved = on_layout(op, big, (2,))
-        assert moved.acts_on == (2,)
-        assert moved.sub_dims == (2,)
-
-    def test_on_layout_dim_mismatch(self):
-        op = OperatorMatrix(SpaceLayout((2,)), (0,), SX)
-        with pytest.raises(ValueError):
-            on_layout(op, SpaceLayout((3, 2)), (0,))
-
     def test_acts_on_must_increase(self):
         lay = qubit_layout(2)
         with pytest.raises(ValueError):
@@ -235,12 +219,6 @@ class TestApply:
         n_mean = expectation(number_op(mode), coherent(2.0, mode))
         assert abs(n_mean.real - 4.0) < 1e-9
         assert abs(n_mean.imag) < 1e-12
-
-    def test_expectation_refuses_a_density_matrix(self):
-        mode = mode_for(1.5)
-        psi = coherent(1.5, mode)
-        with pytest.raises(TypeError):
-            expectation(number_op(mode), psi.to_density())
 
 
 class TestPartialTrace:

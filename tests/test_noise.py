@@ -23,7 +23,6 @@ from catbell.hilbert import (
     StateVector,
     band_eigh,
     dm_fidelity,
-    expectation,
 )
 import catbell.noise
 from catbell.noise import (
@@ -43,7 +42,7 @@ from catbell.noise import (
     trajectory_rng,
 )
 from catbell.reference import liouvillian_expm, liouvillian_matrix, poisson_jump_stats
-from conftest import basis_state, on_register, parity_op
+from conftest import basis_state, expectation, on_register, parity_op
 
 
 def random_density(dim: int, seed: int) -> DensityMatrix:

@@ -40,16 +40,13 @@ from catbell.hilbert import (
     SpaceLayout,
     StateVector,
     apply,
-    embed,
-    expectation,
     matrix_exp,
-    on_layout,
     partial_trace,
     state_fidelity,
     unitarity_residual,
 )
 from catbell.noise import HeatingParams, evolve_lindblad
-from conftest import parity_op
+from conftest import embed, expectation, parity_op
 
 PAIR = SpaceLayout((2, 2))
 
@@ -102,12 +99,8 @@ class TestEmbedding:
     def test_disjoint_factors_commute(self, seed: int):
         rng = np.random.default_rng(seed)
         layout = SpaceLayout((3, 4, 2))
-        a = embed(on_layout(
-            OperatorMatrix(SpaceLayout((3,)), (0,), random_antihermitian(3, rng)),
-            layout, (0,))).matrix
-        b = embed(on_layout(
-            OperatorMatrix(SpaceLayout((2,)), (0,), random_antihermitian(2, rng)),
-            layout, (2,))).matrix
+        a = embed(OperatorMatrix(layout, (0,), random_antihermitian(3, rng))).matrix
+        b = embed(OperatorMatrix(layout, (2,), random_antihermitian(2, rng))).matrix
         assert np.abs(a @ b - b @ a).max() < 1e-12
 
     @settings(max_examples=30)
@@ -117,8 +110,7 @@ class TestEmbedding:
         layout = SpaceLayout((4, 3))
         ma = random_antihermitian(3, rng)
         mb = random_antihermitian(3, rng)
-        one = SpaceLayout((3,))
-        lift = lambda m: on_layout(OperatorMatrix(one, (0,), m), layout, (1,))
+        lift = lambda m: OperatorMatrix(layout, (1,), m)
         left = embed(lift(ma)).matrix @ embed(lift(mb)).matrix
         right = embed(lift(ma @ mb)).matrix
         assert np.abs(left - right).max() < 1e-12
@@ -128,10 +120,7 @@ class TestEmbedding:
     def test_apply_agrees_with_embedded_matrix(self, seed: int):
         rng = np.random.default_rng(seed)
         layout = SpaceLayout((3, 2, 4))
-        op = on_layout(
-            OperatorMatrix(SpaceLayout((3, 4)), (0, 1),
-                           random_antihermitian(12, rng)),
-            layout, (0, 2))
+        op = OperatorMatrix(layout, (0, 2), random_antihermitian(12, rng))
         psi = random_state(layout, rng)
         fast = apply(op, psi).amps
         slow = embed(op).matrix @ psi.amps

@@ -30,6 +30,8 @@ from catbell.reference import (
     swap_truth_oracle,
     write_fixture,
 )
+from conftest import GOLDEN_DIR
+from make_golden import check_against_main_path
 
 
 class TestSeries:
@@ -269,3 +271,22 @@ class TestFixtureIO:
         assert 0.0 < heat["cat_parity_after_heating"].value < 1.0
         stats = golden("jump_stats.json")
         assert stats["jump_stats_initial_rates"].value["p_odd"] > 0.0
+
+    def test_main_path_check_prints_and_writes_nothing(self, monkeypatch,
+                                                        capsys, golden):
+        # make_golden's --check pass, alone: main() rewrites the fixtures.
+        # setenv records the cap in force, which the check overwrites
+        monkeypatch.setenv("CATBELL_MAX_DIM", "65536")
+        before = {p.name: p.read_bytes() for p in sorted(GOLDEN_DIR.iterdir())}
+        check_against_main_path()
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == [
+            "swap rows (main path)", "transfer (main path)",
+            "electronic fidelity (main path)", "heated parity (main path)"]
+        swap = golden("swap_alpha8.json")
+        frozen = (swap["swap_superposition_transfer"],
+                  swap["electronic_bell_fidelity"],
+                  golden("heating_parity.json")["cat_parity_after_heating"])
+        for line, rec in zip(lines[1:], frozen):
+            assert abs(float(line.split(":")[1]) - rec.value) < rec.tolerance
+        assert {p.name: p.read_bytes() for p in sorted(GOLDEN_DIR.iterdir())} == before
