@@ -2,7 +2,7 @@
 """Truth tables for the mode-ion gates and the three-step exchange.
 
 Four builds are compared:
-  u_ve[ideal]    parity-controlled ion flip, written as a projector sum
+  u_ve[ideal]    parity-controlled ion flip, by indexing the odd Fock rows
   u_ve[literal]  the same gate assembled from two exponentials; as written
                  the exponentials compose to a pure phase on the odd
                  branch, so its flipping rows score zero

@@ -210,7 +210,6 @@ def _draw(p: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:
 class BellOutcome:
     b_value: float
     correlations: tuple[float, float, float, float]
-    angles: BellAngles
     method: str
     shots: int | None = None
     std_error: float | None = None
@@ -260,7 +259,7 @@ def chsh(state: StateVector | DensityMatrix,
             # not the variances themselves: the two differ in the last bit
             err = sqrt(sum(sqrt(max(1.0 - e * e, 0.0) / shots) ** 2 for e in es))
     combo = es[0] + es[1] + es[2] - es[3]
-    return BellOutcome(abs(combo), tuple(es), angles, method, drawn, err)
+    return BellOutcome(abs(combo), tuple(es), method, drawn, err)
 
 
 @dataclass(frozen=True)
@@ -268,7 +267,6 @@ class ViolationScan:
     deltas: np.ndarray
     b_values: np.ndarray
     crossing: float | None      # interpolated weight where B falls through 2
-    angles: BellAngles
 
 
 def violation_scan(deltas, angles: BellAngles = DEFAULT_ANGLES) -> ViolationScan:
@@ -292,7 +290,7 @@ def violation_scan(deltas, angles: BellAngles = DEFAULT_ANGLES) -> ViolationScan
     else:
         if bs[-1] == 2.0:
             crossing = float(ds[-1])
-    return ViolationScan(ds, bs, crossing, angles)
+    return ViolationScan(ds, bs, crossing)
 
 
 def reduced_electronic_schmidt(state: SchmidtState) -> DensityMatrix:

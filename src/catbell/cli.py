@@ -327,8 +327,8 @@ DESCRIPTIONS = {
         "notes": ("noise module exact master-equation solution: the even "
                   "cat's trace coefficients (trace_coefficients, memoized "
                   "per encoding) evaluated at each duration alone "
-                  "(evaluate_traces); noise.steps sets only the record grid "
-                  "and is held to noise.MAX_STEPS"),
+                  "(evaluate_traces); noise.steps changes no row and is "
+                  "only held to noise.MAX_STEPS"),
     },
     "bell-scan": {
         "stages": [
@@ -350,12 +350,11 @@ DESCRIPTIONS = {
         "columns": "quantity,value",
         "notes": ("end to end; B tracks 2 sqrt(2) (1 - delta).  "
                   "gates.ev_variant defaults to ideal here (exact code-space "
-                  "rx(pi/2)), which follows that law; the library u_swap "
-                  "defaults to displacement, the physical build, whose "
-                  "kick D(i eps) costs a further exp(-eps^2).  The register "
-                  "is carried as its two Schmidt terms across (mode a, "
-                  "ion 1) | (mode b, ion 2); electronic_fidelity is the "
-                  "closed-form fidelity to the delta mixture"),
+                  "rx(pi/2)), which follows that law; the displacement "
+                  "build's kick D(i eps) costs a further exp(-eps^2).  "
+                  "The register is carried as its two Schmidt terms across "
+                  "(mode a, ion 1) | (mode b, ion 2); electronic_fidelity "
+                  "is the closed-form fidelity to the delta mixture"),
     },
 }
 

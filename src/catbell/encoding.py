@@ -87,10 +87,17 @@ class EncodingParams:
         return cls(alpha, beta, ma, mb)
 
     def mode(self, which: str) -> ModeParams:
-        return {"a": self.mode_a, "b": self.mode_b}[which]
+        return {"a": self.mode_a, "b": self.mode_b}[_mode_name(which)]
 
     def amplitude(self, which: str) -> float:
-        return {"a": self.alpha, "b": self.beta}[which]
+        return {"a": self.alpha, "b": self.beta}[_mode_name(which)]
+
+
+def _mode_name(which: str) -> str:
+    """which, once it is checked to name one of the two modes."""
+    if which not in ("a", "b"):
+        raise ValueError(f"mode must be 'a' or 'b', got {which!r}")
+    return which
 
 
 def full_layout(params: EncodingParams) -> SpaceLayout:
@@ -105,12 +112,10 @@ def qubit_state(bit: int) -> StateVector:
 
 @dataclass(frozen=True)
 class LogicalBasis:
-    """Cat-code basis of one mode: logical pair plus its Fourier combinations."""
+    """Cat-code basis of one mode: the logical pair."""
 
     zero: StateVector       # even cat
     one: StateVector        # odd cat
-    dft_zero: StateVector   # (|0_L> + |1_L>)/sqrt(2), near |+alpha>
-    dft_one: StateVector    # (|0_L> - |1_L>)/sqrt(2), near |-alpha>
 
     def rotate(self, m2: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Apply the lifted 2x2 unitary to axis 0 of x, at O(d) per column.
@@ -127,22 +132,20 @@ class LogicalBasis:
         return out.reshape(np.shape(x))
 
 
-# the ideal kick, the Hadamard stage, the flip branch and the Bell target
-# read a code basis on every pipeline op; an entry is four d-vectors,
-# 64 d bytes: 32 * 64 * 128 B = 256 KB
+# cold pipeline ops (ideal kick, Hadamard stage, flip branch) and jump
+# ensembles (Bell target, logical projection) read a code basis, warm ones
+# none; an entry is two d-vectors, 32 d bytes: 32 * 32 * 128 B = 128 KB
 @lru_cache(maxsize=32)
 def logical_basis(which_mode: str, params: EncodingParams) -> LogicalBasis:
     """The cat-code basis of one mode, built once per (which_mode, params)
-    and shared: the basis is frozen and its four arrays are read-only."""
+    and shared: the basis is frozen and its two arrays are read-only."""
     mode = params.mode(which_mode)
     amp = params.amplitude(which_mode)
     zero = bosonic.cat(amp, EVEN, mode)
     one = bosonic.cat(amp, ODD, mode)
-    dz = StateVector(mode.layout, (zero.amps + one.amps) / sqrt(2.0))
-    do = StateVector(mode.layout, (zero.amps - one.amps) / sqrt(2.0))
-    for state in (zero, one, dz, do):
+    for state in (zero, one):
         state.amps.flags.writeable = False
-    return LogicalBasis(zero, one, dz, do)
+    return LogicalBasis(zero, one)
 
 
 @dataclass
@@ -267,8 +270,6 @@ def entangled_target_cat_form(params: EncodingParams, side: str = "b") -> Schmid
     mode a.  Both are two Schmidt terms, normalized.  Used to check that both
     factorizations describe one and the same vector.
     """
-    if side not in ("a", "b"):
-        raise ValueError(f"side must be 'a' or 'b', got {side!r}")
     other = "b" if side == "a" else "a"
     amp, ket = params.amplitude(side), params.amplitude(other)
     cats = [bosonic.cat(amp, p, params.mode(side)).amps for p in (EVEN, ODD)]

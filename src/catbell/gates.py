@@ -42,7 +42,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property, partial
-from math import pi
+from math import cos, pi, sin
 
 import numpy as np
 
@@ -190,9 +190,8 @@ class Exchange(OperatorMatrix):
         return np.moveaxis(x.reshape(shape), (0, 1), (mode_axis, ion_axis))
 
 
-def u_swap(which_mode: str, params: EncodingParams,
-           ve_variant: str = "ideal", ev_variant: str = "displacement"
-           ) -> Exchange:
+def u_swap(which_mode: str, params: EncodingParams, ve_variant: str,
+           ev_variant: str) -> Exchange:
     """Three-step exchange of the mode qubit and its ion qubit."""
     if ve_variant not in VE_VARIANTS:
         raise ValueError(f"ve_variant must be one of {VE_VARIANTS}")
@@ -208,15 +207,16 @@ def carrier_rotation(k: float, phase: float) -> OperatorMatrix:
 
     The generator is the equatorial axis (cos phase, -sin phase) on the Bloch
     sphere; conjugating sigma_z with the k = 1/2 pulse therefore lands on an
-    equatorial measurement axis set by the pulse phase.
+    equatorial measurement axis set by the pulse phase.  The generator G
+    squares to 1, so the pulse is cos(k pi/2) 1 - i sin(k pi/2) G.
     """
     g = np.array(
         [[0.0, np.exp(1j * phase)], [np.exp(-1j * phase), 0.0]],
         dtype=np.complex128,
     )
-    return matrix_exp(
-        OperatorMatrix(SpaceLayout((2,)), (0,), g), scale=-1j * k * pi / 2.0
-    )
+    angle = k * pi / 2.0
+    return OperatorMatrix(SpaceLayout((2,)), (0,),
+                          cos(angle) * np.eye(2) - 1j * sin(angle) * g)
 
 
 @dataclass
@@ -224,7 +224,6 @@ class RowReport:
     input_label: str
     target_label: str
     fidelity: float
-    amplitude: complex  # phase-aware overlap <target|U|input>
 
 
 @dataclass
@@ -256,7 +255,7 @@ def _report(gate: OperatorMatrix, name: str, which_mode: str,
     for in_label, tgt_label in table:
         out = apply(gate, states[in_label])
         amp = overlap(states[tgt_label], out)
-        rows.append(RowReport(in_label, tgt_label, float(abs(amp) ** 2), amp))
+        rows.append(RowReport(in_label, tgt_label, float(abs(amp) ** 2)))
     return GateReport(name, rows, unitarity_residual(gate))
 
 
@@ -270,6 +269,8 @@ SWAP_TABLE = [("0L,0e", "0L,0e"), ("0L,1e", "1L,0e"),
 
 def report_u_ve(variant: str, which_mode: str, params: EncodingParams) -> GateReport:
     """Row-by-row comparison of a ve build against the intended CNOT action."""
+    if variant not in VE_VARIANTS:
+        raise ValueError(f"ve_variant must be one of {VE_VARIANTS}")
     gate = (u_ve_ideal if variant == "ideal" else u_ve_literal)(which_mode, params)
     return _report(gate, f"u_ve[{variant}]", which_mode, params, CNOT_VE_TABLE)
 
@@ -279,9 +280,8 @@ def report_u_ev(which_mode: str, params: EncodingParams) -> GateReport:
     return _report(gate, "u_ev[displacement]", which_mode, params, CNOT_EV_TABLE)
 
 
-def report_u_swap(which_mode: str, params: EncodingParams,
-                  ve_variant: str = "ideal",
-                  ev_variant: str = "displacement") -> GateReport:
+def report_u_swap(which_mode: str, params: EncodingParams, ve_variant: str,
+                  ev_variant: str) -> GateReport:
     gate = u_swap(which_mode, params, ve_variant, ev_variant)
     return _report(gate, f"u_swap[{ve_variant},{ev_variant}]",
                    which_mode, params, SWAP_TABLE)

@@ -255,8 +255,7 @@ def run_pipeline(enc: EncodingParams, delta: float, angles: BellAngles,
     Heating enters as the single-jump approximation: a parity flip of mode a
     with probability delta, mixed in at the density-matrix level after the
     coherent stages.  ev_variant defaults to ideal, whose B follows
-    2 sqrt(2) (1 - delta); gates.u_swap defaults to the physical
-    displacement build.  Returns the named scalar results.
+    2 sqrt(2) (1 - delta).  Returns the named scalar results.
 
     The register is never built.  At chi_t = pi the cross-Kerr phase is
     ((-1)^n_a)^n_b, so the prepared state is exactly two products across

@@ -20,8 +20,6 @@ import numpy as np
 import scipy.linalg
 from scipy.special import eval_genlaguerre
 
-SERIES_TERM_TOL = 1e-16
-
 
 @dataclass
 class OracleReport:
@@ -63,35 +61,6 @@ def coherent_amplitudes(alpha: complex, n_terms: int) -> np.ndarray:
     )
     phase = n * np.angle(alpha)
     return np.exp(log_mod) * np.exp(1j * phase)
-
-
-@dataclass
-class CoherentMoments:
-    norm: float
-    n_mean: float
-    n_var: float
-    a_mean: complex
-    last_term: float
-
-
-def coherent_series(alpha: complex, n_terms: int) -> CoherentMoments:
-    """Direct-summation moments of a coherent state.
-
-    Requires enough terms that the last retained probability is below 1e-16;
-    otherwise the series was cut too early to be a trustworthy reference.
-    """
-    c = coherent_amplitudes(alpha, n_terms)
-    p = np.abs(c) ** 2
-    if p[-1] > SERIES_TERM_TOL:
-        raise ValueError(
-            f"series truncated too early: last term {p[-1]:.3e} for alpha={alpha}"
-        )
-    n = np.arange(n_terms)
-    norm = float(p.sum())
-    n_mean = float((n * p).sum())
-    n2 = float((n * n * p).sum())
-    a_mean = complex((c[:-1].conj() * c[1:] * np.sqrt(n[1:])).sum())
-    return CoherentMoments(norm, n_mean, n2 - n_mean**2, a_mean, float(p[-1]))
 
 
 def coherent_overlap(alpha: complex, beta: complex) -> complex:
@@ -236,13 +205,6 @@ def su2_exp(nx: float, ny: float, nz: float, angle: float) -> np.ndarray:
     sz = np.array([[1, 0], [0, -1]], dtype=np.complex128)
     ns = nx * sx + ny * sy + nz * sz
     return np.cos(angle) * np.eye(2) - 1j * np.sin(angle) * ns
-
-
-def rotation2(theta: float) -> np.ndarray:
-    """Closed form exp([[0, -theta], [theta, 0]])."""
-    return np.array(
-        [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
-    )
 
 
 def exchange_matrix_oracle(cutoff: int, eps: float) -> np.ndarray:

@@ -156,6 +156,14 @@ def subspace_unitary(basis: LogicalBasis, m2: np.ndarray) -> OperatorMatrix:
     return OperatorMatrix(layout, (0,), basis.rotate(m2, np.eye(layout.total_dim)))
 
 
+def fourier_pair(basis: LogicalBasis) -> tuple[StateVector, StateVector]:
+    """(|0_L> + |1_L>)/sqrt(2) and (|0_L> - |1_L>)/sqrt(2), near |+alpha>
+    and |-alpha>."""
+    zero, one = basis.zero.amps, basis.one.amps
+    return (StateVector(basis.zero.layout, (zero + one) / np.sqrt(2.0)),
+            StateVector(basis.zero.layout, (zero - one) / np.sqrt(2.0)))
+
+
 def on_register(op: OperatorMatrix, slot: int, params: EncodingParams) -> OperatorMatrix:
     """A single-factor operator placed at one slot of the four-factor register."""
     return OperatorMatrix(full_layout(params), (slot,), op.matrix)

@@ -155,12 +155,14 @@ def check_against_main_path() -> None:
     rep = report_u_swap("a", enc, "ideal", "displacement")
     print("swap rows (main path):",
           {r.input_label: round(r.fidelity, 12) for r in rep.rows})
+    from catbell.hilbert import StateVector
     basis = logical_basis("a", enc)
-    plus = tensor([basis.dft_zero, qubit_state(0)])
+    dft_zero = StateVector(basis.zero.layout,
+                           (basis.zero.amps + basis.one.amps) / np.sqrt(2.0))
+    plus = tensor([dft_zero, qubit_state(0)])
     tgt_amps = np.kron(basis.zero.amps,
                        np.array([1, 1], dtype=np.complex128) / np.sqrt(2))
     out = apply(u_swap("a", enc, "ideal", "displacement"), plus)
-    from catbell.hilbert import StateVector
     print("transfer (main path):",
           state_fidelity(StateVector(plus.layout, tgt_amps), out))
 

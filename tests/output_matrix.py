@@ -7,7 +7,9 @@ Run from the repository root:
 
 The set is every protocol at each amplitude, and full-pipeline over both
 ve_variants and both ev_variants, exact and sampled readout, at delta = 0,
-0.1 and 1: 29 CSVs per amplitude, 87 in all.  Every config runs in this one
+0.1 and 1; then bell-scan and full-pipeline (ideal, ideal, delta = 0.1)
+with the rotated readout, whose carrier pulses the others never build:
+31 CSVs per amplitude, 93 in all.  Every config runs in this one
 process through cli.execute, so the memoized stages are warm for most of
 them, as in a sweep.  Beside them, jump-ensemble.txt holds the jump
 sampler's output: criterion 06's loop (heated phi+ register, trajectories
@@ -60,6 +62,13 @@ def configs(alphas=ALPHAS) -> dict[str, dict]:
                                      "bell": {"mode": mode},
                                      "gates": {"ve_variant": ve,
                                                "ev_variant": ev}}
+        out[f"bell-scan-a{alpha:g}-rotated"] = {"protocol": "bell-scan",
+                                                "encoding": enc,
+                                                "bell": {"mode": "rotated"}}
+        out[f"full-pipeline-a{alpha:g}-ideal-ideal-rotated-d0.1"] = {
+            "protocol": "full-pipeline", "encoding": enc,
+            "noise": {"delta": 0.1}, "bell": {"mode": "rotated"},
+            "gates": {"ve_variant": "ideal", "ev_variant": "ideal"}}
     return out
 
 

@@ -198,7 +198,9 @@ def test_criterion_04_state_exchange(acceptance_log, golden):
         plus = StateVector(SpaceLayout((2,)),
                            np.array([1.0, 1.0], dtype=np.complex128) / sqrt(2.0))
         gate = u_swap("a", enc8, "ideal", "displacement")
-        out = apply(gate, tensor([basis.dft_zero, qubit_state(0)]))
+        dft_zero = StateVector(basis.zero.layout,
+                               (basis.zero.amps + basis.one.amps) / sqrt(2.0))
+        out = apply(gate, tensor([dft_zero, qubit_state(0)]))
         fid = state_fidelity(out, tensor([basis.zero, plus]))
         frozen = golden("swap_alpha8.json")["swap_superposition_transfer"]
         frozen_dev = abs(fid - frozen.value)

@@ -486,7 +486,8 @@ class TestEpsilonKick:
         enc = EncodingParams.for_amplitudes(2.0, 3.0)
         carried = dataclasses.replace(enc, epsilon=pi / 8.0)
         eye = np.eye(enc.mode_b.cutoff)
-        assert np.array_equal(u_swap("b", carried).kick(eye),
+        swap_b = u_swap("b", carried, "ideal", "displacement")
+        assert np.array_equal(swap_b.kick(eye),
                               displacement(1j * pi / 8.0, enc.mode_b).matrix)
         assert results == run_pipeline(carried, 0.1, DEFAULT_ANGLES,
                                        ev_variant="displacement")
@@ -860,8 +861,9 @@ class TestMainEntry:
 
     def test_output_matrix_identical_across_blas_threads(self, tmp_path):
         # the alpha 2 part of the comparison set that tests/output_matrix.py
-        # writes: every protocol, and full-pipeline over both gate builds of
-        # each exchange, exact and sampled, at delta 0, 0.1 and 1, and the
+        # writes: every protocol, full-pipeline over both gate builds of
+        # each exchange, exact and sampled, at delta 0, 0.1 and 1, bell-scan
+        # and one full-pipeline with the rotated readout, and the
         # jump-ensemble file
         script = Path(__file__).resolve().parent / "output_matrix.py"
         outputs = []
@@ -877,14 +879,14 @@ class TestMainEntry:
             assert proc.returncode == 0, proc.stderr
             outputs.append({p.name: p.read_bytes() for p in outdir.iterdir()})
         one, four = outputs
-        assert len(one) == len(PROTOCOLS) - 1 + 2 * 2 * 2 * 3 + 1
+        assert len(one) == len(PROTOCOLS) - 1 + 2 * 2 * 2 * 3 + 2 + 1
         assert "jump-ensemble.txt" in one
         assert one == four
 
     def test_warm_full_pipeline_writes_the_cold_bytes(self, tmp_path):
-        # the alpha 2 full-pipeline configs of the comparison set, run once
-        # with the memos kept across configs and once with them cleared
-        # before each config
+        # the alpha 2 full-pipeline configs of the comparison set (the
+        # rotated readout's one among them), run once with the memos kept
+        # across configs and once with them cleared before each config
         from output_matrix import configs
         matrix = {name: raw for name, raw in configs((2.0,)).items()
                   if raw["protocol"] == "full-pipeline"}
@@ -900,7 +902,7 @@ class TestMainEntry:
                         str(outdir))
             outputs.append({p.name: p.read_bytes() for p in outdir.iterdir()})
         warm, cold = outputs
-        assert len(warm) == 2 * 2 * 2 * 3
+        assert len(warm) == 2 * 2 * 2 * 3 + 1
         assert warm == cold
 
     def test_swap_report_identical_across_blas_threads(self, tmp_path):
@@ -1100,7 +1102,6 @@ class TestPipelineMemo:
         with pytest.raises(dataclasses.FrozenInstanceError):
             code_a.zero = code_a.one
         for cached in (rho_keep, rho_flip, code_a.zero.amps, code_a.one.amps,
-                       code_a.dft_zero.amps, code_a.dft_one.amps,
                        *_setting_vectors(DEFAULT_ANGLES)):
             with pytest.raises(ValueError, match="read-only"):
                 cached[0] = 1.0

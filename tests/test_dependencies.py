@@ -6,7 +6,9 @@ catbell.reference, the oracle module, which may also use the test extra and
 must keep its own scipy solvers so that the oracles stay independent of the
 fast paths.  Every module-level function and class outside the oracle module
 is read by the program (src, demos, perfbench) or exported; helpers that only
-tests need live in tests/.
+tests need live in tests/.  Every one of the oracle module is read by a check
+other than its own self-tests (tests/test_reference.py): another test, the
+benchmark's output checks, or another oracle.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "catbell"
 ORACLE = "reference.py"
 PROGRAM = ("src", "demos", "perfbench")
+ORACLE_READERS = ("tests", "perfbench")
+ORACLE_SELF_TESTS = ROOT / "tests" / "test_reference.py"
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 # module-level names that the program does not read, kept on purpose
@@ -29,6 +33,13 @@ KEPT_UNREAD = {
     "dm_fidelity": "the Uhlmann reference that tests hold "
                    "bell.mixed_bell_fidelity to",
     "propagate": "the full heated rho; ROADMAP items 3, 4 and 14 build on it",
+}
+
+# oracles that only their self-tests read, kept on purpose
+KEPT_UNREAD_ORACLES = {
+    "coherent_overlap": "the Gram tables of the truncation-free pipeline "
+                        "oracle (ROADMAP item 7)",
+    "chsh_grid_search": "the check of the best B over axes (ROADMAP item 12)",
 }
 
 
@@ -88,15 +99,22 @@ def name_reads(path: Path) -> list[tuple[str, str | None]]:
     return reads
 
 
+def reads_in(roots: tuple[str, ...]) -> dict[Path, list]:
+    """name_reads of every Python file under the given roots."""
+    return {path: name_reads(path) for root in roots
+            for path in sorted((ROOT / root).rglob("*.py"))}
+
+
+def read_outside(reads: dict, name: str, module: Path) -> bool:
+    """Whether name is read in reads anywhere but inside its own def."""
+    return any(read == name and not (path == module and owner == name)
+               for path, names in reads.items() for read, owner in names)
+
+
 def test_every_module_level_name_is_read_by_the_program():
     import catbell
 
-    reads = {path: name_reads(path) for root in PROGRAM
-             for path in sorted((ROOT / root).rglob("*.py"))}
-
-    def read_outside(name: str, module: Path) -> bool:
-        return any(read == name and not (path == module and owner == name)
-                   for path, names in reads.items() for read, owner in names)
+    reads = reads_in(PROGRAM)
 
     unread, defined = [], set()
     for module in sorted(PACKAGE.glob("*.py")):
@@ -105,10 +123,30 @@ def test_every_module_level_name_is_read_by_the_program():
         for node in ast.parse(module.read_text(encoding="utf-8")).body:
             if isinstance(node, DEFS):
                 defined.add(node.name)
-                read = read_outside(node.name, module)
+                read = read_outside(reads, node.name, module)
                 if node.name in KEPT_UNREAD:
                     assert not read, f"{node.name} is read now: drop it from KEPT_UNREAD"
                 elif not read and node.name not in catbell.__all__:
                     unread.append(f"{module.stem}.{node.name}")
     assert not unread, f"read only by tests, if at all: {unread}"
     assert set(KEPT_UNREAD) <= defined
+
+
+def test_every_oracle_is_read_by_another_check():
+    oracle = PACKAGE / ORACLE
+    reads = reads_in(ORACLE_READERS)
+    del reads[ORACLE_SELF_TESTS]
+    reads[oracle] = name_reads(oracle)
+
+    unread, defined = [], set()
+    for node in ast.parse(oracle.read_text(encoding="utf-8")).body:
+        if isinstance(node, DEFS):
+            defined.add(node.name)
+            read = read_outside(reads, node.name, oracle)
+            if node.name in KEPT_UNREAD_ORACLES:
+                assert not read, (f"{node.name} is read now: drop it from "
+                                  "KEPT_UNREAD_ORACLES")
+            elif not read:
+                unread.append(node.name)
+    assert not unread, f"read only by their self-tests, if at all: {unread}"
+    assert set(KEPT_UNREAD_ORACLES) <= defined

@@ -38,6 +38,7 @@ from catbell.hilbert import (
 )
 from conftest import (
     expectation,
+    fourier_pair,
     on_register,
     parity_op,
     reference_preparation,
@@ -130,8 +131,16 @@ class TestParams:
     def test_accessors(self):
         enc = EncodingParams.for_amplitudes(2.0, beta=3.0)
         assert enc.amplitude("b") == 3.0
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="mode must be 'a' or 'b', got 'c'"):
             enc.mode("c")
+
+    def test_unknown_mode_name_is_a_value_error(self, enc2):
+        # not a bare KeyError from the mode table, wherever the name enters
+        calls = (lambda: enc2.amplitude("c"), lambda: logical_basis("c", enc2),
+                 lambda: rotation_fidelity(0.1, enc2, "c"))
+        for call in calls:
+            with pytest.raises(ValueError, match="mode must be 'a' or 'b', got 'c'"):
+                call()
 
     def test_full_layout(self):
         enc = EncodingParams.for_amplitudes(2.0, cutoff=30)
@@ -159,26 +168,27 @@ class TestLogicalBasis:
             enc = EncodingParams.for_amplitudes(alpha, beta=beta)
             for which in ("a", "b"):
                 basis = logical_basis(which, enc)
+                dft_zero, dft_one = fourier_pair(basis)
                 vecs = np.column_stack(
-                    [basis.zero.amps, basis.one.amps, basis.dft_zero.amps, basis.dft_one.amps]
+                    [basis.zero.amps, basis.one.amps, dft_zero.amps, dft_one.amps]
                 )
                 gram = vecs[:, :2].conj().T @ vecs[:, :2]
                 assert np.abs(gram - np.eye(2)).max() < 1e-12
 
     def test_dft_states_near_coherent(self, enc3):
-        basis = logical_basis("a", enc3)
-        f = state_fidelity(basis.dft_zero, coherent(3.0, enc3.mode_a))
+        dft_zero, dft_one = fourier_pair(logical_basis("a", enc3))
+        f = state_fidelity(dft_zero, coherent(3.0, enc3.mode_a))
         assert f > 1.0 - 1e-7
-        f = state_fidelity(basis.dft_one, coherent(-3.0, enc3.mode_a))
+        f = state_fidelity(dft_one, coherent(-3.0, enc3.mode_a))
         assert f > 1.0 - 1e-7
 
     def test_dft_orthogonal(self, enc3):
-        basis = logical_basis("a", enc3)
-        assert abs(overlap(basis.dft_zero, basis.dft_one)) < 1e-10
+        dft_zero, dft_one = fourier_pair(logical_basis("a", enc3))
+        assert abs(overlap(dft_zero, dft_one)) < 1e-10
 
     def test_dft_logical_overlap_half(self, enc3):
         basis = logical_basis("a", enc3)
-        f = state_fidelity(basis.dft_zero, basis.zero)
+        f = state_fidelity(fourier_pair(basis)[0], basis.zero)
         assert abs(f - 0.5) < 1e-6
 
     def test_projector_rank_two(self, enc2):
@@ -237,7 +247,7 @@ class TestEntangledPreparation:
         # branch overlap exp(-2 alpha^2)/(2 sqrt(2))
         def table(enc):
             a, b = logical_basis("a", enc), logical_basis("b", enc)
-            xs = np.column_stack([a.dft_zero.amps, a.dft_one.amps])
+            xs = np.column_stack([x.amps for x in fourier_pair(a)])
             ys = np.column_stack([b.zero.amps, b.one.amps])
             grid = prepared(enc).as_tensor()[:, :, 0, 0]
             return np.abs(xs.conj().T @ grid @ ys.conj())

@@ -61,6 +61,7 @@ from catbell.hilbert import (
     unitarity_residual,
 )
 from catbell.pipeline import _pipeline_state, run_pipeline
+from catbell.reference import su2_exp
 from conftest import (
     basis_state,
     lift_pair,
@@ -140,8 +141,8 @@ class TestUveIdeal:
         assert np.abs(u @ p - p @ u).max() < 1e-12
 
     def test_flip_row_phase(self, enc2):
-        rep = report_u_ve("ideal", "a", enc2)
-        flip = {r.input_label: r.amplitude for r in rep.rows}["1L,0e"]
+        out = apply(u_ve_ideal("a", enc2), pair_state("1L,0e", "a", enc2))
+        flip = overlap(pair_state("1L,1e", "a", enc2), out)
         assert flip == pytest.approx(1.0, abs=1e-12)
 
 
@@ -265,15 +266,20 @@ class TestUevIdeal:
 class TestUswap:
     def test_variant_validation(self, enc2):
         with pytest.raises(ValueError):
-            u_swap("a", enc2, ve_variant="exact")
+            u_swap("a", enc2, ve_variant="exact", ev_variant="displacement")
         with pytest.raises(ValueError):
-            u_swap("a", enc2, ev_variant="exact")
+            u_swap("a", enc2, ve_variant="ideal", ev_variant="exact")
+        with pytest.raises(ValueError, match="mode must be 'a' or 'b', got 'c'"):
+            u_swap("c", enc2, "ideal", "ideal")
 
     def test_surrogate_truth_table(self, enc2):
         rep = report_u_swap("a", enc2, ve_variant="ideal", ev_variant="ideal")
         assert rep.min_fidelity >= 1.0 - 1e-10
-        for row in rep.rows:
-            assert row.amplitude == pytest.approx(1.0, abs=1e-8), row
+        gate = u_swap("a", enc2, "ideal", "ideal")
+        for in_label, tgt_label in SWAP_TABLE:
+            out = apply(gate, pair_state(in_label, "a", enc2))
+            amp = overlap(pair_state(tgt_label, "a", enc2), out)
+            assert amp == pytest.approx(1.0, abs=1e-8), (in_label, tgt_label)
 
     def test_surrogate_on_mode_b(self, enc2):
         rep = report_u_swap("b", enc2, ve_variant="ideal", ev_variant="ideal")
@@ -307,7 +313,7 @@ class TestUswap:
     def test_displacement_rows_match_frozen_alpha8(self, golden):
         rec = golden("swap_alpha8.json")["swap_rows"]
         enc = EncodingParams.for_amplitudes(8.0)
-        rep = report_u_swap("a", enc)
+        rep = report_u_swap("a", enc, "ideal", "displacement")
         got = {r.input_label[0] + r.input_label[3]: r.fidelity for r in rep.rows}
         for key, want in rec.value.items():
             assert abs(got[key] - want) < rec.tolerance, key
@@ -319,7 +325,7 @@ class TestUswap:
         plus = StateVector(basis.zero.layout,
                            (basis.zero.amps + basis.one.amps) / np.sqrt(2.0))
         psi = tensor([plus, qubit_state(0)])
-        out = apply(u_swap("a", enc), psi)
+        out = apply(u_swap("a", enc, "ideal", "displacement"), psi)
         ion_plus = StateVector(SpaceLayout((2,)), np.array([1, 1]) / np.sqrt(2.0))
         target = tensor([basis.zero, ion_plus])
         f = abs(overlap(target, out)) ** 2
@@ -336,7 +342,8 @@ class TestRegisterTransfer:
         enc = EncodingParams.for_amplitudes(8.0)
         psi = bell_target("phi_plus", enc)
         for which in ("a", "b"):
-            psi = apply(lift_pair(u_swap(which, enc), which, enc), psi)
+            psi = apply(lift_pair(u_swap(which, enc, "ideal", "displacement"),
+                                  which, enc), psi)
         red = partial_trace(psi, (2, 3))
         f = dm_fidelity(red, electronic_bell("phi_plus"))
         assert abs(f - rec.value) < rec.tolerance
@@ -359,6 +366,27 @@ class TestCarrier:
     def test_unitary(self):
         assert unitarity_residual(carrier_rotation(0.37, -2.0)) < 1e-12
 
+    def test_matches_oracles(self):
+        # exp(-i k pi/2 (n . sigma)) about the equatorial axis
+        # n = (cos phase, -sin phase, 0), in closed form and by
+        # eigendecomposing the generator
+        rng = np.random.default_rng(20261019)
+        for k, phase in zip(rng.uniform(-4.0, 4.0, 1000),
+                            rng.uniform(-2 * np.pi, 2 * np.pi, 1000)):
+            got = carrier_rotation(k, phase).matrix
+            closed = su2_exp(np.cos(phase), -np.sin(phase), 0.0, k * np.pi / 2.0)
+            assert np.abs(got - closed).max() <= 1e-15, (k, phase)
+            g = np.array([[0.0, np.exp(1j * phase)], [np.exp(-1j * phase), 0.0]])
+            eig = matrix_exp(OperatorMatrix(SpaceLayout((2,)), (0,), g),
+                             scale=-1j * k * np.pi / 2.0).matrix
+            assert np.abs(got - eig).max() <= 1e-14, (k, phase)
+
+    def test_exponentiates_nothing(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("carrier_rotation called matrix_exp")
+        monkeypatch.setattr(gates, "matrix_exp", refuse)
+        carrier_rotation(0.5, 0.3)
+
 
 class TestReports:
     def test_min_fidelity(self, enc2):
@@ -368,6 +396,10 @@ class TestReports:
     def test_tables_cover_basis(self):
         for table in (CNOT_VE_TABLE, CNOT_EV_TABLE, SWAP_TABLE):
             assert sorted(t[0] for t in table) == ["0L,0e", "0L,1e", "1L,0e", "1L,1e"]
+
+    def test_unknown_ve_variant_refused(self, enc2):
+        with pytest.raises(ValueError, match="ve_variant must be one of"):
+            report_u_ve("exact", "a", enc2)
 
     def test_gate_names(self, enc2):
         assert report_u_swap("a", enc2, "ideal", "ideal").gate == "u_swap[ideal,ideal]"

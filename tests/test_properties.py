@@ -46,7 +46,7 @@ from catbell.hilbert import (
     unitarity_residual,
 )
 from catbell.noise import HeatingParams, evolve_lindblad
-from conftest import embed, expectation, parity_op
+from conftest import embed, expectation, fourier_pair, parity_op
 
 PAIR = SpaceLayout((2, 2))
 
@@ -219,7 +219,7 @@ class TestEncodingInvariants:
         params = EncodingParams.for_amplitudes(alpha, beta, leak_tol=1e-8)
         for side in ("a", "b"):
             basis = logical_basis(side, params)
-            vecs = [basis.zero, basis.one, basis.dft_zero, basis.dft_one]
+            vecs = [basis.zero, basis.one, *fourier_pair(basis)]
             gram = np.array([[np.vdot(u.amps, v.amps) for v in vecs[:2]]
                              for u in vecs[:2]])
             assert np.abs(gram - np.eye(2)).max() < 1e-10

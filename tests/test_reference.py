@@ -17,7 +17,6 @@ from catbell.reference import (
     chsh_grid_search,
     coherent_amplitudes,
     coherent_overlap,
-    coherent_series,
     displacement_elements,
     entangled_amplitudes,
     exchange_matrix_oracle,
@@ -25,7 +24,6 @@ from catbell.reference import (
     liouvillian_matrix,
     poisson_jump_stats,
     read_fixture,
-    rotation2,
     su2_exp,
     swap_truth_oracle,
     write_fixture,
@@ -35,22 +33,6 @@ from make_golden import check_against_main_path
 
 
 class TestSeries:
-    def test_norm_and_moments(self):
-        m = coherent_series(2.0, 60)
-        assert m.norm == pytest.approx(1.0, abs=1e-12)
-        assert m.n_mean == pytest.approx(4.0, abs=1e-10)
-        assert m.n_var == pytest.approx(4.0, abs=1e-9)
-        assert m.a_mean == pytest.approx(2.0, abs=1e-10)
-
-    def test_vacuum(self):
-        m = coherent_series(0.0, 5)
-        assert m.norm == 1.0
-        assert m.n_mean == 0.0
-
-    def test_truncation_guard(self):
-        with pytest.raises(ValueError, match="truncated too early"):
-            coherent_series(3.0, 12)
-
     def test_overlap_closed_form(self):
         got = coherent_overlap(2.0, -2.0)
         assert got == pytest.approx(np.exp(-8.0), abs=1e-12)
@@ -202,13 +184,6 @@ class TestSmallRotations:
         want = scipy.linalg.expm(-0.7j * gen)
         assert np.abs(got - want).max() < 1e-12
 
-    def test_rotation2_orthogonal(self):
-        r = rotation2(0.4)
-        assert np.abs(r @ r.T - np.eye(2)).max() < 1e-14
-        assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-14)
-        gen = np.array([[0.0, -0.4], [0.4, 0.0]])
-        assert np.abs(r - scipy.linalg.expm(gen)).max() < 1e-12
-
 
 class TestExchangeOracle:
     def test_matches_main_gate(self):
@@ -219,7 +194,7 @@ class TestExchangeOracle:
         enc = EncodingParams.for_amplitudes(2.0)
         cutoff = enc.mode_a.cutoff
         got = exchange_matrix_oracle(cutoff, np.pi / 8.0)
-        want = u_swap("a", enc).matrix
+        want = u_swap("a", enc, "ideal", "displacement").matrix
         assert np.abs(got - want)[:32, :32].max() < 1e-12
 
     def test_truth_table_cross_check(self):
@@ -227,7 +202,7 @@ class TestExchangeOracle:
         from catbell.gates import report_u_swap
 
         oracle = swap_truth_oracle(2.0, enc.mode_a.cutoff, np.pi / 8.0)
-        rep = report_u_swap("a", enc)
+        rep = report_u_swap("a", enc, "ideal", "displacement")
         got = {r.input_label[0] + r.input_label[3]: r.fidelity for r in rep.rows}
         for key, want in oracle["rows"].items():
             assert abs(got[key] - want) < 1e-9, key
