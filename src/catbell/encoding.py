@@ -301,7 +301,8 @@ def bell_target_schmidt(kind: str, params: EncodingParams) -> SchmidtState:
 def bell_target(kind: str, params: EncodingParams) -> StateVector:
     """Logical Bell state of the two modes, ions in |00>: a new register per
     call, immutable (amps read-only down their .base chain), so that
-    noise.sample_trajectory keeps its <n> and shares its amps."""
+    noise.sample_trajectory keeps its level weights and <n> and returns it
+    as a jump-free final."""
     state = bell_target_schmidt(kind, params).to_state()
     amps = state.amps
     while amps is not None:

@@ -95,8 +95,10 @@ class StateVector:
     """Pure state over a layout, stored as a flat complex vector.
 
     amps read-only down their .base chain make the state immutable: then
-    noise.sample_trajectory keeps its <n> as _mean_n = (amps, {mode view:
-    <n>}), served while state.amps is that object, and may share amps."""
+    noise.sample_trajectory keeps the heated mode's level weights and <n>
+    as _mean_n = (amps, {mode view: (weights, <n>)}), served while
+    state.amps is that object, and returns the state itself as a jump-free
+    final."""
 
     layout: SpaceLayout
     amps: np.ndarray
@@ -181,7 +183,10 @@ def tensor(parts: list[StateVector]) -> StateVector:
     """Kronecker product of states, first factor slowest.
 
     Each step is the flattened outer product, the bits of np.kron on
-    vectors without its generic n-d set-up.
+    vectors without its generic n-d set-up.  A factor shorter than the
+    product so far is written one column at a time, each a multiply of the
+    whole product by one amplitude, so that no inner loop runs over the
+    short factor.
     """
     if not parts:
         raise ValueError("tensor of an empty list")
@@ -191,7 +196,14 @@ def tensor(parts: list[StateVector]) -> StateVector:
     amps = np.ones(1, dtype=np.complex128)
     for p in parts:
         dims = dims + p.layout.dims
-        amps = np.multiply.outer(amps, p.amps).reshape(-1)
+        src = p.amps
+        if src.size < amps.size:
+            out = np.empty((amps.size, src.size), dtype=np.complex128)
+            for k in range(src.size):
+                np.multiply(amps, src[k], out=out[:, k])
+        else:
+            out = np.multiply.outer(amps, src)
+        amps = out.reshape(-1)
     return StateVector(SpaceLayout(dims), amps)
 
 

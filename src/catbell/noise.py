@@ -34,14 +34,16 @@ coefficients (pipeline's heat-sweep memo) and may ask for one time alone.
 rho itself, which takes all d blocks, comes from propagate.
 
 The jump sampler views the register as (pre, d, post) around the heated
-mode, so it moves no axis.  It computes <n> in one pass over the
-amplitudes for each state it visits (only for the input under
-constant_rate), and each jump writes one new register, scaling the float
-view of the amplitudes by the real ladder column.  A register whose
-amplitudes are read-only down their .base chain is immutable: its input
-<n> is computed once per heated mode and kept on the state, and a
-trajectory with no jump returns the input's amplitudes uncopied, so an
-ensemble of one register (bell_target's, say) pays for it once.
+mode, so it moves no axis.  a and a+ act on that mode alone and the rates
+read only <n>, so a jump record is a chain on the mode's d level weights
+w_k = ||psi[:, k, :]||^2: the sampler reads the amplitudes once, for w,
+and a jump updates a length-d real column and a level shift, O(d).  A
+trajectory that jumped writes its final register once, scaling the float
+view of the input by the column.  A register whose amplitudes are
+read-only down their .base chain is immutable: its w and <n> are computed
+once per heated mode and kept on the state, and a trajectory with no jump
+returns the state itself, so an ensemble of one register (bell_target's,
+say) pays for the pass once.
 
 Each trajectory's stream is np.random.default_rng([master_seed, index]),
 bit for bit (trajectory_rng).  Building a SeedSequence per key costs more
@@ -327,30 +329,36 @@ class TrajectoryResult:
         return len(self.jumps)
 
 
-# one entry per (layout, heated mode), 16 d bytes of arrays each: at most
-# 32 * 16 * 128 B = 64 KB at d <= 128
+# one entry per (layout, heated mode), 56 d bytes of arrays each: at most
+# 32 * 56 * 128 B = 224 KB at d <= 128
 @lru_cache(maxsize=32)
 def _mode_view(dims: tuple[int, ...], mode_index: int
-               ) -> tuple[tuple[int, int, int], np.ndarray, np.ndarray]:
+               ) -> tuple[tuple[int, int, int], np.ndarray, np.ndarray, np.ndarray]:
     """The (pre, d, post) view shape of a register around one mode, its
-    levels 0..d-1 and the column sqrt(1..d-1) of the ladder.
+    levels 0..d-1, and two lines over the shifted levels m = -d..2d-1:
+    span[d + m] = m, and ladder[d + m] = sqrt(m) on the register's levels
+    0 <= m < d and 0 off them.
 
-    Memoized per (dims, mode_index); both arrays are read-only.
+    Memoized per (dims, mode_index); every array is read-only.
     """
     dim = dims[mode_index]
     shape = (prod(dims[:mode_index]), dim, prod(dims[mode_index + 1:]))
     levels = np.arange(dim, dtype=np.float64)
-    root = np.sqrt(levels[1:])[:, None]
-    levels.flags.writeable = False
-    root.flags.writeable = False
-    return shape, levels, root
+    span = np.arange(-dim, 2 * dim, dtype=np.float64)
+    ladder = np.zeros(3 * dim)
+    ladder[dim:2 * dim] = np.sqrt(levels)
+    for a in (levels, span, ladder):
+        a.flags.writeable = False
+    return shape, levels, span, ladder
 
 
-def _occupancy(psi: np.ndarray, levels: np.ndarray) -> float:
-    """<n> of the (pre, d, post) view psi, unnormalized: the sum over pre
-    and post of |psi|^2 as re^2 + im^2 of the float view."""
+def _level_weights(psi: np.ndarray) -> np.ndarray:
+    """w_k = sum over pre and post of |psi[:, k, :]|^2 of the (pre, d, post)
+    view psi, as re^2 + im^2 of the float view; read-only."""
     f = psi.view(np.float64)
-    return float(levels @ np.einsum("pkq,pkq->k", f, f))
+    w = np.einsum("pkq,pkq->k", f, f)
+    w.flags.writeable = False
+    return w
 
 
 def _immutable(amps: np.ndarray) -> bool:
@@ -363,28 +371,29 @@ def _immutable(amps: np.ndarray) -> bool:
     return amps is None
 
 
-def _jump(psi: np.ndarray, up: bool, root: np.ndarray) -> np.ndarray | None:
-    """a+ psi (up) or a psi on the middle axis of the view, normalized; None
-    when the event annihilates psi.
+def _place(psi: np.ndarray, col: np.ndarray, shift: int) -> np.ndarray:
+    """The register sum_k col_k psi[:, k, :] |k + shift>, a new (pre, d,
+    post) array: input level k lands on level k + shift, and the levels no
+    input reaches are zeroed.
 
-    The ladder column is real, so it scales the float view of psi, and only
-    the vacated edge level is zeroed.  Scaling by 1 / nrm is what numpy's
-    complex division by a real nrm computes, so every nonzero amplitude has
-    the bits of the complex products and division; a zero may differ from
-    them in its sign.
+    col is real, so it scales the float view of psi in one multiply: along
+    the inner axis when there is no outer one, else as a row written out
+    once over the moved levels and broadcast over the outer axis.  Every
+    nonzero amplitude has the bits of the complex product with col_k; a
+    zero may differ from it in its sign.
     """
+    pre, dim, _ = psi.shape
+    lo, hi = max(0, -shift), min(dim, dim - shift)
+    src = psi.view(np.float64)
     out = np.empty_like(psi)
-    f, src = out.view(np.float64), psi.view(np.float64)
-    if up:
-        np.multiply(root, src[:, :-1], out=f[:, 1:])
-        f[:, 0] = 0.0
-    else:
-        np.multiply(root, src[:, 1:], out=f[:, :-1])
-        f[:, -1] = 0.0
-    nrm = np.linalg.norm(out)
-    if nrm == 0.0:
-        return None
-    f *= 1.0 / nrm
+    f = out.view(np.float64)
+    scale = col[lo:hi, None]
+    if pre > 1:
+        scale = np.empty((hi - lo, src.shape[2]))
+        scale[:] = col[lo:hi, None]
+    np.multiply(src[:, lo:hi], scale, out=f[:, lo + shift:hi + shift])
+    f[:, :lo + shift] = 0.0
+    f[:, hi + shift:] = 0.0
     return out
 
 
@@ -407,18 +416,24 @@ def sample_trajectory(state: StateVector, params: HeatingParams,
     such events are resampled (skipped), which only matters under frozen
     rates.  Deterministic for a given seed.  Each wait is (1 / total rate) E
     for a standard exponential E: Generator.exponential(1 / total), bit for
-    bit.
+    bit.  A state whose <n> is not finite (a NaN or infinite amplitude) is
+    a ContractError before any draw.
 
-    The register is viewed as (pre, d, post) around the heated mode, so
-    neither the occupancy nor a jump moves an axis, and a jump writes one
-    new register.  <n> takes one pass over the amplitudes per visited
-    state: the input, and each state after a jump (none under
-    constant_rate).  The input is not modified.  If its amplitudes are
-    read-only down their .base chain, the state is immutable: its <n> is
-    kept on it (StateVector), paid once per (state, mode_index), and a
-    jump-free final shares its amplitudes.  Any other input pays the pass
-    on every call and never shares its memory with the result.  The draws,
-    record, warning and final amplitudes are the same either way.
+    a and a+ act on the heated mode alone, so the state after any jumps is
+    sum_k col_k psi_k |k + shift>, psi_k the input's level-k part: the
+    record is a chain on the input's level weights w_k = ||psi_k||^2.  The
+    sampler reads the amplitudes once, for w (one pass over the (pre, d,
+    post) view, which moves no axis), and <n> = levels . w.  A jump
+    updates the real column col and the net shift, renormalized, and takes
+    the next <n> and the annihilation test (a zero norm) from col^2 w:
+    O(d) per jump.  A trajectory that jumped writes its final register
+    once (_place).  The input is not modified.  If its amplitudes are
+    read-only down their .base chain, the state is immutable: its w and
+    <n> are kept on it (StateVector), paid once per (state, mode_index),
+    and a jump-free trajectory returns the state itself as its final.  Any
+    other input pays the pass on every call and never shares its memory
+    with the result.  The draws, record, warning and final amplitudes are
+    the same either way.
     """
     layout = state.layout
     if not 0 <= mode_index < layout.nsites:
@@ -428,16 +443,20 @@ def sample_trajectory(state: StateVector, params: HeatingParams,
         )
     rng = (seed_or_rng if isinstance(seed_or_rng, np.random.Generator)
            else np.random.default_rng(seed_or_rng))
-    shape, levels, root = _mode_view(layout.dims, mode_index)
+    shape, levels, span, ladder = _mode_view(layout.dims, mode_index)
     amps = state.amps
-    psi = amps.reshape(shape)
     immutable = _immutable(amps)
     if immutable and state.__dict__.get("_mean_n", (None,))[0] is not amps:
         state._mean_n = (amps, {})
     kept = state._mean_n[1] if immutable else {}
-    n0 = kept.get(shape)
-    if n0 is None:
-        n0 = kept[shape] = _occupancy(psi, levels)
+    entry = kept.get(shape)
+    if entry is None:
+        w = _level_weights(amps.reshape(shape))
+        entry = kept[shape] = (w, float(levels @ w))
+    w, n0 = entry
+    if not isfinite(n0):
+        raise ContractError(f"the heated mode's <n> is {n0}: the register holds "
+                            "a non-finite amplitude, or one too large to square")
     depth = params.gamma * params.duration
     if depth * n0 >= 0.5:
         warnings.warn(
@@ -446,6 +465,9 @@ def sample_trajectory(state: StateVector, params: HeatingParams,
             stacklevel=2,
         )
     r_up, r_down = _rates(params, n0)
+    dim = shape[1]
+    col = None  # the column, set at the first jump
+    shift = 0
     jumps: list = []
     t = 0.0
     while True:
@@ -456,15 +478,31 @@ def sample_trajectory(state: StateVector, params: HeatingParams,
         if t >= params.duration:
             break
         up = rng.random() < r_up / total
-        kicked = _jump(psi, up, root)
-        if kicked is None:
+        # input level k sits on k + shift; a+ weighs it sqrt(k + shift + 1),
+        # a sqrt(k + shift), and 0 off the ladder
+        if col is None:
+            # a level of weight 0 stays off the column: its amplitudes are
+            # zero or too small to square, and no norm would bound its entry
+            col = (w > 0.0).astype(np.float64)
+        edge = dim + shift + up
+        kicked = col * ladder[edge:edge + dim]
+        # col_k^2 w_k <= 1 after each renormalization, so kicked * w cannot
+        # overflow where kicked * kicked could, on a subnormal w_k
+        p = kicked * w * kicked
+        norm2 = float(p.sum())
+        if norm2 == 0.0:
             continue
-        psi = kicked
+        col = kicked / np.sqrt(norm2)
+        shift += 1 if up else -1
         jumps.append((t, "+" if up else "-"))
         if not params.constant_rate:
-            r_up, r_down = _rates(params, _occupancy(psi, levels))
-    final = psi.reshape(-1) if jumps else amps if immutable else amps.copy()
-    return TrajectoryResult(StateVector(layout, final), jumps, len(jumps) % 2 == 1)
+            moved = span[dim + shift:2 * dim + shift]
+            r_up, r_down = _rates(params, float(p @ moved) / norm2)
+    if jumps:
+        final = StateVector(layout, _place(amps.reshape(shape), col, shift).reshape(-1))
+    else:
+        final = state if immutable else StateVector(layout, amps.copy())
+    return TrajectoryResult(final, jumps, len(jumps) % 2 == 1)
 
 
 def _uint32_words(value: int) -> list[int]:

@@ -129,13 +129,25 @@ class TestTensorAndEmbed:
         assert ab.layout.dims == (2, 3)
         np.testing.assert_array_equal(ab.amps, [0, 1, 0, 0, 0, 0])
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    # factor dimensions per case; "signed" is the factor of every signed
+    # zero.  Cases 1-4 follow the first factor with shorter ones, which are
+    # written a column at a time; 5 and 6 also put a factor longer than the
+    # product so far after the first, which is one outer product
+    KRON_CASES = {1: (5,), 2: (5, 4), 3: (5, 4, 2), 4: (5, 4, 2, 3),
+                  5: (3, 7, 2, 50), 6: ("signed", 2, "signed", 150)}
+    SIGNED = np.array([complex(0.0, 0.0), complex(-0.0, 0.0), complex(0.0, -0.0),
+                       complex(-0.0, -0.0), complex(1.5, -0.0), complex(-0.0, -2.5)])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_tensor_has_the_kron_bits(self, n):
         # each step is the flattened outer product: the bits of the np.kron
         # chain from ones(1), signed zeros included
         rng = np.random.default_rng(60 + n)
         parts = []
-        for d in (5, 4, 2, 3)[:n]:
+        for d in self.KRON_CASES[n]:
+            if d == "signed":
+                parts.append(StateVector(SpaceLayout((self.SIGNED.size,)), self.SIGNED))
+                continue
             v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
             for part in (v.real, v.imag):
                 zero = rng.random(d) < 0.4
@@ -145,7 +157,7 @@ class TestTensorAndEmbed:
         for p in parts:
             want = np.kron(want, p.amps)
         got = tensor(parts)
-        assert got.layout.dims == (5, 4, 2, 3)[:n]
+        assert got.layout.dims == tuple(p.layout.dims[0] for p in parts)
         assert np.array_equal(got.amps.view(np.uint64), want.view(np.uint64))
 
     def test_tensor_refuses_operators(self):

@@ -30,8 +30,8 @@ from catbell.noise import (
     HeatingParams,
     _SEED_BLOCK,
     _diagonal_block,
-    _jump,
     _mode_view,
+    _place,
     delta_of,
     evaluate_traces,
     evolve_lindblad,
@@ -682,25 +682,25 @@ class TestTrajectories:
 
     def test_immutable_register_pays_one_occupancy(self, enc2, monkeypatch):
         # at gamma t = 1e-9 no trajectory of these seeds jumps.  The
-        # read-only phi+ cat keeps its <n> per heated mode: one pass for
-        # all 40 seeds, one more per other mode, and every final shares its
-        # amplitudes.  A writable copy pays a pass per call and is copied
+        # read-only phi+ cat keeps its level weights and <n> per heated
+        # mode: one pass for all 40 seeds, one more per other mode, and
+        # every final is the state itself.  A writable copy pays a pass per
+        # call and is copied
         psi = bell_target("phi_plus", enc2)
         passes = []
-        occupancy = catbell.noise._occupancy
+        weights = catbell.noise._level_weights
 
         def counted(*args):
             passes.append(args)
-            return occupancy(*args)
+            return weights(*args)
 
-        monkeypatch.setattr(catbell.noise, "_occupancy", counted)
+        monkeypatch.setattr(catbell.noise, "_level_weights", counted)
         params = HeatingParams(1e-9, 1.0)
         for mode_index in range(psi.layout.nsites):
             for seed in range(40):
                 res = sample_trajectory(psi, params, seed, mode_index=mode_index)
                 assert res.jumps == [] and not res.parity_flipped
-                assert np.array_equal(res.final.amps, psi.amps)
-                assert np.shares_memory(res.final.amps, psi.amps)
+                assert res.final is psi
             assert len(passes) == mode_index + 1
         writable = StateVector(psi.layout, psi.amps.copy())
         for seed in range(40):
@@ -709,6 +709,30 @@ class TestTrajectories:
             assert np.array_equal(res.final.amps, writable.amps)
             assert not np.shares_memory(res.final.amps, writable.amps)
         assert len(passes) == psi.layout.nsites + 40
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")],
+                             ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize("read_only", [False, True], ids=["writable", "read-only"])
+    @pytest.mark.parametrize("part", [1.0, 1j], ids=["real", "imag"])
+    def test_non_finite_amplitude_refused_before_any_draw(self, bad, read_only, part):
+        # a NaN or infinite <n> would make every wait NaN, and t would never
+        # reach the duration; each call is refused with the generator and
+        # the register untouched, a read-only register's second call too
+        layout = SpaceLayout((4, 3))
+        amps = basis_state(layout, (1, 2)).amps.copy()
+        amps[5] += bad * part
+        before = amps.tobytes()
+        psi = StateVector(layout, amps)
+        if read_only:
+            psi = _read_only(psi)
+        for mode_index in (0, 1, 0):
+            rng = trajectory_rng(3, mode_index)
+            state = rng.bit_generator.state
+            with pytest.raises(ContractError, match="non-finite amplitude"):
+                sample_trajectory(psi, HeatingParams(0.1, 1.0), rng,
+                                  mode_index=mode_index)
+            assert rng.bit_generator.state == state
+            assert psi.amps.tobytes() == before
 
     def test_exponential_is_scaled_standard_exponential(self):
         # the sampler draws E with standard_exponential() and waits
@@ -798,10 +822,11 @@ def _lifted_lowering(dims: list | tuple, mode_index: int) -> np.ndarray:
 
 
 def _reference_jumps(psi: StateVector, params: HeatingParams, rng,
-                     mode_index: int) -> list:
+                     mode_index: int, skipped: list | None = None) -> list:
     """The jump record drawn the direct way: <n> from the |amplitude|^2
     marginal summed over every other axis and evaluated before every draw,
-    and each jump a dense ladder matrix lifted to the whole register."""
+    and each jump a dense ladder matrix lifted to the whole register.  The
+    times of events that annihilate the state go to skipped, if given."""
     dims = psi.layout.dims
     d = dims[mode_index]
     lower = _lifted_lowering(dims, mode_index)
@@ -831,6 +856,8 @@ def _reference_jumps(psi: StateVector, params: HeatingParams, rng,
         kicked = (lower.T if up else lower) @ amps
         nrm = np.linalg.norm(kicked)
         if nrm == 0.0:
+            if skipped is not None:
+                skipped.append(t)
             continue
         amps = kicked / nrm
         jumps.append((t, "+" if up else "-"))
@@ -962,6 +989,71 @@ class TestTrajectoryOracle:
                     == _traced_run(StateVector(layout, other.copy()), params,
                                    seed, mode_index))
 
+    @pytest.mark.parametrize("register,duration", [
+        ("random", 5.0), ("even", 5.0), ("vacuum", 30.0)])
+    def test_long_chain_stays_on_the_dense_chain(self, register, duration):
+        # hundreds of jumps on 122 levels, out to the truncation edge: the
+        # renormalized column stays finite, on levels of weight 0 (the odd
+        # levels of an even register, all but one of the vacuum's) too,
+        # where no norm bounds it; for the vacuum an unbounded column
+        # overflows on this stream.  The record is the oracle's and the
+        # final the dense chain's, renormalized at every jump
+        dim = 122
+        rng = np.random.default_rng(122)
+        amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        if register == "vacuum":
+            amps = np.eye(dim)[0].astype(complex)
+        elif register == "even":
+            amps[1::2] = 0.0
+        psi = StateVector(SpaceLayout((dim,)), amps / np.linalg.norm(amps))
+        params = HeatingParams(1.0, duration)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            res = sample_trajectory(psi, params, trajectory_rng(11, 0))
+        want = _reference_jumps(psi, params, trajectory_rng(11, 0), 0)
+        assert len(res.jumps) >= 500
+        assert [k for _, k in res.jumps] == [k for _, k in want]
+        for (t_got, _), (t_want, _) in zip(res.jumps, want):
+            assert abs(t_got - t_want) <= 1e-12 * t_want
+        lower = _lifted_lowering((dim,), 0)
+        chain = psi.amps
+        for _, kind in want:
+            chain = (lower.T if kind == "+" else lower) @ chain
+            chain = chain / np.linalg.norm(chain)
+        assert np.all(np.isfinite(res.final.amps))
+        assert np.abs(res.final.amps - chain).max() <= 1e-12
+
+    @pytest.mark.parametrize("dims,occupations,gamma,constant_rate", [
+        ((4,), (1,), 0.5, True),          # downs from the vacuum, frozen rates
+        ((5, 3), (0, 1), 0.5, True),      # the vacuum itself, frozen rates
+        ((6, 3), (5, 2), 0.5, False),     # ups from the top level
+        ((2, 3), (1, 0), 2.0, False),     # a two-level mode
+        ((3, 2), (2, 1), 1.0, True),      # top level, frozen rates
+    ])
+    def test_annihilating_events_are_the_dense_chains(self, dims, occupations,
+                                                     gamma, constant_rate):
+        # an event that maps the state to zero is skipped: the same events
+        # as the dense chain's nrm == 0.0, the same records, generator end
+        # states and finals
+        psi = basis_state(SpaceLayout(dims), occupations)
+        lower = _lifted_lowering(dims, 0)
+        params = HeatingParams(gamma, 4.0, constant_rate=constant_rate)
+        skipped: list = []
+        for seed in range(30):
+            got_rng, want_rng = trajectory_rng(seed, 0), trajectory_rng(seed, 0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                res = sample_trajectory(psi, params, got_rng)
+            want = _reference_jumps(psi, params, want_rng, 0, skipped)
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+            assert res.jumps == want
+            chain = psi.amps
+            for _, kind in want:
+                chain = (lower.T if kind == "+" else lower) @ chain
+                chain = chain / np.linalg.norm(chain)
+            assert np.abs(res.final.amps - chain).max() <= 1e-12
+        assert len(skipped) > 0 or occupations[0] == 0
+
     def test_read_only_view_of_a_writable_base_is_mutable(self):
         # the base can be written through, so nothing is kept on the state
         # and the final is a copy; a write to the base is seen next call
@@ -997,56 +1089,67 @@ class TestTrajectoryOracle:
             assert not np.shares_memory(res.final.amps, psi.amps)
 
 
-def _complex_jump(psi: np.ndarray, up: bool, root: np.ndarray):
-    """_jump as complex arithmetic: the ladder column cast to complex and a
-    complex division by the norm."""
+def _complex_place(psi: np.ndarray, col: np.ndarray, shift: int) -> np.ndarray:
+    """_place as complex arithmetic: input level k times col_k cast to
+    complex, on level k + shift of a zeroed register."""
+    dim = psi.shape[1]
     out = np.zeros_like(psi)
-    if up:
-        np.multiply(root, psi[:, :-1], out=out[:, 1:])
-    else:
-        np.multiply(root, psi[:, 1:], out=out[:, :-1])
-    nrm = np.linalg.norm(out)
-    if nrm == 0.0:
-        return None
-    out /= nrm
+    for k in range(max(0, -shift), min(dim, dim - shift)):
+        out[:, k + shift] = psi[:, k] * complex(col[k])
     return out
 
 
+def _ladder_column(dim: int, kinds) -> tuple[np.ndarray, int]:
+    """The column and shift of a ladder word (True for a+), renormalized
+    against unit level weights at each letter; None when it annihilates."""
+    col, shift = np.ones(dim), 0
+    for up in kinds:
+        target = np.arange(dim) + shift + up
+        col = col * np.where((target >= 0) & (target < dim),
+                             np.sqrt(np.clip(target, 0, None)), 0.0)
+        col /= np.linalg.norm(col)
+        shift += 1 if up else -1
+    return col, shift
+
+
 class TestJumpKernel:
-    """_jump scales the float view of the register by the real ladder
-    column and by 1 / norm, and has the bits of the complex arithmetic."""
+    """_place writes the register of a real column and a shift in one
+    multiply of the float view, with the bits of complex multiplication
+    by the column."""
 
     @pytest.mark.parametrize("alpha", [2.0, 3.0, 4.0])
     def test_phi_plus_jump_chains_keep_their_bytes(self, alpha):
         psi0 = bell_target("phi_plus", EncodingParams.for_amplitudes(alpha))
         for mode_index in (MODE_A, MODE_B):
-            shape, _, root = _mode_view(psi0.layout.dims, mode_index)
+            shape = _mode_view(psi0.layout.dims, mode_index)[0]
+            psi = psi0.amps.reshape(shape)
             for kinds in ((True,), (False,), (True, True, False),
-                          (False, True, False)):
-                got = want = psi0.amps.reshape(shape)
-                for up in kinds:
-                    got, want = _jump(got, up, root), _complex_jump(want, up, root)
-                    assert got.tobytes() == want.tobytes()
+                          (False, True, False), (False, False, False)):
+                col, shift = _ladder_column(shape[1], kinds)
+                got = _place(psi, col, shift)
+                assert got.tobytes() == _complex_place(psi, col, shift).tobytes()
+                assert got.shape == shape and not np.shares_memory(got, psi)
 
     def test_signed_zeros_keep_their_values(self):
-        # a -0.0 amplitude may leave a zero of the other sign; every value,
-        # and the bits of every nonzero one, are the complex arithmetic's
+        # a -0.0 amplitude or column entry may leave a zero of the other
+        # sign; every value, and the bits of every nonzero one, are the
+        # complex arithmetic's, at every shift the level count allows
         rng = np.random.default_rng(7)
         for _ in range(200):
             dims = tuple(int(d) for d in rng.integers(2, 7, size=rng.integers(1, 4)))
             mode_index = int(rng.integers(len(dims)))
-            shape, _, root = _mode_view(dims, mode_index)
+            shape = _mode_view(dims, mode_index)[0]
             f = rng.normal(size=2 * prod(dims))
             f[rng.random(f.size) < 0.4] = 0.0
             f[rng.random(f.size) < 0.5] *= -1.0
             psi = f.view(np.complex128).reshape(shape)
+            col = rng.uniform(0.1, 3.0, size=shape[1])
+            col[rng.random(col.size) < 0.3] = 0.0
+            col[rng.random(col.size) < 0.3] *= -1.0
             before = psi.copy()
-            for up in (True, False):
-                got, want = _jump(psi, up, root), _complex_jump(psi, up, root)
-                if want is None:
-                    assert got is None
-                    continue
-                got, want = got.view(np.float64), want.view(np.float64)
+            for shift in range(1 - shape[1], shape[1]):
+                got = _place(psi, col, shift).view(np.float64)
+                want = _complex_place(psi, col, shift).view(np.float64)
                 assert np.array_equal(got, want)
                 assert got[got != 0].tobytes() == want[want != 0].tobytes()
                 assert not np.shares_memory(got, psi)
