@@ -30,7 +30,7 @@ from math import isfinite, pi, sqrt
 
 import numpy as np
 
-from .encoding import BELL_KINDS, SchmidtState
+from .encoding import SchmidtState
 from .gates import SIGMA_X, SIGMA_Y, SIGMA_Z, carrier_rotation
 from .hilbert import (
     DensityMatrix,
@@ -42,8 +42,8 @@ from .hilbert import (
 TSIRELSON = 2.0 * sqrt(2.0)
 DELTA_STAR = 1.0 - 1.0 / sqrt(2.0)   # mixture weight where B drops to 2
 
-# |phi+> and |psi+> in BELL_KINDS order, read-only.  The pair layout is
-# built where a state is made, so that its size meets the cap in force.
+# |phi+> and |psi+>, read-only.  The pair layout is built where a state is
+# made, so that its size meets the cap in force.
 _BELLS = (np.array([1.0, 0.0, 0.0, 1.0], dtype=np.complex128) / sqrt(2.0),
           np.array([0.0, 1.0, 1.0, 0.0], dtype=np.complex128) / sqrt(2.0))
 for _amps in _BELLS:
@@ -51,13 +51,6 @@ for _amps in _BELLS:
 
 _PAULIS = np.stack([np.eye(2, dtype=np.complex128), SIGMA_X, SIGMA_Y, SIGMA_Z])
 _PAULIS.flags.writeable = False
-
-
-def electronic_bell(kind: str) -> StateVector:
-    """|phi+> = (|00> + |11>)/sqrt(2) or |psi+> = (|01> + |10>)/sqrt(2)."""
-    if kind not in BELL_KINDS:
-        raise ValueError(f"kind must be one of {BELL_KINDS}, got {kind!r}")
-    return StateVector(SpaceLayout((2, 2)), _BELLS[BELL_KINDS.index(kind)].copy())
 
 
 def mixed_bell(delta: float) -> DensityMatrix:

@@ -200,9 +200,3 @@ def displacement_action(beta: complex, mode: ModeParams
         return y.reshape(shape)
     return act
 
-
-def displacement(beta: complex, mode: ModeParams) -> OperatorMatrix:
-    """D(beta) as a dense d x d operator: displacement_action run on the
-    identity, for the reports and the dense checks."""
-    act = displacement_action(beta, mode)
-    return OperatorMatrix(mode.layout, (0,), act(np.eye(mode.cutoff)))

@@ -94,11 +94,8 @@ def _as_complex(a: np.ndarray) -> np.ndarray:
 class StateVector:
     """Pure state over a layout, stored as a flat complex vector.
 
-    amps read-only down their .base chain make the state immutable: then
-    noise.sample_trajectory keeps the heated mode's level weights and <n>
-    as _mean_n = (amps, {mode view: (weights, <n>)}), served while
-    state.amps is that object, and returns the state itself as a jump-free
-    final."""
+    amps read-only down their .base chain make the state immutable, which
+    noise.sample_trajectory relies on to reuse what it reads of one."""
 
     layout: SpaceLayout
     amps: np.ndarray

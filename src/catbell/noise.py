@@ -191,10 +191,10 @@ def propagate(rho0: DensityMatrix, params: HeatingParams) -> DensityMatrix:
     return DensityMatrix(rho0.layout, out)
 
 
-def record_steps(params: HeatingParams) -> int:
-    """The step count of params' record grid, 1 when params.steps is None;
-    a CapacityError past MAX_STEPS."""
-    steps = params.steps or 1
+def record_steps(steps: int | None) -> int:
+    """The step count of a record grid: steps, or 1 when it is None; a
+    CapacityError past MAX_STEPS."""
+    steps = steps or 1
     if steps > MAX_STEPS:
         raise CapacityError(
             f"{_count(steps)} recorded steps exceed the limit {MAX_STEPS}; "
@@ -290,7 +290,7 @@ def evolve_lindblad(rho0: DensityMatrix, params: HeatingParams) -> NoiseResult:
     with it.
     """
     coeffs = trace_coefficients(rho0)
-    times = np.linspace(0.0, params.duration, record_steps(params) + 1)
+    times = np.linspace(0.0, params.duration, record_steps(params.steps) + 1)
     return evaluate_traces(coeffs, params.gamma, times)
 
 

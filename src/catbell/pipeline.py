@@ -41,7 +41,6 @@ from .errors import ConfigError
 from .gates import SIGMA_X, report_u_ev, report_u_swap, report_u_ve, u_swap
 from .hilbert import DensityMatrix, SpaceLayout
 from .noise import (
-    HeatingParams,
     TraceCoefficients,
     delta_of,
     evaluate_traces,
@@ -61,19 +60,6 @@ def _encoding_params(cfg: dict) -> EncodingParams:
     except ValueError as err:
         raise ConfigError(f"encoding: {err}") from err
     return params
-
-
-def _heating_params(cfg: dict, duration: float | None = None) -> HeatingParams:
-    n = cfg["noise"]
-    try:
-        return HeatingParams(
-            n["gamma"],
-            n["duration"] if duration is None else duration,
-            n["steps"],
-            n["constant_rate"],
-        )
-    except ValueError as err:
-        raise ConfigError(f"noise: {err}") from err
 
 
 def _bell_angles(cfg: dict) -> BellAngles:
@@ -151,26 +137,26 @@ def _heat_coefficients(enc: EncodingParams) -> TraceCoefficients:
 
 def run_heat_sweep(cfg: dict) -> tuple[list[dict], dict, str]:
     enc = _encoding_params(cfg)
+    gamma = cfg["noise"]["gamma"]
     durations = cfg["noise"]["durations"] or [cfg["noise"]["duration"]]
     coeffs = _heat_coefficients(enc)
     # a hit skips the cat's size check; the cap may have been lowered
     SpaceLayout((enc.mode_a.cutoff,))
+    record_steps(cfg["noise"]["steps"])  # noise.steps is held to its limit
     rows = []
     for duration in durations:
-        params = _heating_params(cfg, duration)
-        record_steps(params)  # noise.steps is held to its limit
         # a row is the grid's last point, which does not depend on the grid
-        res = evaluate_traces(coeffs, params.gamma,
-                              np.array([params.duration], dtype=np.float64))
+        res = evaluate_traces(coeffs, gamma,
+                              np.array([duration], dtype=np.float64))
         rows.append({
             "duration": duration,
             "n_mean": float(res.n_trace[0]),
             "re_a": float(res.a_trace[0].real),
             "im_a": float(res.a_trace[0].imag),
             "parity": float(res.parity_trace[0]),
-            "delta": delta_of(cfg["noise"]["gamma"], enc.alpha, duration),
+            "delta": delta_of(gamma, enc.alpha, duration),
             "flip_probability": parity_flip_probability(
-                cfg["noise"]["gamma"], enc.alpha, duration),
+                gamma, enc.alpha, duration),
             "trace_drift": res.trace_drift,
         })
     results = {"final_n_mean": rows[-1]["n_mean"],

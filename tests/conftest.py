@@ -11,15 +11,16 @@ but several tests do; test modules import them with `from conftest import`.
 from __future__ import annotations
 
 import os
-from math import prod
+from math import prod, sqrt
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from catbell.bosonic import ModeParams
+from catbell.bosonic import ModeParams, displacement_action
 from catbell.encoding import (
+    BELL_KINDS,
     ION_1,
     ION_2,
     MODE_A,
@@ -133,6 +134,22 @@ def embed(op: OperatorMatrix) -> OperatorMatrix:
     shaped = shaped.transpose(perm + [k + p for p in perm])
     d = layout.total_dim
     return OperatorMatrix(layout, tuple(range(k)), shaped.reshape(d, d))
+
+
+def displacement(beta: complex, mode: ModeParams) -> OperatorMatrix:
+    """D(beta) as a dense d x d operator: bosonic.displacement_action run on
+    the identity, for the dense checks."""
+    act = displacement_action(beta, mode)
+    return OperatorMatrix(mode.layout, (0,), act(np.eye(mode.cutoff)))
+
+
+def electronic_bell(kind: str) -> StateVector:
+    """|phi+> = (|00> + |11>)/sqrt(2) or |psi+> = (|01> + |10>)/sqrt(2)."""
+    if kind not in BELL_KINDS:
+        raise ValueError(f"kind must be one of {BELL_KINDS}, got {kind!r}")
+    amps = [1.0, 0.0, 0.0, 1.0] if kind == "phi_plus" else [0.0, 1.0, 1.0, 0.0]
+    return StateVector(SpaceLayout((2, 2)),
+                       np.array(amps, dtype=np.complex128) / sqrt(2.0))
 
 
 def parity_projectors(mode: ModeParams) -> tuple[OperatorMatrix, OperatorMatrix]:

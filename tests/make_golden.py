@@ -147,7 +147,7 @@ def check_against_main_path() -> None:
     from catbell.gates import report_u_swap, u_swap
     from catbell.hilbert import (OperatorMatrix, apply, partial_trace,
                                  state_fidelity, tensor)
-    from catbell.bell import electronic_bell
+    from conftest import electronic_bell
     from catbell.hilbert import dm_fidelity
     from catbell.noise import HeatingParams, evolve_lindblad
 

@@ -33,11 +33,10 @@ from catbell.bell import (
     TSIRELSON,
     BellAngles,
     chsh,
-    electronic_bell,
     mixed_bell,
     violation_scan,
 )
-from catbell.bosonic import ModeParams, cat, coherent, displacement, mode_for
+from catbell.bosonic import ModeParams, cat, coherent, mode_for
 from catbell.encoding import (
     EncodingParams,
     bell_target,
@@ -75,6 +74,8 @@ from catbell.reference import (
 from conftest import (
     basis_state,
     child_env,
+    displacement,
+    electronic_bell,
     expectation,
     parity_op,
     reference_preparation,

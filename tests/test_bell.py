@@ -21,7 +21,6 @@ from catbell.bell import (
     _setting_vectors,
     chsh,
     correlation_tensor,
-    electronic_bell,
     measurement_pulse,
     mixed_bell,
     mixed_bell_fidelity,
@@ -43,7 +42,7 @@ from catbell.hilbert import (
     StateVector,
     dm_fidelity,
 )
-from conftest import basis_state, reduced_electronic
+from conftest import basis_state, electronic_bell, reduced_electronic
 
 PAIR = SpaceLayout((2, 2))
 

@@ -18,7 +18,6 @@ from catbell.bosonic import (
     cat_norm,
     coherent,
     default_cutoff,
-    displacement,
     displacement_action,
     mode_for,
     number_op,
@@ -37,7 +36,7 @@ from catbell.hilbert import (
     unitarity_residual,
 )
 from catbell.reference import cat_amplitudes, coherent_amplitudes
-from conftest import expectation, parity_op, parity_projectors
+from conftest import displacement, expectation, parity_op, parity_projectors
 
 
 class TestModeParams:

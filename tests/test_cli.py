@@ -31,7 +31,6 @@ from catbell.bell import (
     DELTA_STAR,
     _setting_vectors,
 )
-from catbell.bosonic import displacement
 from catbell.cli import (
     DEFAULT_DELTAS,
     DEFAULT_EPSILONS,
@@ -60,7 +59,7 @@ from catbell.pipeline import (
     run_rotate,
     run_swap_report,
 )
-from conftest import child_env
+from conftest import child_env, displacement
 
 
 def cfg_for(protocol: str, **overrides) -> dict:

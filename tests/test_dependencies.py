@@ -5,20 +5,26 @@ level or inside a function, is a runtime dependency.  The one exception is
 catbell.reference, the oracle module, which may also use the test extra and
 must keep its own scipy solvers so that the oracles stay independent of the
 fast paths.  Every module-level function and class outside the oracle module
-is read by the program (src, demos, perfbench) or exported; helpers that only
-tests need live in tests/.  Every one of the oracle module is read by a check
-other than its own self-tests (tests/test_reference.py): another test, the
-benchmark's output checks, or another oracle.
+is read by the program (src, demos, perfbench); helpers that only tests need
+live in tests/.  Every one of the oracle module is read by a check other
+than its own self-tests (tests/test_reference.py): another test, the
+benchmark's output checks, or another oracle.  Every name that a module of
+src/catbell imports is read in that module, and a fresh `import catbell`
+loads only the modules that its one binding needs: names are imported from
+the module that defines them.
 """
 
 from __future__ import annotations
 
 import ast
 import re
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import child_env
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "catbell"
@@ -34,6 +40,10 @@ KEPT_UNREAD = {
                    "bell.mixed_bell_fidelity to",
     "propagate": "the full heated rho; ROADMAP items 3, 4 and 14 build on it",
 }
+
+# imports that their module does not read, kept on purpose: perfbench's
+# tracer test checks that the tracer rebinds both; ROADMAP item 1 retires them
+KEPT_UNREAD_IMPORTS = {("__init__.py", "apply"), ("cli.py", "apply")}
 
 # oracles that only their self-tests read, kept on purpose
 KEPT_UNREAD_ORACLES = {
@@ -112,8 +122,6 @@ def read_outside(reads: dict, name: str, module: Path) -> bool:
 
 
 def test_every_module_level_name_is_read_by_the_program():
-    import catbell
-
     reads = reads_in(PROGRAM)
 
     unread, defined = [], set()
@@ -126,7 +134,7 @@ def test_every_module_level_name_is_read_by_the_program():
                 read = read_outside(reads, node.name, module)
                 if node.name in KEPT_UNREAD:
                     assert not read, f"{node.name} is read now: drop it from KEPT_UNREAD"
-                elif not read and node.name not in catbell.__all__:
+                elif not read:
                     unread.append(f"{module.stem}.{node.name}")
     assert not unread, f"read only by tests, if at all: {unread}"
     assert set(KEPT_UNREAD) <= defined
@@ -150,3 +158,49 @@ def test_every_oracle_is_read_by_another_check():
                 unread.append(node.name)
     assert not unread, f"read only by their self-tests, if at all: {unread}"
     assert set(KEPT_UNREAD_ORACLES) <= defined
+
+
+def bound_imports(tree: ast.Module) -> set[str]:
+    """The names that the import statements of tree bind, at any depth;
+    `from __future__` binds none."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update((alias.asname or alias.name).split(".")[0]
+                         for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.update(alias.asname or alias.name for alias in node.names)
+    return names
+
+
+def test_every_import_is_read_in_its_module():
+    unread, kept = [], set()
+    for module in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(module.read_text(encoding="utf-8"))
+        loads = {node.id for node in ast.walk(tree)
+                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for name in sorted(bound_imports(tree) - loads):
+            if (module.name, name) in KEPT_UNREAD_IMPORTS:
+                kept.add((module.name, name))
+            else:
+                unread.append(f"{module.stem}: {name}")
+    assert not unread, f"imported but never read: {unread}"
+    assert kept == KEPT_UNREAD_IMPORTS, "read now: drop from KEPT_UNREAD_IMPORTS"
+
+
+def loaded_modules(*statements: str) -> list[set[str]]:
+    """The catbell modules loaded in a fresh interpreter after each of the
+    statements, run in order."""
+    probe = "; ".join(
+        f"{statement}; print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] == 'catbell'))" for statement in statements)
+    out = subprocess.run([sys.executable, "-c", f"import sys; {probe}"],
+                         env=child_env(), capture_output=True, text=True,
+                         check=True).stdout
+    return [set(ast.literal_eval(line)) for line in out.splitlines()]
+
+
+def test_importing_the_package_loads_only_its_one_binding():
+    package, with_noise = loaded_modules("import catbell", "import catbell.noise")
+    assert package == {"catbell", "catbell.errors", "catbell.hilbert"}
+    assert with_noise - package == {"catbell.noise"}

@@ -334,7 +334,7 @@ class TestUswap:
 
 class TestRegisterTransfer:
     def test_bell_state_onto_ions_alpha8(self, monkeypatch, golden):
-        from catbell.bell import electronic_bell
+        from conftest import electronic_bell
         from catbell.encoding import bell_target
 
         monkeypatch.setenv("CATBELL_MAX_DIM", "65536")

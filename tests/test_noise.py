@@ -1260,7 +1260,7 @@ class TestMixtures:
         assert rho.trace == pytest.approx(1.0, abs=1e-12)
 
     def test_pure_endpoints(self):
-        from catbell.bell import electronic_bell
+        from conftest import electronic_bell
 
         assert dm_fidelity(mixed_bell(0.0), electronic_bell("phi_plus")) == pytest.approx(
             1.0, abs=1e-12

@@ -22,14 +22,12 @@ from catbell.bell import (
     _setting_vectors,
     chsh,
     correlation_tensor,
-    electronic_bell,
     mixed_bell,
 )
 from catbell.bosonic import (
     ModeParams,
     cat,
     coherent,
-    displacement,
     mode_for,
     required_cutoff,
 )
@@ -46,7 +44,14 @@ from catbell.hilbert import (
     unitarity_residual,
 )
 from catbell.noise import HeatingParams, evolve_lindblad
-from conftest import embed, expectation, fourier_pair, parity_op
+from conftest import (
+    displacement,
+    electronic_bell,
+    embed,
+    expectation,
+    fourier_pair,
+    parity_op,
+)
 
 PAIR = SpaceLayout((2, 2))
 

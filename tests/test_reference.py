@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from catbell.bosonic import EVEN, ModeParams, cat, displacement, mode_for
+from catbell.bosonic import EVEN, ModeParams, cat, mode_for
 from catbell.encoding import EncodingParams
 from catbell.gates import u_swap
 from catbell.hilbert import OperatorMatrix, SpaceLayout
@@ -28,7 +28,7 @@ from catbell.reference import (
     swap_truth_oracle,
     write_fixture,
 )
-from conftest import GOLDEN_DIR
+from conftest import GOLDEN_DIR, displacement
 from make_golden import check_against_main_path
 
 
