@@ -3,9 +3,10 @@
 
 Four builds are compared:
   u_ve[ideal]    parity-controlled ion flip, by indexing the odd Fock rows
-  u_ve[literal]  the same gate assembled from two exponentials; as written
-                 the exponentials compose to a pure phase on the odd
-                 branch, so its flipping rows score zero
+  u_ve[literal]  the product of two exponentials taken as written; they
+                 compose to diag((-1)^n, 1) on the ion, a pure phase on
+                 the odd branch, built by indexing as the pipeline runs
+                 it, so its flipping rows score exactly zero
   u_ev           CNOT with the ion as control, realized by a conditional
                  displacement kick (approximate on the flipping rows)
   u_swap         ve . ev . ve, the qubit exchange between mode and ion

@@ -124,7 +124,7 @@ def measurement_pulse(theta: float) -> np.ndarray:
     equatorial axis at angle -phi - pi/2, so measuring along theta takes
     phi = -theta - pi/2.
     """
-    return carrier_rotation(0.5, -theta - pi / 2).matrix
+    return carrier_rotation(0.5, -theta - pi / 2)
 
 
 def _as_pair_dm(state: StateVector | DensityMatrix) -> DensityMatrix:

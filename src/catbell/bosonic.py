@@ -21,7 +21,7 @@ from math import ceil, exp, expm1, pi, sqrt
 import numpy as np
 
 from .errors import CapacityError
-from .hilbert import OperatorMatrix, SpaceLayout, StateVector, band_eigh
+from .hilbert import SpaceLayout, StateVector, band_eigh
 
 EVEN = "+"
 ODD = "-"
@@ -136,11 +136,6 @@ def cat(alpha: complex, parity: str, mode: ModeParams) -> StateVector:
     exact = 1.0 / cat_norm(alpha, parity) ** 2  # norm^2 of the untruncated sum
     _check_leak(max(0.0, 1.0 - kept / exact), mode, alpha, f"'{parity}' cat state")
     return StateVector(layout, v / sqrt(kept))
-
-
-def number_op(mode: ModeParams) -> OperatorMatrix:
-    layout = mode.layout
-    return OperatorMatrix(layout, (0,), np.diag(np.arange(mode.cutoff, dtype=np.float64)))
 
 
 # a sweep at one encoding uses one or two cutoffs; an entry is 8 d (d + 1)

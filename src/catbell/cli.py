@@ -314,7 +314,9 @@ DESCRIPTIONS = {
             "three-gate exchange with ideal and displacement rotations",
         ],
         "columns": "gate,input,target,fidelity,unitarity",
-        "notes": "gates module; fidelities are phase-blind, unitarity exact",
+        "notes": ("gates module; each row runs the step that full-pipeline "
+                  "runs on the pair basis; fidelities are phase-blind, "
+                  "unitarity exact"),
     },
     "heat-sweep": {
         "stages": [

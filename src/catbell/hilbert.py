@@ -3,10 +3,9 @@
 Everything is exact complex arithmetic on explicit numpy arrays; there is no
 sparse or symbolic path.  A layout lists the factor dimensions in a fixed
 order, with the first factor varying slowest in the flattened index (the
-ordering produced by ``numpy.kron``).  Operators are stored compactly on the
-subsystems they touch; apply contracts them with those axes of a state and
-never pads them with identities.  tensor and partial_trace take pure states
-only.
+ordering produced by ``numpy.kron``).  Gates are not operators here: they
+act in place on the axes of a state tensor (catbell.gates).  tensor and
+partial_trace take pure states only.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ MAX_DIM_ENV = "CATBELL_MAX_DIM"
 DEFAULT_MAX_DIM = 16384
 
 NORM_TOL = 1e-8
-HERM_TOL = 1e-12
 
 
 def max_total_dim() -> int:
@@ -140,6 +138,10 @@ class DensityMatrix:
         return complex(np.trace(self.matrix))
 
 
+# OperatorMatrix and apply are not run by the program.  They stay because
+# perfbench's tracer test (test_tracer_rebinds_every_namespace_and_restores)
+# checks that the tracer rebinds hilbert.apply, catbell.apply and
+# cli.apply; ROADMAP item 1 retires them with that test.
 @dataclass
 class OperatorMatrix:
     """Operator acting on a subset of a layout's factors.
@@ -243,22 +245,6 @@ def partial_trace(state: StateVector, keep: tuple[int, ...]) -> DensityMatrix:
     return DensityMatrix(kept_layout, red.reshape(d, d))
 
 
-def matrix_exp(op: OperatorMatrix, scale: complex = 1.0) -> OperatorMatrix:
-    """exp(scale * op) for anti-Hermitian scale * op, on the same subsystems.
-
-    An eigendecomposition of the Hermitian i * scale * op keeps the result
-    unitary to machine precision; any other argument is a ValueError.
-    """
-    m = np.asarray(scale, dtype=np.complex128) * op.matrix
-    scale_norm = max(float(np.abs(m).max()), 1.0)
-    if np.abs(m + m.conj().T).max() > HERM_TOL * scale_norm:
-        raise ValueError("matrix_exp needs an anti-Hermitian scale * op")
-    h = (1j * m + (1j * m).conj().T) / 2
-    w, v = np.linalg.eigh(h)
-    exp_m = (v * np.exp(-1j * w)) @ v.conj().T
-    return OperatorMatrix(op.layout, op.acts_on, exp_m)
-
-
 def band_eigh(diagonal: np.ndarray, off_diagonal: np.ndarray
               ) -> tuple[np.ndarray, np.ndarray]:
     """(w, V) of a real symmetric tridiagonal band: M = V diag(w) V^T, w
@@ -318,15 +304,8 @@ def dm_fidelity(rho: DensityMatrix, sigma: DensityMatrix | StateVector) -> float
     return min(val, 1.0) if val <= 1.0 + 1e-9 else val
 
 
-def overlap(a: StateVector, b: StateVector) -> complex:
-    """<a|b> with no normalization contract, for phase-sensitive checks."""
-    if a.layout != b.layout:
-        raise ValueError("states live on different layouts")
-    return complex(np.vdot(a.amps, b.amps))
-
-
-def unitarity_residual(op: OperatorMatrix) -> float:
-    """max |U†U - 1|, a cheap contract check after exponentiation.
+def unitarity_residual(m: np.ndarray) -> float:
+    """max |U†U - 1| of a square array U, a cheap contract check.
 
     With U = A + iB, U†U = (AᵀA + BᵀB) + i(AᵀB - BᵀA).  Row i of
     P = [Aᵀ | Bᵀ] and of Q = [Bᵀ | -Aᵀ] holds column i of U, so the real
@@ -334,7 +313,6 @@ def unitarity_residual(op: OperatorMatrix) -> float:
     contiguous rows.  einsum calls no BLAS, so the residual does not depend
     on the BLAS thread count.
     """
-    m = op.matrix
     p = np.concatenate([m.real.T, m.imag.T], axis=1)
     q = np.concatenate([m.imag.T, -m.real.T], axis=1)
     re = np.einsum("ik,jk->ij", p, p)

@@ -4,9 +4,10 @@ Nothing here imports the main numerical modules: coherent amplitudes come
 from log-space series instead of the recurrence, displacement matrix elements
 from the closed Laguerre form instead of exponentiation, master-equation
 propagation from a dense superoperator exponential instead of step
-integration, and CHSH optima from exhaustive grid search instead of the known
-angles.  Tests freeze values produced here into JSON fixtures and hold the
-fast paths to them.
+integration, the as-written vibration-controlled gate from dense exponentials
+instead of indexing, and CHSH optima from exhaustive grid search instead of
+the known angles.  Tests freeze values produced here into JSON fixtures and
+hold the fast paths to them.
 """
 
 from __future__ import annotations
@@ -205,6 +206,22 @@ def su2_exp(nx: float, ny: float, nz: float, angle: float) -> np.ndarray:
     sz = np.array([[1, 0], [0, -1]], dtype=np.complex128)
     ns = nx * sx + ny * sy + nz * sz
     return np.cos(angle) * np.eye(2) - 1j * np.sin(angle) * ns
+
+
+def u_ve_literal_oracle(cutoff: int) -> np.ndarray:
+    """The vibration-controlled gate as written, exp(-i pi n sigma_y)
+    exp(i pi n |1><1|), on the pair [mode, ion], mode factor slowest.
+
+    Both factors are scipy's scaling-and-squaring expm of the dense
+    generator, so the audit of the formula does not run the index build it
+    checks.
+    """
+    n = np.diag(np.arange(cutoff, dtype=np.float64))
+    sy = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
+    proj1 = np.diag([0.0, 1.0]).astype(np.complex128)
+    first = scipy.linalg.expm(-1j * pi * np.kron(n, sy))
+    second = scipy.linalg.expm(1j * pi * np.kron(n, proj1))
+    return first @ second
 
 
 def exchange_matrix_oracle(cutoff: int, eps: float) -> np.ndarray:

@@ -11,7 +11,8 @@ but several tests do; test modules import them with `from conftest import`.
 from __future__ import annotations
 
 import os
-from math import prod, sqrt
+from functools import partial
+from math import pi, prod, sqrt
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,15 @@ from catbell.encoding import (
     LogicalBasis,
     full_layout,
 )
+from catbell.gates import (
+    SIGMA_Y,
+    _flip,
+    _kick,
+    _pair_matrix,
+    _phase_kick,
+    pair_layout,
+    u_swap,
+)
 from catbell.hilbert import (
     DensityMatrix,
     OperatorMatrix,
@@ -44,6 +54,9 @@ GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 ACCEPTANCE_LINES: dict[str, str] = {}
+
+EXCITED = np.diag([0.0, 1.0]).astype(np.complex128)
+HERM_TOL = 1e-12
 
 settings.register_profile("suite", deadline=None, derandomize=True)
 settings.load_profile("suite")
@@ -205,3 +218,72 @@ def reference_preparation(params: EncodingParams) -> StateVector:
                                 params.mode_a.cutoff, params.mode_b.cutoff)
     ions = np.array([1.0, 0.0, 0.0, 0.0])
     return StateVector(full_layout(params), np.kron(grid.reshape(-1), ions))
+
+
+def overlap(a: StateVector, b: StateVector) -> complex:
+    """<a|b> with no normalization contract, for phase-sensitive checks."""
+    if a.layout != b.layout:
+        raise ValueError("states live on different layouts")
+    return complex(np.vdot(a.amps, b.amps))
+
+
+def matrix_exp(op: OperatorMatrix, scale: complex = 1.0) -> OperatorMatrix:
+    """exp(scale * op) for anti-Hermitian scale * op, on the same subsystems.
+
+    An eigendecomposition of the Hermitian i * scale * op keeps the result
+    unitary to machine precision; any other argument is a ValueError.
+    """
+    m = np.asarray(scale, dtype=np.complex128) * op.matrix
+    scale_norm = max(float(np.abs(m).max()), 1.0)
+    if np.abs(m + m.conj().T).max() > HERM_TOL * scale_norm:
+        raise ValueError("matrix_exp needs an anti-Hermitian scale * op")
+    h = (1j * m + (1j * m).conj().T) / 2
+    w, v = np.linalg.eigh(h)
+    exp_m = (v * np.exp(-1j * w)) @ v.conj().T
+    return OperatorMatrix(op.layout, op.acts_on, exp_m)
+
+
+def number_op(mode: ModeParams) -> OperatorMatrix:
+    layout = mode.layout
+    return OperatorMatrix(layout, (0,), np.diag(np.arange(mode.cutoff, dtype=np.float64)))
+
+
+def pair_op(which_mode: str, params: EncodingParams, step) -> OperatorMatrix:
+    """A gate step of catbell.gates as a dense [mode, ion] operator: the
+    step run on the pair identity (gates._pair_matrix)."""
+    layout = pair_layout(which_mode, params)
+    return OperatorMatrix(layout, (0, 1), _pair_matrix(layout, step))
+
+
+def u_ve_ideal(which_mode: str, params: EncodingParams) -> OperatorMatrix:
+    """CNOT with phonon parity as control: flip the ion on odd parity."""
+    return pair_op(which_mode, params, _flip)
+
+
+def u_ve_literal(which_mode: str, params: EncodingParams) -> OperatorMatrix:
+    """The two-exponential construction evaluated exactly as written."""
+    mode = params.mode(which_mode)
+    n = number_op(mode).matrix
+    layout = pair_layout(which_mode, params)
+    first = matrix_exp(
+        OperatorMatrix(layout, (0, 1), np.kron(n, SIGMA_Y)), scale=-1j * pi
+    )
+    second = matrix_exp(
+        OperatorMatrix(layout, (0, 1), np.kron(n, EXCITED)), scale=1j * pi
+    )
+    return OperatorMatrix(layout, (0, 1), first.matrix @ second.matrix)
+
+
+def u_ev(which_mode: str, params: EncodingParams) -> OperatorMatrix:
+    """CNOT with the ion as control, realized by a conditional displacement."""
+    kick = _kick(which_mode, params, "displacement")  # D(i eps)
+    return pair_op(which_mode, params, partial(_phase_kick, kick=kick))
+
+
+def exchange_op(which_mode: str, params: EncodingParams, ve_variant: str,
+                ev_variant: str) -> OperatorMatrix:
+    """u_swap's exchange as a dense pair operator: its apply run on the pair
+    identity."""
+    gate = u_swap(which_mode, params, ve_variant, ev_variant)
+    return pair_op(which_mode, params,
+                   partial(gate.apply, mode_axis=0, ion_axis=1))

@@ -142,11 +142,10 @@ def check_against_main_path() -> None:
     os.environ["CATBELL_MAX_DIM"] = "65536"
     from catbell.bosonic import EVEN, ModeParams, cat
     from catbell.encoding import (ION_1, ION_2, MODE_A, MODE_B, EncodingParams,
-                                  bell_target, full_layout, logical_basis,
+                                  bell_target, logical_basis,
                                   qubit_state)
     from catbell.gates import report_u_swap, u_swap
-    from catbell.hilbert import (OperatorMatrix, apply, partial_trace,
-                                 state_fidelity, tensor)
+    from catbell.hilbert import partial_trace, state_fidelity, tensor
     from conftest import electronic_bell
     from catbell.hilbert import dm_fidelity
     from catbell.noise import HeatingParams, evolve_lindblad
@@ -162,17 +161,15 @@ def check_against_main_path() -> None:
     plus = tensor([dft_zero, qubit_state(0)])
     tgt_amps = np.kron(basis.zero.amps,
                        np.array([1, 1], dtype=np.complex128) / np.sqrt(2))
-    out = apply(u_swap("a", enc, "ideal", "displacement"), plus)
+    swap_a = u_swap("a", enc, "ideal", "displacement")
+    out = StateVector(plus.layout, swap_a.apply(plus.as_tensor(), 0, 1))
     print("transfer (main path):",
           state_fidelity(StateVector(plus.layout, tgt_amps), out))
 
     psi = bell_target("phi_plus", enc)
-    layout = full_layout(enc)
-    sa = OperatorMatrix(layout, (MODE_A, ION_1),
-                        u_swap("a", enc, "ideal", "displacement").matrix)
-    sb = OperatorMatrix(layout, (MODE_B, ION_2),
-                        u_swap("b", enc, "ideal", "displacement").matrix)
-    red = partial_trace(apply(sb, apply(sa, psi)), (ION_1, ION_2))
+    swap_b = u_swap("b", enc, "ideal", "displacement")
+    grid = swap_b.apply(swap_a.apply(psi.as_tensor(), MODE_A, ION_1), MODE_B, ION_2)
+    red = partial_trace(StateVector(psi.layout, grid), (ION_1, ION_2))
     print("electronic fidelity (main path):",
           dm_fidelity(red, electronic_bell("phi_plus")))
 

@@ -20,7 +20,6 @@ from catbell.bosonic import (
     default_cutoff,
     displacement_action,
     mode_for,
-    number_op,
     required_cutoff,
 )
 from catbell.encoding import EncodingParams, prepare_entangled_schmidt
@@ -31,12 +30,18 @@ from catbell.hilbert import (
     StateVector,
     apply,
     band_eigh,
-    overlap,
     state_fidelity,
     unitarity_residual,
 )
 from catbell.reference import cat_amplitudes, coherent_amplitudes
-from conftest import displacement, expectation, parity_op, parity_projectors
+from conftest import (
+    displacement,
+    expectation,
+    number_op,
+    overlap,
+    parity_op,
+    parity_projectors,
+)
 
 
 class TestModeParams:
@@ -169,7 +174,6 @@ class _NoNumpy:
 @pytest.mark.parametrize("build", [
     lambda mode: coherent(2.0, mode),
     lambda mode: cat(2.0, EVEN, mode),
-    number_op,
 ])
 def test_size_cap_checked_before_allocation(build, monkeypatch):
     # a cutoff of 1e9 would allocate gigabytes before the layout refused it
@@ -217,7 +221,7 @@ class TestDisplacement:
     def test_unitary_at_any_cutoff(self):
         for cutoff in (4, 12, 40):
             u = displacement(0.7 + 0.3j, ModeParams(cutoff))
-            assert unitarity_residual(u) < 1e-10
+            assert unitarity_residual(u.matrix) < 1e-10
 
     def test_inverse(self):
         mode = ModeParams(40)

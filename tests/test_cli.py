@@ -350,6 +350,19 @@ class TestProtocolRunners:
         assert all("|" in r["input"] for r in rows)
         assert all(0.0 <= r["fidelity"] <= 1.0 + 1e-9 for r in rows)
 
+    @pytest.mark.parametrize("alpha", [2.0, 3.0, 4.0])
+    def test_swap_report_literal_rows_are_the_index_build(self, alpha):
+        # u_ve[literal] is the pipeline's index build, diag((-1)^n, 1) on the
+        # ion: its flip rows and unitarity are exact zeros, not the rounding
+        # residue of two dense exponentials
+        rows, _, _ = run_swap_report(cfg_for("swap-report",
+                                             encoding={"alpha": alpha}))
+        literal = [r for r in rows if r["gate"] == "u_ve[literal]"]
+        flips = {r["input"]: r["fidelity"] for r in literal
+                 if r["input"].startswith("1L")}
+        assert flips == {"1L|0e": 0.0, "1L|1e": 0.0}
+        assert [r["unitarity"] for r in literal] == [0.0] * 4
+
     def test_heat_sweep_rows(self):
         cfg = cfg_for("heat-sweep",
                       encoding={"alpha": 1.5, "cutoff": 14, "leak_tol": 1e-5},

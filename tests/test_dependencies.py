@@ -188,6 +188,25 @@ def test_every_import_is_read_in_its_module():
     assert kept == KEPT_UNREAD_IMPORTS, "read now: drop from KEPT_UNREAD_IMPORTS"
 
 
+# the dense layer: hilbert keeps OperatorMatrix and apply only for perfbench's
+# tracer test (ROADMAP item 1), and the dense gate builders and exponential
+# live in tests/conftest.py; the program runs every gate as a step
+DENSE_OPERATOR_HOMES = ("hilbert.py", ORACLE)
+DENSE_BUILDERS = {"matrix_exp", "number_op", "u_ve_ideal", "u_ve_literal", "u_ev"}
+
+
+def test_no_module_but_hilbert_reads_the_dense_operator():
+    for module in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(module.read_text(encoding="utf-8"))
+        names = {name for name, _ in name_reads(module)} | bound_imports(tree)
+        names |= {node.name for node in ast.walk(tree) if isinstance(node, DEFS)}
+        if module.name not in DENSE_OPERATOR_HOMES:
+            assert "OperatorMatrix" not in names, f"{module.name} reads OperatorMatrix"
+        if module.name != ORACLE:
+            found = sorted(names & DENSE_BUILDERS)
+            assert not found, f"{module.name} defines or reads {found}"
+
+
 def loaded_modules(*statements: str) -> list[set[str]]:
     """The catbell modules loaded in a fresh interpreter after each of the
     statements, run in order."""

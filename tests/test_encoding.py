@@ -31,7 +31,6 @@ from catbell.encoding import (
 from catbell.errors import CapacityError, ContractError
 from catbell.hilbert import (
     apply,
-    overlap,
     partial_trace,
     state_fidelity,
     unitarity_residual,
@@ -40,6 +39,7 @@ from conftest import (
     expectation,
     fourier_pair,
     on_register,
+    overlap,
     parity_op,
     reference_preparation,
     subspace_unitary,
@@ -202,7 +202,7 @@ class TestLogicalBasis:
 
     def test_subspace_unitary_is_unitary(self, enc2):
         op = subspace_unitary(logical_basis("a", enc2), rx_matrix(0.3))
-        assert unitarity_residual(op) < 1e-10
+        assert unitarity_residual(op.matrix) < 1e-10
 
     def test_rotate_is_the_lifted_unitary(self, enc2):
         # (1 - B B^dag) + B m2 B^dag, built densely here; trailing axes of

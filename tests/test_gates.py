@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import sys
 
 import numpy as np
@@ -17,7 +18,7 @@ from catbell.bell import (
     chsh,
     mixed_bell_fidelity,
 )
-from catbell.bosonic import ModeParams, number_op
+from catbell.bosonic import ModeParams
 from catbell.encoding import (
     MODE_A,
     EncodingParams,
@@ -32,20 +33,18 @@ from catbell.gates import (
     CNOT_EV_TABLE,
     CNOT_VE_TABLE,
     EV_VARIANTS,
-    EXCITED,
     SIGMA_X,
     SIGMA_Y,
     SWAP_TABLE,
     VE_VARIANTS,
+    _flip,
+    _pair_matrix,
     carrier_rotation,
     pair_layout,
     report_u_ev,
     report_u_swap,
     report_u_ve,
-    u_ev,
     u_swap,
-    u_ve_ideal,
-    u_ve_literal,
 )
 from catbell.hilbert import (
     DensityMatrix,
@@ -54,22 +53,28 @@ from catbell.hilbert import (
     StateVector,
     apply,
     dm_fidelity,
-    matrix_exp,
-    overlap,
     partial_trace,
     tensor,
     unitarity_residual,
 )
 from catbell.pipeline import _pipeline_state, run_pipeline
-from catbell.reference import su2_exp
+from catbell.reference import su2_exp, u_ve_literal_oracle
 from conftest import (
+    EXCITED,
     basis_state,
+    exchange_op,
     lift_pair,
+    matrix_exp,
+    number_op,
     on_register,
+    overlap,
     parity_projectors,
     reduced_electronic,
     reference_preparation,
     subspace_unitary,
+    u_ev,
+    u_ve_ideal,
+    u_ve_literal,
 )
 
 VARIANT_PAIRS = [(ve, ev) for ve in VE_VARIANTS for ev in EV_VARIANTS]
@@ -127,7 +132,7 @@ class TestUveIdeal:
             assert abs(row.fidelity - 1.0) <= 1e-12, row
 
     def test_unitary(self, enc2):
-        assert unitarity_residual(u_ve_ideal("a", enc2)) < 1e-10
+        assert unitarity_residual(u_ve_ideal("a", enc2).matrix) < 1e-10
 
     def test_involution(self, enc2):
         u = u_ve_ideal("a", enc2).matrix
@@ -148,7 +153,16 @@ class TestUveIdeal:
 
 class TestUveLiteral:
     def test_unitary(self, enc2):
-        assert unitarity_residual(u_ve_literal("a", enc2)) < 1e-10
+        assert unitarity_residual(u_ve_literal("a", enc2).matrix) < 1e-10
+
+    @pytest.mark.parametrize("alpha", [2.0, 4.0])
+    def test_index_build_matches_the_as_written_oracle(self, alpha):
+        # the pipeline's build, _flip on the odd rows, against scipy's expm
+        # of the two generators, at cutoffs 26 and 50
+        layout = pair_layout("a", EncodingParams.for_amplitudes(alpha))
+        got = _pair_matrix(layout, functools.partial(_flip, literal=True))
+        want = u_ve_literal_oracle(layout.dims[0])
+        assert np.abs(got - want).max() <= 1e-12
 
     def test_first_factor_on_fock_one(self, enc2):
         # exp(-i pi n sigma_y) alone sends |n=1>|0e> to -|n=1>|0e>
@@ -223,7 +237,7 @@ class TestUev:
         assert abs(back - np.exp(-eps * eps)) < 1e-3
 
     def test_unitary(self, enc2):
-        assert unitarity_residual(u_ev("a", enc2)) < 1e-10
+        assert unitarity_residual(u_ev("a", enc2).matrix) < 1e-10
 
     def test_matches_the_expm_oracle(self, enc2):
         for eps in (None, 0.0, 0.1, np.pi / 2.0):
@@ -260,7 +274,7 @@ class TestUevIdeal:
             assert amp == pytest.approx(1.0, abs=1e-10), (in_label, tgt_label)
 
     def test_unitary(self, enc2):
-        assert unitarity_residual(u_ev_ideal("a", enc2)) < 1e-10
+        assert unitarity_residual(u_ev_ideal("a", enc2).matrix) < 1e-10
 
 
 class TestUswap:
@@ -275,7 +289,7 @@ class TestUswap:
     def test_surrogate_truth_table(self, enc2):
         rep = report_u_swap("a", enc2, ve_variant="ideal", ev_variant="ideal")
         assert rep.min_fidelity >= 1.0 - 1e-10
-        gate = u_swap("a", enc2, "ideal", "ideal")
+        gate = exchange_op("a", enc2, "ideal", "ideal")
         for in_label, tgt_label in SWAP_TABLE:
             out = apply(gate, pair_state(in_label, "a", enc2))
             amp = overlap(pair_state(tgt_label, "a", enc2), out)
@@ -292,23 +306,17 @@ class TestUswap:
     @pytest.mark.parametrize("ve,ev", VARIANT_PAIRS)
     def test_exponentiates_nothing(self, monkeypatch, enc2, ve, ev):
         # u_ve is indexing and the kick comes from a tridiagonal solver, so
-        # no build of the exchange exponentiates a dense generator
-        calls = []
-
-        def counting(name, fn):
-            def counted(*args, **kwargs):
-                calls.append(name)
-                return fn(*args, **kwargs)
-            return counted
-        for module in [m for n, m in sys.modules.items() if n.startswith("catbell.")]:
-            if hasattr(module, "matrix_exp"):
-                monkeypatch.setattr(module, "matrix_exp",
-                                    counting("matrix_exp", module.matrix_exp))
-        monkeypatch.setattr(gates, "u_ve_literal",
-                            counting("u_ve_literal", gates.u_ve_literal))
+        # neither the build of the exchange nor its action forms a dense
+        # pair matrix, and no module of the program holds an exponential
+        def refuse(*args, **kwargs):
+            raise AssertionError("the exchange formed its pair matrix")
+        monkeypatch.setattr(gates, "_pair_matrix", refuse)
+        modules = [m for n, m in sys.modules.items() if n.startswith("catbell.")
+                   and n != "catbell.reference"]
+        assert not [m for m in modules if hasattr(m, "matrix_exp")]
         for which in ("a", "b"):
-            u_swap(which, enc2, ve, ev)
-        assert calls == []
+            d = enc2.mode(which).cutoff
+            u_swap(which, enc2, ve, ev).apply(np.ones((d, 2, 3)), 0, 1)
 
     def test_displacement_rows_match_frozen_alpha8(self, golden):
         rec = golden("swap_alpha8.json")["swap_rows"]
@@ -325,7 +333,7 @@ class TestUswap:
         plus = StateVector(basis.zero.layout,
                            (basis.zero.amps + basis.one.amps) / np.sqrt(2.0))
         psi = tensor([plus, qubit_state(0)])
-        out = apply(u_swap("a", enc, "ideal", "displacement"), psi)
+        out = apply(exchange_op("a", enc, "ideal", "displacement"), psi)
         ion_plus = StateVector(SpaceLayout((2,)), np.array([1, 1]) / np.sqrt(2.0))
         target = tensor([basis.zero, ion_plus])
         f = abs(overlap(target, out)) ** 2
@@ -342,7 +350,7 @@ class TestRegisterTransfer:
         enc = EncodingParams.for_amplitudes(8.0)
         psi = bell_target("phi_plus", enc)
         for which in ("a", "b"):
-            psi = apply(lift_pair(u_swap(which, enc, "ideal", "displacement"),
+            psi = apply(lift_pair(exchange_op(which, enc, "ideal", "displacement"),
                                   which, enc), psi)
         red = partial_trace(psi, (2, 3))
         f = dm_fidelity(red, electronic_bell("phi_plus"))
@@ -352,15 +360,15 @@ class TestRegisterTransfer:
 
 class TestCarrier:
     def test_zero_pulse(self):
-        np.testing.assert_allclose(carrier_rotation(0.0, 0.3).matrix, np.eye(2), atol=1e-14)
+        np.testing.assert_allclose(carrier_rotation(0.0, 0.3), np.eye(2), atol=1e-14)
 
     def test_full_pulse_is_x(self):
-        got = carrier_rotation(1.0, 0.0).matrix
+        got = carrier_rotation(1.0, 0.0)
         np.testing.assert_allclose(got, -1j * SIGMA_X, atol=1e-12)
 
     def test_half_pulses_compose(self):
-        half = carrier_rotation(0.5, 1.1).matrix
-        full = carrier_rotation(1.0, 1.1).matrix
+        half = carrier_rotation(0.5, 1.1)
+        full = carrier_rotation(1.0, 1.1)
         assert np.abs(half @ half - full).max() < 1e-10
 
     def test_unitary(self):
@@ -373,7 +381,7 @@ class TestCarrier:
         rng = np.random.default_rng(20261019)
         for k, phase in zip(rng.uniform(-4.0, 4.0, 1000),
                             rng.uniform(-2 * np.pi, 2 * np.pi, 1000)):
-            got = carrier_rotation(k, phase).matrix
+            got = carrier_rotation(k, phase)
             closed = su2_exp(np.cos(phase), -np.sin(phase), 0.0, k * np.pi / 2.0)
             assert np.abs(got - closed).max() <= 1e-15, (k, phase)
             g = np.array([[0.0, np.exp(1j * phase)], [np.exp(-1j * phase), 0.0]])
@@ -382,9 +390,11 @@ class TestCarrier:
             assert np.abs(got - eig).max() <= 1e-14, (k, phase)
 
     def test_exponentiates_nothing(self, monkeypatch):
+        # the closed form: no eigendecomposition of the generator
         def refuse(*args, **kwargs):
-            raise AssertionError("carrier_rotation called matrix_exp")
-        monkeypatch.setattr(gates, "matrix_exp", refuse)
+            raise AssertionError("carrier_rotation diagonalized its generator")
+        for name in ("eig", "eigh"):
+            monkeypatch.setattr(np.linalg, name, refuse)
         carrier_rotation(0.5, 0.3)
 
 
@@ -431,7 +441,7 @@ class TestExchangeAction:
         enc = EncodingParams(alpha, alpha, ModeParams(cut_a, 0.999),
                              ModeParams(cut_b, 0.999), epsilon=eps)
         dense = dense_exchange(which, enc, ve, ev)
-        swap = u_swap(which, enc, ve, ev).matrix
+        swap = exchange_op(which, enc, ve, ev).matrix
         assert np.abs(swap - dense).max() <= 1e-13
 
         rng = np.random.default_rng(seed)
@@ -499,6 +509,20 @@ AMPLITUDES = [(2.0, 2.0), (4.0, 4.0), (2.0, 3.0)]
 # (ve, delta) beyond test_results_match's (ideal, 0.15)
 MORE_CASES = [(ve, d) for ve in VE_VARIANTS for d in (0.0, 0.15, 1.0)
               if (ve, d) != ("ideal", 0.15)]
+
+
+class TestDisplacementLaw:
+    @pytest.mark.parametrize("delta", [0.0, 0.1, 0.3])
+    @pytest.mark.parametrize("alpha", [3.0, 4.0])
+    def test_b_follows_the_kick_overlap_law(self, alpha, delta):
+        # each kick leaves its mode's two branches overlapping by
+        # e^(-eps^2/2), eps = pi/(4 alpha), so the displacement build gives
+        # B = 2 sqrt(2) (1 - delta) exp(-eps^2), up to the leak tolerance
+        enc = EncodingParams.for_amplitudes(alpha)
+        got = run_pipeline(enc, delta, DEFAULT_ANGLES, method="exact",
+                           ev_variant="displacement")["b_value"]
+        law = 2.0 * np.sqrt(2.0) * (1.0 - delta) * np.exp(-(np.pi / (4.0 * alpha)) ** 2)
+        assert abs(got - law) <= 1e-9
 
 
 class TestPipelineAgainstDense:

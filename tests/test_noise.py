@@ -769,7 +769,8 @@ class TestTrajectories:
                 corr_b = expectation(pb, res.final).real
                 # phi+ has no definite single-mode parity; the joint
                 # correlation flips sign instead
-                from catbell.hilbert import apply, overlap
+                from catbell.hilbert import apply
+                from conftest import overlap
 
                 kicked_b = apply(pb, res.final)
                 joint = overlap(apply(pa, res.final),

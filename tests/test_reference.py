@@ -8,7 +8,6 @@ import scipy.linalg
 
 from catbell.bosonic import EVEN, ModeParams, cat, mode_for
 from catbell.encoding import EncodingParams
-from catbell.gates import u_swap
 from catbell.hilbert import OperatorMatrix, SpaceLayout
 from catbell.noise import HeatingParams, propagate
 from catbell.reference import (
@@ -28,7 +27,7 @@ from catbell.reference import (
     swap_truth_oracle,
     write_fixture,
 )
-from conftest import GOLDEN_DIR, displacement
+from conftest import GOLDEN_DIR, displacement, exchange_op
 from make_golden import check_against_main_path
 
 
@@ -194,7 +193,7 @@ class TestExchangeOracle:
         enc = EncodingParams.for_amplitudes(2.0)
         cutoff = enc.mode_a.cutoff
         got = exchange_matrix_oracle(cutoff, np.pi / 8.0)
-        want = u_swap("a", enc, "ideal", "displacement").matrix
+        want = exchange_op("a", enc, "ideal", "displacement").matrix
         assert np.abs(got - want)[:32, :32].max() < 1e-12
 
     def test_truth_table_cross_check(self):
