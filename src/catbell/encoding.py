@@ -298,11 +298,17 @@ def bell_target_schmidt(kind: str, params: EncodingParams) -> SchmidtState:
                         _on_ion_ground(*right))
 
 
+# jump ensembles heat one register again and again.  An entry is the
+# register, 64 d_a d_b bytes, and what noise.sample_trajectory keeps on it
+# per heated mode: two one-jump finals of the same size and seven O(d)
+# nodes; heating modes a and b, 5 * 64 d_a d_b B = 4.8 MB at d = 122
+@lru_cache(maxsize=8)
 def bell_target(kind: str, params: EncodingParams) -> StateVector:
-    """Logical Bell state of the two modes, ions in |00>: a new register per
-    call, immutable (amps read-only down their .base chain), so that
-    noise.sample_trajectory keeps its level weights and <n> and returns it
-    as a jump-free final."""
+    """Logical Bell state of the two modes, ions in |00>, built once per
+    (kind, params) and shared.  The register is immutable (amps read-only
+    down their .base chain), so noise.sample_trajectory keeps its level
+    weights and jump tree on it from one ensemble to the next and returns
+    it as a jump-free final."""
     state = bell_target_schmidt(kind, params).to_state()
     amps = state.amps
     while amps is not None:

@@ -84,6 +84,9 @@ class SpaceLayout:
         return tuple(self.dims[i] for i in subsystems)
 
 
+_COMPLEX = np.dtype(np.complex128)
+
+
 def _as_complex(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.asarray(a, dtype=np.complex128))
 
@@ -99,7 +102,11 @@ class StateVector:
     amps: np.ndarray
 
     def __post_init__(self) -> None:
-        self.amps = _as_complex(self.amps).reshape(-1)
+        amps = self.amps
+        # a flat, C-contiguous complex128 ndarray is kept as it is
+        if not (type(amps) is np.ndarray and amps.dtype == _COMPLEX
+                and amps.ndim == 1 and amps.flags.c_contiguous):
+            self.amps = _as_complex(amps).reshape(-1)
         if self.amps.size != self.layout.total_dim:
             raise ValueError(
                 f"amplitude length {self.amps.size} does not match "

@@ -37,13 +37,19 @@ The jump sampler views the register as (pre, d, post) around the heated
 mode, so it moves no axis.  a and a+ act on that mode alone and the rates
 read only <n>, so a jump record is a chain on the mode's d level weights
 w_k = ||psi[:, k, :]||^2: the sampler reads the amplitudes once, for w,
-and a jump updates a length-d real column and a level shift, O(d).  A
-trajectory that jumped writes its final register once, scaling the float
-view of the input by the column.  A register whose amplitudes are
-read-only down their .base chain is immutable: its w and <n> are computed
-once per heated mode and kept on the state, and a trajectory with no jump
-returns the state itself, so an ensemble of one register (bell_target's,
-say) pays for the pass once.
+and a jump updates a length-d real column and a level shift, O(d).  With
+the no-jump drift dropped, the column, the shift, the <n> after a jump,
+whether a kick annihilates the state, and the final register depend on
+the word of up and down jumps alone, never on gamma, the duration or the
+jump times.  So the chain is a tree of words (_Node) on the register's
+w, and a trajectory that jumped writes its final register once, scaling
+the float view of the input by its word's column.  A register whose
+amplitudes are read-only down their .base chain is immutable: its w and
+tree are kept on the state, per heated mode, with the nodes of every
+word of at most two jumps and the read-only finals of the one-jump words;
+a trajectory with no jump returns the state itself.  So an ensemble of
+one register (bell_target's, shared across calls, say) pays for the pass
+once, and a repeated short word costs only its draws.
 
 Each trajectory's stream is np.random.default_rng([master_seed, index]),
 bit for bit (trajectory_rng).  Building a SeedSequence per key costs more
@@ -404,6 +410,50 @@ def _rates(params: HeatingParams, n_mean: float) -> tuple[float, float]:
     return params.gamma * (n_mean + 1.0), params.gamma * n_mean
 
 
+# a register's tree keeps the nodes of the words of at most this many jumps
+# (1 + 2 + 4 nodes per heated mode) and the finals of the one-jump words
+_KEPT_JUMPS = 2
+
+
+class _Node:
+    """A word of jumps on the chain over a register's level weights w.
+
+    The state after the word is sum_k col_k psi_k |k + shift>, normalized,
+    psi_k the input's level-k part, and n_mean is its <n>.  kids maps a
+    kick (True for a+) to the node one jump on, or to None where the kick
+    annihilates the state; it is None on a node whose longer words are not
+    kept.  final is the register of a one-jump word of an immutable input,
+    written once and read-only.
+    """
+
+    __slots__ = ("col", "shift", "n_mean", "kids", "final")
+
+    def __init__(self, col: np.ndarray, shift: int, n_mean: float,
+                 kids: dict | None) -> None:
+        self.col, self.shift, self.n_mean, self.kids = col, shift, n_mean, kids
+        self.final = None
+
+
+def _kick(node: _Node, up: bool, w: np.ndarray, span: np.ndarray,
+          ladder: np.ndarray, kids: dict | None) -> _Node | None:
+    """The node one a+ (up) or a jump on from node, with the given kids, or
+    None where the kick maps the state to zero: O(d)."""
+    dim = w.size
+    # input level k sits on k + shift; a+ weighs it sqrt(k + shift + 1),
+    # a sqrt(k + shift), and 0 off the ladder
+    edge = dim + node.shift + up
+    kicked = node.col * ladder[edge:edge + dim]
+    # col_k^2 w_k <= 1 after each renormalization, so kicked * w cannot
+    # overflow where kicked * kicked could, on a subnormal w_k
+    p = kicked * w * kicked
+    norm2 = float(p.sum())
+    if norm2 == 0.0:
+        return None
+    shift = node.shift + (1 if up else -1)
+    moved = span[dim + shift:2 * dim + shift]
+    return _Node(kicked / np.sqrt(norm2), shift, float(p @ moved) / norm2, kids)
+
+
 def sample_trajectory(state: StateVector, params: HeatingParams,
                       seed_or_rng, mode_index: int = 0) -> TrajectoryResult:
     """One jump-process realization of the heating channel.
@@ -426,14 +476,21 @@ def sample_trajectory(state: StateVector, params: HeatingParams,
     post) view, which moves no axis), and <n> = levels . w.  A jump
     updates the real column col and the net shift, renormalized, and takes
     the next <n> and the annihilation test (a zero norm) from col^2 w:
-    O(d) per jump.  A trajectory that jumped writes its final register
-    once (_place).  The input is not modified.  If its amplitudes are
-    read-only down their .base chain, the state is immutable: its w and
-    <n> are kept on it (StateVector), paid once per (state, mode_index),
-    and a jump-free trajectory returns the state itself as its final.  Any
-    other input pays the pass on every call and never shares its memory
-    with the result.  The draws, record, warning and final amplitudes are
-    the same either way.
+    O(d) per jump.  These depend on the word of jumps alone, so each word
+    is a node of a tree rooted at w (_Node), and the rates at a node come
+    from its <n> on every call.  A trajectory that jumped writes its final
+    register once (_place).  The input is not modified.
+
+    If the input's amplitudes are read-only down their .base chain, the
+    state is immutable: its w and tree are kept on it (StateVector), per
+    (state, mode_index).  The tree keeps the nodes of the words of at most
+    two jumps, so a repeated short word computes no column, and the finals
+    of the one-jump words, read-only and shared by every trajectory that
+    ends on that word; a jump-free trajectory returns the state itself.
+    Any other input runs the same loop on a tree of its own call: it pays
+    the pass on every call and never shares its memory with the result.
+    The draws, record, warning and final amplitudes are the same either
+    way.
     """
     layout = state.layout
     if not 0 <= mode_index < layout.nsites:
@@ -452,8 +509,12 @@ def sample_trajectory(state: StateVector, params: HeatingParams,
     entry = kept.get(shape)
     if entry is None:
         w = _level_weights(amps.reshape(shape))
-        entry = kept[shape] = (w, float(levels @ w))
-    w, n0 = entry
+        # a level of weight 0 stays off the column: its amplitudes are
+        # zero or too small to square, and no norm would bound its entry
+        root = _Node((w > 0.0).astype(np.float64), 0, float(levels @ w), {})
+        entry = kept[shape] = (w, root)
+    w, root = entry
+    n0 = root.n_mean
     if not isfinite(n0):
         raise ContractError(f"the heated mode's <n> is {n0}: the register holds "
                             "a non-finite amplitude, or one too large to square")
@@ -465,9 +526,7 @@ def sample_trajectory(state: StateVector, params: HeatingParams,
             stacklevel=2,
         )
     r_up, r_down = _rates(params, n0)
-    dim = shape[1]
-    col = None  # the column, set at the first jump
-    shift = 0
+    node = root
     jumps: list = []
     t = 0.0
     while True:
@@ -478,30 +537,31 @@ def sample_trajectory(state: StateVector, params: HeatingParams,
         if t >= params.duration:
             break
         up = rng.random() < r_up / total
-        # input level k sits on k + shift; a+ weighs it sqrt(k + shift + 1),
-        # a sqrt(k + shift), and 0 off the ladder
-        if col is None:
-            # a level of weight 0 stays off the column: its amplitudes are
-            # zero or too small to square, and no norm would bound its entry
-            col = (w > 0.0).astype(np.float64)
-        edge = dim + shift + up
-        kicked = col * ladder[edge:edge + dim]
-        # col_k^2 w_k <= 1 after each renormalization, so kicked * w cannot
-        # overflow where kicked * kicked could, on a subnormal w_k
-        p = kicked * w * kicked
-        norm2 = float(p.sum())
-        if norm2 == 0.0:
+        kids = node.kids
+        if kids is not None and up in kids:
+            nxt = kids[up]
+        else:
+            nxt = _kick(node, up, w, span, ladder,
+                        {} if len(jumps) + 1 < _KEPT_JUMPS else None)
+            if kids is not None:
+                kids[up] = nxt
+        if nxt is None:
             continue
-        col = kicked / np.sqrt(norm2)
-        shift += 1 if up else -1
+        node = nxt
         jumps.append((t, "+" if up else "-"))
         if not params.constant_rate:
-            moved = span[dim + shift:2 * dim + shift]
-            r_up, r_down = _rates(params, float(p @ moved) / norm2)
-    if jumps:
-        final = StateVector(layout, _place(amps.reshape(shape), col, shift).reshape(-1))
-    else:
+            r_up, r_down = _rates(params, node.n_mean)
+    if node is root:
         final = state if immutable else StateVector(layout, amps.copy())
+    elif node.final is not None:
+        final = node.final
+    else:
+        out = _place(amps.reshape(shape), node.col, node.shift)
+        keep = immutable and len(jumps) == 1
+        out.flags.writeable = not keep
+        final = StateVector(layout, out.reshape(-1))
+        if keep:
+            node.final = final
     return TrajectoryResult(final, jumps, len(jumps) % 2 == 1)
 
 

@@ -107,6 +107,27 @@ def test_heating_op_hit_writes_the_miss_results(tmp_path):
     assert miss == hit
 
 
+def test_ensemble_op_output_does_not_depend_on_the_caches(tmp_path):
+    # the op's register is bell_target's shared one, and the sampler keeps
+    # its jump tree and one-jump finals on it: the op cold, warm, and again
+    # after bell_target's cache is cleared must write the same output
+    import catbell.encoding
+    runner = worker.Runner(str(tmp_path))
+    op = workloads.cold_op("ensemble", 0)
+    outputs = []
+    for clear in (True, False, True):  # cold, warm, cleared
+        if clear:
+            catbell.encoding.bell_target.cache_clear()
+        _, output = runner.run(op)
+        runner.verify(op, output)
+        outputs.append(output)
+        info = catbell.encoding.bell_target.cache_info()
+        assert (info.misses, info.hits) == (1, 0 if clear else 1)
+    assert runner.failures == []
+    assert outputs[0]["jumps"] > 0
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
 def test_full_pipeline_demo_tracks_linear_law():
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / "06_full_pipeline.py")],
                           env=child_env(), capture_output=True, text=True, timeout=120)

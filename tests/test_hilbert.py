@@ -110,6 +110,26 @@ class TestStates:
         with pytest.raises(ValueError):
             StateVector(qubit_layout(2), np.zeros(3))
 
+    def test_flat_complex_array_is_kept(self):
+        # a flat, C-contiguous complex128 ndarray is the state's amps by
+        # identity, a read-only one too; anything else is converted to one
+        layout = SpaceLayout((2, 3))
+        flat = np.arange(6, dtype=np.complex128)
+        assert StateVector(layout, flat).amps is flat
+        frozen = flat.copy()
+        frozen.flags.writeable = False
+        assert StateVector(layout, frozen).amps is frozen
+        strided = np.arange(12, dtype=np.complex128)[::2]
+        big_endian = flat.astype(">c16")
+        for other in (flat.reshape(2, 3), strided, flat.real, big_endian,
+                      list(flat), flat.astype(np.complex64),
+                      flat.reshape(3, 2).T):
+            amps = StateVector(layout, other).amps
+            assert type(amps) is np.ndarray and amps.dtype == np.complex128
+            assert amps.shape == (6,) and amps.flags.c_contiguous
+            assert amps is not other
+            np.testing.assert_array_equal(amps, np.asarray(other).reshape(-1))
+
     def test_norm_and_normalized(self):
         psi = StateVector(SpaceLayout((2,)), [3.0, 4.0])
         assert psi.norm == pytest.approx(5.0)

@@ -685,8 +685,10 @@ class TestTrajectories:
         # read-only phi+ cat keeps its level weights and <n> per heated
         # mode: one pass for all 40 seeds, one more per other mode, and
         # every final is the state itself.  A writable copy pays a pass per
-        # call and is copied
-        psi = bell_target("phi_plus", enc2)
+        # call and is copied.  The register is a fresh read-only copy:
+        # bell_target's is shared, and earlier calls may have paid its passes
+        shared = bell_target("phi_plus", enc2)
+        psi = _read_only(StateVector(shared.layout, shared.amps.copy()))
         passes = []
         weights = catbell.noise._level_weights
 
@@ -989,6 +991,87 @@ class TestTrajectoryOracle:
             assert (_traced_run(frozen, params, seed, mode_index)
                     == _traced_run(StateVector(layout, other.copy()), params,
                                    seed, mode_index))
+
+    @settings(max_examples=40)
+    @given(dims=st.lists(st.integers(2, 5), min_size=1, max_size=3),
+           scale=st.floats(0.25, 2.0),
+           calls=st.lists(st.tuples(st.integers(0, 2),
+                                    st.sampled_from([0.0, 0.02, 0.3, 1.5]),
+                                    st.booleans(), st.integers(0, 5)),
+                          min_size=1, max_size=30),
+           seed=st.integers(0, 2**32 - 1))
+    def test_jump_tree_keeps_every_call_bits(self, dims, scale, calls, seed):
+        # one read-only register, its tree cold at the first call and warm
+        # after, heated in mixed order: modes, gammas, frozen rates and
+        # streams.  Each call ends its generator where the same call on a
+        # writable copy does, with the same record, warnings and final
+        # bytes.  A one-jump final is kept: read-only, the same object for
+        # every call that ends on its word, and apart from the input; a
+        # writable input keeps nothing and shares nothing
+        rng = np.random.default_rng(seed)
+        amps = rng.normal(size=prod(dims)) + 1j * rng.normal(size=prod(dims))
+        layout = SpaceLayout(tuple(dims))
+        amps = scale * amps / np.linalg.norm(amps)
+        frozen = _read_only(StateVector(layout, amps.copy()))
+        kept_finals: dict = {}
+        for mode, gamma, constant_rate, index in calls:
+            mode_index = mode % len(dims)
+            params = HeatingParams(gamma, 1.0, constant_rate=constant_rate)
+            writable = StateVector(layout, amps.copy())
+            runs, results = [], []
+            for state in (frozen, writable):
+                stream = trajectory_rng(seed, index)
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    res = sample_trajectory(state, params, stream,
+                                            mode_index=mode_index)
+                runs.append((stream.bit_generator.state, res.jumps,
+                             [str(w.message) for w in caught],
+                             res.final.amps.tobytes()))
+                results.append(res)
+            assert runs[0] == runs[1]
+            got, copy = results
+            assert "_mean_n" not in vars(writable)
+            assert not np.shares_memory(copy.final.amps, writable.amps)
+            if got.n_jumps == 0:
+                assert got.final is frozen
+                continue
+            assert not np.shares_memory(got.final.amps, frozen.amps)
+            if got.n_jumps == 1:
+                assert not got.final.amps.flags.writeable
+                word = (mode_index, got.jumps[0][1])
+                assert kept_finals.setdefault(word, got.final) is got.final
+
+    def test_deep_ensemble_keeps_a_bounded_tree(self):
+        # gamma T <n> = 2 on the phi+ register at alpha = 2: 300 trajectories
+        # per mode run words of up to a dozen jumps, yet each heated mode
+        # keeps the nodes of the words of at most two jumps (1 + 2 + 4) and
+        # the finals of the one-jump words (2), and no node past two jumps
+        # keeps longer words
+        shared = bell_target("phi_plus", EncodingParams.for_amplitudes(2.0))
+        psi = _read_only(StateVector(shared.layout, shared.amps.copy()))
+        params = HeatingParams(0.5, 1.0)
+        longest = 0
+        for mode_index in (MODE_A, MODE_B):
+            for i in range(300):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)
+                    res = sample_trajectory(psi, params, trajectory_rng(5, i),
+                                            mode_index=mode_index)
+                longest = max(longest, res.n_jumps)
+        assert longest > 2
+        trees = psi._mean_n[1]
+        assert len(trees) == 2
+        for _, root in trees.values():
+            nodes, finals, level = 0, 0, [root]
+            for depth in range(4):
+                nodes += len(level)
+                finals += sum(node.final is not None for node in level)
+                if depth == 2:
+                    assert all(node.kids is None for node in level)
+                level = [kid for node in level for kid in (node.kids or {}).values()
+                         if kid is not None]
+            assert nodes <= 7 and finals <= 2
 
     @pytest.mark.parametrize("register,duration", [
         ("random", 5.0), ("even", 5.0), ("vacuum", 30.0)])
