@@ -30,9 +30,11 @@ from math import isfinite, pi, sqrt
 
 import numpy as np
 
-from .encoding import SchmidtState
-from .gates import SIGMA_X, SIGMA_Y, SIGMA_Z, carrier_rotation
+from .encoding import CHSH_METHODS, SchmidtState
 from .hilbert import (
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
     DensityMatrix,
     SpaceLayout,
     StateVector,
@@ -122,8 +124,10 @@ def measurement_pulse(theta: float) -> np.ndarray:
 
     Conjugation by a half pulse with phase phi turns sigma_z into an
     equatorial axis at angle -phi - pi/2, so measuring along theta takes
-    phi = -theta - pi/2.
+    phi = -theta - pi/2.  Only the rotated readout builds a pulse, so gates
+    is loaded here, not with this module.
     """
+    from .gates import carrier_rotation
     return carrier_rotation(0.5, -theta - pi / 2)
 
 
@@ -206,9 +210,6 @@ class BellOutcome:
     method: str
     shots: int | None = None
     std_error: float | None = None
-
-
-CHSH_METHODS = ("exact", "rotated", "sampled")
 
 
 def chsh(state: StateVector | DensityMatrix,

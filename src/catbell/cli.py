@@ -27,9 +27,8 @@ from math import isfinite, pi
 from typing import NamedTuple
 
 from . import __version__
-from .bell import CHSH_METHODS
+from .encoding import CHSH_METHODS, EV_VARIANTS, VE_VARIANTS
 from .errors import CapacityError, CatbellError, ConfigError, ContractError
-from .gates import EV_VARIANTS, VE_VARIANTS
 # apply is unused here but stays bound: perfbench's tracer test checks that
 # the tracer rebinds catbell.cli.apply along with catbell.hilbert.apply
 from .hilbert import apply  # noqa: F401

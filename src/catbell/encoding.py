@@ -34,6 +34,13 @@ from .hilbert import (
 
 MODE_A, MODE_B, ION_1, ION_2 = 0, 1, 2, 3
 
+# the readouts of bell.chsh and the two builds of the exchange's gates
+# (gates.u_swap), defined here because every protocol loads this module:
+# the command line's field table reads them without loading bell or gates
+CHSH_METHODS = ("exact", "rotated", "sampled")
+VE_VARIANTS = ("ideal", "literal")
+EV_VARIANTS = ("displacement", "ideal")
+
 
 @dataclass(frozen=True)
 class EncodingParams:

@@ -48,12 +48,9 @@ from math import cos, pi, sin
 import numpy as np
 
 from . import bosonic, encoding
-from .encoding import EncodingParams
+from .encoding import EV_VARIANTS, VE_VARIANTS, EncodingParams
 from .hilbert import SpaceLayout, unitarity_residual
 
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
-SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 EXCITED_PHASE = np.exp(-1j * pi / 2.0)  # -i, as the rounded exponential
 
 
@@ -104,10 +101,6 @@ def _kick(which_mode: str, params: EncodingParams, ev_variant: str
     if epsilon is None:
         epsilon = pi / (4.0 * params.amplitude(which_mode))
     return bosonic.displacement_action(1j * epsilon, params.mode(which_mode))
-
-
-VE_VARIANTS = ("ideal", "literal")
-EV_VARIANTS = ("displacement", "ideal")
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,10 @@ DEFAULT_MAX_DIM = 16384
 
 NORM_TOL = 1e-8
 
+SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
+SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
+SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
+
 
 def max_total_dim() -> int:
     """Current cap on the total dimension of a layout.
@@ -53,7 +57,11 @@ def _count(n: int) -> str:
 
 @dataclass(frozen=True)
 class SpaceLayout:
-    """Ordered factor dimensions of a tensor-product space."""
+    """Ordered factor dimensions of a tensor-product space.
+
+    total_dim, the product of dims, is computed once by the cap check and
+    kept as a plain attribute, not a field: equality, hash and repr read
+    dims alone."""
 
     dims: tuple[int, ...]
 
@@ -71,10 +79,7 @@ class SpaceLayout:
                 f"total dimension {_count(total)} exceeds the cap {cap}; "
                 f"raise {MAX_DIM_ENV} if this is intentional"
             )
-
-    @property
-    def total_dim(self) -> int:
-        return prod(self.dims)
+        object.__setattr__(self, "total_dim", total)
 
     @property
     def nsites(self) -> int:

@@ -5,6 +5,10 @@ its rows, its named results and the provenance of the numbers ("exact" or
 "sampled").  run_pipeline is the paper's chain of stages: cross-Kerr
 preparation, Hadamard, heating, the two mode-ion exchanges and the CHSH
 readout.  Nothing here reads files or writes output.
+
+A one-shot `catbell run` pays for its protocol's modules only: this module
+loads encoding, bosonic, hilbert and errors, which every protocol runs, and
+each runner imports bell, gates or noise at its entry when it calls them.
 """
 
 from __future__ import annotations
@@ -12,17 +16,10 @@ from __future__ import annotations
 import dataclasses
 import functools
 from math import isfinite, sqrt
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .bell import (
-    BellAngles,
-    chsh,
-    mixed_bell,
-    mixed_bell_fidelity,
-    reduced_electronic_schmidt,
-    violation_scan,
-)
 from .bosonic import EVEN, cat
 from .encoding import (
     EncodingParams,
@@ -38,16 +35,11 @@ from .encoding import (
     schmidt_fidelity,
 )
 from .errors import ConfigError
-from .gates import SIGMA_X, report_u_ev, report_u_swap, report_u_ve, u_swap
-from .hilbert import DensityMatrix, SpaceLayout
-from .noise import (
-    TraceCoefficients,
-    delta_of,
-    evaluate_traces,
-    parity_flip_probability,
-    record_steps,
-    trace_coefficients,
-)
+from .hilbert import SIGMA_X, DensityMatrix, SpaceLayout
+
+if TYPE_CHECKING:
+    from .bell import BellAngles
+    from .noise import TraceCoefficients
 
 
 def _encoding_params(cfg: dict) -> EncodingParams:
@@ -63,6 +55,7 @@ def _encoding_params(cfg: dict) -> EncodingParams:
 
 
 def _bell_angles(cfg: dict) -> BellAngles:
+    from .bell import BellAngles
     b = cfg["bell"]
     return BellAngles(b["theta_a"], b["theta_a_prime"],
                       b["theta_b"], b["theta_b_prime"])
@@ -105,6 +98,7 @@ def run_rotate(cfg: dict) -> tuple[list[dict], dict, str]:
 
 
 def run_swap_report(cfg: dict) -> tuple[list[dict], dict, str]:
+    from .gates import report_u_ev, report_u_swap, report_u_ve
     enc = _encoding_params(cfg)
     reports = [
         report_u_ve("ideal", "a", enc),
@@ -132,10 +126,17 @@ def run_swap_report(cfg: dict) -> tuple[list[dict], dict, str]:
 def _heat_coefficients(enc: EncodingParams) -> TraceCoefficients:
     """The trace coefficients of the even cat on mode a, whose arrays are
     read-only (noise.trace_coefficients)."""
+    from .noise import trace_coefficients
     return trace_coefficients(cat(enc.alpha, EVEN, enc.mode_a).to_density())
 
 
 def run_heat_sweep(cfg: dict) -> tuple[list[dict], dict, str]:
+    from .noise import (
+        delta_of,
+        evaluate_traces,
+        parity_flip_probability,
+        record_steps,
+    )
     enc = _encoding_params(cfg)
     gamma = cfg["noise"]["gamma"]
     durations = cfg["noise"]["durations"] or [cfg["noise"]["duration"]]
@@ -165,6 +166,7 @@ def run_heat_sweep(cfg: dict) -> tuple[list[dict], dict, str]:
 
 
 def run_bell_scan(cfg: dict) -> tuple[list[dict], dict, str]:
+    from .bell import chsh, mixed_bell, violation_scan
     angles = _bell_angles(cfg)
     deltas = cfg["bell"]["deltas"]
     mode = cfg["bell"]["mode"]
@@ -196,6 +198,8 @@ def _coherent_stages(enc: EncodingParams, ve_variant: str, ev_variant: str
     preparation and Hadamard fidelities, and the electronic pair after both
     exchanges of the Hadamard-stage state (rho_keep) and of the same state
     with mode a parity-flipped (rho_flip).  The matrices are read-only."""
+    from .bell import reduced_electronic_schmidt
+    from .gates import u_swap
     psi = prepare_entangled_schmidt(enc)  # held to the register's size cap
     prep = schmidt_fidelity(psi, entangled_target_schmidt(enc))
     code_a = logical_basis("a", enc)
@@ -266,6 +270,7 @@ def run_pipeline(enc: EncodingParams, delta: float, angles: BellAngles,
     bits as cold ones; a cold call, such as one `catbell run`, also runs
     the flip branch at delta = 0.
     """
+    from .bell import chsh, mixed_bell_fidelity
     results, electronic = _pipeline_state(enc, delta, ve_variant, ev_variant)
     results["delta"] = delta
     results["electronic_fidelity"] = mixed_bell_fidelity(electronic, delta)
@@ -285,6 +290,7 @@ def run_full_pipeline(cfg: dict) -> tuple[list[dict], dict, str]:
     n = cfg["noise"]
     delta = n["delta"]
     if delta is None:
+        from .noise import delta_of
         delta = delta_of(n["gamma"], enc.alpha, n["duration"])
         if delta > 1.0:
             raise ConfigError(

@@ -7,7 +7,10 @@ propagation from a dense superoperator exponential instead of step
 integration, the as-written vibration-controlled gate from dense exponentials
 instead of indexing, and CHSH optima from exhaustive grid search instead of
 the known angles.  Tests freeze values produced here into JSON fixtures and
-hold the fast paths to them.
+hold the fast paths to them.  scipy is imported only by the three oracles
+that call it (displacement_elements, liouvillian_expm and
+u_ve_literal_oracle), so a checker that reads the numpy-only series does not
+load it.
 """
 
 from __future__ import annotations
@@ -18,8 +21,6 @@ from math import lgamma, log, pi
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
-from scipy.special import eval_genlaguerre
 
 
 @dataclass
@@ -80,6 +81,7 @@ def cat_amplitudes(alpha: complex, sign: int, n_terms: int) -> np.ndarray:
 
 def displacement_elements(beta: complex, dim: int) -> np.ndarray:
     """<m|D(beta)|n> from the closed Laguerre-polynomial form."""
+    from scipy.special import eval_genlaguerre
     x = abs(beta) ** 2
     out = np.zeros((dim, dim), dtype=np.complex128)
     for m in range(dim):
@@ -144,6 +146,7 @@ def liouvillian_expm(rho0: np.ndarray, gamma: float, t: float) -> np.ndarray:
     Deliberately restricted to small cutoffs: the superoperator is dim^2 by
     dim^2 dense.
     """
+    import scipy.linalg
     dim = rho0.shape[0]
     if rho0.shape != (dim, dim):
         raise ValueError(f"square matrix expected, got {rho0.shape}")
@@ -216,6 +219,7 @@ def u_ve_literal_oracle(cutoff: int) -> np.ndarray:
     generator, so the audit of the formula does not run the index build it
     checks.
     """
+    import scipy.linalg
     n = np.diag(np.arange(cutoff, dtype=np.float64))
     sy = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
     proj1 = np.diag([0.0, 1.0]).astype(np.complex128)

@@ -31,7 +31,6 @@ from catbell.encoding import (
     full_layout,
 )
 from catbell.gates import (
-    SIGMA_Y,
     _flip,
     _kick,
     _pair_matrix,
@@ -40,6 +39,7 @@ from catbell.gates import (
     u_swap,
 )
 from catbell.hilbert import (
+    SIGMA_Y,
     DensityMatrix,
     OperatorMatrix,
     SpaceLayout,

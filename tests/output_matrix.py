@@ -30,7 +30,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np  # noqa: E402
 
 from catbell import cli, encoding, hilbert, noise  # noqa: E402
-from catbell.gates import EV_VARIANTS, VE_VARIANTS  # noqa: E402
+from catbell.encoding import EV_VARIANTS, VE_VARIANTS  # noqa: E402
 
 ALPHAS = (2.0, 3.0, 4.0)
 DELTAS = (0.0, 0.1, 1.0)

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catbell.bell import (
-    CHSH_METHODS,
     DEFAULT_ANGLES,
     DELTA_STAR,
     OUTCOME_SIGNS,
@@ -30,6 +29,7 @@ from catbell.bell import (
 from catbell.bosonic import ModeParams
 from catbell.encoding import (
     BELL_KINDS,
+    CHSH_METHODS,
     EncodingParams,
     SchmidtState,
     bell_target,
@@ -156,6 +156,26 @@ class TestCorrelators:
             rotated = chsh(rho, angles, "rotated").correlations
             exact = chsh(rho, angles).correlations
             assert np.abs(np.subtract(rotated, exact)).max() <= 1e-8
+
+    def test_rotated_keeps_its_bits(self):
+        # B and the four correlators of the pulse audit, bit for bit, as
+        # they were while bell loaded the carrier pulse at import
+        rng = np.random.default_rng(33)
+        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        rho = g @ g.conj().T
+        cases = [
+            (mixed_bell(0.1), DEFAULT_ANGLES, "0x1.45d5b5c3f4f6ap+1",
+             ["0x1.6a09e667f3bcbp-1", "0x1.6a09e667f3bcbp-1",
+              "0x1.21a1851ff630ap-1", "-0x1.21a1851ff6308p-1"]),
+            (DensityMatrix(PAIR, rho / np.trace(rho).real),
+             BellAngles(0.3, -1.1, 2.0, 0.7), "0x1.a7a54351d5689p-1",
+             ["0x1.c164038133696p-2", "0x1.23b27e501b05cp-3",
+              "0x1.0ce6079f5ef75p-2", "0x1.0d8c3a4f51264p-6"]),
+        ]
+        for state, angles, b_value, correlations in cases:
+            out = chsh(state, angles, "rotated")
+            assert out.b_value.hex() == b_value
+            assert [e.hex() for e in out.correlations] == correlations
 
     def test_product_state_uncorrelated(self):
         psi = basis_state(PAIR, (0, 0))

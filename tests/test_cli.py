@@ -26,7 +26,6 @@ import catbell.bosonic
 import catbell.hilbert
 import catbell.noise
 from catbell.bell import (
-    CHSH_METHODS,
     DEFAULT_ANGLES,
     DELTA_STAR,
     _setting_vectors,
@@ -44,9 +43,15 @@ from catbell.cli import (
     normalize_config,
     render_csv,
 )
-from catbell.encoding import EncodingParams, logical_basis
+from catbell.encoding import (
+    CHSH_METHODS,
+    EV_VARIANTS,
+    VE_VARIANTS,
+    EncodingParams,
+    logical_basis,
+)
 from catbell.errors import CapacityError, ConfigError
-from catbell.gates import EV_VARIANTS, VE_VARIANTS, u_swap
+from catbell.gates import u_swap
 from catbell.pipeline import (
     _coherent_stages,
     _heat_coefficients,
@@ -955,7 +960,7 @@ class TestMainEntry:
         script = textwrap.dedent("""\
             import json, sys
             from catbell import cli
-            from catbell.gates import EV_VARIANTS
+            from catbell.encoding import EV_VARIANTS
 
             def scipy_modules():
                 return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
@@ -983,6 +988,59 @@ class TestMainEntry:
         assert report["codes"] == [0] * runs
         assert report["loaded"] == {"import": [], "runs": []}
         assert len(list(tmp_path.glob("*.csv"))) == runs
+
+    # the catbell modules that importing the command line loads, and those
+    # that one run of each protocol adds to them
+    CLI_MODULES = {"catbell", "catbell.cli", "catbell.pipeline",
+                   "catbell.encoding", "catbell.bosonic", "catbell.hilbert",
+                   "catbell.errors"}
+    FOOTPRINTS = {
+        "prepare": ({"protocol": "prepare"}, set()),
+        "rotate": ({"protocol": "rotate"}, set()),
+        "heat-sweep": ({"protocol": "heat-sweep"}, {"noise"}),
+        "swap-report": ({"protocol": "swap-report"}, {"gates"}),
+        "bell-scan-exact": ({"protocol": "bell-scan"}, {"bell"}),
+        "bell-scan-sampled": (
+            {"protocol": "bell-scan", "bell": {"mode": "sampled"}}, {"bell"}),
+        "bell-scan-rotated": (
+            {"protocol": "bell-scan", "bell": {"mode": "rotated"}},
+            {"bell", "gates"}),
+        "full-pipeline-given-delta": (
+            {"protocol": "full-pipeline", "noise": {"delta": 0.1}},
+            {"bell", "gates"}),
+        "full-pipeline-given-delta-rotated": (
+            {"protocol": "full-pipeline", "noise": {"delta": 0.1},
+             "bell": {"mode": "rotated"}}, {"bell", "gates"}),
+        "full-pipeline-null-delta": (
+            {"protocol": "full-pipeline"}, {"bell", "gates", "noise"}),
+    }
+
+    @pytest.mark.parametrize("raw,added", FOOTPRINTS.values(), ids=FOOTPRINTS)
+    def test_run_loads_only_its_protocols_modules(self, tmp_path, raw, added):
+        # a fresh interpreter, as one `catbell run`: the import loads the
+        # modules every protocol shares, the run only what its runner calls
+        script = textwrap.dedent("""\
+            import json, sys
+
+            def catbell_modules():
+                return sorted(m for m in sys.modules if m.split(".")[0] == "catbell")
+
+            from catbell import cli
+            loaded = {"import": catbell_modules()}
+            code = cli.main(["run", sys.argv[1], "--output", sys.argv[2]])
+            loaded["run"] = catbell_modules()
+            print(json.dumps({"code": code, "loaded": loaded}))
+            """)
+        cfg_path = self.write_config(tmp_path, raw)
+        proc = subprocess.run(
+            [sys.executable, "-c", script, cfg_path, str(tmp_path)],
+            env=child_env(), capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout.splitlines()[-1])
+        assert report["code"] == 0
+        assert set(report["loaded"]["import"]) == self.CLI_MODULES
+        assert set(report["loaded"]["run"]) == (
+            self.CLI_MODULES | {f"catbell.{name}" for name in added})
 
 
 class TestSizeCapVariable:
@@ -1058,14 +1116,14 @@ class TestPipelineMemo:
     def test_only_a_cold_call_builds_its_gates(self, monkeypatch):
         # the memo ends after both exchanges: a cold call builds mode a's
         # exchange, and mode b's too when the modes differ; a warm call
-        # builds neither an exchange nor a kick
+        # builds neither an exchange nor a kick.  The pipeline imports
+        # u_swap when it builds, so the patch on gates is the one it reads
         import catbell.gates
-        import catbell.pipeline
         swaps, kicks = [], []
         kick_fn = catbell.gates._kick
         monkeypatch.setattr(catbell.gates, "_kick",
                             lambda *args: kicks.append(args) or kick_fn(*args))
-        monkeypatch.setattr(catbell.pipeline, "u_swap",
+        monkeypatch.setattr(catbell.gates, "u_swap",
                             lambda *args: swaps.append(args) or u_swap(*args))
         for beta, modes in ((2.0, ["a"]), (3.0, ["a", "b"])):
             enc = EncodingParams.for_amplitudes(2.0, beta)
@@ -1222,14 +1280,14 @@ class TestDecompositionCache:
 
     def test_warm_pipeline_decomposes_nothing_and_builds_no_gate(
             self, decompositions, monkeypatch):
-        import catbell.pipeline
+        import catbell.gates
         cfg = cfg_for("full-pipeline", gates={"ev_variant": "displacement"})
         _coherent_stages.cache_clear()
         kicks, swaps = [], []
         action_fn = catbell.bosonic.displacement_action
         monkeypatch.setattr(catbell.bosonic, "displacement_action",
                             lambda *args: kicks.append(args) or action_fn(*args))
-        monkeypatch.setattr(catbell.pipeline, "u_swap",
+        monkeypatch.setattr(catbell.gates, "u_swap",
                             lambda *args: swaps.append(args) or u_swap(*args))
         first = run_full_pipeline(cfg)
         assert len(decompositions) == len(kicks) == len(swaps) == 1

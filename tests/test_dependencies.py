@@ -11,7 +11,8 @@ than its own self-tests (tests/test_reference.py): another test, the
 benchmark's output checks, or another oracle.  Every name that a module of
 src/catbell imports is read in that module, and a fresh `import catbell`
 loads only the modules that its one binding needs: names are imported from
-the module that defines them.
+the module that defines them.  `import catbell.bell` loads no gates, and
+`import catbell.reference` no scipy, until a call needs them.
 """
 
 from __future__ import annotations
@@ -207,12 +208,12 @@ def test_no_module_but_hilbert_reads_the_dense_operator():
             assert not found, f"{module.name} defines or reads {found}"
 
 
-def loaded_modules(*statements: str) -> list[set[str]]:
-    """The catbell modules loaded in a fresh interpreter after each of the
-    statements, run in order."""
+def loaded_modules(*statements: str, package: str = "catbell") -> list[set[str]]:
+    """The modules of package loaded in a fresh interpreter after each of
+    the statements, run in order."""
     probe = "; ".join(
         f"{statement}; print(sorted(m for m in sys.modules "
-        "if m.split('.')[0] == 'catbell'))" for statement in statements)
+        f"if m.split('.')[0] == {package!r}))" for statement in statements)
     out = subprocess.run([sys.executable, "-c", f"import sys; {probe}"],
                          env=child_env(), capture_output=True, text=True,
                          check=True).stdout
@@ -223,3 +224,24 @@ def test_importing_the_package_loads_only_its_one_binding():
     package, with_noise = loaded_modules("import catbell", "import catbell.noise")
     assert package == {"catbell", "catbell.errors", "catbell.hilbert"}
     assert with_noise - package == {"catbell.noise"}
+
+
+def test_the_readout_loads_gates_only_for_its_pulses():
+    # bell needs gates only for the rotated readout's carrier pulses
+    bell, exact, rotated = loaded_modules(
+        "import catbell.bell",
+        "from catbell.bell import chsh, mixed_bell; chsh(mixed_bell(0.1))",
+        "chsh(mixed_bell(0.1), method='rotated')")
+    assert "catbell.gates" not in bell
+    assert exact == bell
+    assert rotated - bell == {"catbell.gates"}
+
+
+def test_the_oracle_module_loads_scipy_only_in_its_scipy_oracles():
+    imported, series, oracle = loaded_modules(
+        "import catbell.reference",
+        "catbell.reference.cat_amplitudes(2.0, 1, 30)",
+        "catbell.reference.displacement_elements(0.3j, 4)",
+        package="scipy")
+    assert imported == series == set()
+    assert "scipy.special" in oracle

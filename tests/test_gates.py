@@ -20,7 +20,9 @@ from catbell.bell import (
 )
 from catbell.bosonic import ModeParams
 from catbell.encoding import (
+    EV_VARIANTS,
     MODE_A,
+    VE_VARIANTS,
     EncodingParams,
     full_layout,
     hadamard_matrix,
@@ -32,11 +34,7 @@ from catbell.encoding import (
 from catbell.gates import (
     CNOT_EV_TABLE,
     CNOT_VE_TABLE,
-    EV_VARIANTS,
-    SIGMA_X,
-    SIGMA_Y,
     SWAP_TABLE,
-    VE_VARIANTS,
     _flip,
     _pair_matrix,
     carrier_rotation,
@@ -47,6 +45,8 @@ from catbell.gates import (
     u_swap,
 )
 from catbell.hilbert import (
+    SIGMA_X,
+    SIGMA_Y,
     DensityMatrix,
     OperatorMatrix,
     SpaceLayout,

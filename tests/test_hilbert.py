@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+from math import prod
+
 import numpy as np
 import pytest
 
@@ -46,6 +49,20 @@ class TestLayout:
         assert lay.total_dim == 3600
         assert lay.nsites == 4
         assert lay.dims_of((0, 2)) == (30, 2)
+
+    @pytest.mark.parametrize("dims", [(2,), (3, 5), (30, 30, 2, 2), (7, 2, 11)])
+    def test_kept_total_dim_leaves_identity_to_dims(self, dims):
+        # total_dim is kept from the cap check, not a field: it is the
+        # product, and equality, hash and repr read dims alone
+        lay = SpaceLayout(dims)
+        assert lay.total_dim == prod(dims)
+        assert [f.name for f in dataclasses.fields(lay)] == ["dims"]
+        assert repr(lay) == f"SpaceLayout(dims={dims!r})"
+        twin = SpaceLayout(list(dims))
+        assert twin == lay and hash(twin) == hash(lay)
+        assert SpaceLayout(dims + (2,)) != lay
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            lay.total_dim = 1
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

@@ -31,8 +31,13 @@ from catbell.bosonic import (
     mode_for,
     required_cutoff,
 )
-from catbell.encoding import EncodingParams, logical_basis, rx_matrix
-from catbell.gates import EV_VARIANTS, VE_VARIANTS
+from catbell.encoding import (
+    EV_VARIANTS,
+    VE_VARIANTS,
+    EncodingParams,
+    logical_basis,
+    rx_matrix,
+)
 from catbell.hilbert import (
     OperatorMatrix,
     SpaceLayout,
