@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from math import isfinite, pi, sqrt
+from math import cos, isfinite, pi, sin, sqrt
 
 import numpy as np
 
@@ -119,15 +119,29 @@ class BellAngles:
 DEFAULT_ANGLES = BellAngles()
 
 
+def carrier_rotation(k: float, phase: float) -> np.ndarray:
+    """Carrier-pulse rotation exp[-i k pi/2 (|1><0| e^{-i phase} + h.c.)].
+
+    The generator is the equatorial axis (cos phase, -sin phase) on the Bloch
+    sphere; conjugating sigma_z with the k = 1/2 pulse therefore lands on an
+    equatorial measurement axis set by the pulse phase.  The generator G
+    squares to 1, so the pulse is cos(k pi/2) 1 - i sin(k pi/2) G.
+    """
+    g = np.array(
+        [[0.0, np.exp(1j * phase)], [np.exp(-1j * phase), 0.0]],
+        dtype=np.complex128,
+    )
+    angle = k * pi / 2.0
+    return cos(angle) * np.eye(2) - 1j * sin(angle) * g
+
+
 def measurement_pulse(theta: float) -> np.ndarray:
     """Half-rotation carrier pulse that maps sigma(theta) onto sigma_z.
 
     Conjugation by a half pulse with phase phi turns sigma_z into an
     equatorial axis at angle -phi - pi/2, so measuring along theta takes
-    phi = -theta - pi/2.  Only the rotated readout builds a pulse, so gates
-    is loaded here, not with this module.
+    phi = -theta - pi/2.
     """
-    from .gates import carrier_rotation
     return carrier_rotation(0.5, -theta - pi / 2)
 
 

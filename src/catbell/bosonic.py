@@ -21,7 +21,7 @@ from math import ceil, exp, expm1, pi, sqrt
 import numpy as np
 
 from .errors import CapacityError
-from .hilbert import SpaceLayout, StateVector, band_eigh
+from .hilbert import SpaceLayout, StateVector, _integer, band_eigh
 
 EVEN = "+"
 ODD = "-"
@@ -35,7 +35,7 @@ class ModeParams:
     leak_tol: float = 1e-10
 
     def __post_init__(self) -> None:
-        if self.cutoff < 2:
+        if _integer(self.cutoff, "cutoff") < 2:
             raise ValueError(f"cutoff must be >= 2, got {self.cutoff}")
         if not 0.0 < self.leak_tol < 1.0:
             raise ValueError(f"leak_tol must be in (0, 1), got {self.leak_tol}")

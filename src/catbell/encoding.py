@@ -193,23 +193,9 @@ class SchmidtState:
         return sqrt(max(self.inner(self).real, 0.0))
 
     def to_state(self) -> StateVector:
-        """The register this form stands for, 4 d_a d_b amplitudes.
-
-        The sum over k of the outer products of left[..., k] and
-        right[..., k], accumulated from zero in k order on a
-        ((n_a, i_1), (n_b, i_2)) grid, each complex product taken as its
-        four real products: the bits of einsum("aik,bjk->abij"), whose loop
-        multiplies without fused multiply-adds, in about a third of its time.
-        """
-        d_a, d_b = self.layout.dims[MODE_A], self.layout.dims[MODE_B]
-        grid = np.zeros((2 * d_a, 2 * d_b), dtype=np.complex128)
-        re, im = grid.real, grid.imag
-        for k in range(self.left.shape[-1]):
-            a = self.left[..., k].reshape(-1)
-            b = self.right[..., k].reshape(-1)
-            re += np.multiply.outer(a.real, b.real) - np.multiply.outer(a.imag, b.imag)
-            im += np.multiply.outer(a.real, b.imag) + np.multiply.outer(a.imag, b.real)
-        amps = grid.reshape(d_a, 2, d_b, 2).transpose(0, 2, 1, 3).reshape(-1)
+        """The register this form stands for, 4 d_a d_b amplitudes: the
+        sum over k of the outer products of left[..., k] and right[..., k]."""
+        amps = np.einsum("aik,bjk->abij", self.left, self.right)
         return StateVector(self.layout, amps)
 
 
@@ -307,15 +293,15 @@ def bell_target_schmidt(kind: str, params: EncodingParams) -> SchmidtState:
 
 # jump ensembles heat one register again and again.  An entry is the
 # register, 64 d_a d_b bytes, and what noise.sample_trajectory keeps on it
-# per heated mode: two one-jump finals of the same size and seven O(d)
+# per heated mode: two one-jump finals of the same size and three O(d)
 # nodes; heating modes a and b, 5 * 64 d_a d_b B = 4.8 MB at d = 122
 @lru_cache(maxsize=8)
 def bell_target(kind: str, params: EncodingParams) -> StateVector:
     """Logical Bell state of the two modes, ions in |00>, built once per
     (kind, params) and shared.  The register is immutable (amps read-only
     down their .base chain), so noise.sample_trajectory keeps its level
-    weights and jump tree on it from one ensemble to the next and returns
-    it as a jump-free final."""
+    weights and one-jump words on it from one ensemble to the next and
+    returns it as a jump-free final."""
     state = bell_target_schmidt(kind, params).to_state()
     amps = state.amps
     while amps is not None:

@@ -43,7 +43,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
-from math import cos, pi, sin
+from math import pi
 
 import numpy as np
 
@@ -141,22 +141,6 @@ def u_swap(which_mode: str, params: EncodingParams, ve_variant: str,
         raise ValueError(f"ev_variant must be one of {EV_VARIANTS}")
     return Exchange(_kick(which_mode, params, ev_variant),
                     literal=ve_variant == "literal")
-
-
-def carrier_rotation(k: float, phase: float) -> np.ndarray:
-    """Carrier-pulse rotation exp[-i k pi/2 (|1><0| e^{-i phase} + h.c.)].
-
-    The generator is the equatorial axis (cos phase, -sin phase) on the Bloch
-    sphere; conjugating sigma_z with the k = 1/2 pulse therefore lands on an
-    equatorial measurement axis set by the pulse phase.  The generator G
-    squares to 1, so the pulse is cos(k pi/2) 1 - i sin(k pi/2) G.
-    """
-    g = np.array(
-        [[0.0, np.exp(1j * phase)], [np.exp(-1j * phase), 0.0]],
-        dtype=np.complex128,
-    )
-    angle = k * pi / 2.0
-    return cos(angle) * np.eye(2) - 1j * sin(angle) * g
 
 
 @dataclass

@@ -10,6 +10,7 @@ partial_trace take pure states only.
 
 from __future__ import annotations
 
+import operator
 import os
 from dataclasses import dataclass
 from math import log10, prod
@@ -55,6 +56,14 @@ def _count(n: int) -> str:
     return f"{float(mantissa):g}e+{exp + int(shift)}"
 
 
+def _integer(value, name: str) -> int:
+    """value as an int: a ValueError that names it unless it is an integer,
+    a numpy one too, and not a bool."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
 @dataclass(frozen=True)
 class SpaceLayout:
     """Ordered factor dimensions of a tensor-product space.
@@ -66,7 +75,7 @@ class SpaceLayout:
     dims: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        dims = tuple(int(d) for d in self.dims)
+        dims = tuple(_integer(d, "a factor dimension") for d in self.dims)
         object.__setattr__(self, "dims", dims)
         if not dims:
             raise ValueError("layout needs at least one factor")
@@ -89,9 +98,6 @@ class SpaceLayout:
         return tuple(self.dims[i] for i in subsystems)
 
 
-_COMPLEX = np.dtype(np.complex128)
-
-
 def _as_complex(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.asarray(a, dtype=np.complex128))
 
@@ -100,18 +106,16 @@ def _as_complex(a: np.ndarray) -> np.ndarray:
 class StateVector:
     """Pure state over a layout, stored as a flat complex vector.
 
-    amps read-only down their .base chain make the state immutable, which
-    noise.sample_trajectory relies on to reuse what it reads of one."""
+    amps read-only down their .base chain make the state immutable:
+    noise.sample_trajectory then keeps what it derives from the state per
+    heated mode (the _jump_chains attribute) and reuses it from call to
+    call."""
 
     layout: SpaceLayout
     amps: np.ndarray
 
     def __post_init__(self) -> None:
-        amps = self.amps
-        # a flat, C-contiguous complex128 ndarray is kept as it is
-        if not (type(amps) is np.ndarray and amps.dtype == _COMPLEX
-                and amps.ndim == 1 and amps.flags.c_contiguous):
-            self.amps = _as_complex(amps).reshape(-1)
+        self.amps = _as_complex(self.amps).reshape(-1)
         if self.amps.size != self.layout.total_dim:
             raise ValueError(
                 f"amplitude length {self.amps.size} does not match "

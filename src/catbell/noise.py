@@ -41,15 +41,16 @@ and a jump updates a length-d real column and a level shift, O(d).  With
 the no-jump drift dropped, the column, the shift, the <n> after a jump,
 whether a kick annihilates the state, and the final register depend on
 the word of up and down jumps alone, never on gamma, the duration or the
-jump times.  So the chain is a tree of words (_Node) on the register's
-w, and a trajectory that jumped writes its final register once, scaling
-the float view of the input by its word's column.  A register whose
-amplitudes are read-only down their .base chain is immutable: its w and
-tree are kept on the state, per heated mode, with the nodes of every
-word of at most two jumps and the read-only finals of the one-jump words;
-a trajectory with no jump returns the state itself.  So an ensemble of
-one register (bell_target's, shared across calls, say) pays for the pass
-once, and a repeated short word costs only its draws.
+jump times.  A trajectory that jumped writes its final register once,
+scaling the float view of the input by its word's column.  A register
+whose amplitudes are read-only down their .base chain is immutable: one
+entry per heated mode is kept on the state, with the view, w, the chain's
+root and its two one-jump words (_Node), each with its read-only final; a
+trajectory with no jump returns the state itself, and a longer word is
+recomputed on each visit.  So an ensemble of one register (bell_target's,
+shared across calls, say) pays for the pass once, and a trajectory of at
+most one jump, nearly every one at small gamma T <n>, costs only its
+draws.
 
 Each trajectory's stream is np.random.default_rng([master_seed, index]),
 bit for bit (trajectory_rng).  Building a SeedSequence per key costs more
@@ -70,7 +71,8 @@ from math import exp, isfinite, prod
 import numpy as np
 
 from .errors import CapacityError, ContractError
-from .hilbert import DensityMatrix, SpaceLayout, StateVector, _count, band_eigh
+from .hilbert import (DensityMatrix, SpaceLayout, StateVector, _count, _integer,
+                      band_eigh)
 
 TRACE_TOL = 1e-6
 # record_steps refuses more recorded steps than this: evolve_lindblad keeps
@@ -110,11 +112,8 @@ class HeatingParams:
             raise ValueError("gamma must be nonnegative")
         if self.duration < 0:
             raise ValueError("duration must be nonnegative")
-        if self.steps is not None:
-            if isinstance(self.steps, bool) or not hasattr(type(self.steps), "__index__"):
-                raise ValueError(f"steps must be an integer or None, got {self.steps!r}")
-            if operator.index(self.steps) < 1:
-                raise ValueError("steps must be positive")
+        if self.steps is not None and _integer(self.steps, "steps") < 1:
+            raise ValueError("steps must be positive")
 
 
 def _require_single_mode(layout: SpaceLayout) -> int:
@@ -335,26 +334,18 @@ class TrajectoryResult:
         return len(self.jumps)
 
 
-# one entry per (layout, heated mode), 56 d bytes of arrays each: at most
-# 32 * 56 * 128 B = 224 KB at d <= 128
-@lru_cache(maxsize=32)
 def _mode_view(dims: tuple[int, ...], mode_index: int
                ) -> tuple[tuple[int, int, int], np.ndarray, np.ndarray, np.ndarray]:
     """The (pre, d, post) view shape of a register around one mode, its
     levels 0..d-1, and two lines over the shifted levels m = -d..2d-1:
     span[d + m] = m, and ladder[d + m] = sqrt(m) on the register's levels
-    0 <= m < d and 0 off them.
-
-    Memoized per (dims, mode_index); every array is read-only.
-    """
+    0 <= m < d and 0 off them."""
     dim = dims[mode_index]
     shape = (prod(dims[:mode_index]), dim, prod(dims[mode_index + 1:]))
     levels = np.arange(dim, dtype=np.float64)
     span = np.arange(-dim, 2 * dim, dtype=np.float64)
     ladder = np.zeros(3 * dim)
     ladder[dim:2 * dim] = np.sqrt(levels)
-    for a in (levels, span, ladder):
-        a.flags.writeable = False
     return shape, levels, span, ladder
 
 
@@ -380,26 +371,17 @@ def _immutable(amps: np.ndarray) -> bool:
 def _place(psi: np.ndarray, col: np.ndarray, shift: int) -> np.ndarray:
     """The register sum_k col_k psi[:, k, :] |k + shift>, a new (pre, d,
     post) array: input level k lands on level k + shift, and the levels no
-    input reaches are zeroed.
+    input reaches are zero.
 
-    col is real, so it scales the float view of psi in one multiply: along
-    the inner axis when there is no outer one, else as a row written out
-    once over the moved levels and broadcast over the outer axis.  Every
+    col is real, so it scales the float view of psi in one multiply.  Every
     nonzero amplitude has the bits of the complex product with col_k; a
     zero may differ from it in its sign.
     """
-    pre, dim, _ = psi.shape
+    dim = psi.shape[1]
     lo, hi = max(0, -shift), min(dim, dim - shift)
-    src = psi.view(np.float64)
-    out = np.empty_like(psi)
-    f = out.view(np.float64)
-    scale = col[lo:hi, None]
-    if pre > 1:
-        scale = np.empty((hi - lo, src.shape[2]))
-        scale[:] = col[lo:hi, None]
-    np.multiply(src[:, lo:hi], scale, out=f[:, lo + shift:hi + shift])
-    f[:, :lo + shift] = 0.0
-    f[:, hi + shift:] = 0.0
+    out = np.zeros_like(psi)
+    np.multiply(psi.view(np.float64)[:, lo:hi], col[lo:hi, None],
+                out=out.view(np.float64)[:, lo + shift:hi + shift])
     return out
 
 
@@ -410,34 +392,26 @@ def _rates(params: HeatingParams, n_mean: float) -> tuple[float, float]:
     return params.gamma * (n_mean + 1.0), params.gamma * n_mean
 
 
-# a register's tree keeps the nodes of the words of at most this many jumps
-# (1 + 2 + 4 nodes per heated mode) and the finals of the one-jump words
-_KEPT_JUMPS = 2
-
-
 class _Node:
     """A word of jumps on the chain over a register's level weights w.
 
     The state after the word is sum_k col_k psi_k |k + shift>, normalized,
-    psi_k the input's level-k part, and n_mean is its <n>.  kids maps a
-    kick (True for a+) to the node one jump on, or to None where the kick
-    annihilates the state; it is None on a node whose longer words are not
-    kept.  final is the register of a one-jump word of an immutable input,
-    written once and read-only.
+    psi_k the input's level-k part, and n_mean is its <n>.  final is the
+    register of a one-jump word of an immutable input, written once and
+    read-only.
     """
 
-    __slots__ = ("col", "shift", "n_mean", "kids", "final")
+    __slots__ = ("col", "shift", "n_mean", "final")
 
-    def __init__(self, col: np.ndarray, shift: int, n_mean: float,
-                 kids: dict | None) -> None:
-        self.col, self.shift, self.n_mean, self.kids = col, shift, n_mean, kids
+    def __init__(self, col: np.ndarray, shift: int, n_mean: float) -> None:
+        self.col, self.shift, self.n_mean = col, shift, n_mean
         self.final = None
 
 
 def _kick(node: _Node, up: bool, w: np.ndarray, span: np.ndarray,
-          ladder: np.ndarray, kids: dict | None) -> _Node | None:
-    """The node one a+ (up) or a jump on from node, with the given kids, or
-    None where the kick maps the state to zero: O(d)."""
+          ladder: np.ndarray) -> _Node | None:
+    """The node one a+ (up) or a jump on from node, or None where the kick
+    maps the state to zero: O(d)."""
     dim = w.size
     # input level k sits on k + shift; a+ weighs it sqrt(k + shift + 1),
     # a sqrt(k + shift), and 0 off the ladder
@@ -451,7 +425,21 @@ def _kick(node: _Node, up: bool, w: np.ndarray, span: np.ndarray,
         return None
     shift = node.shift + (1 if up else -1)
     moved = span[dim + shift:2 * dim + shift]
-    return _Node(kicked / np.sqrt(norm2), shift, float(p @ moved) / norm2, kids)
+    return _Node(kicked / np.sqrt(norm2), shift, float(p @ moved) / norm2)
+
+
+def _chain(amps: np.ndarray, dims: tuple[int, ...], mode_index: int) -> tuple:
+    """What the sampler derives from one register and heated mode: the
+    (pre, d, post) view shape, the shifted levels and the ladder
+    (_mode_view), w, the chain's root, and a dict from a kick (True for
+    a+) to its one-jump node, or None where it annihilates, filled on
+    use."""
+    shape, levels, span, ladder = _mode_view(dims, mode_index)
+    w = _level_weights(amps.reshape(shape))
+    # a level of weight 0 stays off the column: its amplitudes are zero or
+    # too small to square, and no norm would bound its entry
+    root = _Node((w > 0.0).astype(np.float64), 0, float(levels @ w))
+    return shape, span, ladder, w, root, {}
 
 
 def sample_trajectory(state: StateVector, params: HeatingParams,
@@ -476,21 +464,20 @@ def sample_trajectory(state: StateVector, params: HeatingParams,
     post) view, which moves no axis), and <n> = levels . w.  A jump
     updates the real column col and the net shift, renormalized, and takes
     the next <n> and the annihilation test (a zero norm) from col^2 w:
-    O(d) per jump.  These depend on the word of jumps alone, so each word
-    is a node of a tree rooted at w (_Node), and the rates at a node come
-    from its <n> on every call.  A trajectory that jumped writes its final
-    register once (_place).  The input is not modified.
+    O(d) per jump (_kick), and the rates come from the <n> of the word so
+    far.  A trajectory that jumped writes its final register once
+    (_place).  The input is not modified.
 
     If the input's amplitudes are read-only down their .base chain, the
-    state is immutable: its w and tree are kept on it (StateVector), per
-    (state, mode_index).  The tree keeps the nodes of the words of at most
-    two jumps, so a repeated short word computes no column, and the finals
-    of the one-jump words, read-only and shared by every trajectory that
-    ends on that word; a jump-free trajectory returns the state itself.
-    Any other input runs the same loop on a tree of its own call: it pays
-    the pass on every call and never shares its memory with the result.
-    The draws, record, warning and final amplitudes are the same either
-    way.
+    state is immutable: what the sampler derives from it and the heated
+    mode (_chain: the view, w, the root and the two one-jump words) is
+    kept on it (StateVector), per (state, mode_index).  A one-jump word
+    computes its column once and keeps its final, read-only and shared by
+    every trajectory that ends on it; a jump-free trajectory returns the
+    state itself, and a word of two or more jumps is recomputed on each
+    call.  Any other input derives the entry on every call and never
+    shares its memory with the result.  The draws, record, warning and
+    final amplitudes are the same either way.
     """
     layout = state.layout
     if not 0 <= mode_index < layout.nsites:
@@ -500,20 +487,14 @@ def sample_trajectory(state: StateVector, params: HeatingParams,
         )
     rng = (seed_or_rng if isinstance(seed_or_rng, np.random.Generator)
            else np.random.default_rng(seed_or_rng))
-    shape, levels, span, ladder = _mode_view(layout.dims, mode_index)
     amps = state.amps
     immutable = _immutable(amps)
-    if immutable and state.__dict__.get("_mean_n", (None,))[0] is not amps:
-        state._mean_n = (amps, {})
-    kept = state._mean_n[1] if immutable else {}
-    entry = kept.get(shape)
-    if entry is None:
-        w = _level_weights(amps.reshape(shape))
-        # a level of weight 0 stays off the column: its amplitudes are
-        # zero or too small to square, and no norm would bound its entry
-        root = _Node((w > 0.0).astype(np.float64), 0, float(levels @ w), {})
-        entry = kept[shape] = (w, root)
-    w, root = entry
+    if immutable and state.__dict__.get("_jump_chains", (None,))[0] is not amps:
+        state._jump_chains = (amps, {})
+    kept = state._jump_chains[1] if immutable else {}
+    if mode_index not in kept:
+        kept[mode_index] = _chain(amps, layout.dims, mode_index)
+    shape, span, ladder, w, root, first = kept[mode_index]
     n0 = root.n_mean
     if not isfinite(n0):
         raise ContractError(f"the heated mode's <n> is {n0}: the register holds "
@@ -537,14 +518,12 @@ def sample_trajectory(state: StateVector, params: HeatingParams,
         if t >= params.duration:
             break
         up = rng.random() < r_up / total
-        kids = node.kids
-        if kids is not None and up in kids:
-            nxt = kids[up]
+        if node is not root:
+            nxt = _kick(node, up, w, span, ladder)
+        elif up in first:
+            nxt = first[up]
         else:
-            nxt = _kick(node, up, w, span, ladder,
-                        {} if len(jumps) + 1 < _KEPT_JUMPS else None)
-            if kids is not None:
-                kids[up] = nxt
+            nxt = first[up] = _kick(root, up, w, span, ladder)
         if nxt is None:
             continue
         node = nxt

@@ -109,7 +109,7 @@ def test_heating_op_hit_writes_the_miss_results(tmp_path):
 
 def test_ensemble_op_output_does_not_depend_on_the_caches(tmp_path):
     # the op's register is bell_target's shared one, and the sampler keeps
-    # its jump tree and one-jump finals on it: the op cold, warm, and again
+    # its one-jump words and their finals on it: the op cold, warm, and again
     # after bell_target's cache is cleared must write the same output
     import catbell.encoding
     runner = worker.Runner(str(tmp_path))

@@ -52,6 +52,15 @@ class TestModeParams:
         with pytest.raises(ValueError):
             ModeParams(1)
 
+    @pytest.mark.parametrize("cutoff", [10.5, 10.0, True, np.float64(12.0)])
+    def test_non_integral_cutoff_rejected(self, cutoff):
+        # refused where it is made, not later inside coherent
+        with pytest.raises(ValueError, match="cutoff must be an integer"):
+            ModeParams(cutoff)
+
+    def test_numpy_integer_cutoff_accepted(self):
+        assert coherent(1.0, ModeParams(np.int64(20))).amps.size == 20
+
     def test_leak_tol_bounds(self):
         with pytest.raises(ValueError):
             ModeParams(12, leak_tol=0.0)

@@ -1003,8 +1003,7 @@ class TestMainEntry:
         "bell-scan-sampled": (
             {"protocol": "bell-scan", "bell": {"mode": "sampled"}}, {"bell"}),
         "bell-scan-rotated": (
-            {"protocol": "bell-scan", "bell": {"mode": "rotated"}},
-            {"bell", "gates"}),
+            {"protocol": "bell-scan", "bell": {"mode": "rotated"}}, {"bell"}),
         "full-pipeline-given-delta": (
             {"protocol": "full-pipeline", "noise": {"delta": 0.1}},
             {"bell", "gates"}),

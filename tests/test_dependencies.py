@@ -11,8 +11,8 @@ than its own self-tests (tests/test_reference.py): another test, the
 benchmark's output checks, or another oracle.  Every name that a module of
 src/catbell imports is read in that module, and a fresh `import catbell`
 loads only the modules that its one binding needs: names are imported from
-the module that defines them.  `import catbell.bell` loads no gates, and
-`import catbell.reference` no scipy, until a call needs them.
+the module that defines them.  No readout of catbell.bell loads gates, and
+`import catbell.reference` loads no scipy until a call needs it.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import child_env
@@ -226,15 +227,15 @@ def test_importing_the_package_loads_only_its_one_binding():
     assert with_noise - package == {"catbell.noise"}
 
 
-def test_the_readout_loads_gates_only_for_its_pulses():
-    # bell needs gates only for the rotated readout's carrier pulses
-    bell, exact, rotated = loaded_modules(
+def test_no_readout_loads_gates():
+    # the rotated readout's carrier pulses are built in bell itself
+    bell, exact, rotated, sampled = loaded_modules(
         "import catbell.bell",
         "from catbell.bell import chsh, mixed_bell; chsh(mixed_bell(0.1))",
-        "chsh(mixed_bell(0.1), method='rotated')")
+        "chsh(mixed_bell(0.1), method='rotated')",
+        "chsh(mixed_bell(0.1), method='sampled', shots=100, seed=1)")
     assert "catbell.gates" not in bell
-    assert exact == bell
-    assert rotated - bell == {"catbell.gates"}
+    assert exact == rotated == sampled == bell
 
 
 def test_the_oracle_module_loads_scipy_only_in_its_scipy_oracles():
@@ -245,3 +246,63 @@ def test_the_oracle_module_loads_scipy_only_in_its_scipy_oracles():
         package="scipy")
     assert imported == series == set()
     assert "scipy.special" in oracle
+
+
+# README's table of the per-process caches.  Its one row that is not a
+# process-wide memo is what noise.sample_trajectory keeps on an immutable
+# state, named by that state's class and attribute
+README = ROOT / "README.md"
+CACHE_TABLE_HEADER = "| cache | key | bound | worst case |"
+PER_STATE_ENTRY = "StateVector._jump_chains"
+
+
+def memoized_functions() -> set[str]:
+    """module.function of every def decorated with functools.lru_cache or
+    functools.cache (called or not) in src/catbell, the oracle aside."""
+    memos = set()
+    for module in sorted(PACKAGE.glob("*.py")):
+        if module.name == ORACLE:
+            continue
+        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for decorator in node.decorator_list:
+                target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                if isinstance(target, ast.Attribute) and isinstance(target.value, ast.Name):
+                    name = target.attr if target.value.id == "functools" else None
+                else:
+                    name = getattr(target, "id", None)
+                if name in ("lru_cache", "cache"):
+                    memos.add(f"{module.stem}.{node.name}")
+    return memos
+
+
+def cache_table_rows() -> list[str]:
+    """The name that opens each row of README's cache table: the first code
+    span of the row's first cell."""
+    lines = README.read_text(encoding="utf-8").splitlines()
+    rows = []
+    for line in lines[lines.index(CACHE_TABLE_HEADER) + 2:]:
+        if not line.startswith("|"):
+            break
+        rows.append(re.match(r"\| `([\w.]+)`", line).group(1))
+    return rows
+
+
+def test_the_cache_table_names_every_memo_once():
+    # every memo of the program has one row, and every row names a memo or
+    # the entry that the jump sampler keeps on an immutable state
+    from catbell.hilbert import SpaceLayout, StateVector
+    from catbell.noise import HeatingParams, sample_trajectory
+
+    memos, rows = memoized_functions(), cache_table_rows()
+    assert len(memos) >= 10, "the decorator parse found too few memos"
+    assert len(rows) == len(set(rows)), f"a cache has two rows: {rows}"
+    assert not memos - set(rows), f"memos with no row: {sorted(memos - set(rows))}"
+    assert set(rows) - memos == {PER_STATE_ENTRY}, f"rows of no cache: {rows}"
+    amps = np.eye(4, dtype=np.complex128)[1].copy()
+    amps.flags.writeable = False
+    state = StateVector(SpaceLayout((4,)), amps)
+    sample_trajectory(state, HeatingParams(0.1, 1.0), 0)
+    owner, attribute = PER_STATE_ENTRY.split(".")
+    assert type(state).__name__ == owner and attribute in vars(state)

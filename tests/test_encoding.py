@@ -61,6 +61,10 @@ class TestParams:
         enc = EncodingParams.for_amplitudes(2.0, cutoff=30)
         assert enc.mode_a.cutoff == 30
 
+    def test_non_integral_cutoff_rejected(self):
+        with pytest.raises(ValueError, match="cutoff must be an integer"):
+            EncodingParams.for_amplitudes(1.0, cutoff=10.5)
+
     def test_nonpositive_amplitude_rejected(self):
         with pytest.raises(ValueError):
             EncodingParams.for_amplitudes(0.0)

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from catbell import gates
 from catbell.bell import (
     DEFAULT_ANGLES,
+    carrier_rotation,
     chsh,
     mixed_bell_fidelity,
 )
@@ -37,7 +38,6 @@ from catbell.gates import (
     SWAP_TABLE,
     _flip,
     _pair_matrix,
-    carrier_rotation,
     pair_layout,
     report_u_ev,
     report_u_swap,

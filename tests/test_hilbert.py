@@ -72,6 +72,17 @@ class TestLayout:
         with pytest.raises(ValueError):
             SpaceLayout((2, 1))
 
+    @pytest.mark.parametrize("dims", [(2.7, 3), (3, 4.0), (True, 3),
+                                      (2, np.float64(3.0)), ("3", 2)])
+    def test_non_integral_factor_rejected(self, dims):
+        # a float, bool or string dimension is named, never truncated
+        with pytest.raises(ValueError, match="a factor dimension must be an integer"):
+            SpaceLayout(dims)
+
+    def test_numpy_integer_factors_accepted(self):
+        lay = SpaceLayout((np.int64(3), np.uint8(2)))
+        assert lay.dims == (3, 2) and all(type(d) is int for d in lay.dims)
+
     def test_default_cap(self):
         assert max_total_dim() == DEFAULT_MAX_DIM
         with pytest.raises(CapacityError):
@@ -127,24 +138,19 @@ class TestStates:
         with pytest.raises(ValueError):
             StateVector(qubit_layout(2), np.zeros(3))
 
-    def test_flat_complex_array_is_kept(self):
-        # a flat, C-contiguous complex128 ndarray is the state's amps by
-        # identity, a read-only one too; anything else is converted to one
+    def test_amps_become_a_flat_complex_array(self):
+        # strided, big-endian, complex64, real, list and multi-axis input
+        # each become a flat, C-contiguous complex128 ndarray of equal values
         layout = SpaceLayout((2, 3))
         flat = np.arange(6, dtype=np.complex128)
-        assert StateVector(layout, flat).amps is flat
-        frozen = flat.copy()
-        frozen.flags.writeable = False
-        assert StateVector(layout, frozen).amps is frozen
         strided = np.arange(12, dtype=np.complex128)[::2]
         big_endian = flat.astype(">c16")
-        for other in (flat.reshape(2, 3), strided, flat.real, big_endian,
+        for other in (flat, flat.reshape(2, 3), strided, flat.real, big_endian,
                       list(flat), flat.astype(np.complex64),
                       flat.reshape(3, 2).T):
             amps = StateVector(layout, other).amps
             assert type(amps) is np.ndarray and amps.dtype == np.complex128
             assert amps.shape == (6,) and amps.flags.c_contiguous
-            assert amps is not other
             np.testing.assert_array_equal(amps, np.asarray(other).reshape(-1))
 
     def test_norm_and_normalized(self):

@@ -29,6 +29,7 @@ from catbell.noise import (
     MAX_STEPS,
     HeatingParams,
     _SEED_BLOCK,
+    _Node,
     _diagonal_block,
     _mode_view,
     _place,
@@ -876,6 +877,27 @@ def _read_only(state: StateVector) -> StateVector:
     return state
 
 
+def _kept_nodes(entry) -> list:
+    """Every _Node that a kept entry reaches, through containers, node
+    slots and the attributes of kept finals, each once."""
+    seen, todo, nodes = set(), [entry], []
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, _Node):
+            nodes.append(obj)
+            todo.extend(getattr(obj, name, None) for name in _Node.__slots__)
+        elif isinstance(obj, (tuple, list)):
+            todo.extend(obj)
+        elif isinstance(obj, dict):
+            todo.extend(obj.values())
+        elif isinstance(obj, StateVector):
+            todo.extend(vars(obj).values())
+    return nodes
+
+
 def _traced_run(state: StateVector, params: HeatingParams, seed: int,
                 mode_index: int) -> tuple:
     """A trajectory's generator end state, record, warning messages and
@@ -1001,8 +1023,8 @@ class TestTrajectoryOracle:
                           min_size=1, max_size=30),
            seed=st.integers(0, 2**32 - 1))
     def test_jump_tree_keeps_every_call_bits(self, dims, scale, calls, seed):
-        # one read-only register, its tree cold at the first call and warm
-        # after, heated in mixed order: modes, gammas, frozen rates and
+        # one read-only register, its kept entry cold at the first call and
+        # warm after, heated in mixed order: modes, gammas, frozen rates and
         # streams.  Each call ends its generator where the same call on a
         # writable copy does, with the same record, warnings and final
         # bytes.  A one-jump final is kept: read-only, the same object for
@@ -1031,7 +1053,7 @@ class TestTrajectoryOracle:
                 results.append(res)
             assert runs[0] == runs[1]
             got, copy = results
-            assert "_mean_n" not in vars(writable)
+            assert "_jump_chains" not in vars(writable)
             assert not np.shares_memory(copy.final.amps, writable.amps)
             if got.n_jumps == 0:
                 assert got.final is frozen
@@ -1045,9 +1067,8 @@ class TestTrajectoryOracle:
     def test_deep_ensemble_keeps_a_bounded_tree(self):
         # gamma T <n> = 2 on the phi+ register at alpha = 2: 300 trajectories
         # per mode run words of up to a dozen jumps, yet each heated mode
-        # keeps the nodes of the words of at most two jumps (1 + 2 + 4) and
-        # the finals of the one-jump words (2), and no node past two jumps
-        # keeps longer words
+        # keeps at most its root and the two one-jump nodes (3), and the
+        # finals of the one-jump words (2); no node past one jump is kept
         shared = bell_target("phi_plus", EncodingParams.for_amplitudes(2.0))
         psi = _read_only(StateVector(shared.layout, shared.amps.copy()))
         params = HeatingParams(0.5, 1.0)
@@ -1060,18 +1081,16 @@ class TestTrajectoryOracle:
                                             mode_index=mode_index)
                 longest = max(longest, res.n_jumps)
         assert longest > 2
-        trees = psi._mean_n[1]
-        assert len(trees) == 2
-        for _, root in trees.values():
-            nodes, finals, level = 0, 0, [root]
-            for depth in range(4):
-                nodes += len(level)
-                finals += sum(node.final is not None for node in level)
-                if depth == 2:
-                    assert all(node.kids is None for node in level)
-                level = [kid for node in level for kid in (node.kids or {}).values()
-                         if kid is not None]
-            assert nodes <= 7 and finals <= 2
+        chains = psi._jump_chains[1]
+        assert len(chains) == 2
+        for entry in chains.values():
+            nodes = _kept_nodes(entry)
+            assert len(nodes) <= 3
+            assert sum(node.shift == 0 for node in nodes) == 1
+            assert all(abs(node.shift) <= 1 for node in nodes)
+            finals = [node.final for node in nodes if node.final is not None]
+            assert len(finals) <= 2
+            assert all(node.final is None for node in nodes if node.shift == 0)
 
     @pytest.mark.parametrize("register,duration", [
         ("random", 5.0), ("even", 5.0), ("vacuum", 30.0)])
@@ -1148,7 +1167,7 @@ class TestTrajectoryOracle:
         psi = StateVector(lay, view)
         params = HeatingParams(1e-9, 1.0)
         res = sample_trajectory(psi, params, 0)
-        assert res.jumps == [] and "_mean_n" not in vars(psi)
+        assert res.jumps == [] and "_jump_chains" not in vars(psi)
         assert not np.shares_memory(res.final.amps, base)
         # |5, 0> has <n> = 5: at gamma t = 0.2 the depth warning must fire
         base[:] = basis_state(lay, (5, 0)).amps
