@@ -167,6 +167,8 @@ def _check(field: Field, value):
     elif kind == "bool":
         if not isinstance(value, bool):
             raise _reject(field, "a boolean", value)
+        if value and field.name == "noise.constant_rate":  # configs send false
+            raise _reject(field, "false: frozen jump rates are retired", value)
     elif not isinstance(value, str) or not value:
         raise _reject(field, "a nonempty string", value)
     return value
@@ -295,7 +297,7 @@ DESCRIPTIONS = {
             "cross-check of the two cat/coherent factorizations",
         ],
         "columns": "quantity,value",
-        "notes": "encoding module; exact state-vector arithmetic",
+        "notes": "encoding module; the pair's two Schmidt terms, no register",
     },
     "rotate": {
         "stages": [
@@ -350,8 +352,8 @@ DESCRIPTIONS = {
         ],
         "columns": "quantity,value",
         "notes": ("end to end; B tracks 2 sqrt(2) (1 - delta).  "
-                  "gates.ev_variant defaults to ideal here (exact code-space "
-                  "rx(pi/2)), which follows that law; the displacement "
+                  "The default gates.ev_variant, ideal (exact code-space "
+                  "rx(pi/2)), follows that law; the displacement "
                   "build's kick D(i eps) costs a further exp(-eps^2).  "
                   "The register is carried as its two Schmidt terms across "
                   "(mode a, ion 1) | (mode b, ion 2); electronic_fidelity "

@@ -3,11 +3,12 @@
 The reservoir model is the balanced pair of dissipators
 gamma (D[a] + D[a+]), which leaves the mean amplitude <a> constant while the
 occupancy grows linearly, d<n>/dt = gamma.  Unraveled as jumps, it is a pair
-of point processes: upward events a+ at rate gamma <a a+> and downward events
-a at rate gamma <a+ a>.  Either event flips the phonon-number parity, so a
-cat-encoded Bell pair decays toward an incoherent parity-flipped mixture; the
-small-probability single-jump picture gives the standard two-component
-mixture used by the correlation tests.
+of point processes at the current state's rates, read after every jump:
+upward events a+ at gamma <a a+> and downward events a at gamma <a+ a>.
+Either event flips the phonon-number parity, so a cat-encoded Bell pair
+decays toward an incoherent parity-flipped mixture; the small-probability
+single-jump picture gives the standard two-component mixture used by the
+correlation tests.
 
 In the truncated Fock basis the generator is banded.  With
 a|k> = sqrt(k)|k-1>:
@@ -96,14 +97,17 @@ _SEED_BLOCK = 512
 
 @dataclass(frozen=True)
 class HeatingParams:
-    """Reservoir strength, duration and record grid."""
+    """Reservoir strength, duration and record grid.  The jump rates follow
+    the state; constant_rate stays, as False only, for callers that pass it."""
 
     gamma: float
     duration: float
     steps: int | None = None          # record grid; None records the endpoints
-    constant_rate: bool = False       # freeze jump rates at their initial values
+    constant_rate: bool = False       # must be False
 
     def __post_init__(self) -> None:
+        if self.constant_rate is not False:  # frozen jump rates are retired
+            raise ValueError(f"constant_rate must be False, got {self.constant_rate!r}")
         if not isfinite(self.gamma):
             raise ValueError(f"gamma must be finite, got {self.gamma}")
         if not isfinite(self.duration):
@@ -250,7 +254,7 @@ def trace_coefficients(rho0: DensityMatrix) -> TraceCoefficients:
 
 def evaluate_traces(coeffs: TraceCoefficients, gamma: float,
                     times: np.ndarray) -> NoiseResult:
-    """The traces of coeffs at gamma and each of the (nonempty) times.
+    """The traces of coeffs at gamma and each of the times (none: ValueError).
 
     Each trace is one einsum of e^{gamma t w} with a coefficient vector.
     The table is evaluated a bounded number of rows at a time, so memory is
@@ -258,8 +262,10 @@ def evaluate_traces(coeffs: TraceCoefficients, gamma: float,
     on the BLAS thread count, and a time's values do not depend on the
     other times.  The trace drift is read at the last time.
     """
-    w0, c0, w1, c1 = coeffs.w0, coeffs.c0, coeffs.w1, coeffs.c1
     count = times.size
+    if count == 0:
+        raise ValueError("evaluate_traces needs at least one time")
+    w0, c0, w1, c1 = coeffs.w0, coeffs.c0, coeffs.w1, coeffs.c1
     n_trace = np.empty(count)
     a_trace = np.empty(count, dtype=np.complex128)
     p_trace = np.empty(count)
@@ -385,13 +391,6 @@ def _place(psi: np.ndarray, col: np.ndarray, shift: int) -> np.ndarray:
     return out
 
 
-def _rates(params: HeatingParams, n_mean: float) -> tuple[float, float]:
-    """Upward and downward jump rates at occupancy n_mean."""
-    if params.constant_rate:
-        return params.gamma * n_mean, params.gamma * n_mean
-    return params.gamma * (n_mean + 1.0), params.gamma * n_mean
-
-
 class _Node:
     """A word of jumps on the chain over a register's level weights w.
 
@@ -447,15 +446,14 @@ def sample_trajectory(state: StateVector, params: HeatingParams,
     """One jump-process realization of the heating channel.
 
     Between jumps the state is left unchanged (the no-jump drift is dropped,
-    consistent with the small gamma*t regime the model is built for).  Rates
-    are recomputed from the current state after every jump unless
-    constant_rate froze them at their initial values.  A downward event drawn
-    against a state with no support above the vacuum would annihilate it;
-    such events are resampled (skipped), which only matters under frozen
-    rates.  Deterministic for a given seed.  Each wait is (1 / total rate) E
-    for a standard exponential E: Generator.exponential(1 / total), bit for
-    bit.  A state whose <n> is not finite (a NaN or infinite amplitude) is
-    a ContractError before any draw.
+    consistent with the small gamma*t regime the model is built for).  The
+    rates, gamma (<n> + 1) for a+ and gamma <n> for a, are read before every
+    draw from the <n> after the jumps so far.  An a+ from a state all on the
+    truncated ladder's top level maps it to zero; that event is skipped.
+    Deterministic for a given seed.  Each wait is (1 / total rate) E for a
+    standard exponential E: Generator.exponential(1 / total), bit for bit.
+    A state whose <n> is not finite (a NaN or infinite amplitude) is a
+    ContractError before any draw.
 
     a and a+ act on the heated mode alone, so the state after any jumps is
     sum_k col_k psi_k |k + shift>, psi_k the input's level-k part: the
@@ -464,9 +462,8 @@ def sample_trajectory(state: StateVector, params: HeatingParams,
     post) view, which moves no axis), and <n> = levels . w.  A jump
     updates the real column col and the net shift, renormalized, and takes
     the next <n> and the annihilation test (a zero norm) from col^2 w:
-    O(d) per jump (_kick), and the rates come from the <n> of the word so
-    far.  A trajectory that jumped writes its final register once
-    (_place).  The input is not modified.
+    O(d) per jump (_kick).  A trajectory that jumped writes its final
+    register once (_place).  The input is not modified.
 
     If the input's amplitudes are read-only down their .base chain, the
     state is immutable: what the sampler derives from it and the heated
@@ -499,18 +496,19 @@ def sample_trajectory(state: StateVector, params: HeatingParams,
     if not isfinite(n0):
         raise ContractError(f"the heated mode's <n> is {n0}: the register holds "
                             "a non-finite amplitude, or one too large to square")
-    depth = params.gamma * params.duration
+    gamma = params.gamma
+    depth = gamma * params.duration
     if depth * n0 >= 0.5:
         warnings.warn(
             f"gamma*duration*<n> = {depth * n0:.3g} "
             "is not small; single-jump statistics are unreliable at this depth",
             stacklevel=2,
         )
-    r_up, r_down = _rates(params, n0)
     node = root
     jumps: list = []
     t = 0.0
     while True:
+        r_up, r_down = gamma * (node.n_mean + 1.0), gamma * node.n_mean
         total = r_up + r_down
         if total <= 0.0:
             break
@@ -528,8 +526,6 @@ def sample_trajectory(state: StateVector, params: HeatingParams,
             continue
         node = nxt
         jumps.append((t, "+" if up else "-"))
-        if not params.constant_rate:
-            r_up, r_down = _rates(params, node.n_mean)
     if node is root:
         final = state if immutable else StateVector(layout, amps.copy())
     elif node.final is not None:

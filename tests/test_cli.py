@@ -244,8 +244,8 @@ def bad_values(field) -> list:
         return bad + wrong
     if field.kind == "choice":
         return bad + [3, "no-such-" + field.key]
-    if field.kind == "bool":
-        return bad + ["yes", 1]
+    if field.kind == "bool":  # noise.constant_rate, which admits only false
+        return bad + ["yes", 1, True]
     return bad + [3, ""]  # string
 
 
@@ -635,6 +635,27 @@ class TestMainEntry:
         assert f"config error: cannot write output {outdir / 'prepare.csv'}: " in err
         assert "Traceback" not in err
         assert not list(tmp_path.rglob(".catbell-*.tmp"))
+
+    @pytest.mark.parametrize("value", [True, 1, "yes"])
+    def test_constant_rate_other_than_false_is_exit_2(self, tmp_path, capsys,
+                                                      value):
+        cfg_path = self.write_config(tmp_path, {
+            "protocol": "heat-sweep", "noise": {"constant_rate": value}})
+        assert main(["run", cfg_path, "--output", str(tmp_path)]) == 2
+        assert "config error: noise.constant_rate must be" in capsys.readouterr().err
+        assert not (tmp_path / "heat-sweep.csv").exists()
+
+    @pytest.mark.parametrize("protocol", ["heat-sweep", "full-pipeline"])
+    def test_constant_rate_false_writes_the_bytes_of_omitting_it(
+            self, tmp_path, capsys, protocol):
+        outputs = []
+        for index, noise in enumerate(({}, {"constant_rate": False})):
+            outdir = tmp_path / f"out{index}"
+            cfg_path = self.write_config(tmp_path, {"protocol": protocol,
+                                                    "noise": noise})
+            assert main(["run", cfg_path, "--output", str(outdir)]) == 0
+            outputs.append((outdir / f"{protocol}.csv").read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -1347,8 +1368,8 @@ def in_range(field) -> st.SearchStrategy:
     and seed do), lists of 1-3.  The bounds themselves are boundary()'s."""
     if field.kind == "choice":
         out = st.sampled_from(field.choices)
-    elif field.kind == "bool":
-        out = st.booleans()
+    elif field.kind == "bool":  # noise.constant_rate, which admits only false
+        out = st.just(False)
     elif field.kind == "string":
         out = st.sampled_from(["run", "sub/run", "run.csv", "run.json"])
     else:

@@ -12,7 +12,9 @@ benchmark's output checks, or another oracle.  Every name that a module of
 src/catbell imports is read in that module, and a fresh `import catbell`
 loads only the modules that its one binding needs: names are imported from
 the module that defines them.  No readout of catbell.bell loads gates, and
-`import catbell.reference` loads no scipy until a call needs it.
+`import catbell.reference` loads no scipy until a call needs it.  Every
+config field of catbell.cli.FIELDS is read by the runners or the command
+line, so none is accepted and then ignored.
 """
 
 from __future__ import annotations
@@ -53,6 +55,17 @@ KEPT_UNREAD_ORACLES = {
                         "oracle (ROADMAP item 7)",
     "chsh_grid_search": "the check of the best B over axes (ROADMAP item 12)",
 }
+
+
+# config fields that no runner reads, kept on purpose: the reason, and the
+# ROADMAP item that retires the field
+KEPT_UNREAD_FIELDS = {
+    "noise.constant_rate": ("the benchmark's heat-sweep configs send it as "
+                            "false; true, the retired frozen jump rates, is "
+                            "refused", 13),
+}
+# the modules that read a normalized config
+CONFIG_READERS = ("pipeline.py", "cli.py")
 
 
 def requirement_names(requirements: list[str]) -> set[str]:
@@ -188,6 +201,30 @@ def test_every_import_is_read_in_its_module():
                 unread.append(f"{module.stem}: {name}")
     assert not unread, f"imported but never read: {unread}"
     assert kept == KEPT_UNREAD_IMPORTS, "read now: drop from KEPT_UNREAD_IMPORTS"
+
+
+def subscript_keys(path: Path) -> set[str]:
+    """The string constants that path subscripts with: cfg["noise"]["gamma"]
+    gives "noise" and "gamma"."""
+    return {node.slice.value
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Subscript)
+            and isinstance(node.slice, ast.Constant)
+            and isinstance(node.slice.value, str)}
+
+
+def test_every_config_field_is_read():
+    from catbell.cli import FIELDS
+
+    keys = set().union(*(subscript_keys(PACKAGE / name) for name in CONFIG_READERS))
+    unread = {field.name for field in FIELDS if field.key not in keys}
+    kept = set(KEPT_UNREAD_FIELDS)
+    assert kept <= unread, f"read now, or no field: drop {sorted(kept - unread)}"
+    assert unread <= kept, f"accepted but never read: {sorted(unread - kept)}"
+    items = re.findall(r"^(\d+)\. \*\*", (ROOT / "ROADMAP.md").read_text(encoding="utf-8"),
+                       flags=re.MULTILINE)
+    for name, (reason, item) in KEPT_UNREAD_FIELDS.items():
+        assert reason and str(item) in items, f"{name}: no reason or no ROADMAP item {item}"
 
 
 # the dense layer: hilbert keeps OperatorMatrix and apply only for perfbench's

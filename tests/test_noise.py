@@ -94,6 +94,15 @@ class TestParams:
     def test_integer_steps_accepted(self, steps):
         assert HeatingParams(0.01, 1.0, steps=steps).steps == steps
 
+    def test_constant_rate_is_false_alone(self):
+        # the sampler has one law; False stays accepted, as the fourth
+        # positional argument too, and anything else, truthy or not, is
+        # refused by name
+        assert HeatingParams(1e-3, 2.0, None, False).constant_rate is False
+        for value in (True, 1, 0, "no", "", None, np.bool_(False)):
+            with pytest.raises(ValueError, match="constant_rate must be False"):
+                HeatingParams(1e-3, 2.0, None, value)
+
     # a non-finite rate or duration would leave sample_trajectory drawing
     # jump times forever, so the parameters themselves must refuse it
     @pytest.mark.parametrize("gamma,duration", [
@@ -508,6 +517,12 @@ class TestTraceStages:
                 assert got.tobytes() == want[-1:].tobytes()
             assert end.trace_drift == res.trace_drift
 
+    def test_empty_times_refused(self):
+        # once a bare IndexError from reading the drift at the last time
+        coeffs = trace_coefficients(random_density(6, seed=3))
+        with pytest.raises(ValueError, match="at least one time"):
+            evaluate_traces(coeffs, 0.1, np.array([]))
+
     def test_coefficients_leave_the_input_alone(self):
         rho0 = random_density(9, seed=2)
         before = rho0.matrix.copy()
@@ -642,18 +657,6 @@ class TestTrajectories:
             a = sample_trajectory(psi, params, trajectory_rng(7, 1))
             b = sample_trajectory(psi, params, trajectory_rng(7, 2))
         assert a.jumps != b.jumps
-
-    def test_resample_never_annihilates(self):
-        # frozen rates keep drawing downward events against |1>; they must be
-        # skipped, not crash
-        lay = SpaceLayout((4,))
-        psi = basis_state(lay, (1,))
-        params = HeatingParams(0.05, 10.0, constant_rate=True)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            for seed in range(200):
-                res = sample_trajectory(psi, params, seed)
-                assert abs(res.final.norm - 1.0) < 1e-12
 
     def test_depth_warning(self):
         mode = mode_for(2.0)
@@ -841,15 +844,11 @@ def _reference_jumps(psi: StateVector, params: HeatingParams, rng,
         return float((np.arange(d) * marg).sum())
 
     amps = psi.amps
-    n0 = occupancy(amps)
     jumps: list = []
     t = 0.0
     while True:
-        if params.constant_rate:
-            r_up = r_down = params.gamma * n0
-        else:
-            n = occupancy(amps)
-            r_up, r_down = params.gamma * (n + 1.0), params.gamma * n
+        n = occupancy(amps)
+        r_up, r_down = params.gamma * (n + 1.0), params.gamma * n
         total = r_up + r_down
         if total <= 0.0:
             break
@@ -922,26 +921,25 @@ class TestTrajectoryOracle:
         amps = rng.normal(size=prod(dims)) + 1j * rng.normal(size=prod(dims))
         psi = StateVector(SpaceLayout(tuple(dims)), amps / np.linalg.norm(amps))
         before = psi.amps.copy()
+        params = HeatingParams(2.0, duration)
         for mode_index in range(len(dims)):
             lower = _lifted_lowering(dims, mode_index)
-            for constant_rate in (False, True):
-                params = HeatingParams(2.0, duration, constant_rate=constant_rate)
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    res = sample_trajectory(psi, params, trajectory_rng(seed, mode_index),
-                                            mode_index=mode_index)
-                    want = _reference_jumps(psi, params,
-                                            trajectory_rng(seed, mode_index), mode_index)
-                assert [k for _, k in res.jumps] == [k for _, k in want]
-                for (t_got, _), (t_want, _) in zip(res.jumps, want):
-                    assert abs(t_got - t_want) <= 1e-12 * t_want
-                chain = psi.amps
-                for _, kind in want:
-                    chain = (lower.T if kind == "+" else lower) @ chain
-                chain = chain / np.linalg.norm(chain)
-                assert np.abs(res.final.amps - chain).max() <= 1e-12
-                assert np.array_equal(psi.amps, before)
-                assert not np.shares_memory(res.final.amps, psi.amps)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                res = sample_trajectory(psi, params, trajectory_rng(seed, mode_index),
+                                        mode_index=mode_index)
+                want = _reference_jumps(psi, params,
+                                        trajectory_rng(seed, mode_index), mode_index)
+            assert [k for _, k in res.jumps] == [k for _, k in want]
+            for (t_got, _), (t_want, _) in zip(res.jumps, want):
+                assert abs(t_got - t_want) <= 1e-12 * t_want
+            chain = psi.amps
+            for _, kind in want:
+                chain = (lower.T if kind == "+" else lower) @ chain
+            chain = chain / np.linalg.norm(chain)
+            assert np.abs(res.final.amps - chain).max() <= 1e-12
+            assert np.array_equal(psi.amps, before)
+            assert not np.shares_memory(res.final.amps, psi.amps)
 
     @settings(max_examples=40)
     @given(dims=st.lists(st.integers(2, 5), min_size=1, max_size=3),
@@ -995,21 +993,19 @@ class TestTrajectoryOracle:
         layout = SpaceLayout(tuple(dims))
         amps = scale * amps / np.linalg.norm(amps)
         frozen = _read_only(StateVector(layout, amps.copy()))
+        params = HeatingParams(1.0, duration)
         for mode_index in range(len(dims)):
-            for constant_rate in (False, True):
-                params = HeatingParams(1.0, duration, constant_rate=constant_rate)
-                runs = [_traced_run(state, params, seed, mode_index)
-                        for state in (StateVector(layout, amps.copy()),
-                                      frozen, frozen)]
-                for run in runs[1:]:
-                    assert run == runs[0]
+            runs = [_traced_run(state, params, seed, mode_index)
+                    for state in (StateVector(layout, amps.copy()),
+                                  frozen, frozen)]
+            for run in runs[1:]:
+                assert run == runs[0]
         # a new array in state.amps, read-only too, is never served the old
         # <n>; it samples what a writable copy of it samples
         other = rng.normal(size=prod(dims)) + 1j * rng.normal(size=prod(dims))
         other = 3.0 * scale * other / np.linalg.norm(other)
         frozen.amps = _read_only(StateVector(layout, other.copy())).amps
         for mode_index in range(len(dims)):
-            params = HeatingParams(1.0, duration)
             assert (_traced_run(frozen, params, seed, mode_index)
                     == _traced_run(StateVector(layout, other.copy()), params,
                                    seed, mode_index))
@@ -1019,26 +1015,26 @@ class TestTrajectoryOracle:
            scale=st.floats(0.25, 2.0),
            calls=st.lists(st.tuples(st.integers(0, 2),
                                     st.sampled_from([0.0, 0.02, 0.3, 1.5]),
-                                    st.booleans(), st.integers(0, 5)),
+                                    st.integers(0, 5)),
                           min_size=1, max_size=30),
            seed=st.integers(0, 2**32 - 1))
     def test_jump_tree_keeps_every_call_bits(self, dims, scale, calls, seed):
         # one read-only register, its kept entry cold at the first call and
-        # warm after, heated in mixed order: modes, gammas, frozen rates and
-        # streams.  Each call ends its generator where the same call on a
-        # writable copy does, with the same record, warnings and final
-        # bytes.  A one-jump final is kept: read-only, the same object for
-        # every call that ends on its word, and apart from the input; a
-        # writable input keeps nothing and shares nothing
+        # warm after, heated in mixed order: modes, gammas and streams.
+        # Each call ends its generator where the same call on a writable
+        # copy does, with the same record, warnings and final bytes.  A
+        # one-jump final is kept: read-only, the same object for every call
+        # that ends on its word, and apart from the input; a writable input
+        # keeps nothing and shares nothing
         rng = np.random.default_rng(seed)
         amps = rng.normal(size=prod(dims)) + 1j * rng.normal(size=prod(dims))
         layout = SpaceLayout(tuple(dims))
         amps = scale * amps / np.linalg.norm(amps)
         frozen = _read_only(StateVector(layout, amps.copy()))
         kept_finals: dict = {}
-        for mode, gamma, constant_rate, index in calls:
+        for mode, gamma, index in calls:
             mode_index = mode % len(dims)
-            params = HeatingParams(gamma, 1.0, constant_rate=constant_rate)
+            params = HeatingParams(gamma, 1.0)
             writable = StateVector(layout, amps.copy())
             runs, results = [], []
             for state in (frozen, writable):
@@ -1126,21 +1122,18 @@ class TestTrajectoryOracle:
         assert np.all(np.isfinite(res.final.amps))
         assert np.abs(res.final.amps - chain).max() <= 1e-12
 
-    @pytest.mark.parametrize("dims,occupations,gamma,constant_rate", [
-        ((4,), (1,), 0.5, True),          # downs from the vacuum, frozen rates
-        ((5, 3), (0, 1), 0.5, True),      # the vacuum itself, frozen rates
-        ((6, 3), (5, 2), 0.5, False),     # ups from the top level
-        ((2, 3), (1, 0), 2.0, False),     # a two-level mode
-        ((3, 2), (2, 1), 1.0, True),      # top level, frozen rates
+    @pytest.mark.parametrize("dims,occupations,gamma", [
+        ((6, 3), (5, 2), 0.5),     # ups from the top level
+        ((2, 3), (1, 0), 2.0),     # a two-level mode
     ])
     def test_annihilating_events_are_the_dense_chains(self, dims, occupations,
-                                                     gamma, constant_rate):
-        # an event that maps the state to zero is skipped: the same events
-        # as the dense chain's nrm == 0.0, the same records, generator end
-        # states and finals
+                                                     gamma):
+        # an up kick from the top level maps the state to zero and is
+        # skipped: the same events as the dense chain's nrm == 0.0, the same
+        # records, generator end states and finals
         psi = basis_state(SpaceLayout(dims), occupations)
         lower = _lifted_lowering(dims, 0)
-        params = HeatingParams(gamma, 4.0, constant_rate=constant_rate)
+        params = HeatingParams(gamma, 4.0)
         skipped: list = []
         for seed in range(30):
             got_rng, want_rng = trajectory_rng(seed, 0), trajectory_rng(seed, 0)
@@ -1155,7 +1148,7 @@ class TestTrajectoryOracle:
                 chain = (lower.T if kind == "+" else lower) @ chain
                 chain = chain / np.linalg.norm(chain)
             assert np.abs(res.final.amps - chain).max() <= 1e-12
-        assert len(skipped) > 0 or occupations[0] == 0
+        assert len(skipped) > 0
 
     def test_read_only_view_of_a_writable_base_is_mutable(self):
         # the base can be written through, so nothing is kept on the state
@@ -1175,17 +1168,14 @@ class TestTrajectoryOracle:
         with pytest.warns(UserWarning, match="= 1 is not small"):
             sample_trajectory(psi, params, 0)
 
-    @pytest.mark.parametrize("gamma,constant_rate,level", [
-        (0.0, False, 3), (0.0, True, 3), (0.5, True, 0)])
-    def test_no_draw_where_no_wait_is_drawn(self, gamma, constant_rate, level):
-        # at gamma = 0, and for the vacuum under frozen rates, every rate is
-        # 0: the sampler must leave the generator untouched
-        psi = basis_state(SpaceLayout((6, 3)), (level, 1))
+    def test_no_draw_where_no_wait_is_drawn(self):
+        # at gamma = 0 every rate is 0: the sampler must leave the generator
+        # untouched
+        psi = basis_state(SpaceLayout((6, 3)), (3, 1))
         for seed in range(10):
             rng = trajectory_rng(seed, 0)
             before = rng.bit_generator.state
-            res = sample_trajectory(psi, HeatingParams(gamma, 2.0,
-                                                       constant_rate=constant_rate), rng)
+            res = sample_trajectory(psi, HeatingParams(0.0, 2.0), rng)
             assert rng.bit_generator.state == before
             assert res.jumps == []
             assert np.array_equal(res.final.amps, psi.amps)
