@@ -10,8 +10,8 @@ byte-identically; JSON output additionally echoes the normalized config and
 the wall-clock duration.
 
 Exit codes: 0 success, 2 config error (or an output that cannot be written),
-3 capacity (truncation, size budget or recorded step count), 4 numerical
-contract violation (for heat-sweep, a gamma * duration that overflows to inf).
+3 capacity (truncation or size budget), 4 numerical contract violation (for
+heat-sweep, a gamma * duration that overflows to inf).
 """
 
 from __future__ import annotations
@@ -321,17 +321,23 @@ DESCRIPTIONS = {
     },
     "heat-sweep": {
         "stages": [
-            "even cat initial state on mode a",
-            "balanced heating master equation, exact per-diagonal propagator",
-            "occupancy, amplitude, and parity traces per duration",
+            "even cat initial state on mode a, as its populations",
+            "balanced heating as a Gaussian displacement of variance "
+            "gamma t: <n> grows by gamma t, parity is sum p_k x^k / "
+            "(1 + 2 gamma t), x = (2 gamma t - 1) / (2 gamma t + 1)",
+            "occupancy, amplitude, and parity per duration",
         ],
         "columns": ("duration,n_mean,re_a,im_a,parity,delta,"
                     "flip_probability,trace_drift"),
-        "notes": ("noise module exact master-equation solution: the even "
-                  "cat's trace coefficients (trace_coefficients, memoized "
-                  "per encoding) evaluated at each duration alone "
-                  "(evaluate_traces); noise.steps changes no row and is "
-                  "only held to noise.MAX_STEPS"),
+        "notes": ("noise module's exact channel law (heated_moments) on the "
+                  "prepared cat's populations, memoized per encoding; rows "
+                  "depend on encoding.cutoff and leak_tol only through the "
+                  "prepared cat.  re_a and im_a are the conserved <a> of "
+                  "that cat; flip_probability is (1 - parity) / 2; delta "
+                  "is gamma alpha^2 t, full-pipeline's default delta, not a "
+                  "probability; trace_drift is the exact 0 the channel "
+                  "gives, kept because the benchmark's heating check reads "
+                  "it.  noise.steps changes no row"),
     },
     "bell-scan": {
         "stages": [

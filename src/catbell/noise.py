@@ -10,8 +10,16 @@ decays toward an incoherent parity-flipped mixture; the small-probability
 single-jump picture gives the standard two-component mixture used by the
 correlation tests.
 
-In the truncated Fock basis the generator is banded.  With
-a|k> = sqrt(k)|k-1>:
+The channel is a Gaussian random displacement: e^{tL} rho is the average of
+D(beta) rho D(beta)+ over a complex Gaussian beta with <|beta|^2> = s =
+gamma t (Serafini, Quantum Continuous Variables, 2017).  Its dual maps n to
+n + s, the parity (-1)^n to x^n / (1 + 2s) with x = (2s - 1) / (2s + 1),
+and a to a.  So <n>, <a> and the parity after any duration are O(d) sums
+over the populations p_k of a one-mode state (heated_moments), read as a
+state of the untruncated ladder: the law never meets a truncation edge.
+
+rho itself comes from propagate, on the truncated Fock basis, where the
+generator is banded.  With a|k> = sqrt(k)|k-1>:
 
 - a rho a+ is rho shifted one step up its diagonal, weighted by
   sqrt(i+1) sqrt(j+1); a+ rho a is the same shift downward.
@@ -21,18 +29,13 @@ a|k> = sqrt(k)|k-1>:
 So the generator maps each diagonal m of rho, rho[n, n+m] for
 n = 0..d-m-1, to itself, as a real symmetric tridiagonal matrix: entries
 -gamma (s_n + s_{n+m}) / 2 on its diagonal and gamma sqrt(n (n+m)) between
-positions n - 1 and n.  The same matrix acts on diagonal -m.
-evolve_lindblad therefore needs no integrator: one eigendecomposition
-V diag(w) V^T per diagonal gives exp(tL) = V diag(e^{tw}) V^T exactly.  The
-blocks do not depend on gamma, so each (d, m) is decomposed once per process
-and kept (_diagonal_block).  The <n>, parity and trace readouts are linear in
-diagonal 0 and <a> in diagonal -1, so the traces of every run at one cutoff
-share two decompositions.  evolve_lindblad runs in two stages:
-trace_coefficients folds rho0 into one coefficient vector per readout, free
-of gamma and t, and evaluate_traces sums each against e^{gamma t w} at the
-record times.  A caller that evaluates one rho0 again and again keeps the
-coefficients (pipeline's heat-sweep memo) and may ask for one time alone.
-rho itself, which takes all d blocks, comes from propagate.
+positions n - 1 and n.  The same matrix acts on diagonal -m.  propagate
+therefore needs no integrator: one eigendecomposition V diag(w) V^T per
+diagonal gives exp(tL) = V diag(e^{tw}) V^T exactly.  The blocks do not
+depend on gamma, so each (d, m) is decomposed once per process and kept
+(_diagonal_block).  On a state whose top levels are empty, the truncated
+and untruncated channels differ by about the weight heating carries up to
+them.
 
 The jump sampler views the register as (pre, d, post) around the heated
 mode, so it moves no axis.  a and a+ act on that mode alone and the rates
@@ -67,22 +70,13 @@ import operator
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from math import exp, isfinite, prod
+from math import isfinite, prod
 
 import numpy as np
 
-from .errors import CapacityError, ContractError
-from .hilbert import (DensityMatrix, SpaceLayout, StateVector, _count, _integer,
-                      band_eigh)
+from .errors import ContractError
+from .hilbert import DensityMatrix, SpaceLayout, StateVector, _integer, band_eigh
 
-TRACE_TOL = 1e-6
-# record_steps refuses more recorded steps than this: evolve_lindblad keeps
-# three traces and the times of steps + 1 points (40 MB at the limit), and
-# the largest count a test, demo or benchmark op asks for is under 10^5
-MAX_STEPS = 10 ** 6
-# evaluate_traces evaluates its traces this many entries (times x levels) at
-# a time, so their memory stays O(steps + d^2)
-_TABLE_ENTRIES = 2 ** 14
 # numpy's SeedSequence: pool size, the two hashes' constants, the mix's
 # multipliers (numpy/random/bit_generator.pyx)
 _POOL = 4
@@ -97,12 +91,17 @@ _SEED_BLOCK = 512
 
 @dataclass(frozen=True)
 class HeatingParams:
-    """Reservoir strength, duration and record grid.  The jump rates follow
-    the state; constant_rate stays, as False only, for callers that pass it."""
+    """Reservoir strength and duration.
+
+    steps and constant_rate keep their places as the third and fourth
+    positional fields for callers that pass them, as
+    HeatingParams(gamma, T, None, False): nothing reads steps, and the jump
+    rates follow the state, so constant_rate must be False.
+    """
 
     gamma: float
     duration: float
-    steps: int | None = None          # record grid; None records the endpoints
+    steps: int | None = None          # read by nothing
     constant_rate: bool = False       # must be False
 
     def __post_init__(self) -> None:
@@ -129,9 +128,9 @@ def _require_single_mode(layout: SpaceLayout) -> int:
     return layout.dims[0]
 
 
-# a heat-sweep reads blocks m = 0, 1 of its cutoff and propagate all d of
-# them, so 256 entries keep propagate's blocks at d <= 128 and the sweeps of
-# other cutoffs; an entry of n = d - m levels is 8 n (n + 1) bytes, at most
+# propagate reads all d blocks of its cutoff, and no protocol runs it, so
+# 256 entries keep its blocks at d <= 128 and part of a second cutoff's; an
+# entry of n = d - m levels is 8 n (n + 1) bytes, at most
 # 256 * 8 * 128 * 129 B = 34 MB in all at d <= 128
 @lru_cache(maxsize=256)
 def _diagonal_block(dim: int, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -163,17 +162,6 @@ def _diagonal_block(dim: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-@dataclass
-class NoiseResult:
-    """Exact evolution record: the traces on the record grid."""
-
-    times: np.ndarray
-    n_trace: np.ndarray
-    a_trace: np.ndarray
-    parity_trace: np.ndarray
-    trace_drift: float
-
-
 def propagate(rho0: DensityMatrix, params: HeatingParams) -> DensityMatrix:
     """rho at params.duration under the heating channel, exactly.
 
@@ -200,133 +188,35 @@ def propagate(rho0: DensityMatrix, params: HeatingParams) -> DensityMatrix:
     return DensityMatrix(rho0.layout, out)
 
 
-def record_steps(steps: int | None) -> int:
-    """The step count of a record grid: steps, or 1 when it is None; a
-    CapacityError past MAX_STEPS."""
-    steps = steps or 1
-    if steps > MAX_STEPS:
-        raise CapacityError(
-            f"{_count(steps)} recorded steps exceed the limit {MAX_STEPS}; "
-            "lower noise.steps")
-    return steps
+def heated_moments(populations: np.ndarray, rate: float) -> tuple[float, float]:
+    """<n> and the parity after the heating channel at gamma t = rate >= 0.
 
-
-@dataclass(frozen=True)
-class TraceCoefficients:
-    """The gamma- and t-free part of the heating traces of one rho0.
-
-    At rate r = gamma t, <n>, parity and the trace are sum_j e^{r w0_j}
-    c0[k, j] for k = 0, 1, 2, and <a> is sum_j e^{r w1_j} c1_j.  w0 and w1
-    are the eigenvalues of blocks 0 and 1 (_diagonal_block); every array is
-    read-only, so one instance can be shared.
+    populations are the p_k of a one-mode state, read as a state of the
+    untruncated ladder.  The channel's dual maps n to n + s and (-1)^n to
+    x^n / (1 + 2s), x = (2s - 1) / (2s + 1), s = rate (module docstring), so
+    <n> = sum_k k p_k + s and the parity is sum_k p_k x^k / (1 + 2s), with
+    no truncation error; <a> is conserved.  einsum calls no BLAS, so neither
+    depends on the BLAS thread count.  A rate that is not finite is a
+    ContractError.
     """
-
-    w0: np.ndarray
-    c0: np.ndarray
-    w1: np.ndarray
-    c1: np.ndarray
-
-
-def trace_coefficients(rho0: DensityMatrix) -> TraceCoefficients:
-    """The coefficients of evolve_lindblad's traces from rho0.
-
-    A readout c . rho(t) of diagonal m is sum_j e^{gamma t w_j} (V^T c)_j
-    (V^T x)_j for the diagonal x of rho0, (w, V) the block of diagonal m:
-    diagonal 0 gives <n>, parity and the trace, diagonal -1 gives <a>.  The
-    blocks are decomposed on the first run at this cutoff and reused by
-    every later one.  rho0 is not modified, and the result shares no memory
-    with it.
-    """
-    dim = _require_single_mode(rho0.layout)
-    rho = rho0.matrix
-    levels = np.arange(dim, dtype=np.float64)
-    w0, v0 = _diagonal_block(dim, 0)
-    w1, v1 = _diagonal_block(dim, 1)
-    x0 = np.einsum("nj,n->j", v0, rho.diagonal().real)
-    readouts = np.stack([levels, (-1.0) ** levels, np.ones(dim)])
-    c0 = np.einsum("nj,cn->cj", v0, readouts) * x0
-    c1 = (np.einsum("nj,n->j", v1, np.sqrt(levels[1:]))
-          * np.einsum("nj,n->j", v1, rho.diagonal(-1)))
-    c0.flags.writeable = False
-    c1.flags.writeable = False
-    return TraceCoefficients(w0, c0, w1, c1)
-
-
-def evaluate_traces(coeffs: TraceCoefficients, gamma: float,
-                    times: np.ndarray) -> NoiseResult:
-    """The traces of coeffs at gamma and each of the times (none: ValueError).
-
-    Each trace is one einsum of e^{gamma t w} with a coefficient vector.
-    The table is evaluated a bounded number of rows at a time, so memory is
-    O(len(times) + d^2).  einsum calls no BLAS, so the traces do not depend
-    on the BLAS thread count, and a time's values do not depend on the
-    other times.  The trace drift is read at the last time.
-    """
-    count = times.size
-    if count == 0:
-        raise ValueError("evaluate_traces needs at least one time")
-    w0, c0, w1, c1 = coeffs.w0, coeffs.c0, coeffs.w1, coeffs.c1
-    n_trace = np.empty(count)
-    a_trace = np.empty(count, dtype=np.complex128)
-    p_trace = np.empty(count)
-    rows = max(1, _TABLE_ENTRIES // w0.size)
-    # every w is <= 0, so a finite gamma * t cannot overflow; an infinite one
-    # (gamma * duration past 1.8e308) makes inf * 0 = nan on the steady
-    # state, and the trace guard below turns that into a named error
-    with np.errstate(over="ignore", invalid="ignore"):
-        rates = gamma * times
-        for start in range(0, count, rows):
-            span = slice(start, start + rows)
-            table = np.exp(np.multiply.outer(rates[span], w0))
-            np.einsum("ij,j->i", table, c0[0], out=n_trace[span])
-            np.einsum("ij,j->i", table, c0[1], out=p_trace[span])
-            table = np.exp(np.multiply.outer(rates[span], w1))
-            np.einsum("ij,j->i", table, c1, out=a_trace[span])
-        drift = abs(float(np.einsum("j,j->", np.exp(rates[-1] * w0), c0[2])) - 1.0)
-    if not drift <= TRACE_TOL:
-        raise ContractError(
-            f"trace drifted by {drift:.3e} at gamma*duration = {rates[-1]:.3g}; "
-            "lower noise.gamma or noise.duration")
-    return NoiseResult(times, n_trace, a_trace, p_trace, drift)
-
-
-def evolve_lindblad(rho0: DensityMatrix, params: HeatingParams) -> NoiseResult:
-    """Exact solution of the heating equation on the record grid.
-
-    times is linspace(0, duration, steps + 1), or the two endpoints when
-    params.steps is None; the values at a time do not depend on the grid.
-    The traces are trace_coefficients(rho0) evaluated at each time
-    (evaluate_traces); more than MAX_STEPS steps are refused
-    (record_steps).  rho0 is not modified, and the result shares no memory
-    with it.
-    """
-    coeffs = trace_coefficients(rho0)
-    times = np.linspace(0.0, params.duration, record_steps(params.steps) + 1)
-    return evaluate_traces(coeffs, params.gamma, times)
+    if not isfinite(rate):
+        raise ContractError(f"cannot heat at gamma*duration = {rate}")
+    levels = np.arange(populations.size, dtype=np.float64)
+    # 1 - 2 / (2s + 1) is x, and stays 1 where 2s overflows
+    x = 1.0 - 2.0 / (2.0 * rate + 1.0)
+    parity = float(np.einsum("k,k->", x ** levels, populations)) / (2.0 * rate + 1.0)
+    return float(np.einsum("k,k->", levels, populations)) + rate, parity
 
 
 def delta_of(gamma: float, alpha: float, duration: float) -> float:
     """Single-jump probability scale delta = gamma |alpha|^2 t.
 
     A single-jump approximation: the exact channel flips an even cat's
-    parity with probability gamma (2 nbar + 1) t at small gamma t, nbar the
-    cat's <n>, which is 2.1 to 2.4 times delta for alpha = 3 to 1.5.
+    parity with probability (1 - parity) / 2 (heated_moments), about
+    gamma (2 nbar + 1) t at small gamma t, nbar the cat's <n>, which is 2.1
+    to 2.4 times delta for alpha = 3 to 1.5.
     """
     return gamma * abs(alpha) ** 2 * duration
-
-
-def parity_flip_probability(gamma: float, alpha: float, duration: float) -> float:
-    """Odd-total-jump probability of the merged up/down processes.
-
-    Both processes run at about gamma |alpha|^2, so the merged intensity is
-    close to 2 gamma |alpha|^2 t = 2 delta, and a parity flip needs an odd
-    number of events.  Like delta_of, a single-jump approximation: the
-    exact merged rate is gamma (nbar + 1) + gamma nbar, so the exact flip
-    probability gamma (2 nbar + 1) t is 1.06 to 1.2 times this at
-    alpha = 3 to 1.5.
-    """
-    lam = 2.0 * gamma * abs(alpha) ** 2 * duration
-    return (1.0 - exp(-2.0 * lam)) / 2.0
 
 
 @dataclass

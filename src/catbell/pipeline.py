@@ -39,7 +39,6 @@ from .hilbert import SIGMA_X, DensityMatrix, SpaceLayout
 
 if TYPE_CHECKING:
     from .bell import BellAngles
-    from .noise import TraceCoefficients
 
 
 def _encoding_params(cfg: dict) -> EncodingParams:
@@ -119,46 +118,41 @@ def run_swap_report(cfg: dict) -> tuple[list[dict], dict, str]:
     return rows, results, "exact"
 
 
-# a heat-sweep at one encoding hits one key; an entry holds c0 and c1,
-# 40 d bytes (w0 and w1 are noise._diagonal_block's arrays, not copies): at
-# most 64 * 40 * 128 B = 330 KB at d <= 128
+# a heat-sweep at one encoding hits one key; an entry is the cat's d
+# populations and a complex, 8 d + 16 bytes: at most 64 * 1040 B = 67 KB at
+# d <= 128
 @functools.lru_cache(maxsize=64)
-def _heat_coefficients(enc: EncodingParams) -> TraceCoefficients:
-    """The trace coefficients of the even cat on mode a, whose arrays are
-    read-only (noise.trace_coefficients)."""
-    from .noise import trace_coefficients
-    return trace_coefficients(cat(enc.alpha, EVEN, enc.mode_a).to_density())
+def _cat_populations(enc: EncodingParams) -> tuple[np.ndarray, complex]:
+    """The populations |c_k|^2 of the even cat on mode a, read-only, and its
+    <a> = sum_k sqrt(k + 1) conj(c_k) c_{k+1}."""
+    amps = cat(enc.alpha, EVEN, enc.mode_a).amps
+    populations = amps.real ** 2 + amps.imag ** 2
+    populations.flags.writeable = False
+    a0 = np.einsum("k,k->", np.sqrt(np.arange(1.0, amps.size)),
+                   amps[:-1].conj() * amps[1:])
+    return populations, complex(a0)
 
 
 def run_heat_sweep(cfg: dict) -> tuple[list[dict], dict, str]:
-    from .noise import (
-        delta_of,
-        evaluate_traces,
-        parity_flip_probability,
-        record_steps,
-    )
+    from .noise import delta_of, heated_moments
     enc = _encoding_params(cfg)
     gamma = cfg["noise"]["gamma"]
     durations = cfg["noise"]["durations"] or [cfg["noise"]["duration"]]
-    coeffs = _heat_coefficients(enc)
+    populations, a0 = _cat_populations(enc)
     # a hit skips the cat's size check; the cap may have been lowered
     SpaceLayout((enc.mode_a.cutoff,))
-    record_steps(cfg["noise"]["steps"])  # noise.steps is held to its limit
     rows = []
     for duration in durations:
-        # a row is the grid's last point, which does not depend on the grid
-        res = evaluate_traces(coeffs, gamma,
-                              np.array([duration], dtype=np.float64))
+        n_mean, parity = heated_moments(populations, gamma * duration)
         rows.append({
             "duration": duration,
-            "n_mean": float(res.n_trace[0]),
-            "re_a": float(res.a_trace[0].real),
-            "im_a": float(res.a_trace[0].imag),
-            "parity": float(res.parity_trace[0]),
+            "n_mean": n_mean,
+            "re_a": a0.real,  # the channel conserves <a>
+            "im_a": a0.imag,
+            "parity": parity,
             "delta": delta_of(gamma, enc.alpha, duration),
-            "flip_probability": parity_flip_probability(
-                gamma, enc.alpha, duration),
-            "trace_drift": res.trace_drift,
+            "flip_probability": (1.0 - parity) / 2.0,
+            "trace_drift": 0.0,  # the channel keeps the trace exactly
         })
     results = {"final_n_mean": rows[-1]["n_mean"],
                "final_parity": rows[-1]["parity"]}

@@ -117,6 +117,16 @@ def basis_state(layout: SpaceLayout, occupations: tuple[int, ...]) -> StateVecto
     return tensor(parts)
 
 
+def readouts(rho: np.ndarray) -> tuple[float, complex, float]:
+    """<n>, <a> and parity of a one-mode rho, read directly off its
+    diagonals 0 and -1: the heating checks' readouts of noise.propagate."""
+    k = np.arange(rho.shape[0])
+    diag = np.diagonal(rho).real
+    return (float((k * diag).sum()),
+            complex((np.sqrt(k[1:]) * np.diagonal(rho, -1)).sum()),
+            float(((-1.0) ** k * diag).sum()))
+
+
 def expectation(op: OperatorMatrix, state: StateVector) -> complex:
     """<op> in a pure state; complex, imaginary part ~0 for Hermitian op."""
     return complex(np.vdot(state.amps, apply(op, state).amps))

@@ -146,9 +146,9 @@ def check_against_main_path() -> None:
                                   qubit_state)
     from catbell.gates import report_u_swap, u_swap
     from catbell.hilbert import partial_trace, state_fidelity, tensor
-    from conftest import electronic_bell
+    from conftest import electronic_bell, readouts
     from catbell.hilbert import dm_fidelity
-    from catbell.noise import HeatingParams, evolve_lindblad
+    from catbell.noise import HeatingParams, propagate
 
     enc = EncodingParams.for_amplitudes(SWAP_ALPHA)
     rep = report_u_swap("a", enc, "ideal", "displacement")
@@ -174,8 +174,8 @@ def check_against_main_path() -> None:
           dm_fidelity(red, electronic_bell("phi_plus")))
 
     rho0 = cat(HEAT_ALPHA, EVEN, ModeParams(HEAT_CUTOFF, leak_tol=1e-5)).to_density()
-    res = evolve_lindblad(rho0, HeatingParams(HEAT_GAMMA, HEAT_DURATION))
-    print("heated parity (main path):", float(res.parity_trace[-1]))
+    rho = propagate(rho0, HeatingParams(HEAT_GAMMA, HEAT_DURATION)).matrix
+    print("heated parity (main path):", readouts(rho)[2])
 
 
 def main() -> None:

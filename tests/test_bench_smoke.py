@@ -87,20 +87,19 @@ def test_pipeline_op_hit_writes_the_miss_results(tmp_path):
 
 
 def test_heating_op_hit_writes_the_miss_results(tmp_path):
-    # a second op of a class in one process reuses the memoized trace
-    # coefficients of its encoding; its rows must be the cold op's, byte
-    # for byte
+    # a second op of a class in one process reuses the memoized populations
+    # of its encoding's cat; its rows must be the cold op's, byte for byte
     import catbell.pipeline
     runner = worker.Runner(str(tmp_path))
     (op,) = [op for op in workloads.cycle_ops("heating", 0, 0)
              if op["class"] == "alpha6"]
-    catbell.pipeline._heat_coefficients.cache_clear()
+    catbell.pipeline._cat_populations.cache_clear()
     outputs = []
     for _ in range(2):
         _, output = runner.run(op)
         runner.verify(op, output)
         outputs.append(output)
-    info = catbell.pipeline._heat_coefficients.cache_info()
+    info = catbell.pipeline._cat_populations.cache_info()
     assert (info.misses, info.hits) == (1, 1)
     assert runner.failures == []
     miss, hit = (json.dumps(out["rows"]) for out in outputs)

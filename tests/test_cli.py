@@ -12,8 +12,9 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+import tracemalloc
 import warnings
-from math import inf, nextafter, pi, sqrt
+from math import exp, inf, nextafter, pi, sqrt
 from pathlib import Path
 from unittest import mock
 
@@ -54,7 +55,7 @@ from catbell.errors import CapacityError, ConfigError
 from catbell.gates import u_swap
 from catbell.pipeline import (
     _coherent_stages,
-    _heat_coefficients,
+    _cat_populations,
     _pipeline_state,
     run_bell_scan,
     run_full_pipeline,
@@ -381,11 +382,29 @@ class TestProtocolRunners:
         assert rows[1]["n_mean"] > rows[0]["n_mean"]
         assert results["final_parity"] == pytest.approx(rows[-1]["parity"])
 
+    @pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
+    def test_heat_sweep_flip_probability_is_the_parity_law(self, alpha):
+        # flip_probability is (1 - parity) / 2: gamma (2 nbar + 1) t at small
+        # gamma t, nbar the cat's own <n>, rising toward 1/2 as the parity
+        # falls under 1 / (1 + 2 gamma t)
+        gamma = 1e-4
+        durations = [1.0, 10.0, 1e3, 1e9]
+        cfg = cfg_for("heat-sweep", encoding={"alpha": alpha},
+                      noise={"gamma": gamma, "durations": durations})
+        rows, _, _ = run_heat_sweep(cfg)
+        flips = [r["flip_probability"] for r in rows]
+        assert flips == [(1.0 - r["parity"]) / 2.0 for r in rows]
+        nbar = rows[0]["n_mean"] - gamma * durations[0]
+        assert flips[0] / (gamma * (2.0 * nbar + 1.0) * durations[0]) == \
+            pytest.approx(1.0, abs=1e-2)
+        assert all(a < b for a, b in zip(flips, flips[1:]))
+        assert 0.0 < 0.5 - flips[-1] <= 0.5 / (1.0 + 2.0 * gamma * durations[-1])
+
     @pytest.mark.parametrize("alpha", [2.0, 3.0, 6.0])
     def test_heat_sweep_rows_ignore_record_grid(self, alpha, monkeypatch):
-        # noise.steps only sets the record grid, and each duration is its own
-        # exact evaluation: a row is the same bytes on every grid, alone or
-        # inside a sweep.  alpha 6 (cutoff 82) needs the raised size cap
+        # noise.steps is read by nothing, and each duration is its own exact
+        # evaluation: a row is the same bytes at any steps, alone or inside
+        # a sweep.  alpha 6 (cutoff 82) needs the raised size cap
         monkeypatch.setenv("CATBELL_MAX_DIM", "65536")
         durations = [0.25, 0.5, 1.0, 2.0]
 
@@ -396,17 +415,17 @@ class TestProtocolRunners:
             cfg = cfg_for("heat-sweep", encoding={"alpha": alpha}, noise=noise)
             return render_csv(run_heat_sweep(cfg)[0]).splitlines()[1:]
         want = lines(None, durations)
-        for steps in (None, 1, 7, 100, 5000):
+        for steps in (None, 1, 7, 100, 5000, 10 ** 15):
             assert lines(steps, durations) == want
             for i, duration in enumerate(durations):
                 assert lines(steps, [duration]) == [want[i]]
 
-    def test_heat_sweep_decomposes_two_blocks_per_duration(self, monkeypatch):
-        # the sweep reads diagonals 0 and -1 only; building the full final
-        # rho would decompose all d blocks.  A cold memo, so that the
-        # coefficients are computed here
+    def test_heat_sweep_decomposes_no_block(self, monkeypatch):
+        # the sweep reads the channel's law off the cat's populations; it
+        # builds no rho and no heating block.  A cold memo, so that the
+        # populations are computed here
         import catbell.noise
-        _heat_coefficients.cache_clear()
+        _cat_populations.cache_clear()
         calls = []
         block = catbell.noise._diagonal_block
 
@@ -415,7 +434,7 @@ class TestProtocolRunners:
             return block(dim, m)
         monkeypatch.setattr(catbell.noise, "_diagonal_block", counted)
         run_heat_sweep(cfg_for("heat-sweep", noise={"steps": 50}))
-        assert sorted(calls) == [0, 1]
+        assert calls == []
 
     def test_bell_scan_exact(self):
         rows, results, provenance = run_bell_scan(cfg_for("bell-scan"))
@@ -733,8 +752,8 @@ class TestMainEntry:
             "raise CATBELL_MAX_DIM if this is intentional\n")
 
     def test_contract_error_exit_code(self, tmp_path, capsys):
-        # gamma * duration = 1e18 is the uniform steady state; one that
-        # overflows to inf has no answer
+        # gamma * duration = 1e18 heats the untruncated mode by 1e18 quanta;
+        # one that overflows to inf has no answer
         raw = {"protocol": "heat-sweep",
                "encoding": {"alpha": 1.5, "cutoff": 14, "leak_tol": 1e-5},
                "noise": {"gamma": 1e3, "duration": 1e15, "steps": 20}}
@@ -742,7 +761,7 @@ class TestMainEntry:
         assert main(["run", cfg_path, "--output", str(tmp_path)]) == 0
         lines = (tmp_path / "heat-sweep.csv").read_text().splitlines()
         assert lines[0].startswith("duration,n_mean,")
-        assert lines[1].startswith("1e+15,6.5,")
+        assert lines[1].startswith("1e+15,1e+18,0,0,")
         raw["noise"]["duration"] = 1e306
         cfg_path = self.write_config(tmp_path, raw)
         assert main(["run", cfg_path, "--output", str(tmp_path)]) == 4
@@ -750,18 +769,25 @@ class TestMainEntry:
         assert "contract violation" in err and "gamma*duration = inf" in err
         assert "Warning" not in err
 
-    def test_long_heating_reaches_the_steady_state(self, tmp_path):
-        # gamma t = 1e3 is exact now; the truncated ladder fills evenly
+    def test_long_heating_follows_the_channel_law(self, tmp_path):
+        # gamma t = 1e3 reads the untruncated mode: <n> grows by gamma t,
+        # with no ladder top to fill, and the parity is the untruncated even
+        # cat's closed form within the cat's own truncation (leak_tol 1e-5)
         cfg_path = self.write_config(tmp_path, {
             "protocol": "heat-sweep",
             "encoding": {"alpha": 1.5, "cutoff": 14, "leak_tol": 1e-5},
-            "noise": {"gamma": 1e3, "steps": 20},
+            "noise": {"gamma": 1e3, "durations": [0.0, 1.0]},
             "output": {"format": "json"},
         })
         assert main(["run", cfg_path, "--output", str(tmp_path)]) == 0
         rows = json.loads((tmp_path / "heat-sweep.json").read_text())["rows"]
-        assert rows[-1]["n_mean"] == pytest.approx((14 - 1) / 2, abs=1e-9)
-        assert abs(rows[-1]["parity"]) <= 1e-9
+        assert rows[1]["n_mean"] == pytest.approx(rows[0]["n_mean"] + 1e3,
+                                                  rel=1e-15)
+        s, a2 = 1e3, 1.5 ** 2
+        closed = ((exp(-2.0 * a2 / (1.0 + 2.0 * s)) + exp(-4.0 * a2 * s / (1.0 + 2.0 * s)))
+                  / ((1.0 + 2.0 * s) * (1.0 + exp(-2.0 * a2))))
+        assert rows[1]["parity"] == pytest.approx(closed, rel=1e-4)
+        assert rows[1]["flip_probability"] == (1.0 - rows[1]["parity"]) / 2.0
 
     @pytest.mark.parametrize("protocol,noise", [
         ("full-pipeline", {"delta": float("nan")}),
@@ -774,10 +800,6 @@ class TestMainEntry:
         assert "must be finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("raw,code,message", [
-        ({"protocol": "heat-sweep", "noise": {"steps": 1e15}},
-         3, "capacity error: 1e\\+15 recorded steps exceed the limit"),
-        ({"protocol": "heat-sweep", "noise": {"steps": 1000001}},
-         3, "capacity error: 1000001 recorded steps exceed the limit 1000000;"),
         ({"protocol": "heat-sweep", "noise": {"gamma": 1e10, "durations": [1e300]}},
          4, "contract violation: .* at gamma\\*duration = inf"),
         ({"protocol": "heat-sweep", "noise": {"gamma": 1e300, "duration": 1e10}},
@@ -793,7 +815,7 @@ class TestMainEntry:
             "set noise\\.delta explicitly"),
         ({"protocol": "prepare", "encoding": {"alpha": 1000, "cutoff": 30}},
          3, "capacity error: no finite cutoff found for \\|alpha\\|\\^2 = 1000000"),
-    ], ids=["steps", "steps-one-past-limit", "durations", "auto-steps-overflow",
+    ], ids=["durations", "auto-steps-overflow",
             "bell-scan-shots", "full-pipeline-shots", "rotate-angle-overflow",
             "default-delta-above-one", "no-finite-cutoff"])
     def test_step_and_shot_limits(self, tmp_path, capsys, raw, code, message):
@@ -1221,8 +1243,8 @@ class TestPipelineMemo:
 
 
 class TestHeatSweepMemo:
-    """run_heat_sweep memoizes the even cat's trace coefficients per
-    encoding and evaluates each duration at its endpoint."""
+    """run_heat_sweep memoizes the even cat's populations and <a> per
+    encoding and reads each duration off the channel's law alone."""
 
     @pytest.mark.parametrize("alpha", [2.0, 3.0, 4.0, 6.0])
     def test_warm_calls_equal_cold_ones(self, alpha, monkeypatch):
@@ -1236,45 +1258,59 @@ class TestHeatSweepMemo:
             out = []
             for cfg in cfgs:
                 if cold:
-                    _heat_coefficients.cache_clear()
-                    catbell.noise._diagonal_block.cache_clear()
+                    _cat_populations.cache_clear()
                 rows, results, _ = run_heat_sweep(cfg)
                 out.append(render_csv(rows) + repr(results))
             return out
 
-        _heat_coefficients.cache_clear()
+        _cat_populations.cache_clear()
         warm = sweep(cold=False)
-        info = _heat_coefficients.cache_info()
+        info = _cat_populations.cache_info()
         assert (info.misses, info.hits) == (1, len(cfgs) - 1)
         assert warm == sweep(cold=True)
 
-    def test_hit_still_holds_the_size_cap_and_the_step_limit(self, monkeypatch):
+    def test_hit_still_holds_the_size_cap(self, monkeypatch):
         cfg = cfg_for("heat-sweep", encoding={"alpha": 2.0})
-        _heat_coefficients.cache_clear()
+        _cat_populations.cache_clear()
         run_heat_sweep(cfg)
         monkeypatch.setenv("CATBELL_MAX_DIM", "3")
         with pytest.raises(CapacityError, match="exceeds the cap 3"):
             run_heat_sweep(cfg)
-        monkeypatch.delenv("CATBELL_MAX_DIM")
-        too_many = cfg_for("heat-sweep", encoding={"alpha": 2.0},
-                           noise={"steps": catbell.noise.MAX_STEPS + 1})
-        with pytest.raises(CapacityError, match="1000001 recorded steps"):
-            run_heat_sweep(too_many)
-        assert _heat_coefficients.cache_info().hits == 2
+        assert _cat_populations.cache_info().hits == 1
 
     def test_cached_arrays_are_read_only(self):
-        coeffs = _heat_coefficients(EncodingParams.for_amplitudes(2.0))
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            coeffs.c0 = coeffs.c1
-        for cached in (coeffs.w0, coeffs.c0, coeffs.w1, coeffs.c1):
-            with pytest.raises(ValueError, match="read-only"):
-                cached[0] = 1.0
+        populations, a0 = _cat_populations(EncodingParams.for_amplitudes(2.0))
+        assert a0 == 0.0 and populations.sum() == pytest.approx(1.0, abs=1e-15)
+        with pytest.raises(ValueError, match="read-only"):
+            populations[0] = 1.0
+
+    def test_cutoff_at_the_cap_allocates_no_square(self):
+        # the law reads the cat's d populations: at the default cap's
+        # largest one-mode cutoffs the sweep allocates O(d), not the d x d
+        # rho (4.1 GB at d = 16000) of a Fock-space propagation
+        cfg = cfg_for("heat-sweep", encoding={"alpha": 2.0, "cutoff": 16000},
+                      noise={"durations": [0.5, 1.0]})
+        _cat_populations.cache_clear()
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            rows, _, _ = run_heat_sweep(cfg)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+            _cat_populations.cache_clear()
+        assert peak <= 16 * 2 ** 20
+        assert rows[-1]["n_mean"] == pytest.approx(4.0 * np.tanh(4.0) + 1e-3,
+                                                   abs=1e-12)
 
 
 class TestDecompositionCache:
     """The tridiagonal generators are decomposed once per cutoff and
-    process; heat-sweep's trace coefficients are memoized per encoding
-    (TestHeatSweepMemo)."""
+    process; heat-sweep decomposes none (TestHeatSweepMemo)."""
 
     @pytest.fixture
     def decompositions(self, monkeypatch) -> list:
@@ -1290,13 +1326,12 @@ class TestDecompositionCache:
         return calls
 
     def test_warm_heat_sweep_decomposes_nothing(self, decompositions):
-        _heat_coefficients.cache_clear()
+        _cat_populations.cache_clear()
         cfg = cfg_for("heat-sweep", encoding={"alpha": 3.0},
                       noise={"durations": [0.25, 0.5, 1.0, 2.0], "steps": 50})
         first = run_heat_sweep(cfg)
-        assert len(decompositions) == 2
         assert run_heat_sweep(cfg) == first
-        assert len(decompositions) == 2
+        assert decompositions == []
 
     def test_warm_pipeline_decomposes_nothing_and_builds_no_gate(
             self, decompositions, monkeypatch):

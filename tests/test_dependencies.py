@@ -42,7 +42,6 @@ DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 KEPT_UNREAD = {
     "dm_fidelity": "the Uhlmann reference that tests hold "
                    "bell.mixed_bell_fidelity to",
-    "propagate": "the full heated rho; ROADMAP items 3, 4 and 14 build on it",
 }
 
 # imports that their module does not read, kept on purpose: perfbench's
@@ -60,6 +59,8 @@ KEPT_UNREAD_ORACLES = {
 # config fields that no runner reads, kept on purpose: the reason, and the
 # ROADMAP item that retires the field
 KEPT_UNREAD_FIELDS = {
+    "noise.steps": ("the benchmark's heat-sweep configs send it; no row "
+                    "depends on it since heat-sweep reads the channel's law", 1),
     "noise.constant_rate": ("the benchmark's heat-sweep configs send it as "
                             "false; true, the retired frozen jump rates, is "
                             "refused", 13),

@@ -1,11 +1,10 @@
-"""Heating channel: exact master-equation solution and jump trajectories."""
+"""Heating channel: its exact law, the Fock-space propagator and jump
+trajectories."""
 
 from __future__ import annotations
 
-import re
-import tracemalloc
 import warnings
-from math import prod
+from math import exp, lgamma, log, log1p, prod, tanh
 
 import numpy as np
 import pytest
@@ -16,7 +15,7 @@ from hypothesis import strategies as st
 from catbell.bell import mixed_bell
 from catbell.bosonic import EVEN, ODD, ModeParams, cat, coherent, mode_for
 from catbell.encoding import MODE_A, MODE_B, EncodingParams, bell_target
-from catbell.errors import CapacityError, ContractError
+from catbell.errors import ContractError
 from catbell.hilbert import (
     DensityMatrix,
     SpaceLayout,
@@ -26,7 +25,6 @@ from catbell.hilbert import (
 )
 import catbell.noise
 from catbell.noise import (
-    MAX_STEPS,
     HeatingParams,
     _SEED_BLOCK,
     _Node,
@@ -34,16 +32,13 @@ from catbell.noise import (
     _mode_view,
     _place,
     delta_of,
-    evaluate_traces,
-    evolve_lindblad,
-    parity_flip_probability,
+    heated_moments,
     propagate,
     sample_trajectory,
-    trace_coefficients,
     trajectory_rng,
 )
-from catbell.reference import liouvillian_expm, liouvillian_matrix, poisson_jump_stats
-from conftest import basis_state, expectation, on_register, parity_op
+from catbell.reference import liouvillian_expm, liouvillian_matrix
+from conftest import basis_state, expectation, on_register, parity_op, readouts
 
 
 def random_density(dim: int, seed: int) -> DensityMatrix:
@@ -64,15 +59,6 @@ def random_matrix(dim: int, kind: str, seed: int) -> DensityMatrix:
     return DensityMatrix(SpaceLayout((dim,)), m)
 
 
-def readouts(rho: np.ndarray) -> tuple[float, complex, float]:
-    """<n>, <a> and parity of rho, read directly off its diagonals."""
-    k = np.arange(rho.shape[0])
-    diag = np.diagonal(rho).real
-    return (float((k * diag).sum()),
-            complex((np.sqrt(k[1:]) * np.diagonal(rho, -1)).sum()),
-            float(((-1.0) ** k * diag).sum()))
-
-
 class TestParams:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -90,7 +76,7 @@ class TestParams:
         with pytest.raises(ValueError, match="steps must be an integer"):
             HeatingParams(0.01, 1.0, steps=steps)
 
-    @pytest.mark.parametrize("steps", [1, 7, np.int64(3), MAX_STEPS + 1])
+    @pytest.mark.parametrize("steps", [1, 7, np.int64(3), 10 ** 15])
     def test_integer_steps_accepted(self, steps):
         assert HeatingParams(0.01, 1.0, steps=steps).steps == steps
 
@@ -112,30 +98,6 @@ class TestParams:
     def test_non_finite_rejected(self, gamma, duration):
         with pytest.raises(ValueError, match="finite"):
             HeatingParams(gamma, duration)
-
-    @pytest.mark.parametrize("params", [
-        HeatingParams(0.01, 1.0, steps=MAX_STEPS + 1),
-        HeatingParams(0.01, 1.0, steps=10 ** 15),
-    ], ids=["given-past-limit", "given-huge"])
-    def test_step_limit_refused_before_allocating(self, params, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("record arrays allocated past the step limit")
-        monkeypatch.setattr(catbell.noise.np, "linspace", refuse)
-        rho0 = basis_state(SpaceLayout((8,)), (0,)).to_density()
-        with pytest.raises(CapacityError, match="recorded steps exceed the limit"):
-            evolve_lindblad(rho0, params)
-
-    def test_step_limit_is_inclusive(self, monkeypatch):
-        monkeypatch.setattr(catbell.noise, "MAX_STEPS", 150)
-        rho0 = basis_state(SpaceLayout((4,)), (0,)).to_density()
-        assert evolve_lindblad(rho0, HeatingParams(1e-3, 1.0, steps=150)).times.size == 151
-        with pytest.raises(CapacityError, match="151 recorded steps"):
-            evolve_lindblad(rho0, HeatingParams(1e-3, 1.0, steps=151))
-        # the count is printed in full, not rounded to 1e+06
-        monkeypatch.undo()
-        with pytest.raises(CapacityError, match=re.escape(
-                f"{MAX_STEPS + 1} recorded steps exceed the limit {MAX_STEPS};")):
-            evolve_lindblad(rho0, HeatingParams(1e-3, 1.0, steps=MAX_STEPS + 1))
 
 
 def block_generator(rho: np.ndarray, gamma: float) -> np.ndarray:
@@ -221,6 +183,9 @@ class TestRhs:
 
 
 class TestEvolve:
+    """noise.propagate: rho under the truncated channel, exactly, against
+    the superoperator exponential of reference.liouvillian_expm."""
+
     def test_zero_gamma_identity(self):
         mode = mode_for(1.5)
         rho0 = cat(1.5, EVEN, mode).to_density()
@@ -233,16 +198,12 @@ class TestEvolve:
     def test_matches_superoperator_exponential(self, dim, gamma, kind):
         # a one-mode layout has d >= 2, so d = 1 is covered by the block test
         rho0 = random_matrix(dim, kind, seed=10 * dim + int(gamma))
-        duration = 0.7
-        params = HeatingParams(gamma, duration, steps=2)
-        res = evolve_lindblad(rho0, params)
-        assert np.abs(propagate(rho0, params).matrix
-                      - liouvillian_expm(rho0.matrix, gamma, duration)).max() <= 1e-13
-        for i, t in enumerate(res.times):
-            n, a, p = readouts(liouvillian_expm(rho0.matrix, gamma, t))
-            assert abs(res.n_trace[i] - n) <= 1e-13
-            assert abs(res.a_trace[i] - a) <= 1e-13
-            assert abs(res.parity_trace[i] - p) <= 1e-13
+        for duration in (0.35, 0.7):
+            want = liouvillian_expm(rho0.matrix, gamma, duration)
+            got = propagate(rho0, HeatingParams(gamma, duration)).matrix
+            assert np.abs(got - want).max() <= 1e-13
+            for x, y in zip(readouts(got), readouts(want)):
+                assert abs(x - y) <= 1e-13
 
     def test_stiff_top_level_is_exact(self):
         # h gamma (2d) = 0.5 on the top level for two steps: there the old
@@ -250,65 +211,31 @@ class TestEvolve:
         dim, duration = 12, 1.0
         gamma = 0.5 / (2 * dim * duration / 2)
         rho0 = basis_state(SpaceLayout((dim,)), (dim - 1,)).to_density()
-        params = HeatingParams(gamma, duration, steps=2)
-        res = evolve_lindblad(rho0, params)
+        got = propagate(rho0, HeatingParams(gamma, duration)).matrix
         want = liouvillian_expm(rho0.matrix, gamma, duration)
-        assert np.abs(propagate(rho0, params).matrix - want).max() <= 1e-13
-        assert abs(res.n_trace[-1] - readouts(want)[0]) <= 1e-13
-
-    def test_trace_memory_is_linear_in_steps(self):
-        # the four traces take 40 B a step; a (steps, d) float history of the
-        # diagonal alone would add 8 d B a step, 320 B at d = 40
-        dim, steps = 40, 50_000
-        rho0 = basis_state(SpaceLayout((dim,)), (0,)).to_density()
-        started = not tracemalloc.is_tracing()
-        if started:
-            tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            res = evolve_lindblad(rho0, HeatingParams(1e-4, 1.0, steps=steps))
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            if started:
-                tracemalloc.stop()
-        assert res.n_trace.shape == (steps + 1,)
-        assert peak <= 64 * (steps + 1) + 1024 * dim ** 2
+        assert np.abs(got - want).max() <= 1e-13
+        assert abs(readouts(got)[0] - readouts(want)[0]) <= 1e-13
 
     def test_input_untouched_and_results_unshared(self):
         rho0 = random_density(6, seed=11)
         before = rho0.matrix.copy()
-        params = HeatingParams(0.05, 1.0, steps=10)
-        res = evolve_lindblad(rho0, params)
-        final = propagate(rho0, params)
+        final = propagate(rho0, HeatingParams(0.05, 1.0))
         assert np.array_equal(rho0.matrix, before)
-        arrays = [rho0.matrix, final.matrix, res.times, res.n_trace,
-                  res.a_trace, res.parity_trace]
-        for i, x in enumerate(arrays):
-            for y in arrays[i + 1:]:
-                assert not np.shares_memory(x, y)
-        second, second_final = evolve_lindblad(rho0, params), propagate(rho0, params)
-        kept = [second_final.matrix.copy(), second.n_trace.copy(),
-                second.a_trace.copy(), second.parity_trace.copy()]
-        for x in arrays[1:]:
-            x[...] = np.nan
-        assert np.array_equal(rho0.matrix, before)
-        got = [second_final.matrix, second.n_trace, second.a_trace,
-               second.parity_trace]
-        assert all(np.array_equal(x, y) for x, y in zip(got, kept))
+        assert not np.shares_memory(final.matrix, rho0.matrix)
 
     def test_occupation_growth(self):
         mode = mode_for(2.0)
         rho0 = coherent(2.0, mode).to_density()
-        res = evolve_lindblad(rho0, HeatingParams(0.01, 1.0))
-        assert abs(res.n_trace[-1] - 4.01) < 1e-4
-        assert abs(res.n_trace[0] - 4.0) < 1e-8
+        n0 = readouts(rho0.matrix)[0]
+        n1 = readouts(propagate(rho0, HeatingParams(0.01, 1.0)).matrix)[0]
+        assert abs(n1 - 4.01) < 1e-4
+        assert abs(n0 - 4.0) < 1e-8
 
     def test_amplitude_conserved(self):
         mode = mode_for(2.0)
         rho0 = coherent(2.0, mode).to_density()
-        res = evolve_lindblad(rho0, HeatingParams(0.01, 1.0))
-        assert abs(res.a_trace[-1] - res.a_trace[0]) < 1e-9
+        a1 = readouts(propagate(rho0, HeatingParams(0.01, 1.0)).matrix)[1]
+        assert abs(a1 - readouts(rho0.matrix)[1]) < 1e-9
 
     def test_matches_exponentiated_generator(self):
         mode = ModeParams(12, leak_tol=1e-2)
@@ -318,39 +245,23 @@ class TestEvolve:
         assert np.abs(got.matrix - want).max() < 1e-6
 
     def test_parity_matches_frozen(self, golden):
+        # the d = 12 truncated model, as reference.py froze it
         rec = golden("heating_parity.json")["cat_parity_after_heating"]
         mode = ModeParams(12, leak_tol=1e-5)
         rho0 = cat(1.5, EVEN, mode).to_density()
-        res = evolve_lindblad(rho0, HeatingParams(0.02, 1.0))
-        assert abs(res.parity_trace[-1] - rec.value) < rec.tolerance
-
-    def test_values_do_not_depend_on_the_record_grid(self):
-        # the endpoint is the same bits on every grid; a grid point is the
-        # same bits as a run that ends there
-        mode = ModeParams(12, leak_tol=1e-5)
-        rho0 = cat(1.5, EVEN, mode).to_density()
-
-        def endpoint(res):
-            return (res.n_trace[-1], res.a_trace[-1], res.parity_trace[-1],
-                    res.trace_drift)
-        want = endpoint(evolve_lindblad(rho0, HeatingParams(0.02, 1.0)))
-        for steps in (1, 7, 100, 5000):
-            res = evolve_lindblad(rho0, HeatingParams(0.02, 1.0, steps=steps))
-            assert endpoint(res) == want
-        res = evolve_lindblad(rho0, HeatingParams(0.02, 2.0, steps=2))
-        assert endpoint(evolve_lindblad(rho0, HeatingParams(0.02, 1.0)))[:3] == \
-            (res.n_trace[1], res.a_trace[1], res.parity_trace[1])
+        rho = propagate(rho0, HeatingParams(0.02, 1.0)).matrix
+        assert abs(readouts(rho)[2] - rec.value) < rec.tolerance
 
     def test_long_time_is_the_uniform_steady_state(self):
         # gamma t = 1e3 is far past every decay time of the truncated ladder;
         # the balanced channel leaves the levels equally filled
         dim = 12
         rho0 = basis_state(SpaceLayout((dim,)), (0,)).to_density()
-        params = HeatingParams(1e3, 1.0, steps=20)
-        res = evolve_lindblad(rho0, params)
-        assert abs(res.n_trace[-1] - (dim - 1) / 2) <= 1e-9
-        assert abs(res.parity_trace[-1]) <= 1e-9
-        assert np.abs(propagate(rho0, params).matrix - np.eye(dim) / dim).max() <= 1e-12
+        rho = propagate(rho0, HeatingParams(1e3, 1.0)).matrix
+        assert np.abs(rho - np.eye(dim) / dim).max() <= 1e-12
+        n, _, parity = readouts(rho)
+        assert abs(n - (dim - 1) / 2) <= 1e-9
+        assert abs(parity) <= 1e-9
 
     @pytest.mark.parametrize("rate", [1e3, 1e9])
     def test_steady_state_holds_its_trace_at_any_rate(self, rate):
@@ -360,31 +271,33 @@ class TestEvolve:
         dim = 26
         rho0 = cat(2.0, EVEN, mode_for(2.0)).to_density()
         assert rho0.matrix.shape[0] == dim
-        res = evolve_lindblad(rho0, HeatingParams(1.0, rate, steps=20))
-        assert res.trace_drift <= 1e-12
-        assert abs(res.n_trace[-1] - (dim - 1) / 2) <= 1e-12
+        rho = propagate(rho0, HeatingParams(1.0, rate)).matrix
+        assert abs(np.trace(rho).real - 1.0) <= 1e-12
+        assert abs(readouts(rho)[0] - (dim - 1) / 2) <= 1e-12
 
-    def test_trace_drift_guard(self):
-        # an infinite gamma t leaves exp(gamma t w) undefined on the
-        # steady state and ends in the named error without a numpy warning,
-        # in evolve_lindblad and in propagate; a huge finite one is the
-        # uniform steady state
+    def test_infinite_rate_is_a_named_error(self):
+        # an infinite gamma t leaves exp(gamma t w) undefined on the steady
+        # state and ends in the named error without a numpy warning, in
+        # propagate and in the law; a huge finite one is the uniform steady
+        # state, and the law's untruncated mode heats without bound
         rho0 = DensityMatrix(SpaceLayout((12,)), np.diag([1.0] + [0.0] * 11))
+        populations = rho0.matrix.diagonal().real
         for gamma, duration in [(1e-3, 1e300), (1e300, 1e10), (1e3, 1e15)]:
             params = HeatingParams(gamma, duration)
+            rate = gamma * duration
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                if np.isfinite(gamma * duration):
-                    res = evolve_lindblad(rho0, params)
-                    assert res.trace_drift <= 1e-12
-                    assert abs(res.n_trace[-1] - 5.5) <= 1e-12
+                if np.isfinite(rate):
                     assert np.abs(propagate(rho0, params).matrix
                                   - np.eye(12) / 12).max() <= 1e-12
+                    assert heated_moments(populations, rate)[0] == rate
                     continue
-                for run in (evolve_lindblad, propagate):
-                    with pytest.raises(ContractError,
-                                       match=r"at gamma\*duration = inf"):
-                        run(rho0, params)
+                with pytest.raises(ContractError,
+                                   match=r"at gamma\*duration = inf"):
+                    propagate(rho0, params)
+                with pytest.raises(ContractError,
+                                   match=r"at gamma\*duration = inf"):
+                    heated_moments(populations, rate)
 
     def test_propagate_result_is_private(self):
         # at gamma t = 0 too, where the result is a copy of the input
@@ -400,7 +313,7 @@ class TestEvolve:
 
     def test_propagate_takes_traceless_operators(self):
         # the channel is linear, so it maps |k><l| and a traceless diagonal
-        # as it maps any rho; evolve_lindblad refuses them by its trace check
+        # as it maps any rho
         dim, gamma, duration = 8, 0.3, 0.7
         layout = SpaceLayout((dim,))
         for k, l in [(0, 3), (5, 2), (7, 7)]:
@@ -413,23 +326,171 @@ class TestEvolve:
             want = liouvillian_expm(op, gamma, duration)
             assert np.abs(got.matrix - want).max() <= 1e-13
             assert np.array_equal(rho0.matrix, op)
-            with pytest.raises(ContractError, match="trace drifted"):
-                evolve_lindblad(rho0, HeatingParams(gamma, duration))
 
     def test_single_mode_only(self):
         rho0 = basis_state(SpaceLayout((4, 4)), (0, 0)).to_density()
-        for run in (evolve_lindblad, propagate):
-            with pytest.raises(ValueError):
-                run(rho0, HeatingParams(0.01, 1.0))
+        with pytest.raises(ValueError):
+            propagate(rho0, HeatingParams(0.01, 1.0))
 
-    def test_trace_record_shapes(self):
-        mode = ModeParams(10)
-        rho0 = coherent(0.5, mode).to_density()
-        res = evolve_lindblad(rho0, HeatingParams(0.01, 2.0, steps=120))
-        assert res.times.shape == (121,)
-        assert res.times[0] == 0.0 and res.times[-1] == 2.0
-        assert res.n_trace.shape == res.parity_trace.shape == (121,)
-        assert res.trace_drift < 1e-6
+
+def even_cat_populations(alpha: float, levels: np.ndarray) -> np.ndarray:
+    """The untruncated even cat's populations at the given levels:
+    2 e^{-alpha^2} alpha^{2k} / k! / (1 + e^{-2 alpha^2}) at even k, 0 at
+    odd k, in logs so that no factor overflows."""
+    a2 = alpha * alpha
+    log_p = (log(2.0) - a2 + levels * log(a2)
+             - np.array([lgamma(k + 1.0) for k in levels]) - log1p(exp(-2.0 * a2)))
+    return np.where(levels % 2 == 0, np.exp(log_p), 0.0)
+
+
+def closed_forms(alpha: float, s: float) -> tuple[float, float]:
+    """<n> and parity of the untruncated even cat after the channel at
+    gamma t = s: alpha^2 tanh alpha^2 + s, and
+    [e^{-2 alpha^2 / (1 + 2s)} + e^{-4 alpha^2 s / (1 + 2s)}]
+    / ((1 + 2s)(1 + e^{-2 alpha^2}))."""
+    a2 = alpha * alpha
+    parity = ((exp(-2.0 * a2 / (1.0 + 2.0 * s)) + exp(-4.0 * a2 * s / (1.0 + 2.0 * s)))
+              / ((1.0 + 2.0 * s) * (1.0 + exp(-2.0 * a2))))
+    return a2 * tanh(a2) + s, parity
+
+
+class TestChannelLaw:
+    """heated_moments, the channel's exact law on a state's populations,
+    against the untruncated even cat's closed forms and the Fock-space
+    propagation of states whose top levels are empty."""
+
+    RATES = (0.0, 1e-3, 0.05, 0.2, 6.0)
+
+    @pytest.mark.parametrize("alpha,cutoffs", [
+        (2.0, (12, 16, 20, 26)), (3.0, (16, 20, 26, 30, 37))])
+    def test_closed_forms_within_the_dropped_tail(self, alpha, cutoffs):
+        # the program's cat is the untruncated one, q_k, renormalized on the
+        # kept levels: p_k = q_k / (1 - eps), eps = sum_{k >= d} q_k.  So
+        # |<n> gap| <= eps / (1 - eps) <n>_0 + sum_{k >= d} k q_k and
+        # |parity gap| <= 2 eps, and both shrink with the cutoff
+        gaps = []
+        for d in cutoffs:
+            populations = cat(alpha, EVEN, ModeParams(d, leak_tol=0.5)).amps
+            populations = (populations.conj() * populations).real
+            tail = np.arange(d, d + 400, dtype=np.float64)
+            q = even_cat_populations(alpha, tail)
+            eps = float(q.sum())
+            n_bound = eps / (1.0 - eps) * alpha ** 2 + float(tail @ q) + 1e-13
+            worst = [0.0, 0.0]
+            for s in self.RATES:
+                n, parity = heated_moments(populations, s)
+                want_n, want_parity = closed_forms(alpha, s)
+                assert abs(n - want_n) <= n_bound
+                assert abs(parity - want_parity) <= 2.0 * eps + 1e-13
+                worst = [max(worst[0], abs(n - want_n)),
+                         max(worst[1], abs(parity - want_parity))]
+            gaps.append(worst)
+        for coarse, fine in zip(gaps, gaps[1:]):
+            assert fine[0] < coarse[0] and fine[1] < coarse[1]
+
+    @pytest.mark.parametrize("alpha", [2.0, 3.0])
+    def test_default_cutoff_parity_is_the_closed_form(self, alpha):
+        populations = cat(alpha, EVEN, mode_for(alpha)).amps
+        populations = (populations.conj() * populations).real
+        for s in self.RATES:
+            assert abs(heated_moments(populations, s)[1]
+                       - closed_forms(alpha, s)[1]) <= 1e-12
+
+    @pytest.mark.parametrize("dim,alpha", [(60, 2.0), (80, 3.0)])
+    def test_matches_propagate_at_large_cutoffs(self, dim, alpha):
+        # no state reaches the top levels by gamma t = 0.2: its truncated
+        # and untruncated channels agree to rounding.  The even cat's <a> is
+        # 0, the others' is not
+        mode = ModeParams(dim)
+        low = np.zeros((dim, dim), dtype=np.complex128)
+        low[:6, :6] = random_density(6, seed=dim).matrix
+        for rho0 in (cat(alpha, EVEN, mode).to_density().matrix,
+                     coherent(alpha, mode).to_density().matrix, low):
+            a0 = readouts(rho0)[1]
+            for s in (1e-3, 0.05, 0.2):
+                rho = propagate(DensityMatrix(mode.layout, rho0),
+                                HeatingParams(s, 1.0)).matrix
+                n, a, parity = readouts(rho)
+                law_n, law_parity = heated_moments(rho0.diagonal().real, s)
+                assert abs(n - law_n) <= 1e-12
+                assert abs(parity - law_parity) <= 1e-12
+                assert abs(a - a0) <= 1e-12
+
+    @pytest.mark.parametrize("dim", [10, 12])
+    def test_matches_the_superoperator_oracle(self, dim):
+        # weight on levels 0..3 alone needs d - 4 up-steps to reach the top
+        # level, at most about (gamma t)^6 of it by gamma t = 1e-2
+        for seed in range(3):
+            rho0 = np.zeros((dim, dim), dtype=np.complex128)
+            rho0[:4, :4] = random_density(4, seed=seed).matrix
+            for s in (1e-4, 1e-3, 1e-2):
+                n, a, parity = readouts(liouvillian_expm(rho0, s, 1.0))
+                law_n, law_parity = heated_moments(rho0.diagonal().real, s)
+                assert abs(n - law_n) <= 1e-12
+                assert abs(parity - law_parity) <= 1e-12
+                assert abs(a - readouts(rho0)[1]) <= 1e-12
+
+    def test_zero_rate_reads_the_state(self):
+        rho0 = random_density(9, seed=4).matrix
+        n, _, parity = readouts(rho0)
+        law_n, law_parity = heated_moments(rho0.diagonal().real, 0.0)
+        assert abs(law_n - n) <= 1e-15 and abs(law_parity - parity) <= 1e-15
+
+    def test_vacuum_heats_to_a_thermal_state(self):
+        # the vacuum displaced by a Gaussian of variance s is the thermal
+        # state of mean s, whose parity is 1 / (1 + 2s); by gamma t = 0.2 its
+        # weight on level 59 is under 1e-45, so propagate agrees at d = 60
+        dim = 60
+        populations = np.zeros(dim)
+        populations[0] = 1.0
+        rho0 = DensityMatrix(SpaceLayout((dim,)), np.diag(populations + 0j))
+        for s in self.RATES:
+            assert heated_moments(populations, s) == (s, 1.0 / (1.0 + 2.0 * s))
+            if s <= 0.2:
+                n, a, parity = readouts(
+                    propagate(rho0, HeatingParams(s, 1.0)).matrix)
+                assert abs(n - s) <= 1e-12 and abs(a) <= 1e-15
+                assert abs(parity - 1.0 / (1.0 + 2.0 * s)) <= 1e-12
+
+    def test_half_quantum_reads_the_vacuum_weight(self):
+        # at s = 1/2, x = 0: the parity is p_0 / 2, whatever the rest
+        for seed in range(3):
+            populations = random_density(9, seed=seed).matrix.diagonal().real
+            assert heated_moments(populations, 0.5)[1] == populations[0] / 2.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(weights=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40)
+           .filter(lambda w: sum(w) > 1e-3),
+           s=st.floats(0.0, 1e6))
+    def test_heats_by_the_rate_and_bounds_the_parity(self, weights, s):
+        # <n> grows by exactly s, and |sum p_k x^k| <= 1 with |x| <= 1 holds
+        # the parity to 1 / (1 + 2s)
+        populations = np.array(weights) / sum(weights)
+        n0 = heated_moments(populations, 0.0)[0]
+        n, parity = heated_moments(populations, s)
+        assert n == n0 + s
+        assert abs(parity) <= (1.0 + 1e-12) / (1.0 + 2.0 * s)
+
+    def test_input_left_alone(self):
+        # the heat-sweep memo hands the law a read-only array
+        populations = random_density(9, seed=2).matrix.diagonal().real.copy()
+        before = populations.copy()
+        populations.flags.writeable = False
+        for s in self.RATES:
+            heated_moments(populations, s)
+        assert np.array_equal(populations, before)
+
+    @pytest.mark.parametrize("rate", [1e200, 1e308, 1.7976931348623157e308])
+    def test_huge_finite_rate_heats_the_untruncated_mode(self, rate):
+        # where 2s overflows to inf, x stays 1 and the parity is 0, with no
+        # numpy warning; <n> is n0 + s at every finite rate
+        populations = random_density(9, seed=3).matrix.diagonal().real
+        n0 = heated_moments(populations, 0.0)[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            n, parity = heated_moments(populations, rate)
+        assert n == n0 + rate
+        assert 0.0 <= parity <= (1.0 + 1e-12) / (2.0 * rate + 1.0)
 
 
 class TestDiagonalBlockCache:
@@ -472,21 +533,19 @@ class TestDiagonalBlockCache:
 
     def test_cold_run_equals_warm_run(self):
         runs = [(cat(2.0, EVEN, mode_for(2.0)).to_density(),
-                 HeatingParams(1e-3, 1.0, steps=100)),
+                 HeatingParams(1e-3, 1.0)),
                 (cat(2.0, EVEN, mode_for(2.0)).to_density(),
                  HeatingParams(2e-2, 0.5)),
-                (random_density(12, seed=13), HeatingParams(0.05, 1.0, steps=7))]
+                (random_density(12, seed=13), HeatingParams(0.05, 1.0))]
 
         def evolve(cold: bool) -> list:
             out = []
             for rho0, params in runs:
                 if cold:
                     _diagonal_block.cache_clear()
-                res, final = evolve_lindblad(rho0, params), propagate(rho0, params)
+                out.append(propagate(rho0, params).matrix)
                 if cold:
                     _diagonal_block.cache_clear()
-                out.append((res.times, res.n_trace, res.a_trace,
-                            res.parity_trace, res.trace_drift, final.matrix))
             return out
 
         _diagonal_block.cache_clear()
@@ -496,40 +555,7 @@ class TestDiagonalBlockCache:
         # decomposed once
         assert _diagonal_block.cache_info().misses == 26 + 12
         for got, want in zip(evolve(cold=True), warm):
-            assert all(np.all(x == y) for x, y in zip(got, want))
-
-
-class TestTraceStages:
-    """evolve_lindblad is trace_coefficients, then evaluate_traces on the
-    record grid; a time's traces do not depend on the other times."""
-
-    @pytest.mark.parametrize("steps", [None, 1, 7, 100])
-    def test_endpoint_alone_has_the_grid_bits(self, steps):
-        runs = [(cat(2.0, EVEN, mode_for(2.0)).to_density(), 2e-2, 1.3),
-                (random_density(12, seed=5), 0.4, 0.7)]
-        for rho0, gamma, duration in runs:
-            res = evolve_lindblad(rho0, HeatingParams(gamma, duration, steps))
-            end = evaluate_traces(trace_coefficients(rho0), gamma,
-                                  np.array([duration]))
-            for got, want in ((end.n_trace, res.n_trace),
-                              (end.a_trace, res.a_trace),
-                              (end.parity_trace, res.parity_trace)):
-                assert got.tobytes() == want[-1:].tobytes()
-            assert end.trace_drift == res.trace_drift
-
-    def test_empty_times_refused(self):
-        # once a bare IndexError from reading the drift at the last time
-        coeffs = trace_coefficients(random_density(6, seed=3))
-        with pytest.raises(ValueError, match="at least one time"):
-            evaluate_traces(coeffs, 0.1, np.array([]))
-
-    def test_coefficients_leave_the_input_alone(self):
-        rho0 = random_density(9, seed=2)
-        before = rho0.matrix.copy()
-        coeffs = trace_coefficients(rho0)
-        assert np.array_equal(rho0.matrix, before)
-        for array in (coeffs.w0, coeffs.c0, coeffs.w1, coeffs.c1):
-            assert not np.shares_memory(array, rho0.matrix)
+            assert np.array_equal(got, want)
 
 
 class TestScales:
@@ -543,35 +569,21 @@ class TestScales:
         gt = (1.0 - 2 ** -0.5) / alpha**2
         assert abs(delta_of(gt, alpha, 1.0) - (1.0 - 2 ** -0.5)) < 1e-12
 
-    def test_parity_flip_probability_small_rate(self):
-        p = parity_flip_probability(1e-5, 2.0, 1.0)
-        assert p == pytest.approx(2.0 * 4e-5, rel=1e-3)
-
     @pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
-    def test_single_jump_formulas_undercount_flips(self, alpha):
-        # the exact channel flips an even cat's parity at gamma (2 nbar + 1)
-        # t for small gamma t, with nbar the cat's own <n>; delta_of and
-        # parity_flip_probability miss that law by the factors
-        # (2 nbar + 1) / alpha^2 and (2 nbar + 1) / (2 alpha^2)
+    def test_single_jump_scale_undercounts_flips(self, alpha):
+        # the exact channel flips an even cat's parity with probability
+        # (1 - parity) / 2, gamma (2 nbar + 1) t for small gamma t with nbar
+        # the cat's own <n>; delta_of misses that law by the factor
+        # (2 nbar + 1) / alpha^2
         gamma, duration = 1e-4, 1.0
-        rho0 = cat(alpha, EVEN, mode_for(alpha)).to_density()
-        res = evolve_lindblad(rho0, HeatingParams(gamma, duration))
-        flip = (1.0 - res.parity_trace[-1]) / 2.0
-        law = gamma * (2.0 * res.n_trace[0] + 1.0) * duration
+        amps = cat(alpha, EVEN, mode_for(alpha)).amps
+        populations = (amps.conj() * amps).real
+        n0, parity0 = heated_moments(populations, 0.0)
+        assert parity0 == pytest.approx(1.0, abs=1e-15)
+        flip = (1.0 - heated_moments(populations, gamma * duration)[1]) / 2.0
+        law = gamma * (2.0 * n0 + 1.0) * duration
         assert flip / law == pytest.approx(1.0, abs=1e-2)
         assert flip / delta_of(gamma, alpha, duration) > 2.0
-        assert flip / parity_flip_probability(gamma, alpha, duration) > 1.05
-
-    def test_parity_flip_probability_matches_poisson_oracle(self):
-        # balanced rates gamma alpha^2 up and down, merged intensity 2 delta
-        rate = 1e-3 * 4.0
-        stats = poisson_jump_stats(rate, rate, 10.0)
-        assert parity_flip_probability(1e-3, 2.0, 10.0) == pytest.approx(
-            stats["p_odd"], abs=1e-12
-        )
-
-    def test_parity_flip_probability_saturates(self):
-        assert parity_flip_probability(10.0, 3.0, 10.0) == pytest.approx(0.5, abs=1e-12)
 
 
 class TestTrajectories:
@@ -810,12 +822,12 @@ class TestTrajectories:
             w = np.abs(res.final.amps) ** 2
             n_vals[i] = float((n_diag * w).sum())
             p_vals[i] = float((p_diag * w).sum())
-        ref = evolve_lindblad(psi.to_density(), params)
+        ref_n, _, ref_parity = readouts(propagate(psi.to_density(), params).matrix)
         p_se = p_vals.std(ddof=1) / np.sqrt(n_traj)
-        assert abs(p_vals.mean() - ref.parity_trace[-1]) < 3.0 * p_se
+        assert abs(p_vals.mean() - ref_parity) < 3.0 * p_se
         n_se = n_vals.std(ddof=1) / np.sqrt(n_traj)
         n0 = float((n_diag * np.abs(psi.amps) ** 2).sum())
-        bias = n_vals.mean() - ref.n_trace[-1]
+        bias = n_vals.mean() - ref_n
         assert bias > 3.0 * n_se
         assert bias < 2.0 * gamma * t * (2.0 * n0 + 2.0)
 
