@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import itertools
 import json
 import os
@@ -289,95 +290,15 @@ def execute(cfg: dict, output_dir: str | None = None) -> str:
 
 # --------------------------------------------------------------- describe ---
 
-DESCRIPTIONS = {
-    "prepare": {
-        "stages": [
-            "cross-phase entangling step exp(-i pi n_a n_b) on |alpha>|beta>",
-            "fidelity against the analytic four-component target",
-            "cross-check of the two cat/coherent factorizations",
-        ],
-        "columns": "quantity,value",
-        "notes": "encoding module; the pair's two Schmidt terms, no register",
-    },
-    "rotate": {
-        "stages": [
-            "displacement kick D(i epsilon) on the even/odd cat pair",
-            "branch fidelities against the ideal logical x rotation",
-            "comparison with the exp(-epsilon^2) fidelity law",
-        ],
-        "columns": "epsilon,theta,f_zero,f_one,analytic",
-        "notes": "encoding module; rotation angle is 2 alpha epsilon",
-    },
-    "swap-report": {
-        "stages": [
-            "truth tables for both vibration-controlled gate builds",
-            "truth table for the conditional-displacement gate",
-            "three-gate exchange with ideal and displacement rotations",
-        ],
-        "columns": "gate,input,target,fidelity,unitarity",
-        "notes": ("gates module; each row runs the step that full-pipeline "
-                  "runs on the pair basis; fidelities are phase-blind, "
-                  "unitarity exact"),
-    },
-    "heat-sweep": {
-        "stages": [
-            "even cat initial state on mode a, as its populations",
-            "balanced heating as a Gaussian displacement of variance "
-            "gamma t: <n> grows by gamma t, parity is sum p_k x^k / "
-            "(1 + 2 gamma t), x = (2 gamma t - 1) / (2 gamma t + 1)",
-            "occupancy, amplitude, and parity per duration",
-        ],
-        "columns": ("duration,n_mean,re_a,im_a,parity,delta,"
-                    "flip_probability,trace_drift"),
-        "notes": ("noise module's exact channel law (heated_moments) on the "
-                  "prepared cat's populations, memoized per encoding; rows "
-                  "depend on encoding.cutoff and leak_tol only through the "
-                  "prepared cat.  re_a and im_a are the conserved <a> of "
-                  "that cat; flip_probability is (1 - parity) / 2; delta "
-                  "is gamma alpha^2 t, full-pipeline's default delta, not a "
-                  "probability; trace_drift is the exact 0 the channel "
-                  "gives, kept because the benchmark's heating check reads "
-                  "it.  noise.steps changes no row"),
-    },
-    "bell-scan": {
-        "stages": [
-            "parity-flip mixture of weight delta per grid point",
-            "CHSH combination at the configured angles",
-            "interpolated crossing of the classical bound 2",
-        ],
-        "columns": "delta,B (exact, rotated) or delta,B,std_error (sampled)",
-        "notes": "bell module; B(0) = 2 sqrt(2) at the default angles",
-    },
-    "full-pipeline": {
-        "stages": [
-            "cross-Kerr preparation of the entangled coherent pair",
-            "Hadamard on the mode-a cat qubit (Bell pair of cats)",
-            "heating as a parity-flip mixture of weight delta",
-            "swap mode a <-> ion 1, then swap mode b <-> ion 2 (swap x2)",
-            "CHSH readout on the reduced electronic pair",
-        ],
-        "columns": "quantity,value",
-        "notes": ("end to end; B tracks 2 sqrt(2) (1 - delta).  "
-                  "The default gates.ev_variant, ideal (exact code-space "
-                  "rx(pi/2)), follows that law; the displacement "
-                  "build's kick D(i eps) costs a further exp(-eps^2).  "
-                  "The register is carried as its two Schmidt terms across "
-                  "(mode a, ion 1) | (mode b, ion 2); electronic_fidelity "
-                  "is the closed-form fidelity to the delta mixture"),
-    },
-}
-
-
 def describe(protocol: str) -> str:
-    if protocol not in DESCRIPTIONS:
+    """The protocol's name and its runner's docstring, which holds its
+    stages, columns and notes; just the name where docstrings are stripped
+    (python -OO)."""
+    if protocol not in RUNNERS:
         raise ConfigError(
             f"unknown protocol {protocol!r}; choose from {', '.join(PROTOCOLS)}")
-    info = DESCRIPTIONS[protocol]
-    lines = [f"protocol: {protocol}", "stages:"]
-    lines += [f"  - {stage}" for stage in info["stages"]]
-    lines.append(f"columns: {info['columns']}")
-    lines.append(f"notes: {info['notes']}")
-    return "\n".join(lines)
+    doc = inspect.cleandoc(RUNNERS[protocol].__doc__ or "")
+    return f"protocol: {protocol}\n{doc}".rstrip()
 
 
 # ------------------------------------------------------------------- main ---

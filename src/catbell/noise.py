@@ -31,11 +31,9 @@ n = 0..d-m-1, to itself, as a real symmetric tridiagonal matrix: entries
 -gamma (s_n + s_{n+m}) / 2 on its diagonal and gamma sqrt(n (n+m)) between
 positions n - 1 and n.  The same matrix acts on diagonal -m.  propagate
 therefore needs no integrator: one eigendecomposition V diag(w) V^T per
-diagonal gives exp(tL) = V diag(e^{tw}) V^T exactly.  The blocks do not
-depend on gamma, so each (d, m) is decomposed once per process and kept
-(_diagonal_block).  On a state whose top levels are empty, the truncated
-and untruncated channels differ by about the weight heating carries up to
-them.
+diagonal gives exp(tL) = V diag(e^{tw}) V^T exactly (_diagonal_block).
+On a state whose top levels are empty, the truncated and untruncated
+channels differ by about the weight heating carries up to them.
 
 The jump sampler views the register as (pre, d, post) around the heated
 mode, so it moves no axis.  a and a+ act on that mode alone and the rates
@@ -128,18 +126,12 @@ def _require_single_mode(layout: SpaceLayout) -> int:
     return layout.dims[0]
 
 
-# propagate reads all d blocks of its cutoff, and no protocol runs it, so
-# 256 entries keep its blocks at d <= 128 and part of a second cutoff's; an
-# entry of n = d - m levels is 8 n (n + 1) bytes, at most
-# 256 * 8 * 128 * 129 B = 34 MB in all at d <= 128
-@lru_cache(maxsize=256)
 def _diagonal_block(dim: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues w and orthonormal eigenvectors V of the generator on
     diagonal m of a d x d rho, per unit gamma: L = gamma V diag(w) V^T.
 
     Position n stands for rho[n, n+m] (and rho[n+m, n]), n = 0..d-m-1.  The
     block is scaled by gamma outside, so it is finite for every finite gamma.
-    Memoized per (dim, m); both arrays are read-only.
 
     Block 0 conserves the trace: its rows sum to zero, so ones / sqrt(d) is
     an exact eigenvector with w = 0, the largest eigenvalue.  The
@@ -157,8 +149,6 @@ def _diagonal_block(dim: int, m: int) -> tuple[np.ndarray, np.ndarray]:
         v -= np.outer(null, null @ v)  # the others, orthogonal to it exactly
         w[-1] = 0.0
         v[:, -1] = null
-    w.flags.writeable = False
-    v.flags.writeable = False
     return w, v
 
 
@@ -206,17 +196,6 @@ def heated_moments(populations: np.ndarray, rate: float) -> tuple[float, float]:
     x = 1.0 - 2.0 / (2.0 * rate + 1.0)
     parity = float(np.einsum("k,k->", x ** levels, populations)) / (2.0 * rate + 1.0)
     return float(np.einsum("k,k->", levels, populations)) + rate, parity
-
-
-def delta_of(gamma: float, alpha: float, duration: float) -> float:
-    """Single-jump probability scale delta = gamma |alpha|^2 t.
-
-    A single-jump approximation: the exact channel flips an even cat's
-    parity with probability (1 - parity) / 2 (heated_moments), about
-    gamma (2 nbar + 1) t at small gamma t, nbar the cat's <n>, which is 2.1
-    to 2.4 times delta for alpha = 3 to 1.5.
-    """
-    return gamma * abs(alpha) ** 2 * duration
 
 
 @dataclass

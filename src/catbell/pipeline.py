@@ -4,7 +4,9 @@ Each runner takes a normalized config (cli.normalize_config) and returns
 its rows, its named results and the provenance of the numbers ("exact" or
 "sampled").  run_pipeline is the paper's chain of stages: cross-Kerr
 preparation, Hadamard, heating, the two mode-ion exchanges and the CHSH
-readout.  Nothing here reads files or writes output.
+readout.  Nothing here reads files or writes output.  A runner's docstring
+is its protocol's contract, as `catbell describe` prints it: a summary, the
+stages, the CSV columns and notes.
 
 A one-shot `catbell run` pays for its protocol's modules only: this module
 loads encoding, bosonic, hilbert and errors, which every protocol runs, and
@@ -63,6 +65,15 @@ def _bell_angles(cfg: dict) -> BellAngles:
 # ------------------------------------------------------------- protocols ---
 
 def run_prepare(cfg: dict) -> tuple[list[dict], dict, str]:
+    """The cross-Kerr pair: the entangled coherent state and its fidelity.
+
+    stages:
+      - cross-phase entangling step exp(-i pi n_a n_b) on |alpha>|beta>
+      - fidelity against the analytic four-component target
+      - cross-check of the two cat/coherent factorizations
+    columns: quantity,value
+    notes: encoding module; the pair's two Schmidt terms, no register
+    """
     enc = _encoding_params(cfg)
     prepared = prepare_entangled_schmidt(enc)
     results = {
@@ -78,6 +89,15 @@ def run_prepare(cfg: dict) -> tuple[list[dict], dict, str]:
 
 
 def run_rotate(cfg: dict) -> tuple[list[dict], dict, str]:
+    """The cat-qubit rotation by a displacement kick, per epsilon.
+
+    stages:
+      - displacement kick D(i epsilon) on the even/odd cat pair
+      - branch fidelities against the ideal logical x rotation
+      - comparison with the exp(-epsilon^2) fidelity law
+    columns: epsilon,theta,f_zero,f_one,analytic
+    notes: encoding module; rotation angle is 2 alpha epsilon
+    """
     enc = _encoding_params(cfg)
     rows = []
     for i, eps in enumerate(cfg["encoding"]["epsilons"]):
@@ -97,6 +117,16 @@ def run_rotate(cfg: dict) -> tuple[list[dict], dict, str]:
 
 
 def run_swap_report(cfg: dict) -> tuple[list[dict], dict, str]:
+    """Truth tables of the gates of the mode-to-ion exchange.
+
+    stages:
+      - truth tables for both vibration-controlled gate builds
+      - truth table for the conditional-displacement gate
+      - three-gate exchange with ideal and displacement rotations
+    columns: gate,input,target,fidelity,unitarity
+    notes: gates module; each row runs the step that full-pipeline runs on
+    the pair basis; fidelities are phase-blind, unitarity exact
+    """
     from .gates import report_u_ev, report_u_swap, report_u_ve
     enc = _encoding_params(cfg)
     reports = [
@@ -134,7 +164,24 @@ def _cat_populations(enc: EncodingParams) -> tuple[np.ndarray, complex]:
 
 
 def run_heat_sweep(cfg: dict) -> tuple[list[dict], dict, str]:
-    from .noise import delta_of, heated_moments
+    """Heating of the even cat on mode a, one row per duration.
+
+    stages:
+      - even cat initial state on mode a, as its populations
+      - balanced heating as a Gaussian displacement of variance gamma t:
+        <n> grows by gamma t, parity is sum p_k x^k / (1 + 2 gamma t),
+        x = (2 gamma t - 1) / (2 gamma t + 1)
+      - occupancy, amplitude, and parity per duration
+    columns: duration,n_mean,re_a,im_a,parity,flip_probability,trace_drift
+    notes: noise module's exact channel law (heated_moments) on the
+    prepared cat's populations, memoized per encoding; rows depend on
+    encoding.cutoff and leak_tol only through the prepared cat.  re_a and
+    im_a are the conserved <a> of that cat; flip_probability is
+    (1 - parity) / 2; trace_drift is the exact 0 the channel gives, kept
+    because the benchmark's heating check reads it.  noise.steps changes
+    no row
+    """
+    from .noise import heated_moments
     enc = _encoding_params(cfg)
     gamma = cfg["noise"]["gamma"]
     durations = cfg["noise"]["durations"] or [cfg["noise"]["duration"]]
@@ -150,7 +197,6 @@ def run_heat_sweep(cfg: dict) -> tuple[list[dict], dict, str]:
             "re_a": a0.real,  # the channel conserves <a>
             "im_a": a0.imag,
             "parity": parity,
-            "delta": delta_of(gamma, enc.alpha, duration),
             "flip_probability": (1.0 - parity) / 2.0,
             "trace_drift": 0.0,  # the channel keeps the trace exactly
         })
@@ -160,6 +206,15 @@ def run_heat_sweep(cfg: dict) -> tuple[list[dict], dict, str]:
 
 
 def run_bell_scan(cfg: dict) -> tuple[list[dict], dict, str]:
+    """CHSH value of the parity-flip mixture over a grid of delta.
+
+    stages:
+      - parity-flip mixture of weight delta per grid point
+      - CHSH combination at the configured angles
+      - interpolated crossing of the classical bound 2
+    columns: delta,B (exact, rotated) or delta,B,std_error (sampled)
+    notes: bell module; B(0) = 2 sqrt(2) at the default angles
+    """
     from .bell import chsh, mixed_bell, violation_scan
     angles = _bell_angles(cfg)
     deltas = cfg["bell"]["deltas"]
@@ -280,12 +335,31 @@ def run_pipeline(enc: EncodingParams, delta: float, angles: BellAngles,
 
 
 def run_full_pipeline(cfg: dict) -> tuple[list[dict], dict, str]:
+    """The paper's chain end to end (run_pipeline), at one delta.
+
+    stages:
+      - cross-Kerr preparation of the entangled coherent pair
+      - Hadamard on the mode-a cat qubit (Bell pair of cats)
+      - heating as a parity-flip mixture of weight delta
+      - swap mode a <-> ion 1, then swap mode b <-> ion 2 (swap x2)
+      - CHSH readout on the reduced electronic pair
+    columns: quantity,value
+    notes: end to end; B tracks 2 sqrt(2) (1 - delta).  The default
+    gates.ev_variant, ideal (exact code-space rx(pi/2)), follows that law;
+    the displacement build's kick D(i eps) costs a further exp(-eps^2).
+    The register is carried as its two Schmidt terms across
+    (mode a, ion 1) | (mode b, ion 2); electronic_fidelity is the
+    closed-form fidelity to the delta mixture.  A null noise.delta is the
+    single-jump scale gamma alpha^2 duration, a ConfigError above 1; the
+    exact channel flips the even cat's parity with probability about
+    gamma (2 nbar + 1) duration at small gamma duration, nbar the cat's
+    <n>, which is more than twice that scale
+    """
     enc = _encoding_params(cfg)
     n = cfg["noise"]
     delta = n["delta"]
     if delta is None:
-        from .noise import delta_of
-        delta = delta_of(n["gamma"], enc.alpha, n["duration"])
+        delta = n["gamma"] * abs(enc.alpha) ** 2 * n["duration"]
         if delta > 1.0:
             raise ConfigError(
                 "noise: gamma * alpha^2 * duration exceeds 1; "

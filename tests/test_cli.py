@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import inspect
 import io
 import json
 import os
@@ -320,6 +321,23 @@ class TestDescribe:
             if protocol == "bell-scan":
                 assert re.search(rf" {header} \([^)]*\b{mode}\b", columns)
 
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_describe_prints_the_runners_docstring(self, protocol):
+        doc = RUNNERS[protocol].__doc__
+        assert doc and doc.strip()
+        assert describe(protocol) == (
+            f"protocol: {protocol}\n{inspect.cleandoc(doc)}")
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_stripped_docstrings_describe_only_the_name(self, protocol):
+        # python -OO drops every docstring; describe still answers
+        proc = subprocess.run(
+            [sys.executable, "-OO", "-m", "catbell.cli", "describe", protocol],
+            env=child_env(), capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == f"protocol: {protocol}\n"
+
     def test_pipeline_mentions_chsh(self):
         assert "CHSH" in describe("full-pipeline")
 
@@ -376,8 +394,6 @@ class TestProtocolRunners:
         rows, results, _ = run_heat_sweep(cfg)
         assert [r["duration"] for r in rows] == [0.5, 1.0]
         for row in rows:
-            assert row["delta"] == pytest.approx(
-                0.01 * 1.5**2 * row["duration"])
             assert row["trace_drift"] < 1e-8
         assert rows[1]["n_mean"] > rows[0]["n_mean"]
         assert results["final_parity"] == pytest.approx(rows[-1]["parity"])
@@ -1054,7 +1070,7 @@ class TestMainEntry:
             {"protocol": "full-pipeline", "noise": {"delta": 0.1},
              "bell": {"mode": "rotated"}}, {"bell", "gates"}),
         "full-pipeline-null-delta": (
-            {"protocol": "full-pipeline"}, {"bell", "gates", "noise"}),
+            {"protocol": "full-pipeline"}, {"bell", "gates"}),
     }
 
     @pytest.mark.parametrize("raw,added", FOOTPRINTS.values(), ids=FOOTPRINTS)
@@ -1309,12 +1325,11 @@ class TestHeatSweepMemo:
 
 
 class TestDecompositionCache:
-    """The tridiagonal generators are decomposed once per cutoff and
-    process; heat-sweep decomposes none (TestHeatSweepMemo)."""
+    """The band a + a+ is decomposed once per cutoff and process, and
+    heat-sweep decomposes no heating block (TestHeatSweepMemo)."""
 
     @pytest.fixture
     def decompositions(self, monkeypatch) -> list:
-        catbell.noise._diagonal_block.cache_clear()
         catbell.bosonic._position_eigenbasis.cache_clear()
         calls = []
 

@@ -14,13 +14,13 @@ from hypothesis import strategies as st
 
 from catbell.bell import mixed_bell
 from catbell.bosonic import EVEN, ODD, ModeParams, cat, coherent, mode_for
+from catbell.cli import normalize_config
 from catbell.encoding import MODE_A, MODE_B, EncodingParams, bell_target
 from catbell.errors import ContractError
 from catbell.hilbert import (
     DensityMatrix,
     SpaceLayout,
     StateVector,
-    band_eigh,
     dm_fidelity,
 )
 import catbell.noise
@@ -31,12 +31,12 @@ from catbell.noise import (
     _diagonal_block,
     _mode_view,
     _place,
-    delta_of,
     heated_moments,
     propagate,
     sample_trajectory,
     trajectory_rng,
 )
+from catbell.pipeline import run_full_pipeline
 from catbell.reference import liouvillian_expm, liouvillian_matrix
 from conftest import basis_state, expectation, on_register, parity_op, readouts
 
@@ -493,22 +493,8 @@ class TestChannelLaw:
         assert 0.0 <= parity <= (1.0 + 1e-12) / (2.0 * rate + 1.0)
 
 
-class TestDiagonalBlockCache:
-    """The heating blocks are decomposed once per (d, m) and reused."""
-
-    @pytest.mark.parametrize("dim", [2, 3, 12, 26, 37, 50, 82, 122])
-    def test_cached_equals_a_fresh_decomposition(self, dim):
-        _diagonal_block.cache_clear()
-        s = 2.0 * np.arange(dim) + 1.0
-        s[-1] = dim - 1.0
-        for m in sorted({0, 1, dim - 1}):
-            n = np.arange(1, dim - m, dtype=np.float64)
-            fresh = band_eigh(-0.5 * (s[:dim - m] + s[m:]), np.sqrt(n * (n + m)))
-            if m == 0:  # deflated, checked in test_block_zero_deflation
-                fresh = _diagonal_block.__wrapped__(dim, 0)
-            for _ in range(2):  # the cold call, then the hit
-                for got, want in zip(_diagonal_block(dim, m), fresh):
-                    assert np.array_equal(got, want)
+class TestDiagonalBlock:
+    """Block 0 carries the generator's steady state."""
 
     @pytest.mark.parametrize("dim", [2, 3, 12, 26, 82, 122])
     def test_block_zero_deflation(self, dim):
@@ -526,54 +512,34 @@ class TestDiagonalBlockCache:
             + np.diag(np.arange(1.0, dim), -1)
         assert np.abs(block @ v - v * w).max() <= 1e-12 * dim
 
-    def test_arrays_are_read_only(self):
-        for cached in _diagonal_block(12, 1):
-            with pytest.raises(ValueError, match="read-only"):
-                cached[0] = 1.0
 
-    def test_cold_run_equals_warm_run(self):
-        runs = [(cat(2.0, EVEN, mode_for(2.0)).to_density(),
-                 HeatingParams(1e-3, 1.0)),
-                (cat(2.0, EVEN, mode_for(2.0)).to_density(),
-                 HeatingParams(2e-2, 0.5)),
-                (random_density(12, seed=13), HeatingParams(0.05, 1.0))]
-
-        def evolve(cold: bool) -> list:
-            out = []
-            for rho0, params in runs:
-                if cold:
-                    _diagonal_block.cache_clear()
-                out.append(propagate(rho0, params).matrix)
-                if cold:
-                    _diagonal_block.cache_clear()
-            return out
-
-        _diagonal_block.cache_clear()
-        evolve(cold=False)
-        warm = evolve(cold=False)
-        # propagate reads every block, and each of d = 26 and d = 12 is
-        # decomposed once
-        assert _diagonal_block.cache_info().misses == 26 + 12
-        for got, want in zip(evolve(cold=True), warm):
-            assert np.array_equal(got, want)
+def default_delta(gamma: float, alpha: float, duration: float) -> float:
+    """The delta that full-pipeline reports with noise.delta null."""
+    cfg = normalize_config({"protocol": "full-pipeline",
+                            "encoding": {"alpha": alpha},
+                            "noise": {"gamma": gamma, "duration": duration}})
+    return run_full_pipeline(cfg)[1]["delta"]
 
 
 class TestScales:
-    def test_delta_of(self):
-        assert delta_of(1e-3, 2.0, 10.0) == pytest.approx(0.04, abs=1e-15)
-        assert delta_of(0.0, 3.0, 5.0) == 0.0
+    """full-pipeline's default delta, the single-jump scale gamma alpha^2 t,
+    against the exact channel's flip probability."""
+
+    def test_default_delta(self):
+        assert default_delta(1e-3, 2.0, 10.0) == pytest.approx(0.04, abs=1e-15)
+        assert default_delta(0.0, 3.0, 5.0) == 0.0
 
     def test_threshold_inversion(self):
         # gamma t = (1 - 1/sqrt(2)) / alpha^2 puts delta exactly at threshold
         alpha = 2.0
         gt = (1.0 - 2 ** -0.5) / alpha**2
-        assert abs(delta_of(gt, alpha, 1.0) - (1.0 - 2 ** -0.5)) < 1e-12
+        assert abs(default_delta(gt, alpha, 1.0) - (1.0 - 2 ** -0.5)) < 1e-12
 
     @pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
     def test_single_jump_scale_undercounts_flips(self, alpha):
         # the exact channel flips an even cat's parity with probability
         # (1 - parity) / 2, gamma (2 nbar + 1) t for small gamma t with nbar
-        # the cat's own <n>; delta_of misses that law by the factor
+        # the cat's own <n>; the default delta misses that law by the factor
         # (2 nbar + 1) / alpha^2
         gamma, duration = 1e-4, 1.0
         amps = cat(alpha, EVEN, mode_for(alpha)).amps
@@ -583,7 +549,7 @@ class TestScales:
         flip = (1.0 - heated_moments(populations, gamma * duration)[1]) / 2.0
         law = gamma * (2.0 * n0 + 1.0) * duration
         assert flip / law == pytest.approx(1.0, abs=1e-2)
-        assert flip / delta_of(gamma, alpha, duration) > 2.0
+        assert flip / default_delta(gamma, alpha, duration) > 2.0
 
 
 class TestTrajectories:
