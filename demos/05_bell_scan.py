@@ -11,15 +11,15 @@ from math import sqrt
 
 import numpy as np
 
-from catbell.bell import DELTA_STAR, chsh, mixed_bell, violation_scan
+from catbell.bell import DELTA_STAR, chsh, crossing, mixed_bell
 
 deltas = np.round(np.arange(0.0, 0.501, 0.05), 10)
-scan = violation_scan(deltas)
+b_values = [chsh(mixed_bell(d)).b_value for d in deltas]
 
 print(f"{'delta':>7} {'B':>10} {'2rt2(1-d)':>10}")
-for d, b in zip(scan.deltas, scan.b_values):
+for d, b in zip(deltas, b_values):
     print(f"{d:7.3f} {b:10.6f} {2.0 * sqrt(2.0) * (1.0 - d):10.6f}")
-print(f"\nviolation crossing B = 2 at delta = {scan.crossing:.6f} "
+print(f"\nviolation crossing B = 2 at delta = {crossing(deltas, b_values):.6f} "
       f"(closed form {DELTA_STAR:.6f})")
 
 # finite shots blur the same curve but keep it reproducible for a seed

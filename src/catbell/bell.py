@@ -9,11 +9,12 @@ setting's correlator is E = u(theta_a)^T T u(theta_b), and the populations
 of the four outcomes after both axes are rotated onto sigma_z are
 (T_00 + s_a r_a + s_b r_b + s_a s_b E) / 4, with signs s = +-1 and r_a,
 r_b the Bloch components of each qubit along its axis.  chsh is the one
-readout, and it reads the four settings of a BellAngles three ways: exact
-correlators read from T, correlators after an explicit carrier pulse maps
-each axis onto sigma_z (an audit of the pulses), and shot sampling from the
-populations.  It refuses a state whose trace is not 1.  The two-qubit
-combination
+readout, and it reads the four settings of a BellAngles two ways: exact
+correlators read from T, and shot sampling from the populations.  It
+refuses a state whose trace is not 1.  The carrier pulses that rotate each
+axis onto sigma_z are never built here: they are an oracle of
+catbell.reference, which both readouts are checked against.  The
+two-qubit combination
 
     B = |E(a, b) + E(a, b') + E(a', b) - E(a', b')|
 
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from math import cos, isfinite, pi, sin, sqrt
+from math import isfinite, pi, sqrt
 
 import numpy as np
 
@@ -119,32 +120,6 @@ class BellAngles:
 DEFAULT_ANGLES = BellAngles()
 
 
-def carrier_rotation(k: float, phase: float) -> np.ndarray:
-    """Carrier-pulse rotation exp[-i k pi/2 (|1><0| e^{-i phase} + h.c.)].
-
-    The generator is the equatorial axis (cos phase, -sin phase) on the Bloch
-    sphere; conjugating sigma_z with the k = 1/2 pulse therefore lands on an
-    equatorial measurement axis set by the pulse phase.  The generator G
-    squares to 1, so the pulse is cos(k pi/2) 1 - i sin(k pi/2) G.
-    """
-    g = np.array(
-        [[0.0, np.exp(1j * phase)], [np.exp(-1j * phase), 0.0]],
-        dtype=np.complex128,
-    )
-    angle = k * pi / 2.0
-    return cos(angle) * np.eye(2) - 1j * sin(angle) * g
-
-
-def measurement_pulse(theta: float) -> np.ndarray:
-    """Half-rotation carrier pulse that maps sigma(theta) onto sigma_z.
-
-    Conjugation by a half pulse with phase phi turns sigma_z into an
-    equatorial axis at angle -phi - pi/2, so measuring along theta takes
-    phi = -theta - pi/2.
-    """
-    return carrier_rotation(0.5, -theta - pi / 2)
-
-
 def _as_pair_dm(state: StateVector | DensityMatrix) -> DensityMatrix:
     rho = state.to_density() if isinstance(state, StateVector) else state
     if rho.layout.dims != (2, 2):
@@ -233,72 +208,51 @@ def chsh(state: StateVector | DensityMatrix,
          seed: int | list[int] = 0) -> BellOutcome:
     """CHSH combination over the four settings of `angles`.
 
-    exact and sampled read all four settings from one correlation tensor;
+    Both readouts read all four settings from one correlation tensor;
     sampled draws the four settings in combination order from one
     np.random.default_rng(seed).  The seed may be any value default_rng
     accepts, including a list used to derive independent per-grid-point
-    streams.  rotated takes tr rho (V sigma_z V^dag (x) W sigma_z W^dag)
-    with the carrier pulses V, W of measurement_pulse, an audit of the
-    pulses.  A state whose trace is not 1 is a ContractError.
+    streams.  A state whose trace is not 1 is a ContractError.
     """
     if method not in CHSH_METHODS:
         raise ValueError(f"method must be one of {CHSH_METHODS}, got {method!r}")
     rho = _as_pair_dm(state)
     check_normalized(rho, "readout state")
+    t = correlation_tensor(rho)
+    ua, ub, pa, pb = _setting_vectors(angles)
     drawn = err = None
-    if method == "rotated":
-        es = []
-        for ta, tb in angles.settings():
-            va, vb = measurement_pulse(ta), measurement_pulse(tb)
-            obs = np.kron(va @ SIGMA_Z @ va.conj().T, vb @ SIGMA_Z @ vb.conj().T)
-            es.append(float(np.trace(rho.matrix @ obs).real))
+    if method == "exact":
+        # E_k = u(theta_a)^T T_xy u(theta_b) for each setting row k
+        es = np.einsum("ki,ij,kj->k", ua, t[1:3, 1:3], ub).tolist()
     else:
-        t = correlation_tensor(rho)
-        ua, ub, pa, pb = _setting_vectors(angles)
-        if method == "exact":
-            # E_k = u(theta_a)^T T_xy u(theta_b) for each setting row k
-            es = np.einsum("ki,ij,kj->k", ua, t[1:3, 1:3], ub).tolist()
-        else:
-            rng = np.random.default_rng(seed)
-            counts = _draw(_populations(t, pa, pb), shots, rng)
-            es = [float(c @ OUTCOME_SIGNS) / shots for c in counts]
-            drawn = shots
-            # sums the squares of the per-setting errors sqrt((1 - E^2) / shots),
-            # not the variances themselves: the two differ in the last bit
-            err = sqrt(sum(sqrt(max(1.0 - e * e, 0.0) / shots) ** 2 for e in es))
+        rng = np.random.default_rng(seed)
+        counts = _draw(_populations(t, pa, pb), shots, rng)
+        es = [float(c @ OUTCOME_SIGNS) / shots for c in counts]
+        drawn = shots
+        # sums the squares of the per-setting errors sqrt((1 - E^2) / shots),
+        # not the variances themselves: the two differ in the last bit
+        err = sqrt(sum(sqrt(max(1.0 - e * e, 0.0) / shots) ** 2 for e in es))
     combo = es[0] + es[1] + es[2] - es[3]
     return BellOutcome(abs(combo), tuple(es), method, drawn, err)
 
 
-@dataclass(frozen=True)
-class ViolationScan:
-    deltas: np.ndarray
-    b_values: np.ndarray
-    crossing: float | None      # interpolated weight where B falls through 2
+def crossing(deltas, b_values) -> float | None:
+    """The mixture weight where B(delta) falls through 2 on a scanned grid.
 
-
-def violation_scan(deltas, angles: BellAngles = DEFAULT_ANGLES) -> ViolationScan:
-    """B(delta) over a mixture-weight grid, with the B = 2 crossing."""
-    ds = np.asarray(list(deltas), dtype=np.float64)
-    if ds.size < 1:
-        raise ValueError("need at least one mixture weight to scan")
-    if np.any(ds < 0.0) or np.any(ds > 1.0):
-        raise ValueError("mixture weights must lie in [0, 1]")
-    bs = np.array([chsh(mixed_bell(d), angles).b_value for d in ds])
-    crossing = None
-    for i in range(ds.size - 1):
-        lo, hi = bs[i] - 2.0, bs[i + 1] - 2.0
-        if lo == 0.0:
-            crossing = float(ds[i])
-            break
-        if lo * hi < 0.0:
-            crossing = float(ds[i] + (2.0 - bs[i]) * (ds[i + 1] - ds[i])
-                             / (bs[i + 1] - bs[i]))
-            break
-    else:
-        if bs[-1] == 2.0:
-            crossing = float(ds[-1])
-    return ViolationScan(ds, bs, crossing)
+    Scanning the grid in order, a point whose B is exactly 2 is the
+    crossing, and a pair of neighbours whose B straddle 2 is interpolated
+    linearly; the first of either wins.  None if B never reaches 2.
+    """
+    if len(deltas) != len(b_values) or len(deltas) < 1:
+        raise ValueError("need one B per mixture weight, and at least one")
+    pairs = list(zip(deltas, b_values))
+    for (d0, b0), (d1, b1) in zip(pairs, pairs[1:]):
+        if b0 == 2.0:
+            return float(d0)
+        if (b0 - 2.0) * (b1 - 2.0) < 0.0:
+            return float(d0 + (2.0 - b0) * (d1 - d0) / (b1 - b0))
+    d, b = pairs[-1]
+    return float(d) if b == 2.0 else None
 
 
 def reduced_electronic_schmidt(state: SchmidtState) -> DensityMatrix:

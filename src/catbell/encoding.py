@@ -37,7 +37,7 @@ MODE_A, MODE_B, ION_1, ION_2 = 0, 1, 2, 3
 # the readouts of bell.chsh and the two builds of the exchange's gates
 # (gates.u_swap), defined here because every protocol loads this module:
 # the command line's field table reads them without loading bell or gates
-CHSH_METHODS = ("exact", "rotated", "sampled")
+CHSH_METHODS = ("exact", "sampled")
 VE_VARIANTS = ("ideal", "literal")
 EV_VARIANTS = ("displacement", "ideal")
 
@@ -332,11 +332,15 @@ class RotationFidelity:
     analytic: float
 
 
-def rotation_fidelity(theta: float, params: EncodingParams,
+def rotation_fidelity(eps: float, params: EncodingParams,
                       which_mode: str = "a") -> RotationFidelity:
-    """Fidelity of D(i eps) against the ideal rx(theta) on both code branches."""
+    """Fidelity of the kick D(i eps) against the ideal rx(theta) on both code
+    branches, theta = 2 alpha eps with alpha the named mode's amplitude."""
     basis = logical_basis(which_mode, params)
-    eps = theta / (2.0 * params.amplitude(which_mode))
+    theta = 2.0 * params.amplitude(which_mode) * eps
+    if not isfinite(theta):
+        raise ValueError(f"epsilon = {eps!r} makes the angle 2 alpha epsilon "
+                         "overflow")
     kick = bosonic.displacement_action(1j * eps, params.mode(which_mode))
     tgt0 = StateVector(basis.zero.layout,
                        cos(theta) * basis.zero.amps + 1j * sin(theta) * basis.one.amps)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from math import isfinite, sqrt
+from math import sqrt
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -96,17 +96,17 @@ def run_rotate(cfg: dict) -> tuple[list[dict], dict, str]:
       - branch fidelities against the ideal logical x rotation
       - comparison with the exp(-epsilon^2) fidelity law
     columns: epsilon,theta,f_zero,f_one,analytic
-    notes: encoding module; rotation angle is 2 alpha epsilon
+    notes: encoding module; rotation angle is 2 alpha epsilon, and epsilon
+    is the configured kick itself
     """
     enc = _encoding_params(cfg)
     rows = []
     for i, eps in enumerate(cfg["encoding"]["epsilons"]):
-        theta = 2.0 * enc.alpha * eps
-        if not isfinite(theta):
-            raise ConfigError(f"encoding.epsilons[{i}] = {eps!r} makes the "
-                              "angle 2 alpha epsilon overflow")
         try:
-            r = rotation_fidelity(theta, enc, "a")
+            r = rotation_fidelity(eps, enc, "a")
+        except ValueError:  # the angle 2 alpha epsilon overflows
+            raise ConfigError(f"encoding.epsilons[{i}] = {eps!r} makes the "
+                              "angle 2 alpha epsilon overflow") from None
         except OverflowError as err:  # only the kick's phases can overflow
             raise ConfigError(f"encoding.epsilons[{i}] = {eps!r}: {err}") from None
         rows.append({"epsilon": r.epsilon, "theta": r.theta,
@@ -212,30 +212,27 @@ def run_bell_scan(cfg: dict) -> tuple[list[dict], dict, str]:
       - parity-flip mixture of weight delta per grid point
       - CHSH combination at the configured angles
       - interpolated crossing of the classical bound 2
-    columns: delta,B (exact, rotated) or delta,B,std_error (sampled)
-    notes: bell module; B(0) = 2 sqrt(2) at the default angles
+    columns: delta,B (exact) or delta,B,std_error (sampled)
+    notes: bell module; B(0) = 2 sqrt(2) at the default angles.  The
+    crossing is reported for the exact readout only; grid point i of the
+    sampled readout draws from the seed [seed, i]
     """
-    from .bell import chsh, mixed_bell, violation_scan
+    from .bell import chsh, crossing, mixed_bell
     angles = _bell_angles(cfg)
-    deltas = cfg["bell"]["deltas"]
-    mode = cfg["bell"]["mode"]
-    results: dict = {}
+    b = cfg["bell"]
     rows = []
-    if mode == "exact":
-        scan = violation_scan(deltas, angles)
-        rows = [{"delta": float(d), "B": float(b)}
-                for d, b in zip(scan.deltas, scan.b_values)]
-        results["crossing"] = scan.crossing
-    else:
-        for i, d in enumerate(deltas):
-            out = chsh(mixed_bell(d), angles, mode,
-                       cfg["bell"]["shots"], [cfg["seed"], i])
-            row = {"delta": d, "B": out.b_value}
-            if mode == "sampled":
-                row["std_error"] = out.std_error
-            rows.append(row)
+    for i, delta in enumerate(b["deltas"]):
+        out = chsh(mixed_bell(delta), angles, b["mode"], b["shots"],
+                   [cfg["seed"], i])
+        row = {"delta": delta, "B": out.b_value}
+        if out.std_error is not None:
+            row["std_error"] = out.std_error
+        rows.append(row)
+    results: dict = {}
+    if b["mode"] == "exact":
+        results["crossing"] = crossing(b["deltas"], [r["B"] for r in rows])
     results["b_at_first_delta"] = rows[0]["B"]
-    return rows, results, "sampled" if mode == "sampled" else "exact"
+    return rows, results, b["mode"]
 
 
 # a delta sweep at one encoding and build hits one key; an entry is two
@@ -369,5 +366,4 @@ def run_full_pipeline(cfg: dict) -> tuple[list[dict], dict, str]:
                            cfg["seed"], cfg["gates"]["ve_variant"],
                            cfg["gates"]["ev_variant"])
     rows = [{"quantity": k, "value": v} for k, v in results.items()]
-    mode = cfg["bell"]["mode"]
-    return rows, results, "sampled" if mode == "sampled" else "exact"
+    return rows, results, cfg["bell"]["mode"]

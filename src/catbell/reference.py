@@ -5,8 +5,10 @@ from log-space series instead of the recurrence, displacement matrix elements
 from the closed Laguerre form instead of exponentiation, master-equation
 propagation from a dense superoperator exponential instead of step
 integration, the as-written vibration-controlled gate from dense exponentials
-instead of indexing, and CHSH optima from exhaustive grid search instead of
-the known angles.  Tests freeze values produced here into JSON fixtures and
+instead of indexing, CHSH optima from exhaustive grid search instead of
+the known angles, and the readout's outcome populations from explicit
+carrier pulses on the two-qubit density matrix instead of the Pauli
+correlation tensor.  Tests freeze values produced here into JSON fixtures and
 hold the fast paths to them.  scipy is imported only by the three oracles
 that call it (displacement_elements, liouvillian_expm and
 u_ve_literal_oracle), so a checker that reads the numpy-only series does not
@@ -209,6 +211,44 @@ def su2_exp(nx: float, ny: float, nz: float, angle: float) -> np.ndarray:
     sz = np.array([[1, 0], [0, -1]], dtype=np.complex128)
     ns = nx * sx + ny * sy + nz * sz
     return np.cos(angle) * np.eye(2) - 1j * np.sin(angle) * ns
+
+
+def carrier_pulse(k: float, phase: float) -> np.ndarray:
+    """The carrier pulse exp[-i k pi/2 G] on one ion, G = |1><0| e^{-i phase}
+    + |0><1| e^{i phase}.
+
+    G is n . sigma about the equatorial axis n = (cos phase, -sin phase, 0),
+    so the pulse is su2_exp about n by the angle k pi/2.
+    """
+    return su2_exp(np.cos(phase), -np.sin(phase), 0.0, k * pi / 2.0)
+
+
+def analyzer_pulse(theta: float) -> np.ndarray:
+    """The half carrier pulse V with V sigma_z V^dag = sigma(theta) =
+    cos(theta) sigma_x + sin(theta) sigma_y.
+
+    A half pulse turns the Bloch sphere a quarter turn about its axis n,
+    which carries z to n x z = (-sin phase, -cos phase, 0): the equatorial
+    axis at angle -phase - pi/2.  The axis theta takes phase -theta - pi/2.
+    """
+    return carrier_pulse(0.5, -theta - pi / 2.0)
+
+
+def pulse_populations(rho: np.ndarray, theta_a: float,
+                      theta_b: float) -> np.ndarray:
+    """Probabilities of the outcomes |00>, |01>, |10>, |11> of the two-qubit
+    density matrix rho when each ion's analyzer pulse has rotated its axis
+    onto sigma_z: the diagonal of W^dag rho W, W = V(theta_a) (x) V(theta_b).
+    """
+    w = np.kron(analyzer_pulse(theta_a), analyzer_pulse(theta_b))
+    return np.diag(w.conj().T @ rho @ w).real
+
+
+def pulse_correlators(rho: np.ndarray, settings) -> list[float]:
+    """E = p_00 - p_01 - p_10 + p_11 of pulse_populations for each setting
+    pair (theta_a, theta_b): tr rho (sigma(theta_a) (x) sigma(theta_b))."""
+    signs = np.array([1.0, -1.0, -1.0, 1.0])
+    return [float(pulse_populations(rho, ta, tb) @ signs) for ta, tb in settings]
 
 
 def u_ve_literal_oracle(cutoff: int) -> np.ndarray:

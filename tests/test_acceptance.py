@@ -33,8 +33,8 @@ from catbell.bell import (
     TSIRELSON,
     BellAngles,
     chsh,
+    crossing,
     mixed_bell,
-    violation_scan,
 )
 from catbell.bosonic import ModeParams, cat, coherent, mode_for
 from catbell.encoding import (
@@ -124,7 +124,7 @@ def test_criterion_02_fidelity_law(acceptance_log):
             enc = EncodingParams.for_amplitudes(alpha)
             tol = max(1e-5, 5.0 * exp(-2.0 * alpha * alpha))
             for eps in (0.05, 0.1, 0.2, 0.5236):
-                r = rotation_fidelity(2.0 * alpha * eps, enc, "a")
+                r = rotation_fidelity(eps, enc, "a")
                 dev = max(abs(r.f_zero_branch - r.analytic),
                           abs(r.f_one_branch - r.analytic))
                 worst = max(worst, dev / tol)
@@ -293,8 +293,8 @@ def test_criterion_07_chsh_linear_law(acceptance_log):
         law_ok = worst <= 1e-8
 
         grid = np.arange(0.0, 0.5 + 5e-4, 1e-3)
-        crossing = violation_scan(grid).crossing
-        cross_dev = abs(crossing - DELTA_STAR)
+        bs = [chsh(mixed_bell(d), DEFAULT_ANGLES).b_value for d in grid]
+        cross_dev = abs(crossing(grid, bs) - DELTA_STAR)
         cross_ok = cross_dev <= 1e-3
         elapsed = time.perf_counter() - start
 

@@ -1,4 +1,5 @@
-"""The CHSH readout: exact, pulse-rotated, and sampled correlators."""
+"""The CHSH readout: exact and sampled correlators, held to the explicit
+carrier pulses of the reference oracle."""
 
 from __future__ import annotations
 
@@ -20,11 +21,10 @@ from catbell.bell import (
     _setting_vectors,
     chsh,
     correlation_tensor,
-    measurement_pulse,
+    crossing,
     mixed_bell,
     mixed_bell_fidelity,
     reduced_electronic_schmidt,
-    violation_scan,
 )
 from catbell.bosonic import ModeParams
 from catbell.encoding import (
@@ -42,6 +42,7 @@ from catbell.hilbert import (
     StateVector,
     dm_fidelity,
 )
+from catbell.reference import pulse_correlators, pulse_populations
 from conftest import basis_state, electronic_bell, reduced_electronic
 
 PAIR = SpaceLayout((2, 2))
@@ -106,13 +107,6 @@ class TestAxes:
             m = sigma_theta(theta)
             assert np.abs(m @ m - np.eye(2)).max() < 1e-12
 
-    def test_pulse_maps_z_onto_axis(self):
-        # V sigma_z V† = sigma(theta): the pulse realizes the analyzer setting
-        for theta in np.linspace(-np.pi, np.pi, 13):
-            v = measurement_pulse(theta)
-            got = v @ SIGMA_Z @ v.conj().T
-            assert np.abs(got - sigma_theta(theta)).max() < 1e-12
-
 
 def setting(theta_a: float, theta_b: float) -> BellAngles:
     """Angles whose first setting, and so correlations[0], is (theta_a, theta_b)."""
@@ -148,34 +142,14 @@ class TestCorrelators:
                 chsh(rho, setting(tb, ta)).correlations[0], abs=1e-10
             )
 
-    def test_rotated_matches_exact(self):
+    def test_exact_matches_the_pulse_oracle(self):
         rng = np.random.default_rng(17)
         rho = mixed_bell(0.1)
         for _ in range(20):
             angles = BellAngles(*rng.uniform(-np.pi, np.pi, size=4))
-            rotated = chsh(rho, angles, "rotated").correlations
+            pulsed = pulse_correlators(rho.matrix, angles.settings())
             exact = chsh(rho, angles).correlations
-            assert np.abs(np.subtract(rotated, exact)).max() <= 1e-8
-
-    def test_rotated_keeps_its_bits(self):
-        # B and the four correlators of the pulse audit, bit for bit, as
-        # they were while bell loaded the carrier pulse at import
-        rng = np.random.default_rng(33)
-        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        rho = g @ g.conj().T
-        cases = [
-            (mixed_bell(0.1), DEFAULT_ANGLES, "0x1.45d5b5c3f4f6ap+1",
-             ["0x1.6a09e667f3bcbp-1", "0x1.6a09e667f3bcbp-1",
-              "0x1.21a1851ff630ap-1", "-0x1.21a1851ff6308p-1"]),
-            (DensityMatrix(PAIR, rho / np.trace(rho).real),
-             BellAngles(0.3, -1.1, 2.0, 0.7), "0x1.a7a54351d5689p-1",
-             ["0x1.c164038133696p-2", "0x1.23b27e501b05cp-3",
-              "0x1.0ce6079f5ef75p-2", "0x1.0d8c3a4f51264p-6"]),
-        ]
-        for state, angles, b_value, correlations in cases:
-            out = chsh(state, angles, "rotated")
-            assert out.b_value.hex() == b_value
-            assert [e.hex() for e in out.correlations] == correlations
+            assert np.abs(np.subtract(pulsed, exact)).max() <= 1e-12
 
     def test_product_state_uncorrelated(self):
         psi = basis_state(PAIR, (0, 0))
@@ -243,8 +217,8 @@ class TestCorrelationTensor:
                 for ta, tb in angles.settings()]
         got = chsh(rho, angles).correlations
         assert np.abs(np.subtract(got, want)).max() <= 1e-15
-        rotated = chsh(rho, angles, "rotated").correlations
-        assert np.abs(np.subtract(got, rotated)).max() <= 1e-12
+        pulsed = pulse_correlators(rho.matrix, angles.settings())
+        assert np.abs(np.subtract(got, pulsed)).max() <= 1e-12
 
     def test_setting_vectors_are_memoized_and_read_only(self):
         angles = BellAngles(0.1, 0.2, 0.3, 0.4)
@@ -274,17 +248,13 @@ class TestCorrelationTensor:
         monkeypatch.setattr(np, "kron", refuse)
         assert chsh(rho) == want[0]
         assert chsh(rho, method="sampled", shots=512, seed=4) == want[1]
-        with pytest.raises(AssertionError, match="np.kron"):
-            chsh(rho, method="rotated")
 
 
 def pulse_counts(rho: DensityMatrix, theta_a: float, theta_b: float,
                  shots: int, rng: np.random.Generator) -> np.ndarray:
-    """A multinomial draw from the populations of the pulse-rotated rho,
-    the way the sampler drew before it read the correlation tensor."""
-    w = np.kron(measurement_pulse(theta_a), measurement_pulse(theta_b))
-    rotated = w.conj().T @ rho.matrix @ w
-    p = np.clip(np.diag(rotated).real, 0.0, None)
+    """A multinomial draw from the oracle's populations of the pulse-rotated
+    rho, clipped, normalized and rounded the way the sampler rounds."""
+    p = np.clip(pulse_populations(rho.matrix, theta_a, theta_b), 0.0, None)
     p = np.round(p / p.sum(), 12)
     return rng.multinomial(shots, p / p.sum())
 
@@ -298,7 +268,7 @@ def sampled_counts(rho, angles: BellAngles, shots: int,
 
 
 class TestSampledCounts:
-    """Populations read from T draw the counts the pulse-rotated rho drew."""
+    """Populations read from T draw the counts of the oracle's pulse-rotated rho."""
 
     def cases(self):
         rng = np.random.default_rng(2024)
@@ -385,11 +355,11 @@ class TestChsh:
         assert chsh(mixed_bell(DELTA_STAR)).b_value == pytest.approx(2.0, abs=1e-6)
         assert chsh(mixed_bell(0.5)).b_value == pytest.approx(np.sqrt(2.0), abs=1e-6)
 
-    def test_methods_agree(self):
+    def test_exact_b_is_the_pulse_oracles(self):
         rho = mixed_bell(0.15)
         exact = chsh(rho, method="exact").b_value
-        rotated = chsh(rho, method="rotated").b_value
-        assert rotated == pytest.approx(exact, abs=1e-8)
+        e = pulse_correlators(rho.matrix, DEFAULT_ANGLES.settings())
+        assert abs(e[0] + e[1] + e[2] - e[3]) == pytest.approx(exact, abs=1e-12)
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):
@@ -412,27 +382,40 @@ class TestChsh:
         assert out.b_value == pytest.approx(TSIRELSON, abs=1e-8)
 
 
-class TestViolationScan:
+def scan(deltas) -> tuple[list[float], float | None]:
+    """B over a mixture-weight grid at the default angles, and its crossing."""
+    bs = [chsh(mixed_bell(d)).b_value for d in deltas]
+    return bs, crossing(deltas, bs)
+
+
+class TestCrossing:
     def test_linear_in_delta(self):
         ds = np.arange(0.0, 0.51, 0.05)
-        scan = violation_scan(ds)
+        bs, _ = scan(ds)
         want = TSIRELSON * (1.0 - ds)
-        assert np.abs(scan.b_values - want).max() < 1e-8
+        assert np.abs(np.subtract(bs, want)).max() < 1e-8
 
     def test_crossing_bracketed(self):
-        scan = violation_scan(np.arange(0.0, 0.51, 0.05))
-        assert 0.25 < scan.crossing < 0.35
-        assert abs(scan.crossing - DELTA_STAR) < 0.05
+        _, cross = scan(np.arange(0.0, 0.51, 0.05))
+        assert 0.25 < cross < 0.35
+        assert abs(cross - DELTA_STAR) < 0.05
 
     def test_fine_grid_crossing(self):
-        scan = violation_scan(np.arange(0.0, 0.5001, 0.001))
-        assert abs(scan.crossing - DELTA_STAR) < 1e-3
+        _, cross = scan(np.arange(0.0, 0.5001, 0.001))
+        assert abs(cross - DELTA_STAR) < 1e-3
 
     def test_single_point(self):
-        scan = violation_scan([0.0])
-        assert scan.b_values.shape == (1,)
-        assert scan.b_values[0] == pytest.approx(TSIRELSON, abs=1e-8)
-        assert scan.crossing is None
+        bs, cross = scan([0.0])
+        assert len(bs) == 1
+        assert bs[0] == pytest.approx(TSIRELSON, abs=1e-8)
+        assert cross is None
+
+    def test_interpolates_the_bracketing_pair(self):
+        # the line through (0.2, 2.5) and (0.4, 1.5) meets 2 at 0.3; the
+        # later bracket (0.6, 2.5)-(0.8, 1.5) is not read
+        got = crossing([0.2, 0.4, 0.6, 0.8], [2.5, 1.5, 2.5, 1.5])
+        assert got == pytest.approx(0.3, abs=1e-15)
+        assert crossing([0.0, 0.5], [2.8, 2.1]) is None
 
     @pytest.fixture(scope="class")
     def exact_hit(self) -> float:
@@ -451,23 +434,25 @@ class TestViolationScan:
     def test_exact_hit_is_the_crossing(self, exact_hit):
         # B(0) > 2 then B == 2: the bracket test sees a zero product, and
         # the crossing is the weight that hits 2, not an interpolation
-        scan = violation_scan([0.0, exact_hit, 1.0])
-        assert scan.b_values[1] == 2.0
-        assert scan.crossing == exact_hit
+        bs, cross = scan([0.0, exact_hit, 1.0])
+        assert bs[1] == 2.0
+        assert cross == exact_hit
 
     @pytest.mark.parametrize("lead", [[], [0.0]], ids=["alone", "after-0"])
     def test_exact_hit_at_the_last_weight(self, exact_hit, lead):
-        scan = violation_scan(lead + [exact_hit])
-        assert scan.b_values[-1] == 2.0
-        assert scan.crossing == exact_hit
+        bs, cross = scan(lead + [exact_hit])
+        assert bs[-1] == 2.0
+        assert cross == exact_hit
 
     def test_range_validation(self):
         with pytest.raises(ValueError):
-            violation_scan([])
+            crossing([], [])
         with pytest.raises(ValueError):
-            violation_scan([-0.1])
+            crossing([0.0, 0.1], [2.0])
         with pytest.raises(ValueError):
-            violation_scan([1.2])
+            scan([-0.1])
+        with pytest.raises(ValueError):
+            scan([1.2])
 
 
 class TestReducedElectronic:
@@ -477,7 +462,7 @@ class TestReducedElectronic:
         assert red.matrix[0, 0].real == pytest.approx(1.0, abs=1e-10)
 
     def test_methods_tuple(self):
-        assert CHSH_METHODS == ("exact", "rotated", "sampled")
+        assert CHSH_METHODS == ("exact", "sampled")
 
     @settings(max_examples=25)
     @given(st.integers(2, 6), st.integers(2, 6), st.integers(1, 4),

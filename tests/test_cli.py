@@ -31,6 +31,9 @@ from catbell.bell import (
     DEFAULT_ANGLES,
     DELTA_STAR,
     _setting_vectors,
+    chsh,
+    crossing,
+    mixed_bell,
 )
 from catbell.cli import (
     DEFAULT_DELTAS,
@@ -245,7 +248,8 @@ def bad_values(field) -> list:
             return bad + ["0.5", []] + [[v] for v in wrong]
         return bad + wrong
     if field.kind == "choice":
-        return bad + [3, "no-such-" + field.key]
+        retired = ["rotated"] if field.name == "bell.mode" else []
+        return bad + [3, "no-such-" + field.key] + retired
     if field.kind == "bool":  # noise.constant_rate, which admits only false
         return bad + ["yes", 1, True]
     return bad + [3, ""]  # string
@@ -311,15 +315,18 @@ class TestDescribe:
         assert "stages:" in text
         columns = next(line for line in text.splitlines()
                        if line.startswith("columns: "))
-        # each header the protocol writes at its defaults, and for bell-scan
-        # under every bell.mode, named as a whole and with the mode it is for
-        modes = CHSH_METHODS if protocol == "bell-scan" else ("exact",)
-        for mode in modes:
-            rows = RUNNERS[protocol](cfg_for(protocol, bell={"mode": mode}))[0]
+        # each header the protocol writes at its defaults, named as a whole;
+        # bell-scan's line is its header under each bell.mode and no other
+        if protocol == "bell-scan":
+            headers = [
+                render_csv(RUNNERS[protocol](cfg_for(
+                    protocol, bell={"mode": mode}))[0]).splitlines()[0]
+                + f" ({mode})" for mode in CHSH_METHODS]
+            assert columns == "columns: " + " or ".join(headers)
+        else:
+            rows = RUNNERS[protocol](cfg_for(protocol))[0]
             header = re.escape(render_csv(rows).splitlines()[0])
             assert re.search(rf" {header}( |$)", columns)
-            if protocol == "bell-scan":
-                assert re.search(rf" {header} \([^)]*\b{mode}\b", columns)
 
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     def test_describe_prints_the_runners_docstring(self, protocol):
@@ -364,6 +371,18 @@ class TestProtocolRunners:
             assert row["analytic"] == pytest.approx(np.exp(-row["epsilon"] ** 2))
         # alpha = 2: the law holds up to the coherent-branch overlap scale
         assert results["max_law_deviation"] < 2e-3
+
+    @pytest.mark.parametrize("alpha", [1.5, 3.0, 6.0])
+    def test_rotate_reports_the_configured_kick(self, alpha):
+        # the kick is epsilon itself, not theta / (2 alpha) recovered from
+        # theta = 2 alpha epsilon, which is epsilon + 1 ulp at these alphas
+        epsilons = [0.05, 0.1, 0.2]
+        rows, _, _ = run_rotate(cfg_for("rotate", encoding={
+            "alpha": alpha, "epsilons": epsilons}))
+        for row, eps in zip(rows, epsilons):
+            assert row["epsilon"].hex() == eps.hex()
+            assert row["theta"] == 2.0 * alpha * eps
+            assert row["analytic"] == exp(-eps * eps)
 
     def test_swap_report_tables(self):
         rows, results, _ = run_swap_report(cfg_for("swap-report"))
@@ -460,12 +479,13 @@ class TestProtocolRunners:
         # B is linear in delta, so interpolation finds the crossing exactly
         assert results["crossing"] == pytest.approx(DELTA_STAR, abs=1e-9)
 
-    def test_bell_scan_rotated(self):
-        cfg = cfg_for("bell-scan", bell={"mode": "rotated", "deltas": [0.0, 0.2]})
-        rows, _, provenance = run_bell_scan(cfg)
-        assert provenance == "exact"
-        assert rows[0]["B"] == pytest.approx(2.0 * sqrt(2.0), abs=1e-8)
-        assert rows[1]["B"] == pytest.approx(2.0 * sqrt(2.0) * 0.8, abs=1e-8)
+    def test_bell_scan_exact_rows_are_the_chsh_calls(self):
+        cfg = cfg_for("bell-scan", bell={"deltas": [0.0, 0.2, 0.35]})
+        rows, results, _ = run_bell_scan(cfg)
+        bs = [chsh(mixed_bell(d)).b_value for d in (0.0, 0.2, 0.35)]
+        assert rows == [{"delta": d, "B": b} for d, b in zip((0.0, 0.2, 0.35), bs)]
+        assert results == {"crossing": crossing([0.0, 0.2, 0.35], bs),
+                           "b_at_first_delta": bs[0]}
 
     def test_bell_scan_sampled(self):
         cfg = cfg_for("bell-scan",
@@ -679,6 +699,15 @@ class TestMainEntry:
         assert main(["run", cfg_path, "--output", str(tmp_path)]) == 2
         assert "config error: noise.constant_rate must be" in capsys.readouterr().err
         assert not (tmp_path / "heat-sweep.csv").exists()
+
+    @pytest.mark.parametrize("protocol", ["bell-scan", "full-pipeline"])
+    def test_retired_rotated_readout_is_exit_2(self, tmp_path, capsys, protocol):
+        cfg_path = self.write_config(tmp_path, {
+            "protocol": protocol, "bell": {"mode": "rotated"}})
+        assert main(["run", cfg_path, "--output", str(tmp_path)]) == 2
+        assert ("config error: bell.mode must be one of exact or sampled, "
+                "got 'rotated'\n") == capsys.readouterr().err
+        assert not (tmp_path / f"{protocol}.csv").exists()
 
     @pytest.mark.parametrize("protocol", ["heat-sweep", "full-pipeline"])
     def test_constant_rate_false_writes_the_bytes_of_omitting_it(
@@ -938,8 +967,7 @@ class TestMainEntry:
     def test_output_matrix_identical_across_blas_threads(self, tmp_path):
         # the alpha 2 part of the comparison set that tests/output_matrix.py
         # writes: every protocol, full-pipeline over both gate builds of
-        # each exchange, exact and sampled, at delta 0, 0.1 and 1, bell-scan
-        # and one full-pipeline with the rotated readout, and the
+        # each exchange, exact and sampled, at delta 0, 0.1 and 1, and the
         # jump-ensemble file
         script = Path(__file__).resolve().parent / "output_matrix.py"
         outputs = []
@@ -955,14 +983,25 @@ class TestMainEntry:
             assert proc.returncode == 0, proc.stderr
             outputs.append({p.name: p.read_bytes() for p in outdir.iterdir()})
         one, four = outputs
-        assert len(one) == len(PROTOCOLS) - 1 + 2 * 2 * 2 * 3 + 2 + 1
+        assert len(one) == len(PROTOCOLS) - 1 + 2 * 2 * 2 * 3 + 1
         assert "jump-ensemble.txt" in one
         assert one == four
 
+    def test_output_matrix_refuses_a_used_outdir(self, tmp_path, capsys):
+        # a CSV left by an earlier run, here of a retired config, would
+        # read as unchanged in a diff of two output directories
+        from output_matrix import main as write_matrix
+        (tmp_path / "bell-scan-a2-rotated.csv").write_text("")
+        with pytest.raises(SystemExit) as exit_info:
+            write_matrix([str(tmp_path), "--alpha", "2"])
+        assert exit_info.value.code == 2
+        assert "is not an empty directory" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["bell-scan-a2-rotated.csv"]
+
     def test_warm_full_pipeline_writes_the_cold_bytes(self, tmp_path):
-        # the alpha 2 full-pipeline configs of the comparison set (the
-        # rotated readout's one among them), run once with the memos kept
-        # across configs and once with them cleared before each config
+        # the alpha 2 full-pipeline configs of the comparison set, run once
+        # with the memos kept across configs and once with them cleared
+        # before each config
         from output_matrix import configs
         matrix = {name: raw for name, raw in configs((2.0,)).items()
                   if raw["protocol"] == "full-pipeline"}
@@ -978,7 +1017,7 @@ class TestMainEntry:
                         str(outdir))
             outputs.append({p.name: p.read_bytes() for p in outdir.iterdir()})
         warm, cold = outputs
-        assert len(warm) == 2 * 2 * 2 * 3 + 1
+        assert len(warm) == 2 * 2 * 2 * 3
         assert warm == cold
 
     def test_swap_report_identical_across_blas_threads(self, tmp_path):
@@ -1061,14 +1100,9 @@ class TestMainEntry:
         "bell-scan-exact": ({"protocol": "bell-scan"}, {"bell"}),
         "bell-scan-sampled": (
             {"protocol": "bell-scan", "bell": {"mode": "sampled"}}, {"bell"}),
-        "bell-scan-rotated": (
-            {"protocol": "bell-scan", "bell": {"mode": "rotated"}}, {"bell"}),
         "full-pipeline-given-delta": (
             {"protocol": "full-pipeline", "noise": {"delta": 0.1}},
             {"bell", "gates"}),
-        "full-pipeline-given-delta-rotated": (
-            {"protocol": "full-pipeline", "noise": {"delta": 0.1},
-             "bell": {"mode": "rotated"}}, {"bell", "gates"}),
         "full-pipeline-null-delta": (
             {"protocol": "full-pipeline"}, {"bell", "gates"}),
     }

@@ -266,23 +266,23 @@ def test_importing_the_package_loads_only_its_one_binding():
 
 
 def test_no_readout_loads_gates():
-    # the rotated readout's carrier pulses are built in bell itself
-    bell, exact, rotated, sampled = loaded_modules(
+    bell, exact, sampled = loaded_modules(
         "import catbell.bell",
         "from catbell.bell import chsh, mixed_bell; chsh(mixed_bell(0.1))",
-        "chsh(mixed_bell(0.1), method='rotated')",
         "chsh(mixed_bell(0.1), method='sampled', shots=100, seed=1)")
     assert "catbell.gates" not in bell
-    assert exact == rotated == sampled == bell
+    assert exact == sampled == bell
 
 
 def test_the_oracle_module_loads_scipy_only_in_its_scipy_oracles():
-    imported, series, oracle = loaded_modules(
+    imported, series, pulses, oracle = loaded_modules(
         "import catbell.reference",
         "catbell.reference.cat_amplitudes(2.0, 1, 30)",
+        "catbell.reference.pulse_correlators(catbell.reference.np.eye(4) / 4, "
+        "[(0.1, 0.2)])",
         "catbell.reference.displacement_elements(0.3j, 4)",
         package="scipy")
-    assert imported == series == set()
+    assert imported == series == pulses == set()
     assert "scipy.special" in oracle
 
 

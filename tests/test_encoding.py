@@ -431,14 +431,22 @@ class TestRotations:
 
 class TestDisplacementRotation:
     def test_angle_dictionary(self, enc2):
-        # rotation_fidelity kicks by eps = theta / (2 alpha) on the named mode
+        # rotation_fidelity kicks by eps and turns by theta = 2 alpha eps,
+        # alpha the named mode's amplitude
         enc = EncodingParams.for_amplitudes(2.0, beta=3.0)
-        assert rotation_fidelity(np.pi / 2, enc2).epsilon == np.pi / 8
-        assert rotation_fidelity(np.pi / 2, enc, "b").epsilon == np.pi / 12
+        rep = rotation_fidelity(np.pi / 8, enc2)
+        assert (rep.epsilon, rep.theta) == (np.pi / 8, np.pi / 2)
+        rep = rotation_fidelity(np.pi / 12, enc, "b")
+        assert (rep.epsilon, rep.theta) == (np.pi / 12, 2.0 * 3.0 * (np.pi / 12))
+        assert rep.theta == pytest.approx(np.pi / 2, abs=1e-15)
+
+    def test_overflowing_angle_is_a_value_error(self, enc2):
+        with pytest.raises(ValueError, match="epsilon = 1e[+]308 makes the angle"):
+            rotation_fidelity(1e308, enc2)
 
     @pytest.mark.parametrize("eps,law", [(0.1, 0.990050), (0.2, 0.960789)])
     def test_branch_fidelity_law(self, enc3, eps, law):
-        rep = rotation_fidelity(2.0 * 3.0 * eps, enc3)
+        rep = rotation_fidelity(eps, enc3)
         assert abs(rep.f_zero_branch - law) < 1e-5
         assert abs(rep.f_one_branch - law) < 1e-5
         assert rep.analytic == pytest.approx(np.exp(-eps * eps), abs=1e-12)
@@ -453,7 +461,7 @@ class TestDisplacementRotation:
         # the physical correction drops below it
         for alpha in (2.0, 3.0, 4.0):
             enc = EncodingParams.for_amplitudes(alpha)
-            rep = rotation_fidelity(np.pi / 4, enc)
+            rep = rotation_fidelity(np.pi / (8.0 * alpha), enc)
             bound = max(1e-10, 5.0 * np.exp(-2.0 * alpha * alpha))
             assert abs(rep.f_zero_branch - rep.analytic) <= bound
             assert abs(rep.f_one_branch - rep.analytic) <= bound

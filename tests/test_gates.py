@@ -13,12 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from catbell import gates
-from catbell.bell import (
-    DEFAULT_ANGLES,
-    carrier_rotation,
-    chsh,
-    mixed_bell_fidelity,
-)
+from catbell.bell import DEFAULT_ANGLES, chsh, mixed_bell_fidelity
 from catbell.bosonic import ModeParams
 from catbell.encoding import (
     EV_VARIANTS,
@@ -58,7 +53,7 @@ from catbell.hilbert import (
     unitarity_residual,
 )
 from catbell.pipeline import _pipeline_state, run_pipeline
-from catbell.reference import su2_exp, u_ve_literal_oracle
+from catbell.reference import u_ve_literal_oracle
 from conftest import (
     EXCITED,
     basis_state,
@@ -356,46 +351,6 @@ class TestRegisterTransfer:
         f = dm_fidelity(red, electronic_bell("phi_plus"))
         assert abs(f - rec.value) < rec.tolerance
         assert f > 0.98
-
-
-class TestCarrier:
-    def test_zero_pulse(self):
-        np.testing.assert_allclose(carrier_rotation(0.0, 0.3), np.eye(2), atol=1e-14)
-
-    def test_full_pulse_is_x(self):
-        got = carrier_rotation(1.0, 0.0)
-        np.testing.assert_allclose(got, -1j * SIGMA_X, atol=1e-12)
-
-    def test_half_pulses_compose(self):
-        half = carrier_rotation(0.5, 1.1)
-        full = carrier_rotation(1.0, 1.1)
-        assert np.abs(half @ half - full).max() < 1e-10
-
-    def test_unitary(self):
-        assert unitarity_residual(carrier_rotation(0.37, -2.0)) < 1e-12
-
-    def test_matches_oracles(self):
-        # exp(-i k pi/2 (n . sigma)) about the equatorial axis
-        # n = (cos phase, -sin phase, 0), in closed form and by
-        # eigendecomposing the generator
-        rng = np.random.default_rng(20261019)
-        for k, phase in zip(rng.uniform(-4.0, 4.0, 1000),
-                            rng.uniform(-2 * np.pi, 2 * np.pi, 1000)):
-            got = carrier_rotation(k, phase)
-            closed = su2_exp(np.cos(phase), -np.sin(phase), 0.0, k * np.pi / 2.0)
-            assert np.abs(got - closed).max() <= 1e-15, (k, phase)
-            g = np.array([[0.0, np.exp(1j * phase)], [np.exp(-1j * phase), 0.0]])
-            eig = matrix_exp(OperatorMatrix(SpaceLayout((2,)), (0,), g),
-                             scale=-1j * k * np.pi / 2.0).matrix
-            assert np.abs(got - eig).max() <= 1e-14, (k, phase)
-
-    def test_exponentiates_nothing(self, monkeypatch):
-        # the closed form: no eigendecomposition of the generator
-        def refuse(*args, **kwargs):
-            raise AssertionError("carrier_rotation diagonalized its generator")
-        for name in ("eig", "eigh"):
-            monkeypatch.setattr(np.linalg, name, refuse)
-        carrier_rotation(0.5, 0.3)
 
 
 class TestReports:

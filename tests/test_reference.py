@@ -12,6 +12,8 @@ from catbell.hilbert import OperatorMatrix, SpaceLayout
 from catbell.noise import HeatingParams, propagate
 from catbell.reference import (
     OracleReport,
+    analyzer_pulse,
+    carrier_pulse,
     cat_amplitudes,
     chsh_grid_search,
     coherent_amplitudes,
@@ -22,6 +24,8 @@ from catbell.reference import (
     liouvillian_expm,
     liouvillian_matrix,
     poisson_jump_stats,
+    pulse_correlators,
+    pulse_populations,
     read_fixture,
     su2_exp,
     swap_truth_oracle,
@@ -182,6 +186,60 @@ class TestSmallRotations:
         got = su2_exp(*axis, 0.7)
         want = scipy.linalg.expm(-0.7j * gen)
         assert np.abs(got - want).max() < 1e-12
+
+
+SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
+SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
+SIGMA_Z = np.diag([1.0, -1.0]).astype(np.complex128)
+
+
+class TestCarrierPulse:
+    def test_zero_pulse(self):
+        np.testing.assert_allclose(carrier_pulse(0.0, 0.3), np.eye(2), atol=1e-14)
+
+    def test_full_pulse_is_x(self):
+        np.testing.assert_allclose(carrier_pulse(1.0, 0.0), -1j * SIGMA_X,
+                                   atol=1e-12)
+
+    def test_half_pulses_compose(self):
+        half = carrier_pulse(0.5, 1.1)
+        assert np.abs(half @ half - carrier_pulse(1.0, 1.1)).max() < 1e-10
+
+    def test_unitary(self):
+        u = carrier_pulse(0.37, -2.0)
+        assert np.abs(u.conj().T @ u - np.eye(2)).max() < 1e-12
+
+    def test_matches_the_expm_of_its_generator(self):
+        # exp(-i k pi/2 G), G = |1><0| e^{-i phase} + h.c., by scipy's
+        # scaling and squaring
+        rng = np.random.default_rng(20261019)
+        for k, phase in zip(rng.uniform(-4.0, 4.0, 1000),
+                            rng.uniform(-2 * np.pi, 2 * np.pi, 1000)):
+            g = np.array([[0.0, np.exp(1j * phase)], [np.exp(-1j * phase), 0.0]])
+            want = scipy.linalg.expm(-1j * k * np.pi / 2.0 * g)
+            assert np.abs(carrier_pulse(k, phase) - want).max() <= 1e-14, (k, phase)
+
+    def test_analyzer_pulse_maps_z_onto_axis(self):
+        # V sigma_z V^dag = sigma(theta): the pulse realizes the analyzer setting
+        for theta in np.linspace(-np.pi, np.pi, 13):
+            v = analyzer_pulse(theta)
+            want = np.cos(theta) * SIGMA_X + np.sin(theta) * SIGMA_Y
+            assert np.abs(v @ SIGMA_Z @ v.conj().T - want).max() < 1e-12
+
+    def test_populations_and_correlators(self):
+        # on phi+ the populations are (1 + s_a s_b cos(ta + tb)) / 4, and
+        # E = cos(ta + tb)
+        phi = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
+        rho = np.outer(phi, phi)
+        settings = [(0.3, -1.1), (2.0, 0.7), (-0.4, 0.4)]
+        for ta, tb in settings:
+            p = pulse_populations(rho, ta, tb)
+            c = np.cos(ta + tb)
+            np.testing.assert_allclose(p, [(1 + c) / 4, (1 - c) / 4,
+                                           (1 - c) / 4, (1 + c) / 4], atol=1e-15)
+        np.testing.assert_allclose(pulse_correlators(rho, settings),
+                                   [np.cos(ta + tb) for ta, tb in settings],
+                                   atol=1e-15)
 
 
 class TestExchangeOracle:
