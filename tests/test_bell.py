@@ -417,6 +417,13 @@ class TestCrossing:
         assert got == pytest.approx(0.3, abs=1e-15)
         assert crossing([0.0, 0.5], [2.8, 2.1]) is None
 
+    def test_first_hit_or_bracket_wins(self):
+        # an exact 2 before a bracket is the crossing, and so is a bracket
+        # before an exact 2
+        assert crossing([0.1, 0.2, 0.3, 0.4], [2.5, 2.0, 2.5, 1.5]) == 0.2
+        got = crossing([0.1, 0.2, 0.3], [2.5, 1.5, 2.0])
+        assert got == pytest.approx(0.15, abs=1e-15)
+
     @pytest.fixture(scope="class")
     def exact_hit(self) -> float:
         """A weight next to DELTA_STAR whose B rounds to exactly 2.

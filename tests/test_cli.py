@@ -495,6 +495,30 @@ class TestProtocolRunners:
         assert rows[0]["B"] == pytest.approx(2.0 * sqrt(2.0), abs=0.15)
         assert rows[0]["std_error"] > 0.0
 
+    def test_bell_scan_sampled_rows_are_the_chsh_calls(self):
+        # one loop for both readouts: grid point i draws from [seed, i], and
+        # the sampled readout reports no crossing
+        deltas = [0.0, 0.2, 0.35]
+        cfg = cfg_for("bell-scan", seed=7,
+                      bell={"mode": "sampled", "shots": 500, "deltas": deltas})
+        rows, results, _ = run_bell_scan(cfg)
+        outs = [chsh(mixed_bell(d), DEFAULT_ANGLES, "sampled", 500, [7, i])
+                for i, d in enumerate(deltas)]
+        assert rows == [{"delta": d, "B": o.b_value, "std_error": o.std_error}
+                        for d, o in zip(deltas, outs)]
+        assert results == {"b_at_first_delta": outs[0].b_value}
+
+    @pytest.mark.parametrize("mode", CHSH_METHODS)
+    def test_full_pipeline_reports_its_readout(self, mode):
+        cfg = cfg_for("full-pipeline", seed=3, noise={"delta": 0.1},
+                      bell={"mode": mode, "shots": 500})
+        rows, results, provenance = run_full_pipeline(cfg)
+        assert provenance == mode
+        enc = EncodingParams.for_amplitudes(2.0)
+        assert results == run_pipeline(enc, 0.1, DEFAULT_ANGLES, mode, 500, 3)
+        assert ("b_std_error" in results) == (mode == "sampled")
+        assert rows == [{"quantity": k, "value": v} for k, v in results.items()]
+
     def test_pipeline_noiseless_hits_ceiling(self):
         enc = EncodingParams.for_amplitudes(2.0)
         results = run_pipeline(enc, 0.0, DEFAULT_ANGLES)
@@ -700,7 +724,7 @@ class TestMainEntry:
         assert "config error: noise.constant_rate must be" in capsys.readouterr().err
         assert not (tmp_path / "heat-sweep.csv").exists()
 
-    @pytest.mark.parametrize("protocol", ["bell-scan", "full-pipeline"])
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
     def test_retired_rotated_readout_is_exit_2(self, tmp_path, capsys, protocol):
         cfg_path = self.write_config(tmp_path, {
             "protocol": protocol, "bell": {"mode": "rotated"}})
@@ -1102,6 +1126,10 @@ class TestMainEntry:
             {"protocol": "bell-scan", "bell": {"mode": "sampled"}}, {"bell"}),
         "full-pipeline-given-delta": (
             {"protocol": "full-pipeline", "noise": {"delta": 0.1}},
+            {"bell", "gates"}),
+        "full-pipeline-given-delta-sampled": (
+            {"protocol": "full-pipeline", "noise": {"delta": 0.1},
+             "bell": {"mode": "sampled"}},
             {"bell", "gates"}),
         "full-pipeline-null-delta": (
             {"protocol": "full-pipeline"}, {"bell", "gates"}),
