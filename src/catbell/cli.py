@@ -9,15 +9,14 @@ carries pure data rows with 12-significant-digit numbers so reruns diff
 byte-identically; JSON output additionally echoes the normalized config and
 the wall-clock duration.
 
-Exit codes: 0 success, 2 config error (or an output that cannot be written),
-3 capacity (truncation or size budget), 4 numerical contract violation (for
-heat-sweep, a gamma * duration that overflows to inf).
+Exit codes: 0 success, 2 config error (or an output that cannot be written,
+or a command line outside USAGE), 3 capacity (truncation or size budget), 4
+numerical contract violation (for heat-sweep, a gamma * duration that
+overflows to inf).
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import inspect
 import itertools
 import json
@@ -303,49 +302,100 @@ def describe(protocol: str) -> str:
 
 # ------------------------------------------------------------------- main ---
 
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process: parse_args keeps no
-    state between calls."""
-    parser = argparse.ArgumentParser(
-        prog="catbell",
-        description="cat-state Bell-test simulator batch runner")
-    sub = parser.add_subparsers(dest="command", required=True)
+USAGE = """\
+usage: catbell run CONFIG [--output DIR] [--seed N]
+       catbell describe PROTOCOL
+       catbell version
+       catbell -h | --help"""
+HELP = ("-h", "--help")
+# each command's positional (None for none), and its options with the
+# type that reads each value
+COMMANDS = {
+    "run": ("CONFIG", {"--output": str, "--seed": int}),
+    "describe": ("PROTOCOL", {}),
+    "version": (None, {}),
+}
 
-    run_p = sub.add_parser("run", help="execute a protocol from a JSON config")
-    run_p.add_argument("config", help="path to the config file")
-    run_p.add_argument("--output", metavar="DIR", default=None,
-                       help="directory for the output file")
-    run_p.add_argument("--seed", type=int, default=None,
-                       help="override the config seed")
 
-    desc_p = sub.add_parser("describe", help="show a protocol's stages")
-    desc_p.add_argument("protocol", help="protocol name")
+def _stop(error: str | None = None) -> SystemExit:
+    """Help: the usage on stdout and exit 0.  An error: the usage and the
+    error on stderr and exit 2, as argparse ends."""
+    if error is None:
+        print(USAGE)
+        return SystemExit(0)
+    print(f"{USAGE}\ncatbell: error: {error}", file=sys.stderr)
+    return SystemExit(2)
 
-    sub.add_parser("version", help="print the package version")
-    return parser
+
+def _is_flag(token: str) -> bool:
+    """Whether token reads as an option rather than a value: it starts with
+    a dash and is neither "-" nor a negative number such as -1."""
+    return (token.startswith("-") and token != "-"
+            and not token[1:].replace(".", "", 1).isdigit())
+
+
+def _read_argv(argv: list[str]) -> tuple[str, str | None, str | None, int | None]:
+    """(command, positional, --output, --seed) of a command line in USAGE's
+    grammar.  Options may come before or after the positional, as `--opt
+    value` or `--opt=value`, each value is read by its type (int() for
+    --seed) and the last repeat wins.  Help, or any other command line,
+    raises SystemExit (_stop)."""
+    tokens = iter(argv)
+    command = next(tokens, None)
+    if command in HELP:
+        raise _stop()
+    if command not in COMMANDS:
+        raise _stop("missing command" if command is None
+                    else f"unknown command {command!r}")
+    positional, allowed = COMMANDS[command]
+    operands, options = [], {}
+    for token in tokens:
+        if token in HELP:
+            raise _stop()
+        name, eq, value = token.partition("=")
+        if name in allowed:
+            if not eq:
+                value = next(tokens, None)
+                if value is None or _is_flag(value):
+                    raise _stop(f"{name} expects one argument")
+            try:
+                options[name] = allowed[name](value)
+            except ValueError:
+                raise _stop(f"invalid {name} value {value!r}") from None
+        elif _is_flag(token):
+            raise _stop(f"unknown option {token}")
+        else:
+            operands.append(token)
+    want = 0 if positional is None else 1
+    if len(operands) < want:
+        raise _stop(f"{command} needs {positional}")
+    if len(operands) > want:
+        raise _stop(f"unexpected argument {operands[want]!r}")
+    return (command, operands[0] if want else None,
+            options.get("--output"), options.get("--seed"))
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    command, operand, output, seed = _read_argv(
+        sys.argv[1:] if argv is None else argv)
     try:
-        if args.command == "version":
+        if command == "version":
             print(f"catbell {__version__}")
             return 0
-        if args.command == "describe":
-            print(describe(args.protocol))
+        if command == "describe":
+            print(describe(operand))
             return 0
         try:
-            with open(args.config, encoding="utf-8") as handle:
+            with open(operand, encoding="utf-8") as handle:
                 raw = json.load(handle)
         except OSError as err:
             raise ConfigError(f"cannot read config: {err}") from err
         except json.JSONDecodeError as err:
             raise ConfigError(f"config is not valid JSON: {err}") from err
         cfg = normalize_config(raw)
-        if args.seed is not None:
-            cfg["seed"] = _check(SEED, args.seed)
-        execute(cfg, args.output)
+        if seed is not None:
+            cfg["seed"] = _check(SEED, seed)
+        execute(cfg, output)
         return 0
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)

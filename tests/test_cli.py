@@ -41,7 +41,7 @@ from catbell.cli import (
     FIELDS,
     PROTOCOLS,
     RUNNERS,
-    _build_parser,
+    USAGE,
     describe,
     execute,
     main,
@@ -1427,45 +1427,112 @@ class TestDecompositionCache:
         assert len(decompositions) == len(kicks) == len(swaps) == 1
 
 
-class TestParserReuse:
-    def outcomes(self, argvs: list, capsys, fresh: bool) -> list:
-        """(exit code, stdout, stderr) of main on each argv in turn."""
-        out = []
-        for argv in argvs:
-            if fresh:
-                _build_parser.cache_clear()
-            try:
-                code = main(argv)
-            except SystemExit as stop:
-                code = ("exit", stop.code)
-            captured = capsys.readouterr()
-            out.append((code, captured.out, captured.err))
-        return out
+class TestCommandLine:
+    """main on command lines of USAGE's grammar and on others: each returns
+    or raises SystemExit with its code and writes one stream."""
 
-    def test_one_parser_behaves_like_a_fresh_one(self, tmp_path, capsys):
+    def outcome(self, argv: list, capsys) -> tuple:
+        """(exit code, stdout, stderr) of main on argv; a SystemExit code
+        is ("exit", code)."""
+        try:
+            code = main(argv)
+        except SystemExit as stop:
+            code = ("exit", stop.code)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_each_command_line_ends_in_its_code_on_one_stream(self, tmp_path,
+                                                              capsys):
         good = tmp_path / "good.json"
         good.write_text(json.dumps({"protocol": "prepare"}), encoding="utf-8")
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"protocol": "prepare", "extra": 1}),
                        encoding="utf-8")
-        out = str(tmp_path)
-        argvs = [
-            ["run", str(good), "--output", out],
-            ["describe", "full-pipeline"],
-            ["version"],
-            ["run", str(good), "--output", out, "--seed", "5"],
-            ["run", str(bad), "--output", out],
-            [], ["frobnicate"], ["run"], ["run", str(good), "--seed", "x"],
-            ["describe"], ["--help"], ["run", "--help"],
-            ["describe", "anneal"],
-            ["run", str(good), "--output", out],
+        good, bad, out = str(good), str(bad), str(tmp_path)
+        usage, fail = ("exit", 0), ("exit", 2)
+        table = [  # argv, exit code, the stream written
+            (["run", good, "--output", out], 0, "out"),
+            (["describe", "full-pipeline"], 0, "out"),
+            (["version"], 0, "out"),
+            (["run", good, "--output", out, "--seed", "5"], 0, "out"),
+            (["run", bad, "--output", out], 2, "err"),
+            ([], fail, "err"),
+            (["frobnicate"], fail, "err"),
+            (["run"], fail, "err"),
+            (["run", good, "--seed", "x"], fail, "err"),
+            (["describe"], fail, "err"),
+            (["--help"], usage, "out"),
+            (["run", "--help"], usage, "out"),
+            (["describe", "anneal"], 2, "err"),
+            (["run", good, "--output", out], 0, "out"),
+            # the --opt=value form, and options before CONFIG
+            (["run", good, f"--output={tmp_path / 'eq'}"], 0, "out"),
+            (["run", "--output", str(tmp_path / "first"), "--seed=3", good],
+             0, "out"),
+            # the last repeat wins (test_the_last_seed_wins), and each is
+            # read by int()
+            (["run", good, "--output", out, "--seed", "3", "--seed", "5"],
+             0, "out"),
+            (["run", good, "--output", out, "--seed", "x", "--seed", "5"],
+             fail, "err"),
+            # a seed that int() reads is then checked as the config's seed
+            (["run", good, "--output", out, "--seed", "-1"], 2, "err"),
+            (["run", good, "--output", out, "--seed=1.5"], fail, "err"),
+            (["run", good, "--output"], fail, "err"),
+            (["run", good, "--output", "--seed", "5"], fail, "err"),
+            (["--output", out, "run", good], fail, "err"),
+            (["run", good, "--frobnicate"], fail, "err"),
+            (["run", good, "-x"], fail, "err"),
+            # no abbreviation, no "--" and no option of another command
+            (["run", good, "--out", out], fail, "err"),
+            (["run", "--", good], fail, "err"),
+            (["describe", "rotate", "--seed", "5"], fail, "err"),
+            (["run", good, good], fail, "err"),
+            (["describe", "rotate", "prepare"], fail, "err"),
+            (["version", "extra"], fail, "err"),
+            (["-h"], usage, "out"),
+            (["run", "-h"], usage, "out"),
+            (["run", good, "--seed", "5", "-h"], usage, "out"),
+            (["describe", "-h"], usage, "out"),
+            (["version", "--help"], usage, "out"),
         ]
-        assert _build_parser() is _build_parser()
-        reused = self.outcomes(argvs, capsys, fresh=False)
-        assert reused == self.outcomes(argvs, capsys, fresh=True)
-        assert [r[0] for r in reused[:5]] == [0, 0, 0, 0, 2]
-        assert reused[5][0] == ("exit", 2)
-        assert reused[-1] == reused[0]
+        got = [self.outcome(argv, capsys) for argv, _, _ in table]
+        for (argv, code, stream), (got_code, stdout, stderr) in zip(table, got):
+            assert got_code == code, argv
+            assert (stdout, stderr)[stream == "out"] == "", argv
+            assert (stdout, stderr)[stream == "err"] != "", argv
+            if code == usage:
+                assert stdout == USAGE + "\n", argv
+            if code == fail:
+                assert stderr.startswith(USAGE + "\ncatbell: error: "), argv
+        assert [r[0] for r in got[:5]] == [0, 0, 0, 0, 2]
+        assert got[5][0] == ("exit", 2)
+        assert got[13] == got[0]
+        assert (tmp_path / "eq" / "prepare.csv").exists()
+        assert (tmp_path / "first" / "prepare.csv").exists()
+
+    def test_the_last_seed_wins(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({
+            "protocol": "bell-scan",
+            "bell": {"mode": "sampled", "shots": 512, "deltas": [0.1]},
+        }), encoding="utf-8")
+        outputs = []
+        for name, seeds in (("last", ["--seed", "1", "--seed=7"]),
+                            ("seven", ["--seed", "7"]), ("one", ["--seed", "1"])):
+            assert main(["run", str(cfg), "--output", str(tmp_path / name),
+                         *seeds]) == 0
+            outputs.append((tmp_path / name / "bell-scan.csv").read_bytes())
+        last, seven, one = outputs
+        assert last == seven != one
+
+    def test_readme_usage_block_is_the_usage(self):
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        blocks = re.findall(r"^```\n(usage: catbell .*?)^```$",
+                            readme.read_text(encoding="utf-8"),
+                            flags=re.MULTILINE | re.DOTALL)
+        assert len(blocks) == 1
+        assert blocks[0].splitlines() == USAGE.splitlines()
 
 
 # ---------------------------------------------------------------- fuzzer ---

@@ -9,9 +9,10 @@ is read by the program (src, demos, perfbench); helpers that only tests need
 live in tests/.  Every one of the oracle module is read by a check other
 than its own self-tests (tests/test_reference.py): another test, the
 benchmark's output checks, or another oracle.  Every name that a module of
-src/catbell imports is read in that module, and a fresh `import catbell`
-loads only the modules that its one binding needs: names are imported from
-the module that defines them.  No readout of catbell.bell loads gates, and
+src/catbell, tests or demos imports is read in that module, and a fresh
+`import catbell` loads only the modules that its one binding needs: names
+are imported from the module that defines them.  No readout of catbell.bell
+loads gates, `import catbell.cli` loads no argparse, and
 `import catbell.reference` loads no scipy until a call needs it.  Every
 config field of catbell.cli.FIELDS is read by the runners or the command
 line, so none is accepted and then ignored.
@@ -23,6 +24,7 @@ import ast
 import re
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +48,10 @@ KEPT_UNREAD = {
 
 # imports that their module does not read, kept on purpose: perfbench's
 # tracer test checks that the tracer rebinds both; ROADMAP item 1 retires them
-KEPT_UNREAD_IMPORTS = {("__init__.py", "apply"), ("cli.py", "apply")}
+KEPT_UNREAD_IMPORTS = {("src/catbell/__init__.py", "apply"),
+                       ("src/catbell/cli.py", "apply")}
+# the modules whose every import is read: the package, the tests and demos
+IMPORTING_MODULES = ("src/catbell/*.py", "tests/*.py", "demos/*.py")
 
 # oracles that only their self-tests read, kept on purpose
 KEPT_UNREAD_ORACLES = {
@@ -191,15 +196,17 @@ def bound_imports(tree: ast.Module) -> set[str]:
 
 def test_every_import_is_read_in_its_module():
     unread, kept = [], set()
-    for module in sorted(PACKAGE.glob("*.py")):
+    for module in sorted(path for pattern in IMPORTING_MODULES
+                         for path in ROOT.glob(pattern)):
+        where = module.relative_to(ROOT).as_posix()
         tree = ast.parse(module.read_text(encoding="utf-8"))
         loads = {node.id for node in ast.walk(tree)
                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
         for name in sorted(bound_imports(tree) - loads):
-            if (module.name, name) in KEPT_UNREAD_IMPORTS:
-                kept.add((module.name, name))
+            if (where, name) in KEPT_UNREAD_IMPORTS:
+                kept.add((where, name))
             else:
-                unread.append(f"{module.stem}: {name}")
+                unread.append(f"{where}: {name}")
     assert not unread, f"imported but never read: {unread}"
     assert kept == KEPT_UNREAD_IMPORTS, "read now: drop from KEPT_UNREAD_IMPORTS"
 
@@ -286,6 +293,10 @@ def test_the_oracle_module_loads_scipy_only_in_its_scipy_oracles():
     assert "scipy.special" in oracle
 
 
+def test_the_command_line_loads_no_argparse():
+    assert loaded_modules("import catbell.cli", package="argparse") == [set()]
+
+
 # README's table of the per-process caches.  Its one row that is not a
 # process-wide memo is what noise.sample_trajectory keeps on an immutable
 # state, named by that state's class and attribute
@@ -294,25 +305,30 @@ CACHE_TABLE_HEADER = "| cache | key | bound | worst case |"
 PER_STATE_ENTRY = "StateVector._jump_chains"
 
 
-def memoized_functions() -> set[str]:
-    """module.function of every def decorated with functools.lru_cache or
-    functools.cache (called or not) in src/catbell, the oracle aside."""
+def memoized_in(source: str) -> set[str]:
+    """The name of every def in source decorated with functools.lru_cache or
+    functools.cache, called or not, by the module or by its bare name."""
     memos = set()
-    for module in sorted(PACKAGE.glob("*.py")):
-        if module.name == ORACLE:
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
-        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            for decorator in node.decorator_list:
-                target = decorator.func if isinstance(decorator, ast.Call) else decorator
-                if isinstance(target, ast.Attribute) and isinstance(target.value, ast.Name):
-                    name = target.attr if target.value.id == "functools" else None
-                else:
-                    name = getattr(target, "id", None)
-                if name in ("lru_cache", "cache"):
-                    memos.add(f"{module.stem}.{node.name}")
+        for decorator in node.decorator_list:
+            target = decorator.func if isinstance(decorator, ast.Call) else decorator
+            if isinstance(target, ast.Attribute) and isinstance(target.value, ast.Name):
+                name = target.attr if target.value.id == "functools" else None
+            else:
+                name = getattr(target, "id", None)
+            if name in ("lru_cache", "cache"):
+                memos.add(node.name)
     return memos
+
+
+def memoized_functions() -> set[str]:
+    """module.function of every memo (memoized_in) in src/catbell, the
+    oracle aside."""
+    return {f"{module.stem}.{name}" for module in sorted(PACKAGE.glob("*.py"))
+            if module.name != ORACLE
+            for name in memoized_in(module.read_text(encoding="utf-8"))}
 
 
 def cache_table_rows() -> list[str]:
@@ -334,10 +350,10 @@ def test_the_cache_table_names_every_memo_once():
     from catbell.noise import HeatingParams, sample_trajectory
 
     memos, rows = memoized_functions(), cache_table_rows()
-    # one memo of each decorator form the parse reads:
-    # functools.lru_cache(...), a bare lru_cache(...) and functools.cache
-    assert {"pipeline._coherent_stages", "encoding.logical_basis",
-            "cli._build_parser"} <= memos, f"the decorator parse missed: {memos}"
+    # the program's two decorator forms: functools.lru_cache(...) and a
+    # bare lru_cache(...)
+    assert {"pipeline._coherent_stages", "encoding.logical_basis"} <= memos, (
+        f"the decorator parse missed: {memos}")
     assert len(rows) == len(set(rows)), f"a cache has two rows: {rows}"
     assert not memos - set(rows), f"memos with no row: {sorted(memos - set(rows))}"
     assert set(rows) - memos == {PER_STATE_ENTRY}, f"rows of no cache: {rows}"
@@ -347,3 +363,29 @@ def test_the_cache_table_names_every_memo_once():
     sample_trajectory(state, HeatingParams(0.1, 1.0), 0)
     owner, attribute = PER_STATE_ENTRY.split(".")
     assert type(state).__name__ == owner and attribute in vars(state)
+
+
+def test_the_memo_parse_reads_every_decorator_form():
+    source = textwrap.dedent("""
+        import functools
+        from functools import lru_cache, wraps
+
+        @functools.lru_cache(maxsize=8)
+        def called(): pass
+
+        @lru_cache(maxsize=8)
+        def bare(): pass
+
+        @functools.cache
+        def cached(): pass
+
+        @functools.lru_cache
+        def uncalled(): pass
+
+        @wraps(called)
+        def wrapper(): pass
+
+        @staticmethod
+        def plain(): pass
+        """)
+    assert memoized_in(source) == {"called", "bare", "cached", "uncalled"}

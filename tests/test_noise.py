@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catbell.bell import mixed_bell
-from catbell.bosonic import EVEN, ODD, ModeParams, cat, coherent, mode_for
+from catbell.bosonic import EVEN, ModeParams, cat, coherent, mode_for
 from catbell.cli import normalize_config
 from catbell.encoding import MODE_A, MODE_B, EncodingParams, bell_target
 from catbell.errors import ContractError

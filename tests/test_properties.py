@@ -27,7 +27,6 @@ from catbell.bell import (
 from catbell.bosonic import (
     ModeParams,
     cat,
-    coherent,
     mode_for,
     required_cutoff,
 )

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from catbell.bosonic import EVEN, ModeParams, cat, mode_for
+from catbell.bosonic import EVEN, ModeParams, cat
 from catbell.encoding import EncodingParams
-from catbell.hilbert import OperatorMatrix, SpaceLayout
 from catbell.noise import HeatingParams, propagate
 from catbell.reference import (
     OracleReport,
