@@ -8,10 +8,14 @@ sigma = (1, x, y, z) (Horodecki, Horodecki & Horodecki, Phys. Lett. A 200,
 setting's correlator is E = u(theta_a)^T T u(theta_b), and the populations
 of the four outcomes after both axes are rotated onto sigma_z are
 (T_00 + s_a r_a + s_b r_b + s_a s_b E) / 4, with signs s = +-1 and r_a,
-r_b the Bloch components of each qubit along its axis.  chsh is the one
-readout, and it reads the four settings of a BellAngles two ways: exact
-correlators read from T, and shot sampling from the populations.  It
-refuses a state whose trace is not 1.  The carrier pulses that rotate each
+r_b the Bloch components of each qubit along its axis.  tensor_chsh is
+the one readout, and it reads the four settings of a BellAngles from T two
+ways: exact correlators, and shot sampling from the populations.  It
+refuses a T whose T_00, the trace, is not 1; chsh reads a state through
+it.  The fidelity to the delta mixture is read from the state's Bell block
+(bell_block, block_fidelity).  T and the block are linear in rho, so a
+mixture of states is read from the mixture of their coordinates
+(pipeline.run_pipeline).  The carrier pulses that rotate each
 axis onto sigma_z are never built here: they are an oracle of
 catbell.reference, which both readouts are checked against.  The
 two-qubit combination
@@ -40,6 +44,7 @@ from .hilbert import (
     SpaceLayout,
     StateVector,
     check_normalized,
+    check_unit,
 )
 
 TSIRELSON = 2.0 * sqrt(2.0)
@@ -70,28 +75,43 @@ def mixed_bell(delta: float) -> DensityMatrix:
     return DensityMatrix(SpaceLayout((2, 2)), m)
 
 
-def mixed_bell_fidelity(rho: DensityMatrix, delta: float) -> float:
-    """Uhlmann fidelity of a two-qubit state to mixed_bell(delta), in closed form.
+def bell_block(rho: np.ndarray) -> np.ndarray:
+    """M_ij = <b_i|rho|b_j> on b = (phi+, psi+): the 2 x 2 complex block of a
+    two-qubit density matrix rho (4 x 4) on the span of the mixture's two
+    Bell states, linear in rho."""
+    return np.array([[np.vdot(bi, rho @ bj) for bj in _BELLS] for bi in _BELLS])
+
+
+def block_fidelity(block: np.ndarray, delta: float) -> float:
+    """Uhlmann fidelity to mixed_bell(delta) of a state whose Bell block
+    (bell_block) is `block`.
 
     With weights w = (1-delta, delta) on b = (phi+, psi+), sqrt(sigma) is
     sum_i sqrt(w_i)|b_i><b_i| exactly, so sqrt(sigma) rho sqrt(sigma) lives
-    on span{phi+, psi+} as the 2x2 block B_ij = sqrt(w_i w_j) <b_i|rho|b_j>
-    and F = (tr sqrt(B))^2 = tr B + 2 sqrt(det B).  No eigenvalue of a
-    rank-deficient matrix is square-rooted, so rounding noise stays at the
-    level of machine epsilon; at delta = 0 the result is <phi+|rho|phi+>.
-    Same normalization contract as hilbert.dm_fidelity.
+    on span{phi+, psi+} as the 2x2 block B_ij = sqrt(w_i w_j) M_ij and
+    F = (tr sqrt(B))^2 = tr B + 2 sqrt(det B), in Python floats.  No
+    eigenvalue of a rank-deficient matrix is square-rooted, so rounding
+    noise stays at the level of machine epsilon; at delta = 0 the result is
+    <phi+|rho|phi+>.  The caller holds the state to its trace.
     """
     if not 0.0 <= delta <= 1.0:
         raise ValueError(f"delta must be in [0, 1], got {delta}")
+    w0, w1 = 1.0 - delta, delta
+    (m00, m01), (_, m11) = block.tolist()
+    b00, b01, b11 = sqrt(w0 * w0) * m00, sqrt(w0 * w1) * m01, sqrt(w1 * w1) * m11
+    det = (b00 * b11).real - abs(b01) ** 2
+    return (b00 + b11).real + 2.0 * sqrt(max(det, 0.0))
+
+
+def mixed_bell_fidelity(rho: DensityMatrix, delta: float) -> float:
+    """Uhlmann fidelity of a two-qubit state to mixed_bell(delta), in closed
+    form: block_fidelity of its Bell block.  Same normalization contract as
+    hilbert.dm_fidelity.
+    """
     if rho.layout.dims != (2, 2):
         raise ValueError("states live on different layouts")
     check_normalized(rho, "first state")
-    weights = (1.0 - delta, delta)
-    block = np.array([[sqrt(wi * wj) * np.vdot(bi, rho.matrix @ bj)
-                       for wj, bj in zip(weights, _BELLS)]
-                      for wi, bi in zip(weights, _BELLS)])
-    det = (block[0, 0] * block[1, 1]).real - abs(block[0, 1]) ** 2
-    return float(np.trace(block).real) + 2.0 * sqrt(max(det, 0.0))
+    return block_fidelity(bell_block(rho.matrix), delta)
 
 
 @dataclass(frozen=True)
@@ -120,13 +140,6 @@ class BellAngles:
 DEFAULT_ANGLES = BellAngles()
 
 
-def _as_pair_dm(state: StateVector | DensityMatrix) -> DensityMatrix:
-    rho = state.to_density() if isinstance(state, StateVector) else state
-    if rho.layout.dims != (2, 2):
-        raise ValueError(f"expected a two-qubit state, got dims {rho.layout.dims}")
-    return rho
-
-
 def correlation_tensor(state: StateVector | DensityMatrix) -> np.ndarray:
     """T_mn = tr rho (sigma_m (x) sigma_n), sigma = (1, x, y, z), real 4 x 4.
 
@@ -135,8 +148,11 @@ def correlation_tensor(state: StateVector | DensityMatrix) -> np.ndarray:
     (2, 2, 2, 2) view of rho; einsum calls no BLAS, so T does not depend on
     the BLAS thread count.
     """
-    rho = _as_pair_dm(state).matrix.reshape(2, 2, 2, 2)
-    return np.einsum("abcd,mca,ndb->mn", rho, _PAULIS, _PAULIS).real
+    rho = state.to_density() if isinstance(state, StateVector) else state
+    if rho.layout.dims != (2, 2):
+        raise ValueError(f"expected a two-qubit state, got dims {rho.layout.dims}")
+    return np.einsum("abcd,mca,ndb->mn", rho.matrix.reshape(2, 2, 2, 2),
+                     _PAULIS, _PAULIS).real
 
 
 OUTCOME_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
@@ -155,19 +171,21 @@ def _projectors(u: np.ndarray, signs: np.ndarray) -> np.ndarray:
 
 
 # every chsh call reads one angle set, most often DEFAULT_ANGLES; an entry
-# is two (4, 2) and two (4, 4, 3) float arrays, 896 B of data
+# is 16 floats in tuples and two (4, 4, 3) float arrays, about 1.9 KB with
+# their Python headers
 @lru_cache(maxsize=64)
-def _setting_vectors(angles: BellAngles) -> tuple[np.ndarray, ...]:
+def _setting_vectors(angles: BellAngles) -> tuple:
     """For the four settings of `angles` in combination order: the axes
-    u(theta) = (cos theta, sin theta) of both qubits as (4, 2) rows, and the
-    (4, 4, 3) projector components of both qubits' outcome signs.  Memoized
-    per angle set; the arrays are read-only."""
+    u(theta) = (cos theta, sin theta) of both qubits as four Python-float
+    rows (ua_x, ua_y, ub_x, ub_y), and the (4, 4, 3) projector components
+    of both qubits' outcome signs.  Memoized per angle set; the rows are
+    tuples and the arrays read-only."""
     ua, ub = (np.stack([np.cos(t), np.sin(t)], axis=-1)
               for t in zip(*angles.settings()))
-    vectors = (ua, ub, _projectors(ua, _SIGNS_A), _projectors(ub, _SIGNS_B))
-    for v in vectors:
-        v.flags.writeable = False
-    return vectors
+    axes = tuple(map(tuple, np.hstack([ua, ub]).tolist()))
+    pa, pb = _projectors(ua, _SIGNS_A), _projectors(ub, _SIGNS_B)
+    pa.flags.writeable = pb.flags.writeable = False
+    return axes, pa, pb
 
 
 def _populations(t: np.ndarray, pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
@@ -206,24 +224,35 @@ def chsh(state: StateVector | DensityMatrix,
          method: str = "exact",
          shots: int = 4096,
          seed: int | list[int] = 0) -> BellOutcome:
-    """CHSH combination over the four settings of `angles`.
+    """CHSH combination over the four settings of `angles`: tensor_chsh of
+    the state's correlation tensor.  A state whose trace is not 1 is a
+    ContractError."""
+    return tensor_chsh(correlation_tensor(state), angles, method, shots, seed)
 
-    Both readouts read all four settings from one correlation tensor;
-    sampled draws the four settings in combination order from one
-    np.random.default_rng(seed).  The seed may be any value default_rng
-    accepts, including a list used to derive independent per-grid-point
-    streams.  A state whose trace is not 1 is a ContractError.
+
+def tensor_chsh(t: np.ndarray, angles: BellAngles = DEFAULT_ANGLES,
+                method: str = "exact", shots: int = 4096,
+                seed: int | list[int] = 0) -> BellOutcome:
+    """CHSH combination over the four settings of `angles`, read from the
+    correlation tensor T of a two-qubit state (correlation_tensor).
+
+    A T_00 = tr rho not 1 within NORM_TOL is a ContractError.  The exact
+    readout's correlators E = u(theta_a)^T T_xy u(theta_b) are summed in
+    Python floats from +0.0, term by term in the order of
+    np.einsum("ki,ij,kj->k"), whose bits they reproduce.  sampled draws the
+    four settings in combination order from one np.random.default_rng(seed).
+    The seed may be any value default_rng accepts, including a list used to
+    derive independent per-grid-point streams.
     """
     if method not in CHSH_METHODS:
         raise ValueError(f"method must be one of {CHSH_METHODS}, got {method!r}")
-    rho = _as_pair_dm(state)
-    check_normalized(rho, "readout state")
-    t = correlation_tensor(rho)
-    ua, ub, pa, pb = _setting_vectors(angles)
+    (t00, *_), (_, x00, x01, _), (_, x10, x11, _), _ = t.tolist()
+    check_unit(t00, "readout state")
+    axes, pa, pb = _setting_vectors(angles)
     drawn = err = None
     if method == "exact":
-        # E_k = u(theta_a)^T T_xy u(theta_b) for each setting row k
-        es = np.einsum("ki,ij,kj->k", ua, t[1:3, 1:3], ub).tolist()
+        es = [0.0 + a0 * x00 * b0 + a0 * x01 * b1 + a1 * x10 * b0 + a1 * x11 * b1
+              for a0, a1, b0, b1 in axes]
     else:
         rng = np.random.default_rng(seed)
         counts = _draw(_populations(t, pa, pb), shots, rng)

@@ -12,7 +12,10 @@ the wall-clock duration.
 Exit codes: 0 success, 2 config error (or an output that cannot be written,
 or a command line outside USAGE), 3 capacity (truncation or size budget), 4
 numerical contract violation (for heat-sweep, a gamma * duration that
-overflows to inf).
+overflows to inf), 141 stdout closed before all of it was written (as in
+`catbell describe full-pipeline | head -1`): the rest is dropped without a
+message, and 141 = 128 + SIGPIPE is what a shell reports for a writer that
+SIGPIPE ended.  A run's output file is written before stdout.
 """
 
 from __future__ import annotations
@@ -171,6 +174,13 @@ def _check(field: Field, value):
             raise _reject(field, "false: frozen jump rates are retired", value)
     elif not isinstance(value, str) or not value:
         raise _reject(field, "a nonempty string", value)
+    elif "\0" in value:  # no file name holds one
+        raise _reject(field, "free of NUL characters", value)
+    else:
+        try:
+            os.fsencode(value)
+        except UnicodeEncodeError:  # a lone surrogate, such as "\ud800"
+            raise _reject(field, "encodable as a file name", value) from None
     return value
 
 
@@ -317,11 +327,15 @@ COMMANDS = {
 }
 
 
+EXIT_BROKEN_PIPE = 141
+
+
 def _stop(error: str | None = None) -> SystemExit:
     """Help: the usage on stdout and exit 0.  An error: the usage and the
     error on stderr and exit 2, as argparse ends."""
     if error is None:
         print(USAGE)
+        sys.stdout.flush()  # a closed stdout raises here, for main to catch
         return SystemExit(0)
     print(f"{USAGE}\ncatbell: error: {error}", file=sys.stderr)
     return SystemExit(2)
@@ -376,27 +390,34 @@ def _read_argv(argv: list[str]) -> tuple[str, str | None, str | None, int | None
 
 
 def main(argv: list[str] | None = None) -> int:
-    command, operand, output, seed = _read_argv(
-        sys.argv[1:] if argv is None else argv)
     try:
+        command, operand, output, seed = _read_argv(
+            sys.argv[1:] if argv is None else argv)
         if command == "version":
             print(f"catbell {__version__}")
-            return 0
-        if command == "describe":
+        elif command == "describe":
             print(describe(operand))
-            return 0
-        try:
-            with open(operand, encoding="utf-8") as handle:
-                raw = json.load(handle)
-        except OSError as err:
-            raise ConfigError(f"cannot read config: {err}") from err
-        except json.JSONDecodeError as err:
-            raise ConfigError(f"config is not valid JSON: {err}") from err
-        cfg = normalize_config(raw)
-        if seed is not None:
-            cfg["seed"] = _check(SEED, seed)
-        execute(cfg, output)
+        else:
+            try:
+                with open(operand, encoding="utf-8") as handle:
+                    raw = json.load(handle)
+            except OSError as err:
+                raise ConfigError(f"cannot read config: {err}") from err
+            except UnicodeDecodeError as err:
+                raise ConfigError(f"config is not valid UTF-8: {err}") from err
+            except json.JSONDecodeError as err:
+                raise ConfigError(f"config is not valid JSON: {err}") from err
+            cfg = normalize_config(raw)
+            if seed is not None:
+                cfg["seed"] = _check(SEED, seed)
+            execute(cfg, output)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
         return 0
+    except BrokenPipeError:
+        # stdout's reader is gone: point stdout at devnull, so that the
+        # interpreter's last flush of what is still buffered stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

@@ -274,15 +274,19 @@ def band_eigh(diagonal: np.ndarray, off_diagonal: np.ndarray
     return w, np.asfortranarray(v)
 
 
+def check_unit(value: complex, what: str) -> None:
+    """ContractError unless value, the trace or the norm of `what`, is 1
+    within NORM_TOL."""
+    dev = abs(value - 1.0)
+    if dev > NORM_TOL:
+        raise ContractError(f"{what} is not normalized (deviation {dev:.3e})")
+
+
 def check_normalized(state, what: str) -> None:
     """ContractError unless the trace of a DensityMatrix, or the norm of any
     other state, is 1 within NORM_TOL."""
-    if isinstance(state, DensityMatrix):
-        dev = abs(state.trace - 1.0)
-    else:
-        dev = abs(state.norm - 1.0)
-    if dev > NORM_TOL:
-        raise ContractError(f"{what} is not normalized (deviation {dev:.3e})")
+    check_unit(state.trace if isinstance(state, DensityMatrix) else state.norm,
+               what)
 
 
 def state_fidelity(a: StateVector, b: StateVector) -> float:

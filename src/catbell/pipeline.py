@@ -37,7 +37,7 @@ from .encoding import (
     schmidt_fidelity,
 )
 from .errors import ConfigError
-from .hilbert import SIGMA_X, DensityMatrix, SpaceLayout
+from .hilbert import SIGMA_X, SpaceLayout
 
 if TYPE_CHECKING:
     from .bell import BellAngles
@@ -236,15 +236,19 @@ def run_bell_scan(cfg: dict) -> tuple[list[dict], dict, str]:
 
 
 # a delta sweep at one encoding and build hits one key; an entry is two
-# floats and two 4 x 4 complex matrices, about 1.2 KB with their headers
+# floats and, per branch, a real 4 x 4 tensor and a complex 2 x 2 block:
+# 400 bytes of numbers, about 1.1 KB with their Python headers
 @functools.lru_cache(maxsize=64)
 def _coherent_stages(enc: EncodingParams, ve_variant: str, ev_variant: str
-                     ) -> tuple[float, float, np.ndarray, np.ndarray]:
+                     ) -> tuple[float, float, tuple[np.ndarray, np.ndarray],
+                                tuple[np.ndarray, np.ndarray]]:
     """The stages of run_pipeline that do not depend on delta: the
-    preparation and Hadamard fidelities, and the electronic pair after both
-    exchanges of the Hadamard-stage state (rho_keep) and of the same state
-    with mode a parity-flipped (rho_flip).  The matrices are read-only."""
-    from .bell import reduced_electronic_schmidt
+    preparation and Hadamard fidelities, and the readout coordinates of the
+    electronic pair after both exchanges of the Hadamard-stage state (keep)
+    and of the same state with mode a parity-flipped (flip).  A pair's
+    coordinates are its correlation tensor T and its Bell block M
+    (bell.correlation_tensor, bell.bell_block); the arrays are read-only."""
+    from .bell import bell_block, correlation_tensor, reduced_electronic_schmidt
     from .gates import u_swap
     psi = prepare_entangled_schmidt(enc)  # held to the register's size cap
     prep = schmidt_fidelity(psi, entangled_target_schmidt(enc))
@@ -257,29 +261,16 @@ def _coherent_stages(enc: EncodingParams, ve_variant: str, ev_variant: str
     same_modes = (enc.mode_a, enc.alpha) == (enc.mode_b, enc.beta)
     swap_b = swap_a if same_modes else u_swap("b", enc, ve_variant, ev_variant)
     right = swap_b.apply(psi.right, 0, 1)
-    rhos = []
+    branches = []
     for branch in (left, code_a.rotate(SIGMA_X, left)):
         out = SchmidtState(psi.layout, swap_a.apply(branch, 0, 1), right)
-        rho = reduced_electronic_schmidt(out).matrix
-        rho.flags.writeable = False
-        rhos.append(rho)
-    return prep, had, rhos[0], rhos[1]
-
-
-def _pipeline_state(enc: EncodingParams, delta: float, ve_variant: str,
-                    ev_variant: str) -> tuple[dict, DensityMatrix]:
-    """The stage fidelities and the electronic pair of run_pipeline: the
-    memoized coherent stages, mixed with the parity flip of weight delta."""
-    prep, had, rho_keep, rho_flip = _coherent_stages(enc, ve_variant,
-                                                     ev_variant)
-    # a hit skips the stages' size checks; the cap may have been lowered
-    full_layout(enc)
-    rho = np.zeros((4, 4), dtype=np.complex128)
-    rho += (1.0 - delta) * rho_keep
-    if delta > 0.0:
-        rho += delta * rho_flip
-    results = {"preparation_fidelity": prep, "hadamard_fidelity": had}
-    return results, DensityMatrix(SpaceLayout((2, 2)), rho)
+        rho = reduced_electronic_schmidt(out)
+        # the copy owns its 128 B; T itself views a complex einsum output
+        coords = (correlation_tensor(rho).copy(), bell_block(rho.matrix))
+        for array in coords:
+            array.flags.writeable = False
+        branches.append(coords)
+    return prep, had, branches[0], branches[1]
 
 
 def run_pipeline(enc: EncodingParams, delta: float, angles: BellAngles,
@@ -303,24 +294,33 @@ def run_pipeline(enc: EncodingParams, delta: float, angles: BellAngles,
     (D(i eps) in the cached eigenbasis) or O(d) (the code-space rx(pi/2)),
     and mode b's is shared by both heating branches; fidelities and the
     electronic state come from 2 x 2 Gram tables at O(d).  No d x d
-    matrix is formed.  The fidelity to mixed_bell(delta) is the closed form
-    of bell.mixed_bell_fidelity.  The exact and sampled readouts read all
-    four settings from the one 4 x 4 Pauli correlation tensor of the
-    electronic pair (bell.correlation_tensor).
+    matrix is formed.
 
     Everything before the mixture depends only on (enc, ve_variant,
     ev_variant), so it is memoized per process on that key: at most 64
-    keys of two floats and the two read-only 4 x 4 electronic pairs, kept
-    and flipped.  A warm call mixes the two pairs with weight delta and
-    reads out; it builds no state and no gate.  Warm calls give the same
-    bits as cold ones; a cold call, such as one `catbell run`, also runs
-    the flip branch at delta = 0.
+    keys of two floats and each branch's readout coordinates, kept and
+    flipped.  Both readouts and the fidelity are linear in the electronic
+    pair rho up to their last scalar step, so the mixture is never formed
+    as a matrix: a call mixes the branches' correlation tensors T and Bell
+    blocks M with weights (1 - delta, delta), reads B from the mixed T
+    (bell.tensor_chsh, which also holds T_00, the trace, to 1) and the
+    fidelity to mixed_bell(delta) from the mixed M (bell.block_fidelity).
+    A warm call builds no state and no gate.  Warm calls give the same bits
+    as cold ones; a cold call, such as one `catbell run`, also runs the
+    flip branch at delta = 0.
     """
-    from .bell import chsh, mixed_bell_fidelity
-    results, electronic = _pipeline_state(enc, delta, ve_variant, ev_variant)
-    results["delta"] = delta
-    results["electronic_fidelity"] = mixed_bell_fidelity(electronic, delta)
-    outcome = chsh(electronic, angles, method, shots, seed)
+    from .bell import block_fidelity, tensor_chsh
+    prep, had, (t_keep, m_keep), (t_flip, m_flip) = _coherent_stages(
+        enc, ve_variant, ev_variant)
+    # a hit skips the stages' size checks; the cap may have been lowered
+    full_layout(enc)
+    keep = 1.0 - delta
+    results = {"preparation_fidelity": prep, "hadamard_fidelity": had,
+               "delta": delta,
+               "electronic_fidelity": block_fidelity(
+                   keep * m_keep + delta * m_flip, delta)}
+    outcome = tensor_chsh(keep * t_keep + delta * t_flip, angles, method,
+                          shots, seed)
     for name, value in zip(("e_ab", "e_ab_prime", "e_a_prime_b",
                             "e_a_prime_b_prime"), outcome.correlations):
         results[name] = value

@@ -16,8 +16,13 @@ them, as in a sweep.  Beside them, jump-ensemble.txt holds the jump
 sampler's output: criterion 06's loop (heated phi+ register, trajectories
 projected on the logical basis) at alpha 2 and 3, modes a and b and three
 master seeds, whatever --alpha says, as the flip and jump counts and the
-bytes of the projected 4 x 4 mixture.  Two checkouts, or two BLAS thread
-counts, compare with `diff -r` of their output directories.
+bytes of the projected 4 x 4 mixture.  And full-pipeline-results.txt
+holds every full-pipeline config's named results as float.hex, one line
+per config, so that a last-bit move the 12-digit CSVs round away shows in
+a diff; they are read from a second run of the config, which the memo's
+warm-equals-cold tests tie to the run that wrote the CSV.  Two checkouts,
+or two BLAS thread counts, compare with `diff -r` of their output
+directories.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np  # noqa: E402
 
-from catbell import cli, encoding, hilbert, noise  # noqa: E402
+from catbell import cli, encoding, hilbert, noise, pipeline  # noqa: E402
 from catbell.encoding import EV_VARIANTS, VE_VARIANTS  # noqa: E402
 
 ALPHAS = (2.0, 3.0, 4.0)
@@ -100,9 +105,15 @@ def main(argv: list[str] | None = None) -> None:
     if outdir.exists() and (not outdir.is_dir() or any(outdir.iterdir())):
         parser.error(f"OUTDIR {outdir} is not an empty directory; a file left "
                      "there by an earlier run would be compared as this run's")
+    results = []
     for name, raw in configs(args.alpha or ALPHAS).items():
         cfg = cli.normalize_config(dict(raw, output={"path": name}))
         cli.execute(cfg, args.outdir)
+        if cfg["protocol"] == "full-pipeline":
+            _, named, _ = pipeline.run_full_pipeline(cfg)
+            results.append(" ".join([name] + [f"{k}={float(v).hex()}"
+                                              for k, v in named.items()]) + "\n")
+    Path(args.outdir, "full-pipeline-results.txt").write_text("".join(results))
     lines = [jump_ensemble(alpha, mode_index, seed)
              for alpha in ENSEMBLE_ALPHAS
              for mode_index in (encoding.MODE_A, encoding.MODE_B)

@@ -7,7 +7,7 @@ from math import sqrt
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from catbell.bell import (
@@ -25,6 +25,7 @@ from catbell.bell import (
     mixed_bell,
     mixed_bell_fidelity,
     reduced_electronic_schmidt,
+    tensor_chsh,
 )
 from catbell.bosonic import ModeParams
 from catbell.encoding import (
@@ -224,8 +225,40 @@ class TestCorrelationTensor:
         angles = BellAngles(0.1, 0.2, 0.3, 0.4)
         vectors = _setting_vectors(angles)
         assert _setting_vectors(BellAngles(0.1, 0.2, 0.3, 0.4)) is vectors
-        for v in vectors:
+        axes, pa, pb = vectors
+        # the axes rows are tuples of floats: (ua_x, ua_y, ub_x, ub_y)
+        assert all(type(x) is float for row in axes for x in row)
+        want = [(np.cos(ta), np.sin(ta), np.cos(tb), np.sin(tb))
+                for ta, tb in angles.settings()]
+        assert np.abs(np.subtract(axes, want)).max() <= 1e-16
+        for v in (pa, pb):
             assert not v.flags.writeable
+
+    @settings(max_examples=300)
+    @given(st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+           st.lists(st.floats(-2 * np.pi, 2 * np.pi), min_size=4, max_size=4))
+    # every product -0.0: the einsum's sum starts from +0.0, so it reads +0.0
+    @example(block=[-0.0] * 4, thetas=[0.1, 0.2, 0.3, 0.4])
+    def test_scalar_correlators_are_the_einsum_bits(self, block, thetas):
+        # tensor_chsh sums each correlator in Python floats; the bits,
+        # signed zeros included, are those of the einsum it replaced
+        t = np.zeros((4, 4))
+        t[0, 0] = 1.0
+        t[1:3, 1:3] = np.reshape(block, (2, 2))
+        angles = BellAngles(*thetas)
+        ua, ub = (np.stack([np.cos(th), np.sin(th)], axis=-1)
+                  for th in zip(*angles.settings()))
+        want = np.einsum("ki,ij,kj->k", ua, t[1:3, 1:3], ub).tolist()
+        got = tensor_chsh(t, angles).correlations
+        assert [e.hex() for e in got] == [e.hex() for e in want]
+
+    def test_tensor_trace_is_held_to_one(self):
+        t = correlation_tensor(mixed_bell(0.2))
+        for method in CHSH_METHODS:
+            assert tensor_chsh(t, method=method) == chsh(mixed_bell(0.2),
+                                                         method=method)
+            with pytest.raises(ContractError, match="readout state is not normalized"):
+                tensor_chsh(1.01 * t, method=method)
 
     def test_signed_zero_angles_read_alike(self):
         # -0.0 and 0.0 share a memo key, so they must read the same bits:
@@ -262,7 +295,7 @@ def pulse_counts(rho: DensityMatrix, theta_a: float, theta_b: float,
 def sampled_counts(rho, angles: BellAngles, shots: int,
                    seed: int) -> np.ndarray:
     """The (4, 4) counts behind chsh(rho, angles, "sampled", shots, seed)."""
-    _, _, pa, pb = _setting_vectors(angles)
+    _, pa, pb = _setting_vectors(angles)
     return _draw(_populations(correlation_tensor(rho), pa, pb), shots,
                  np.random.default_rng(seed))
 

@@ -60,7 +60,6 @@ from catbell.gates import u_swap
 from catbell.pipeline import (
     _coherent_stages,
     _cat_populations,
-    _pipeline_state,
     run_bell_scan,
     run_full_pipeline,
     run_heat_sweep,
@@ -751,6 +750,30 @@ class TestMainEntry:
         assert main(["run", str(path)]) == 2
         assert "not valid JSON" in capsys.readouterr().err
 
+    def test_config_that_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{"protocol": "prepare", "output": {"path": "\xff"}}')
+        assert main(["run", str(path), "--output", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config is not valid UTF-8: ")
+        assert "0xff" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("path,requirement", [
+        ("a\x00b", "free of NUL characters"),
+        ("a\ud800b", "encodable as a file name")])
+    def test_output_path_no_file_name_holds(self, tmp_path, capsys, path,
+                                            requirement):
+        # a NUL, or a lone surrogate that no encoding writes, once ended in
+        # a ValueError traceback from the output write
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"protocol": "prepare",
+                                   "output": {"path": path}}), encoding="utf-8")
+        assert main(["run", str(cfg), "--output", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: output.path must be {requirement}")
+        assert not (tmp_path / "out").exists()
+
     def test_capacity_error_exit_code(self, tmp_path, capsys):
         cfg_path = self.write_config(tmp_path, {
             "protocol": "prepare",
@@ -991,8 +1014,8 @@ class TestMainEntry:
     def test_output_matrix_identical_across_blas_threads(self, tmp_path):
         # the alpha 2 part of the comparison set that tests/output_matrix.py
         # writes: every protocol, full-pipeline over both gate builds of
-        # each exchange, exact and sampled, at delta 0, 0.1 and 1, and the
-        # jump-ensemble file
+        # each exchange, exact and sampled, at delta 0, 0.1 and 1, the
+        # jump-ensemble file and the float.hex file of full-pipeline results
         script = Path(__file__).resolve().parent / "output_matrix.py"
         outputs = []
         for threads in (1, 4):
@@ -1007,8 +1030,12 @@ class TestMainEntry:
             assert proc.returncode == 0, proc.stderr
             outputs.append({p.name: p.read_bytes() for p in outdir.iterdir()})
         one, four = outputs
-        assert len(one) == len(PROTOCOLS) - 1 + 2 * 2 * 2 * 3 + 1
+        assert len(one) == len(PROTOCOLS) - 1 + 2 * 2 * 2 * 3 + 2
         assert "jump-ensemble.txt" in one
+        hexes = one["full-pipeline-results.txt"].decode().splitlines()
+        assert len(hexes) == 2 * 2 * 2 * 3
+        assert all(line.startswith("full-pipeline-a2-") and "b_value=0x" in line
+                   for line in hexes)
         assert one == four
 
     def test_output_matrix_refuses_a_used_outdir(self, tmp_path, capsys):
@@ -1286,37 +1313,38 @@ class TestPipelineMemo:
 
     def test_cached_arrays_are_read_only(self):
         enc = EncodingParams.for_amplitudes(2.0)
-        _, _, rho_keep, rho_flip = _coherent_stages(enc, "ideal", "ideal")
+        _, _, keep, flip = _coherent_stages(enc, "ideal", "ideal")
         code_a = logical_basis("a", enc)
         assert logical_basis("a", enc) is code_a
         with pytest.raises(dataclasses.FrozenInstanceError):
             code_a.zero = code_a.one
-        for cached in (rho_keep, rho_flip, code_a.zero.amps, code_a.one.amps,
-                       *_setting_vectors(DEFAULT_ANGLES)):
+        axes, pa, pb = _setting_vectors(DEFAULT_ANGLES)
+        assert isinstance(axes, tuple)
+        assert all(isinstance(row, tuple) for row in axes)
+        for cached in (*keep, *flip, code_a.zero.amps, code_a.one.amps, pa, pb):
             with pytest.raises(ValueError, match="read-only"):
                 cached[0] = 1.0
 
-    def test_returned_state_is_the_callers(self):
+    def test_results_are_the_callers(self):
+        # a call hands out only floats, in a dict of its own, and writes
+        # into no cached array, even at delta 0 and 1, where one branch
+        # drops out of the mixture
         enc = EncodingParams.for_amplitudes(2.0)
         _coherent_stages.cache_clear()
-        results, rho = _pipeline_state(enc, 0.15, "ideal", "ideal")
-        want = rho.matrix.copy()
-        assert rho.matrix.flags.writeable
-        rho.matrix[:] = 0.0
+        results = run_pipeline(enc, 0.15, DEFAULT_ANGLES)
+        want = dict(results)
+        cached = [a.copy() for branch in _coherent_stages(enc, "ideal", "ideal")[2:]
+                  for a in branch]
+        assert all(type(v) is float for v in results.values())
         results["preparation_fidelity"] = -1.0
-        results_again, rho_again = _pipeline_state(enc, 0.15, "ideal", "ideal")
-        assert _coherent_stages.cache_info().hits == 1
-        assert (rho_again.matrix == want).all()
-        assert results_again["preparation_fidelity"] > 0.99
-        # a later call neither writes into a state handed out before nor
-        # hands out a cached pair, even at delta 0, where the flip drops out
-        _, rho_zero = _pipeline_state(enc, 0.0, "ideal", "ideal")
-        _, _, rho_keep, _ = _coherent_stages(enc, "ideal", "ideal")
-        assert not np.shares_memory(rho_zero.matrix, rho_keep)
-        rho_zero.matrix[:] = 0.0
-        assert (rho_again.matrix == want).all()
-        assert (_pipeline_state(enc, 0.15, "ideal", "ideal")[1].matrix
-                == want).all()
+        for delta in (0.0, 1.0, 0.15):
+            for method in CHSH_METHODS:
+                run_pipeline(enc, delta, DEFAULT_ANGLES, method, 64, 1)
+        assert run_pipeline(enc, 0.15, DEFAULT_ANGLES) == want
+        assert _coherent_stages.cache_info().misses == 1
+        now = [a for branch in _coherent_stages(enc, "ideal", "ideal")[2:]
+               for a in branch]
+        assert all(np.array_equal(a, b) for a, b in zip(now, cached))
         assert results["preparation_fidelity"] == -1.0
 
 
@@ -1511,6 +1539,20 @@ class TestCommandLine:
         assert (tmp_path / "eq" / "prepare.csv").exists()
         assert (tmp_path / "first" / "prepare.csv").exists()
 
+    @pytest.mark.parametrize("argv", [["describe", "full-pipeline"],
+                                      ["--help"], ["version"]])
+    def test_a_closed_stdout_ends_quietly(self, argv):
+        # as in `catbell describe full-pipeline | head -1`, with the reader
+        # gone before the first write
+        proc = subprocess.Popen([sys.executable, "-m", "catbell.cli", *argv],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                env=child_env())
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 141
+        assert stderr == b""
+
     def test_the_last_seed_wins(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({
@@ -1667,12 +1709,20 @@ class TestConfigFuzzer:
                   "encoding": {"alpha": 2.0, "beta": 1e200}}, seed=None)
     @example(raw={"protocol": "full-pipeline",
                   "encoding": {"alpha": 1.35e154, "cutoff": 30}}, seed=None)
+    @example(raw={"protocol": "full-pipeline", "output": {"path": "a\u0000b"}},
+             seed=None)
+    # bytes are the config file itself, here not UTF-8
+    @example(raw=b'{"protocol": "full-pipeline", "output": {"path": "\xff"}}',
+             seed=None)
     def test_every_config_ends_in_a_documented_exit(self, raw, seed):
         argv_seed = [] if seed is None else ["--seed", str(seed)]
         with tempfile.TemporaryDirectory() as tmp, \
                 mock.patch.dict(os.environ, {"CATBELL_MAX_DIM": "4096"}):
             cfg_path = Path(tmp) / "config.json"
-            cfg_path.write_text(json.dumps(raw), encoding="utf-8")
+            if isinstance(raw, bytes):
+                cfg_path.write_bytes(raw)
+            else:
+                cfg_path.write_text(json.dumps(raw), encoding="utf-8")
             outdir = Path(tmp) / "out"
             err = io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), \
@@ -1692,6 +1742,8 @@ class TestConfigFuzzer:
             prefix = {2: "config error: ", 3: "capacity error: ",
                       4: "numerical contract violation: "}[code]
             assert err.startswith(prefix), err
-            if code == 2:
+            if code == 2 and isinstance(raw, bytes):  # no field was read
+                assert err.startswith("config error: config is not valid "), err
+            elif code == 2:
                 names = {f.name for f in FIELDS} | set(SECTIONS) | set(raw)
                 assert any(name in err for name in names), err

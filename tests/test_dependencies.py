@@ -44,6 +44,9 @@ DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 KEPT_UNREAD = {
     "dm_fidelity": "the Uhlmann reference that tests hold "
                    "bell.mixed_bell_fidelity to",
+    "mixed_bell_fidelity": "block_fidelity on a state's own Bell block, the "
+                           "form that tests hold run_pipeline's fidelity, "
+                           "read from mixed blocks, to",
 }
 
 # imports that their module does not read, kept on purpose: perfbench's

@@ -13,9 +13,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from catbell import gates
-from catbell.bell import DEFAULT_ANGLES, chsh, mixed_bell_fidelity
+import catbell.bell
+from catbell.bell import (
+    DEFAULT_ANGLES,
+    bell_block,
+    chsh,
+    correlation_tensor,
+    mixed_bell_fidelity,
+)
 from catbell.bosonic import ModeParams
 from catbell.encoding import (
+    CHSH_METHODS,
     EV_VARIANTS,
     MODE_A,
     VE_VARIANTS,
@@ -52,7 +60,7 @@ from catbell.hilbert import (
     tensor,
     unitarity_residual,
 )
-from catbell.pipeline import _pipeline_state, run_pipeline
+from catbell.pipeline import _coherent_stages, run_pipeline
 from catbell.reference import u_ve_literal_oracle
 from conftest import (
     EXCITED,
@@ -460,6 +468,30 @@ def dense_pipeline(enc: EncodingParams, delta: float, ev: str,
     return out
 
 
+def mixed_coordinates(enc: EncodingParams, delta: float, ve: str,
+                      ev: str) -> tuple[np.ndarray, np.ndarray]:
+    """The correlation tensor and Bell block that run_pipeline reads out:
+    the memoized branches' coordinates mixed with weights (1 - delta, delta)."""
+    _, _, (t_keep, m_keep), (t_flip, m_flip) = _coherent_stages(enc, ve, ev)
+    return ((1.0 - delta) * t_keep + delta * t_flip,
+            (1.0 - delta) * m_keep + delta * m_flip)
+
+
+def branch_pairs(enc: EncodingParams, ve: str, ev: str,
+                 monkeypatch) -> list[DensityMatrix]:
+    """The kept and flipped electronic pairs of a cold run of the coherent
+    stages, as they reach bell.correlation_tensor."""
+    pairs = []
+    tensor_fn = catbell.bell.correlation_tensor
+    monkeypatch.setattr(catbell.bell, "correlation_tensor",
+                        lambda rho: pairs.append(rho) or tensor_fn(rho))
+    _coherent_stages.cache_clear()
+    _coherent_stages(enc, ve, ev)
+    monkeypatch.undo()
+    assert len(pairs) == 2
+    return pairs
+
+
 AMPLITUDES = [(2.0, 2.0), (4.0, 4.0), (2.0, 3.0)]
 # (ve, delta) beyond test_results_match's (ideal, 0.15)
 MORE_CASES = [(ve, d) for ve in VE_VARIANTS for d in (0.0, 0.15, 1.0)
@@ -494,13 +526,39 @@ class TestPipelineAgainstDense:
     @pytest.mark.parametrize("ve,delta", MORE_CASES)
     def test_variants_and_edge_weights(self, ve, delta, alpha, beta, ev):
         enc = EncodingParams.for_amplitudes(alpha, beta)
-        _, electronic = _pipeline_state(enc, delta, ve, ev)
+        t, m = mixed_coordinates(enc, delta, ve, ev)
         dense = dense_electronic(enc, delta, ve, ev)
-        assert np.abs(electronic.matrix - dense.matrix).max() <= 1e-13
+        assert np.abs(t - correlation_tensor(dense)).max() <= 1e-13
+        assert np.abs(m - bell_block(dense.matrix)).max() <= 1e-13
         got = run_pipeline(enc, delta, DEFAULT_ANGLES, ve_variant=ve,
                            ev_variant=ev)
         for name, want in dense_pipeline(enc, delta, ev, ve).items():
             assert abs(got[name] - want) <= 1e-12, name
+
+    @pytest.mark.parametrize("ve,ev", VARIANT_PAIRS)
+    @pytest.mark.parametrize("alpha,beta", AMPLITUDES)
+    def test_coordinates_read_as_the_mixed_pair(self, alpha, beta, ve, ev,
+                                                monkeypatch):
+        # run_pipeline reads its mixed coordinates; chsh and
+        # mixed_bell_fidelity read the mixed pair, as run_pipeline once did
+        enc = EncodingParams.for_amplitudes(alpha, beta)
+        keep, flip = branch_pairs(enc, ve, ev, monkeypatch)
+        for delta in (0.0, 0.15, 1.0):
+            rho = DensityMatrix(SpaceLayout((2, 2)),
+                                (1.0 - delta) * keep.matrix + delta * flip.matrix)
+            for method in CHSH_METHODS:
+                got = run_pipeline(enc, delta, DEFAULT_ANGLES, method, 4096, 7,
+                                   ve, ev)
+                want = chsh(rho, DEFAULT_ANGLES, method, 4096, 7)
+                assert abs(got["electronic_fidelity"]
+                           - mixed_bell_fidelity(rho, delta)) <= 1e-15
+                assert abs(got["b_value"] - want.b_value) <= 1e-15
+                names = ("e_ab", "e_ab_prime", "e_a_prime_b", "e_a_prime_b_prime")
+                for name, e in zip(names, want.correlations):
+                    assert abs(got[name] - e) <= 1e-15, (name, delta, method)
+                if method == "sampled":  # the same counts, bit for bit
+                    assert [got[name] for name in names] == list(want.correlations)
+                    assert got["b_std_error"] == want.std_error
 
     @pytest.mark.parametrize("ev", EV_VARIANTS)
     @pytest.mark.parametrize("alpha,beta", AMPLITUDES)

@@ -309,7 +309,7 @@ class TestBellBounds:
     @given(st.integers(0, 2**32 - 1))
     def test_sampled_correlation_deterministic_in_seed(self, seed: int):
         angles = BellAngles(0.3, 1.0, 0.7, -0.2)
-        _, _, pa, pb = _setting_vectors(angles)
+        _, pa, pb = _setting_vectors(angles)
         p = _populations(correlation_tensor(electronic_bell("phi_plus")), pa, pb)
         a = _draw(p, 500, np.random.default_rng(seed))
         b = _draw(p, 500, np.random.default_rng(seed))
