@@ -17,7 +17,6 @@ from catbell.encoding import (
     prepare_entangled_schmidt,
     schmidt_fidelity,
 )
-from catbell.hilbert import partial_trace
 
 alpha = 2.0
 params = EncodingParams.for_amplitudes(alpha)
@@ -34,9 +33,12 @@ for side in ("a", "b"):
           f"{schmidt_fidelity(psi, form):.12f}")
 
 # a maximally entangled pair of qubits leaves each mode in a rank-2
-# mixture with weights 1/2; everything beyond rank 2 is truncation dust
-rho_a = partial_trace(psi.to_state(), (0,))
-spectrum = np.sort(np.linalg.eigvalsh(rho_a.matrix))[::-1]
+# mixture with weights 1/2; everything beyond rank 2 is truncation dust.
+# Mode a's reduced state is read from the two Schmidt factors,
+# psi = sum_k L_k (x) R_k: rho_a = sum_kl <R_l|R_k> tr_ion1 |L_k><L_l|
+gram = np.einsum("bjl,bjk->lk", psi.right.conj(), psi.right)
+rho_a = np.einsum("aik,lk,cil->ac", psi.left, gram, psi.left.conj())
+spectrum = np.sort(np.linalg.eigvalsh(rho_a))[::-1]
 print("reduced mode-a spectrum           :",
       np.array2string(spectrum[:4], precision=6, suppress_small=True))
 entropy = -sum(p * np.log2(p) for p in spectrum if p > 1e-12)

@@ -43,7 +43,6 @@ from .hilbert import (
     DensityMatrix,
     SpaceLayout,
     StateVector,
-    check_normalized,
     check_unit,
 )
 
@@ -101,17 +100,6 @@ def block_fidelity(block: np.ndarray, delta: float) -> float:
     b00, b01, b11 = sqrt(w0 * w0) * m00, sqrt(w0 * w1) * m01, sqrt(w1 * w1) * m11
     det = (b00 * b11).real - abs(b01) ** 2
     return (b00 + b11).real + 2.0 * sqrt(max(det, 0.0))
-
-
-def mixed_bell_fidelity(rho: DensityMatrix, delta: float) -> float:
-    """Uhlmann fidelity of a two-qubit state to mixed_bell(delta), in closed
-    form: block_fidelity of its Bell block.  Same normalization contract as
-    hilbert.dm_fidelity.
-    """
-    if rho.layout.dims != (2, 2):
-        raise ValueError("states live on different layouts")
-    check_normalized(rho, "first state")
-    return block_fidelity(bell_block(rho.matrix), delta)
 
 
 @dataclass(frozen=True)

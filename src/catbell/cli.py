@@ -400,12 +400,16 @@ def main(argv: list[str] | None = None) -> int:
         else:
             try:
                 with open(operand, encoding="utf-8") as handle:
-                    raw = json.load(handle)
+                    text = handle.read()
             except OSError as err:
                 raise ConfigError(f"cannot read config: {err}") from err
             except UnicodeDecodeError as err:
                 raise ConfigError(f"config is not valid UTF-8: {err}") from err
-            except json.JSONDecodeError as err:
+            try:
+                raw = json.loads(text)
+            # beside a JSONDecodeError: a ValueError for an integer past
+            # Python's digit limit, a RecursionError for deep nesting
+            except (ValueError, RecursionError) as err:
                 raise ConfigError(f"config is not valid JSON: {err}") from err
             cfg = normalize_config(raw)
             if seed is not None:

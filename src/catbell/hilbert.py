@@ -4,8 +4,8 @@ Everything is exact complex arithmetic on explicit numpy arrays; there is no
 sparse or symbolic path.  A layout lists the factor dimensions in a fixed
 order, with the first factor varying slowest in the flattened index (the
 ordering produced by ``numpy.kron``).  Gates are not operators here: they
-act in place on the axes of a state tensor (catbell.gates).  tensor and
-partial_trace take pure states only.
+act in place on the axes of a state tensor (catbell.gates).  tensor takes
+pure states only.
 """
 
 from __future__ import annotations
@@ -149,15 +149,12 @@ class DensityMatrix:
                 f"matrix shape {self.matrix.shape} does not match layout dimension {d}"
             )
 
-    @property
-    def trace(self) -> complex:
-        return complex(np.trace(self.matrix))
-
 
 # OperatorMatrix and apply are not run by the program.  They stay because
 # perfbench's tracer test (test_tracer_rebinds_every_namespace_and_restores)
 # checks that the tracer rebinds hilbert.apply, catbell.apply and
-# cli.apply; ROADMAP item 1 retires them with that test.
+# cli.apply; ROADMAP item 1 retires them with that test, and
+# tests/reach.py's KEPT_UNREACHED holds them until then.
 @dataclass
 class OperatorMatrix:
     """Operator acting on a subset of a layout's factors.
@@ -237,30 +234,6 @@ def apply(op: OperatorMatrix, state: StateVector) -> StateVector:
     return StateVector(state.layout, out.reshape(-1))
 
 
-def partial_trace(state: StateVector, keep: tuple[int, ...]) -> DensityMatrix:
-    """Trace out every factor not listed in ``keep``.
-
-    The reduced matrix is contracted directly from the amplitude tensor, so
-    tracing a large space down to a small subsystem never builds the full
-    outer product.
-    """
-    if not isinstance(state, StateVector):
-        raise TypeError("partial_trace() needs a StateVector")
-    keep = tuple(int(i) for i in keep)
-    layout = state.layout
-    if list(keep) != sorted(set(keep)):
-        raise ValueError(f"keep must be strictly increasing, got {keep}")
-    if any(i < 0 or i >= layout.nsites for i in keep):
-        raise ValueError(f"keep {keep} out of range")
-    kept_layout = SpaceLayout(layout.dims_of(keep))
-    drop = tuple(i for i in range(layout.nsites) if i not in keep)
-    psi = state.as_tensor()
-    red = np.tensordot(psi, psi.conj(), axes=(drop, drop))
-    # axes are now (kept_bra..., kept_ket...) in layout order
-    d = kept_layout.total_dim
-    return DensityMatrix(kept_layout, red.reshape(d, d))
-
-
 def band_eigh(diagonal: np.ndarray, off_diagonal: np.ndarray
               ) -> tuple[np.ndarray, np.ndarray]:
     """(w, V) of a real symmetric tridiagonal band: M = V diag(w) V^T, w
@@ -282,46 +255,13 @@ def check_unit(value: complex, what: str) -> None:
         raise ContractError(f"{what} is not normalized (deviation {dev:.3e})")
 
 
-def check_normalized(state, what: str) -> None:
-    """ContractError unless the trace of a DensityMatrix, or the norm of any
-    other state, is 1 within NORM_TOL."""
-    check_unit(state.trace if isinstance(state, DensityMatrix) else state.norm,
-               what)
-
-
 def state_fidelity(a: StateVector, b: StateVector) -> float:
     """|<a|b>|^2 for unit-norm states; unnormalized input is an error."""
     if a.layout != b.layout:
         raise ValueError("states live on different layouts")
-    check_normalized(a, "first state")
-    check_normalized(b, "second state")
+    check_unit(a.norm, "first state")
+    check_unit(b.norm, "second state")
     return float(abs(np.vdot(a.amps, b.amps)) ** 2)
-
-
-def _psd_sqrt(m: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh((m + m.conj().T) / 2)
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.conj().T
-
-
-def dm_fidelity(rho: DensityMatrix, sigma: DensityMatrix | StateVector) -> float:
-    """Uhlmann fidelity; against a pure state it reduces to <psi|rho|psi>.
-
-    Against a rank-deficient mixed target the clipped square roots of
-    near-zero eigenvalues add about sqrt(machine eps) to the trace, so the
-    result is good to about 1e-8; bell.mixed_bell_fidelity is the closed
-    form for the parity-flip mixture.
-    """
-    if rho.layout != sigma.layout:
-        raise ValueError("states live on different layouts")
-    check_normalized(rho, "first state")
-    check_normalized(sigma, "second state")
-    if isinstance(sigma, StateVector):
-        return float(np.vdot(sigma.amps, rho.matrix @ sigma.amps).real)
-    s = _psd_sqrt(rho.matrix)
-    inner = _psd_sqrt(s @ sigma.matrix @ s)
-    val = float(np.trace(inner).real) ** 2
-    return min(val, 1.0) if val <= 1.0 + 1e-9 else val
 
 
 def unitarity_residual(m: np.ndarray) -> float:

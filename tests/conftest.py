@@ -6,6 +6,9 @@ the verdicts stay visible regardless of output capture.
 
 The helpers build states and operators that the library has no use for
 but several tests do; test modules import them with `from conftest import`.
+Among them are the dense readouts that no command runs: partial_trace, the
+Uhlmann dm_fidelity and mixed_bell_fidelity, the closed form that the
+pipeline's electronic_fidelity is held to.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from catbell.bell import bell_block, block_fidelity
 from catbell.bosonic import ModeParams, displacement_action
 from catbell.encoding import (
     BELL_KINDS,
@@ -45,7 +49,7 @@ from catbell.hilbert import (
     SpaceLayout,
     StateVector,
     apply,
-    partial_trace,
+    check_unit,
     tensor,
 )
 from catbell.reference import entangled_amplitudes, read_fixture
@@ -214,6 +218,74 @@ def lift_pair(gate: OperatorMatrix, which_mode: str,
     """A [mode, ion] pair operator placed on the full register layout."""
     slots = (MODE_A, ION_1) if which_mode == "a" else (MODE_B, ION_2)
     return OperatorMatrix(full_layout(params), slots, gate.matrix)
+
+
+def partial_trace(state: StateVector, keep: tuple[int, ...]) -> DensityMatrix:
+    """Trace out every factor not listed in ``keep``.
+
+    The reduced matrix is contracted directly from the amplitude tensor, so
+    tracing a large space down to a small subsystem never builds the full
+    outer product.
+    """
+    if not isinstance(state, StateVector):
+        raise TypeError("partial_trace() needs a StateVector")
+    keep = tuple(int(i) for i in keep)
+    layout = state.layout
+    if list(keep) != sorted(set(keep)):
+        raise ValueError(f"keep must be strictly increasing, got {keep}")
+    if any(i < 0 or i >= layout.nsites for i in keep):
+        raise ValueError(f"keep {keep} out of range")
+    kept_layout = SpaceLayout(layout.dims_of(keep))
+    drop = tuple(i for i in range(layout.nsites) if i not in keep)
+    psi = state.as_tensor()
+    red = np.tensordot(psi, psi.conj(), axes=(drop, drop))
+    # axes are now (kept_bra..., kept_ket...) in layout order
+    d = kept_layout.total_dim
+    return DensityMatrix(kept_layout, red.reshape(d, d))
+
+
+def check_normalized(state: DensityMatrix | StateVector, what: str) -> None:
+    """ContractError unless the trace of a DensityMatrix, or the norm of a
+    StateVector, is 1 within hilbert.NORM_TOL."""
+    check_unit(complex(np.trace(state.matrix))
+               if isinstance(state, DensityMatrix) else state.norm, what)
+
+
+def _psd_sqrt(m: np.ndarray) -> np.ndarray:
+    w, v = np.linalg.eigh((m + m.conj().T) / 2)
+    w = np.clip(w, 0.0, None)
+    return (v * np.sqrt(w)) @ v.conj().T
+
+
+def dm_fidelity(rho: DensityMatrix, sigma: DensityMatrix | StateVector) -> float:
+    """Uhlmann fidelity; against a pure state it reduces to <psi|rho|psi>.
+
+    Against a rank-deficient mixed target the clipped square roots of
+    near-zero eigenvalues add about sqrt(machine eps) to the trace, so the
+    result is good to about 1e-8; mixed_bell_fidelity is the closed form
+    for the parity-flip mixture.
+    """
+    if rho.layout != sigma.layout:
+        raise ValueError("states live on different layouts")
+    check_normalized(rho, "first state")
+    check_normalized(sigma, "second state")
+    if isinstance(sigma, StateVector):
+        return float(np.vdot(sigma.amps, rho.matrix @ sigma.amps).real)
+    s = _psd_sqrt(rho.matrix)
+    inner = _psd_sqrt(s @ sigma.matrix @ s)
+    val = float(np.trace(inner).real) ** 2
+    return min(val, 1.0) if val <= 1.0 + 1e-9 else val
+
+
+def mixed_bell_fidelity(rho: DensityMatrix, delta: float) -> float:
+    """Uhlmann fidelity of a two-qubit state to bell.mixed_bell(delta), in
+    closed form: bell.block_fidelity of its Bell block.  Same normalization
+    contract as dm_fidelity.
+    """
+    if rho.layout.dims != (2, 2):
+        raise ValueError("states live on different layouts")
+    check_normalized(rho, "first state")
+    return block_fidelity(bell_block(rho.matrix), delta)
 
 
 def reduced_electronic(state: StateVector) -> DensityMatrix:

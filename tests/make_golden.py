@@ -145,9 +145,8 @@ def check_against_main_path() -> None:
                                   bell_target, logical_basis,
                                   qubit_state)
     from catbell.gates import report_u_swap, u_swap
-    from catbell.hilbert import partial_trace, state_fidelity, tensor
-    from conftest import electronic_bell, readouts
-    from catbell.hilbert import dm_fidelity
+    from catbell.hilbert import state_fidelity, tensor
+    from conftest import dm_fidelity, electronic_bell, partial_trace, readouts
     from catbell.noise import HeatingParams, propagate
 
     enc = EncodingParams.for_amplitudes(SWAP_ALPHA)

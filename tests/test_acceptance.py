@@ -51,7 +51,6 @@ from catbell.hilbert import (
     OperatorMatrix,
     SpaceLayout,
     StateVector,
-    dm_fidelity,
     state_fidelity,
     tensor,
     unitarity_residual,
@@ -72,6 +71,7 @@ from conftest import (
     basis_state,
     child_env,
     displacement,
+    dm_fidelity,
     electronic_bell,
     exchange_op,
     expectation,

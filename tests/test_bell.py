@@ -23,7 +23,6 @@ from catbell.bell import (
     correlation_tensor,
     crossing,
     mixed_bell,
-    mixed_bell_fidelity,
     reduced_electronic_schmidt,
     tensor_chsh,
 )
@@ -41,10 +40,15 @@ from catbell.hilbert import (
     DensityMatrix,
     SpaceLayout,
     StateVector,
-    dm_fidelity,
 )
 from catbell.reference import pulse_correlators, pulse_populations
-from conftest import basis_state, electronic_bell, reduced_electronic
+from conftest import (
+    basis_state,
+    dm_fidelity,
+    electronic_bell,
+    mixed_bell_fidelity,
+    reduced_electronic,
+)
 
 PAIR = SpaceLayout((2, 2))
 

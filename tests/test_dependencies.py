@@ -4,12 +4,23 @@ Every third-party package that a module of src/catbell imports, at module
 level or inside a function, is a runtime dependency.  The one exception is
 catbell.reference, the oracle module, which may also use the test extra and
 must keep its own scipy solvers so that the oracles stay independent of the
-fast paths.  Every module-level function and class outside the oracle module
-is read by the program (src, demos, perfbench); helpers that only tests need
-live in tests/.  Every one of the oracle module is read by a check other
-than its own self-tests (tests/test_reference.py): another test, the
-benchmark's output checks, or another oracle.  Every name that a module of
-src/catbell, tests or demos imports is read in that module, and a fresh
+fast paths.
+
+src/ holds what a command runs.  Every function and method outside the
+oracle module is called by some run of `catbell` in tests/reach.py's set
+(every protocol and variant, describe, version, help, and one config per
+named error), or it has a KEPT_UNREACHED entry there that names its reader
+and the ROADMAP items that settle it: a function that only the benchmark
+(perfbench) or an open item needs stays that way until its items land.  A
+function that only a demo or a test calls does not belong in src/: test
+helpers live in tests/conftest.py, oracles in catbell.reference.  Every
+module-level function and class outside the oracle module is read by src/
+itself or has a KEPT_UNREACHED entry.
+
+Every one of the oracle module is read by a check other than its own
+self-tests (tests/test_reference.py): another test, the benchmark's output
+checks, or another oracle.  Every name that a module of src/catbell, tests
+or demos imports is read in that module, and a fresh
 `import catbell` loads only the modules that its one binding needs: names
 are imported from the module that defines them.  No readout of catbell.bell
 loads gates, `import catbell.cli` loads no argparse, and
@@ -21,6 +32,7 @@ line, so none is accepted and then ignored.
 from __future__ import annotations
 
 import ast
+import json
 import re
 import subprocess
 import sys
@@ -31,23 +43,14 @@ import numpy as np
 import pytest
 
 from conftest import child_env
+from reach import KEPT_UNREACHED, entry_of
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "catbell"
 ORACLE = "reference.py"
-PROGRAM = ("src", "demos", "perfbench")
 ORACLE_READERS = ("tests", "perfbench")
 ORACLE_SELF_TESTS = ROOT / "tests" / "test_reference.py"
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-
-# module-level names that the program does not read, kept on purpose
-KEPT_UNREAD = {
-    "dm_fidelity": "the Uhlmann reference that tests hold "
-                   "bell.mixed_bell_fidelity to",
-    "mixed_bell_fidelity": "block_fidelity on a state's own Bell block, the "
-                           "form that tests hold run_pipeline's fidelity, "
-                           "read from mixed blocks, to",
-}
 
 # imports that their module does not read, kept on purpose: perfbench's
 # tracer test checks that the tracer rebinds both; ROADMAP item 1 retires them
@@ -145,23 +148,45 @@ def read_outside(reads: dict, name: str, module: Path) -> bool:
                for path, names in reads.items() for read, owner in names)
 
 
-def test_every_module_level_name_is_read_by_the_program():
-    reads = reads_in(PROGRAM)
+def roadmap_items() -> list[str]:
+    """The numbers of ROADMAP.md's open items."""
+    return re.findall(r"^(\d+)\. \*\*",
+                      (ROOT / "ROADMAP.md").read_text(encoding="utf-8"),
+                      flags=re.MULTILINE)
 
-    unread, defined = [], set()
+
+def test_every_module_level_name_is_read_by_the_program():
+    reads = reads_in(("src",))
+
+    unread = []
     for module in sorted(PACKAGE.glob("*.py")):
         if module.name == ORACLE:
             continue
         for node in ast.parse(module.read_text(encoding="utf-8")).body:
-            if isinstance(node, DEFS):
-                defined.add(node.name)
-                read = read_outside(reads, node.name, module)
-                if node.name in KEPT_UNREAD:
-                    assert not read, f"{node.name} is read now: drop it from KEPT_UNREAD"
-                elif not read:
-                    unread.append(f"{module.stem}.{node.name}")
-    assert not unread, f"read only by tests, if at all: {unread}"
-    assert set(KEPT_UNREAD) <= defined
+            if not isinstance(node, DEFS):
+                continue
+            name = f"{module.stem}.{node.name}"
+            if not read_outside(reads, node.name, module) and entry_of(name) is None:
+                unread.append(name)
+    assert not unread, f"read by no module of src/ and not in KEPT_UNREACHED: {unread}"
+
+
+def test_every_function_is_run_by_a_command():
+    # one fresh interpreter, so that no memo is warm
+    probe = (f"import json, sys; sys.path.insert(0, {str(ROOT / 'tests')!r}); "
+             "import reach; print(json.dumps(reach.unreached()))")
+    out = subprocess.run([sys.executable, "-c", probe], env=child_env(),
+                         capture_output=True, text=True, check=True).stdout
+    unreached = json.loads(out)
+    missing = sorted(name for name in unreached if entry_of(name) is None)
+    assert not missing, (f"no command runs these, and KEPT_UNREACHED names "
+                         f"no reader: {missing}")
+    stale = sorted(set(KEPT_UNREACHED) - {entry_of(name) for name in unreached})
+    assert not stale, f"a command runs these now, or they are gone: drop {stale}"
+    items = roadmap_items()
+    for name, (reader, numbers) in KEPT_UNREACHED.items():
+        assert reader and numbers and all(str(n) in items for n in numbers), (
+            f"{name}: no reader, or no ROADMAP item among {numbers}")
 
 
 def test_every_oracle_is_read_by_another_check():
@@ -232,8 +257,7 @@ def test_every_config_field_is_read():
     kept = set(KEPT_UNREAD_FIELDS)
     assert kept <= unread, f"read now, or no field: drop {sorted(kept - unread)}"
     assert unread <= kept, f"accepted but never read: {sorted(unread - kept)}"
-    items = re.findall(r"^(\d+)\. \*\*", (ROOT / "ROADMAP.md").read_text(encoding="utf-8"),
-                       flags=re.MULTILINE)
+    items = roadmap_items()
     for name, (reason, item) in KEPT_UNREAD_FIELDS.items():
         assert reason and str(item) in items, f"{name}: no reason or no ROADMAP item {item}"
 

@@ -31,7 +31,6 @@ from catbell.encoding import (
 from catbell.errors import CapacityError, ContractError
 from catbell.hilbert import (
     apply,
-    partial_trace,
     state_fidelity,
     unitarity_residual,
 )
@@ -41,6 +40,7 @@ from conftest import (
     on_register,
     overlap,
     parity_op,
+    partial_trace,
     reference_preparation,
     subspace_unitary,
 )

@@ -19,7 +19,6 @@ from catbell.bell import (
     bell_block,
     chsh,
     correlation_tensor,
-    mixed_bell_fidelity,
 )
 from catbell.bosonic import ModeParams
 from catbell.encoding import (
@@ -55,8 +54,6 @@ from catbell.hilbert import (
     SpaceLayout,
     StateVector,
     apply,
-    dm_fidelity,
-    partial_trace,
     tensor,
     unitarity_residual,
 )
@@ -65,13 +62,16 @@ from catbell.reference import u_ve_literal_oracle
 from conftest import (
     EXCITED,
     basis_state,
+    dm_fidelity,
     exchange_op,
     lift_pair,
     matrix_exp,
+    mixed_bell_fidelity,
     number_op,
     on_register,
     overlap,
     parity_projectors,
+    partial_trace,
     reduced_electronic,
     reference_preparation,
     subspace_unitary,
@@ -457,7 +457,7 @@ def dense_pipeline(enc: EncodingParams, delta: float, ev: str,
 
     The fidelity line uses the same closed form as run_pipeline: this helper
     checks the state, not the fidelity formula (the Uhlmann route of
-    hilbert.dm_fidelity rounds to about 1e-8 against the rank-2 target).
+    conftest.dm_fidelity rounds to about 1e-8 against the rank-2 target).
     """
     electronic = dense_electronic(enc, delta, ve, ev)
     outcome = chsh(electronic, DEFAULT_ANGLES)

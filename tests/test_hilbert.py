@@ -18,20 +18,20 @@ from catbell.hilbert import (
     StateVector,
     apply,
     band_eigh,
-    dm_fidelity,
     max_total_dim,
-    partial_trace,
     state_fidelity,
     tensor,
     unitarity_residual,
 )
 from conftest import (
     basis_state,
+    dm_fidelity,
     embed,
     expectation,
     matrix_exp,
     number_op,
     overlap,
+    partial_trace,
 )
 
 SX = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -161,7 +161,7 @@ class TestStates:
     def test_to_density_trace(self):
         psi = basis_state(qubit_layout(2), (1, 0))
         rho = psi.to_density()
-        assert rho.trace == pytest.approx(1.0)
+        assert np.trace(rho.matrix) == pytest.approx(1.0)
         assert rho.matrix[2, 2] == pytest.approx(1.0)
 
     def test_density_shape_mismatch(self):

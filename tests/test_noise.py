@@ -21,7 +21,6 @@ from catbell.hilbert import (
     DensityMatrix,
     SpaceLayout,
     StateVector,
-    dm_fidelity,
 )
 import catbell.noise
 from catbell.noise import (
@@ -38,7 +37,14 @@ from catbell.noise import (
 )
 from catbell.pipeline import run_full_pipeline
 from catbell.reference import liouvillian_expm, liouvillian_matrix
-from conftest import basis_state, expectation, on_register, parity_op, readouts
+from conftest import (
+    basis_state,
+    dm_fidelity,
+    expectation,
+    on_register,
+    parity_op,
+    readouts,
+)
 
 
 def random_density(dim: int, seed: int) -> DensityMatrix:
@@ -1328,7 +1334,7 @@ class TestMixtures:
         rho = mixed_bell(0.2)
         w = np.sort(np.linalg.eigvalsh(rho.matrix))[::-1]
         np.testing.assert_allclose(w, [0.8, 0.2, 0.0, 0.0], atol=1e-12)
-        assert rho.trace == pytest.approx(1.0, abs=1e-12)
+        assert np.trace(rho.matrix) == pytest.approx(1.0, abs=1e-12)
 
     def test_pure_endpoints(self):
         from conftest import electronic_bell
