@@ -19,9 +19,9 @@ for alpha in (2.0, 3.0, 8.0):
     params = EncodingParams.for_amplitudes(alpha)
     for eps in (0.05, 0.1, 0.2, 0.5236):
         r = rotation_fidelity(eps, params, "a")
-        dev = abs(r.f_zero_branch - r.analytic)
-        print(f"{alpha:6.1f} {eps:8.4f} {r.theta / pi:9.4f} "
-              f"{r.f_zero_branch:12.8f} {r.analytic:12.8f} {dev:10.2e}")
+        dev = abs(r["f_zero"] - r["analytic"])
+        print(f"{alpha:6.1f} {eps:8.4f} {r['theta'] / pi:9.4f} "
+              f"{r['f_zero']:12.8f} {r['analytic']:12.8f} {dev:10.2e}")
     print()
 
 # the kick that buys a quarter turn, used by the conditional gate

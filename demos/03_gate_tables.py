@@ -21,12 +21,12 @@ alpha = 4.0
 params = EncodingParams.for_amplitudes(alpha)
 
 
-def show(report):
-    print(f"{report.gate}  (unitarity residual {report.unitarity:.1e})")
-    for row in report.rows:
-        print(f"  |{row.input_label}> -> |{row.target_label}>   "
-              f"fidelity {row.fidelity:.10f}")
-    print(f"  worst row: {report.min_fidelity:.10f}")
+def show(rows):
+    print(f"{rows[0]['gate']}  (unitarity residual {rows[0]['unitarity']:.1e})")
+    for row in rows:
+        print(f"  {row['input']} -> {row['target']}   "
+              f"fidelity {row['fidelity']:.10f}")
+    print(f"  worst row: {min(row['fidelity'] for row in rows):.10f}")
     print()
 
 

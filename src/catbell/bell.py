@@ -42,7 +42,6 @@ from .hilbert import (
     SIGMA_Z,
     DensityMatrix,
     SpaceLayout,
-    StateVector,
     check_unit,
 )
 
@@ -128,7 +127,7 @@ class BellAngles:
 DEFAULT_ANGLES = BellAngles()
 
 
-def correlation_tensor(state: StateVector | DensityMatrix) -> np.ndarray:
+def correlation_tensor(rho: DensityMatrix) -> np.ndarray:
     """T_mn = tr rho (sigma_m (x) sigma_n), sigma = (1, x, y, z), real 4 x 4.
 
     T_00 is the trace, T_m0 and T_0n the Bloch vectors of the two qubits
@@ -136,7 +135,6 @@ def correlation_tensor(state: StateVector | DensityMatrix) -> np.ndarray:
     (2, 2, 2, 2) view of rho; einsum calls no BLAS, so T does not depend on
     the BLAS thread count.
     """
-    rho = state.to_density() if isinstance(state, StateVector) else state
     if rho.layout.dims != (2, 2):
         raise ValueError(f"expected a two-qubit state, got dims {rho.layout.dims}")
     return np.einsum("abcd,mca,ndb->mn", rho.matrix.reshape(2, 2, 2, 2),
@@ -202,20 +200,18 @@ def _draw(p: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:
 class BellOutcome:
     b_value: float
     correlations: tuple[float, float, float, float]
-    method: str
-    shots: int | None = None
     std_error: float | None = None
 
 
-def chsh(state: StateVector | DensityMatrix,
+def chsh(rho: DensityMatrix,
          angles: BellAngles = DEFAULT_ANGLES,
          method: str = "exact",
          shots: int = 4096,
          seed: int | list[int] = 0) -> BellOutcome:
     """CHSH combination over the four settings of `angles`: tensor_chsh of
-    the state's correlation tensor.  A state whose trace is not 1 is a
-    ContractError."""
-    return tensor_chsh(correlation_tensor(state), angles, method, shots, seed)
+    the correlation tensor of the two-qubit density matrix rho.  A rho whose
+    trace is not 1 is a ContractError."""
+    return tensor_chsh(correlation_tensor(rho), angles, method, shots, seed)
 
 
 def tensor_chsh(t: np.ndarray, angles: BellAngles = DEFAULT_ANGLES,
@@ -237,7 +233,7 @@ def tensor_chsh(t: np.ndarray, angles: BellAngles = DEFAULT_ANGLES,
     (t00, *_), (_, x00, x01, _), (_, x10, x11, _), _ = t.tolist()
     check_unit(t00, "readout state")
     axes, pa, pb = _setting_vectors(angles)
-    drawn = err = None
+    err = None
     if method == "exact":
         es = [0.0 + a0 * x00 * b0 + a0 * x01 * b1 + a1 * x10 * b0 + a1 * x11 * b1
               for a0, a1, b0, b1 in axes]
@@ -245,12 +241,11 @@ def tensor_chsh(t: np.ndarray, angles: BellAngles = DEFAULT_ANGLES,
         rng = np.random.default_rng(seed)
         counts = _draw(_populations(t, pa, pb), shots, rng)
         es = [float(c @ OUTCOME_SIGNS) / shots for c in counts]
-        drawn = shots
         # sums the squares of the per-setting errors sqrt((1 - E^2) / shots),
         # not the variances themselves: the two differ in the last bit
         err = sqrt(sum(sqrt(max(1.0 - e * e, 0.0) / shots) ** 2 for e in es))
     combo = es[0] + es[1] + es[2] - es[3]
-    return BellOutcome(abs(combo), tuple(es), method, drawn, err)
+    return BellOutcome(abs(combo), tuple(es), err)
 
 
 def crossing(deltas, b_values) -> float | None:

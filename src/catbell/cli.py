@@ -121,10 +121,19 @@ _GROUPS = tuple((section, tuple(fields)) for section, fields
                 in itertools.groupby(FIELDS, lambda f: f.section))
 
 
+# a config error echoes at most this many characters of the offending
+# value's repr and marks the cut; 10 ** 400's 401 digits come whole
+ECHO_LIMIT = 500
+
+
 def _reject(field: Field, requirement: str, value,
             index: int | None = None) -> ConfigError:
     name = field.name if index is None else f"{field.name}[{index}]"
-    return ConfigError(f"{name} must be {requirement}, got {value!r}")
+    echo = repr(value)
+    if len(echo) > ECHO_LIMIT:
+        echo = (f"{echo[:ECHO_LIMIT]}... "
+                f"({len(echo) - ECHO_LIMIT} more characters)")
+    return ConfigError(f"{name} must be {requirement}, got {echo}")
 
 
 def _number(field: Field, value, index: int | None = None):

@@ -321,21 +321,11 @@ def rx_matrix(theta: float) -> np.ndarray:
     )
 
 
-@dataclass
-class RotationFidelity:
-    """Numerical branch fidelities of a displacement rotation vs exp(-eps^2)."""
-
-    theta: float
-    epsilon: float
-    f_zero_branch: float
-    f_one_branch: float
-    analytic: float
-
-
 def rotation_fidelity(eps: float, params: EncodingParams,
-                      which_mode: str = "a") -> RotationFidelity:
-    """Fidelity of the kick D(i eps) against the ideal rx(theta) on both code
-    branches, theta = 2 alpha eps with alpha the named mode's amplitude."""
+                      which_mode: str = "a") -> dict:
+    """rotate's row of the kick D(i eps), in its columns: eps itself, theta =
+    2 alpha eps (alpha the named mode's amplitude), both code branches'
+    fidelities against the ideal rx(theta) and the law exp(-eps^2)."""
     basis = logical_basis(which_mode, params)
     theta = 2.0 * params.amplitude(which_mode) * eps
     if not isfinite(theta):
@@ -348,4 +338,5 @@ def rotation_fidelity(eps: float, params: EncodingParams,
                        1j * sin(theta) * basis.zero.amps + cos(theta) * basis.one.amps)
     f0 = state_fidelity(tgt0, StateVector(tgt0.layout, kick(basis.zero.amps)))
     f1 = state_fidelity(tgt1, StateVector(tgt1.layout, kick(basis.one.amps)))
-    return RotationFidelity(theta, eps, f0, f1, exp(-eps * eps))
+    return {"epsilon": eps, "theta": theta, "f_zero": f0, "f_one": f1,
+            "analytic": exp(-eps * eps)}

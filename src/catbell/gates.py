@@ -143,38 +143,19 @@ def u_swap(which_mode: str, params: EncodingParams, ve_variant: str,
                     literal=ve_variant == "literal")
 
 
-@dataclass
-class RowReport:
-    input_label: str
-    target_label: str
-    fidelity: float
-
-
-@dataclass
-class GateReport:
-    """Truth-table fidelities and a unitarity check for one gate build."""
-
-    gate: str
-    rows: list[RowReport]
-    unitarity: float
-
-    @property
-    def min_fidelity(self) -> float:
-        return min(r.fidelity for r in self.rows)
-
-
-# the pair basis |code> |ion>, in the column order of _report's stack
-PAIR_LABELS = ("0L,0e", "0L,1e", "1L,0e", "1L,1e")
+# the pair basis |code> |ion>, in the column order of _report's stack and in
+# the form of swap-report's input and target columns
+PAIR_LABELS = ("0L|0e", "0L|1e", "1L|0e", "1L|1e")
 
 
 def _report(step: Callable[[np.ndarray], np.ndarray], name: str,
             which_mode: str, params: EncodingParams,
-            table: list[tuple[str, str]]) -> GateReport:
-    """The truth table and unitarity of a step on axes (mode, ion).
+            table: list[tuple[str, str]]) -> list[dict]:
+    """swap-report's rows of a step on axes (mode, ion), in its columns: one
+    per (input, target) pair of table, its fidelity |<target|step|input>|^2.
 
-    The step runs once on the (d, 2, 4) stack of the pair basis; each row
-    is the inner product of the target's column with the step's image of
-    the input's column.  The unitarity is read off the step's pair matrix.
+    The step runs once on the (d, 2, 4) stack of the pair basis.  The
+    unitarity, the same on every row, is read off the step's pair matrix.
     """
     layout = pair_layout(which_mode, params)
     basis = encoding.logical_basis(which_mode, params)
@@ -184,38 +165,40 @@ def _report(step: Callable[[np.ndarray], np.ndarray], name: str,
         states[:, int(label[3]), k] = code.amps
     out = step(states.copy()).reshape(layout.total_dim, -1)
     states = states.reshape(layout.total_dim, -1)
-    rows = []
-    for in_label, tgt_label in table:
-        amp = np.vdot(states[:, PAIR_LABELS.index(tgt_label)],
-                      out[:, PAIR_LABELS.index(in_label)])
-        rows.append(RowReport(in_label, tgt_label, float(abs(amp) ** 2)))
-    return GateReport(name, rows, unitarity_residual(_pair_matrix(layout, step)))
+    unitarity = unitarity_residual(_pair_matrix(layout, step))
+    col = PAIR_LABELS.index
+    return [{"gate": name, "input": inp, "target": tgt,
+             "fidelity": float(abs(np.vdot(states[:, col(tgt)],
+                                           out[:, col(inp)])) ** 2),
+             "unitarity": unitarity} for inp, tgt in table]
 
 
-CNOT_VE_TABLE = [("0L,0e", "0L,0e"), ("0L,1e", "0L,1e"),
-                 ("1L,0e", "1L,1e"), ("1L,1e", "1L,0e")]
-CNOT_EV_TABLE = [("0L,0e", "0L,0e"), ("0L,1e", "1L,1e"),
-                 ("1L,0e", "1L,0e"), ("1L,1e", "0L,1e")]
-SWAP_TABLE = [("0L,0e", "0L,0e"), ("0L,1e", "1L,0e"),
-              ("1L,0e", "0L,1e"), ("1L,1e", "1L,1e")]
+CNOT_VE_TABLE = [("0L|0e", "0L|0e"), ("0L|1e", "0L|1e"),
+                 ("1L|0e", "1L|1e"), ("1L|1e", "1L|0e")]
+CNOT_EV_TABLE = [("0L|0e", "0L|0e"), ("0L|1e", "1L|1e"),
+                 ("1L|0e", "1L|0e"), ("1L|1e", "0L|1e")]
+SWAP_TABLE = [("0L|0e", "0L|0e"), ("0L|1e", "1L|0e"),
+              ("1L|0e", "0L|1e"), ("1L|1e", "1L|1e")]
 
 
-def report_u_ve(variant: str, which_mode: str, params: EncodingParams) -> GateReport:
-    """Row-by-row comparison of a ve build against the intended CNOT action."""
+def report_u_ve(variant: str, which_mode: str, params: EncodingParams) -> list[dict]:
+    """swap-report's rows of a ve build against CNOT_VE_TABLE."""
     if variant not in VE_VARIANTS:
         raise ValueError(f"ve_variant must be one of {VE_VARIANTS}")
     step = partial(_flip, literal=variant == "literal")
     return _report(step, f"u_ve[{variant}]", which_mode, params, CNOT_VE_TABLE)
 
 
-def report_u_ev(which_mode: str, params: EncodingParams) -> GateReport:
+def report_u_ev(which_mode: str, params: EncodingParams) -> list[dict]:
+    """swap-report's rows of the kick build of u_ev against CNOT_EV_TABLE."""
     kick = _kick(which_mode, params, "displacement")  # D(i eps)
     return _report(partial(_phase_kick, kick=kick), "u_ev[displacement]",
                    which_mode, params, CNOT_EV_TABLE)
 
 
 def report_u_swap(which_mode: str, params: EncodingParams, ve_variant: str,
-                  ev_variant: str) -> GateReport:
+                  ev_variant: str) -> list[dict]:
+    """swap-report's rows of the exchange u_swap against SWAP_TABLE."""
     gate = u_swap(which_mode, params, ve_variant, ev_variant)
     return _report(partial(gate.apply, mode_axis=0, ion_axis=1),
                    f"u_swap[{ve_variant},{ev_variant}]",

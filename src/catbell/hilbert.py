@@ -56,6 +56,18 @@ def _count(n: int) -> str:
     return f"{float(mantissa):g}e+{exp + int(shift)}"
 
 
+def check_dim(total: int) -> int:
+    """total, a layout's dimension, held to the size cap (max_total_dim): a
+    CapacityError above it.  A memo hit, which builds no layout, calls it."""
+    cap = max_total_dim()
+    if total > cap:
+        raise CapacityError(
+            f"total dimension {_count(total)} exceeds the cap {cap}; "
+            f"raise {MAX_DIM_ENV} if this is intentional"
+        )
+    return total
+
+
 def _integer(value, name: str) -> int:
     """value as an int: a ValueError that names it unless it is an integer,
     a numpy one too, and not a bool."""
@@ -81,14 +93,7 @@ class SpaceLayout:
             raise ValueError("layout needs at least one factor")
         if any(d < 2 for d in dims):
             raise ValueError(f"factor dimensions must be >= 2, got {dims}")
-        cap = max_total_dim()
-        total = prod(dims)
-        if total > cap:
-            raise CapacityError(
-                f"total dimension {_count(total)} exceeds the cap {cap}; "
-                f"raise {MAX_DIM_ENV} if this is intentional"
-            )
-        object.__setattr__(self, "total_dim", total)
+        object.__setattr__(self, "total_dim", check_dim(prod(dims)))
 
     @property
     def nsites(self) -> int:

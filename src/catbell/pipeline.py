@@ -29,7 +29,6 @@ from .encoding import (
     bell_target_schmidt,
     entangled_target_cat_form,
     entangled_target_schmidt,
-    full_layout,
     hadamard_matrix,
     logical_basis,
     prepare_entangled_schmidt,
@@ -37,7 +36,7 @@ from .encoding import (
     schmidt_fidelity,
 )
 from .errors import ConfigError
-from .hilbert import SIGMA_X, SpaceLayout
+from .hilbert import SIGMA_X, check_dim
 
 if TYPE_CHECKING:
     from .bell import BellAngles
@@ -103,15 +102,12 @@ def run_rotate(cfg: dict) -> tuple[list[dict], dict, str]:
     rows = []
     for i, eps in enumerate(cfg["encoding"]["epsilons"]):
         try:
-            r = rotation_fidelity(eps, enc, "a")
+            rows.append(rotation_fidelity(eps, enc, "a"))
         except ValueError:  # the angle 2 alpha epsilon overflows
             raise ConfigError(f"encoding.epsilons[{i}] = {eps!r} makes the "
                               "angle 2 alpha epsilon overflow") from None
         except OverflowError as err:  # only the kick's phases can overflow
             raise ConfigError(f"encoding.epsilons[{i}] = {eps!r}: {err}") from None
-        rows.append({"epsilon": r.epsilon, "theta": r.theta,
-                     "f_zero": r.f_zero_branch, "f_one": r.f_one_branch,
-                     "analytic": r.analytic})
     worst = max(abs(r["f_zero"] - r["analytic"]) for r in rows)
     return rows, {"max_law_deviation": worst}, "exact"
 
@@ -129,22 +125,12 @@ def run_swap_report(cfg: dict) -> tuple[list[dict], dict, str]:
     """
     from .gates import report_u_ev, report_u_swap, report_u_ve
     enc = _encoding_params(cfg)
-    reports = [
-        report_u_ve("ideal", "a", enc),
-        report_u_ve("literal", "a", enc),
-        report_u_ev("a", enc),
-        report_u_swap("a", enc, "ideal", "ideal"),
-        report_u_swap("a", enc, "ideal", "displacement"),
-    ]
-    rows = []
-    for rep in reports:
-        for row in rep.rows:
-            rows.append({"gate": rep.gate,
-                         "input": row.input_label.replace(",", "|"),
-                         "target": row.target_label.replace(",", "|"),
-                         "fidelity": row.fidelity,
-                         "unitarity": rep.unitarity})
-    results = {rep.gate + ".min_fidelity": rep.min_fidelity for rep in reports}
+    reports = [report_u_ve("ideal", "a", enc), report_u_ve("literal", "a", enc),
+               report_u_ev("a", enc), report_u_swap("a", enc, "ideal", "ideal"),
+               report_u_swap("a", enc, "ideal", "displacement")]
+    rows = [row for report in reports for row in report]
+    results = {report[0]["gate"] + ".min_fidelity":
+               min(row["fidelity"] for row in report) for report in reports}
     return rows, results, "exact"
 
 
@@ -187,7 +173,7 @@ def run_heat_sweep(cfg: dict) -> tuple[list[dict], dict, str]:
     durations = cfg["noise"]["durations"] or [cfg["noise"]["duration"]]
     populations, a0 = _cat_populations(enc)
     # a hit skips the cat's size check; the cap may have been lowered
-    SpaceLayout((enc.mode_a.cutoff,))
+    check_dim(enc.mode_a.cutoff)
     rows = []
     for duration in durations:
         n_mean, parity = heated_moments(populations, gamma * duration)
@@ -313,7 +299,7 @@ def run_pipeline(enc: EncodingParams, delta: float, angles: BellAngles,
     prep, had, (t_keep, m_keep), (t_flip, m_flip) = _coherent_stages(
         enc, ve_variant, ev_variant)
     # a hit skips the stages' size checks; the cap may have been lowered
-    full_layout(enc)
+    check_dim(4 * enc.mode_a.cutoff * enc.mode_b.cutoff)
     keep = 1.0 - delta
     results = {"preparation_fidelity": prep, "hadamard_fidelity": had,
                "delta": delta,

@@ -152,7 +152,7 @@ def check_against_main_path() -> None:
     enc = EncodingParams.for_amplitudes(SWAP_ALPHA)
     rep = report_u_swap("a", enc, "ideal", "displacement")
     print("swap rows (main path):",
-          {r.input_label: round(r.fidelity, 12) for r in rep.rows})
+          {r["input"]: round(r["fidelity"], 12) for r in rep})
     from catbell.hilbert import StateVector
     basis = logical_basis("a", enc)
     dft_zero = StateVector(basis.zero.layout,

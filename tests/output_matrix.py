@@ -18,11 +18,12 @@ projected on the logical basis) at alpha 2 and 3, modes a and b and three
 master seeds, whatever --alpha says, as the flip and jump counts and the
 bytes of the projected 4 x 4 mixture.  And full-pipeline-results.txt
 holds every full-pipeline config's named results as float.hex, one line
-per config, so that a last-bit move the 12-digit CSVs round away shows in
-a diff; they are read from a second run of the config, which the memo's
-warm-equals-cold tests tie to the run that wrote the CSV.  Two checkouts,
-or two BLAS thread counts, compare with `diff -r` of their output
-directories.
+per config, and protocol-results.txt every other config's rows and named
+results, one line per config, so that a last-bit move the 12-digit CSVs
+round away shows in a diff; both are read from a second run of the
+config, which the memo's warm-equals-cold tests tie to the run that wrote
+the CSV.  Two checkouts, or two BLAS thread counts, compare with `diff -r`
+of their output directories.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np  # noqa: E402
 
-from catbell import cli, encoding, hilbert, noise, pipeline  # noqa: E402
+from catbell import cli, encoding, hilbert, noise  # noqa: E402
 from catbell.encoding import EV_VARIANTS, VE_VARIANTS  # noqa: E402
 
 ALPHAS = (2.0, 3.0, 4.0)
@@ -94,6 +95,14 @@ def jump_ensemble(alpha: float, mode_index: int, master_seed: int) -> str:
             f"flips={flips} jumps={jumps} rho4={rho4.tobytes().hex()}\n")
 
 
+def _cells(record: dict) -> str:
+    """A row or named results as key=value pairs, each float as float.hex
+    and any other value (a gate name, a pair label, a null crossing) as
+    str."""
+    return ",".join(f"{k}={v.hex() if isinstance(v, float) else v}"
+                    for k, v in record.items())
+
+
 def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -105,15 +114,20 @@ def main(argv: list[str] | None = None) -> None:
     if outdir.exists() and (not outdir.is_dir() or any(outdir.iterdir())):
         parser.error(f"OUTDIR {outdir} is not an empty directory; a file left "
                      "there by an earlier run would be compared as this run's")
-    results = []
+    results, others = [], []
     for name, raw in configs(args.alpha or ALPHAS).items():
         cfg = cli.normalize_config(dict(raw, output={"path": name}))
         cli.execute(cfg, args.outdir)
+        rows, named, _ = cli.RUNNERS[cfg["protocol"]](cfg)
         if cfg["protocol"] == "full-pipeline":
-            _, named, _ = pipeline.run_full_pipeline(cfg)
             results.append(" ".join([name] + [f"{k}={float(v).hex()}"
                                               for k, v in named.items()]) + "\n")
+        else:
+            others.append(" ".join(
+                [name] + [f"row{i}:{_cells(row)}" for i, row in enumerate(rows)]
+                + [f"results:{_cells(named)}"]) + "\n")
     Path(args.outdir, "full-pipeline-results.txt").write_text("".join(results))
+    Path(args.outdir, "protocol-results.txt").write_text("".join(others))
     lines = [jump_ensemble(alpha, mode_index, seed)
              for alpha in ENSEMBLE_ALPHAS
              for mode_index in (encoding.MODE_A, encoding.MODE_B)

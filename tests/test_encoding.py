@@ -435,10 +435,10 @@ class TestDisplacementRotation:
         # alpha the named mode's amplitude
         enc = EncodingParams.for_amplitudes(2.0, beta=3.0)
         rep = rotation_fidelity(np.pi / 8, enc2)
-        assert (rep.epsilon, rep.theta) == (np.pi / 8, np.pi / 2)
+        assert (rep["epsilon"], rep["theta"]) == (np.pi / 8, np.pi / 2)
         rep = rotation_fidelity(np.pi / 12, enc, "b")
-        assert (rep.epsilon, rep.theta) == (np.pi / 12, 2.0 * 3.0 * (np.pi / 12))
-        assert rep.theta == pytest.approx(np.pi / 2, abs=1e-15)
+        assert (rep["epsilon"], rep["theta"]) == (np.pi / 12, 2.0 * 3.0 * (np.pi / 12))
+        assert rep["theta"] == pytest.approx(np.pi / 2, abs=1e-15)
 
     def test_overflowing_angle_is_a_value_error(self, enc2):
         with pytest.raises(ValueError, match="epsilon = 1e[+]308 makes the angle"):
@@ -447,13 +447,13 @@ class TestDisplacementRotation:
     @pytest.mark.parametrize("eps,law", [(0.1, 0.990050), (0.2, 0.960789)])
     def test_branch_fidelity_law(self, enc3, eps, law):
         rep = rotation_fidelity(eps, enc3)
-        assert abs(rep.f_zero_branch - law) < 1e-5
-        assert abs(rep.f_one_branch - law) < 1e-5
-        assert rep.analytic == pytest.approx(np.exp(-eps * eps), abs=1e-12)
+        assert abs(rep["f_zero"] - law) < 1e-5
+        assert abs(rep["f_one"] - law) < 1e-5
+        assert rep["analytic"] == pytest.approx(np.exp(-eps * eps), abs=1e-12)
 
     def test_zero_angle_perfect(self, enc2):
         rep = rotation_fidelity(0.0, enc2)
-        assert rep.f_zero_branch == pytest.approx(1.0, abs=1e-12)
+        assert rep["f_zero"] == pytest.approx(1.0, abs=1e-12)
 
     def test_law_sharpens_with_alpha(self):
         # finite-alpha correction to exp(-eps^2) decays like exp(-2 alpha^2);
@@ -463,8 +463,8 @@ class TestDisplacementRotation:
             enc = EncodingParams.for_amplitudes(alpha)
             rep = rotation_fidelity(np.pi / (8.0 * alpha), enc)
             bound = max(1e-10, 5.0 * np.exp(-2.0 * alpha * alpha))
-            assert abs(rep.f_zero_branch - rep.analytic) <= bound
-            assert abs(rep.f_one_branch - rep.analytic) <= bound
+            assert abs(rep["f_zero"] - rep["analytic"]) <= bound
+            assert abs(rep["f_one"] - rep["analytic"]) <= bound
 
 
 def test_qubit_state_basis():

@@ -130,9 +130,8 @@ def pair_state(label: str, which: str, enc: EncodingParams) -> StateVector:
 
 class TestUveIdeal:
     def test_truth_table_exact(self, enc2):
-        rep = report_u_ve("ideal", "a", enc2)
-        for row in rep.rows:
-            assert abs(row.fidelity - 1.0) <= 1e-12, row
+        for row in report_u_ve("ideal", "a", enc2):
+            assert abs(row["fidelity"] - 1.0) <= 1e-12, row
 
     def test_unitary(self, enc2):
         assert unitarity_residual(u_ve_ideal("a", enc2).matrix) < 1e-10
@@ -149,8 +148,8 @@ class TestUveIdeal:
         assert np.abs(u @ p - p @ u).max() < 1e-12
 
     def test_flip_row_phase(self, enc2):
-        out = apply(u_ve_ideal("a", enc2), pair_state("1L,0e", "a", enc2))
-        flip = overlap(pair_state("1L,1e", "a", enc2), out)
+        out = apply(u_ve_ideal("a", enc2), pair_state("1L|0e", "a", enc2))
+        flip = overlap(pair_state("1L|1e", "a", enc2), out)
         assert flip == pytest.approx(1.0, abs=1e-12)
 
 
@@ -182,20 +181,20 @@ class TestUveLiteral:
         n = number_op(enc2.mode_a).matrix
         gen = OperatorMatrix(lay, (0, 1), np.kron(n, EXCITED))
         u = matrix_exp(gen, 1j * np.pi)
-        psi = pair_state("1L,1e", "a", enc2)
+        psi = pair_state("1L|1e", "a", enc2)
         assert overlap(psi, apply(u, psi)) == pytest.approx(-1.0, abs=1e-10)
 
     def test_recorded_defect(self, enc2):
         # as written the two exponentials compose to a pure phase on the odd
         # branch: the claimed ion flips never happen
         rep = report_u_ve("literal", "a", enc2)
-        rows = {r.input_label: r for r in rep.rows}
-        assert rows["1L,0e"].fidelity < 1e-12
-        assert rows["1L,1e"].fidelity < 1e-12
-        assert rows["0L,0e"].fidelity > 1.0 - 1e-10
+        rows = {r["input"]: r for r in rep}
+        assert rows["1L|0e"]["fidelity"] < 1e-12
+        assert rows["1L|1e"]["fidelity"] < 1e-12
+        assert rows["0L|0e"]["fidelity"] > 1.0 - 1e-10
         u = u_ve_literal("a", enc2)
-        stay = overlap(pair_state("1L,0e", "a", enc2),
-                       apply(u, pair_state("1L,0e", "a", enc2)))
+        stay = overlap(pair_state("1L|0e", "a", enc2),
+                       apply(u, pair_state("1L|0e", "a", enc2)))
         assert stay == pytest.approx(-1.0, abs=1e-10)
 
 
@@ -206,9 +205,9 @@ class TestUev:
 
     def test_ground_rows_exact(self, enc2):
         rep = report_u_ev("a", enc2)
-        rows = {r.input_label: r for r in rep.rows}
-        assert rows["0L,0e"].fidelity > 1.0 - 1e-12
-        assert rows["1L,0e"].fidelity > 1.0 - 1e-12
+        rows = {r["input"]: r for r in rep}
+        assert rows["0L|0e"]["fidelity"] > 1.0 - 1e-12
+        assert rows["1L|0e"]["fidelity"] > 1.0 - 1e-12
 
     def test_default_epsilon_dictionary(self, enc2):
         # default scale pi/(4 alpha) realizes the quarter turn
@@ -221,9 +220,9 @@ class TestUev:
             enc = EncodingParams.for_amplitudes(alpha)
             rep = report_u_ev("a", enc)
             law = np.exp(-((np.pi / (4.0 * alpha)) ** 2))
-            rows = {r.input_label: r for r in rep.rows}
-            assert abs(rows["0L,1e"].fidelity - law) < 1e-3
-            assert abs(rows["1L,1e"].fidelity - law) < 1e-3
+            rows = {r["input"]: r for r in rep}
+            assert abs(rows["0L|1e"]["fidelity"] - law) < 1e-3
+            assert abs(rows["1L|1e"]["fidelity"] - law) < 1e-3
 
     def test_double_scale_overrotates(self, enc3):
         # eps = pi/(2 alpha) drives a half turn: the intended flip rows are
@@ -231,11 +230,11 @@ class TestUev:
         eps = np.pi / 6.0
         enc = dataclasses.replace(enc3, epsilon=eps)
         rep = report_u_ev("a", enc)
-        rows = {r.input_label: r for r in rep.rows}
-        assert rows["0L,1e"].fidelity < 1e-6
-        assert rows["1L,1e"].fidelity < 1e-6
+        rows = {r["input"]: r for r in rep}
+        assert rows["0L|1e"]["fidelity"] < 1e-6
+        assert rows["1L|1e"]["fidelity"] < 1e-6
         u = u_ev("a", enc)
-        psi = pair_state("0L,1e", "a", enc3)
+        psi = pair_state("0L|1e", "a", enc3)
         back = abs(overlap(psi, apply(u, psi))) ** 2
         assert abs(back - np.exp(-eps * eps)) < 1e-3
 
@@ -291,7 +290,7 @@ class TestUswap:
 
     def test_surrogate_truth_table(self, enc2):
         rep = report_u_swap("a", enc2, ve_variant="ideal", ev_variant="ideal")
-        assert rep.min_fidelity >= 1.0 - 1e-10
+        assert min(r["fidelity"] for r in rep) >= 1.0 - 1e-10
         gate = exchange_op("a", enc2, "ideal", "ideal")
         for in_label, tgt_label in SWAP_TABLE:
             out = apply(gate, pair_state(in_label, "a", enc2))
@@ -300,11 +299,11 @@ class TestUswap:
 
     def test_surrogate_on_mode_b(self, enc2):
         rep = report_u_swap("b", enc2, ve_variant="ideal", ev_variant="ideal")
-        assert rep.min_fidelity >= 1.0 - 1e-10
+        assert min(r["fidelity"] for r in rep) >= 1.0 - 1e-10
 
     def test_table_is_an_exchange(self):
-        assert SWAP_TABLE[1] == ("0L,1e", "1L,0e")
-        assert SWAP_TABLE[2] == ("1L,0e", "0L,1e")
+        assert SWAP_TABLE[1] == ("0L|1e", "1L|0e")
+        assert SWAP_TABLE[2] == ("1L|0e", "0L|1e")
 
     @pytest.mark.parametrize("ve,ev", VARIANT_PAIRS)
     def test_exponentiates_nothing(self, monkeypatch, enc2, ve, ev):
@@ -325,7 +324,7 @@ class TestUswap:
         rec = golden("swap_alpha8.json")["swap_rows"]
         enc = EncodingParams.for_amplitudes(8.0)
         rep = report_u_swap("a", enc, "ideal", "displacement")
-        got = {r.input_label[0] + r.input_label[3]: r.fidelity for r in rep.rows}
+        got = {r["input"][0] + r["input"][3]: r["fidelity"] for r in rep}
         for key, want in rec.value.items():
             assert abs(got[key] - want) < rec.tolerance, key
 
@@ -362,21 +361,19 @@ class TestRegisterTransfer:
 
 
 class TestReports:
-    def test_min_fidelity(self, enc2):
-        rep = report_u_ve("ideal", "a", enc2)
-        assert rep.min_fidelity == min(r.fidelity for r in rep.rows)
-
     def test_tables_cover_basis(self):
         for table in (CNOT_VE_TABLE, CNOT_EV_TABLE, SWAP_TABLE):
-            assert sorted(t[0] for t in table) == ["0L,0e", "0L,1e", "1L,0e", "1L,1e"]
+            assert sorted(t[0] for t in table) == ["0L|0e", "0L|1e", "1L|0e", "1L|1e"]
 
     def test_unknown_ve_variant_refused(self, enc2):
         with pytest.raises(ValueError, match="ve_variant must be one of"):
             report_u_ve("exact", "a", enc2)
 
     def test_gate_names(self, enc2):
-        assert report_u_swap("a", enc2, "ideal", "ideal").gate == "u_swap[ideal,ideal]"
-        assert report_u_ve("literal", "a", enc2).gate == "u_ve[literal]"
+        assert {r["gate"] for r in report_u_swap("a", enc2, "ideal", "ideal")} \
+            == {"u_swap[ideal,ideal]"}
+        assert {r["gate"] for r in report_u_ve("literal", "a", enc2)} \
+            == {"u_ve[literal]"}
 
 
 class TestExchangeAction:

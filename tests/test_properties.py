@@ -296,13 +296,13 @@ class TestBellBounds:
             state = random_state(PAIR, rng)
             t = rng.uniform(0.0, 2.0 * np.pi, size=4)
             angles = BellAngles(t[0], t[1], t[2], t[3])
-            assert chsh(state, angles).b_value <= TSIRELSON + 1e-6
+            assert chsh(state.to_density(), angles).b_value <= TSIRELSON + 1e-6
 
     @settings(max_examples=40)
     @given(st.lists(st.floats(0.0, 2.0 * np.pi, allow_nan=False),
                     min_size=4, max_size=4))
     def test_correlators_bounded(self, thetas: list[float]):
-        out = chsh(electronic_bell("phi_plus"), BellAngles(*thetas))
+        out = chsh(electronic_bell("phi_plus").to_density(), BellAngles(*thetas))
         assert np.abs(out.correlations).max() <= 1.0 + 1e-12
 
     @settings(max_examples=25)
@@ -310,7 +310,8 @@ class TestBellBounds:
     def test_sampled_correlation_deterministic_in_seed(self, seed: int):
         angles = BellAngles(0.3, 1.0, 0.7, -0.2)
         _, pa, pb = _setting_vectors(angles)
-        p = _populations(correlation_tensor(electronic_bell("phi_plus")), pa, pb)
+        p = _populations(correlation_tensor(electronic_bell("phi_plus").to_density()),
+                         pa, pb)
         a = _draw(p, 500, np.random.default_rng(seed))
         b = _draw(p, 500, np.random.default_rng(seed))
         assert np.array_equal(a, b)
@@ -318,7 +319,7 @@ class TestBellBounds:
     @settings(max_examples=25)
     @given(st.integers(0, 2**31 - 1))
     def test_sampled_chsh_reproducible(self, seed: int):
-        state = electronic_bell("phi_plus")
+        state = electronic_bell("phi_plus").to_density()
         a = chsh(state, DEFAULT_ANGLES, method="sampled", shots=800, seed=seed)
         b = chsh(state, DEFAULT_ANGLES, method="sampled", shots=800, seed=seed)
         assert a.correlations == b.correlations

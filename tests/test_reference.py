@@ -259,7 +259,7 @@ class TestExchangeOracle:
 
         oracle = swap_truth_oracle(2.0, enc.mode_a.cutoff, np.pi / 8.0)
         rep = report_u_swap("a", enc, "ideal", "displacement")
-        got = {r.input_label[0] + r.input_label[3]: r.fidelity for r in rep.rows}
+        got = {r["input"][0] + r["input"][3]: r["fidelity"] for r in rep}
         for key, want in oracle["rows"].items():
             assert abs(got[key] - want) < 1e-9, key
 
