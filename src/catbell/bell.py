@@ -12,10 +12,9 @@ r_b the Bloch components of each qubit along its axis.  tensor_chsh is
 the one readout, and it reads the four settings of a BellAngles from T two
 ways: exact correlators, and shot sampling from the populations.  It
 refuses a T whose T_00, the trace, is not 1; chsh reads a state through
-it.  The fidelity to the delta mixture is read from the state's Bell block
-(bell_block, block_fidelity).  T and the block are linear in rho, so a
-mixture of states is read from the mixture of their coordinates
-(pipeline.run_pipeline).  The carrier pulses that rotate each
+it.  The fidelity to the delta mixture is read from T too (block_fidelity).
+T is linear in rho, so a mixture of states is read from the mixture of
+their tensors (pipeline.run_pipeline).  The carrier pulses that rotate each
 axis onto sigma_z are never built here: they are an oracle of
 catbell.reference, which both readouts are checked against.  The
 two-qubit combination
@@ -73,32 +72,30 @@ def mixed_bell(delta: float) -> DensityMatrix:
     return DensityMatrix(SpaceLayout((2, 2)), m)
 
 
-def bell_block(rho: np.ndarray) -> np.ndarray:
-    """M_ij = <b_i|rho|b_j> on b = (phi+, psi+): the 2 x 2 complex block of a
-    two-qubit density matrix rho (4 x 4) on the span of the mixture's two
-    Bell states, linear in rho."""
-    return np.array([[np.vdot(bi, rho @ bj) for bj in _BELLS] for bi in _BELLS])
+def block_fidelity(t: np.ndarray, delta: float) -> float:
+    """Uhlmann fidelity to mixed_bell(delta) of a two-qubit state whose
+    correlation tensor (correlation_tensor) is t.
 
-
-def block_fidelity(block: np.ndarray, delta: float) -> float:
-    """Uhlmann fidelity to mixed_bell(delta) of a state whose Bell block
-    (bell_block) is `block`.
-
-    With weights w = (1-delta, delta) on b = (phi+, psi+), sqrt(sigma) is
-    sum_i sqrt(w_i)|b_i><b_i| exactly, so sqrt(sigma) rho sqrt(sigma) lives
-    on span{phi+, psi+} as the 2x2 block B_ij = sqrt(w_i w_j) M_ij and
-    F = (tr sqrt(B))^2 = tr B + 2 sqrt(det B), in Python floats.  No
-    eigenvalue of a rank-deficient matrix is square-rooted, so rounding
-    noise stays at the level of machine epsilon; at delta = 0 the result is
-    <phi+|rho|phi+>.  The caller holds the state to its trace.
+    The block M_ij = <b_i|rho|b_j> on b = (phi+, psi+) is linear in T: M_00
+    = (T_00 + T_xx - T_yy + T_zz) / 4, M_11 = (T_00 + T_xx + T_yy - T_zz) / 4,
+    M_01 = (T_x0 + T_0x - i (T_yz + T_zy)) / 4.  With weights w = (1-delta,
+    delta) on b, sqrt(sigma) is sum_i sqrt(w_i)|b_i><b_i| exactly, so
+    sqrt(sigma) rho sqrt(sigma) is the 2x2 block B_ij = sqrt(w_i w_j) M_ij
+    on span{phi+, psi+} and F = (tr sqrt(B))^2 = tr B + 2 sqrt(det B), in
+    Python floats.  No eigenvalue of a rank-deficient matrix is
+    square-rooted; at delta = 0 the result is <phi+|rho|phi+>.  The caller
+    holds the state to its trace.
     """
     if not 0.0 <= delta <= 1.0:
         raise ValueError(f"delta must be in [0, 1], got {delta}")
+    (t00, t0x, _, _), (tx0, txx, _, _), (_, _, tyy, tyz), (_, _, tzy, tzz) = t.tolist()
+    m00 = (t00 + txx - tyy + tzz) / 4
+    m11 = (t00 + txx + tyy - tzz) / 4
+    m01 = complex(tx0 + t0x, -(tyz + tzy)) / 4
     w0, w1 = 1.0 - delta, delta
-    (m00, m01), (_, m11) = block.tolist()
     b00, b01, b11 = sqrt(w0 * w0) * m00, sqrt(w0 * w1) * m01, sqrt(w1 * w1) * m11
-    det = (b00 * b11).real - abs(b01) ** 2
-    return (b00 + b11).real + 2.0 * sqrt(max(det, 0.0))
+    det = b00 * b11 - abs(b01) ** 2
+    return b00 + b11 + 2.0 * sqrt(max(det, 0.0))
 
 
 @dataclass(frozen=True)
@@ -141,49 +138,43 @@ def correlation_tensor(rho: DensityMatrix) -> np.ndarray:
                      _PAULIS, _PAULIS).real
 
 
+# s_a s_b of the outcomes |00>, |01>, |10>, |11> once the pulses map each
+# axis onto sigma_z, where |0> reads +1
 OUTCOME_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
-# s_a and s_b of the outcomes |00>, |01>, |10>, |11> once the pulses map
-# each axis onto sigma_z, where |0> reads +1; OUTCOME_SIGNS = s_a s_b
-_SIGNS_A = np.array([1.0, 1.0, -1.0, -1.0])
-_SIGNS_B = np.array([1.0, -1.0, 1.0, -1.0])
-
-
-def _projectors(u: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """(k, 4, 3) components on (1, sigma_x, sigma_y) of the projector
-    (1 + s sigma(theta)) / 2 onto sign s = signs[o] of axis row k of u."""
-    out = np.full((len(u), len(signs), 3), 0.5)
-    out[..., 1:] = 0.5 * signs[:, None] * u[:, None, :]
-    return out
 
 
 # every chsh call reads one angle set, most often DEFAULT_ANGLES; an entry
-# is 16 floats in tuples and two (4, 4, 3) float arrays, about 1.9 KB with
-# their Python headers
+# is 16 floats in four tuples, about 0.7 KB with their Python headers
 @lru_cache(maxsize=64)
 def _setting_vectors(angles: BellAngles) -> tuple:
-    """For the four settings of `angles` in combination order: the axes
+    """For the four settings of `angles` in combination order, the axes
     u(theta) = (cos theta, sin theta) of both qubits as four Python-float
-    rows (ua_x, ua_y, ub_x, ub_y), and the (4, 4, 3) projector components
-    of both qubits' outcome signs.  Memoized per angle set; the rows are
-    tuples and the arrays read-only."""
+    rows (ua_x, ua_y, ub_x, ub_y).  Memoized per angle set."""
     ua, ub = (np.stack([np.cos(t), np.sin(t)], axis=-1)
               for t in zip(*angles.settings()))
-    axes = tuple(map(tuple, np.hstack([ua, ub]).tolist()))
-    pa, pb = _projectors(ua, _SIGNS_A), _projectors(ub, _SIGNS_B)
-    pa.flags.writeable = pb.flags.writeable = False
-    return axes, pa, pb
+    return tuple(map(tuple, np.hstack([ua, ub]).tolist()))
 
 
-def _populations(t: np.ndarray, pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
-    """(k, 4) outcome probabilities of the settings, quantized.
+def _readings(t: np.ndarray, angles: BellAngles) -> tuple[float, list]:
+    """T_00 and (r_a, r_b, E) of each setting of `angles`, in combination
+    order and Python floats.  E is summed from +0.0 term by term in the
+    order of np.einsum("ki,ij,kj->k"), whose bits it reproduces."""
+    (t00, b_x, b_y, _), (a_x, x00, x01, _), (a_y, x10, x11, _), _ = t.tolist()
+    return t00, [(ua_x * a_x + ua_y * a_y, b_x * ub_x + b_y * ub_y,
+                  0.0 + ua_x * x00 * ub_x + ua_x * x01 * ub_y
+                  + ua_y * x10 * ub_x + ua_y * x11 * ub_y)
+                 for ua_x, ua_y, ub_x, ub_y in _setting_vectors(angles)]
 
-    The population of outcome (s_a, s_b) is tr rho (P_a (x) P_b) =
-    pa^T T pb = (T_00 + s_a r_a + s_b r_b + s_a s_b E) / 4, the diagonal
-    of the pulse-rotated rho; it is clipped at 0, normalized and rounded to
-    12 decimals, so sampled counts cannot depend on last-ulp jitter of the
-    upstream linear algebra (thread-count independent reruns).
-    """
-    p = np.maximum(np.einsum("koi,ij,koj->ko", pa, t[:3, :3], pb), 0.0)
+
+def _populations(t00: float, readings: list) -> np.ndarray:
+    """(k, 4) outcome populations (T_00 + s_a r_a + s_b r_b + s_a s_b E) / 4
+    of the settings' readings (_readings), clipped at 0, normalized and
+    rounded to 12 decimals, so sampled counts cannot depend on last-ulp
+    jitter of the upstream linear algebra (thread-count independent
+    reruns)."""
+    p = np.maximum([((t00 + ra + rb + e) / 4, (t00 + ra - rb - e) / 4,
+                     (t00 - ra + rb - e) / 4, (t00 - ra - rb + e) / 4)
+                    for ra, rb, e in readings], 0.0)
     p = np.round(p / p.sum(axis=1, keepdims=True), 12)
     return p / p.sum(axis=1, keepdims=True)
 
@@ -221,25 +212,22 @@ def tensor_chsh(t: np.ndarray, angles: BellAngles = DEFAULT_ANGLES,
     correlation tensor T of a two-qubit state (correlation_tensor).
 
     A T_00 = tr rho not 1 within NORM_TOL is a ContractError.  The exact
-    readout's correlators E = u(theta_a)^T T_xy u(theta_b) are summed in
-    Python floats from +0.0, term by term in the order of
-    np.einsum("ki,ij,kj->k"), whose bits they reproduce.  sampled draws the
-    four settings in combination order from one np.random.default_rng(seed).
+    readout's correlators are the E of _readings.  sampled draws the four
+    settings in combination order from one np.random.default_rng(seed),
+    from the populations of the same readings (_populations).
     The seed may be any value default_rng accepts, including a list used to
     derive independent per-grid-point streams.
     """
     if method not in CHSH_METHODS:
         raise ValueError(f"method must be one of {CHSH_METHODS}, got {method!r}")
-    (t00, *_), (_, x00, x01, _), (_, x10, x11, _), _ = t.tolist()
+    t00, readings = _readings(t, angles)
     check_unit(t00, "readout state")
-    axes, pa, pb = _setting_vectors(angles)
     err = None
     if method == "exact":
-        es = [0.0 + a0 * x00 * b0 + a0 * x01 * b1 + a1 * x10 * b0 + a1 * x11 * b1
-              for a0, a1, b0, b1 in axes]
+        es = [e for _, _, e in readings]
     else:
         rng = np.random.default_rng(seed)
-        counts = _draw(_populations(t, pa, pb), shots, rng)
+        counts = _draw(_populations(t00, readings), shots, rng)
         es = [float(c @ OUTCOME_SIGNS) / shots for c in counts]
         # sums the squares of the per-setting errors sqrt((1 - E^2) / shots),
         # not the variances themselves: the two differ in the last bit

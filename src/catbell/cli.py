@@ -121,19 +121,34 @@ _GROUPS = tuple((section, tuple(fields)) for section, fields
                 in itertools.groupby(FIELDS, lambda f: f.section))
 
 
-# a config error echoes at most this many characters of the offending
-# value's repr and marks the cut; 10 ** 400's 401 digits come whole
+# an error echoes at most this many characters of the offending value's
+# repr, or command-line token, and marks the cut; 10 ** 400's 401 digits
+# come whole
 ECHO_LIMIT = 500
+
+
+def _cut(echo: str) -> str:
+    """echo, cut after ECHO_LIMIT characters with the cut marked."""
+    if len(echo) > ECHO_LIMIT:
+        echo = f"{echo[:ECHO_LIMIT]}... ({len(echo) - ECHO_LIMIT} more characters)"
+    return echo
 
 
 def _reject(field: Field, requirement: str, value,
             index: int | None = None) -> ConfigError:
     name = field.name if index is None else f"{field.name}[{index}]"
-    echo = repr(value)
-    if len(echo) > ECHO_LIMIT:
-        echo = (f"{echo[:ECHO_LIMIT]}... "
-                f"({len(echo) - ECHO_LIMIT} more characters)")
-    return ConfigError(f"{name} must be {requirement}, got {echo}")
+    return ConfigError(f"{name} must be {requirement}, got {_cut(repr(value))}")
+
+
+def _path_fault(path: str) -> str | None:
+    """What a file name must be and path is not, or None."""
+    if "\0" in path:  # no file name holds one
+        return "free of NUL characters"
+    try:
+        os.fsencode(path)
+    except UnicodeEncodeError:  # a lone surrogate, such as "\ud800"
+        return "encodable as a file name"
+    return None
 
 
 def _number(field: Field, value, index: int | None = None):
@@ -183,13 +198,8 @@ def _check(field: Field, value):
             raise _reject(field, "false: frozen jump rates are retired", value)
     elif not isinstance(value, str) or not value:
         raise _reject(field, "a nonempty string", value)
-    elif "\0" in value:  # no file name holds one
-        raise _reject(field, "free of NUL characters", value)
-    else:
-        try:
-            os.fsencode(value)
-        except UnicodeEncodeError:  # a lone surrogate, such as "\ud800"
-            raise _reject(field, "encodable as a file name", value) from None
+    elif fault := _path_fault(value):
+        raise _reject(field, fault, value)
     return value
 
 
@@ -313,8 +323,8 @@ def describe(protocol: str) -> str:
     stages, columns and notes; just the name where docstrings are stripped
     (python -OO)."""
     if protocol not in RUNNERS:
-        raise ConfigError(
-            f"unknown protocol {protocol!r}; choose from {', '.join(PROTOCOLS)}")
+        raise ConfigError(f"unknown protocol {_cut(repr(protocol))}; "
+                          f"choose from {', '.join(PROTOCOLS)}")
     doc = inspect.cleandoc(RUNNERS[protocol].__doc__ or "")
     return f"protocol: {protocol}\n{doc}".rstrip()
 
@@ -369,7 +379,7 @@ def _read_argv(argv: list[str]) -> tuple[str, str | None, str | None, int | None
         raise _stop()
     if command not in COMMANDS:
         raise _stop("missing command" if command is None
-                    else f"unknown command {command!r}")
+                    else f"unknown command {_cut(repr(command))}")
     positional, allowed = COMMANDS[command]
     operands, options = [], {}
     for token in tokens:
@@ -384,16 +394,16 @@ def _read_argv(argv: list[str]) -> tuple[str, str | None, str | None, int | None
             try:
                 options[name] = allowed[name](value)
             except ValueError:
-                raise _stop(f"invalid {name} value {value!r}") from None
+                raise _stop(f"invalid {name} value {_cut(repr(value))}") from None
         elif _is_flag(token):
-            raise _stop(f"unknown option {token}")
+            raise _stop(f"unknown option {_cut(token)}")
         else:
             operands.append(token)
     want = 0 if positional is None else 1
     if len(operands) < want:
         raise _stop(f"{command} needs {positional}")
     if len(operands) > want:
-        raise _stop(f"unexpected argument {operands[want]!r}")
+        raise _stop(f"unexpected argument {_cut(repr(operands[want]))}")
     return (command, operands[0] if want else None,
             options.get("--output"), options.get("--seed"))
 
@@ -407,6 +417,10 @@ def main(argv: list[str] | None = None) -> int:
         elif command == "describe":
             print(describe(operand))
         else:
+            for name, path in (("CONFIG", operand), ("--output", output)):
+                if path is not None and (fault := _path_fault(path)):
+                    raise ConfigError(
+                        f"{name} must be {fault}, got {_cut(repr(path))}")
             try:
                 with open(operand, encoding="utf-8") as handle:
                     text = handle.read()

@@ -33,7 +33,8 @@ def max_total_dim() -> int:
     """Current cap on the total dimension of a layout.
 
     Defaults to 16384 and can be raised or lowered through the
-    ``CATBELL_MAX_DIM`` environment variable, read at layout creation time.
+    ``CATBELL_MAX_DIM`` environment variable, read at layout creation time
+    and on each memo hit (check_dim).
     """
     raw = os.environ.get(MAX_DIM_ENV)
     if raw is None:
@@ -155,11 +156,11 @@ class DensityMatrix:
             )
 
 
-# OperatorMatrix and apply are not run by the program.  They stay because
-# perfbench's tracer test (test_tracer_rebinds_every_namespace_and_restores)
-# checks that the tracer rebinds hilbert.apply, catbell.apply and
-# cli.apply; ROADMAP item 1 retires them with that test, and
-# tests/reach.py's KEPT_UNREACHED holds them until then.
+# OperatorMatrix and apply are not run by the program.  perfbench's tracer
+# test checks that the tracer rebinds hilbert.apply, catbell.apply and
+# cli.apply (ROADMAP item 1), and tests/conftest.py builds its dense
+# operators with both (expectation, embed, u_ev and others); tests/reach.py's
+# KEPT_UNREACHED holds them.
 @dataclass
 class OperatorMatrix:
     """Operator acting on a subset of a layout's factors.

@@ -222,19 +222,17 @@ def run_bell_scan(cfg: dict) -> tuple[list[dict], dict, str]:
 
 
 # a delta sweep at one encoding and build hits one key; an entry is two
-# floats and, per branch, a real 4 x 4 tensor and a complex 2 x 2 block:
-# 400 bytes of numbers, about 1.1 KB with their Python headers
+# floats and, per branch, a real 4 x 4 tensor: 272 bytes of numbers, about
+# 0.6 KB with their Python headers
 @functools.lru_cache(maxsize=64)
 def _coherent_stages(enc: EncodingParams, ve_variant: str, ev_variant: str
-                     ) -> tuple[float, float, tuple[np.ndarray, np.ndarray],
-                                tuple[np.ndarray, np.ndarray]]:
+                     ) -> tuple[float, float, np.ndarray, np.ndarray]:
     """The stages of run_pipeline that do not depend on delta: the
-    preparation and Hadamard fidelities, and the readout coordinates of the
-    electronic pair after both exchanges of the Hadamard-stage state (keep)
-    and of the same state with mode a parity-flipped (flip).  A pair's
-    coordinates are its correlation tensor T and its Bell block M
-    (bell.correlation_tensor, bell.bell_block); the arrays are read-only."""
-    from .bell import bell_block, correlation_tensor, reduced_electronic_schmidt
+    preparation and Hadamard fidelities, and the correlation tensor
+    (bell.correlation_tensor) of the electronic pair after both exchanges
+    of the Hadamard-stage state (keep) and of the same state with mode a
+    parity-flipped (flip); the tensors are read-only."""
+    from .bell import correlation_tensor, reduced_electronic_schmidt
     from .gates import u_swap
     psi = prepare_entangled_schmidt(enc)  # held to the register's size cap
     prep = schmidt_fidelity(psi, entangled_target_schmidt(enc))
@@ -250,12 +248,10 @@ def _coherent_stages(enc: EncodingParams, ve_variant: str, ev_variant: str
     branches = []
     for branch in (left, code_a.rotate(SIGMA_X, left)):
         out = SchmidtState(psi.layout, swap_a.apply(branch, 0, 1), right)
-        rho = reduced_electronic_schmidt(out)
         # the copy owns its 128 B; T itself views a complex einsum output
-        coords = (correlation_tensor(rho).copy(), bell_block(rho.matrix))
-        for array in coords:
-            array.flags.writeable = False
-        branches.append(coords)
+        t = correlation_tensor(reduced_electronic_schmidt(out)).copy()
+        t.flags.writeable = False
+        branches.append(t)
     return prep, had, branches[0], branches[1]
 
 
@@ -284,29 +280,25 @@ def run_pipeline(enc: EncodingParams, delta: float, angles: BellAngles,
 
     Everything before the mixture depends only on (enc, ve_variant,
     ev_variant), so it is memoized per process on that key: at most 64
-    keys of two floats and each branch's readout coordinates, kept and
+    keys of two floats and each branch's correlation tensor T, kept and
     flipped.  Both readouts and the fidelity are linear in the electronic
     pair rho up to their last scalar step, so the mixture is never formed
-    as a matrix: a call mixes the branches' correlation tensors T and Bell
-    blocks M with weights (1 - delta, delta), reads B from the mixed T
-    (bell.tensor_chsh, which also holds T_00, the trace, to 1) and the
-    fidelity to mixed_bell(delta) from the mixed M (bell.block_fidelity).
+    as a matrix: a call mixes the branches' tensors with weights
+    (1 - delta, delta) and reads from the mixed T both B (bell.tensor_chsh,
+    which also holds T_00, the trace, to 1) and the fidelity to
+    mixed_bell(delta) (bell.block_fidelity).
     A warm call builds no state and no gate.  Warm calls give the same bits
     as cold ones; a cold call, such as one `catbell run`, also runs the
     flip branch at delta = 0.
     """
     from .bell import block_fidelity, tensor_chsh
-    prep, had, (t_keep, m_keep), (t_flip, m_flip) = _coherent_stages(
-        enc, ve_variant, ev_variant)
+    prep, had, t_keep, t_flip = _coherent_stages(enc, ve_variant, ev_variant)
     # a hit skips the stages' size checks; the cap may have been lowered
     check_dim(4 * enc.mode_a.cutoff * enc.mode_b.cutoff)
-    keep = 1.0 - delta
+    t = (1.0 - delta) * t_keep + delta * t_flip
     results = {"preparation_fidelity": prep, "hadamard_fidelity": had,
-               "delta": delta,
-               "electronic_fidelity": block_fidelity(
-                   keep * m_keep + delta * m_flip, delta)}
-    outcome = tensor_chsh(keep * t_keep + delta * t_flip, angles, method,
-                          shots, seed)
+               "delta": delta, "electronic_fidelity": block_fidelity(t, delta)}
+    outcome = tensor_chsh(t, angles, method, shots, seed)
     for name, value in zip(("e_ab", "e_ab_prime", "e_a_prime_b",
                             "e_a_prime_b_prime"), outcome.correlations):
         results[name] = value
@@ -333,16 +325,20 @@ def run_full_pipeline(cfg: dict) -> tuple[list[dict], dict, str]:
     The register is carried as its two Schmidt terms across
     (mode a, ion 1) | (mode b, ion 2); electronic_fidelity is the
     closed-form fidelity to the delta mixture.  A null noise.delta is the
-    single-jump scale gamma alpha^2 duration, a ConfigError above 1; the
-    exact channel flips the even cat's parity with probability about
-    gamma (2 nbar + 1) duration at small gamma duration, nbar the cat's
-    <n>, which is more than twice that scale
+    single-jump scale gamma alpha^2 duration, a ConfigError above 1 or
+    where gamma alpha^2 overflows at duration 0; the exact channel flips
+    the even cat's parity with probability about gamma (2 nbar + 1)
+    duration at small gamma duration, nbar the cat's <n>, which is more
+    than twice that scale
     """
     enc = _encoding_params(cfg)
     n = cfg["noise"]
     delta = n["delta"]
     if delta is None:
         delta = n["gamma"] * abs(enc.alpha) ** 2 * n["duration"]
+        if delta != delta:  # inf * 0
+            raise ConfigError("noise: gamma * alpha^2 overflows to inf, and inf "
+                              "* duration 0 is nan; set noise.delta explicitly")
         if delta > 1.0:
             raise ConfigError(
                 "noise: gamma * alpha^2 * duration exceeds 1; "

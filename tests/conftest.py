@@ -7,8 +7,10 @@ the verdicts stay visible regardless of output capture.
 The helpers build states and operators that the library has no use for
 but several tests do; test modules import them with `from conftest import`.
 Among them are the dense readouts that no command runs: partial_trace, the
-Uhlmann dm_fidelity and mixed_bell_fidelity, the closed form that the
-pipeline's electronic_fidelity is held to.
+Uhlmann dm_fidelity, mixed_bell_fidelity, the closed form that the
+pipeline's electronic_fidelity is held to, and bell_block and
+block_reference_fidelity, the same closed form read from the directly
+projected Bell block.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from catbell.bell import bell_block, block_fidelity
+from catbell.bell import block_fidelity, correlation_tensor
 from catbell.bosonic import ModeParams, displacement_action
 from catbell.encoding import (
     BELL_KINDS,
@@ -279,13 +281,30 @@ def dm_fidelity(rho: DensityMatrix, sigma: DensityMatrix | StateVector) -> float
 
 def mixed_bell_fidelity(rho: DensityMatrix, delta: float) -> float:
     """Uhlmann fidelity of a two-qubit state to bell.mixed_bell(delta), in
-    closed form: bell.block_fidelity of its Bell block.  Same normalization
-    contract as dm_fidelity.
+    closed form: bell.block_fidelity of its correlation tensor.  Same
+    normalization contract as dm_fidelity.
     """
     if rho.layout.dims != (2, 2):
         raise ValueError("states live on different layouts")
     check_normalized(rho, "first state")
-    return block_fidelity(bell_block(rho.matrix), delta)
+    return block_fidelity(correlation_tensor(rho), delta)
+
+
+def bell_block(rho: np.ndarray) -> np.ndarray:
+    """M_ij = <b_i|rho|b_j> on b = (phi+, psi+): the 2 x 2 complex block of a
+    two-qubit density matrix rho (4 x 4), projected directly."""
+    bells = [electronic_bell(kind).amps for kind in BELL_KINDS]
+    return np.array([[np.vdot(bi, rho @ bj) for bj in bells] for bi in bells])
+
+
+def block_reference_fidelity(rho: DensityMatrix, delta: float) -> float:
+    """bell.block_fidelity's closed form F = tr B + 2 sqrt(det B), B_ij =
+    sqrt(w_i w_j) M_ij, on the Bell block M of bell_block rather than of T."""
+    w0, w1 = 1.0 - delta, delta
+    (m00, m01), (_, m11) = bell_block(rho.matrix).tolist()
+    b00, b01, b11 = sqrt(w0 * w0) * m00, sqrt(w0 * w1) * m01, sqrt(w1 * w1) * m11
+    det = (b00 * b11).real - abs(b01) ** 2
+    return (b00 + b11).real + 2.0 * sqrt(max(det, 0.0))
 
 
 def reduced_electronic(state: StateVector) -> DensityMatrix:

@@ -43,7 +43,8 @@ sys.path.insert(0, str(ROOT / "tests"))
 # that needs each, and the ROADMAP items that settle it.  An entry names a
 # def, or a class for all of its methods; it goes when its items land
 ENSEMBLE = ("perfbench's ensemble workload", (1, 23))
-TRACER = ("perfbench's tracer test, which rebinds hilbert.apply", (1,))
+TRACER = ("perfbench's tracer test, which rebinds hilbert.apply, and the "
+          "dense operators of tests/conftest.py", (1,))
 FOCK_CHANNEL = ("the tests' Fock-space oracle of heated_moments, until the "
                 "batched channel or the master model runs it", (3, 4, 14))
 KEPT_UNREACHED = {
@@ -96,6 +97,7 @@ EXTRA_CONFIGS = (
 # the config file itself
 REGRESSIONS = (
     {"protocol": "full-pipeline", "noise": {"delta": float("nan")}},
+    {"protocol": "full-pipeline", "noise": {"gamma": 1e308, "duration": 0}},
     {"protocol": "heat-sweep", "noise": {"gamma": 1e10, "durations": [1e300]}},
     {"protocol": "bell-scan", "bell": {"mode": "sampled", "shots": 1e30}},
     {"protocol": "full-pipeline", "encoding": {"alpha": 1e-9}},

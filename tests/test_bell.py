@@ -18,7 +18,9 @@ from catbell.bell import (
     BellAngles,
     _draw,
     _populations,
+    _readings,
     _setting_vectors,
+    block_fidelity,
     chsh,
     correlation_tensor,
     crossing,
@@ -44,6 +46,8 @@ from catbell.hilbert import (
 from catbell.reference import pulse_correlators, pulse_populations
 from conftest import (
     basis_state,
+    bell_block,
+    block_reference_fidelity,
     dm_fidelity,
     electronic_bell,
     mixed_bell_fidelity,
@@ -229,14 +233,13 @@ class TestCorrelationTensor:
         angles = BellAngles(0.1, 0.2, 0.3, 0.4)
         vectors = _setting_vectors(angles)
         assert _setting_vectors(BellAngles(0.1, 0.2, 0.3, 0.4)) is vectors
-        axes, pa, pb = vectors
         # the axes rows are tuples of floats: (ua_x, ua_y, ub_x, ub_y)
-        assert all(type(x) is float for row in axes for x in row)
+        assert type(vectors) is tuple
+        assert all(type(row) is tuple for row in vectors)
+        assert all(type(x) is float for row in vectors for x in row)
         want = [(np.cos(ta), np.sin(ta), np.cos(tb), np.sin(tb))
                 for ta, tb in angles.settings()]
-        assert np.abs(np.subtract(axes, want)).max() <= 1e-16
-        for v in (pa, pb):
-            assert not v.flags.writeable
+        assert np.abs(np.subtract(vectors, want)).max() <= 1e-16
 
     @settings(max_examples=300)
     @given(st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
@@ -299,9 +302,8 @@ def pulse_counts(rho: DensityMatrix, theta_a: float, theta_b: float,
 def sampled_counts(rho, angles: BellAngles, shots: int,
                    seed: int) -> np.ndarray:
     """The (4, 4) counts behind chsh(rho, angles, "sampled", shots, seed)."""
-    _, pa, pb = _setting_vectors(angles)
-    return _draw(_populations(correlation_tensor(rho), pa, pb), shots,
-                 np.random.default_rng(seed))
+    return _draw(_populations(*_readings(correlation_tensor(rho), angles)),
+                 shots, np.random.default_rng(seed))
 
 
 class TestSampledCounts:
@@ -536,11 +538,31 @@ class TestMixedBellFidelity:
         assert abs(mixed_bell_fidelity(rho, delta) - want) <= 1e-7
 
     def test_zero_weight_is_the_phi_plus_expectation(self):
+        # the direct block reads <phi+|rho|phi+> bit for bit; T sums the
+        # same number in another order
         rng = np.random.default_rng(17)
         for floor in (0.0, 0.1, 1.0):
             rho = random_pair_dm(rng, floor)
             want = dm_fidelity(rho, electronic_bell("phi_plus"))
-            assert mixed_bell_fidelity(rho, 0.0) == want
+            assert block_reference_fidelity(rho, 0.0) == want
+            assert abs(mixed_bell_fidelity(rho, 0.0) - want) <= 1e-15
+
+    @settings(max_examples=300)
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 4), st.floats(0.0, 1.0),
+           st.floats(0.0, 1.0))
+    @example(seed=0, rank=1, floor=0.0, delta=0.5)
+    def test_tensor_form_is_the_direct_block_form(self, seed, rank, floor, delta):
+        # block_fidelity reads the Bell block M from T, conftest.bell_block
+        # projects it directly.  Both then take F = tr B + 2 sqrt(det B) with
+        # det B = w0 w1 det M, so an ulp of det M moves F by about
+        # eps sqrt(w0 w1 / det M), and by sqrt(eps w0 w1) as det M -> 0
+        rho = random_pair_dm(np.random.default_rng(seed), floor, rank)
+        got = block_fidelity(correlation_tensor(rho), delta)
+        (m00, m01), (_, m11) = bell_block(rho.matrix).tolist()
+        det = (m00 * m11).real - abs(m01) ** 2
+        w, eps = (1.0 - delta) * delta, np.finfo(float).eps
+        slack = 4.0 * min(sqrt(eps * w), eps * sqrt(w / max(det, eps * eps)))
+        assert abs(got - block_reference_fidelity(rho, delta)) <= 1e-15 + slack
 
     @pytest.mark.parametrize("delta", [0.0, 0.15, 0.5, DELTA_STAR, 1.0])
     def test_target_has_unit_fidelity(self, delta):

@@ -39,6 +39,7 @@ from catbell.bell import (
 from catbell.cli import (
     DEFAULT_DELTAS,
     DEFAULT_EPSILONS,
+    ECHO_LIMIT,
     FIELDS,
     PROTOCOLS,
     RUNNERS,
@@ -963,11 +964,15 @@ class TestMainEntry:
         ({"protocol": "full-pipeline", "noise": {"gamma": 0.5, "duration": 1.0}},
          2, "config error: noise: gamma \\* alpha\\^2 \\* duration exceeds 1; "
             "set noise\\.delta explicitly"),
+        ({"protocol": "full-pipeline", "noise": {"gamma": 1e308, "duration": 0}},
+         2, "config error: noise: gamma \\* alpha\\^2 overflows to inf, and "
+            "inf \\* duration 0 is nan; set noise\\.delta explicitly"),
         ({"protocol": "prepare", "encoding": {"alpha": 1000, "cutoff": 30}},
          3, "capacity error: no finite cutoff found for \\|alpha\\|\\^2 = 1000000"),
     ], ids=["durations", "auto-steps-overflow",
             "bell-scan-shots", "full-pipeline-shots", "rotate-angle-overflow",
-            "default-delta-above-one", "no-finite-cutoff"])
+            "default-delta-above-one", "default-delta-inf-times-zero",
+            "no-finite-cutoff"])
     def test_step_and_shot_limits(self, tmp_path, capsys, raw, code, message):
         # each of these must end in a named error and its exit code; the
         # first six ended in a traceback before their limits existed
@@ -1383,10 +1388,10 @@ class TestPipelineMemo:
         assert logical_basis("a", enc) is code_a
         with pytest.raises(dataclasses.FrozenInstanceError):
             code_a.zero = code_a.one
-        axes, pa, pb = _setting_vectors(DEFAULT_ANGLES)
+        axes = _setting_vectors(DEFAULT_ANGLES)
         assert isinstance(axes, tuple)
         assert all(isinstance(row, tuple) for row in axes)
-        for cached in (*keep, *flip, code_a.zero.amps, code_a.one.amps, pa, pb):
+        for cached in (keep, flip, code_a.zero.amps, code_a.one.amps):
             with pytest.raises(ValueError, match="read-only"):
                 cached[0] = 1.0
 
@@ -1603,6 +1608,41 @@ class TestCommandLine:
         assert got[13] == got[0]
         assert (tmp_path / "eq" / "prepare.csv").exists()
         assert (tmp_path / "first" / "prepare.csv").exists()
+
+    @pytest.mark.parametrize("argv,message,more", [
+        (["run", "c.json", "--seed", "x" * 10 ** 5], "invalid --seed value 'x",
+         10 ** 5 + 2),
+        (["describe", "x" * 10 ** 5], "unknown protocol 'x", 10 ** 5 + 2),
+        (["x" * 10 ** 5], "unknown command 'x", 10 ** 5 + 2),
+        (["run", "c.json", "-" * 2 + "x" * 10 ** 5], "unknown option --x",
+         10 ** 5 + 2),
+        (["version", "x" * 10 ** 5], "unexpected argument 'x", 10 ** 5 + 2),
+    ], ids=["seed", "protocol", "command", "option", "argument"])
+    def test_a_long_token_is_echoed_cut(self, capsys, argv, message, more):
+        # uncut, each echoed the whole 100 kB token
+        code, stdout, stderr = self.outcome(argv, capsys)
+        assert code in (2, ("exit", 2)) and stdout == ""
+        line = stderr.splitlines()[-1]
+        assert message in line
+        assert f"x... ({more - ECHO_LIMIT} more characters)" in line
+        assert len(stderr) < len(USAGE) + 2 * ECHO_LIMIT
+
+    @pytest.mark.parametrize("bad", ["a\0b", "\ud800"],
+                             ids=["nul", "lone-surrogate"])
+    @pytest.mark.parametrize("slot", ["CONFIG", "--output"])
+    def test_an_unusable_path_is_a_config_error(self, tmp_path, capsys, slot,
+                                                bad):
+        # open() and os.open() raised ValueError or UnicodeEncodeError
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps({"protocol": "prepare"}), encoding="utf-8")
+        argv = (["run", bad] if slot == "CONFIG"
+                else ["run", str(good), "--output", str(tmp_path / bad)])
+        assert self.outcome(argv, capsys) == (
+            2, "", f"config error: {slot} must be "
+                   + ("free of NUL characters" if bad == "a\0b"
+                      else "encodable as a file name")
+                   + f", got {argv[-1]!r}\n")
+        assert list(tmp_path.iterdir()) == [good]
 
     @pytest.mark.parametrize("argv", [["describe", "full-pipeline"],
                                       ["--help"], ["version"]])

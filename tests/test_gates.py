@@ -16,7 +16,6 @@ from catbell import gates
 import catbell.bell
 from catbell.bell import (
     DEFAULT_ANGLES,
-    bell_block,
     chsh,
     correlation_tensor,
 )
@@ -465,13 +464,12 @@ def dense_pipeline(enc: EncodingParams, delta: float, ev: str,
     return out
 
 
-def mixed_coordinates(enc: EncodingParams, delta: float, ve: str,
-                      ev: str) -> tuple[np.ndarray, np.ndarray]:
-    """The correlation tensor and Bell block that run_pipeline reads out:
-    the memoized branches' coordinates mixed with weights (1 - delta, delta)."""
-    _, _, (t_keep, m_keep), (t_flip, m_flip) = _coherent_stages(enc, ve, ev)
-    return ((1.0 - delta) * t_keep + delta * t_flip,
-            (1.0 - delta) * m_keep + delta * m_flip)
+def mixed_tensor(enc: EncodingParams, delta: float, ve: str,
+                 ev: str) -> np.ndarray:
+    """The correlation tensor that run_pipeline reads out: the memoized
+    branches' tensors mixed with weights (1 - delta, delta)."""
+    _, _, t_keep, t_flip = _coherent_stages(enc, ve, ev)
+    return (1.0 - delta) * t_keep + delta * t_flip
 
 
 def branch_pairs(enc: EncodingParams, ve: str, ev: str,
@@ -523,10 +521,9 @@ class TestPipelineAgainstDense:
     @pytest.mark.parametrize("ve,delta", MORE_CASES)
     def test_variants_and_edge_weights(self, ve, delta, alpha, beta, ev):
         enc = EncodingParams.for_amplitudes(alpha, beta)
-        t, m = mixed_coordinates(enc, delta, ve, ev)
+        t = mixed_tensor(enc, delta, ve, ev)
         dense = dense_electronic(enc, delta, ve, ev)
         assert np.abs(t - correlation_tensor(dense)).max() <= 1e-13
-        assert np.abs(m - bell_block(dense.matrix)).max() <= 1e-13
         got = run_pipeline(enc, delta, DEFAULT_ANGLES, ve_variant=ve,
                            ev_variant=ev)
         for name, want in dense_pipeline(enc, delta, ev, ve).items():
@@ -536,8 +533,8 @@ class TestPipelineAgainstDense:
     @pytest.mark.parametrize("alpha,beta", AMPLITUDES)
     def test_coordinates_read_as_the_mixed_pair(self, alpha, beta, ve, ev,
                                                 monkeypatch):
-        # run_pipeline reads its mixed coordinates; chsh and
-        # mixed_bell_fidelity read the mixed pair, as run_pipeline once did
+        # run_pipeline reads its mixed tensor; chsh and mixed_bell_fidelity
+        # read the mixed pair, as run_pipeline once did
         enc = EncodingParams.for_amplitudes(alpha, beta)
         keep, flip = branch_pairs(enc, ve, ev, monkeypatch)
         for delta in (0.0, 0.15, 1.0):

@@ -19,7 +19,7 @@ from catbell.bell import (
     BellAngles,
     _draw,
     _populations,
-    _setting_vectors,
+    _readings,
     chsh,
     correlation_tensor,
     mixed_bell,
@@ -46,6 +46,7 @@ from catbell.hilbert import (
     unitarity_residual,
 )
 from catbell.noise import HeatingParams, propagate
+from catbell.pipeline import run_pipeline
 from conftest import (
     displacement,
     electronic_bell,
@@ -309,9 +310,8 @@ class TestBellBounds:
     @given(st.integers(0, 2**32 - 1))
     def test_sampled_correlation_deterministic_in_seed(self, seed: int):
         angles = BellAngles(0.3, 1.0, 0.7, -0.2)
-        _, pa, pb = _setting_vectors(angles)
-        p = _populations(correlation_tensor(electronic_bell("phi_plus").to_density()),
-                         pa, pb)
+        p = _populations(*_readings(
+            correlation_tensor(electronic_bell("phi_plus").to_density()), angles))
         a = _draw(p, 500, np.random.default_rng(seed))
         b = _draw(p, 500, np.random.default_rng(seed))
         assert np.array_equal(a, b)
@@ -324,3 +324,41 @@ class TestBellBounds:
         b = chsh(state, DEFAULT_ANGLES, method="sampled", shots=800, seed=seed)
         assert a.correlations == b.correlations
         assert a.b_value == b.b_value
+
+
+CORRELATORS = ("e_ab", "e_ab_prime", "e_a_prime_b", "e_a_prime_b_prime")
+# amplitudes whose register fits the default size cap, builds and weights
+PIPELINE_POINTS = (st.floats(1e-9, 4.0), st.floats(0.0, 1.0),
+                   st.sampled_from(VE_VARIANTS), st.sampled_from(EV_VARIANTS))
+
+
+class TestPipelineRelations:
+    """Metamorphic relations of the full-pipeline readout, each checked
+    without an oracle (ROADMAP item 29)."""
+
+    @settings(max_examples=40)
+    @given(*PIPELINE_POINTS)
+    def test_exact_correlators_are_affine_in_delta(self, alpha, delta, ve, ev):
+        # the readout is linear in the mixed state, so E(delta) =
+        # (1 - delta) E(0) + delta E(1) up to rounding
+        enc = EncodingParams.for_amplitudes(alpha)
+
+        def correlators(d: float) -> np.ndarray:
+            results = run_pipeline(enc, d, DEFAULT_ANGLES, "exact",
+                                   ve_variant=ve, ev_variant=ev)
+            return np.array([results[name] for name in CORRELATORS])
+
+        want = (1.0 - delta) * correlators(0.0) + delta * correlators(1.0)
+        assert np.abs(correlators(delta) - want).max() <= 1e-14
+
+    @settings(max_examples=40)
+    @given(*PIPELINE_POINTS, st.integers(0, 2**32 - 1))
+    def test_sampled_b_is_the_exact_b_within_5_se(self, alpha, delta, ve, ev,
+                                                  seed):
+        enc = EncodingParams.for_amplitudes(alpha)
+        exact = run_pipeline(enc, delta, DEFAULT_ANGLES, "exact",
+                             ve_variant=ve, ev_variant=ev)
+        sampled = run_pipeline(enc, delta, DEFAULT_ANGLES, "sampled", 4096,
+                               seed, ve, ev)
+        assert (abs(sampled["b_value"] - exact["b_value"])
+                <= 5.0 * sampled["b_std_error"])
