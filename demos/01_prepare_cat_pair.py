@@ -11,12 +11,12 @@ and inspects the reduced state of mode a.
 import numpy as np
 
 from catbell.encoding import (
-    EncodingParams,
     entangled_target_cat_form,
     entangled_target_schmidt,
     prepare_entangled_schmidt,
     schmidt_fidelity,
 )
+from catbell.params import EncodingParams
 
 alpha = 2.0
 params = EncodingParams.for_amplitudes(alpha)

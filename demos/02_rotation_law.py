@@ -10,7 +10,8 @@ a smaller kick.
 
 from math import exp, pi
 
-from catbell.encoding import EncodingParams, rotation_fidelity
+from catbell.encoding import rotation_fidelity
+from catbell.params import EncodingParams
 
 print("branch fidelity of D(i eps) vs the ideal rx(2 alpha eps)")
 print(f"{'alpha':>6} {'eps':>8} {'theta/pi':>9} {'f(num)':>12} "

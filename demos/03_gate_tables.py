@@ -14,8 +14,8 @@ Four builds are compared:
 
 from math import exp, pi
 
-from catbell.encoding import EncodingParams
 from catbell.gates import report_u_ev, report_u_swap, report_u_ve
+from catbell.params import EncodingParams
 
 alpha = 4.0
 params = EncodingParams.for_amplitudes(alpha)

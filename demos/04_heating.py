@@ -6,19 +6,19 @@ upward at a constant net rate gamma while leaving the mode amplitude
 fixed.  Every absorbed or emitted phonon flips the cat qubit's parity, so
 the encoded qubit suffers a bit flip whenever the jump count is odd.  The
 channel is a Gaussian random displacement, so <n> and the parity follow in
-closed form from the cat's populations (noise.heated_moments).
+closed form from the cat's populations (params.heated_moments).
 """
 
 import numpy as np
 
-from catbell.bosonic import ModeParams, cat
+from catbell.bosonic import cat
 from catbell.noise import (
     HeatingParams,
-    heated_moments,
     propagate,
     sample_trajectory,
     trajectory_rng,
 )
+from catbell.params import ModeParams, heated_moments
 
 alpha = 1.5
 gamma = 2e-3

@@ -12,7 +12,7 @@ import argparse
 from math import sqrt
 
 from catbell.bell import DEFAULT_ANGLES
-from catbell.encoding import EncodingParams
+from catbell.params import EncodingParams
 from catbell.pipeline import run_pipeline
 
 parser = argparse.ArgumentParser(description=__doc__)

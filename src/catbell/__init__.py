@@ -2,7 +2,13 @@
 
 __version__ = "0.1.0"
 
-# apply is unused here but stays bound: perfbench's tracer test
-# (test_tracer_rebinds_every_namespace_and_restores) checks that the tracer
-# rebinds catbell.apply along with catbell.hilbert.apply
-from .hilbert import apply  # noqa: F401
+
+def __getattr__(name: str):
+    """catbell.apply, hilbert.apply bound here on first access (PEP 562), so
+    that importing the package loads no numpy: perfbench's tracer test
+    checks that the tracer rebinds catbell.apply along with hilbert.apply."""
+    if name != "apply":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .hilbert import apply
+    globals()["apply"] = apply
+    return apply

@@ -34,15 +34,9 @@ from math import isfinite, pi, sqrt
 
 import numpy as np
 
-from .encoding import CHSH_METHODS, SchmidtState
-from .hilbert import (
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
-    DensityMatrix,
-    SpaceLayout,
-    check_unit,
-)
+from .encoding import SchmidtState
+from .hilbert import SIGMA_X, SIGMA_Y, SIGMA_Z, DensityMatrix, check_unit
+from .params import CHSH_METHODS, SpaceLayout
 
 TSIRELSON = 2.0 * sqrt(2.0)
 DELTA_STAR = 1.0 - 1.0 / sqrt(2.0)   # mixture weight where B drops to 2

@@ -7,73 +7,22 @@ renormalizing.  Cat states carry exact parity: the discarded-parity
 amplitudes cancel exactly in floating point, not just approximately.
 Constructors build mode.layout, which checks the size cap, before they
 allocate anything, so an oversized cutoff is a CapacityError, not a
-failed allocation.
+failed allocation.  The mode settings, the cutoff sizing, the cat
+normalization and the leak check live in catbell.params, which loads no
+numpy.
 """
 
 from __future__ import annotations
 
 from cmath import isfinite
 from collections.abc import Callable
-from dataclasses import dataclass
 from functools import lru_cache
-from math import ceil, exp, expm1, pi, sqrt
+from math import exp, pi, sqrt
 
 import numpy as np
 
-from .errors import CapacityError
-from .hilbert import SpaceLayout, StateVector, _integer, band_eigh
-
-EVEN = "+"
-ODD = "-"
-
-
-@dataclass(frozen=True)
-class ModeParams:
-    """Truncation settings for one mode."""
-
-    cutoff: int
-    leak_tol: float = 1e-10
-
-    def __post_init__(self) -> None:
-        if _integer(self.cutoff, "cutoff") < 2:
-            raise ValueError(f"cutoff must be >= 2, got {self.cutoff}")
-        if not 0.0 < self.leak_tol < 1.0:
-            raise ValueError(f"leak_tol must be in (0, 1), got {self.leak_tol}")
-
-    @property
-    def layout(self) -> SpaceLayout:
-        return SpaceLayout((self.cutoff,))
-
-
-def default_cutoff(alpha: complex) -> int:
-    """Fock levels that hold a coherent state of this size with room to spare."""
-    a = abs(alpha)
-    if not isfinite(a):
-        raise ValueError(f"amplitude must be finite, got {alpha}")
-    levels = a * a + 6.0 * a + 10.0
-    if not isfinite(levels):
-        raise CapacityError(f"no finite cutoff for |alpha| = {a:.3g}: "
-                            "|alpha|^2 overflows")
-    return int(ceil(levels))
-
-
-def mode_for(alpha: complex, leak_tol: float = 1e-10) -> ModeParams:
-    return ModeParams(cutoff=default_cutoff(alpha), leak_tol=leak_tol)
-
-
-def required_cutoff(alpha: complex, leak_tol: float) -> int:
-    """Smallest cutoff whose Poisson tail mass stays below leak_tol."""
-    lam = abs(alpha) ** 2
-    term = exp(-lam)
-    total = term
-    n = 0
-    while 1.0 - total > leak_tol:
-        n += 1
-        term *= lam / n
-        total += term
-        if n > 100000:
-            raise CapacityError(f"no finite cutoff found for |alpha|^2 = {lam}")
-    return n + 1
+from .hilbert import StateVector, band_eigh
+from .params import EVEN, ODD, ModeParams, _check_leak, cat_norm
 
 
 def _coherent_amps(alpha: complex, cutoff: int) -> np.ndarray:
@@ -84,15 +33,6 @@ def _coherent_amps(alpha: complex, cutoff: int) -> np.ndarray:
     return c
 
 
-def _check_leak(dropped: float, mode: ModeParams, alpha: complex, what: str) -> None:
-    if dropped > mode.leak_tol:
-        need = required_cutoff(alpha, mode.leak_tol)
-        raise CapacityError(
-            f"cutoff {mode.cutoff} drops {dropped:.3e} of the {what} for "
-            f"alpha = {alpha}; need cutoff >= {need}"
-        )
-
-
 def coherent(alpha: complex, mode: ModeParams) -> StateVector:
     """Normalized coherent state |alpha> truncated to the mode's cutoff."""
     layout = mode.layout
@@ -100,25 +40,6 @@ def coherent(alpha: complex, mode: ModeParams) -> StateVector:
     kept = float(np.vdot(c, c).real)
     _check_leak(1.0 - kept, mode, alpha, "coherent state")
     return StateVector(layout, c / sqrt(kept))
-
-
-def cat_norm(alpha: complex, parity: str) -> float:
-    """N_+- = 1/sqrt(2 +- 2 exp(-2|alpha|^2)), the cat normalization constant.
-
-    The odd norm^2 is computed as -2 expm1(-2|alpha|^2), which keeps its
-    digits at small alpha where 2 - 2 exp(-2|alpha|^2) cancels to 0.
-    """
-    x = 2.0 * abs(alpha) ** 2
-    if parity == EVEN:
-        return 1.0 / sqrt(2.0 + 2.0 * exp(-x))
-    if parity == ODD:
-        norm2 = -2.0 * expm1(-x)
-        if norm2 <= 0.0:
-            raise ValueError(
-                f"odd cat state is undefined at alpha = {alpha} (|alpha|^2 "
-                "underflows)")
-        return 1.0 / sqrt(norm2)
-    raise ValueError(f"parity must be '+' or '-', got {parity!r}")
 
 
 def cat(alpha: complex, parity: str, mode: ModeParams) -> StateVector:

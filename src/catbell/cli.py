@@ -30,11 +30,8 @@ from math import isfinite, pi
 from typing import NamedTuple
 
 from . import __version__
-from .encoding import CHSH_METHODS, EV_VARIANTS, VE_VARIANTS
 from .errors import CapacityError, CatbellError, ConfigError, ContractError
-# apply is unused here but stays bound: perfbench's tracer test checks that
-# the tracer rebinds catbell.cli.apply along with catbell.hilbert.apply
-from .hilbert import apply  # noqa: F401
+from .params import CHSH_METHODS, EV_VARIANTS, VE_VARIANTS
 from .pipeline import (
     run_bell_scan,
     run_full_pipeline,
@@ -56,6 +53,17 @@ PROTOCOLS = tuple(RUNNERS)
 
 DEFAULT_EPSILONS = (0.05, 0.1, 0.2, 0.5236)
 DEFAULT_DELTAS = tuple(round(0.05 * i, 10) for i in range(11))
+
+
+def __getattr__(name: str):
+    """cli.apply, hilbert.apply bound here on first access (PEP 562), so
+    that importing the command line loads no numpy: perfbench's tracer test
+    checks that the tracer rebinds cli.apply along with hilbert.apply."""
+    if name != "apply":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .hilbert import apply
+    globals()["apply"] = apply
+    return apply
 
 
 # ---------------------------------------------------------------- config ---
@@ -308,7 +316,8 @@ def execute(cfg: dict, output_dir: str | None = None) -> str:
     try:
         _atomic_write(path, text)
     except OSError as err:
-        raise ConfigError(f"cannot write output {path}: {err}") from err
+        raise ConfigError(
+            f"cannot write output {_cut(path)}: {_cut(str(err))}") from err
     print(f"{cfg['protocol']}: {len(rows)} rows ({provenance}) -> {path}")
     for name, value in results.items():
         if isinstance(value, (int, float)):
@@ -425,7 +434,8 @@ def main(argv: list[str] | None = None) -> int:
                 with open(operand, encoding="utf-8") as handle:
                     text = handle.read()
             except OSError as err:
-                raise ConfigError(f"cannot read config: {err}") from err
+                raise ConfigError(
+                    f"cannot read config: {_cut(str(err))}") from err
             except UnicodeDecodeError as err:
                 raise ConfigError(f"config is not valid UTF-8: {err}") from err
             try:

@@ -3,7 +3,8 @@
 Logical |0> is the even cat, logical |1> the odd cat; their equal-weight
 combinations (the two-level discrete Fourier pair) approach the coherent
 states |alpha> and |-alpha> for large amplitude.  The joint layout is fixed
-as [mode a, mode b, ion 1, ion 2], electronic factors last.
+as [mode a, mode b, ion 1, ion 2], electronic factors last.  The register's
+settings, EncodingParams, live in catbell.params, which loads no numpy.
 
 A displacement i*eps on a mode rotates the logical qubit about x by the angle
 2*alpha*eps: each coherent branch of a cat sits a distance 2*alpha from the
@@ -15,96 +16,17 @@ exp(-2 alpha^2).
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from math import cos, exp, isfinite, pi, sin, sqrt
+from math import cos, exp, isfinite, sin, sqrt
 
 import numpy as np
 
 from . import bosonic
-from .bosonic import EVEN, ODD, ModeParams
-from .errors import CapacityError
-from .hilbert import (
-    SpaceLayout,
-    StateVector,
-    check_unit,
-    state_fidelity,
-)
+from .hilbert import StateVector, check_unit, state_fidelity
+from .params import EVEN, ODD, EncodingParams, SpaceLayout, cat_norm
 
 MODE_A, MODE_B, ION_1, ION_2 = 0, 1, 2, 3
-
-# the readouts of bell.chsh and the two builds of the exchange's gates
-# (gates.u_swap), defined here because every protocol loads this module:
-# the command line's field table reads them without loading bell or gates
-CHSH_METHODS = ("exact", "sampled")
-VE_VARIANTS = ("ideal", "literal")
-EV_VARIANTS = ("displacement", "ideal")
-
-
-@dataclass(frozen=True)
-class EncodingParams:
-    """Cat amplitudes and truncation settings for the two-mode register."""
-
-    alpha: float
-    beta: float
-    mode_a: ModeParams
-    mode_b: ModeParams
-    epsilon: float | None = None  # explicit displacement scale, optional
-
-    def __post_init__(self) -> None:
-        for name in ("alpha", "beta", "epsilon"):
-            value = getattr(self, name)
-            if value is not None and not isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if self.alpha <= 0 or self.beta <= 0:
-            raise ValueError("cat amplitudes must be positive")
-        # below this |alpha|^2 is subnormal or 0 and the odd cat has no norm
-        low, high = min(self.alpha, self.beta), max(self.alpha, self.beta)
-        if low * low < sys.float_info.min:
-            raise ValueError(
-                "cat amplitudes must be at least "
-                f"{sqrt(sys.float_info.min):.3g}, got {low:.3g}")
-        if not isfinite(high * high):
-            raise CapacityError(
-                f"cat amplitude {high:.3g} is too large: |alpha|^2 overflows")
-        if self.epsilon is not None and self.epsilon < 0:
-            raise ValueError("epsilon must be nonnegative")
-        # the one epsilon kicks both modes, so it bounds both rotations;
-        # against pi / amp, so that epsilon = pi / alpha itself is accepted
-        # even where epsilon * alpha rounds above pi
-        amp = max(self.alpha, self.beta)
-        if self.epsilon is not None and self.epsilon > pi / amp:
-            raise ValueError(
-                "epsilon*alpha and epsilon*beta must lie in [0, pi], "
-                f"got {self.epsilon * amp:.4g}"
-            )
-
-    @classmethod
-    def for_amplitudes(cls, alpha: float, beta: float | None = None,
-                       cutoff: int | None = None,
-                       leak_tol: float = 1e-10) -> "EncodingParams":
-        beta = alpha if beta is None else beta
-        if cutoff is None:
-            ma = bosonic.mode_for(alpha, leak_tol)
-            mb = bosonic.mode_for(beta, leak_tol)
-        else:
-            ma = ModeParams(cutoff, leak_tol)
-            mb = ModeParams(cutoff, leak_tol)
-        return cls(alpha, beta, ma, mb)
-
-    def mode(self, which: str) -> ModeParams:
-        return {"a": self.mode_a, "b": self.mode_b}[_mode_name(which)]
-
-    def amplitude(self, which: str) -> float:
-        return {"a": self.alpha, "b": self.beta}[_mode_name(which)]
-
-
-def _mode_name(which: str) -> str:
-    """which, once it is checked to name one of the two modes."""
-    if which not in ("a", "b"):
-        raise ValueError(f"mode must be 'a' or 'b', got {which!r}")
-    return which
 
 
 def full_layout(params: EncodingParams) -> SpaceLayout:
@@ -268,7 +190,7 @@ def entangled_target_cat_form(params: EncodingParams, side: str = "b") -> Schmid
     cats = [bosonic.cat(amp, p, params.mode(side)).amps for p in (EVEN, ODD)]
     kets = [bosonic.coherent(k, params.mode(other)).amps for k in (ket, -ket)]
     left, right = (cats, kets) if side == "a" else (kets, cats)
-    weights = [0.5 / bosonic.cat_norm(amp, p) for p in (EVEN, ODD)]
+    weights = [0.5 / cat_norm(amp, p) for p in (EVEN, ODD)]
     psi = SchmidtState(full_layout(params),
                        _on_ion_ground(*(w * x for w, x in zip(weights, left))),
                        _on_ion_ground(*right))

@@ -48,8 +48,8 @@ from math import pi
 import numpy as np
 
 from . import bosonic, encoding
-from .encoding import EV_VARIANTS, VE_VARIANTS, EncodingParams
-from .hilbert import SpaceLayout, unitarity_residual
+from .hilbert import unitarity_residual
+from .params import EV_VARIANTS, VE_VARIANTS, EncodingParams, SpaceLayout
 
 EXCITED_PHASE = np.exp(-1j * pi / 2.0)  # -i, as the rounded exponential
 

@@ -5,103 +5,25 @@ sparse or symbolic path.  A layout lists the factor dimensions in a fixed
 order, with the first factor varying slowest in the flattened index (the
 ordering produced by ``numpy.kron``).  Gates are not operators here: they
 act in place on the axes of a state tensor (catbell.gates).  tensor takes
-pure states only.
+pure states only.  The layout itself (SpaceLayout) and the size cap live in
+catbell.params, which loads no numpy.
 """
 
 from __future__ import annotations
 
-import operator
-import os
 from dataclasses import dataclass
-from math import log10, prod
+from math import prod
 
 import numpy as np
 
-from .errors import CapacityError, ContractError
-
-MAX_DIM_ENV = "CATBELL_MAX_DIM"
-DEFAULT_MAX_DIM = 16384
+from .errors import ContractError
+from .params import SpaceLayout
 
 NORM_TOL = 1e-8
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
-
-
-def max_total_dim() -> int:
-    """Current cap on the total dimension of a layout.
-
-    Defaults to 16384 and can be raised or lowered through the
-    ``CATBELL_MAX_DIM`` environment variable, read at layout creation time
-    and on each memo hit (check_dim).
-    """
-    raw = os.environ.get(MAX_DIM_ENV)
-    if raw is None:
-        return DEFAULT_MAX_DIM
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise CapacityError(f"{MAX_DIM_ENV} must be an integer, got {raw!r}") from exc
-    if value < 2:
-        raise CapacityError(f"{MAX_DIM_ENV} must be at least 2, got {value}")
-    return value
-
-
-def _count(n: int) -> str:
-    """n in full up to 15 digits; beyond, to 3 significant digits."""
-    if n < 10 ** 15:
-        return str(n)
-    exp = int(log10(n))  # may be one off; the 'e' format renormalizes
-    mantissa, shift = f"{n / 10 ** exp:.2e}".split("e")
-    return f"{float(mantissa):g}e+{exp + int(shift)}"
-
-
-def check_dim(total: int) -> int:
-    """total, a layout's dimension, held to the size cap (max_total_dim): a
-    CapacityError above it.  A memo hit, which builds no layout, calls it."""
-    cap = max_total_dim()
-    if total > cap:
-        raise CapacityError(
-            f"total dimension {_count(total)} exceeds the cap {cap}; "
-            f"raise {MAX_DIM_ENV} if this is intentional"
-        )
-    return total
-
-
-def _integer(value, name: str) -> int:
-    """value as an int: a ValueError that names it unless it is an integer,
-    a numpy one too, and not a bool."""
-    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return operator.index(value)
-
-
-@dataclass(frozen=True)
-class SpaceLayout:
-    """Ordered factor dimensions of a tensor-product space.
-
-    total_dim, the product of dims, is computed once by the cap check and
-    kept as a plain attribute, not a field: equality, hash and repr read
-    dims alone."""
-
-    dims: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        dims = tuple(_integer(d, "a factor dimension") for d in self.dims)
-        object.__setattr__(self, "dims", dims)
-        if not dims:
-            raise ValueError("layout needs at least one factor")
-        if any(d < 2 for d in dims):
-            raise ValueError(f"factor dimensions must be >= 2, got {dims}")
-        object.__setattr__(self, "total_dim", check_dim(prod(dims)))
-
-    @property
-    def nsites(self) -> int:
-        return len(self.dims)
-
-    def dims_of(self, subsystems: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(self.dims[i] for i in subsystems)
 
 
 def _as_complex(a: np.ndarray) -> np.ndarray:

@@ -15,8 +15,9 @@ D(beta) rho D(beta)+ over a complex Gaussian beta with <|beta|^2> = s =
 gamma t (Serafini, Quantum Continuous Variables, 2017).  Its dual maps n to
 n + s, the parity (-1)^n to x^n / (1 + 2s) with x = (2s - 1) / (2s + 1),
 and a to a.  So <n>, <a> and the parity after any duration are O(d) sums
-over the populations p_k of a one-mode state (heated_moments), read as a
-state of the untruncated ladder: the law never meets a truncation edge.
+over the populations p_k of a one-mode state (params.heated_moments, in
+Python floats), read as a state of the untruncated ladder: the law never
+meets a truncation edge.
 
 rho itself comes from propagate, on the truncated Fock basis, where the
 generator is banded.  With a|k> = sqrt(k)|k-1>:
@@ -73,7 +74,8 @@ from math import isfinite, prod
 import numpy as np
 
 from .errors import ContractError
-from .hilbert import DensityMatrix, SpaceLayout, StateVector, _integer, band_eigh
+from .hilbert import DensityMatrix, StateVector, band_eigh
+from .params import SpaceLayout, _integer
 
 # numpy's SeedSequence: pool size, the two hashes' constants, the mix's
 # multipliers (numpy/random/bit_generator.pyx)
@@ -176,26 +178,6 @@ def propagate(rho0: DensityMatrix, params: HeatingParams) -> DensityMatrix:
         rows, cols = np.arange(dim - m), np.arange(m, dim)
         out[rows, cols], out[cols, rows] = pair[:, 0], pair[:, 1]
     return DensityMatrix(rho0.layout, out)
-
-
-def heated_moments(populations: np.ndarray, rate: float) -> tuple[float, float]:
-    """<n> and the parity after the heating channel at gamma t = rate >= 0.
-
-    populations are the p_k of a one-mode state, read as a state of the
-    untruncated ladder.  The channel's dual maps n to n + s and (-1)^n to
-    x^n / (1 + 2s), x = (2s - 1) / (2s + 1), s = rate (module docstring), so
-    <n> = sum_k k p_k + s and the parity is sum_k p_k x^k / (1 + 2s), with
-    no truncation error; <a> is conserved.  einsum calls no BLAS, so neither
-    depends on the BLAS thread count.  A rate that is not finite is a
-    ContractError.
-    """
-    if not isfinite(rate):
-        raise ContractError(f"cannot heat at gamma*duration = {rate}")
-    levels = np.arange(populations.size, dtype=np.float64)
-    # 1 - 2 / (2s + 1) is x, and stays 1 where 2s overflows
-    x = 1.0 - 2.0 / (2.0 * rate + 1.0)
-    parity = float(np.einsum("k,k->", x ** levels, populations)) / (2.0 * rate + 1.0)
-    return float(np.einsum("k,k->", levels, populations)) + rate, parity
 
 
 @dataclass

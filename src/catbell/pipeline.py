@@ -9,36 +9,30 @@ is its protocol's contract, as `catbell describe` prints it: a summary, the
 stages, the CSV columns and notes.
 
 A one-shot `catbell run` pays for its protocol's modules only: this module
-loads encoding, bosonic, hilbert and errors, which every protocol runs, and
-each runner imports bell, gates or noise at its entry when it calls them.
+loads params and errors, which import no numpy, and each runner imports
+the array modules (encoding, bosonic, hilbert, bell, gates) at its entry
+when it calls them.  heat-sweep runs in params alone, in Python floats.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+from array import array
 from math import sqrt
 from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .bosonic import EVEN, cat
-from .encoding import (
-    EncodingParams,
-    SchmidtState,
-    bell_target_schmidt,
-    entangled_target_cat_form,
-    entangled_target_schmidt,
-    hadamard_matrix,
-    logical_basis,
-    prepare_entangled_schmidt,
-    rotation_fidelity,
-    schmidt_fidelity,
-)
 from .errors import ConfigError
-from .hilbert import SIGMA_X, check_dim
+from .params import (
+    EncodingParams,
+    check_dim,
+    even_cat_populations,
+    heated_moments,
+)
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .bell import BellAngles
 
 
@@ -73,6 +67,12 @@ def run_prepare(cfg: dict) -> tuple[list[dict], dict, str]:
     columns: quantity,value
     notes: encoding module; the pair's two Schmidt terms, no register
     """
+    from .encoding import (
+        entangled_target_cat_form,
+        entangled_target_schmidt,
+        prepare_entangled_schmidt,
+        schmidt_fidelity,
+    )
     enc = _encoding_params(cfg)
     prepared = prepare_entangled_schmidt(enc)
     results = {
@@ -98,6 +98,7 @@ def run_rotate(cfg: dict) -> tuple[list[dict], dict, str]:
     notes: encoding module; rotation angle is 2 alpha epsilon, and epsilon
     is the configured kick itself
     """
+    from .encoding import rotation_fidelity
     enc = _encoding_params(cfg)
     rows = []
     for i, eps in enumerate(cfg["encoding"]["epsilons"]):
@@ -135,18 +136,13 @@ def run_swap_report(cfg: dict) -> tuple[list[dict], dict, str]:
 
 
 # a heat-sweep at one encoding hits one key; an entry is the cat's d
-# populations and a complex, 8 d + 16 bytes: at most 64 * 1040 B = 67 KB at
-# d <= 128
+# populations as doubles, 8 d bytes: at most 64 * 1024 B = 64 KB at d <= 128
 @functools.lru_cache(maxsize=64)
-def _cat_populations(enc: EncodingParams) -> tuple[np.ndarray, complex]:
-    """The populations |c_k|^2 of the even cat on mode a, read-only, and its
-    <a> = sum_k sqrt(k + 1) conj(c_k) c_{k+1}."""
-    amps = cat(enc.alpha, EVEN, enc.mode_a).amps
-    populations = amps.real ** 2 + amps.imag ** 2
-    populations.flags.writeable = False
-    a0 = np.einsum("k,k->", np.sqrt(np.arange(1.0, amps.size)),
-                   amps[:-1].conj() * amps[1:])
-    return populations, complex(a0)
+def _cat_populations(enc: EncodingParams) -> memoryview:
+    """The populations |c_k|^2 of the even cat on mode a
+    (params.even_cat_populations), as a read-only memoryview of doubles."""
+    populations = array("d", even_cat_populations(enc.alpha, enc.mode_a))
+    return memoryview(populations).toreadonly()
 
 
 def run_heat_sweep(cfg: dict) -> tuple[list[dict], dict, str]:
@@ -159,19 +155,19 @@ def run_heat_sweep(cfg: dict) -> tuple[list[dict], dict, str]:
         x = (2 gamma t - 1) / (2 gamma t + 1)
       - occupancy, amplitude, and parity per duration
     columns: duration,n_mean,re_a,im_a,parity,flip_probability,trace_drift
-    notes: noise module's exact channel law (heated_moments) on the
-    prepared cat's populations, memoized per encoding; rows depend on
-    encoding.cutoff and leak_tol only through the prepared cat.  re_a and
-    im_a are the conserved <a> of that cat; flip_probability is
-    (1 - parity) / 2; trace_drift is the exact 0 the channel gives, kept
-    because the benchmark's heating check reads it.  noise.steps changes
-    no row
+    notes: params module, in Python floats with no numpy: the channel's
+    exact law (heated_moments) on the prepared cat's populations, memoized
+    per encoding; rows depend on encoding.cutoff and leak_tol only through
+    the prepared cat.  re_a and im_a are the conserved <a> of that cat,
+    an exact 0: every term of <a> holds one odd level, whose amplitude is
+    an exact zero.  flip_probability is (1 - parity) / 2; trace_drift is
+    the exact 0 the channel gives, kept because the benchmark's heating
+    check reads it.  noise.steps changes no row
     """
-    from .noise import heated_moments
     enc = _encoding_params(cfg)
     gamma = cfg["noise"]["gamma"]
     durations = cfg["noise"]["durations"] or [cfg["noise"]["duration"]]
-    populations, a0 = _cat_populations(enc)
+    populations = _cat_populations(enc)
     # a hit skips the cat's size check; the cap may have been lowered
     check_dim(enc.mode_a.cutoff)
     rows = []
@@ -180,8 +176,8 @@ def run_heat_sweep(cfg: dict) -> tuple[list[dict], dict, str]:
         rows.append({
             "duration": duration,
             "n_mean": n_mean,
-            "re_a": a0.real,  # the channel conserves <a>
-            "im_a": a0.imag,
+            "re_a": 0.0,  # the even cat's <a>, which the channel conserves
+            "im_a": 0.0,
             "parity": parity,
             "flip_probability": (1.0 - parity) / 2.0,
             "trace_drift": 0.0,  # the channel keeps the trace exactly
@@ -233,7 +229,17 @@ def _coherent_stages(enc: EncodingParams, ve_variant: str, ev_variant: str
     of the Hadamard-stage state (keep) and of the same state with mode a
     parity-flipped (flip); the tensors are read-only."""
     from .bell import correlation_tensor, reduced_electronic_schmidt
+    from .encoding import (
+        SchmidtState,
+        bell_target_schmidt,
+        entangled_target_schmidt,
+        hadamard_matrix,
+        logical_basis,
+        prepare_entangled_schmidt,
+        schmidt_fidelity,
+    )
     from .gates import u_swap
+    from .hilbert import SIGMA_X
     psi = prepare_entangled_schmidt(enc)  # held to the register's size cap
     prep = schmidt_fidelity(psi, entangled_target_schmidt(enc))
     code_a = logical_basis("a", enc)

@@ -140,14 +140,14 @@ FIXTURES = {
 def check_against_main_path() -> None:
     """Print fast-path values next to the oracle values; writes nothing."""
     os.environ["CATBELL_MAX_DIM"] = "65536"
-    from catbell.bosonic import EVEN, ModeParams, cat
-    from catbell.encoding import (ION_1, ION_2, MODE_A, MODE_B, EncodingParams,
-                                  bell_target, logical_basis,
-                                  qubit_state)
+    from catbell.bosonic import cat
+    from catbell.encoding import (ION_1, ION_2, MODE_A, MODE_B, bell_target,
+                                  logical_basis, qubit_state)
     from catbell.gates import report_u_swap, u_swap
     from catbell.hilbert import state_fidelity, tensor
     from conftest import dm_fidelity, electronic_bell, partial_trace, readouts
     from catbell.noise import HeatingParams, propagate
+    from catbell.params import EVEN, EncodingParams, ModeParams
 
     enc = EncodingParams.for_amplitudes(SWAP_ALPHA)
     rep = report_u_swap("a", enc, "ideal", "displacement")

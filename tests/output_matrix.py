@@ -37,7 +37,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np  # noqa: E402
 
 from catbell import cli, encoding, hilbert, noise  # noqa: E402
-from catbell.encoding import EV_VARIANTS, VE_VARIANTS  # noqa: E402
+from catbell.params import EV_VARIANTS, VE_VARIANTS, EncodingParams  # noqa: E402
 
 ALPHAS = (2.0, 3.0, 4.0)
 DELTAS = (0.0, 0.1, 1.0)
@@ -75,7 +75,7 @@ def configs(alphas=ALPHAS) -> dict[str, dict]:
 def jump_ensemble(alpha: float, mode_index: int, master_seed: int) -> str:
     """One line of criterion 06's loop: flips, jumps and the bytes of the
     unnormalized projected mixture, in hex."""
-    enc = encoding.EncodingParams.for_amplitudes(alpha)
+    enc = EncodingParams.for_amplitudes(alpha)
     psi0 = encoding.bell_target("phi_plus", enc)
     ba, bb = encoding.logical_basis("a", enc), encoding.logical_basis("b", enc)
     ion = encoding.qubit_state(0)

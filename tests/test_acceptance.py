@@ -36,9 +36,8 @@ from catbell.bell import (
     crossing,
     mixed_bell,
 )
-from catbell.bosonic import ModeParams, cat, coherent, mode_for
+from catbell.bosonic import cat, coherent
 from catbell.encoding import (
-    EncodingParams,
     bell_target,
     logical_basis,
     prepare_entangled_schmidt,
@@ -49,7 +48,6 @@ from catbell.gates import report_u_ev, report_u_swap, report_u_ve, u_swap
 from catbell.hilbert import (
     DensityMatrix,
     OperatorMatrix,
-    SpaceLayout,
     StateVector,
     state_fidelity,
     tensor,
@@ -61,6 +59,7 @@ from catbell.noise import (
     sample_trajectory,
     trajectory_rng,
 )
+from catbell.params import EncodingParams, ModeParams, SpaceLayout, mode_for
 from catbell.pipeline import run_pipeline
 from catbell.reference import (
     cat_amplitudes,

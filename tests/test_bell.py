@@ -28,20 +28,14 @@ from catbell.bell import (
     reduced_electronic_schmidt,
     tensor_chsh,
 )
-from catbell.bosonic import ModeParams
-from catbell.encoding import (
-    BELL_KINDS,
+from catbell.encoding import BELL_KINDS, SchmidtState, bell_target, full_layout
+from catbell.errors import ContractError
+from catbell.hilbert import DensityMatrix, StateVector
+from catbell.params import (
     CHSH_METHODS,
     EncodingParams,
-    SchmidtState,
-    bell_target,
-    full_layout,
-)
-from catbell.errors import ContractError
-from catbell.hilbert import (
-    DensityMatrix,
+    ModeParams,
     SpaceLayout,
-    StateVector,
 )
 from catbell.reference import pulse_correlators, pulse_populations
 from conftest import (

@@ -10,28 +10,28 @@ import pytest
 import scipy.linalg
 
 from catbell import bosonic
-from catbell.bosonic import (
-    EVEN,
-    ODD,
-    ModeParams,
-    cat,
-    cat_norm,
-    coherent,
-    default_cutoff,
-    displacement_action,
-    mode_for,
-    required_cutoff,
-)
-from catbell.encoding import EncodingParams, prepare_entangled_schmidt
+from catbell.bosonic import cat, coherent, displacement_action
+from catbell.encoding import prepare_entangled_schmidt
 from catbell.errors import CapacityError
 from catbell.hilbert import (
     OperatorMatrix,
-    SpaceLayout,
     StateVector,
     apply,
     band_eigh,
     state_fidelity,
     unitarity_residual,
+)
+from catbell.params import (
+    EVEN,
+    ODD,
+    EncodingParams,
+    ModeParams,
+    SpaceLayout,
+    cat_norm,
+    default_cutoff,
+    even_cat_populations,
+    mode_for,
+    required_cutoff,
 )
 from catbell.reference import cat_amplitudes, coherent_amplitudes
 from conftest import (
@@ -171,6 +171,38 @@ class TestCat:
             ref = cat_amplitudes(2.0, sign, mode.cutoff)
             got = cat(2.0, parity, mode).amps
             assert np.abs(got - ref / np.linalg.norm(ref)).max() < 1e-12
+
+
+class TestEvenCatPopulations:
+    """params.even_cat_populations, heat-sweep's cat in Python floats,
+    against the populations of bosonic.cat."""
+
+    @pytest.mark.parametrize("alpha", [1e-3, 0.5, 2.0, 3.0, 4.0, 6.0, 8.0])
+    def test_matches_the_array_cat(self, alpha):
+        # the same recurrence and steps; numpy divides by multiplying with
+        # the reciprocal and sums the norm in its own order, so each
+        # population may differ by a few ulps (measured up to 9.2 at
+        # alpha = 8), and the odd levels are exact zeros in both
+        mode = mode_for(alpha)
+        amps = cat(alpha, EVEN, mode).amps
+        want = (amps.conj() * amps).real
+        got = np.array(even_cat_populations(alpha, mode))
+        assert np.all(got[1::2] == 0.0) and np.all(want[1::2] == 0.0)
+        assert np.all(np.abs(got - want) <= 64 * np.finfo(float).eps * want)
+
+    @pytest.mark.parametrize("alpha,cutoff", [(2.0, 10), (40.0, 2000),
+                                              (2.0, 10 ** 9)],
+                             ids=["leak", "underflow", "cap"])
+    def test_refuses_what_the_array_cat_refuses(self, alpha, cutoff):
+        # a short cutoff, a cat whose every amplitude underflows to 0 (the
+        # leak check runs before the division by its norm), and a cutoff
+        # past the size cap are the same CapacityError in both
+        mode = ModeParams(cutoff)
+        with pytest.raises(CapacityError) as array_cat:
+            cat(alpha, EVEN, mode)
+        with pytest.raises(CapacityError) as float_cat:
+            even_cat_populations(alpha, mode)
+        assert str(float_cat.value) == str(array_cat.value)
 
 
 class _NoNumpy:

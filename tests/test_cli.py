@@ -50,16 +50,15 @@ from catbell.cli import (
     normalize_config,
     render_csv,
 )
-from catbell.encoding import (
+from catbell.encoding import logical_basis, rotation_fidelity
+from catbell.errors import CapacityError, ConfigError
+from catbell.gates import report_u_ev, report_u_swap, report_u_ve, u_swap
+from catbell.params import (
     CHSH_METHODS,
     EV_VARIANTS,
     VE_VARIANTS,
     EncodingParams,
-    logical_basis,
-    rotation_fidelity,
 )
-from catbell.errors import CapacityError, ConfigError
-from catbell.gates import report_u_ev, report_u_swap, report_u_ve, u_swap
 from catbell.pipeline import (
     _coherent_stages,
     _cat_populations,
@@ -1179,7 +1178,7 @@ class TestMainEntry:
         script = textwrap.dedent("""\
             import json, sys
             from catbell import cli
-            from catbell.encoding import EV_VARIANTS
+            from catbell.params import EV_VARIANTS
 
             def scipy_modules():
                 return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
@@ -1208,28 +1207,30 @@ class TestMainEntry:
         assert report["loaded"] == {"import": [], "runs": []}
         assert len(list(tmp_path.glob("*.csv"))) == runs
 
-    # the catbell modules that importing the command line loads, and those
-    # that one run of each protocol adds to them
+    # the catbell modules that importing the command line loads, none of
+    # which imports numpy, and those that one run of each protocol adds
     CLI_MODULES = {"catbell", "catbell.cli", "catbell.pipeline",
-                   "catbell.encoding", "catbell.bosonic", "catbell.hilbert",
-                   "catbell.errors"}
+                   "catbell.params", "catbell.errors"}
+    # the array modules that every protocol but heat-sweep runs
+    ARRAYS = {"encoding", "bosonic", "hilbert"}
     FOOTPRINTS = {
-        "prepare": ({"protocol": "prepare"}, set()),
-        "rotate": ({"protocol": "rotate"}, set()),
-        "heat-sweep": ({"protocol": "heat-sweep"}, {"noise"}),
-        "swap-report": ({"protocol": "swap-report"}, {"gates"}),
-        "bell-scan-exact": ({"protocol": "bell-scan"}, {"bell"}),
+        "prepare": ({"protocol": "prepare"}, ARRAYS),
+        "rotate": ({"protocol": "rotate"}, ARRAYS),
+        "heat-sweep": ({"protocol": "heat-sweep"}, set()),
+        "swap-report": ({"protocol": "swap-report"}, ARRAYS | {"gates"}),
+        "bell-scan-exact": ({"protocol": "bell-scan"}, ARRAYS | {"bell"}),
         "bell-scan-sampled": (
-            {"protocol": "bell-scan", "bell": {"mode": "sampled"}}, {"bell"}),
+            {"protocol": "bell-scan", "bell": {"mode": "sampled"}},
+            ARRAYS | {"bell"}),
         "full-pipeline-given-delta": (
             {"protocol": "full-pipeline", "noise": {"delta": 0.1}},
-            {"bell", "gates"}),
+            ARRAYS | {"bell", "gates"}),
         "full-pipeline-given-delta-sampled": (
             {"protocol": "full-pipeline", "noise": {"delta": 0.1},
              "bell": {"mode": "sampled"}},
-            {"bell", "gates"}),
+            ARRAYS | {"bell", "gates"}),
         "full-pipeline-null-delta": (
-            {"protocol": "full-pipeline"}, {"bell", "gates"}),
+            {"protocol": "full-pipeline"}, ARRAYS | {"bell", "gates"}),
     }
 
     @pytest.mark.parametrize("raw,added", FOOTPRINTS.values(), ids=FOOTPRINTS)
@@ -1419,7 +1420,7 @@ class TestPipelineMemo:
 
 
 class TestHeatSweepMemo:
-    """run_heat_sweep memoizes the even cat's populations and <a> per
+    """run_heat_sweep memoizes the even cat's populations per
     encoding and reads each duration off the channel's law alone."""
 
     @pytest.mark.parametrize("alpha", [2.0, 3.0, 4.0, 6.0])
@@ -1455,9 +1456,10 @@ class TestHeatSweepMemo:
         assert _cat_populations.cache_info().hits == 1
 
     def test_cached_arrays_are_read_only(self):
-        populations, a0 = _cat_populations(EncodingParams.for_amplitudes(2.0))
-        assert a0 == 0.0 and populations.sum() == pytest.approx(1.0, abs=1e-15)
-        with pytest.raises(ValueError, match="read-only"):
+        populations = _cat_populations(EncodingParams.for_amplitudes(2.0))
+        assert sum(populations) == pytest.approx(1.0, abs=1e-15)
+        assert populations.format == "d" and populations.nbytes == 8 * 26
+        with pytest.raises(TypeError, match="read-only"):
             populations[0] = 1.0
 
     def test_cutoff_at_the_cap_allocates_no_square(self):
@@ -1642,6 +1644,25 @@ class TestCommandLine:
                    + ("free of NUL characters" if bad == "a\0b"
                       else "encodable as a file name")
                    + f", got {argv[-1]!r}\n")
+        assert list(tmp_path.iterdir()) == [good]
+
+    @pytest.mark.parametrize("slot", ["CONFIG", "--output"])
+    def test_a_long_path_is_echoed_cut(self, tmp_path, capsys, slot):
+        # the OSError repeats the path, and the write error names it too:
+        # uncut, a 10^5-character CONFIG wrote 100,068 bytes to stderr and a
+        # 10^5-character --output DIR 200,131
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps({"protocol": "prepare"}), encoding="utf-8")
+        long = "x" * 10 ** 5
+        argv = (["run", long] if slot == "CONFIG"
+                else ["run", str(good), "--output", str(tmp_path / long)])
+        code, stdout, stderr = self.outcome(argv, capsys)
+        assert (code, stdout) == (2, "") and stderr.count("\n") == 1
+        assert stderr.startswith("config error: cannot read config: "
+                                 if slot == "CONFIG" else
+                                 f"config error: cannot write output {tmp_path}")
+        assert "x... (" in stderr and " more characters)" in stderr
+        assert len(stderr) < 3 * ECHO_LIMIT
         assert list(tmp_path.iterdir()) == [good]
 
     @pytest.mark.parametrize("argv", [["describe", "full-pipeline"],

@@ -52,10 +52,9 @@ ORACLE_READERS = ("tests", "perfbench")
 ORACLE_SELF_TESTS = ROOT / "tests" / "test_reference.py"
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
-# imports that their module does not read, kept on purpose: perfbench's
-# tracer test checks that the tracer rebinds both; ROADMAP item 1 retires them
-KEPT_UNREAD_IMPORTS = {("src/catbell/__init__.py", "apply"),
-                       ("src/catbell/cli.py", "apply")}
+# imports that their module does not read, kept on purpose, each with the
+# ROADMAP item that retires it
+KEPT_UNREAD_IMPORTS: set[tuple[str, str]] = set()
 # the modules whose every import is read: the package, the tests and demos
 IMPORTING_MODULES = ("src/catbell/*.py", "tests/*.py", "demos/*.py")
 
@@ -281,22 +280,28 @@ def test_no_module_but_hilbert_reads_the_dense_operator():
             assert not found, f"{module.name} defines or reads {found}"
 
 
+LOADED = "loaded:"
+
+
 def loaded_modules(*statements: str, package: str = "catbell") -> list[set[str]]:
     """The modules of package loaded in a fresh interpreter after each of
-    the statements, run in order."""
-    probe = "; ".join(
-        f"{statement}; print(sorted(m for m in sys.modules "
+    the statements, run in order; a statement may print lines of its own."""
+    probe = "\n".join(
+        f"{statement}\nprint({LOADED!r}, sorted(m for m in sys.modules "
         f"if m.split('.')[0] == {package!r}))" for statement in statements)
-    out = subprocess.run([sys.executable, "-c", f"import sys; {probe}"],
+    out = subprocess.run([sys.executable, "-c", f"import sys\n{probe}"],
                          env=child_env(), capture_output=True, text=True,
                          check=True).stdout
-    return [set(ast.literal_eval(line)) for line in out.splitlines()]
+    return [set(ast.literal_eval(line.removeprefix(LOADED).strip()))
+            for line in out.splitlines() if line.startswith(LOADED)]
 
 
 def test_importing_the_package_loads_only_its_one_binding():
+    # catbell.apply is bound on first access (the package's __getattr__)
     package, with_noise = loaded_modules("import catbell", "import catbell.noise")
-    assert package == {"catbell", "catbell.errors", "catbell.hilbert"}
-    assert with_noise - package == {"catbell.noise"}
+    assert package == {"catbell"}
+    assert with_noise - package == {"catbell.noise", "catbell.hilbert",
+                                    "catbell.params", "catbell.errors"}
 
 
 def test_no_readout_loads_gates():
@@ -322,6 +327,35 @@ def test_the_oracle_module_loads_scipy_only_in_its_scipy_oracles():
 
 def test_the_command_line_loads_no_argparse():
     assert loaded_modules("import catbell.cli", package="argparse") == [set()]
+
+
+# the command line's front door and heat-sweep, each in a fresh interpreter;
+# the config error is a run of a config file that does not exist
+NUMPY_FREE = {
+    "import catbell": "import catbell",
+    "import catbell.cli": "import catbell.cli",
+    "version": "import catbell.cli; catbell.cli.main(['version'])",
+    "describe": "import catbell.cli; catbell.cli.main(['describe', 'heat-sweep'])",
+    "help": ("import catbell.cli, contextlib\n"
+             "with contextlib.suppress(SystemExit): catbell.cli.main(['--help'])"),
+    "config error": ("import catbell.cli; assert catbell.cli.main("
+                     "['run', 'no-such-dir/config.json']) == 2"),
+}
+
+
+@pytest.mark.parametrize("statement", NUMPY_FREE.values(), ids=NUMPY_FREE)
+def test_the_front_door_loads_no_numpy(statement):
+    assert loaded_modules(statement, package="numpy") == [set()]
+
+
+def test_a_heat_sweep_run_loads_no_numpy(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"protocol": "heat-sweep", "encoding": {
+        "alpha": 3.0}, "noise": {"durations": [0.0, 1.0, 2.0]}}))
+    run = (f"import catbell.cli; assert catbell.cli.main(['run', "
+           f"{str(config)!r}, '--output', {str(tmp_path)!r}]) == 0")
+    assert loaded_modules(run, package="numpy") == [set()]
+    assert (tmp_path / "heat-sweep.csv").read_text().count("\n") == 4
 
 
 # README's table of the per-process caches.  Its one row that is not a
@@ -373,8 +407,9 @@ def cache_table_rows() -> list[str]:
 def test_the_cache_table_names_every_memo_once():
     # every memo of the program has one row, and every row names a memo or
     # the entry that the jump sampler keeps on an immutable state
-    from catbell.hilbert import SpaceLayout, StateVector
+    from catbell.hilbert import StateVector
     from catbell.noise import HeatingParams, sample_trajectory
+    from catbell.params import SpaceLayout
 
     memos, rows = memoized_functions(), cache_table_rows()
     # the program's two decorator forms: functools.lru_cache(...) and a

@@ -8,12 +8,11 @@ from math import inf, isfinite, nextafter, sqrt
 import numpy as np
 import pytest
 
-from catbell.bosonic import EVEN, ODD, ModeParams, cat, coherent
+from catbell.bosonic import cat, coherent
 from catbell.encoding import (
     BELL_KINDS,
     MODE_A,
     MODE_B,
-    EncodingParams,
     SchmidtState,
     bell_target,
     bell_target_schmidt,
@@ -34,6 +33,7 @@ from catbell.hilbert import (
     state_fidelity,
     unitarity_residual,
 )
+from catbell.params import EVEN, ODD, EncodingParams, ModeParams
 from conftest import (
     expectation,
     fourier_pair,

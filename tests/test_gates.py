@@ -19,13 +19,8 @@ from catbell.bell import (
     chsh,
     correlation_tensor,
 )
-from catbell.bosonic import ModeParams
 from catbell.encoding import (
-    CHSH_METHODS,
-    EV_VARIANTS,
     MODE_A,
-    VE_VARIANTS,
-    EncodingParams,
     full_layout,
     hadamard_matrix,
     logical_basis,
@@ -50,11 +45,18 @@ from catbell.hilbert import (
     SIGMA_Y,
     DensityMatrix,
     OperatorMatrix,
-    SpaceLayout,
     StateVector,
     apply,
     tensor,
     unitarity_residual,
+)
+from catbell.params import (
+    CHSH_METHODS,
+    EV_VARIANTS,
+    VE_VARIANTS,
+    EncodingParams,
+    ModeParams,
+    SpaceLayout,
 )
 from catbell.pipeline import _coherent_stages, run_pipeline
 from catbell.reference import u_ve_literal_oracle

@@ -8,20 +8,24 @@ from math import prod
 import numpy as np
 import pytest
 
-from catbell.bosonic import ModeParams, coherent, mode_for
+from catbell.bosonic import coherent
 from catbell.errors import CapacityError, ContractError
 from catbell.hilbert import (
-    DEFAULT_MAX_DIM,
     DensityMatrix,
     OperatorMatrix,
-    SpaceLayout,
     StateVector,
     apply,
     band_eigh,
-    max_total_dim,
     state_fidelity,
     tensor,
     unitarity_residual,
+)
+from catbell.params import (
+    DEFAULT_MAX_DIM,
+    ModeParams,
+    SpaceLayout,
+    max_total_dim,
+    mode_for,
 )
 from conftest import (
     basis_state,

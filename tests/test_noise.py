@@ -13,15 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catbell.bell import mixed_bell
-from catbell.bosonic import EVEN, ModeParams, cat, coherent, mode_for
+from catbell.bosonic import cat, coherent
 from catbell.cli import normalize_config
-from catbell.encoding import MODE_A, MODE_B, EncodingParams, bell_target
+from catbell.encoding import MODE_A, MODE_B, bell_target
 from catbell.errors import ContractError
-from catbell.hilbert import (
-    DensityMatrix,
-    SpaceLayout,
-    StateVector,
-)
+from catbell.hilbert import DensityMatrix, StateVector
 import catbell.noise
 from catbell.noise import (
     HeatingParams,
@@ -30,10 +26,17 @@ from catbell.noise import (
     _diagonal_block,
     _mode_view,
     _place,
-    heated_moments,
     propagate,
     sample_trajectory,
     trajectory_rng,
+)
+from catbell.params import (
+    EVEN,
+    EncodingParams,
+    ModeParams,
+    SpaceLayout,
+    heated_moments,
+    mode_for,
 )
 from catbell.pipeline import run_full_pipeline
 from catbell.reference import liouvillian_expm, liouvillian_matrix

@@ -24,29 +24,27 @@ from catbell.bell import (
     correlation_tensor,
     mixed_bell,
 )
-from catbell.bosonic import (
-    ModeParams,
-    cat,
-    mode_for,
-    required_cutoff,
-)
-from catbell.encoding import (
-    EV_VARIANTS,
-    VE_VARIANTS,
-    EncodingParams,
-    logical_basis,
-    rx_matrix,
-)
+from catbell.bosonic import cat
+from catbell.cli import normalize_config
+from catbell.encoding import logical_basis, rx_matrix
 from catbell.hilbert import (
     OperatorMatrix,
-    SpaceLayout,
     StateVector,
     apply,
     state_fidelity,
     unitarity_residual,
 )
 from catbell.noise import HeatingParams, propagate
-from catbell.pipeline import run_pipeline
+from catbell.params import (
+    EV_VARIANTS,
+    VE_VARIANTS,
+    EncodingParams,
+    ModeParams,
+    SpaceLayout,
+    mode_for,
+    required_cutoff,
+)
+from catbell.pipeline import run_bell_scan, run_pipeline, run_swap_report
 from conftest import (
     displacement,
     electronic_bell,
@@ -362,3 +360,30 @@ class TestPipelineRelations:
                                seed, ve, ev)
         assert (abs(sampled["b_value"] - exact["b_value"])
                 <= 5.0 * sampled["b_std_error"])
+
+    @settings(max_examples=40)
+    @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=11))
+    def test_bell_scan_follows_the_linear_law(self, deltas):
+        # the parity-flip mixture's exact B at the default angles is
+        # 2 sqrt(2) (1 - delta), within criterion 07's 1e-8
+        cfg = normalize_config({"protocol": "bell-scan",
+                                "bell": {"deltas": deltas}})
+        rows, _, _ = run_bell_scan(cfg)
+        assert [row["delta"] for row in rows] == deltas
+        for row in rows:
+            assert abs(row["B"] - TSIRELSON * (1.0 - row["delta"])) <= 1e-8
+
+    @settings(max_examples=25)
+    @given(st.floats(1e-9, 4.0))
+    def test_swap_report_ideal_rows_have_fidelity_one(self, alpha):
+        # the ideal builds act exactly on the code space, so each truth
+        # table row lands on its target, within the 1e-10 that
+        # test_swap_report_tables holds u_swap[ideal,ideal] to
+        cfg = normalize_config({"protocol": "swap-report",
+                                "encoding": {"alpha": alpha}})
+        rows, _, _ = run_swap_report(cfg)
+        ideal = [row for row in rows
+                 if row["gate"] in ("u_ve[ideal]", "u_swap[ideal,ideal]")]
+        assert len(ideal) == 8
+        for row in ideal:
+            assert abs(row["fidelity"] - 1.0) <= 1e-10, row

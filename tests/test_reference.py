@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from catbell.bosonic import EVEN, ModeParams, cat
-from catbell.encoding import EncodingParams
+from catbell.bosonic import cat
 from catbell.noise import HeatingParams, propagate
+from catbell.params import EVEN, EncodingParams, ModeParams
 from catbell.reference import (
     OracleReport,
     analyzer_pulse,
