@@ -30,43 +30,46 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from math import isfinite, pi, sqrt
+from math import cos, isfinite, pi, sin, sqrt
+from typing import TYPE_CHECKING
 
-import numpy as np
+from .params import CHSH_METHODS, SpaceLayout, check_unit
 
-from .encoding import SchmidtState
-from .hilbert import SIGMA_X, SIGMA_Y, SIGMA_Z, DensityMatrix, check_unit
-from .params import CHSH_METHODS, SpaceLayout
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .hilbert import DensityMatrix
 
 TSIRELSON = 2.0 * sqrt(2.0)
 DELTA_STAR = 1.0 - 1.0 / sqrt(2.0)   # mixture weight where B drops to 2
-
-# |phi+> and |psi+>, read-only.  The pair layout is built where a state is
-# made, so that its size meets the cap in force.
-_BELLS = (np.array([1.0, 0.0, 0.0, 1.0], dtype=np.complex128) / sqrt(2.0),
-          np.array([0.0, 1.0, 1.0, 0.0], dtype=np.complex128) / sqrt(2.0))
-for _amps in _BELLS:
-    _amps.flags.writeable = False
-
-_PAULIS = np.stack([np.eye(2, dtype=np.complex128), SIGMA_X, SIGMA_Y, SIGMA_Z])
-_PAULIS.flags.writeable = False
 
 
 def mixed_bell(delta: float) -> DensityMatrix:
     """Electronic two-qubit mixture (1-delta)|phi+><phi+| + delta|psi+><psi+|.
 
     Both components are unit-normalized Bell projectors, so the weights are
-    exactly (1-delta, delta).
+    exactly (1-delta, delta).  The pair layout is built here, so that its
+    size meets the cap in force.
     """
+    import numpy as np
+
+    from .hilbert import DensityMatrix
     if not 0.0 <= delta <= 1.0:
         raise ValueError(f"delta must be in [0, 1], got {delta}")
-    phi, psi = _BELLS
+    phi = np.array([1.0, 0.0, 0.0, 1.0], dtype=np.complex128) / sqrt(2.0)
+    psi = np.array([0.0, 1.0, 1.0, 0.0], dtype=np.complex128) / sqrt(2.0)
     m = ((1.0 - delta) * np.outer(phi, phi.conj())
          + delta * np.outer(psi, psi.conj()))
     return DensityMatrix(SpaceLayout((2, 2)), m)
 
 
-def block_fidelity(t: np.ndarray, delta: float) -> float:
+def _rows(t) -> list | tuple:
+    """The rows of a 4 x 4 T as Python floats: an array's tolist, or the
+    nested tuple itself."""
+    return t.tolist() if hasattr(t, "tolist") else t
+
+
+def block_fidelity(t, delta: float) -> float:
     """Uhlmann fidelity to mixed_bell(delta) of a two-qubit state whose
     correlation tensor (correlation_tensor) is t.
 
@@ -78,11 +81,12 @@ def block_fidelity(t: np.ndarray, delta: float) -> float:
     on span{phi+, psi+} and F = (tr sqrt(B))^2 = tr B + 2 sqrt(det B), in
     Python floats.  No eigenvalue of a rank-deficient matrix is
     square-rooted; at delta = 0 the result is <phi+|rho|phi+>.  The caller
-    holds the state to its trace.
+    holds the state to its trace.  t is an array or a nested tuple of
+    floats.
     """
     if not 0.0 <= delta <= 1.0:
         raise ValueError(f"delta must be in [0, 1], got {delta}")
-    (t00, t0x, _, _), (tx0, txx, _, _), (_, _, tyy, tyz), (_, _, tzy, tzz) = t.tolist()
+    (t00, t0x, _, _), (tx0, txx, _, _), (_, _, tyy, tyz), (_, _, tzy, tzz) = _rows(t)
     m00 = (t00 + txx - tyy + tzz) / 4
     m11 = (t00 + txx + tyy - tzz) / 4
     m01 = complex(tx0 + t0x, -(tyz + tzy)) / 4
@@ -126,15 +130,19 @@ def correlation_tensor(rho: DensityMatrix) -> np.ndarray:
     (2, 2, 2, 2) view of rho; einsum calls no BLAS, so T does not depend on
     the BLAS thread count.
     """
+    import numpy as np
+
+    from .hilbert import SIGMA_X, SIGMA_Y, SIGMA_Z
     if rho.layout.dims != (2, 2):
         raise ValueError(f"expected a two-qubit state, got dims {rho.layout.dims}")
+    paulis = np.stack([np.eye(2, dtype=np.complex128), SIGMA_X, SIGMA_Y, SIGMA_Z])
     return np.einsum("abcd,mca,ndb->mn", rho.matrix.reshape(2, 2, 2, 2),
-                     _PAULIS, _PAULIS).real
+                     paulis, paulis).real
 
 
 # s_a s_b of the outcomes |00>, |01>, |10>, |11> once the pulses map each
 # axis onto sigma_z, where |0> reads +1
-OUTCOME_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
+OUTCOME_SIGNS = (1.0, -1.0, -1.0, 1.0)
 
 
 # every chsh call reads one angle set, most often DEFAULT_ANGLES; an entry
@@ -144,16 +152,16 @@ def _setting_vectors(angles: BellAngles) -> tuple:
     """For the four settings of `angles` in combination order, the axes
     u(theta) = (cos theta, sin theta) of both qubits as four Python-float
     rows (ua_x, ua_y, ub_x, ub_y).  Memoized per angle set."""
-    ua, ub = (np.stack([np.cos(t), np.sin(t)], axis=-1)
-              for t in zip(*angles.settings()))
-    return tuple(map(tuple, np.hstack([ua, ub]).tolist()))
+    return tuple((cos(ta), sin(ta), cos(tb), sin(tb))
+                 for ta, tb in angles.settings())
 
 
-def _readings(t: np.ndarray, angles: BellAngles) -> tuple[float, list]:
+def _readings(t, angles: BellAngles) -> tuple[float, list]:
     """T_00 and (r_a, r_b, E) of each setting of `angles`, in combination
-    order and Python floats.  E is summed from +0.0 term by term in the
-    order of np.einsum("ki,ij,kj->k"), whose bits it reproduces."""
-    (t00, b_x, b_y, _), (a_x, x00, x01, _), (a_y, x10, x11, _), _ = t.tolist()
+    order and Python floats, from T as an array or a nested tuple.  E is
+    summed from +0.0 term by term in the order of
+    np.einsum("ki,ij,kj->k"), whose bits it reproduces."""
+    (t00, b_x, b_y, _), (a_x, x00, x01, _), (a_y, x10, x11, _), _ = _rows(t)
     return t00, [(ua_x * a_x + ua_y * a_y, b_x * ub_x + b_y * ub_y,
                   0.0 + ua_x * x00 * ub_x + ua_x * x01 * ub_y
                   + ua_y * x10 * ub_x + ua_y * x11 * ub_y)
@@ -166,6 +174,7 @@ def _populations(t00: float, readings: list) -> np.ndarray:
     rounded to 12 decimals, so sampled counts cannot depend on last-ulp
     jitter of the upstream linear algebra (thread-count independent
     reruns)."""
+    import numpy as np
     p = np.maximum([((t00 + ra + rb + e) / 4, (t00 + ra - rb - e) / 4,
                      (t00 - ra + rb - e) / 4, (t00 - ra - rb + e) / 4)
                     for ra, rb, e in readings], 0.0)
@@ -199,14 +208,16 @@ def chsh(rho: DensityMatrix,
     return tensor_chsh(correlation_tensor(rho), angles, method, shots, seed)
 
 
-def tensor_chsh(t: np.ndarray, angles: BellAngles = DEFAULT_ANGLES,
+def tensor_chsh(t, angles: BellAngles = DEFAULT_ANGLES,
                 method: str = "exact", shots: int = 4096,
                 seed: int | list[int] = 0) -> BellOutcome:
     """CHSH combination over the four settings of `angles`, read from the
-    correlation tensor T of a two-qubit state (correlation_tensor).
+    correlation tensor T of a two-qubit state (correlation_tensor), an
+    array or a 4 x 4 nested tuple of floats.
 
     A T_00 = tr rho not 1 within NORM_TOL is a ContractError.  The exact
-    readout's correlators are the E of _readings.  sampled draws the four
+    readout's correlators are the E of _readings, in Python floats with no
+    numpy.  sampled, which loads numpy, draws the four
     settings in combination order from one np.random.default_rng(seed),
     from the populations of the same readings (_populations).
     The seed may be any value default_rng accepts, including a list used to
@@ -220,9 +231,11 @@ def tensor_chsh(t: np.ndarray, angles: BellAngles = DEFAULT_ANGLES,
     if method == "exact":
         es = [e for _, _, e in readings]
     else:
+        import numpy as np
         rng = np.random.default_rng(seed)
         counts = _draw(_populations(t00, readings), shots, rng)
-        es = [float(c @ OUTCOME_SIGNS) / shots for c in counts]
+        signs = np.array(OUTCOME_SIGNS)
+        es = [float(c @ signs) / shots for c in counts]
         # sums the squares of the per-setting errors sqrt((1 - E^2) / shots),
         # not the variances themselves: the two differ in the last bit
         err = sqrt(sum(sqrt(max(1.0 - e * e, 0.0) / shots) ** 2 for e in es))
@@ -247,16 +260,3 @@ def crossing(deltas, b_values) -> float | None:
             return float(d0 + (2.0 - b0) * (d1 - d0) / (b1 - b0))
     d, b = pairs[-1]
     return float(d) if b == 2.0 else None
-
-
-def reduced_electronic_schmidt(state: SchmidtState) -> DensityMatrix:
-    """The two electronic qubits of a Schmidt-form register, the modes
-    traced out, at O(d K^2) with no register built.
-
-    rho = sum_kl G^L_kl (x) G^R_kl, with G^L_kl = tr_a |L_k><L_l| the 2x2
-    ion-1 Gram table of the left factor and G^R_kl that of the right.
-    """
-    gl = np.einsum("aik,ajl->ijkl", state.left, state.left.conj())
-    gr = np.einsum("aik,ajl->ijkl", state.right, state.right.conj())
-    rho = np.einsum("ijkl,mnkl->imjn", gl, gr)
-    return DensityMatrix(SpaceLayout((2, 2)), rho.reshape(4, 4))

@@ -23,8 +23,8 @@ from math import cos, exp, isfinite, sin, sqrt
 import numpy as np
 
 from . import bosonic
-from .hilbert import StateVector, check_unit, state_fidelity
-from .params import EVEN, ODD, EncodingParams, SpaceLayout, cat_norm
+from .hilbert import StateVector, state_fidelity
+from .params import EVEN, ODD, EncodingParams, SpaceLayout, cat_norm, check_unit
 
 MODE_A, MODE_B, ION_1, ION_2 = 0, 1, 2, 3
 
@@ -200,19 +200,6 @@ def entangled_target_cat_form(params: EncodingParams, side: str = "b") -> Schmid
 BELL_KINDS = ("phi_plus", "psi_plus")
 
 
-def bell_target_schmidt(kind: str, params: EncodingParams) -> SchmidtState:
-    """Logical Bell state of the two modes, ions in |00>, as two Schmidt terms."""
-    if kind not in BELL_KINDS:
-        raise ValueError(f"kind must be one of {BELL_KINDS}, got {kind!r}")
-    a = logical_basis("a", params)
-    b = logical_basis("b", params)
-    right = (b.zero.amps, b.one.amps) if kind == "phi_plus" \
-        else (b.one.amps, b.zero.amps)
-    return SchmidtState(full_layout(params),
-                        _on_ion_ground(a.zero.amps, a.one.amps) / sqrt(2.0),
-                        _on_ion_ground(*right))
-
-
 # jump ensembles heat one register again and again.  An entry is the
 # register, 64 d_a d_b bytes, and what noise.sample_trajectory keeps on it
 # per heated mode: two one-jump finals of the same size and three O(d)
@@ -223,17 +210,23 @@ def bell_target(kind: str, params: EncodingParams) -> StateVector:
     (kind, params) and shared.  The register is immutable (amps read-only
     down their .base chain), so noise.sample_trajectory keeps its level
     weights and one-jump words on it from one ensemble to the next and
-    returns it as a jump-free final."""
-    state = bell_target_schmidt(kind, params).to_state()
+    returns it as a jump-free final.  It is built from two Schmidt terms:
+    (|0_L 0_L> + |1_L 1_L>) / sqrt(2) for phi_plus, (|0_L 1_L> + |1_L 0_L>)
+    / sqrt(2) for psi_plus."""
+    if kind not in BELL_KINDS:
+        raise ValueError(f"kind must be one of {BELL_KINDS}, got {kind!r}")
+    a = logical_basis("a", params)
+    b = logical_basis("b", params)
+    right = (b.zero.amps, b.one.amps) if kind == "phi_plus" \
+        else (b.one.amps, b.zero.amps)
+    state = SchmidtState(full_layout(params),
+                         _on_ion_ground(a.zero.amps, a.one.amps) / sqrt(2.0),
+                         _on_ion_ground(*right)).to_state()
     amps = state.amps
     while amps is not None:
         amps.flags.writeable = False
         amps = amps.base
     return state
-
-
-def hadamard_matrix() -> np.ndarray:
-    return np.array([[1, 1], [1, -1]], dtype=np.complex128) / sqrt(2.0)
 
 
 def rx_matrix(theta: float) -> np.ndarray:

@@ -16,10 +16,8 @@ from math import prod
 
 import numpy as np
 
-from .errors import ContractError
-from .params import SpaceLayout
+from .params import SpaceLayout, check_unit
 
-NORM_TOL = 1e-8
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
@@ -173,14 +171,6 @@ def band_eigh(diagonal: np.ndarray, off_diagonal: np.ndarray
     band = np.diag(diagonal) + np.diag(off_diagonal, 1) + np.diag(off_diagonal, -1)
     w, v = np.linalg.eigh(band)
     return w, np.asfortranarray(v)
-
-
-def check_unit(value: complex, what: str) -> None:
-    """ContractError unless value, the trace or the norm of `what`, is 1
-    within NORM_TOL."""
-    dev = abs(value - 1.0)
-    if dev > NORM_TOL:
-        raise ContractError(f"{what} is not normalized (deviation {dev:.3e})")
 
 
 def state_fidelity(a: StateVector, b: StateVector) -> float:

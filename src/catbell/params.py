@@ -4,10 +4,11 @@ This module imports no numpy, so that `import catbell.cli`, `catbell
 version`, `describe`, `--help`, every config error and a whole `heat-sweep`
 run stay at the interpreter's floor.  It holds the command line's choice
 lists, the frozen settings that key the memos (EncodingParams, ModeParams,
-SpaceLayout), the cutoff sizing, the cat normalization and the truncation
-leak check, and the size cap that every layout and memo hit runs
-(check_dim).  The array modules (hilbert, bosonic, encoding, noise, bell,
-gates) import these names from here.
+SpaceLayout), the cutoff sizing, the cat normalization, the truncation
+leak check, the unit-trace and unit-norm check (check_unit), and the size
+cap that every layout and memo hit runs (check_dim).  The array modules
+(hilbert, bosonic, encoding, noise, bell, gates) and catbell.coherent
+import these names from here.
 
 heat-sweep's answer is a sum over the prepared cat's levels: the even cat's
 populations (even_cat_populations), from the coherent recurrence
@@ -36,8 +37,18 @@ EV_VARIANTS = ("displacement", "ideal")
 EVEN = "+"
 ODD = "-"
 
+NORM_TOL = 1e-8
+
 MAX_DIM_ENV = "CATBELL_MAX_DIM"
 DEFAULT_MAX_DIM = 16384
+
+
+def check_unit(value: complex, what: str) -> None:
+    """ContractError unless value, the trace or the norm of `what`, is 1
+    within NORM_TOL."""
+    dev = abs(value - 1.0)
+    if dev > NORM_TOL:
+        raise ContractError(f"{what} is not normalized (deviation {dev:.3e})")
 
 
 # ---------------------------------------------------------- the size cap ---

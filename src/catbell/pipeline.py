@@ -11,7 +11,9 @@ stages, the CSV columns and notes.
 A one-shot `catbell run` pays for its protocol's modules only: this module
 loads params and errors, which import no numpy, and each runner imports
 the array modules (encoding, bosonic, hilbert, bell, gates) at its entry
-when it calls them.  heat-sweep runs in params alone, in Python floats.
+when it calls them.  heat-sweep runs in params alone, and full-pipeline
+in catbell.coherent and bell, both in Python floats; only full-pipeline's
+sampled readout loads numpy.
 """
 
 from __future__ import annotations
@@ -31,8 +33,6 @@ from .params import (
 )
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from .bell import BellAngles
 
 
@@ -218,47 +218,18 @@ def run_bell_scan(cfg: dict) -> tuple[list[dict], dict, str]:
 
 
 # a delta sweep at one encoding and build hits one key; an entry is two
-# floats and, per branch, a real 4 x 4 tensor: 272 bytes of numbers, about
-# 0.6 KB with their Python headers
+# floats and, per branch, a 4 x 4 tuple of floats: 272 bytes of numbers,
+# about 1.6 KB with their Python headers
 @functools.lru_cache(maxsize=64)
 def _coherent_stages(enc: EncodingParams, ve_variant: str, ev_variant: str
-                     ) -> tuple[float, float, np.ndarray, np.ndarray]:
+                     ) -> tuple[float, float, tuple, tuple]:
     """The stages of run_pipeline that do not depend on delta: the
-    preparation and Hadamard fidelities, and the correlation tensor
-    (bell.correlation_tensor) of the electronic pair after both exchanges
-    of the Hadamard-stage state (keep) and of the same state with mode a
-    parity-flipped (flip); the tensors are read-only."""
-    from .bell import correlation_tensor, reduced_electronic_schmidt
-    from .encoding import (
-        SchmidtState,
-        bell_target_schmidt,
-        entangled_target_schmidt,
-        hadamard_matrix,
-        logical_basis,
-        prepare_entangled_schmidt,
-        schmidt_fidelity,
-    )
-    from .gates import u_swap
-    from .hilbert import SIGMA_X
-    psi = prepare_entangled_schmidt(enc)  # held to the register's size cap
-    prep = schmidt_fidelity(psi, entangled_target_schmidt(enc))
-    code_a = logical_basis("a", enc)
-    left = code_a.rotate(hadamard_matrix(), psi.left)
-    psi = SchmidtState(psi.layout, left, psi.right)
-    had = schmidt_fidelity(psi, bell_target_schmidt("phi_plus", enc))
-
-    swap_a = u_swap("a", enc, ve_variant, ev_variant)
-    same_modes = (enc.mode_a, enc.alpha) == (enc.mode_b, enc.beta)
-    swap_b = swap_a if same_modes else u_swap("b", enc, ve_variant, ev_variant)
-    right = swap_b.apply(psi.right, 0, 1)
-    branches = []
-    for branch in (left, code_a.rotate(SIGMA_X, left)):
-        out = SchmidtState(psi.layout, swap_a.apply(branch, 0, 1), right)
-        # the copy owns its 128 B; T itself views a complex einsum output
-        t = correlation_tensor(reduced_electronic_schmidt(out)).copy()
-        t.flags.writeable = False
-        branches.append(t)
-    return prep, had, branches[0], branches[1]
+    preparation and Hadamard fidelities, and the correlation tensor T of
+    the electronic pair after both exchanges of the Hadamard-stage state
+    (keep) and of the same state with mode a parity-flipped (flip), each a
+    read-only 4 x 4 nested tuple of Python floats (coherent.stages)."""
+    from .coherent import stages
+    return stages(enc, ve_variant, ev_variant)
 
 
 def run_pipeline(enc: EncodingParams, delta: float, angles: BellAngles,
@@ -272,36 +243,39 @@ def run_pipeline(enc: EncodingParams, delta: float, angles: BellAngles,
     coherent stages.  ev_variant defaults to ideal, whose B follows
     2 sqrt(2) (1 - delta).  Returns the named scalar results.
 
-    The register is never built.  At chi_t = pi the cross-Kerr phase is
-    ((-1)^n_a)^n_b, so the prepared state is exactly two products across
-    the cut (mode a, ion 1) | (mode b, ion 2), and every later stage acts on
-    one side of that cut, so the state stays a SchmidtState of two terms.
-    The Hadamard and the parity flip are rank-2 code-space updates of the
-    left factor at O(d); each exchange runs its factors on one (d, 2, 2)
-    factor, its kick an action on the two ion-|1> columns at O(d^2)
-    (D(i eps) in the cached eigenbasis) or O(d) (the code-space rx(pi/2)),
-    and mode b's is shared by both heating branches; fidelities and the
-    electronic state come from 2 x 2 Gram tables at O(d).  No d x d
-    matrix is formed.
+    The register is never built, and no Fock space either.  At chi_t = pi
+    the cross-Kerr phase is ((-1)^n_a)^n_b, so the prepared state is
+    exactly two products across the cut (mode a, ion 1) | (mode b, ion 2),
+    and every later stage acts on one side of that cut.  Each side's
+    factor is a short sum of parity components of the coherent states
+    |+-alpha> and |+-alpha +- i eps> with its ion's state, and each stage is
+    an exact map on those sums (catbell.coherent): the Hadamard and the
+    parity flip are rank-2 updates of the cat code, the exchanges index the
+    odd components and kick by D(i eps) |g> = e^{i eps Re g} |g + i eps>
+    (or by the code-space rx(pi/2)), and fidelities and the electronic
+    state come from Gram tables of closed-form overlaps.  So the result
+    has no truncation error, does not depend on encoding.cutoff or
+    leak_tol, and holds no size cap: the work is the same at any alpha.
 
     Everything before the mixture depends only on (enc, ve_variant,
     ev_variant), so it is memoized per process on that key: at most 64
     keys of two floats and each branch's correlation tensor T, kept and
-    flipped.  Both readouts and the fidelity are linear in the electronic
-    pair rho up to their last scalar step, so the mixture is never formed
-    as a matrix: a call mixes the branches' tensors with weights
-    (1 - delta, delta) and reads from the mixed T both B (bell.tensor_chsh,
-    which also holds T_00, the trace, to 1) and the fidelity to
-    mixed_bell(delta) (bell.block_fidelity).
-    A warm call builds no state and no gate.  Warm calls give the same bits
-    as cold ones; a cold call, such as one `catbell run`, also runs the
-    flip branch at delta = 0.
+    flipped, as 4 x 4 tuples of floats.  Both readouts and the fidelity are
+    linear in the electronic pair rho up to their last scalar step, so the
+    mixture is never formed as a matrix: a call mixes the branches' tensors
+    with weights (1 - delta, delta), entry by entry in Python floats, and
+    reads from the mixed T both B (bell.tensor_chsh, which also holds T_00,
+    the trace, to 1) and the fidelity to mixed_bell(delta)
+    (bell.block_fidelity).  An exact call loads no numpy.
+    A warm call builds no state.  Warm calls give the same bits as cold
+    ones; a cold call, such as one `catbell run`, also runs the flip branch
+    at delta = 0.
     """
     from .bell import block_fidelity, tensor_chsh
     prep, had, t_keep, t_flip = _coherent_stages(enc, ve_variant, ev_variant)
-    # a hit skips the stages' size checks; the cap may have been lowered
-    check_dim(4 * enc.mode_a.cutoff * enc.mode_b.cutoff)
-    t = (1.0 - delta) * t_keep + delta * t_flip
+    keep = 1.0 - delta
+    t = tuple(tuple(keep * k + delta * f for k, f in zip(row_k, row_f))
+              for row_k, row_f in zip(t_keep, t_flip))
     results = {"preparation_fidelity": prep, "hadamard_fidelity": had,
                "delta": delta, "electronic_fidelity": block_fidelity(t, delta)}
     outcome = tensor_chsh(t, angles, method, shots, seed)
@@ -329,13 +303,15 @@ def run_full_pipeline(cfg: dict) -> tuple[list[dict], dict, str]:
     gates.ev_variant, ideal (exact code-space rx(pi/2)), follows that law;
     the displacement build's kick D(i eps) costs a further exp(-eps^2).
     The register is carried as its two Schmidt terms across
-    (mode a, ion 1) | (mode b, ion 2); electronic_fidelity is the
-    closed-form fidelity to the delta mixture.  A null noise.delta is the
-    single-jump scale gamma alpha^2 duration, a ConfigError above 1 or
-    where gamma alpha^2 overflows at duration 0; the exact channel flips
-    the even cat's parity with probability about gamma (2 nbar + 1)
-    duration at small gamma duration, nbar the cat's <n>, which is more
-    than twice that scale
+    (mode a, ion 1) | (mode b, ion 2), each a short sum of coherent states,
+    with no Fock cutoff: encoding.cutoff and leak_tol are accepted and
+    checked but change no number, and no size cap applies, at any alpha.
+    electronic_fidelity is the closed-form fidelity to the delta mixture.
+    A null noise.delta is the single-jump scale gamma alpha^2 duration, a
+    ConfigError above 1 or where gamma alpha^2 overflows at duration 0;
+    the exact channel flips the even cat's parity with probability about
+    gamma (2 nbar + 1) duration at small gamma duration, nbar the cat's
+    <n>, which is more than twice that scale
     """
     enc = _encoding_params(cfg)
     n = cfg["noise"]

@@ -10,7 +10,11 @@ Among them are the dense readouts that no command runs: partial_trace, the
 Uhlmann dm_fidelity, mixed_bell_fidelity, the closed form that the
 pipeline's electronic_fidelity is held to, and bell_block and
 block_reference_fidelity, the same closed form read from the directly
-projected Bell block.
+projected Bell block.  fock_stages is the Fock differential reference of
+catbell.coherent.stages: the same chain on truncated Fock factors, with
+the Hadamard's matrix, the logical Bell target (bell_target_schmidt) and
+the Gram-table reduction to the ions (reduced_electronic_schmidt), which
+no command runs any more.
 """
 
 from __future__ import annotations
@@ -33,7 +37,13 @@ from catbell.encoding import (
     MODE_A,
     MODE_B,
     LogicalBasis,
+    SchmidtState,
+    _on_ion_ground,
+    entangled_target_schmidt,
     full_layout,
+    logical_basis,
+    prepare_entangled_schmidt,
+    schmidt_fidelity,
 )
 from catbell.gates import (
     _flip,
@@ -44,15 +54,15 @@ from catbell.gates import (
     u_swap,
 )
 from catbell.hilbert import (
+    SIGMA_X,
     SIGMA_Y,
     DensityMatrix,
     OperatorMatrix,
     StateVector,
     apply,
-    check_unit,
     tensor,
 )
-from catbell.params import EncodingParams, ModeParams, SpaceLayout
+from catbell.params import EncodingParams, ModeParams, SpaceLayout, check_unit
 from catbell.reference import entangled_amplitudes, read_fixture
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -389,3 +399,56 @@ def exchange_op(which_mode: str, params: EncodingParams, ve_variant: str,
     gate = u_swap(which_mode, params, ve_variant, ev_variant)
     return pair_op(which_mode, params,
                    partial(gate.apply, mode_axis=0, ion_axis=1))
+
+
+def hadamard_matrix() -> np.ndarray:
+    return np.array([[1, 1], [1, -1]], dtype=np.complex128) / sqrt(2.0)
+
+
+def bell_target_schmidt(kind: str, params: EncodingParams) -> SchmidtState:
+    """Logical Bell state of the two modes, ions in |00>, as two Schmidt
+    terms of truncated Fock factors."""
+    if kind not in BELL_KINDS:
+        raise ValueError(f"kind must be one of {BELL_KINDS}, got {kind!r}")
+    a = logical_basis("a", params)
+    b = logical_basis("b", params)
+    right = (b.zero.amps, b.one.amps) if kind == "phi_plus" \
+        else (b.one.amps, b.zero.amps)
+    return SchmidtState(full_layout(params),
+                        _on_ion_ground(a.zero.amps, a.one.amps) / sqrt(2.0),
+                        _on_ion_ground(*right))
+
+
+def reduced_electronic_schmidt(state: SchmidtState) -> DensityMatrix:
+    """The two electronic qubits of a Schmidt-form register, the modes
+    traced out, at O(d K^2) with no register built.
+
+    rho = sum_kl G^L_kl (x) G^R_kl, with G^L_kl = tr_a |L_k><L_l| the 2x2
+    ion-1 Gram table of the left factor and G^R_kl that of the right.
+    """
+    gl = np.einsum("aik,ajl->ijkl", state.left, state.left.conj())
+    gr = np.einsum("aik,ajl->ijkl", state.right, state.right.conj())
+    rho = np.einsum("ijkl,mnkl->imjn", gl, gr)
+    return DensityMatrix(SpaceLayout((2, 2)), rho.reshape(4, 4))
+
+
+def fock_stages(enc: EncodingParams, ve_variant: str, ev_variant: str
+                ) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """catbell.coherent.stages on truncated Fock factors at enc's cutoffs:
+    the preparation and Hadamard fidelities and the kept and flipped
+    branches' correlation tensors.  The chain that full-pipeline ran
+    before it ran in coherent states; its results differ from the
+    engine's by the truncation, which leak_tol bounds."""
+    psi = prepare_entangled_schmidt(enc)
+    prep = schmidt_fidelity(psi, entangled_target_schmidt(enc))
+    code_a = logical_basis("a", enc)
+    left = code_a.rotate(hadamard_matrix(), psi.left)
+    psi = SchmidtState(psi.layout, left, psi.right)
+    had = schmidt_fidelity(psi, bell_target_schmidt("phi_plus", enc))
+    swap_a = u_swap("a", enc, ve_variant, ev_variant)
+    swap_b = u_swap("b", enc, ve_variant, ev_variant)
+    right = swap_b.apply(psi.right, 0, 1)
+    tensors = [correlation_tensor(reduced_electronic_schmidt(
+        SchmidtState(psi.layout, swap_a.apply(branch, 0, 1), right)))
+        for branch in (left, code_a.rotate(SIGMA_X, left))]
+    return prep, had, tensors[0], tensors[1]

@@ -94,7 +94,7 @@ EXTRA_CONFIGS = (
     {"protocol": "heat-sweep", "noise": {"durations": [0.0, 1.0, 2.0]}},
     # the size cap and a cutoff that drops more of the cat than leak_tol,
     # two capacity errors that no regression ends in
-    {"protocol": "full-pipeline", "encoding": {"alpha": 4.0}},
+    {"protocol": "prepare", "encoding": {"alpha": 4.0}},
     {"protocol": "prepare", "encoding": {"alpha": 2.0, "cutoff": 10}},
 )
 

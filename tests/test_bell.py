@@ -25,7 +25,6 @@ from catbell.bell import (
     correlation_tensor,
     crossing,
     mixed_bell,
-    reduced_electronic_schmidt,
     tensor_chsh,
 )
 from catbell.encoding import BELL_KINDS, SchmidtState, bell_target, full_layout
@@ -46,6 +45,7 @@ from conftest import (
     electronic_bell,
     mixed_bell_fidelity,
     reduced_electronic,
+    reduced_electronic_schmidt,
 )
 
 PAIR = SpaceLayout((2, 2))

@@ -305,12 +305,25 @@ def test_importing_the_package_loads_only_its_one_binding():
 
 
 def test_no_readout_loads_gates():
+    # the mixture is a hilbert density matrix; no readout loads the modes'
+    # Fock space (encoding, bosonic) or the gates
     bell, exact, sampled = loaded_modules(
         "import catbell.bell",
         "from catbell.bell import chsh, mixed_bell; chsh(mixed_bell(0.1))",
         "chsh(mixed_bell(0.1), method='sampled', shots=100, seed=1)")
-    assert "catbell.gates" not in bell
-    assert exact == sampled == bell
+    assert bell == {"catbell", "catbell.bell", "catbell.params", "catbell.errors"}
+    assert exact == sampled == bell | {"catbell.hilbert"}
+
+
+def test_the_exact_readout_of_a_tuple_loads_no_numpy():
+    # import catbell.bell, and its exact readout and fidelity of a T given
+    # as nested tuples of floats, run in Python floats alone
+    t = ((1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0),
+         (0.0, 0.0, -1.0, 0.0), (0.0, 0.0, 0.0, 1.0))
+    statements = ("import catbell.bell as bell",
+                  f"print(bell.tensor_chsh({t!r}, bell.BellAngles()).b_value, "
+                  f"bell.block_fidelity({t!r}, 0.0))")
+    assert loaded_modules(*statements, package="numpy") == [set(), set()]
 
 
 def test_the_oracle_module_loads_scipy_only_in_its_scipy_oracles():
@@ -356,6 +369,19 @@ def test_a_heat_sweep_run_loads_no_numpy(tmp_path):
            f"{str(config)!r}, '--output', {str(tmp_path)!r}]) == 0")
     assert loaded_modules(run, package="numpy") == [set()]
     assert (tmp_path / "heat-sweep.csv").read_text().count("\n") == 4
+
+
+@pytest.mark.parametrize("ev", ["ideal", "displacement"])
+def test_an_exact_full_pipeline_run_loads_no_numpy(tmp_path, ev):
+    # the coherent-state engine and the exact readout; the sampled readout
+    # still draws from numpy's Generator (ROADMAP item 32)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"protocol": "full-pipeline", "encoding": {
+        "alpha": 2.0}, "gates": {"ev_variant": ev}}))
+    run = (f"import catbell.cli; assert catbell.cli.main(['run', "
+           f"{str(config)!r}, '--output', {str(tmp_path)!r}]) == 0")
+    assert loaded_modules(run, package="numpy") == [set()]
+    assert "b_value," in (tmp_path / "full-pipeline.csv").read_text()
 
 
 # README's table of the per-process caches.  Its one row that is not a

@@ -15,11 +15,9 @@ from catbell.encoding import (
     MODE_B,
     SchmidtState,
     bell_target,
-    bell_target_schmidt,
     entangled_target_cat_form,
     entangled_target_schmidt,
     full_layout,
-    hadamard_matrix,
     logical_basis,
     prepare_entangled_schmidt,
     qubit_state,
@@ -35,8 +33,10 @@ from catbell.hilbert import (
 )
 from catbell.params import EVEN, ODD, EncodingParams, ModeParams
 from conftest import (
+    bell_target_schmidt,
     expectation,
     fourier_pair,
+    hadamard_matrix,
     on_register,
     overlap,
     parity_op,

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import os
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +15,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from catbell import gates
-import catbell.bell
 from catbell.bell import (
     DEFAULT_ANGLES,
     chsh,
@@ -22,7 +23,6 @@ from catbell.bell import (
 from catbell.encoding import (
     MODE_A,
     full_layout,
-    hadamard_matrix,
     logical_basis,
     prepare_entangled_schmidt,
     qubit_state,
@@ -57,6 +57,8 @@ from catbell.params import (
     EncodingParams,
     ModeParams,
     SpaceLayout,
+    cat_norm,
+    default_cutoff,
 )
 from catbell.pipeline import _coherent_stages, run_pipeline
 from catbell.reference import u_ve_literal_oracle
@@ -65,6 +67,8 @@ from conftest import (
     basis_state,
     dm_fidelity,
     exchange_op,
+    fock_stages,
+    hadamard_matrix,
     lift_pair,
     matrix_exp,
     mixed_bell_fidelity,
@@ -471,28 +475,103 @@ def mixed_tensor(enc: EncodingParams, delta: float, ve: str,
     """The correlation tensor that run_pipeline reads out: the memoized
     branches' tensors mixed with weights (1 - delta, delta)."""
     _, _, t_keep, t_flip = _coherent_stages(enc, ve, ev)
-    return (1.0 - delta) * t_keep + delta * t_flip
+    return (1.0 - delta) * np.array(t_keep) + delta * np.array(t_flip)
 
 
-def branch_pairs(enc: EncodingParams, ve: str, ev: str,
-                 monkeypatch) -> list[DensityMatrix]:
+def pair_of(t) -> DensityMatrix:
+    """The two-qubit state whose correlation tensor is t: rho = sum_mn T_mn
+    sigma_m (x) sigma_n / 4."""
+    paulis = [np.eye(2), SIGMA_X, SIGMA_Y, np.diag([1.0, -1.0])]
+    rho = sum(t[m][n] * np.kron(paulis[m], paulis[n])
+              for m in range(4) for n in range(4)) / 4.0
+    return DensityMatrix(SpaceLayout((2, 2)), rho.astype(np.complex128))
+
+
+def branch_pairs(enc: EncodingParams, ve: str, ev: str) -> list[DensityMatrix]:
     """The kept and flipped electronic pairs of a cold run of the coherent
-    stages, as they reach bell.correlation_tensor."""
-    pairs = []
-    tensor_fn = catbell.bell.correlation_tensor
-    monkeypatch.setattr(catbell.bell, "correlation_tensor",
-                        lambda rho: pairs.append(rho) or tensor_fn(rho))
+    stages, rebuilt from their correlation tensors."""
     _coherent_stages.cache_clear()
-    _coherent_stages(enc, ve, ev)
-    monkeypatch.undo()
-    assert len(pairs) == 2
-    return pairs
+    return [pair_of(t) for t in _coherent_stages(enc, ve, ev)[2:]]
+
+
+# the dense oracle runs this many levels above each mode's default cutoff,
+# where the coherent states' dropped tail is far below rounding; at the
+# default cutoffs the truncation itself moved T by up to 1.2e-10 (alpha 8),
+# and the engine, which has no cutoff, is held to the oracle without it
+ORACLE_MARGIN = 40
+
+
+def oracle_encoding(enc: EncodingParams) -> EncodingParams:
+    """enc with each mode's cutoff ORACLE_MARGIN levels above its default."""
+    return EncodingParams(
+        enc.alpha, enc.beta,
+        ModeParams(default_cutoff(enc.alpha) + ORACLE_MARGIN, enc.mode_a.leak_tol),
+        ModeParams(default_cutoff(enc.beta) + ORACLE_MARGIN, enc.mode_b.leak_tol),
+        enc.epsilon)
 
 
 AMPLITUDES = [(2.0, 2.0), (4.0, 4.0), (2.0, 3.0)]
 # (ve, delta) beyond test_results_match's (ideal, 0.15)
 MORE_CASES = [(ve, d) for ve in VE_VARIANTS for d in (0.0, 0.15, 1.0)
               if (ve, d) != ("ideal", 0.15)]
+
+
+class TestEngineAgainstFock:
+    """catbell.coherent against its Fock differential reference
+    (conftest.fock_stages), the chain that full-pipeline ran before."""
+
+    # TestPipelineAgainstDense's tolerance: at the cutoffs below, where the
+    # dropped tail of every kicked state is far below leak_tol, T moved by
+    # at most 5.1e-15 over 600 draws of this strategy and all four builds
+    TOL = 1e-12
+
+    @settings(max_examples=40)
+    @given(st.floats(0.1, 4.0), st.floats(0.1, 4.0),
+           st.none() | st.floats(0.0, 1.0), st.sampled_from(VARIANT_PAIRS),
+           st.floats(0.0, 1.0))
+    def test_tensors_match_the_fock_path(self, alpha, beta, eps_frac, builds,
+                                         delta):
+        ve, ev = builds
+        eps = None if eps_frac is None else eps_frac * np.pi / max(alpha, beta)
+
+        def cutoff(amp: float) -> int:
+            # the default cutoffs hold the cats, not the kicked states
+            # |amp +- i eps>: there T moved by up to 1.2e-6 at alpha 0.54,
+            # eps pi / (4 alpha), and by 0.1 at alpha 0.2; these hold
+            # them, with 20 levels to spare
+            kick = np.pi / (4.0 * amp) if eps is None else eps
+            return default_cutoff(amp + kick) + 20
+
+        enc = EncodingParams(alpha, beta, ModeParams(cutoff(alpha)),
+                             ModeParams(cutoff(beta)), eps)
+        _coherent_stages.cache_clear()
+        cold = run_pipeline(enc, delta, DEFAULT_ANGLES, ve_variant=ve,
+                            ev_variant=ev)
+        prep, had, keep, flip = _coherent_stages(enc, ve, ev)
+        with mock.patch.dict(os.environ, {"CATBELL_MAX_DIM": "4194304"}):
+            f_prep, f_had, f_keep, f_flip = fock_stages(enc, ve, ev)
+        assert abs(prep - f_prep) <= self.TOL and abs(had - f_had) <= self.TOL
+        assert np.abs(np.array(keep) - f_keep).max() <= self.TOL
+        assert np.abs(np.array(flip) - f_flip).max() <= self.TOL
+        t = (1.0 - delta) * f_keep + delta * f_flip
+        assert abs(cold["b_value"] - chsh(pair_of(t)).b_value) <= 4 * self.TOL
+        # warm equals cold, bit for bit
+        assert repr(run_pipeline(enc, delta, DEFAULT_ANGLES, ve_variant=ve,
+                                 ev_variant=ev)) == repr(cold)
+
+    @pytest.mark.parametrize("alpha,beta", [(2.0, 2.0), (0.7, 3.0), (6.0, 6.0)])
+    def test_hadamard_keeps_its_physical_deficit(self, alpha, beta):
+        # H acts on the cat code, but the prepared E_+- have norms 1/(2 N+-)
+        # that differ, so the pair reaches phi+ only to
+        # F = (u_a u_b / 8)^2, u = 1/N+ + 1/N- = sqrt(2 + 2 e^{-2 a^2}) +
+        # sqrt(2 - 2 e^{-2 a^2})
+        enc = EncodingParams.for_amplitudes(alpha, beta)
+        got = run_pipeline(enc, 0.0, DEFAULT_ANGLES)["hadamard_fidelity"]
+        u_a, u_b = (1.0 / cat_norm(x, "+") + 1.0 / cat_norm(x, "-")
+                    for x in (alpha, beta))
+        assert abs(got - (u_a * u_b / 8.0) ** 2) <= 1e-14
+        if alpha == 2.0:
+            assert 1.0 - got == pytest.approx(1.0 - 0.999999943732, abs=1e-12)
 
 
 class TestDisplacementLaw:
@@ -510,12 +589,20 @@ class TestDisplacementLaw:
 
 
 class TestPipelineAgainstDense:
+    """The coherent-state engine against the dense register oracle built
+    ORACLE_MARGIN levels above the default cutoffs (oracle_encoding)."""
+
+    @pytest.fixture(autouse=True)
+    def raised_cap(self, monkeypatch):
+        # 4 x 90 x 90 amplitudes at alpha 4
+        monkeypatch.setenv("CATBELL_MAX_DIM", "65536")
+
     @pytest.mark.parametrize("ev", EV_VARIANTS)
     @pytest.mark.parametrize("alpha,beta", AMPLITUDES)
     def test_results_match(self, alpha, beta, ev):
         enc = EncodingParams.for_amplitudes(alpha, beta)
         got = run_pipeline(enc, 0.15, DEFAULT_ANGLES, ev_variant=ev)
-        for name, want in dense_pipeline(enc, 0.15, ev).items():
+        for name, want in dense_pipeline(oracle_encoding(enc), 0.15, ev).items():
             assert abs(got[name] - want) <= 1e-12, name
 
     @pytest.mark.parametrize("ev", EV_VARIANTS)
@@ -524,21 +611,21 @@ class TestPipelineAgainstDense:
     def test_variants_and_edge_weights(self, ve, delta, alpha, beta, ev):
         enc = EncodingParams.for_amplitudes(alpha, beta)
         t = mixed_tensor(enc, delta, ve, ev)
-        dense = dense_electronic(enc, delta, ve, ev)
+        dense = dense_electronic(oracle_encoding(enc), delta, ve, ev)
         assert np.abs(t - correlation_tensor(dense)).max() <= 1e-13
         got = run_pipeline(enc, delta, DEFAULT_ANGLES, ve_variant=ve,
                            ev_variant=ev)
-        for name, want in dense_pipeline(enc, delta, ev, ve).items():
+        for name, want in dense_pipeline(oracle_encoding(enc), delta, ev,
+                                         ve).items():
             assert abs(got[name] - want) <= 1e-12, name
 
     @pytest.mark.parametrize("ve,ev", VARIANT_PAIRS)
     @pytest.mark.parametrize("alpha,beta", AMPLITUDES)
-    def test_coordinates_read_as_the_mixed_pair(self, alpha, beta, ve, ev,
-                                                monkeypatch):
+    def test_coordinates_read_as_the_mixed_pair(self, alpha, beta, ve, ev):
         # run_pipeline reads its mixed tensor; chsh and mixed_bell_fidelity
         # read the mixed pair, as run_pipeline once did
         enc = EncodingParams.for_amplitudes(alpha, beta)
-        keep, flip = branch_pairs(enc, ve, ev, monkeypatch)
+        keep, flip = branch_pairs(enc, ve, ev)
         for delta in (0.0, 0.15, 1.0):
             rho = DensityMatrix(SpaceLayout((2, 2)),
                                 (1.0 - delta) * keep.matrix + delta * flip.matrix)
