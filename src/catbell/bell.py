@@ -44,6 +44,30 @@ TSIRELSON = 2.0 * sqrt(2.0)
 DELTA_STAR = 1.0 - 1.0 / sqrt(2.0)   # mixture weight where B drops to 2
 
 
+# numpy's arrays, built on the first call that needs them so that an
+# import of this module loads no numpy; each is read-only
+@lru_cache(maxsize=1)
+def _bell_vectors() -> tuple[np.ndarray, np.ndarray]:
+    """|phi+> and |psi+>."""
+    import numpy as np
+    bells = (np.array([1.0, 0.0, 0.0, 1.0], dtype=np.complex128) / sqrt(2.0),
+             np.array([0.0, 1.0, 1.0, 0.0], dtype=np.complex128) / sqrt(2.0))
+    for amps in bells:
+        amps.flags.writeable = False
+    return bells
+
+
+@lru_cache(maxsize=1)
+def _pauli_stack() -> np.ndarray:
+    """(4, 2, 2): the identity, sigma_x, sigma_y and sigma_z."""
+    import numpy as np
+
+    from .hilbert import SIGMA_X, SIGMA_Y, SIGMA_Z
+    paulis = np.stack([np.eye(2, dtype=np.complex128), SIGMA_X, SIGMA_Y, SIGMA_Z])
+    paulis.flags.writeable = False
+    return paulis
+
+
 def mixed_bell(delta: float) -> DensityMatrix:
     """Electronic two-qubit mixture (1-delta)|phi+><phi+| + delta|psi+><psi+|.
 
@@ -56,20 +80,13 @@ def mixed_bell(delta: float) -> DensityMatrix:
     from .hilbert import DensityMatrix
     if not 0.0 <= delta <= 1.0:
         raise ValueError(f"delta must be in [0, 1], got {delta}")
-    phi = np.array([1.0, 0.0, 0.0, 1.0], dtype=np.complex128) / sqrt(2.0)
-    psi = np.array([0.0, 1.0, 1.0, 0.0], dtype=np.complex128) / sqrt(2.0)
+    phi, psi = _bell_vectors()
     m = ((1.0 - delta) * np.outer(phi, phi.conj())
          + delta * np.outer(psi, psi.conj()))
     return DensityMatrix(SpaceLayout((2, 2)), m)
 
 
-def _rows(t) -> list | tuple:
-    """The rows of a 4 x 4 T as Python floats: an array's tolist, or the
-    nested tuple itself."""
-    return t.tolist() if hasattr(t, "tolist") else t
-
-
-def block_fidelity(t, delta: float) -> float:
+def block_fidelity(t: tuple, delta: float) -> float:
     """Uhlmann fidelity to mixed_bell(delta) of a two-qubit state whose
     correlation tensor (correlation_tensor) is t.
 
@@ -81,12 +98,11 @@ def block_fidelity(t, delta: float) -> float:
     on span{phi+, psi+} and F = (tr sqrt(B))^2 = tr B + 2 sqrt(det B), in
     Python floats.  No eigenvalue of a rank-deficient matrix is
     square-rooted; at delta = 0 the result is <phi+|rho|phi+>.  The caller
-    holds the state to its trace.  t is an array or a nested tuple of
-    floats.
+    holds the state to its trace.
     """
     if not 0.0 <= delta <= 1.0:
         raise ValueError(f"delta must be in [0, 1], got {delta}")
-    (t00, t0x, _, _), (tx0, txx, _, _), (_, _, tyy, tyz), (_, _, tzy, tzz) = _rows(t)
+    (t00, t0x, _, _), (tx0, txx, _, _), (_, _, tyy, tyz), (_, _, tzy, tzz) = t
     m00 = (t00 + txx - tyy + tzz) / 4
     m11 = (t00 + txx + tyy - tzz) / 4
     m01 = complex(tx0 + t0x, -(tyz + tzy)) / 4
@@ -122,8 +138,9 @@ class BellAngles:
 DEFAULT_ANGLES = BellAngles()
 
 
-def correlation_tensor(rho: DensityMatrix) -> np.ndarray:
-    """T_mn = tr rho (sigma_m (x) sigma_n), sigma = (1, x, y, z), real 4 x 4.
+def correlation_tensor(rho: DensityMatrix) -> tuple:
+    """T_mn = tr rho (sigma_m (x) sigma_n), sigma = (1, x, y, z), as four
+    rows of four Python floats.
 
     T_00 is the trace, T_m0 and T_0n the Bloch vectors of the two qubits
     and the 3 x 3 block their correlations.  One einsum over the
@@ -131,13 +148,12 @@ def correlation_tensor(rho: DensityMatrix) -> np.ndarray:
     the BLAS thread count.
     """
     import numpy as np
-
-    from .hilbert import SIGMA_X, SIGMA_Y, SIGMA_Z
     if rho.layout.dims != (2, 2):
         raise ValueError(f"expected a two-qubit state, got dims {rho.layout.dims}")
-    paulis = np.stack([np.eye(2, dtype=np.complex128), SIGMA_X, SIGMA_Y, SIGMA_Z])
-    return np.einsum("abcd,mca,ndb->mn", rho.matrix.reshape(2, 2, 2, 2),
-                     paulis, paulis).real
+    paulis = _pauli_stack()
+    t = np.einsum("abcd,mca,ndb->mn", rho.matrix.reshape(2, 2, 2, 2),
+                  paulis, paulis).real
+    return tuple(map(tuple, t.tolist()))
 
 
 # s_a s_b of the outcomes |00>, |01>, |10>, |11> once the pulses map each
@@ -156,12 +172,12 @@ def _setting_vectors(angles: BellAngles) -> tuple:
                  for ta, tb in angles.settings())
 
 
-def _readings(t, angles: BellAngles) -> tuple[float, list]:
+def _readings(t: tuple, angles: BellAngles) -> tuple[float, list]:
     """T_00 and (r_a, r_b, E) of each setting of `angles`, in combination
-    order and Python floats, from T as an array or a nested tuple.  E is
+    order and Python floats, from T's rows of floats.  E is
     summed from +0.0 term by term in the order of
     np.einsum("ki,ij,kj->k"), whose bits it reproduces."""
-    (t00, b_x, b_y, _), (a_x, x00, x01, _), (a_y, x10, x11, _), _ = _rows(t)
+    (t00, b_x, b_y, _), (a_x, x00, x01, _), (a_y, x10, x11, _), _ = t
     return t00, [(ua_x * a_x + ua_y * a_y, b_x * ub_x + b_y * ub_y,
                   0.0 + ua_x * x00 * ub_x + ua_x * x01 * ub_y
                   + ua_y * x10 * ub_x + ua_y * x11 * ub_y)
@@ -208,12 +224,12 @@ def chsh(rho: DensityMatrix,
     return tensor_chsh(correlation_tensor(rho), angles, method, shots, seed)
 
 
-def tensor_chsh(t, angles: BellAngles = DEFAULT_ANGLES,
+def tensor_chsh(t: tuple, angles: BellAngles = DEFAULT_ANGLES,
                 method: str = "exact", shots: int = 4096,
                 seed: int | list[int] = 0) -> BellOutcome:
     """CHSH combination over the four settings of `angles`, read from the
-    correlation tensor T of a two-qubit state (correlation_tensor), an
-    array or a 4 x 4 nested tuple of floats.
+    correlation tensor T of a two-qubit state (correlation_tensor), four
+    rows of four floats.
 
     A T_00 = tr rho not 1 within NORM_TOL is a ContractError.  The exact
     readout's correlators are the E of _readings, in Python floats with no

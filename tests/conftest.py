@@ -257,7 +257,7 @@ def partial_trace(state: StateVector, keep: tuple[int, ...]) -> DensityMatrix:
 
 def check_normalized(state: DensityMatrix | StateVector, what: str) -> None:
     """ContractError unless the trace of a DensityMatrix, or the norm of a
-    StateVector, is 1 within hilbert.NORM_TOL."""
+    StateVector, is 1 within params.NORM_TOL."""
     check_unit(complex(np.trace(state.matrix))
                if isinstance(state, DensityMatrix) else state.norm, what)
 
@@ -433,7 +433,7 @@ def reduced_electronic_schmidt(state: SchmidtState) -> DensityMatrix:
 
 
 def fock_stages(enc: EncodingParams, ve_variant: str, ev_variant: str
-                ) -> tuple[float, float, np.ndarray, np.ndarray]:
+                ) -> tuple[float, float, tuple, tuple]:
     """catbell.coherent.stages on truncated Fock factors at enc's cutoffs:
     the preparation and Hadamard fidelities and the kept and flipped
     branches' correlation tensors.  The chain that full-pipeline ran

@@ -24,7 +24,7 @@ round away shows in a diff; both are read from a second run of the
 config, which the memo's warm-equals-cold tests tie to the run that wrote
 the CSV.
 
-    python3 tests/output_matrix.py --against REV [--allow PROTOCOL] [--cells]
+    python3 tests/output_matrix.py --against REV [--allow PROTOCOL]
 
 compares this checkout's working tree with the revision REV.  It exports
 REV with `git archive` into a temporary directory, leaving the working tree
@@ -35,11 +35,10 @@ the working tree, grouped by config (amplitude and delta aside) and column:
 each group's class, the number of cells moved and the largest move.  A
 column is physical unless RESIDUE_COLUMNS names it, or it is b_value and
 both values are within ZERO_RESIDUE of its exact 0 (the literal builds):
-those last bits move with any reordering of float operations.  --cells
-prints every moved cell instead.  The exit code is 1 if a physical column
-moved in a protocol that no --allow names, if a file or a cell is new or
-missing, or if the working tree's outputs differ between the thread
-counts, and 0 otherwise.
+those last bits move with any reordering of float operations.  The exit
+code is 1 if a physical column moved in a protocol that no --allow names,
+if a file or a cell is new or missing, or if the working tree's outputs
+differ between the thread counts, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -180,12 +179,13 @@ def read_cells(outdir: Path) -> dict[str, dict[tuple[str, str], str]]:
 
 
 def _number(text: str) -> float | None:
-    for parse in (float.fromhex, float):
-        try:
-            return parse(text)
-        except ValueError:
-            pass
-    return None
+    """A cell's value: float.hex where the text holds 0x (the results
+    files), else a decimal (the CSVs' .12g cells, which float.fromhex would
+    also accept, as hex digits); None for text that is no number."""
+    try:
+        return float.fromhex(text) if "0x" in text else float(text)
+    except ValueError:
+        return None
 
 
 def cell_class(column: str, before: str, after: str) -> str:
@@ -290,7 +290,7 @@ def write_tree(tree: Path, outdir: Path, threads: int, alphas) -> None:
                    stdout=subprocess.DEVNULL)
 
 
-def against(rev: str, allow: tuple[str, ...], alphas, cells: bool) -> int:
+def against(rev: str, allow: tuple[str, ...], alphas) -> int:
     """Compare the working tree's outputs with rev's (the module
     docstring); the exit code."""
     failures = []
@@ -312,11 +312,7 @@ def against(rev: str, allow: tuple[str, ...], alphas, cells: bool) -> int:
         moved, unmatched = compare(outs["base", 1], outs["change", 1])
     print(f"{rev} -> working tree: {len(moved)} cells moved, "
           f"{sum(m['class'] == 'physical' for m in moved)} of them physical")
-    if cells:
-        for m in moved:
-            print(f"{m['file']} | {m['row']} | {m['column']} | {m['class']} | "
-                  f"{m['before']} -> {m['after']}")
-    elif moved:
+    if moved:
         print("\n".join(summary(moved)))
     failures += verdict(moved, unmatched, allow)
     for failure in failures:
@@ -336,13 +332,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--allow", action="append", default=[],
                         metavar="PROTOCOL",
                         help="a protocol whose physical columns may move")
-    parser.add_argument("--cells", action="store_true",
-                        help="print every moved cell, not the summary")
     args = parser.parse_args(argv)
     if args.against is not None:
         if args.outdir is not None:
             parser.error("--against writes to temporary directories; give no OUTDIR")
-        return against(args.against, tuple(args.allow), args.alpha, args.cells)
+        return against(args.against, tuple(args.allow), args.alpha)
     if args.outdir is None:
         parser.error("give an OUTDIR, or --against REV")
     outdir = Path(args.outdir)

@@ -197,7 +197,11 @@ class TestCorrelationTensor:
         rho = random_pair_dm(np.random.default_rng(8), 0.0)
         want = [[np.trace(rho.matrix @ np.kron(a, b)).real for b in PAULIS]
                 for a in PAULIS]
-        assert np.abs(correlation_tensor(rho) - want).max() <= 1e-15
+        t = correlation_tensor(rho)
+        # four rows of four Python floats, the one type the readout takes
+        assert type(t) is tuple and all(type(row) is tuple for row in t)
+        assert all(type(x) is float for row in t for x in row)
+        assert np.abs(np.subtract(t, want)).max() <= 1e-15
 
     def test_bell_states(self):
         # T_00 = 1 and T = diag(1, -1, 1) on phi+, diag(1, 1, -1) on psi+
@@ -250,7 +254,7 @@ class TestCorrelationTensor:
         ua, ub = (np.stack([np.cos(th), np.sin(th)], axis=-1)
                   for th in zip(*angles.settings()))
         want = np.einsum("ki,ij,kj->k", ua, t[1:3, 1:3], ub).tolist()
-        got = tensor_chsh(t, angles).correlations
+        got = tensor_chsh(tuple(map(tuple, t.tolist())), angles).correlations
         assert [e.hex() for e in got] == [e.hex() for e in want]
 
     def test_tensor_trace_is_held_to_one(self):
@@ -259,7 +263,8 @@ class TestCorrelationTensor:
             assert tensor_chsh(t, method=method) == chsh(mixed_bell(0.2),
                                                          method=method)
             with pytest.raises(ContractError, match="readout state is not normalized"):
-                tensor_chsh(1.01 * t, method=method)
+                tensor_chsh(tuple(tuple(1.01 * x for x in row) for row in t),
+                            method=method)
 
     def test_signed_zero_angles_read_alike(self):
         # -0.0 and 0.0 share a memo key, so they must read the same bits:

@@ -1128,7 +1128,7 @@ class TestMainEntry:
         # the --against verdict on synthetic output pairs: a residue move
         # passes, a physical move fails unless its protocol is allowed, and
         # a new or a missing file fails
-        from output_matrix import compare, verdict
+        from output_matrix import _move, compare, summary, verdict
         base = {
             "swap-report-a2.csv": ("gate,input,target,fidelity,unitarity\n"
                                    "\"u_swap[ideal,ideal]\",0L|0e,0L|0e,1,2.1e-15\n"),
@@ -1178,6 +1178,19 @@ class TestMainEntry:
         assert len(verdict(moved, unmatched)) == 2
         assert len(verdict(moved, unmatched, ("full-pipeline",))) == 1
         assert verdict(moved, unmatched, ("full-pipeline", "swap-report")) == []
+        # a CSV cell is a .12g decimal, which is also valid hex: 0.99999999997
+        # read as hex would move by 2 * 16^-11, not by 2e-11
+        decimal = outputs(
+            "decimal",
+            **{"swap-report-a2.csv": base["swap-report-a2.csv"].replace(
+                "0L|0e,1,", "0L|0e,0.99999999997,")})
+        moved, _ = compare(outputs("decimal-before", **{
+            "swap-report-a2.csv": base["swap-report-a2.csv"].replace(
+                "0L|0e,1,", "0L|0e,0.99999999999,")}), decimal)
+        assert [(m["column"], m["class"]) for m in moved] == [("fidelity",
+                                                               "physical")]
+        assert _move(moved[0]) == pytest.approx(2e-11, rel=1e-4)
+        assert summary(moved)[-1].endswith("| 1 | 2e-11 |")
         for name, edits in (("missing", {"protocol-results.txt": None}),
                             ("new", {"jump-ensemble.txt": "alpha=2 mode=a "
                                      "seed=1 flips=3 jumps=4 rho4=00\n"})):

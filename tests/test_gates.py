@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 import os
 import sys
 from unittest import mock
@@ -537,10 +538,12 @@ class TestEngineAgainstFock:
         def cutoff(amp: float) -> int:
             # the default cutoffs hold the cats, not the kicked states
             # |amp +- i eps>: there T moved by up to 1.2e-6 at alpha 0.54,
-            # eps pi / (4 alpha), and by 0.1 at alpha 0.2; these hold
-            # them, with 20 levels to spare
+            # eps pi / (4 alpha), and by 0.1 at alpha 0.2.  These hold
+            # them, with a spare that grows with the kicked state's width:
+            # a flat 20 levels left T off by 1.1e-10 at alpha 0.125, eps
+            # pi / alpha (cutoff 820), and 60 by 2.4e-15
             kick = np.pi / (4.0 * amp) if eps is None else eps
-            return default_cutoff(amp + kick) + 20
+            return default_cutoff(amp + kick) + 20 + 2 * math.ceil(amp + kick)
 
         enc = EncodingParams(alpha, beta, ModeParams(cutoff(alpha)),
                              ModeParams(cutoff(beta)), eps)
@@ -548,12 +551,12 @@ class TestEngineAgainstFock:
         cold = run_pipeline(enc, delta, DEFAULT_ANGLES, ve_variant=ve,
                             ev_variant=ev)
         prep, had, keep, flip = _coherent_stages(enc, ve, ev)
-        with mock.patch.dict(os.environ, {"CATBELL_MAX_DIM": "4194304"}):
+        with mock.patch.dict(os.environ, {"CATBELL_MAX_DIM": "8388608"}):
             f_prep, f_had, f_keep, f_flip = fock_stages(enc, ve, ev)
         assert abs(prep - f_prep) <= self.TOL and abs(had - f_had) <= self.TOL
         assert np.abs(np.array(keep) - f_keep).max() <= self.TOL
         assert np.abs(np.array(flip) - f_flip).max() <= self.TOL
-        t = (1.0 - delta) * f_keep + delta * f_flip
+        t = (1.0 - delta) * np.array(f_keep) + delta * np.array(f_flip)
         assert abs(cold["b_value"] - chsh(pair_of(t)).b_value) <= 4 * self.TOL
         # warm equals cold, bit for bit
         assert repr(run_pipeline(enc, delta, DEFAULT_ANGLES, ve_variant=ve,
