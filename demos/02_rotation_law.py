@@ -5,12 +5,14 @@ A kick D(i epsilon) rotates the logical Bloch vector of a cat qubit by
 theta = 2 alpha epsilon while pushing each coherent branch a distance
 epsilon off its orbit.  The branch fidelity against the ideal rotation is
 exp(-epsilon^2), independent of alpha: larger cats buy a given angle with
-a smaller kick.
+a smaller kick.  The fidelities are closed forms in the overlaps of
+coherent states, with no Fock cutoff, as `catbell run` computes rotate's
+rows.
 """
 
 from math import exp, pi
 
-from catbell.encoding import rotation_fidelity
+from catbell.coherent import rotation_fidelity
 from catbell.params import EncodingParams
 
 print("branch fidelity of D(i eps) vs the ideal rx(2 alpha eps)")

@@ -14,7 +14,8 @@ ways: exact correlators, and shot sampling from the populations.  It
 refuses a T whose T_00, the trace, is not 1; chsh reads a state through
 it.  The fidelity to the delta mixture is read from T too (block_fidelity).
 T is linear in rho, so a mixture of states is read from the mixture of
-their tensors (pipeline.run_pipeline).  The carrier pulses that rotate each
+their tensors (mixed_tensor): bell-scan mixes those of phi+ and psi+, and
+full-pipeline those of its two branches.  The carrier pulses that rotate each
 axis onto sigma_z are never built here: they are an oracle of
 catbell.reference, which both readouts are checked against.  The
 two-qubit combination
@@ -33,7 +34,7 @@ from functools import lru_cache
 from math import cos, isfinite, pi, sin, sqrt
 from typing import TYPE_CHECKING
 
-from .params import CHSH_METHODS, SpaceLayout, check_unit
+from .params import CHSH_METHODS, check_unit
 
 if TYPE_CHECKING:
     import numpy as np
@@ -44,19 +45,15 @@ TSIRELSON = 2.0 * sqrt(2.0)
 DELTA_STAR = 1.0 - 1.0 / sqrt(2.0)   # mixture weight where B drops to 2
 
 
-# numpy's arrays, built on the first call that needs them so that an
-# import of this module loads no numpy; each is read-only
-@lru_cache(maxsize=1)
-def _bell_vectors() -> tuple[np.ndarray, np.ndarray]:
-    """|phi+> and |psi+>."""
-    import numpy as np
-    bells = (np.array([1.0, 0.0, 0.0, 1.0], dtype=np.complex128) / sqrt(2.0),
-             np.array([0.0, 1.0, 1.0, 0.0], dtype=np.complex128) / sqrt(2.0))
-    for amps in bells:
-        amps.flags.writeable = False
-    return bells
+# the correlation tensors of |phi+> and |psi+>, T_mn = <sigma_m (x) sigma_n>
+PHI_PLUS_T = ((1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0),
+              (0.0, 0.0, -1.0, 0.0), (0.0, 0.0, 0.0, 1.0))
+PSI_PLUS_T = ((1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0),
+              (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, -1.0))
 
 
+# numpy's Pauli stack, built on the first call that needs it so that an
+# import of this module loads no numpy; it is read-only
 @lru_cache(maxsize=1)
 def _pauli_stack() -> np.ndarray:
     """(4, 2, 2): the identity, sigma_x, sigma_y and sigma_z."""
@@ -68,27 +65,19 @@ def _pauli_stack() -> np.ndarray:
     return paulis
 
 
-def mixed_bell(delta: float) -> DensityMatrix:
-    """Electronic two-qubit mixture (1-delta)|phi+><phi+| + delta|psi+><psi+|.
-
-    Both components are unit-normalized Bell projectors, so the weights are
-    exactly (1-delta, delta).  The pair layout is built here, so that its
-    size meets the cap in force.
-    """
-    import numpy as np
-
-    from .hilbert import DensityMatrix
-    if not 0.0 <= delta <= 1.0:
-        raise ValueError(f"delta must be in [0, 1], got {delta}")
-    phi, psi = _bell_vectors()
-    m = ((1.0 - delta) * np.outer(phi, phi.conj())
-         + delta * np.outer(psi, psi.conj()))
-    return DensityMatrix(SpaceLayout((2, 2)), m)
+def mixed_tensor(keep: tuple, flip: tuple, delta: float) -> tuple:
+    """(1 - delta) keep + delta flip, entry by entry in Python floats: T of
+    the mixture of weights (1 - delta, delta) of two states of tensors keep
+    and flip."""
+    w = 1.0 - delta
+    return tuple(tuple(w * k + delta * f for k, f in zip(row_k, row_f))
+                 for row_k, row_f in zip(keep, flip))
 
 
 def block_fidelity(t: tuple, delta: float) -> float:
-    """Uhlmann fidelity to mixed_bell(delta) of a two-qubit state whose
-    correlation tensor (correlation_tensor) is t.
+    """Uhlmann fidelity to the mixture (1-delta)|phi+><phi+| +
+    delta|psi+><psi+| of a two-qubit state whose correlation tensor
+    (correlation_tensor) is t.
 
     The block M_ij = <b_i|rho|b_j> on b = (phi+, psi+) is linear in T: M_00
     = (T_00 + T_xx - T_yy + T_zz) / 4, M_11 = (T_00 + T_xx + T_yy - T_zz) / 4,

@@ -21,8 +21,9 @@ from math import exp, pi, sqrt
 
 import numpy as np
 
+from .errors import CapacityError
 from .hilbert import StateVector, band_eigh
-from .params import EVEN, ODD, ModeParams, _check_leak, cat_norm
+from .params import EVEN, ODD, ModeParams, _check_leak, cat_norm, required_cutoff
 
 
 def _coherent_amps(alpha: complex, cutoff: int) -> np.ndarray:
@@ -57,6 +58,32 @@ def cat(alpha: complex, parity: str, mode: ModeParams) -> StateVector:
     exact = 1.0 / cat_norm(alpha, parity) ** 2  # norm^2 of the untruncated sum
     _check_leak(max(0.0, 1.0 - kept / exact), mode, alpha, f"'{parity}' cat state")
     return StateVector(layout, v / sqrt(kept))
+
+
+def check_kicked_cats(alpha: float, epsilon: float, mode: ModeParams) -> None:
+    """Hold the cats kicked by D(i eps) to leak_tol as cat holds the cat, by
+    the recurrence of D(i eps)|+-alpha> = e^{+-i eps alpha}|+-alpha + i eps>.
+    Above it, a CapacityError names a cutoff that holds both: no level of a
+    kicked cat holds more than 4 N-^2 times that of |alpha + i eps>."""
+    dim = mode.layout.dims[0]  # the size cap, before anything is allocated
+    if not isfinite(alpha * alpha + epsilon * epsilon):
+        raise CapacityError(f"no finite cutoff holds the cats kicked by D(i "
+                            f"epsilon) for alpha = {alpha}, epsilon = "
+                            f"{epsilon}: |alpha + i epsilon|^2 overflows")
+    phase = np.exp(1j * epsilon * alpha)
+    right, left = (_coherent_amps(complex(g, epsilon), dim) for g in (alpha, -alpha))
+    for parity, sign in ((EVEN, 1.0), (ODD, -1.0)):
+        v = phase * right + sign * phase.conjugate() * left
+        kept = float(np.vdot(v, v).real)
+        exact = 1.0 / cat_norm(alpha, parity) ** 2  # D keeps the cat's norm
+        dropped = max(0.0, 1.0 - kept / exact)
+        if dropped > mode.leak_tol:
+            tol = mode.leak_tol / (4.0 * cat_norm(alpha, ODD) ** 2)
+            raise CapacityError(
+                f"cutoff {mode.cutoff} drops {dropped:.3e} of the '{parity}' "
+                f"cat state kicked by D(i epsilon) for alpha = {alpha}, "
+                f"epsilon = {epsilon}; cutoff "
+                f"{required_cutoff(complex(alpha, epsilon), tol)} holds both")
 
 
 # a sweep at one encoding uses one or two cutoffs; an entry is 8 d (d + 1)

@@ -1,4 +1,4 @@
-"""full-pipeline's stages in the span of coherent states, with no cutoff.
+"""full-pipeline's stages and rotate's rows in coherent states, no cutoff.
 
 The paper writes every stage in coherent states: the cross-Kerr pair is
 (|a,b> + |-a,b> + |a,-b> - |-a,-b>)/2, the kick is D(i eps)|g> =
@@ -29,7 +29,7 @@ correlation tensor is T_mn = sum_kl tr(G^L_kl sigma_m) tr(G^R_kl sigma_n).
 from __future__ import annotations
 
 import cmath
-from math import cos, exp, expm1, pi, sin, sqrt
+from math import cos, exp, expm1, isfinite, pi, sin, sqrt
 
 from .params import EVEN, ODD, EncodingParams, cat_norm
 
@@ -169,6 +169,32 @@ def correlation_tensor(mode_l: Mode, left: list, mode_r: Mode,
     b = [_pauli_traces(mode_r, right, k, l) for k, l in pairs]
     return tuple(tuple(sum(x[m] * y[n] for x, y in zip(a, b)).real
                        for n in range(4)) for m in range(4))
+
+
+def rotation_fidelity(eps: float, params: EncodingParams,
+                      which_mode: str = "a") -> dict:
+    """rotate's row of the kick D(i eps), in its columns: eps itself, theta =
+    2 alpha eps (alpha the named mode's amplitude), both code branches'
+    fidelities against the ideal rx(theta) and the law exp(-eps^2), which
+    holds up to terms of order exp(-2 alpha^2).  <C_s|D(i eps)|C_t> = 4 N_s
+    N_t M(eps, s, t) (Mode.overlap), so f_zero = |cos theta <C+|D|C+> - i
+    sin theta <C-|D|C+>|^2, and f_one alike.  An angle past the float range
+    is a ValueError."""
+    alpha = params.amplitude(which_mode)
+    theta = 2.0 * alpha * eps
+    if not isfinite(theta):
+        raise ValueError(f"epsilon = {eps!r} makes the angle 2 alpha epsilon "
+                         "overflow")
+    mode = Mode(alpha, eps)
+
+    def element(s: int, t: int) -> complex:
+        return 4.0 * mode.norms[s] * mode.norms[t] * mode.overlap(eps, s, t)
+
+    c, i_s = cos(theta), 1j * sin(theta)
+    f0 = abs(c * element(1, 1) - i_s * element(-1, 1)) ** 2
+    f1 = abs(-i_s * element(1, -1) + c * element(-1, -1)) ** 2
+    return {"epsilon": eps, "theta": theta, "f_zero": f0, "f_one": f1,
+            "analytic": exp(-eps * eps)}
 
 
 def _kick_scale(params: EncodingParams, amplitude: float) -> float:

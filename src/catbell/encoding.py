@@ -5,25 +5,18 @@ combinations (the two-level discrete Fourier pair) approach the coherent
 states |alpha> and |-alpha> for large amplitude.  The joint layout is fixed
 as [mode a, mode b, ion 1, ion 2], electronic factors last.  The register's
 settings, EncodingParams, live in catbell.params, which loads no numpy.
-
-A displacement i*eps on a mode rotates the logical qubit about x by the angle
-2*alpha*eps: each coherent branch of a cat sits a distance 2*alpha from the
-other in the displaced quadrature, so the momentum kick eps advances the
-branch phases by +-alpha*eps and their difference by twice that.  The branch
-fidelity against the ideal rotation is exp(-eps^2) up to terms of order
-exp(-2 alpha^2).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import cos, exp, isfinite, sin, sqrt
+from math import sqrt
 
 import numpy as np
 
 from . import bosonic
-from .hilbert import StateVector, state_fidelity
+from .hilbert import StateVector
 from .params import EVEN, ODD, EncodingParams, SpaceLayout, cat_norm, check_unit
 
 MODE_A, MODE_B, ION_1, ION_2 = 0, 1, 2, 3
@@ -61,9 +54,9 @@ class LogicalBasis:
         return out.reshape(np.shape(x))
 
 
-# cold pipeline ops (ideal kick, Hadamard stage, flip branch) and jump
-# ensembles (Bell target, logical projection) read a code basis, warm ones
-# none; an entry is two d-vectors, 32 d bytes: 32 * 32 * 128 B = 128 KB
+# swap-report (the ideal build's kick, the truth tables) and jump ensembles
+# (Bell target, logical projection) read a code basis; an entry is two
+# d-vectors, 32 d bytes: 32 * 32 * 128 B = 128 KB
 @lru_cache(maxsize=32)
 def logical_basis(which_mode: str, params: EncodingParams) -> LogicalBasis:
     """The cat-code basis of one mode, built once per (which_mode, params)
@@ -227,31 +220,3 @@ def bell_target(kind: str, params: EncodingParams) -> StateVector:
         amps.flags.writeable = False
         amps = amps.base
     return state
-
-
-def rx_matrix(theta: float) -> np.ndarray:
-    return np.array(
-        [[cos(theta), 1j * sin(theta)], [1j * sin(theta), cos(theta)]],
-        dtype=np.complex128,
-    )
-
-
-def rotation_fidelity(eps: float, params: EncodingParams,
-                      which_mode: str = "a") -> dict:
-    """rotate's row of the kick D(i eps), in its columns: eps itself, theta =
-    2 alpha eps (alpha the named mode's amplitude), both code branches'
-    fidelities against the ideal rx(theta) and the law exp(-eps^2)."""
-    basis = logical_basis(which_mode, params)
-    theta = 2.0 * params.amplitude(which_mode) * eps
-    if not isfinite(theta):
-        raise ValueError(f"epsilon = {eps!r} makes the angle 2 alpha epsilon "
-                         "overflow")
-    kick = bosonic.displacement_action(1j * eps, params.mode(which_mode))
-    tgt0 = StateVector(basis.zero.layout,
-                       cos(theta) * basis.zero.amps + 1j * sin(theta) * basis.one.amps)
-    tgt1 = StateVector(basis.zero.layout,
-                       1j * sin(theta) * basis.zero.amps + cos(theta) * basis.one.amps)
-    f0 = state_fidelity(tgt0, StateVector(tgt0.layout, kick(basis.zero.amps)))
-    f1 = state_fidelity(tgt1, StateVector(tgt1.layout, kick(basis.one.amps)))
-    return {"epsilon": eps, "theta": theta, "f_zero": f0, "f_one": f1,
-            "analytic": exp(-eps * eps)}

@@ -32,10 +32,10 @@ or, for the ideal build, the code-space rx(pi/2) as a rank-2 update
 (LogicalBasis.rotate, O(d) per column).
 
 u_swap returns the exchange as an Exchange, whose apply runs the three
-steps and never a dense product.  The reports run the same steps that the
-pipeline runs, once on the stack of the four pair basis states; the one
-dense array they form is the step run on the pair identity, for the
-unitarity column.
+steps and never a dense product.  swap-report's reports run each step once
+on the stack of the four pair basis states; the one dense array they form
+is the step run on the pair identity, for the unitarity column.  A report
+of D(i eps) first holds the kicked cats to leak_tol (_check_kick).
 """
 
 from __future__ import annotations
@@ -43,15 +43,13 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
-from math import pi
 
 import numpy as np
 
 from . import bosonic, encoding
+from .coherent import EXCITED_PHASE, RX_HALF_PI, _kick_scale
 from .hilbert import unitarity_residual
 from .params import EV_VARIANTS, VE_VARIANTS, EncodingParams, SpaceLayout
-
-EXCITED_PHASE = np.exp(-1j * pi / 2.0)  # -i, as the rounded exponential
 
 
 def pair_layout(which_mode: str, params: EncodingParams) -> SpaceLayout:
@@ -96,11 +94,16 @@ def _kick(which_mode: str, params: EncodingParams, ev_variant: str
     """
     if ev_variant == "ideal":
         basis = encoding.logical_basis(which_mode, params)
-        return partial(basis.rotate, encoding.rx_matrix(pi / 2.0))
-    epsilon = params.epsilon
-    if epsilon is None:
-        epsilon = pi / (4.0 * params.amplitude(which_mode))
+        return partial(basis.rotate, RX_HALF_PI)
+    epsilon = _kick_scale(params, params.amplitude(which_mode))
     return bosonic.displacement_action(1j * epsilon, params.mode(which_mode))
+
+
+def _check_kick(which_mode: str, params: EncodingParams) -> None:
+    """bosonic.check_kicked_cats of the displacement build's kick."""
+    amplitude = params.amplitude(which_mode)
+    bosonic.check_kicked_cats(amplitude, _kick_scale(params, amplitude),
+                              params.mode(which_mode))
 
 
 @dataclass(frozen=True)
@@ -191,6 +194,7 @@ def report_u_ve(variant: str, which_mode: str, params: EncodingParams) -> list[d
 
 def report_u_ev(which_mode: str, params: EncodingParams) -> list[dict]:
     """swap-report's rows of the kick build of u_ev against CNOT_EV_TABLE."""
+    _check_kick(which_mode, params)
     kick = _kick(which_mode, params, "displacement")  # D(i eps)
     return _report(partial(_phase_kick, kick=kick), "u_ev[displacement]",
                    which_mode, params, CNOT_EV_TABLE)
@@ -199,6 +203,8 @@ def report_u_ev(which_mode: str, params: EncodingParams) -> list[dict]:
 def report_u_swap(which_mode: str, params: EncodingParams, ve_variant: str,
                   ev_variant: str) -> list[dict]:
     """swap-report's rows of the exchange u_swap against SWAP_TABLE."""
+    if ev_variant == "displacement":
+        _check_kick(which_mode, params)
     gate = u_swap(which_mode, params, ve_variant, ev_variant)
     return _report(partial(gate.apply, mode_axis=0, ion_axis=1),
                    f"u_swap[{ve_variant},{ev_variant}]",

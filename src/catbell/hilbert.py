@@ -16,7 +16,7 @@ from math import prod
 
 import numpy as np
 
-from .params import SpaceLayout, check_unit
+from .params import SpaceLayout
 
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -47,10 +47,6 @@ class StateVector:
                 f"amplitude length {self.amps.size} does not match "
                 f"layout dimension {self.layout.total_dim}"
             )
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
 
     def as_tensor(self) -> np.ndarray:
         """Amplitudes reshaped to one axis per factor."""
@@ -164,22 +160,12 @@ def band_eigh(diagonal: np.ndarray, off_diagonal: np.ndarray
               ) -> tuple[np.ndarray, np.ndarray]:
     """(w, V) of a real symmetric tridiagonal band: M = V diag(w) V^T, w
     ascending.  A dense eigh, O(d^3), that its callers cache per cutoff.
-    V is column-major, as LAPACK writes it; a row-major V would sum the
-    products with V in another order and move rounding-residue bytes of
-    the output (trace_drift, b_value at delta = 1).
+    V is returned column-major, as LAPACK writes it, whatever view eigh
+    returns, so that every product with V sums in one order.
     """
     band = np.diag(diagonal) + np.diag(off_diagonal, 1) + np.diag(off_diagonal, -1)
     w, v = np.linalg.eigh(band)
     return w, np.asfortranarray(v)
-
-
-def state_fidelity(a: StateVector, b: StateVector) -> float:
-    """|<a|b>|^2 for unit-norm states; unnormalized input is an error."""
-    if a.layout != b.layout:
-        raise ValueError("states live on different layouts")
-    check_unit(a.norm, "first state")
-    check_unit(b.norm, "second state")
-    return float(abs(np.vdot(a.amps, b.amps)) ** 2)
 
 
 def unitarity_residual(m: np.ndarray) -> float:

@@ -10,10 +10,9 @@ stages, the CSV columns and notes.
 
 A one-shot `catbell run` pays for its protocol's modules only: this module
 loads params and errors, which import no numpy, and each runner imports
-the array modules (encoding, bosonic, hilbert, bell, gates) at its entry
-when it calls them.  heat-sweep runs in params alone, and full-pipeline
-in catbell.coherent and bell, both in Python floats; only full-pipeline's
-sampled readout loads numpy.
+the modules it calls at its entry.  heat-sweep runs in params alone,
+rotate in catbell.coherent, bell-scan in bell and full-pipeline in both,
+in Python floats; only the sampled readouts load numpy.
 """
 
 from __future__ import annotations
@@ -95,10 +94,11 @@ def run_rotate(cfg: dict) -> tuple[list[dict], dict, str]:
       - branch fidelities against the ideal logical x rotation
       - comparison with the exp(-epsilon^2) fidelity law
     columns: epsilon,theta,f_zero,f_one,analytic
-    notes: encoding module; rotation angle is 2 alpha epsilon, and epsilon
-    is the configured kick itself
+    notes: coherent module, in closed form; rotation angle is 2 alpha
+    epsilon, and epsilon is the configured kick itself.  No Fock cutoff:
+    encoding.cutoff and leak_tol change no number, and no size cap applies
     """
-    from .encoding import rotation_fidelity
+    from .coherent import rotation_fidelity
     enc = _encoding_params(cfg)
     rows = []
     for i, eps in enumerate(cfg["encoding"]["epsilons"]):
@@ -107,8 +107,6 @@ def run_rotate(cfg: dict) -> tuple[list[dict], dict, str]:
         except ValueError:  # the angle 2 alpha epsilon overflows
             raise ConfigError(f"encoding.epsilons[{i}] = {eps!r} makes the "
                               "angle 2 alpha epsilon overflow") from None
-        except OverflowError as err:  # only the kick's phases can overflow
-            raise ConfigError(f"encoding.epsilons[{i}] = {eps!r}: {err}") from None
     worst = max(abs(r["f_zero"] - r["analytic"]) for r in rows)
     return rows, {"max_law_deviation": worst}, "exact"
 
@@ -121,8 +119,9 @@ def run_swap_report(cfg: dict) -> tuple[list[dict], dict, str]:
       - truth table for the conditional-displacement gate
       - three-gate exchange with ideal and displacement rotations
     columns: gate,input,target,fidelity,unitarity
-    notes: gates module; each row runs the step that full-pipeline runs on
-    the pair basis; fidelities are phase-blind, unitarity exact
+    notes: gates module, on the Fock basis; fidelities are phase-blind,
+    unitarity exact.  A cutoff that drops more than leak_tol of a cat
+    kicked by D(i epsilon) is a CapacityError that names one that does not
     """
     from .gates import report_u_ev, report_u_swap, report_u_ve
     enc = _encoding_params(cfg)
@@ -196,16 +195,18 @@ def run_bell_scan(cfg: dict) -> tuple[list[dict], dict, str]:
       - interpolated crossing of the classical bound 2
     columns: delta,B (exact) or delta,B,std_error (sampled)
     notes: bell module; B(0) = 2 sqrt(2) at the default angles.  The
+    mixture is read from its tensor (1 - delta) T(phi+) + delta T(psi+)
+    (bell.mixed_tensor); no cutoff, leak_tol or size cap is read.  The
     crossing is reported for the exact readout only; grid point i of the
     sampled readout draws from the seed [seed, i]
     """
-    from .bell import chsh, crossing, mixed_bell
+    from .bell import PHI_PLUS_T, PSI_PLUS_T, crossing, mixed_tensor, tensor_chsh
     angles = _bell_angles(cfg)
     b = cfg["bell"]
     rows = []
     for i, delta in enumerate(b["deltas"]):
-        out = chsh(mixed_bell(delta), angles, b["mode"], b["shots"],
-                   [cfg["seed"], i])
+        out = tensor_chsh(mixed_tensor(PHI_PLUS_T, PSI_PLUS_T, delta), angles,
+                          b["mode"], b["shots"], [cfg["seed"], i])
         row = {"delta": delta, "B": out.b_value}
         if out.std_error is not None:
             row["std_error"] = out.std_error
@@ -263,19 +264,17 @@ def run_pipeline(enc: EncodingParams, delta: float, angles: BellAngles,
     flipped, as 4 x 4 tuples of floats.  Both readouts and the fidelity are
     linear in the electronic pair rho up to their last scalar step, so the
     mixture is never formed as a matrix: a call mixes the branches' tensors
-    with weights (1 - delta, delta), entry by entry in Python floats, and
-    reads from the mixed T both B (bell.tensor_chsh, which also holds T_00,
-    the trace, to 1) and the fidelity to mixed_bell(delta)
-    (bell.block_fidelity).  An exact call loads no numpy.
+    with weights (1 - delta, delta) (bell.mixed_tensor), and reads from the
+    mixed T both B (bell.tensor_chsh, which also holds T_00, the trace, to
+    1) and the fidelity to the delta mixture (bell.block_fidelity).  An
+    exact call loads no numpy.
     A warm call builds no state.  Warm calls give the same bits as cold
     ones; a cold call, such as one `catbell run`, also runs the flip branch
     at delta = 0.
     """
-    from .bell import block_fidelity, tensor_chsh
+    from .bell import block_fidelity, mixed_tensor, tensor_chsh
     prep, had, t_keep, t_flip = _coherent_stages(enc, ve_variant, ev_variant)
-    keep = 1.0 - delta
-    t = tuple(tuple(keep * k + delta * f for k, f in zip(row_k, row_f))
-              for row_k, row_f in zip(t_keep, t_flip))
+    t = mixed_tensor(t_keep, t_flip, delta)
     results = {"preparation_fidelity": prep, "hadamard_fidelity": had,
                "delta": delta, "electronic_fidelity": block_fidelity(t, delta)}
     outcome = tensor_chsh(t, angles, method, shots, seed)

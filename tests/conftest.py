@@ -6,10 +6,11 @@ the verdicts stay visible regardless of output capture.
 
 The helpers build states and operators that the library has no use for
 but several tests do; test modules import them with `from conftest import`.
-Among them are the dense readouts that no command runs: partial_trace, the
-Uhlmann dm_fidelity, mixed_bell_fidelity, the closed form that the
-pipeline's electronic_fidelity is held to, and bell_block and
-block_reference_fidelity, the same closed form read from the directly
+Among them are the dense states and readouts that no command runs:
+mixed_bell, the delta mixture as a density matrix, partial_trace,
+state_fidelity, the Uhlmann dm_fidelity, mixed_bell_fidelity, the closed
+form that the pipeline's electronic_fidelity is held to, and bell_block
+and block_reference_fidelity, the same closed form read from the directly
 projected Bell block.  fock_stages is the Fock differential reference of
 catbell.coherent.stages: the same chain on truncated Fock factors, with
 the Hadamard's matrix, the logical Bell target (bell_target_schmidt) and
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import os
 from functools import partial
-from math import pi, prod, sqrt
+from math import cos, pi, prod, sin, sqrt
 from pathlib import Path
 
 import numpy as np
@@ -190,6 +191,18 @@ def electronic_bell(kind: str) -> StateVector:
                        np.array(amps, dtype=np.complex128) / sqrt(2.0))
 
 
+def mixed_bell(delta: float) -> DensityMatrix:
+    """The electronic mixture (1-delta)|phi+><phi+| + delta|psi+><psi+| as a
+    density matrix: the state whose correlation tensor bell-scan reads in
+    closed form, bell.mixed_tensor(PHI_PLUS_T, PSI_PLUS_T, delta)."""
+    if not 0.0 <= delta <= 1.0:
+        raise ValueError(f"delta must be in [0, 1], got {delta}")
+    phi, psi = (electronic_bell(kind).amps for kind in BELL_KINDS)
+    m = ((1.0 - delta) * np.outer(phi, phi.conj())
+         + delta * np.outer(psi, psi.conj()))
+    return DensityMatrix(SpaceLayout((2, 2)), m)
+
+
 def parity_projectors(mode: ModeParams) -> tuple[OperatorMatrix, OperatorMatrix]:
     """(even, odd) projectors; they sum to the identity exactly."""
     n = np.arange(mode.cutoff)
@@ -255,11 +268,25 @@ def partial_trace(state: StateVector, keep: tuple[int, ...]) -> DensityMatrix:
     return DensityMatrix(kept_layout, red.reshape(d, d))
 
 
+def norm(state: StateVector) -> float:
+    """The 2-norm of a state's amplitudes."""
+    return float(np.linalg.norm(state.amps))
+
+
 def check_normalized(state: DensityMatrix | StateVector, what: str) -> None:
     """ContractError unless the trace of a DensityMatrix, or the norm of a
     StateVector, is 1 within params.NORM_TOL."""
     check_unit(complex(np.trace(state.matrix))
-               if isinstance(state, DensityMatrix) else state.norm, what)
+               if isinstance(state, DensityMatrix) else norm(state), what)
+
+
+def state_fidelity(a: StateVector, b: StateVector) -> float:
+    """|<a|b>|^2 for unit-norm states; unnormalized input is an error."""
+    if a.layout != b.layout:
+        raise ValueError("states live on different layouts")
+    check_unit(norm(a), "first state")
+    check_unit(norm(b), "second state")
+    return float(abs(np.vdot(a.amps, b.amps)) ** 2)
 
 
 def _psd_sqrt(m: np.ndarray) -> np.ndarray:
@@ -291,7 +318,7 @@ def dm_fidelity(rho: DensityMatrix, sigma: DensityMatrix | StateVector) -> float
 
 
 def mixed_bell_fidelity(rho: DensityMatrix, delta: float) -> float:
-    """Uhlmann fidelity of a two-qubit state to bell.mixed_bell(delta), in
+    """Uhlmann fidelity of a two-qubit state to mixed_bell(delta), in
     closed form: bell.block_fidelity of its correlation tensor.  Same
     normalization contract as dm_fidelity.
     """
@@ -399,6 +426,12 @@ def exchange_op(which_mode: str, params: EncodingParams, ve_variant: str,
     gate = u_swap(which_mode, params, ve_variant, ev_variant)
     return pair_op(which_mode, params,
                    partial(gate.apply, mode_axis=0, ion_axis=1))
+
+
+def rx_matrix(theta: float) -> np.ndarray:
+    """The logical x rotation [[cos, i sin], [i sin, cos]] at theta."""
+    return np.array([[cos(theta), 1j * sin(theta)], [1j * sin(theta), cos(theta)]],
+                    dtype=np.complex128)
 
 
 def hadamard_matrix() -> np.ndarray:

@@ -144,8 +144,9 @@ def check_against_main_path() -> None:
     from catbell.encoding import (ION_1, ION_2, MODE_A, MODE_B, bell_target,
                                   logical_basis, qubit_state)
     from catbell.gates import report_u_swap, u_swap
-    from catbell.hilbert import state_fidelity, tensor
-    from conftest import dm_fidelity, electronic_bell, partial_trace, readouts
+    from catbell.hilbert import tensor
+    from conftest import (dm_fidelity, electronic_bell, partial_trace, readouts,
+                          state_fidelity)
     from catbell.noise import HeatingParams, propagate
     from catbell.params import EVEN, EncodingParams, ModeParams
 

@@ -54,6 +54,9 @@ APPLY_SHIM = ("perfbench's tracer test, which reads catbell.apply and "
 KEPT_UNREACHED = {
     "__init__.__getattr__": APPLY_SHIM,
     "cli.__getattr__": APPLY_SHIM,
+    "bell._pauli_stack": ENSEMBLE,
+    "bell.correlation_tensor": ENSEMBLE,
+    "bell.chsh": ENSEMBLE,
     "encoding.SchmidtState.to_state": ENSEMBLE,
     "encoding.bell_target": ENSEMBLE,
     "encoding.qubit_state": ENSEMBLE,
@@ -62,6 +65,7 @@ KEPT_UNREACHED = {
     "params.SpaceLayout.dims_of": TRACER,
     "hilbert.StateVector.as_tensor": TRACER,
     "hilbert.StateVector.to_density": ("noise.propagate's callers", (3, 4, 14)),
+    "hilbert.DensityMatrix.__post_init__": ENSEMBLE,
     "hilbert.apply": TRACER,
     "hilbert.OperatorMatrix": TRACER,
     "noise.HeatingParams": ENSEMBLE,
@@ -114,6 +118,9 @@ REGRESSIONS = (
     {"protocol": "rotate", "encoding": {"alpha": 0.5, "epsilons": [0.1, 1e308]}},
     {"protocol": "prepare", "encoding": {"alpha": 1e200}},
     {"protocol": "swap-report", "encoding": {"alpha": 1e200, "cutoff": 30}},
+    # a kick whose |alpha + i epsilon|^2 passes the float range, which
+    # swap-report once reported with no error on a cutoff that held none of it
+    {"protocol": "swap-report", "encoding": {"alpha": 1.5e-154, "epsilon": 2e154}},
     {"protocol": "heat-sweep", "encoding": {"alpha": 2.0, "beta": 1e200}},
     # heat-sweep in Python floats, where an overflow or a division by zero
     # raises instead of warning: gamma t finite but 2 gamma t past the float

@@ -34,22 +34,20 @@ from catbell.bell import (
     BellAngles,
     chsh,
     crossing,
-    mixed_bell,
 )
 from catbell.bosonic import cat, coherent
+from catbell.coherent import rotation_fidelity
 from catbell.encoding import (
     bell_target,
     logical_basis,
     prepare_entangled_schmidt,
     qubit_state,
-    rotation_fidelity,
 )
 from catbell.gates import report_u_ev, report_u_swap, report_u_ve, u_swap
 from catbell.hilbert import (
     DensityMatrix,
     OperatorMatrix,
     StateVector,
-    state_fidelity,
     tensor,
     unitarity_residual,
 )
@@ -75,9 +73,11 @@ from conftest import (
     exchange_op,
     expectation,
     matrix_exp,
+    mixed_bell,
     parity_op,
     readouts,
     reference_preparation,
+    state_fidelity,
 )
 
 RT8 = 2.0 * sqrt(2.0)

@@ -14,6 +14,8 @@ from catbell.bell import (
     DEFAULT_ANGLES,
     DELTA_STAR,
     OUTCOME_SIGNS,
+    PHI_PLUS_T,
+    PSI_PLUS_T,
     TSIRELSON,
     BellAngles,
     _draw,
@@ -24,7 +26,7 @@ from catbell.bell import (
     chsh,
     correlation_tensor,
     crossing,
-    mixed_bell,
+    mixed_tensor,
     tensor_chsh,
 )
 from catbell.encoding import BELL_KINDS, SchmidtState, bell_target, full_layout
@@ -43,6 +45,7 @@ from conftest import (
     block_reference_fidelity,
     dm_fidelity,
     electronic_bell,
+    mixed_bell,
     mixed_bell_fidelity,
     reduced_electronic,
     reduced_electronic_schmidt,
@@ -303,6 +306,35 @@ def sampled_counts(rho, angles: BellAngles, shots: int,
     """The (4, 4) counts behind chsh(rho, angles, "sampled", shots, seed)."""
     return _draw(_populations(*_readings(correlation_tensor(rho), angles)),
                  shots, np.random.default_rng(seed))
+
+
+class TestMixtureTensor:
+    """bell-scan reads the mixture from (1 - delta) T(phi+) + delta T(psi+),
+    not from its density matrix."""
+
+    def test_bell_tensors_are_the_bell_states(self):
+        # the density matrices read 1 - 2^-52 where 1/sqrt(2)^2 rounds low
+        for kind, t in zip(BELL_KINDS, (PHI_PLUS_T, PSI_PLUS_T)):
+            rho = electronic_bell(kind).to_density()
+            assert np.abs(np.subtract(t, correlation_tensor(rho))).max() <= 1e-15
+
+    @settings(max_examples=300)
+    @given(delta=st.floats(0.0, 1.0),
+           thetas=st.lists(st.floats(-2.0 * np.pi, 2.0 * np.pi),
+                           min_size=4, max_size=4),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_readout_of_the_tensor_is_that_of_the_matrix(self, delta, thetas, seed):
+        # the exact B within 2e-15, and the same sampled counts: the
+        # populations are rounded to 12 decimals before the draw
+        angles = BellAngles(*thetas)
+        t = mixed_tensor(PHI_PLUS_T, PSI_PLUS_T, delta)
+        rho = mixed_bell(delta)
+        assert np.abs(np.subtract(t, correlation_tensor(rho))).max() <= 1e-15
+        assert abs(tensor_chsh(t, angles).b_value
+                   - chsh(rho, angles).b_value) <= 2e-15
+        counts = _draw(_populations(*_readings(t, angles)), 512,
+                       np.random.default_rng(seed))
+        assert np.array_equal(counts, sampled_counts(rho, angles, 512, seed))
 
 
 class TestSampledCounts:

@@ -2,15 +2,16 @@
 
 from __future__ import annotations
 
+import re
 import sys
-from math import inf, isinf, nextafter
+from math import inf, isinf, nextafter, pi
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from catbell import bosonic
-from catbell.bosonic import cat, coherent, displacement_action
+from catbell.bosonic import cat, check_kicked_cats, coherent, displacement_action
 from catbell.encoding import prepare_entangled_schmidt
 from catbell.errors import CapacityError
 from catbell.hilbert import (
@@ -18,7 +19,6 @@ from catbell.hilbert import (
     StateVector,
     apply,
     band_eigh,
-    state_fidelity,
     unitarity_residual,
 )
 from catbell.params import (
@@ -37,10 +37,12 @@ from catbell.reference import cat_amplitudes, coherent_amplitudes
 from conftest import (
     displacement,
     expectation,
+    norm,
     number_op,
     overlap,
     parity_op,
     parity_projectors,
+    state_fidelity,
 )
 
 
@@ -239,7 +241,7 @@ class TestLadderOperators:
     def test_annihilation_flips_cat_parity(self):
         mode = mode_for(2.0)
         kicked = apply(lowering(mode), cat(2.0, EVEN, mode))
-        kicked = StateVector(kicked.layout, kicked.amps / kicked.norm)
+        kicked = StateVector(kicked.layout, kicked.amps / norm(kicked))
         assert np.all(kicked.amps[0::2] == 0.0)
         assert state_fidelity(kicked, cat(2.0, ODD, mode)) > 1.0 - 1e-11
 
@@ -251,7 +253,7 @@ class TestLadderOperators:
     def test_odd_projector_kills_even_cat(self):
         mode = mode_for(2.0)
         _, odd = parity_projectors(mode)
-        assert apply(odd, cat(2.0, EVEN, mode)).norm < 1e-12
+        assert norm(apply(odd, cat(2.0, EVEN, mode))) < 1e-12
 
 
 class TestDisplacement:
@@ -333,6 +335,47 @@ class TestDisplacement:
             assert np.isfinite(kicked).all()
             with pytest.raises(OverflowError, match="overflow at cutoff"):
                 displacement_action(unit * nextafter(size, inf), mode)
+
+
+class TestKickedCats:
+    """check_kicked_cats holds the cats kicked by D(i eps) to leak_tol, as
+    cat holds the cat."""
+
+    def kicked_leak(self, alpha: float, eps: float, sign: int, cutoff: int) -> float:
+        """What the cutoff drops of D(i eps)(|alpha> + sign |-alpha>), from
+        the oracle's series amplitudes of an ample basis."""
+        dim = cutoff + 80
+        v = (np.exp(1j * eps * alpha) * coherent_amplitudes(complex(alpha, eps), dim)
+             + sign * np.exp(-1j * eps * alpha)
+             * coherent_amplitudes(complex(-alpha, eps), dim))
+        mass = np.abs(v) ** 2
+        return float(mass[cutoff:].sum() / mass.sum())
+
+    @pytest.mark.parametrize("alpha", [0.75, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0])
+    def test_default_cutoffs_hold_the_default_kick(self, alpha):
+        mode = mode_for(alpha)
+        check_kicked_cats(alpha, pi / (4.0 * alpha), mode)
+        assert max(self.kicked_leak(alpha, pi / (4.0 * alpha), sign, mode.cutoff)
+                   for sign in (1, -1)) <= mode.leak_tol
+
+    @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.7, 9.0])
+    def test_a_leaky_cutoff_names_one_that_holds_both(self, alpha):
+        # the default kick at the default cutoff: alpha = 0.2, 0.5 and 0.7
+        # drop 0.85, 1.1e-6 and 1.9e-9 of a kicked cat, alpha = 9 1.09e-10
+        eps, mode = pi / (4.0 * alpha), mode_for(alpha)
+        with pytest.raises(CapacityError) as err:
+            check_kicked_cats(alpha, eps, mode)
+        found = re.fullmatch(
+            rf"cutoff {mode.cutoff} drops (\S+) of the '([+-])' cat state "
+            rf"kicked by D\(i epsilon\) for alpha = {alpha}, epsilon = "
+            rf"{eps}; cutoff (\d+) holds both", str(err.value))
+        dropped, parity, need = found.groups()
+        want = self.kicked_leak(alpha, eps, 1 if parity == EVEN else -1, mode.cutoff)
+        assert float(dropped) == pytest.approx(want, rel=1e-3)
+        need = int(need)
+        check_kicked_cats(alpha, eps, ModeParams(need, mode.leak_tol))
+        for sign in (1, -1):
+            assert self.kicked_leak(alpha, eps, sign, need) <= mode.leak_tol
 
 
 class TestPositionEigenbasis:

@@ -30,11 +30,14 @@ import catbell.noise
 from catbell.bell import (
     DEFAULT_ANGLES,
     DELTA_STAR,
+    PHI_PLUS_T,
+    PSI_PLUS_T,
     TSIRELSON,
     _setting_vectors,
     chsh,
     crossing,
-    mixed_bell,
+    mixed_tensor,
+    tensor_chsh,
 )
 from catbell.cli import (
     DEFAULT_DELTAS,
@@ -50,7 +53,8 @@ from catbell.cli import (
     normalize_config,
     render_csv,
 )
-from catbell.encoding import logical_basis, rotation_fidelity
+from catbell.coherent import rotation_fidelity
+from catbell.encoding import logical_basis
 from catbell.errors import CapacityError, ConfigError
 from catbell.gates import report_u_ev, report_u_swap, report_u_ve, u_swap
 from catbell.params import (
@@ -70,8 +74,11 @@ from catbell.pipeline import (
     run_rotate,
     run_swap_report,
 )
-from conftest import child_env, displacement
+from conftest import child_env, displacement, mixed_bell
 from reach import REGRESSIONS
+
+# the protocols that run in closed form and hold no Fock vector
+CLOSED_FORM = ("full-pipeline", "rotate", "bell-scan")
 
 
 def cfg_for(protocol: str, **overrides) -> dict:
@@ -520,10 +527,15 @@ class TestProtocolRunners:
         assert results["crossing"] == pytest.approx(DELTA_STAR, abs=1e-9)
 
     def test_bell_scan_exact_rows_are_the_chsh_calls(self):
+        # each row is the readout of the mixture's tensor, and within
+        # rounding the readout of the mixture's density matrix
         cfg = cfg_for("bell-scan", bell={"deltas": [0.0, 0.2, 0.35]})
         rows, results, _ = run_bell_scan(cfg)
-        bs = [chsh(mixed_bell(d)).b_value for d in (0.0, 0.2, 0.35)]
+        bs = [tensor_chsh(mixed_tensor(PHI_PLUS_T, PSI_PLUS_T, d)).b_value
+              for d in (0.0, 0.2, 0.35)]
         assert rows == [{"delta": d, "B": b} for d, b in zip((0.0, 0.2, 0.35), bs)]
+        for d, b in zip((0.0, 0.2, 0.35), bs):
+            assert abs(b - chsh(mixed_bell(d)).b_value) <= 2e-15
         assert results == {"crossing": crossing([0.0, 0.2, 0.35], bs),
                            "b_at_first_delta": bs[0]}
 
@@ -542,8 +554,11 @@ class TestProtocolRunners:
         cfg = cfg_for("bell-scan", seed=7,
                       bell={"mode": "sampled", "shots": 500, "deltas": deltas})
         rows, results, _ = run_bell_scan(cfg)
-        outs = [chsh(mixed_bell(d), DEFAULT_ANGLES, "sampled", 500, [7, i])
+        outs = [tensor_chsh(mixed_tensor(PHI_PLUS_T, PSI_PLUS_T, d),
+                            DEFAULT_ANGLES, "sampled", 500, [7, i])
                 for i, d in enumerate(deltas)]
+        assert outs == [chsh(mixed_bell(d), DEFAULT_ANGLES, "sampled", 500, [7, i])
+                        for i, d in enumerate(deltas)]
         assert rows == [{"delta": d, "B": o.b_value, "std_error": o.std_error}
                         for d, o in zip(deltas, outs)]
         assert results == {"b_at_first_delta": outs[0].b_value}
@@ -985,10 +1000,14 @@ class TestMainEntry:
             "inf \\* duration 0 is nan; set noise\\.delta explicitly"),
         ({"protocol": "prepare", "encoding": {"alpha": 1000, "cutoff": 30}},
          3, "capacity error: no finite cutoff found for \\|alpha\\|\\^2 = 1000000"),
+        ({"protocol": "swap-report", "encoding": {"alpha": 1.5e-154, "epsilon": 2e154}},
+         3, "capacity error: no finite cutoff holds the cats kicked by D\\(i "
+            "epsilon\\) for alpha = 1\\.5e-154, epsilon = 2e\\+154: "
+            "\\|alpha \\+ i epsilon\\|\\^2 overflows"),
     ], ids=["durations", "auto-steps-overflow",
             "bell-scan-shots", "full-pipeline-shots", "rotate-angle-overflow",
             "default-delta-above-one", "default-delta-inf-times-zero",
-            "no-finite-cutoff"])
+            "no-finite-cutoff", "kicked-cats-overflow"])
     def test_step_and_shot_limits(self, tmp_path, capsys, raw, code, message):
         # each of these must end in a named error and its exit code; the
         # first six ended in a traceback before their limits existed
@@ -998,27 +1017,41 @@ class TestMainEntry:
         assert re.search(message, err)
         assert "Warning" not in err
 
-    @pytest.mark.parametrize("eps", [5e307, 1e308])
-    def test_rotate_kick_overflow_is_a_config_error(self, tmp_path, capsys, eps):
-        # at alpha 0.5 the angle 2 alpha eps = eps is finite, but the kick's
-        # phases eps w are not (cutoff 14, max w = 6.09)
+    def test_swap_report_refuses_a_cutoff_that_drops_the_kicked_cats(
+            self, tmp_path, capsys):
+        # at alpha 0.5 the default cutoff 14 holds both cats but drops
+        # 1.1e-6 of the even one kicked by D(i pi/2), the default kick; the
+        # error names a cutoff that holds both kicked cats, and a run on it
+        # writes its rows
         cfg_path = self.write_config(tmp_path, {
-            "protocol": "rotate", "encoding": {"alpha": 0.5, "epsilons": [0.1, eps]}})
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert main(["run", cfg_path, "--output", str(tmp_path)]) == 2
-        err = capsys.readouterr().err
-        assert re.search(r"config error: encoding\.epsilons\[1\] = "
-                         r"[0-9.e+]+: displacement .* overflow", err)
-        assert not (tmp_path / "rotate.csv").exists()
+            "protocol": "swap-report", "encoding": {"alpha": 0.5}})
+        assert main(["run", cfg_path, "--output", str(tmp_path)]) == 3
+        found = re.fullmatch(
+            r"capacity error: cutoff 14 drops 1\.099e-06 of the '\+' cat "
+            r"state kicked by D\(i epsilon\) for alpha = 0\.5, epsilon = "
+            r"1\.5707963267948966; cutoff (\d+) holds both\n",
+            capsys.readouterr().err)
+        assert found
+        assert not (tmp_path / "swap-report.csv").exists()
+        cfg_path = self.write_config(tmp_path, {"protocol": "swap-report",
+                                                "encoding": {"alpha": 0.5,
+                                                             "cutoff": int(found[1])}})
+        assert main(["run", cfg_path, "--output", str(tmp_path)]) == 0
+        assert (tmp_path / "swap-report.csv").exists()
 
     def test_rotate_large_finite_kick_still_runs(self, tmp_path):
-        cfg_path = self.write_config(tmp_path, {
-            "protocol": "rotate", "encoding": {"alpha": 0.5, "epsilons": [1e307]}})
-        assert main(["run", cfg_path, "--output", str(tmp_path)]) == 0
-        text = (tmp_path / "rotate.csv").read_text()
-        assert text.splitlines()[1].startswith("1e+307,1e+307,")
-        assert "nan" not in text and "inf" not in text
+        # at alpha 0.5 the angle 2 alpha eps = eps is finite, and the closed
+        # form has no phases eps w of a truncated kick to overflow: each row
+        # reads f_zero = f_one = exp(-eps^2) = 0, with no warning
+        for eps in (1e307, 5e307, 1e308):
+            cfg_path = self.write_config(tmp_path, {"protocol": "rotate",
+                                                    "encoding": {"alpha": 0.5,
+                                                                 "epsilons": [eps]}})
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(["run", cfg_path, "--output", str(tmp_path)]) == 0
+            text = (tmp_path / "rotate.csv").read_text()
+            assert text.splitlines()[1] == f"{eps:g},{eps:g},0,0,0"
 
     def csv_under_blas_threads(self, tmp_path, raw: dict, **env_extra) -> list:
         """CSV bytes of `catbell run` on raw with 1 and with 4 BLAS threads."""
@@ -1302,19 +1335,19 @@ class TestMainEntry:
     # which imports numpy, and those that one run of each protocol adds
     CLI_MODULES = {"catbell", "catbell.cli", "catbell.pipeline",
                    "catbell.params", "catbell.errors"}
-    # the array modules of the Fock-space protocols; bell-scan reads its
-    # mixtures as hilbert density matrices, and full-pipeline runs in
-    # coherent states and reads T in bell, in Python floats
+    # the array modules of the Fock-space protocols; rotate runs in
+    # coherent states, bell-scan reads its mixtures' tensors in bell, and
+    # full-pipeline does both, in Python floats
     ARRAYS = {"encoding", "bosonic", "hilbert"}
     FOOTPRINTS = {
         "prepare": ({"protocol": "prepare"}, ARRAYS),
-        "rotate": ({"protocol": "rotate"}, ARRAYS),
+        "rotate": ({"protocol": "rotate"}, {"coherent"}),
         "heat-sweep": ({"protocol": "heat-sweep"}, set()),
-        "swap-report": ({"protocol": "swap-report"}, ARRAYS | {"gates"}),
-        "bell-scan-exact": ({"protocol": "bell-scan"}, {"bell", "hilbert"}),
+        "swap-report": ({"protocol": "swap-report"},
+                        ARRAYS | {"gates", "coherent"}),
+        "bell-scan-exact": ({"protocol": "bell-scan"}, {"bell"}),
         "bell-scan-sampled": (
-            {"protocol": "bell-scan", "bell": {"mode": "sampled"}},
-            {"bell", "hilbert"}),
+            {"protocol": "bell-scan", "bell": {"mode": "sampled"}}, {"bell"}),
         "full-pipeline-given-delta": (
             {"protocol": "full-pipeline", "noise": {"delta": 0.1}},
             {"bell", "coherent"}),
@@ -1356,8 +1389,8 @@ class TestMainEntry:
 
 class TestSizeCapVariable:
     """A bad or tiny CATBELL_MAX_DIM is a capacity error of the run that
-    sizes a register, never of `import catbell`; full-pipeline, which holds
-    no Fock vector, sizes none."""
+    sizes a register, never of `import catbell`; full-pipeline, rotate and
+    bell-scan, which hold no Fock vector, size none."""
 
     @pytest.mark.parametrize("cap", ["abc", "", "1", "2", "3"])
     def test_only_runs_are_refused(self, tmp_path, cap):
@@ -1378,10 +1411,10 @@ class TestSizeCapVariable:
         assert not (tmp_path / "prepare.csv").exists()
 
     @pytest.mark.parametrize("protocol", [p for p in PROTOCOLS
-                                          if p != "full-pipeline"])
+                                          if p not in CLOSED_FORM])
     def test_warm_run_refuses_a_lowered_cap(self, tmp_path, monkeypatch, capsys,
                                             protocol):
-        # the memos (encoding, code basis, readout vectors) are warm, and
+        # the memos (encoding, code basis, cat populations) are warm, and
         # the run still sizes its registers against the cap in force
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps({"protocol": protocol}))
@@ -1392,6 +1425,21 @@ class TestSizeCapVariable:
         capsys.readouterr()
         assert main(argv) == 3
         assert "exceeds the cap 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("protocol", ["rotate", "bell-scan"])
+    def test_closed_form_runs_read_no_cap(self, tmp_path, monkeypatch, protocol):
+        # no Fock vector: a cap that is no integer, or that no layout
+        # meets, leaves the bytes of the run as they are
+        cfg_path = str(tmp_path / "config.json")
+        Path(cfg_path).write_text(json.dumps({"protocol": protocol}))
+        monkeypatch.delenv("CATBELL_MAX_DIM", raising=False)
+        assert main(["run", cfg_path, "--output", str(tmp_path / "a")]) == 0
+        for cap in ("abc", "3"):
+            monkeypatch.setenv("CATBELL_MAX_DIM", cap)
+            out = tmp_path / cap
+            assert main(["run", cfg_path, "--output", str(out)]) == 0
+            assert ((out / f"{protocol}.csv").read_bytes()
+                    == (tmp_path / "a" / f"{protocol}.csv").read_bytes())
 
     @pytest.mark.parametrize("cap", ["abc", "3", None])
     def test_full_pipeline_reads_no_cap(self, tmp_path, monkeypatch, cap):

@@ -305,14 +305,20 @@ def test_importing_the_package_loads_only_its_one_binding():
 
 
 def test_no_readout_loads_gates():
-    # the mixture is a hilbert density matrix; no readout loads the modes'
-    # Fock space (encoding, bosonic) or the gates
-    bell, exact, sampled = loaded_modules(
-        "import catbell.bell",
-        "from catbell.bell import chsh, mixed_bell; chsh(mixed_bell(0.1))",
-        "chsh(mixed_bell(0.1), method='sampled', shots=100, seed=1)")
+    # the mixture is read from its tensor, and a density matrix through
+    # the hilbert layer; no readout loads the modes' Fock space (encoding,
+    # bosonic) or the gates
+    bell, exact, sampled, matrix = loaded_modules(
+        "import catbell.bell as bell",
+        "t = bell.mixed_tensor(bell.PHI_PLUS_T, bell.PSI_PLUS_T, 0.1); "
+        "bell.tensor_chsh(t)",
+        "bell.tensor_chsh(t, method='sampled', shots=100, seed=1)",
+        "from catbell.hilbert import DensityMatrix, SpaceLayout; "
+        "bell.chsh(DensityMatrix(SpaceLayout((2, 2)), [[1 / 2, 0, 0, 1 / 2], "
+        "[0] * 4, [0] * 4, [1 / 2, 0, 0, 1 / 2]]))")
     assert bell == {"catbell", "catbell.bell", "catbell.params", "catbell.errors"}
-    assert exact == sampled == bell | {"catbell.hilbert"}
+    assert exact == sampled == bell
+    assert matrix == bell | {"catbell.hilbert"}
 
 
 def test_the_exact_readout_of_a_tuple_loads_no_numpy():
@@ -361,27 +367,30 @@ def test_the_front_door_loads_no_numpy(statement):
     assert loaded_modules(statement, package="numpy") == [set()]
 
 
-def test_a_heat_sweep_run_loads_no_numpy(tmp_path):
+# the exact runs in Python floats alone, each in a fresh interpreter: the
+# configs and a line that the output holds.  The sampled readouts still
+# draw from numpy's Generator (ROADMAP item 32), and prepare and
+# swap-report run on the Fock basis (item 30)
+NUMPY_FREE_RUNS = {
+    "heat-sweep": ({"protocol": "heat-sweep", "encoding": {"alpha": 3.0},
+                    "noise": {"durations": [0.0, 1.0, 2.0]}}, "\n2,"),
+    "full-pipeline-ideal": ({"protocol": "full-pipeline", "encoding": {
+        "alpha": 2.0}, "gates": {"ev_variant": "ideal"}}, "\nb_value,"),
+    "full-pipeline-displacement": ({"protocol": "full-pipeline", "encoding": {
+        "alpha": 2.0}, "gates": {"ev_variant": "displacement"}}, "\nb_value,"),
+    "bell-scan": ({"protocol": "bell-scan"}, "\n0,"),
+    "rotate": ({"protocol": "rotate", "encoding": {"alpha": 2.0}}, "\n0.05,"),
+}
+
+
+@pytest.mark.parametrize("raw,line", NUMPY_FREE_RUNS.values(), ids=NUMPY_FREE_RUNS)
+def test_an_exact_run_loads_no_numpy(tmp_path, raw, line):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"protocol": "heat-sweep", "encoding": {
-        "alpha": 3.0}, "noise": {"durations": [0.0, 1.0, 2.0]}}))
+    config.write_text(json.dumps(raw))
     run = (f"import catbell.cli; assert catbell.cli.main(['run', "
            f"{str(config)!r}, '--output', {str(tmp_path)!r}]) == 0")
     assert loaded_modules(run, package="numpy") == [set()]
-    assert (tmp_path / "heat-sweep.csv").read_text().count("\n") == 4
-
-
-@pytest.mark.parametrize("ev", ["ideal", "displacement"])
-def test_an_exact_full_pipeline_run_loads_no_numpy(tmp_path, ev):
-    # the coherent-state engine and the exact readout; the sampled readout
-    # still draws from numpy's Generator (ROADMAP item 32)
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"protocol": "full-pipeline", "encoding": {
-        "alpha": 2.0}, "gates": {"ev_variant": ev}}))
-    run = (f"import catbell.cli; assert catbell.cli.main(['run', "
-           f"{str(config)!r}, '--output', {str(tmp_path)!r}]) == 0")
-    assert loaded_modules(run, package="numpy") == [set()]
-    assert "b_value," in (tmp_path / "full-pipeline.csv").read_text()
+    assert line in (tmp_path / f"{raw['protocol']}.csv").read_text()
 
 
 # README's table of the per-process caches.  Its one row that is not a

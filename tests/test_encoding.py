@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from catbell.bosonic import cat, coherent
+from catbell.coherent import rotation_fidelity
 from catbell.encoding import (
     BELL_KINDS,
     MODE_A,
@@ -21,14 +22,11 @@ from catbell.encoding import (
     logical_basis,
     prepare_entangled_schmidt,
     qubit_state,
-    rotation_fidelity,
-    rx_matrix,
     schmidt_fidelity,
 )
 from catbell.errors import CapacityError, ContractError
 from catbell.hilbert import (
     apply,
-    state_fidelity,
     unitarity_residual,
 )
 from catbell.params import EVEN, ODD, EncodingParams, ModeParams
@@ -37,11 +35,14 @@ from conftest import (
     expectation,
     fourier_pair,
     hadamard_matrix,
+    norm,
     on_register,
     overlap,
     parity_op,
     partial_trace,
     reference_preparation,
+    rx_matrix,
+    state_fidelity,
     subspace_unitary,
 )
 
@@ -329,7 +330,7 @@ class TestSchmidtState:
         a, b = state(2), state(3)
         want = overlap(a.to_state(), b.to_state())
         assert abs(a.inner(b) - want) <= 1e-12 * abs(want)
-        assert a.norm == pytest.approx(a.to_state().norm, rel=1e-14)
+        assert a.norm == pytest.approx(norm(a.to_state()), rel=1e-14)
         a = SchmidtState(layout, a.left / a.norm, a.right)
         b = SchmidtState(layout, b.left / b.norm, b.right)
         want = state_fidelity(a.to_state(), b.to_state())

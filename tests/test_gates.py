@@ -27,7 +27,6 @@ from catbell.encoding import (
     logical_basis,
     prepare_entangled_schmidt,
     qubit_state,
-    rx_matrix,
 )
 from catbell.gates import (
     CNOT_EV_TABLE,
@@ -80,6 +79,7 @@ from conftest import (
     partial_trace,
     reduced_electronic,
     reference_preparation,
+    rx_matrix,
     subspace_unitary,
     u_ev,
     u_ve_ideal,

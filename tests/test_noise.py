@@ -12,7 +12,6 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catbell.bell import mixed_bell
 from catbell.bosonic import cat, coherent
 from catbell.cli import normalize_config
 from catbell.encoding import MODE_A, MODE_B, bell_target
@@ -44,6 +43,8 @@ from conftest import (
     basis_state,
     dm_fidelity,
     expectation,
+    mixed_bell,
+    norm,
     on_register,
     parity_op,
     readouts,
@@ -767,7 +768,7 @@ class TestTrajectories:
 
                 kicked_b = apply(pb, res.final)
                 joint = overlap(apply(pa, res.final),
-                                StateVector(kicked_b.layout, kicked_b.amps / kicked_b.norm))
+                                StateVector(kicked_b.layout, kicked_b.amps / norm(kicked_b)))
                 assert joint.real < -0.99
                 assert abs(corr_a) < 0.1 and abs(corr_b) < 0.1
                 break

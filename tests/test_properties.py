@@ -10,7 +10,7 @@ from math import factorial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from catbell.bell import (
@@ -22,16 +22,16 @@ from catbell.bell import (
     _readings,
     chsh,
     correlation_tensor,
-    mixed_bell,
 )
 from catbell.bosonic import cat
 from catbell.cli import normalize_config
-from catbell.encoding import logical_basis, rx_matrix
+from catbell.coherent import rotation_fidelity
+from catbell.encoding import logical_basis
+from catbell.gates import report_u_swap, report_u_ve
 from catbell.hilbert import (
     OperatorMatrix,
     StateVector,
     apply,
-    state_fidelity,
     unitarity_residual,
 )
 from catbell.noise import HeatingParams, propagate
@@ -41,10 +41,12 @@ from catbell.params import (
     EncodingParams,
     ModeParams,
     SpaceLayout,
+    default_cutoff,
     mode_for,
     required_cutoff,
 )
-from catbell.pipeline import run_bell_scan, run_pipeline, run_swap_report
+from catbell.pipeline import run_bell_scan, run_pipeline
+from catbell.reference import cat_amplitudes, displacement_elements
 from conftest import (
     displacement,
     electronic_bell,
@@ -53,9 +55,12 @@ from conftest import (
     expectation,
     fourier_pair,
     matrix_exp,
+    mixed_bell,
     parity_op,
     partial_trace,
     readouts,
+    rx_matrix,
+    state_fidelity,
 )
 
 PAIR = SpaceLayout((2, 2))
@@ -248,6 +253,30 @@ class TestEncodingInvariants:
         assert np.abs(left - rx_matrix(t1 + t2)).max() < 1e-12
 
 
+class TestRotationClosedForm:
+    @settings(max_examples=20)
+    @given(st.floats(0.3, 8.0), st.floats(0.0, 1.0))
+    # the ends of the range: the smallest cat under its largest kick, and
+    # the largest cat
+    @example(0.3, 1.0)
+    @example(8.0, 1.0)
+    def test_rotate_rows_match_the_fock_oracle(self, alpha: float, eps_frac: float):
+        # rotate's closed form against reference.displacement_elements on
+        # reference.cat_amplitudes, 60 levels above the default cutoff:
+        # there the cats, and the code-space overlaps of their kicks, are
+        # exact to rounding at every kick up to eps = pi / alpha
+        eps = eps_frac * np.pi / alpha
+        row = rotation_fidelity(eps, EncodingParams.for_amplitudes(alpha))
+        dim = default_cutoff(alpha) + 60
+        even, odd = (cat_amplitudes(alpha, sign, dim) for sign in (1, -1))
+        kick = displacement_elements(1j * eps, dim)
+        c, s = np.cos(row["theta"]), 1j * np.sin(row["theta"])
+        f_zero = abs(np.vdot(c * even + s * odd, kick @ even)) ** 2
+        f_one = abs(np.vdot(s * even + c * odd, kick @ odd)) ** 2
+        assert abs(row["f_zero"] - f_zero) <= 1e-14
+        assert abs(row["f_one"] - f_one) <= 1e-14
+
+
 class TestGateUnitarity:
     @pytest.mark.parametrize("ve", VE_VARIANTS)
     @pytest.mark.parametrize("ev", EV_VARIANTS)
@@ -378,12 +407,13 @@ class TestPipelineRelations:
     def test_swap_report_ideal_rows_have_fidelity_one(self, alpha):
         # the ideal builds act exactly on the code space, so each truth
         # table row lands on its target, within the 1e-10 that
-        # test_swap_report_tables holds u_swap[ideal,ideal] to
-        cfg = normalize_config({"protocol": "swap-report",
-                                "encoding": {"alpha": alpha}})
-        rows, _, _ = run_swap_report(cfg)
-        ideal = [row for row in rows
-                 if row["gate"] in ("u_ve[ideal]", "u_swap[ideal,ideal]")]
+        # test_swap_report_tables holds u_swap[ideal,ideal] to.  The ideal
+        # reports are read directly: below alpha 0.75 the default cutoff
+        # drops more of the kicked cats than leak_tol, and swap-report
+        # refuses the run for its displacement rows
+        enc = EncodingParams.for_amplitudes(alpha)
+        ideal = (report_u_ve("ideal", "a", enc)
+                 + report_u_swap("a", enc, "ideal", "ideal"))
         assert len(ideal) == 8
         for row in ideal:
             assert abs(row["fidelity"] - 1.0) <= 1e-10, row
