@@ -1039,6 +1039,21 @@ class TestMainEntry:
         assert main(["run", cfg_path, "--output", str(tmp_path)]) == 0
         assert (tmp_path / "swap-report.csv").exists()
 
+    @pytest.mark.parametrize("eps", [5e307, 1e308])
+    def test_rotate_kick_overflow_is_a_config_error(self, tmp_path, capsys, eps):
+        # at alpha 2 the angle 2 alpha eps = 4 eps overflows to inf; the run
+        # ends in a config error naming the kick, with no warning and no rows
+        # (at alpha 0.5 the same kicks run, as the next test checks)
+        cfg_path = self.write_config(tmp_path, {
+            "protocol": "rotate", "encoding": {"alpha": 2.0, "epsilons": [0.1, eps]}})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", cfg_path, "--output", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"config error: encoding.epsilons[1] = {eps!r} makes "
+                       "the angle 2 alpha epsilon overflow\n")
+        assert not (tmp_path / "rotate.csv").exists()
+
     def test_rotate_large_finite_kick_still_runs(self, tmp_path):
         # at alpha 0.5 the angle 2 alpha eps = eps is finite, and the closed
         # form has no phases eps w of a truncated kick to overflow: each row
