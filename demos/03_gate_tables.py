@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Truth tables for the mode-ion gates and the three-step exchange.
 
-Four builds are compared:
-  u_ve[ideal]    parity-controlled ion flip, by indexing the odd Fock rows
+Four builds are compared, each run on the cat code in coherent states,
+with no Fock cutoff, as the pipeline runs it:
+  u_ve[ideal]    parity-controlled ion flip on the odd part of the mode
   u_ve[literal]  the product of two exponentials taken as written; they
                  compose to diag((-1)^n, 1) on the ion, a pure phase on
-                 the odd branch, built by indexing as the pipeline runs
-                 it, so its flipping rows score exactly zero
+                 the odd branch, so its flipping rows score exactly zero
   u_ev           CNOT with the ion as control, realized by a conditional
                  displacement kick (approximate on the flipping rows)
   u_swap         ve . ev . ve, the qubit exchange between mode and ion
@@ -22,7 +22,7 @@ params = EncodingParams.for_amplitudes(alpha)
 
 
 def show(rows):
-    print(f"{rows[0]['gate']}  (unitarity residual {rows[0]['unitarity']:.1e})")
+    print(f"{rows[0]['gate']}  (isometry residual {rows[0]['unitarity']:.1e})")
     for row in rows:
         print(f"  {row['input']} -> {row['target']}   "
               f"fidelity {row['fidelity']:.10f}")

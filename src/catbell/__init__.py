@@ -1,4 +1,9 @@
-"""Cat-state qubits, entanglement transfer, and Bell tests in truncated Fock space."""
+"""Cat-state qubits, entanglement transfer, and Bell tests in coherent-state algebra.
+
+Every protocol runs its stages in catbell.coherent, with no Fock cutoff,
+except heat-sweep, which sums the heating channel's law over the prepared
+cat's Fock populations; the jump ensembles run on truncated Fock arrays.
+"""
 
 __version__ = "0.1.0"
 

@@ -1,4 +1,4 @@
-"""full-pipeline's stages and rotate's rows in coherent states, no cutoff.
+"""Every stage of the program in coherent states, with no cutoff.
 
 The paper writes every stage in coherent states: the cross-Kerr pair is
 (|a,b> + |-a,b> + |a,-b> - |-a,-b>)/2, the kick is D(i eps)|g> =
@@ -24,6 +24,11 @@ the flip branch's sigma_x are rank-2 updates of the cat code through
 <C+-|x>, C+- = 2 N+- E_+-.  The electronic pair is rho = sum_kl G^L_kl (x)
 G^R_kl, G_kl the 2 x 2 ion Gram table of terms k and l of a side, so its
 correlation tensor is T_mn = sum_kl tr(G^L_kl sigma_m) tr(G^R_kl sigma_n).
+
+Each stage has this one implementation: prepare and full-pipeline read
+one preparation (preparation), swap-report's truth tables (catbell.gates)
+run _flip, the phased Mode.kick and exchange on the pair inputs |C+->|i>,
+and rotate reads the kick's Gram entries (rotation_fidelity).
 """
 
 from __future__ import annotations
@@ -141,15 +146,18 @@ def exchange(mode: Mode, side: list, literal: bool, ideal: bool) -> list:
     return out
 
 
-def _fidelity(mode_l: Mode, mode_r: Mode, a: tuple, b: tuple) -> float:
-    """|<a|b>|^2 of two registers (left terms, right terms), from the Gram
-    tables of their terms across the cut; both are unit vectors up to
-    rounding."""
+def register_inner(mode_l: Mode, mode_r: Mode, a: tuple, b: tuple) -> complex:
+    """<a|b> of two registers (left terms, right terms), from the Gram
+    tables of their terms across the cut."""
     (al, ar), (bl, br) = a, b
-    inner = sum(sum(mode_l.inner(x, y) for x, y in zip(lk, ll))
-                * sum(mode_r.inner(x, y) for x, y in zip(rk, rl))
-                for lk, rk in zip(al, ar) for ll, rl in zip(bl, br))
-    return abs(inner) ** 2
+    return sum(sum(mode_l.inner(x, y) for x, y in zip(lk, ll))
+               * sum(mode_r.inner(x, y) for x, y in zip(rk, rl))
+               for lk, rk in zip(al, ar) for ll, rl in zip(bl, br))
+
+
+def register_fidelity(mode_l: Mode, mode_r: Mode, a: tuple, b: tuple) -> float:
+    """|<a|b>|^2 of two registers; both are unit vectors up to rounding."""
+    return abs(register_inner(mode_l, mode_r, a, b)) ** 2
 
 
 def _pauli_traces(mode: Mode, side: list, k: int, l: int) -> tuple:
@@ -209,32 +217,55 @@ def _ground(*kets: dict) -> list:
     return [(ket, {}) for ket in kets]
 
 
+PLUS = {(0.0, 1): 1.0, (0.0, -1): 1.0}   # |g> = E_+ + E_-
+MINUS = {(0.0, 1): 1.0, (0.0, -1): -1.0}  # |-g> = E_+ - E_-
+
+
+def preparation(params: EncodingParams) -> tuple[Mode, Mode, tuple, tuple]:
+    """The two modes, the chi_t = pi preparation and the four-component
+    pair it equals, each a register (left terms, right terms) with both
+    ions in |0>.  The preparation is E_+|b> + E_-|-b>: exp(-i pi n_a n_b)
+    keeps |beta> on the even part of |alpha> and takes it to |-beta> on the
+    odd part.  The target is (|a,b> + |-a,b> + |a,-b> - |-a,-b>) / 2."""
+    alpha, beta = params.alpha, params.beta
+    mode_a = Mode(alpha, _kick_scale(params, alpha))
+    mode_b = mode_a if beta == alpha else Mode(beta, _kick_scale(params, beta))
+    prepared = (_ground({(0.0, 1): 1.0}, {(0.0, -1): 1.0}), _ground(PLUS, MINUS))
+    half = {key: c / 2.0 for key, c in PLUS.items()}
+    target = (_ground(PLUS, MINUS, PLUS, MINUS),
+              _ground(half, half, *({key: sign * c / 2.0 for key, c in MINUS.items()}
+                                    for sign in (1.0, -1.0))))
+    return mode_a, mode_b, prepared, target
+
+
+def cat_form(mode_a: Mode, mode_b: Mode, side: str) -> tuple:
+    """The prepared pair with the cats C+- on one side and the coherent
+    kets |+-g> on the other, the weights 1 / (2 N+-) of the cat side's norms
+    on mode a: sum_s C+-^a |+-b> / (2 N+-^a) for side "a", sum_s |+-a>
+    C+-^b / (2 N+-^b) for side "b"."""
+    cats = mode_a if side == "a" else mode_b
+    coded = [{(0.0, s): 2.0 * cats.norms[s]} for s in PARITIES]
+    left, right = (coded, (PLUS, MINUS)) if side == "a" else ((PLUS, MINUS), coded)
+    weights = [0.5 / cats.norms[s] for s in PARITIES]
+    return (_ground(*({key: w * c for key, c in ket.items()}
+                      for w, ket in zip(weights, left))),
+            _ground(*right))
+
+
 def stages(params: EncodingParams, ve_variant: str, ev_variant: str
            ) -> tuple[float, float, tuple, tuple]:
     """The preparation and Hadamard fidelities, and the correlation tensors
     T of the electronic pair after both exchanges of the Hadamard-stage
     register (keep) and of the same register with mode a's code flipped
     (flip)."""
-    alpha, beta = params.alpha, params.beta
-    mode_a = Mode(alpha, _kick_scale(params, alpha))
-    mode_b = mode_a if beta == alpha else Mode(beta, _kick_scale(params, beta))
-    plus, minus = {(0.0, 1): 1.0, (0.0, -1): 1.0}, {(0.0, 1): 1.0, (0.0, -1): -1.0}
-
-    # E_+|b> + E_-|-b>, ions in |00>: the chi_t = pi preparation
-    left = _ground({(0.0, 1): 1.0}, {(0.0, -1): 1.0})
-    right = _ground(plus, minus)
-    # the four coherent products (|a,b> + |-a,b> + |a,-b> - |-a,-b>) / 2
-    half = {key: c / 2.0 for key, c in plus.items()}
-    target = (_ground(plus, minus, plus, minus),
-              _ground(half, half, *({key: sign * c / 2.0 for key, c in minus.items()}
-                                    for sign in (1.0, -1.0))))
-    prep = _fidelity(mode_a, mode_b, (left, right), target)
+    mode_a, mode_b, (left, right), target = preparation(params)
+    prep = register_fidelity(mode_a, mode_b, (left, right), target)
 
     left = [tuple(mode_a.rotate(HADAMARD, ket) for ket in term) for term in left]
     # (C+ C+ + C- C-) / sqrt(2), ions in |00>
     bell = (_ground(*({(0.0, s): sqrt(2.0) * mode_a.norms[s]} for s in PARITIES)),
             _ground(*({(0.0, s): 2.0 * mode_b.norms[s]} for s in PARITIES)))
-    had = _fidelity(mode_a, mode_b, (left, right), bell)
+    had = register_fidelity(mode_a, mode_b, (left, right), bell)
 
     literal, ideal = ve_variant == "literal", ev_variant == "ideal"
     right = exchange(mode_b, right, literal, ideal)

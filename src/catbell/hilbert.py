@@ -3,9 +3,10 @@
 Everything is exact complex arithmetic on explicit numpy arrays; there is no
 sparse or symbolic path.  A layout lists the factor dimensions in a fixed
 order, with the first factor varying slowest in the flattened index (the
-ordering produced by ``numpy.kron``).  Gates are not operators here: they
-act in place on the axes of a state tensor (catbell.gates).  tensor takes
-pure states only.  The layout itself (SpaceLayout) and the size cap live in
+ordering produced by ``numpy.kron``).  tensor takes pure states only.  No
+command runs this module: its states serve the jump ensembles (noise,
+encoding) and the Fock channel's oracle, and band_eigh the channel's
+eigenbasis.  The layout itself (SpaceLayout) and the size cap live in
 catbell.params, which loads no numpy.
 """
 
@@ -166,19 +167,3 @@ def band_eigh(diagonal: np.ndarray, off_diagonal: np.ndarray
     band = np.diag(diagonal) + np.diag(off_diagonal, 1) + np.diag(off_diagonal, -1)
     w, v = np.linalg.eigh(band)
     return w, np.asfortranarray(v)
-
-
-def unitarity_residual(m: np.ndarray) -> float:
-    """max |U†U - 1| of a square array U, a cheap contract check.
-
-    With U = A + iB, U†U = (AᵀA + BᵀB) + i(AᵀB - BᵀA).  Row i of
-    P = [Aᵀ | Bᵀ] and of Q = [Bᵀ | -Aᵀ] holds column i of U, so the real
-    part is P Pᵀ and the imaginary part P Qᵀ: two real einsums over
-    contiguous rows.  einsum calls no BLAS, so the residual does not depend
-    on the BLAS thread count.
-    """
-    p = np.concatenate([m.real.T, m.imag.T], axis=1)
-    q = np.concatenate([m.imag.T, -m.real.T], axis=1)
-    re = np.einsum("ik,jk->ij", p, p)
-    re -= np.eye(m.shape[0])
-    return float(np.hypot(re, np.einsum("ik,jk->ij", p, q)).max())

@@ -7,7 +7,7 @@ lists, the frozen settings that key the memos (EncodingParams, ModeParams,
 SpaceLayout), the cutoff sizing, the cat normalization, the truncation
 leak check, the unit-trace and unit-norm check (check_unit), and the size
 cap that every layout and memo hit runs (check_dim).  The array modules
-(hilbert, bosonic, encoding, noise, bell, gates) and catbell.coherent
+(hilbert, bosonic, encoding, noise, bell), catbell.coherent and gates
 import these names from here.
 
 heat-sweep's answer is a sum over the prepared cat's levels: the even cat's
@@ -23,12 +23,12 @@ import os
 import sys
 from collections.abc import Iterable
 from dataclasses import dataclass
-from math import ceil, exp, expm1, fsum, isfinite, log10, pi, prod, sqrt
+from math import ceil, exp, expm1, fsum, isfinite, lgamma, log, log10, pi, prod, sqrt
 
 from .errors import CapacityError, ContractError
 
 # the readouts of bell.chsh and the two builds of the exchange's gates
-# (gates.u_swap): the command line's field table reads them without
+# (coherent.exchange): the command line's field table reads them without
 # loading bell or gates
 CHSH_METHODS = ("exact", "sampled")
 VE_VARIANTS = ("ideal", "literal")
@@ -164,27 +164,55 @@ def mode_for(alpha: complex, leak_tol: float = 1e-10) -> ModeParams:
     return ModeParams(cutoff=default_cutoff(alpha), leak_tol=leak_tol)
 
 
+# the log of the smallest normal float: a Poisson term below it underflows
+LOG_TINY = log(sys.float_info.min)
+
+
 def required_cutoff(alpha: complex, leak_tol: float) -> int:
-    """Smallest cutoff whose Poisson tail mass stays below leak_tol."""
+    """Smallest cutoff whose Poisson tail mass stays below leak_tol.
+
+    The sum runs up the levels by the recurrence p_n = p_{n-1} lam / n, lam
+    = |alpha|^2.  Where p_0 = exp(-lam) underflows (lam > 708), it starts
+    at the first level whose term is a normal float, bisected in log space
+    (log p_n = n log lam - lam - lgamma(n + 1) rises up to n = lam), so
+    that the terms do not all round to 0; the levels below hold under n
+    times the smallest normal float.
+    """
     lam = abs(alpha) ** 2
-    term = exp(-lam)
+    n, term = 0, exp(-lam)
+    if -lam < LOG_TINY:
+        # log p_0 = -lam is below it and log p_int(lam), about -log(2 pi
+        # lam) / 2, above it at any finite lam
+        low, high = 0, int(lam)
+        while high - low > 1:
+            mid = (low + high) // 2
+            if mid * log(lam) - lam - lgamma(mid + 1) < LOG_TINY:
+                low = mid
+            else:
+                high = mid
+        n, term = high, exp(high * log(lam) - lam - lgamma(high + 1))
     total = term
-    n = 0
-    while 1.0 - total > leak_tol:
+    while 1.0 - total > leak_tol and n <= 100000:
         n += 1
         term *= lam / n
         total += term
-        if n > 100000:
-            raise CapacityError(f"no finite cutoff found for |alpha|^2 = {lam}")
+    if n > 100000:
+        raise CapacityError(f"no finite cutoff found for |alpha|^2 = {lam}")
     return n + 1
 
 
-def _check_leak(dropped: float, mode: ModeParams, alpha: complex, what: str) -> None:
+def _check_leak(dropped: float, mode: ModeParams, alpha: complex,
+                parity: str) -> None:
+    """A CapacityError if the cutoff drops more than leak_tol of the cat of
+    this parity, naming a cutoff that holds it: no level of the cat holds
+    more than 4 N^2 times that of |alpha> (N its cat_norm), so the cutoff
+    that keeps all but leak_tol / (4 N^2) of |alpha> does."""
     if dropped > mode.leak_tol:
-        need = required_cutoff(alpha, mode.leak_tol)
+        tol = mode.leak_tol / (4.0 * cat_norm(alpha, parity) ** 2)
         raise CapacityError(
-            f"cutoff {mode.cutoff} drops {dropped:.3e} of the {what} for "
-            f"alpha = {alpha}; need cutoff >= {need}"
+            f"cutoff {mode.cutoff} drops {dropped:.3e} of the '{parity}' cat "
+            f"state for alpha = {alpha}; need cutoff >= "
+            f"{required_cutoff(alpha, tol)}"
         )
 
 
@@ -296,7 +324,7 @@ def even_cat_populations(alpha: float, mode: ModeParams) -> list[float]:
         v.append(0.0 if n % 2 else c + c)
     kept = fsum(x * x for x in v)
     exact = 1.0 / cat_norm(alpha, EVEN) ** 2  # norm^2 of the untruncated sum
-    _check_leak(max(0.0, 1.0 - kept / exact), mode, alpha, f"'{EVEN}' cat state")
+    _check_leak(max(0.0, 1.0 - kept / exact), mode, alpha, EVEN)
     scale = sqrt(kept)
     return [(x / scale) * (x / scale) for x in v]
 

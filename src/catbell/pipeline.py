@@ -11,8 +11,11 @@ stages, the CSV columns and notes.
 A one-shot `catbell run` pays for its protocol's modules only: this module
 loads params and errors, which import no numpy, and each runner imports
 the modules it calls at its entry.  heat-sweep runs in params alone,
-rotate in catbell.coherent, bell-scan in bell and full-pipeline in both,
-in Python floats; only the sampled readouts load numpy.
+prepare and rotate in catbell.coherent, swap-report in gates over it,
+bell-scan in bell and full-pipeline in bell and coherent, all in Python
+floats; only the sampled readouts load numpy.  Every stage has one
+implementation: prepare and full-pipeline share coherent.preparation, and
+swap-report's gates are full-pipeline's maps.
 """
 
 from __future__ import annotations
@@ -64,23 +67,21 @@ def run_prepare(cfg: dict) -> tuple[list[dict], dict, str]:
       - fidelity against the analytic four-component target
       - cross-check of the two cat/coherent factorizations
     columns: quantity,value
-    notes: encoding module; the pair's two Schmidt terms, no register
+    notes: coherent module, in closed form: the pair's two Schmidt terms
+    as sums of coherent states (coherent.preparation, the one that
+    full-pipeline runs), each number from their Gram tables.  No Fock
+    cutoff: encoding.cutoff and leak_tol are accepted and checked but
+    change no number, and no size cap applies
     """
-    from .encoding import (
-        entangled_target_cat_form,
-        entangled_target_schmidt,
-        prepare_entangled_schmidt,
-        schmidt_fidelity,
-    )
-    enc = _encoding_params(cfg)
-    prepared = prepare_entangled_schmidt(enc)
+    from .coherent import cat_form, preparation, register_fidelity, register_inner
+    mode_a, mode_b, prepared, target = preparation(_encoding_params(cfg))
     results = {
-        "preparation_fidelity": schmidt_fidelity(
-            prepared, entangled_target_schmidt(enc)),
-        "factorization_agreement": schmidt_fidelity(
-            entangled_target_cat_form(enc, "a"),
-            entangled_target_cat_form(enc, "b")),
-        "prepared_norm": prepared.norm,
+        "preparation_fidelity": register_fidelity(mode_a, mode_b, prepared, target),
+        "factorization_agreement": register_fidelity(
+            mode_a, mode_b, cat_form(mode_a, mode_b, "a"),
+            cat_form(mode_a, mode_b, "b")),
+        "prepared_norm": sqrt(max(
+            register_inner(mode_a, mode_b, prepared, prepared).real, 0.0)),
     }
     rows = [{"quantity": k, "value": v} for k, v in results.items()]
     return rows, results, "exact"
@@ -119,9 +120,12 @@ def run_swap_report(cfg: dict) -> tuple[list[dict], dict, str]:
       - truth table for the conditional-displacement gate
       - three-gate exchange with ideal and displacement rotations
     columns: gate,input,target,fidelity,unitarity
-    notes: gates module, on the Fock basis; fidelities are phase-blind,
-    unitarity exact.  A cutoff that drops more than leak_tol of a cat
-    kicked by D(i epsilon) is a CapacityError that names one that does not
+    notes: gates module, in closed form: each gate runs the coherent
+    module's maps, those of full-pipeline, on the four inputs |C+->|i>.
+    Fidelities are phase-blind; unitarity is the isometry residual on those
+    inputs, max |<S x_i|S x_j> - <x_i|x_j>|.  No Fock cutoff:
+    encoding.cutoff and leak_tol are accepted and checked but change no
+    number, and no size cap applies
     """
     from .gates import report_u_ev, report_u_swap, report_u_ve
     enc = _encoding_params(cfg)

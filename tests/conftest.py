@@ -11,17 +11,25 @@ mixed_bell, the delta mixture as a density matrix, partial_trace,
 state_fidelity, the Uhlmann dm_fidelity, mixed_bell_fidelity, the closed
 form that the pipeline's electronic_fidelity is held to, and bell_block
 and block_reference_fidelity, the same closed form read from the directly
-projected Bell block.  fock_stages is the Fock differential reference of
-catbell.coherent.stages: the same chain on truncated Fock factors, with
-the Hadamard's matrix, the logical Bell target (bell_target_schmidt) and
-the Gram-table reduction to the ions (reduced_electronic_schmidt), which
-no command runs any more.
+projected Bell block.
+
+The Fock reference, at the end, is the differential reference of
+catbell.coherent: the preparation, the code rotations and the gate steps
+on truncated Fock arrays that prepare, swap-report and full-pipeline ran
+before every command ran in coherent states (coherent, the Schmidt-form
+SchmidtState and its builders, displacement_action, code_rotate, the gate
+steps, Exchange and u_swap, fock_report).  fock_stages runs
+catbell.coherent.stages's chain on it, with the Hadamard's matrix, the
+logical Bell target (bell_target_schmidt) and the Gram-table reduction to
+the ions (reduced_electronic_schmidt).
 """
 
 from __future__ import annotations
 
 import os
-from functools import partial
+import cmath
+from dataclasses import dataclass
+from functools import lru_cache, partial
 from math import cos, pi, prod, sin, sqrt
 from pathlib import Path
 
@@ -30,7 +38,14 @@ import pytest
 from hypothesis import settings
 
 from catbell.bell import block_fidelity, correlation_tensor
-from catbell.bosonic import displacement_action
+from catbell.bosonic import _coherent_amps, cat
+from catbell.coherent import (
+    EXCITED_PHASE,
+    PARITIES,
+    RX_HALF_PI,
+    _kick_scale,
+    exchange,
+)
 from catbell.encoding import (
     BELL_KINDS,
     ION_1,
@@ -38,22 +53,12 @@ from catbell.encoding import (
     MODE_A,
     MODE_B,
     LogicalBasis,
-    SchmidtState,
     _on_ion_ground,
-    entangled_target_schmidt,
     full_layout,
     logical_basis,
-    prepare_entangled_schmidt,
-    schmidt_fidelity,
 )
-from catbell.gates import (
-    _flip,
-    _kick,
-    _pair_matrix,
-    _phase_kick,
-    pair_layout,
-    u_swap,
-)
+from catbell.errors import CapacityError
+from catbell.gates import _mode
 from catbell.hilbert import (
     SIGMA_X,
     SIGMA_Y,
@@ -61,10 +66,22 @@ from catbell.hilbert import (
     OperatorMatrix,
     StateVector,
     apply,
+    band_eigh,
     tensor,
 )
-from catbell.params import EncodingParams, ModeParams, SpaceLayout, check_unit
-from catbell.reference import entangled_amplitudes, read_fixture
+from catbell.params import (
+    EV_VARIANTS,
+    EVEN,
+    ODD,
+    VE_VARIANTS,
+    EncodingParams,
+    ModeParams,
+    SpaceLayout,
+    cat_norm,
+    check_unit,
+    required_cutoff,
+)
+from catbell.reference import coherent_amplitudes, entangled_amplitudes, read_fixture
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
@@ -221,7 +238,7 @@ def parity_op(mode: ModeParams) -> OperatorMatrix:
 def subspace_unitary(basis: LogicalBasis, m2: np.ndarray) -> OperatorMatrix:
     """A 2x2 unitary lifted to the mode: act on the code, fix the rest."""
     layout = basis.zero.layout
-    return OperatorMatrix(layout, (0,), basis.rotate(m2, np.eye(layout.total_dim)))
+    return OperatorMatrix(layout, (0,), code_rotate(basis, m2, np.eye(layout.total_dim)))
 
 
 def fourier_pair(basis: LogicalBasis) -> tuple[StateVector, StateVector]:
@@ -388,15 +405,15 @@ def number_op(mode: ModeParams) -> OperatorMatrix:
 
 
 def pair_op(which_mode: str, params: EncodingParams, step) -> OperatorMatrix:
-    """A gate step of catbell.gates as a dense [mode, ion] operator: the
-    step run on the pair identity (gates._pair_matrix)."""
+    """A Fock gate step (flip_step, phase_kick) as a dense [mode, ion] operator: the
+    step run on the pair identity (pair_matrix)."""
     layout = pair_layout(which_mode, params)
-    return OperatorMatrix(layout, (0, 1), _pair_matrix(layout, step))
+    return OperatorMatrix(layout, (0, 1), pair_matrix(layout, step))
 
 
 def u_ve_ideal(which_mode: str, params: EncodingParams) -> OperatorMatrix:
     """CNOT with phonon parity as control: flip the ion on odd parity."""
-    return pair_op(which_mode, params, _flip)
+    return pair_op(which_mode, params, flip_step)
 
 
 def u_ve_literal(which_mode: str, params: EncodingParams) -> OperatorMatrix:
@@ -415,8 +432,8 @@ def u_ve_literal(which_mode: str, params: EncodingParams) -> OperatorMatrix:
 
 def u_ev(which_mode: str, params: EncodingParams) -> OperatorMatrix:
     """CNOT with the ion as control, realized by a conditional displacement."""
-    kick = _kick(which_mode, params, "displacement")  # D(i eps)
-    return pair_op(which_mode, params, partial(_phase_kick, kick=kick))
+    kick = kick_action(which_mode, params, "displacement")  # D(i eps)
+    return pair_op(which_mode, params, partial(phase_kick, kick=kick))
 
 
 def exchange_op(which_mode: str, params: EncodingParams, ve_variant: str,
@@ -475,7 +492,7 @@ def fock_stages(enc: EncodingParams, ve_variant: str, ev_variant: str
     psi = prepare_entangled_schmidt(enc)
     prep = schmidt_fidelity(psi, entangled_target_schmidt(enc))
     code_a = logical_basis("a", enc)
-    left = code_a.rotate(hadamard_matrix(), psi.left)
+    left = code_rotate(code_a, hadamard_matrix(), psi.left)
     psi = SchmidtState(psi.layout, left, psi.right)
     had = schmidt_fidelity(psi, bell_target_schmidt("phi_plus", enc))
     swap_a = u_swap("a", enc, ve_variant, ev_variant)
@@ -483,5 +500,313 @@ def fock_stages(enc: EncodingParams, ve_variant: str, ev_variant: str
     right = swap_b.apply(psi.right, 0, 1)
     tensors = [correlation_tensor(reduced_electronic_schmidt(
         SchmidtState(psi.layout, swap_a.apply(branch, 0, 1), right)))
-        for branch in (left, code_a.rotate(SIGMA_X, left))]
+        for branch in (left, code_rotate(code_a, SIGMA_X, left))]
     return prep, had, tensors[0], tensors[1]
+
+
+def superposition_transfer(params: EncodingParams, which_mode: str = "a",
+                           ev_variant: str = "displacement") -> float:
+    """|<C+ (|0> + |1>) / sqrt(2)|S|(C+ + C-) / sqrt(2), |0>>|^2 for the
+    engine's exchange S of one mode and its ion (coherent.exchange, the
+    ideal u_ve): the code superposition moved onto the ion."""
+    mode = _mode(which_mode, params)
+    plus = {(0.0, s): sqrt(2.0) * mode.norms[s] for s in PARITIES}
+    zero, one = exchange(mode, [(plus, {})], False, ev_variant == "ideal")[0]
+    code = {(0.0, 1): 2.0 * mode.norms[1]}
+    return abs((mode.inner(code, zero) + mode.inner(code, one)) / sqrt(2.0)) ** 2
+
+
+def ket_in_fock(mode, ket: dict, dim: int) -> np.ndarray:
+    """A ket of catbell.coherent, sum c D(i eta) E_s, on dim Fock levels:
+    D(i eta) E_s = (e^{i eta a}|a + i eta> + s e^{-i eta a}|-a + i eta>) / 2,
+    with reference.coherent_amplitudes' series."""
+    a = mode.amplitude
+    out = np.zeros(dim, dtype=np.complex128)
+    for (eta, s), c in ket.items():
+        out += c / 2.0 * (cmath.exp(1j * eta * a)
+                          * coherent_amplitudes(complex(a, eta), dim)
+                          + s * cmath.exp(-1j * eta * a)
+                          * coherent_amplitudes(complex(-a, eta), dim))
+    return out
+
+
+def register_in_fock(mode_a, mode_b, register: tuple,
+                     params: EncodingParams) -> StateVector:
+    """A register of catbell.coherent (left terms, right terms, each term a
+    pair of kets on ion |0> and ion |1>) on the cutoffs of params."""
+    da, db = params.mode_a.cutoff, params.mode_b.cutoff
+    amps = np.zeros((da, db, 2, 2), dtype=np.complex128)
+    for left, right in zip(*register):
+        for i in (0, 1):
+            for j in (0, 1):
+                amps[:, :, i, j] += np.outer(ket_in_fock(mode_a, left[i], da),
+                                             ket_in_fock(mode_b, right[j], db))
+    return StateVector(full_layout(params), amps)
+
+
+# ------------------------------------------------------ the Fock reference ---
+# prepare, swap-report and full-pipeline once ran these on truncated Fock
+# arrays; each protocol now runs catbell.coherent, and the tests hold the
+# engine to this path at cutoffs that hold its states (fock_stages,
+# fock_report) and hold this path to the dense oracles of catbell.reference.
+
+def coherent(alpha: complex, mode: ModeParams) -> StateVector:
+    """Normalized coherent state |alpha> truncated to the mode's cutoff; a
+    CapacityError if the cutoff drops more than leak_tol of it."""
+    layout = mode.layout
+    c = _coherent_amps(alpha, mode.cutoff)
+    kept = float(np.vdot(c, c).real)
+    if 1.0 - kept > mode.leak_tol:
+        raise CapacityError(
+            f"cutoff {mode.cutoff} drops {1.0 - kept:.3e} of the coherent state "
+            f"for alpha = {alpha}; need cutoff >= "
+            f"{required_cutoff(alpha, mode.leak_tol)}")
+    return StateVector(layout, c / sqrt(kept))
+
+
+@lru_cache(maxsize=16)
+def _position_eigenbasis(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """X = a + a+ on dim levels as X = V diag(w) V^T, from hilbert.band_eigh
+    of its zero diagonal and off-diagonal sqrt(n).
+
+    Memoized per cutoff; both arrays are read-only.
+    """
+    w, v = band_eigh(np.zeros(dim), np.sqrt(np.arange(1, dim)))
+    w.flags.writeable = False
+    v.flags.writeable = False
+    return w, v
+
+
+def displacement_action(beta: complex, mode: ModeParams):
+    """x -> D(beta) x on axis 0 of x, D(beta) = exp(beta a† - beta* a) on the
+    truncated basis; further axes of x ride along, and a new array is returned.
+
+    The generator is R (i |beta| X) R† with X = a + a† real symmetric
+    tridiagonal and R = diag(e^{i (arg beta - pi/2) n}), so the
+    eigendecomposition X = V diag(w) Vᵀ gives D = R V diag(e^{i |beta| w}) Vᵀ R†,
+    unitary to machine precision at any cutoff; only its action on states
+    near the cutoff degrades.  D is never formed: the real V acts on the
+    float view of the complex columns.  A beta that is not finite is a
+    ValueError, and a finite one whose phases |beta| w pass the float range
+    an OverflowError, both when the action is built.
+    """
+    if not cmath.isfinite(beta):
+        raise ValueError(f"displacement beta must be finite, got {beta}")
+    dim = mode.layout.dims[0]
+    w, v = _position_eigenbasis(dim)
+    size = abs(complex(beta))
+    # Python floats: a product past the float range is inf, with no warning
+    if not cmath.isfinite(size * float(max(w[-1], -w[0]))):
+        raise OverflowError(f"displacement |beta| = {size!r} makes the phases "
+                            f"|beta| w overflow at cutoff {dim}")
+    r = np.exp(1j * (np.angle(beta) - pi / 2.0) * np.arange(dim))
+    r_conj = r.conj()[:, None]
+    phases = np.exp(1j * size * w)[:, None]
+
+    def act(x: np.ndarray) -> np.ndarray:
+        shape = np.shape(x)
+        y = np.multiply(r_conj, np.reshape(x, (dim, -1)), order="C")
+        y = (v.T @ y.view(np.float64)).view(np.complex128)
+        y *= phases
+        y = (v @ y.view(np.float64)).view(np.complex128)
+        y *= r[:, None]
+        return y.reshape(shape)
+    return act
+
+
+def unitarity_residual(m: np.ndarray) -> float:
+    """max |U†U - 1| of a square array U, as two real einsums (no BLAS)."""
+    p = np.concatenate([m.real.T, m.imag.T], axis=1)
+    q = np.concatenate([m.imag.T, -m.real.T], axis=1)
+    re = np.einsum("ik,jk->ij", p, p)
+    re -= np.eye(m.shape[0])
+    return float(np.hypot(re, np.einsum("ik,jk->ij", p, q)).max())
+
+
+def code_rotate(basis: LogicalBasis, m2: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The lifted 2x2 unitary m2 on axis 0 of x: (1 - B B^dag) x + B m2
+    B^dag x with B = [zero, one], a rank-2 update that acts on the code and
+    fixes the rest; further axes of x ride along.  Returns a new array."""
+    m2 = np.asarray(m2, dtype=np.complex128)
+    b = np.column_stack([basis.zero.amps, basis.one.amps])
+    flat = np.asarray(x, dtype=np.complex128).reshape(b.shape[0], -1)
+    out = flat + b @ ((m2 - np.eye(2)) @ (b.conj().T @ flat))
+    return out.reshape(np.shape(x))
+
+
+@dataclass
+class SchmidtState:
+    """Register state kept as K products across the cut (mode a, ion 1) | (mode b, ion 2).
+
+    psi[n_a, n_b, i_1, i_2] = sum_k left[n_a, i_1, k] right[n_b, i_2, k],
+    on the full register's layout, so a state too large for the size cap
+    cannot be made.
+    """
+
+    layout: SpaceLayout
+    left: np.ndarray    # (d_a, 2, K): mode a, ion 1, term
+    right: np.ndarray   # (d_b, 2, K): mode b, ion 2, term
+
+    def __post_init__(self) -> None:
+        self.left = np.asarray(self.left, dtype=np.complex128)
+        self.right = np.asarray(self.right, dtype=np.complex128)
+        k = self.left.shape[-1]
+        dims = self.layout.dims
+        if (self.left.shape != (dims[MODE_A], 2, k)
+                or self.right.shape != (dims[MODE_B], 2, k)):
+            raise ValueError(
+                f"factor shapes {self.left.shape} and {self.right.shape} do "
+                f"not fit the register layout {dims}")
+
+    def inner(self, other: "SchmidtState") -> complex:
+        """<self|other> = sum_kl <L_k|L'_l> <R_k|R'_l>, from two Gram tables."""
+        if self.layout != other.layout:
+            raise ValueError("states live on different layouts")
+        gl = np.einsum("aik,ail->kl", self.left.conj(), other.left)
+        gr = np.einsum("aik,ail->kl", self.right.conj(), other.right)
+        return complex((gl * gr).sum())
+
+    @property
+    def norm(self) -> float:
+        return sqrt(max(self.inner(self).real, 0.0))
+
+    def to_state(self) -> StateVector:
+        """The register this form stands for, 4 d_a d_b amplitudes."""
+        amps = np.einsum("aik,bjk->abij", self.left, self.right)
+        return StateVector(self.layout, amps)
+
+
+def schmidt_fidelity(a: SchmidtState, b: SchmidtState) -> float:
+    """|<a|b>|^2 for unit-norm states; unnormalized input is an error."""
+    check_unit(a.norm, "first state")
+    check_unit(b.norm, "second state")
+    return float(abs(a.inner(b)) ** 2)
+
+
+def prepare_entangled_schmidt(params: EncodingParams) -> SchmidtState:
+    """exp(-i pi n_a n_b) on |alpha>|beta>, both ions in |0>, as two Schmidt
+    terms: ((-1)^n_a)^n_b leaves |beta> on the even Fock rows of |alpha>
+    and takes it to (-1)^n_b |beta> = |-beta> on the odd rows, a row mask
+    and a sign flip that are exact in floating point."""
+    ca = coherent(params.alpha, params.mode_a).amps
+    cb = coherent(params.beta, params.mode_b).amps
+    odd = np.arange(ca.size) % 2 == 1
+    left = _on_ion_ground(np.where(odd, 0.0, ca), np.where(odd, ca, 0.0))
+    right = _on_ion_ground(cb, (-1.0) ** np.arange(cb.size) * cb)
+    return SchmidtState(full_layout(params), left, right)
+
+
+def entangled_target_schmidt(params: EncodingParams) -> SchmidtState:
+    """(|a,b> + |-a,b> + |a,-b> - |-a,-b>)/2, ions in |0>, as the two
+    Schmidt terms (|a> + |-a>)|b>/2 + (|a> - |-a>)|-b>/2, normalized."""
+    ca_p = coherent(params.alpha, params.mode_a).amps
+    ca_m = coherent(-params.alpha, params.mode_a).amps
+    cb_p = coherent(params.beta, params.mode_b).amps
+    cb_m = coherent(-params.beta, params.mode_b).amps
+    psi = SchmidtState(full_layout(params),
+                       _on_ion_ground(0.5 * (ca_p + ca_m), 0.5 * (ca_p - ca_m)),
+                       _on_ion_ground(cb_p, cb_m))
+    return SchmidtState(psi.layout, psi.left / psi.norm, psi.right)
+
+
+def entangled_target_cat_form(params: EncodingParams, side: str = "b") -> SchmidtState:
+    """The same pair with cats on one side and coherent kets on the other,
+    the cat weights 0.5 / N+- on the mode-a factor; normalized."""
+    other = "b" if side == "a" else "a"
+    amp, ket = params.amplitude(side), params.amplitude(other)
+    cats = [cat(amp, p, params.mode(side)).amps for p in (EVEN, ODD)]
+    kets = [coherent(k, params.mode(other)).amps for k in (ket, -ket)]
+    left, right = (cats, kets) if side == "a" else (kets, cats)
+    weights = [0.5 / cat_norm(amp, p) for p in (EVEN, ODD)]
+    psi = SchmidtState(full_layout(params),
+                       _on_ion_ground(*(w * x for w, x in zip(weights, left))),
+                       _on_ion_ground(*right))
+    return SchmidtState(psi.layout, psi.left / psi.norm, psi.right)
+
+
+def pair_layout(which_mode: str, params: EncodingParams) -> SpaceLayout:
+    return SpaceLayout((params.mode(which_mode).cutoff, 2))
+
+
+def flip_step(x: np.ndarray, literal: bool = False) -> np.ndarray:
+    """u_ve on axes (mode, ion) of x, in place, by indexing the odd Fock rows."""
+    if literal:
+        x[1::2, 0] *= -1.0  # diag((-1)^n, 1) on the ion
+    else:
+        x[1::2] = x[1::2, ::-1]  # swap the two ion slices
+    return x
+
+
+def phase_kick(x: np.ndarray, kick) -> np.ndarray:
+    """u_ev on axes (mode, ion) of x, in place: the electronic phase and then
+    the kick on the ion-|1> half."""
+    x[:, 1] = kick(EXCITED_PHASE * x[:, 1])
+    return x
+
+
+def pair_matrix(layout: SpaceLayout, step) -> np.ndarray:
+    """The dense pair matrix of a step: the step run on the pair identity."""
+    d = layout.dims[0]
+    eye = np.eye(2 * d, dtype=np.complex128).reshape(d, 2, 2 * d)
+    return step(eye).reshape(2 * d, 2 * d)
+
+
+def kick_action(which_mode: str, params: EncodingParams, ev_variant: str):
+    """The action x -> K x on the mode axis that u_ev applies on the ion's
+    |1> half: D(i eps) in its cached eigenbasis for the displacement build,
+    the code-space rx(pi/2) for the ideal build."""
+    if ev_variant == "ideal":
+        return partial(code_rotate, logical_basis(which_mode, params), RX_HALF_PI)
+    epsilon = _kick_scale(params, params.amplitude(which_mode))
+    return displacement_action(1j * epsilon, params.mode(which_mode))
+
+
+@dataclass(frozen=True)
+class Exchange:
+    """u_ve u_ev u_ve for one mode on truncated Fock factors, its factors
+    kept apart: kick is u_ev's action on the mode axis, literal selects the
+    u_ve build."""
+
+    kick: object
+    literal: bool = False
+
+    def apply(self, psi: np.ndarray, mode_axis: int, ion_axis: int) -> np.ndarray:
+        """u_ve u_ev u_ve on the (mode_axis, ion_axis) pair of a state tensor;
+        further axes ride along.  Returns a new tensor of the same shape."""
+        t = np.moveaxis(psi, (mode_axis, ion_axis), (0, 1))
+        shape = t.shape
+        x = np.array(t, dtype=np.complex128, order="C").reshape(shape[0], 2, -1)
+        x = flip_step(x, self.literal)
+        x = phase_kick(x, self.kick)
+        x = flip_step(x, self.literal)
+        return np.moveaxis(x.reshape(shape), (0, 1), (mode_axis, ion_axis))
+
+
+def u_swap(which_mode: str, params: EncodingParams, ve_variant: str,
+           ev_variant: str) -> Exchange:
+    """The three-step exchange of the mode qubit and its ion qubit."""
+    if ve_variant not in VE_VARIANTS:
+        raise ValueError(f"ve_variant must be one of {VE_VARIANTS}")
+    if ev_variant not in EV_VARIANTS:
+        raise ValueError(f"ev_variant must be one of {EV_VARIANTS}")
+    return Exchange(kick_action(which_mode, params, ev_variant),
+                    literal=ve_variant == "literal")
+
+
+def fock_report(step, which_mode: str, params: EncodingParams,
+                table: list[tuple[str, str]]) -> list[float]:
+    """The fidelities |<target|step|input>|^2 of a Fock step over the rows
+    of a truth table of catbell.gates, on the pair inputs |C+->|i> of the
+    truncated code basis: the rows that swap-report once wrote."""
+    layout = pair_layout(which_mode, params)
+    basis = logical_basis(which_mode, params)
+    labels = ("0L|0e", "0L|1e", "1L|0e", "1L|1e")
+    states = np.zeros(layout.dims + (len(labels),), dtype=np.complex128)
+    for k, label in enumerate(labels):
+        code = basis.zero if label[:2] == "0L" else basis.one
+        states[:, int(label[3]), k] = code.amps
+    out = step(states.copy()).reshape(layout.total_dim, -1)
+    states = states.reshape(layout.total_dim, -1)
+    return [float(abs(np.vdot(states[:, labels.index(tgt)],
+                              out[:, labels.index(inp)])) ** 2)
+            for inp, tgt in table]

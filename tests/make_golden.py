@@ -140,13 +140,11 @@ FIXTURES = {
 def check_against_main_path() -> None:
     """Print fast-path values next to the oracle values; writes nothing."""
     os.environ["CATBELL_MAX_DIM"] = "65536"
+    from catbell.bell import block_fidelity
     from catbell.bosonic import cat
-    from catbell.encoding import (ION_1, ION_2, MODE_A, MODE_B, bell_target,
-                                  logical_basis, qubit_state)
-    from catbell.gates import report_u_swap, u_swap
-    from catbell.hilbert import tensor
-    from conftest import (dm_fidelity, electronic_bell, partial_trace, readouts,
-                          state_fidelity)
+    from catbell.coherent import PARITIES, correlation_tensor, exchange
+    from catbell.gates import _mode, report_u_swap
+    from conftest import readouts, superposition_transfer
     from catbell.noise import HeatingParams, propagate
     from catbell.params import EVEN, EncodingParams, ModeParams
 
@@ -154,24 +152,15 @@ def check_against_main_path() -> None:
     rep = report_u_swap("a", enc, "ideal", "displacement")
     print("swap rows (main path):",
           {r["input"]: round(r["fidelity"], 12) for r in rep})
-    from catbell.hilbert import StateVector
-    basis = logical_basis("a", enc)
-    dft_zero = StateVector(basis.zero.layout,
-                           (basis.zero.amps + basis.one.amps) / np.sqrt(2.0))
-    plus = tensor([dft_zero, qubit_state(0)])
-    tgt_amps = np.kron(basis.zero.amps,
-                       np.array([1, 1], dtype=np.complex128) / np.sqrt(2))
-    swap_a = u_swap("a", enc, "ideal", "displacement")
-    out = StateVector(plus.layout, swap_a.apply(plus.as_tensor(), 0, 1))
-    print("transfer (main path):",
-          state_fidelity(StateVector(plus.layout, tgt_amps), out))
+    print("transfer (main path):", superposition_transfer(enc))
 
-    psi = bell_target("phi_plus", enc)
-    swap_b = u_swap("b", enc, "ideal", "displacement")
-    grid = swap_b.apply(swap_a.apply(psi.as_tensor(), MODE_A, ION_1), MODE_B, ION_2)
-    red = partial_trace(StateVector(psi.layout, grid), (ION_1, ION_2))
-    print("electronic fidelity (main path):",
-          dm_fidelity(red, electronic_bell("phi_plus")))
+    # (C+ C+ + C- C-) / sqrt(2), ions in |00>, through both exchanges
+    mode = _mode("a", enc)
+    left = [({(0.0, s): np.sqrt(2.0) * mode.norms[s]}, {}) for s in PARITIES]
+    right = [({(0.0, s): 2.0 * mode.norms[s]}, {}) for s in PARITIES]
+    t = correlation_tensor(mode, exchange(mode, left, False, False),
+                           mode, exchange(mode, right, False, False))
+    print("electronic fidelity (main path):", block_fidelity(t, 0.0))
 
     rho0 = cat(HEAT_ALPHA, EVEN, ModeParams(HEAT_CUTOFF, leak_tol=1e-5)).to_density()
     rho = propagate(rho0, HeatingParams(HEAT_GAMMA, HEAT_DURATION)).matrix

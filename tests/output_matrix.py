@@ -44,7 +44,6 @@ differ between the thread counts, and 0 otherwise.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import os
 import re
@@ -134,12 +133,17 @@ def _cells(record: dict) -> str:
                     for k, v in record.items())
 
 
+def _split_cells(text: str) -> list[str]:
+    """text split at its commas, but not at one inside brackets, as in
+    u_swap[ideal,ideal]."""
+    return re.split(r",(?![^\[]*\])", text)
+
+
 def _split_pairs(text: str) -> list[tuple[str, str]]:
     """key=value pairs joined by commas (_cells); a key or a value may hold
     a comma inside brackets, as in u_swap[ideal,ideal], which splits no
     pair."""
-    return [tuple(pair.split("=", 1))
-            for pair in re.split(r",(?![^\[]*\])", text)]
+    return [tuple(pair.split("=", 1)) for pair in _split_cells(text)]
 
 
 def read_cells(outdir: Path) -> dict[str, dict[tuple[str, str], str]]:
@@ -150,7 +154,9 @@ def read_cells(outdir: Path) -> dict[str, dict[tuple[str, str], str]]:
         cells = {}
         text = path.read_text(encoding="utf-8")
         if path.suffix == ".csv":
-            header, *rows = csv.reader(io.StringIO(text))
+            # the writer quotes nothing: a comma inside brackets, as in
+            # u_swap[ideal,ideal], splits no cell (_split_cells)
+            header, *rows = map(_split_cells, text.splitlines())
             for i, row in enumerate(rows):
                 if header == ["quantity", "value"]:
                     cells["", row[0]] = row[1]

@@ -57,12 +57,21 @@ KEPT_UNREACHED = {
     "bell._pauli_stack": ENSEMBLE,
     "bell.correlation_tensor": ENSEMBLE,
     "bell.chsh": ENSEMBLE,
-    "encoding.SchmidtState.to_state": ENSEMBLE,
+    "bosonic._coherent_amps": ENSEMBLE,
+    "bosonic.cat": ENSEMBLE,
+    "encoding.full_layout": ENSEMBLE,
+    "encoding.logical_basis": ENSEMBLE,
+    "encoding._on_ion_ground": ENSEMBLE,
     "encoding.bell_target": ENSEMBLE,
     "encoding.qubit_state": ENSEMBLE,
     "hilbert.tensor": ENSEMBLE,
+    "params.SpaceLayout.__post_init__": ENSEMBLE,
     "params.SpaceLayout.nsites": ("hilbert.apply and the jump sampler", (1, 23)),
     "params.SpaceLayout.dims_of": TRACER,
+    "params.ModeParams.layout": ENSEMBLE,
+    "params.EncodingParams.mode": ENSEMBLE,
+    "hilbert._as_complex": ENSEMBLE,
+    "hilbert.StateVector.__post_init__": ENSEMBLE,
     "hilbert.StateVector.as_tensor": TRACER,
     "hilbert.StateVector.to_density": ("noise.propagate's callers", (3, 4, 14)),
     "hilbert.DensityMatrix.__post_init__": ENSEMBLE,
@@ -86,6 +95,7 @@ KEPT_UNREACHED = {
     "noise._seed_block": ENSEMBLE,
     "noise._seed_words_class": ENSEMBLE,
     "noise.trajectory_rng": ENSEMBLE,
+    "hilbert.band_eigh": FOCK_CHANNEL,
     "noise._diagonal_block": FOCK_CHANNEL,
     "noise.propagate": FOCK_CHANNEL,
 }
@@ -97,9 +107,9 @@ EXTRA_CONFIGS = (
     {"protocol": "bell-scan", "bell": {"mode": "sampled", "shots": 64}},
     {"protocol": "heat-sweep", "noise": {"durations": [0.0, 1.0, 2.0]}},
     # the size cap and a cutoff that drops more of the cat than leak_tol,
-    # two capacity errors that no regression ends in
-    {"protocol": "prepare", "encoding": {"alpha": 4.0}},
-    {"protocol": "prepare", "encoding": {"alpha": 2.0, "cutoff": 10}},
+    # two capacity errors of heat-sweep, the one protocol that sizes levels
+    {"protocol": "heat-sweep", "encoding": {"alpha": 2.0, "cutoff": 5000}},
+    {"protocol": "heat-sweep", "encoding": {"alpha": 2.0, "cutoff": 10}},
 )
 
 # every config that once ended in a traceback, a NaN or a wrong exit code;
@@ -133,6 +143,9 @@ REGRESSIONS = (
     {"protocol": "heat-sweep", "encoding": {"alpha": 40.0, "cutoff": 4000}},
     {"protocol": "heat-sweep", "encoding": {"alpha": 2.0, "cutoff": 16000}},
     {"protocol": "heat-sweep", "encoding": {"alpha": 2.0, "cutoff": 4096}},
+    # a leak whose |alpha|^2 = 900 underflows exp(-|alpha|^2), where the
+    # cutoff sizing once found no finite cutoff
+    {"protocol": "heat-sweep", "encoding": {"alpha": 30.0, "cutoff": 100}},
     {"protocol": "full-pipeline", "encoding": {"alpha": 1.35e154, "cutoff": 30}},
     {"protocol": "full-pipeline", "output": {"path": "a\u0000b"}},
     b'{"protocol": "full-pipeline", "output": {"path": "\xff"}}',

@@ -35,22 +35,11 @@ from catbell.bell import (
     chsh,
     crossing,
 )
-from catbell.bosonic import cat, coherent
-from catbell.coherent import rotation_fidelity
-from catbell.encoding import (
-    bell_target,
-    logical_basis,
-    prepare_entangled_schmidt,
-    qubit_state,
-)
-from catbell.gates import report_u_ev, report_u_swap, report_u_ve, u_swap
-from catbell.hilbert import (
-    DensityMatrix,
-    OperatorMatrix,
-    StateVector,
-    tensor,
-    unitarity_residual,
-)
+from catbell.bosonic import cat
+from catbell.coherent import preparation, rotation_fidelity
+from catbell.encoding import bell_target, logical_basis, qubit_state
+from catbell.gates import report_u_ev, report_u_swap, report_u_ve
+from catbell.hilbert import DensityMatrix, OperatorMatrix, StateVector, tensor
 from catbell.noise import (
     HeatingParams,
     propagate,
@@ -67,6 +56,7 @@ from catbell.reference import (
 from conftest import (
     basis_state,
     child_env,
+    coherent,
     displacement,
     dm_fidelity,
     electronic_bell,
@@ -78,6 +68,9 @@ from conftest import (
     readouts,
     reference_preparation,
     state_fidelity,
+    register_in_fock,
+    superposition_transfer,
+    unitarity_residual,
 )
 
 RT8 = 2.0 * sqrt(2.0)
@@ -108,8 +101,9 @@ def test_criterion_01_preparation(acceptance_log):
     with criterion(acceptance_log, "01", "entangled preparation") as v:
         start = time.perf_counter()
         enc = EncodingParams.for_amplitudes(2.0, cutoff=30)
-        prepared = prepare_entangled_schmidt(enc).to_state()
-        fid = state_fidelity(prepared, reference_preparation(enc))
+        mode_a, mode_b, prepared, _ = preparation(enc)
+        fid = state_fidelity(register_in_fock(mode_a, mode_b, prepared, enc),
+                             reference_preparation(enc))
         elapsed = time.perf_counter() - start
         v.ok = fid >= 1.0 - 1e-8 and elapsed < 1.0
         v.detail = f"fidelity deficit {max(0.0, 1.0 - fid):.1e} in {elapsed:.2f} s"
@@ -194,16 +188,7 @@ def test_criterion_04_state_exchange(acceptance_log, golden):
                         for row in report_u_swap("a", enc2, "ideal", "ideal"))
         rows_ok = surrogate >= 1.0 - 1e-10
 
-        enc8 = EncodingParams.for_amplitudes(8.0)
-        basis = logical_basis("a", enc8)
-        plus = StateVector(SpaceLayout((2,)),
-                           np.array([1.0, 1.0], dtype=np.complex128) / sqrt(2.0))
-        gate = u_swap("a", enc8, "ideal", "displacement")
-        dft_zero = StateVector(basis.zero.layout,
-                               (basis.zero.amps + basis.one.amps) / sqrt(2.0))
-        psi = tensor([dft_zero, qubit_state(0)])
-        out = StateVector(psi.layout, gate.apply(psi.as_tensor(), 0, 1))
-        fid = state_fidelity(out, tensor([basis.zero, plus]))
+        fid = superposition_transfer(EncodingParams.for_amplitudes(8.0))
         frozen = golden("swap_alpha8.json")["swap_superposition_transfer"]
         frozen_dev = abs(fid - frozen.value)
         frozen_ok = frozen_dev <= 1e-6
@@ -355,6 +340,7 @@ def test_criterion_10_property_families(acceptance_log):
             for ev in ("displacement", "ideal"):
                 residuals.append(unitarity_residual(
                     exchange_op("a", enc15, ve, ev).matrix))
+                residuals.append(report_u_swap("a", enc15, ve, ev)[0]["unitarity"])
         residuals.append(unitarity_residual(
             displacement(0.3 - 0.2j, ModeParams(24)).matrix))
         m = rng.normal(size=(40, 40)) + 1j * rng.normal(size=(40, 40))

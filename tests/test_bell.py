@@ -29,7 +29,7 @@ from catbell.bell import (
     mixed_tensor,
     tensor_chsh,
 )
-from catbell.encoding import BELL_KINDS, SchmidtState, bell_target, full_layout
+from catbell.encoding import BELL_KINDS, bell_target, full_layout
 from catbell.errors import ContractError
 from catbell.hilbert import DensityMatrix, StateVector
 from catbell.params import (
@@ -40,6 +40,7 @@ from catbell.params import (
 )
 from catbell.reference import pulse_correlators, pulse_populations
 from conftest import (
+    SchmidtState,
     basis_state,
     bell_block,
     block_reference_fidelity,

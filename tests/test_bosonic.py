@@ -4,23 +4,19 @@ from __future__ import annotations
 
 import re
 import sys
+from functools import partial
 from math import inf, isinf, nextafter, pi
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from catbell import bosonic
-from catbell.bosonic import cat, check_kicked_cats, coherent, displacement_action
-from catbell.encoding import prepare_entangled_schmidt
+from catbell.bosonic import cat
 from catbell.errors import CapacityError
-from catbell.hilbert import (
-    OperatorMatrix,
-    StateVector,
-    apply,
-    band_eigh,
-    unitarity_residual,
-)
+from catbell.gates import report_u_ev, report_u_swap
+from catbell.hilbert import OperatorMatrix, StateVector, apply, band_eigh
 from catbell.params import (
     EVEN,
     ODD,
@@ -35,14 +31,23 @@ from catbell.params import (
 )
 from catbell.reference import cat_amplitudes, coherent_amplitudes
 from conftest import (
+    _position_eigenbasis,
+    coherent,
     displacement,
+    displacement_action,
     expectation,
+    fock_report,
+    kick_action,
     norm,
     number_op,
     overlap,
     parity_op,
     parity_projectors,
+    phase_kick,
+    prepare_entangled_schmidt,
     state_fidelity,
+    u_swap,
+    unitarity_residual,
 )
 
 
@@ -321,7 +326,7 @@ class TestDisplacement:
     def test_refuses_exactly_the_kicks_whose_phases_overflow(self, cutoff):
         # the largest |beta| with |beta| max|w| finite still builds, and
         # the next float up is an OverflowError; neither warns
-        w, _ = bosonic._position_eigenbasis(cutoff)
+        w, _ = _position_eigenbasis(cutoff)
         w_max = float(max(w[-1], -w[0]))
         size = sys.float_info.max / w_max
         while isinf(size * w_max):
@@ -337,9 +342,48 @@ class TestDisplacement:
                 displacement_action(unit * nextafter(size, inf), mode)
 
 
+class TestNamedCutoff:
+    """A cutoff that drops more than leak_tol of the cat is a CapacityError
+    that names one that holds it (params._check_leak): the Poisson tail of
+    |alpha> at leak_tol / (4 N^2), since no level of the cat holds more than
+    4 N^2 times that of |alpha>."""
+
+    GRID = [(k / 20.0, tol) for k in range(1, 400) for tol in (1e-10, 1e-6)]
+
+    def named(self, alpha: float, leak_tol: float, cutoff: int) -> int:
+        with pytest.raises(CapacityError) as err:
+            even_cat_populations(alpha, ModeParams(cutoff, leak_tol))
+        found = re.fullmatch(
+            rf"cutoff {cutoff} drops \S+ of the '\+' cat state for alpha = "
+            rf"{alpha}; need cutoff >= (\d+)", str(err.value))
+        return int(found[1])
+
+    def test_every_named_cutoff_on_the_grid_holds_the_cat(self):
+        # alpha 0.05 to 19.95 at both tolerances: 158 of these 798 named
+        # cutoffs failed their own check when the tail was sized at
+        # leak_tol itself
+        for alpha, tol in self.GRID:
+            even_cat_populations(alpha, ModeParams(self.named(alpha, tol, 2), tol))
+
+    @settings(max_examples=100)
+    @given(st.floats(0.05, 20.0), st.sampled_from([1e-10, 1e-6]),
+           st.integers(2, 200))
+    @example(alpha=0.9, leak_tol=1e-10, cutoff=12)
+    # |alpha|^2 = 900 > 745, where exp(-|alpha|^2) underflows to 0
+    @example(alpha=30.0, leak_tol=1e-10, cutoff=100)
+    def test_the_named_cutoff_holds_the_cat(self, alpha, leak_tol, cutoff):
+        try:
+            even_cat_populations(alpha, ModeParams(cutoff, leak_tol))
+        except CapacityError:
+            need = self.named(alpha, leak_tol, cutoff)
+            assert need > cutoff
+            even_cat_populations(alpha, ModeParams(need, leak_tol))
+
+
 class TestKickedCats:
-    """check_kicked_cats holds the cats kicked by D(i eps) to leak_tol, as
-    cat holds the cat."""
+    """The cats kicked by D(i eps) at the default cutoffs, where
+    swap-report's rows once ran on the Fock path: the engine's rows, which
+    have no cutoff, match that path's there within leak_tol."""
 
     def kicked_leak(self, alpha: float, eps: float, sign: int, cutoff: int) -> float:
         """What the cutoff drops of D(i eps)(|alpha> + sign |-alpha>), from
@@ -353,29 +397,42 @@ class TestKickedCats:
 
     @pytest.mark.parametrize("alpha", [0.75, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0])
     def test_default_cutoffs_hold_the_default_kick(self, alpha):
-        mode = mode_for(alpha)
-        check_kicked_cats(alpha, pi / (4.0 * alpha), mode)
-        assert max(self.kicked_leak(alpha, pi / (4.0 * alpha), sign, mode.cutoff)
+        enc = EncodingParams.for_amplitudes(alpha)
+        mode, eps = enc.mode_a, pi / (4.0 * alpha)
+        assert max(self.kicked_leak(alpha, eps, sign, mode.cutoff)
                    for sign in (1, -1)) <= mode.leak_tol
+        kick = partial(phase_kick, kick=kick_action("a", enc, "displacement"))
+        swap = u_swap("a", enc, "ideal", "displacement")
+        pairs = [(report_u_ev("a", enc), kick),
+                 (report_u_swap("a", enc, "ideal", "displacement"),
+                  partial(swap.apply, mode_axis=0, ion_axis=1))]
+        for rows, step in pairs:
+            table = [(r["input"], r["target"]) for r in rows]
+            fock = fock_report(step, "a", enc, table)
+            assert max(abs(r["fidelity"] - f) for r, f in zip(rows, fock)) \
+                <= mode.leak_tol
 
     @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.7, 9.0])
     def test_a_leaky_cutoff_names_one_that_holds_both(self, alpha):
         # the default kick at the default cutoff: alpha = 0.2, 0.5 and 0.7
-        # drop 0.85, 1.1e-6 and 1.9e-9 of a kicked cat, alpha = 9 1.09e-10
-        eps, mode = pi / (4.0 * alpha), mode_for(alpha)
-        with pytest.raises(CapacityError) as err:
-            check_kicked_cats(alpha, eps, mode)
-        found = re.fullmatch(
-            rf"cutoff {mode.cutoff} drops (\S+) of the '([+-])' cat state "
-            rf"kicked by D\(i epsilon\) for alpha = {alpha}, epsilon = "
-            rf"{eps}; cutoff (\d+) holds both", str(err.value))
-        dropped, parity, need = found.groups()
-        want = self.kicked_leak(alpha, eps, 1 if parity == EVEN else -1, mode.cutoff)
-        assert float(dropped) == pytest.approx(want, rel=1e-3)
-        need = int(need)
-        check_kicked_cats(alpha, eps, ModeParams(need, mode.leak_tol))
-        for sign in (1, -1):
-            assert self.kicked_leak(alpha, eps, sign, need) <= mode.leak_tol
+        # drop 0.85, 1.1e-6 and 1.9e-9 of a kicked cat, alpha = 9 1.09e-10,
+        # and there the Fock path's rows were off.  The cutoff that the
+        # Fock path's guard named holds both kicked cats: no level of one
+        # holds more than 4 N-^2 times that of |alpha + i eps>.  On it the
+        # Fock rows meet the engine's, which read no cutoff, within leak_tol
+        eps, tol = pi / (4.0 * alpha), 1e-10
+        leaky = mode_for(alpha).cutoff
+        assert max(self.kicked_leak(alpha, eps, sign, leaky)
+                   for sign in (1, -1)) > tol
+        need = required_cutoff(complex(alpha, eps),
+                               tol / (4.0 * cat_norm(alpha, ODD) ** 2))
+        assert max(self.kicked_leak(alpha, eps, sign, need)
+                   for sign in (1, -1)) <= tol
+        enc = EncodingParams.for_amplitudes(alpha, cutoff=need, leak_tol=tol)
+        rows = report_u_ev("a", EncodingParams.for_amplitudes(alpha))
+        kick = partial(phase_kick, kick=kick_action("a", enc, "displacement"))
+        fock = fock_report(kick, "a", enc, [(r["input"], r["target"]) for r in rows])
+        assert max(abs(r["fidelity"] - f) for r, f in zip(rows, fock)) <= tol
 
 
 class TestPositionEigenbasis:
@@ -383,10 +440,10 @@ class TestPositionEigenbasis:
 
     @pytest.mark.parametrize("dim", [2, 3, 12, 26, 37, 50, 82, 122])
     def test_cached_equals_a_fresh_decomposition(self, dim):
-        bosonic._position_eigenbasis.cache_clear()
+        _position_eigenbasis.cache_clear()
         fresh = band_eigh(np.zeros(dim), np.sqrt(np.arange(1, dim)))
         for _ in range(2):  # the cold call, then the hit
-            for got, want in zip(bosonic._position_eigenbasis(dim), fresh):
+            for got, want in zip(_position_eigenbasis(dim), fresh):
                 assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("dim", [2, 3, 12, 26, 37, 50, 82, 122])
@@ -395,7 +452,7 @@ class TestPositionEigenbasis:
         # so each eigenvector is fixed up to its sign
         off = np.sqrt(np.arange(1, dim))
         w_raw, v_raw = scipy.linalg.eigh_tridiagonal(np.zeros(dim), off)
-        w, v = bosonic._position_eigenbasis(dim)
+        w, v = _position_eigenbasis(dim)
         assert np.abs(w - w_raw).max() <= 1e-13
         signs = np.sign(np.sum(v * v_raw, axis=0))
         assert np.abs(v * signs - v_raw).max() <= 1e-13
@@ -403,7 +460,7 @@ class TestPositionEigenbasis:
         assert np.abs(x @ v - v * w).max() <= 1e-12 * dim
 
     def test_arrays_are_read_only(self):
-        for cached in bosonic._position_eigenbasis(12):
+        for cached in _position_eigenbasis(12):
             with pytest.raises(ValueError, match="read-only"):
                 cached[0] = 1.0
 
@@ -416,14 +473,14 @@ class TestPositionEigenbasis:
             for dim in cutoffs:
                 for beta in betas:
                     if cold:
-                        bosonic._position_eigenbasis.cache_clear()
+                        _position_eigenbasis.cache_clear()
                     out.append(displacement(beta, ModeParams(dim)).matrix)
             return out
 
-        bosonic._position_eigenbasis.cache_clear()
+        _position_eigenbasis.cache_clear()
         build(cold=False)
         warm = build(cold=False)
-        assert bosonic._position_eigenbasis.cache_info().misses == len(cutoffs)
+        assert _position_eigenbasis.cache_info().misses == len(cutoffs)
         cold = build(cold=True)
         assert all((got == want).all() for got, want in zip(cold, warm))
 

@@ -15,7 +15,7 @@ import tempfile
 import textwrap
 import tracemalloc
 import warnings
-from math import exp, inf, nextafter, pi, sqrt
+from math import exp, inf, isfinite, nextafter, pi, sqrt
 from pathlib import Path
 from unittest import mock
 
@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 import catbell.bosonic
 import catbell.hilbert
 import catbell.noise
+import catbell.params
 from catbell.bell import (
     DEFAULT_ANGLES,
     DELTA_STAR,
@@ -56,7 +57,7 @@ from catbell.cli import (
 from catbell.coherent import rotation_fidelity
 from catbell.encoding import logical_basis
 from catbell.errors import CapacityError, ConfigError
-from catbell.gates import report_u_ev, report_u_swap, report_u_ve, u_swap
+from catbell.gates import report_u_ev, report_u_swap, report_u_ve
 from catbell.params import (
     CHSH_METHODS,
     EV_VARIANTS,
@@ -74,11 +75,14 @@ from catbell.pipeline import (
     run_rotate,
     run_swap_report,
 )
-from conftest import child_env, displacement, mixed_bell
+from conftest import child_env, displacement, mixed_bell, u_swap
 from reach import REGRESSIONS
 
-# the protocols that run in closed form and hold no Fock vector
-CLOSED_FORM = ("full-pipeline", "rotate", "bell-scan")
+# the one protocol that holds Fock levels, the prepared cat's populations,
+# and so reads encoding.cutoff, leak_tol and the size cap; every other one
+# runs in closed form, and a new protocol joins those by itself
+CAPPED = "heat-sweep"
+CLOSED_FORM = tuple(p for p in PROTOCOLS if p != CAPPED)
 
 
 def cfg_for(protocol: str, **overrides) -> dict:
@@ -849,7 +853,7 @@ class TestMainEntry:
 
     def test_capacity_error_exit_code(self, tmp_path, capsys):
         cfg_path = self.write_config(tmp_path, {
-            "protocol": "prepare",
+            "protocol": "heat-sweep",
             "encoding": {"alpha": 2.0, "cutoff": 8},
         })
         assert main(["run", cfg_path, "--output", str(tmp_path)]) == 3
@@ -858,10 +862,10 @@ class TestMainEntry:
     def test_huge_cutoff_is_capacity_error_before_allocating(
             self, tmp_path, capsys, monkeypatch):
         def refuse(*args):
-            raise AssertionError("mode amplitudes allocated before the cap check")
-        monkeypatch.setattr(catbell.bosonic, "_coherent_amps", refuse)
+            raise AssertionError("cat series started before the cap check")
+        monkeypatch.setattr(catbell.params, "sqrt", refuse)
         cfg_path = self.write_config(tmp_path, {
-            "protocol": "prepare",
+            "protocol": "heat-sweep",
             "encoding": {"cutoff": 1000000000},
         })
         assert main(["run", cfg_path, "--output", str(tmp_path)]) == 3
@@ -927,7 +931,7 @@ class TestMainEntry:
         # the default cutoff at alpha 1e153 is about 1e306: the message gives
         # the total in 3 significant digits, not 307
         cfg_path = self.write_config(tmp_path, {
-            "protocol": "prepare", "encoding": {"alpha": 1e153}})
+            "protocol": "heat-sweep", "encoding": {"alpha": 1e153}})
         assert main(["run", cfg_path, "--output", str(tmp_path)]) == 3
         assert capsys.readouterr().err == (
             "capacity error: total dimension 1e+306 exceeds the cap 16384; "
@@ -998,16 +1002,12 @@ class TestMainEntry:
         ({"protocol": "full-pipeline", "noise": {"gamma": 1e308, "duration": 0}},
          2, "config error: noise: gamma \\* alpha\\^2 overflows to inf, and "
             "inf \\* duration 0 is nan; set noise\\.delta explicitly"),
-        ({"protocol": "prepare", "encoding": {"alpha": 1000, "cutoff": 30}},
+        ({"protocol": "heat-sweep", "encoding": {"alpha": 1000, "cutoff": 30}},
          3, "capacity error: no finite cutoff found for \\|alpha\\|\\^2 = 1000000"),
-        ({"protocol": "swap-report", "encoding": {"alpha": 1.5e-154, "epsilon": 2e154}},
-         3, "capacity error: no finite cutoff holds the cats kicked by D\\(i "
-            "epsilon\\) for alpha = 1\\.5e-154, epsilon = 2e\\+154: "
-            "\\|alpha \\+ i epsilon\\|\\^2 overflows"),
     ], ids=["durations", "auto-steps-overflow",
             "bell-scan-shots", "full-pipeline-shots", "rotate-angle-overflow",
             "default-delta-above-one", "default-delta-inf-times-zero",
-            "no-finite-cutoff", "kicked-cats-overflow"])
+            "no-finite-cutoff"])
     def test_step_and_shot_limits(self, tmp_path, capsys, raw, code, message):
         # each of these must end in a named error and its exit code; the
         # first six ended in a traceback before their limits existed
@@ -1017,27 +1017,27 @@ class TestMainEntry:
         assert re.search(message, err)
         assert "Warning" not in err
 
-    def test_swap_report_refuses_a_cutoff_that_drops_the_kicked_cats(
-            self, tmp_path, capsys):
-        # at alpha 0.5 the default cutoff 14 holds both cats but drops
-        # 1.1e-6 of the even one kicked by D(i pi/2), the default kick; the
-        # error names a cutoff that holds both kicked cats, and a run on it
-        # writes its rows
+    @pytest.mark.parametrize("raw", [
+        {"alpha": 0.5}, {"alpha": 9.0},
+        {"alpha": 1.5e-154, "epsilon": 2e154}, {"alpha": 2.0, "cutoff": 10}],
+        ids=["alpha-0.5", "alpha-9", "kick-square-overflows", "cutoff-10"])
+    def test_swap_report_runs_where_a_cutoff_drops_the_kicked_cats(
+            self, tmp_path, capsys, raw):
+        # the default cutoff drops 1.1e-6 of the even cat kicked by D(i
+        # pi/2) at alpha 0.5 and 1.3e-10 of the odd one at alpha 9, and no
+        # cutoff holds a kick whose |alpha + i epsilon|^2 overflows.  The
+        # gates run on coherent states, so each run writes its rows, the
+        # same as at any other cutoff, with no warning
         cfg_path = self.write_config(tmp_path, {
-            "protocol": "swap-report", "encoding": {"alpha": 0.5}})
-        assert main(["run", cfg_path, "--output", str(tmp_path)]) == 3
-        found = re.fullmatch(
-            r"capacity error: cutoff 14 drops 1\.099e-06 of the '\+' cat "
-            r"state kicked by D\(i epsilon\) for alpha = 0\.5, epsilon = "
-            r"1\.5707963267948966; cutoff (\d+) holds both\n",
-            capsys.readouterr().err)
-        assert found
-        assert not (tmp_path / "swap-report.csv").exists()
-        cfg_path = self.write_config(tmp_path, {"protocol": "swap-report",
-                                                "encoding": {"alpha": 0.5,
-                                                             "cutoff": int(found[1])}})
-        assert main(["run", cfg_path, "--output", str(tmp_path)]) == 0
-        assert (tmp_path / "swap-report.csv").exists()
+            "protocol": "swap-report", "encoding": raw})
+        assert main(["run", cfg_path, "--output", str(tmp_path / "a")]) == 0
+        assert capsys.readouterr().err == ""
+        rows, _, _ = run_swap_report(cfg_for("swap-report", encoding=dict(
+            raw, cutoff=None)))
+        assert all(isfinite(r["fidelity"]) and 0.0 <= r["fidelity"] <= 1.0
+                   + 1e-12 and r["unitarity"] <= 1e-15 for r in rows)
+        assert ((tmp_path / "a" / "swap-report.csv").read_text(encoding="utf-8")
+                == render_csv(rows))
 
     @pytest.mark.parametrize("eps", [5e307, 1e308])
     def test_rotate_kick_overflow_is_a_config_error(self, tmp_path, capsys, eps):
@@ -1178,8 +1178,10 @@ class TestMainEntry:
         # a new or a missing file fails
         from output_matrix import _move, compare, summary, verdict
         base = {
+            # as cli.render_csv writes it, with no quotes: the comma inside
+            # the brackets splits no cell
             "swap-report-a2.csv": ("gate,input,target,fidelity,unitarity\n"
-                                   "\"u_swap[ideal,ideal]\",0L|0e,0L|0e,1,2.1e-15\n"),
+                                   "u_swap[ideal,ideal],0L|0e,0L|0e,1,2.1e-15\n"),
             "full-pipeline-results.txt": (
                 "full-pipeline-a2-literal-ideal-exact-d0 b_value=0x0.0p+0 "
                 "e_ab=0x1.0p-1\n"),
@@ -1350,16 +1352,15 @@ class TestMainEntry:
     # which imports numpy, and those that one run of each protocol adds
     CLI_MODULES = {"catbell", "catbell.cli", "catbell.pipeline",
                    "catbell.params", "catbell.errors"}
-    # the array modules of the Fock-space protocols; rotate runs in
-    # coherent states, bell-scan reads its mixtures' tensors in bell, and
-    # full-pipeline does both, in Python floats
-    ARRAYS = {"encoding", "bosonic", "hilbert"}
+    # no run loads an array module: prepare and rotate run in coherent
+    # states, swap-report in gates over them, heat-sweep in params,
+    # bell-scan reads its mixtures' tensors in bell, and full-pipeline runs
+    # coherent states and bell, all in Python floats
     FOOTPRINTS = {
-        "prepare": ({"protocol": "prepare"}, ARRAYS),
+        "prepare": ({"protocol": "prepare"}, {"coherent"}),
         "rotate": ({"protocol": "rotate"}, {"coherent"}),
         "heat-sweep": ({"protocol": "heat-sweep"}, set()),
-        "swap-report": ({"protocol": "swap-report"},
-                        ARRAYS | {"gates", "coherent"}),
+        "swap-report": ({"protocol": "swap-report"}, {"gates", "coherent"}),
         "bell-scan-exact": ({"protocol": "bell-scan"}, {"bell"}),
         "bell-scan-sampled": (
             {"protocol": "bell-scan", "bell": {"mode": "sampled"}}, {"bell"}),
@@ -1404,15 +1405,15 @@ class TestMainEntry:
 
 class TestSizeCapVariable:
     """A bad or tiny CATBELL_MAX_DIM is a capacity error of the run that
-    sizes a register, never of `import catbell`; full-pipeline, rotate and
-    bell-scan, which hold no Fock vector, size none."""
+    sizes Fock levels, heat-sweep's, never of `import catbell`; every other
+    protocol runs in closed form and sizes none."""
 
     @pytest.mark.parametrize("cap", ["abc", "", "1", "2", "3"])
     def test_only_runs_are_refused(self, tmp_path, cap):
         cfg_path = tmp_path / "config.json"
-        cfg_path.write_text(json.dumps({"protocol": "prepare"}))
+        cfg_path.write_text(json.dumps({"protocol": CAPPED}))
         env = child_env(CATBELL_MAX_DIM=cap)
-        commands = [["version"], ["describe", "prepare"],
+        commands = [["version"], ["describe", CAPPED],
                     ["run", str(cfg_path), "--output", str(tmp_path)]]
         procs = [subprocess.run([sys.executable, "-m", "catbell.cli", *cmd],
                                 env=env, capture_output=True, text=True)
@@ -1423,10 +1424,9 @@ class TestSizeCapVariable:
         assert re.match(r"capacity error: CATBELL_MAX_DIM must be|capacity "
                         r"error: total dimension \d+ exceeds the cap [23];",
                         procs[-1].stderr)
-        assert not (tmp_path / "prepare.csv").exists()
+        assert not (tmp_path / f"{CAPPED}.csv").exists()
 
-    @pytest.mark.parametrize("protocol", [p for p in PROTOCOLS
-                                          if p not in CLOSED_FORM])
+    @pytest.mark.parametrize("protocol", [CAPPED])
     def test_warm_run_refuses_a_lowered_cap(self, tmp_path, monkeypatch, capsys,
                                             protocol):
         # the memos (encoding, code basis, cat populations) are warm, and
@@ -1441,7 +1441,7 @@ class TestSizeCapVariable:
         assert main(argv) == 3
         assert "exceeds the cap 3" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("protocol", ["rotate", "bell-scan"])
+    @pytest.mark.parametrize("protocol", CLOSED_FORM)
     def test_closed_form_runs_read_no_cap(self, tmp_path, monkeypatch, protocol):
         # no Fock vector: a cap that is no integer, or that no layout
         # meets, leaves the bytes of the run as they are
@@ -1546,8 +1546,7 @@ class TestPipelineMemo:
 
     def test_warm_ideal_op_builds_no_code_basis(self, monkeypatch):
         # the stages run in coherent states: neither a cold op nor a warm
-        # one, of either kick build, builds a Fock cat, a kick's eigenbasis
-        # or a gate
+        # one, of either kick build, builds a Fock cat or a code basis
         enc = EncodingParams.for_amplitudes(3.0)
         want = {ev: run_pipeline(enc, 0.1, DEFAULT_ANGLES, ev_variant=ev)
                 for ev in EV_VARIANTS}
@@ -1555,8 +1554,7 @@ class TestPipelineMemo:
         def refuse(*args):
             raise AssertionError("Fock space built")
 
-        for name in ("cat", "coherent", "displacement_action"):
-            monkeypatch.setattr(catbell.bosonic, name, refuse)
+        monkeypatch.setattr(catbell.bosonic, "cat", refuse)
         monkeypatch.setattr(catbell.encoding, "logical_basis", refuse)
         for ev in EV_VARIANTS:
             assert run_pipeline(enc, 0.1, DEFAULT_ANGLES, ev_variant=ev) == want[ev]
@@ -1673,19 +1671,18 @@ class TestHeatSweepMemo:
 
 
 class TestDecompositionCache:
-    """The band a + a+ is decomposed once per cutoff and process, and
-    heat-sweep decomposes no heating block (TestHeatSweepMemo)."""
+    """No run decomposes a band: heat-sweep reads the channel's law on the
+    cat's populations, and the pipeline's kick is D(i eps) on coherent
+    states."""
 
     @pytest.fixture
     def decompositions(self, monkeypatch) -> list:
-        catbell.bosonic._position_eigenbasis.cache_clear()
         calls = []
 
         def counted(*args):
             calls.append(args[0].shape)
             return catbell.hilbert.band_eigh(*args)
         monkeypatch.setattr(catbell.noise, "band_eigh", counted)
-        monkeypatch.setattr(catbell.bosonic, "band_eigh", counted)
         return calls
 
     def test_warm_heat_sweep_decomposes_nothing(self, decompositions):
@@ -1697,22 +1694,15 @@ class TestDecompositionCache:
         assert decompositions == []
 
     def test_warm_pipeline_decomposes_nothing_and_builds_no_gate(
-            self, decompositions, monkeypatch):
+            self, decompositions):
         # the kick is D(i eps) on coherent states: no run, cold or warm,
-        # decomposes a + a+ or builds a Fock-space gate
-        import catbell.gates
+        # decomposes a band
         cfg = cfg_for("full-pipeline", gates={"ev_variant": "displacement"})
         _coherent_stages.cache_clear()
-        kicks, swaps = [], []
-        action_fn = catbell.bosonic.displacement_action
-        monkeypatch.setattr(catbell.bosonic, "displacement_action",
-                            lambda *args: kicks.append(args) or action_fn(*args))
-        monkeypatch.setattr(catbell.gates, "u_swap",
-                            lambda *args: swaps.append(args) or u_swap(*args))
         first = run_full_pipeline(cfg)
-        assert decompositions == kicks == swaps == []
+        assert decompositions == []
         assert run_full_pipeline(cfg) == first
-        assert decompositions == kicks == swaps == []
+        assert decompositions == []
 
 
 class TestCommandLine:

@@ -42,6 +42,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from catbell.cli import PROTOCOLS
 from conftest import child_env
 from reach import KEPT_UNREACHED, entry_of
 
@@ -60,8 +61,6 @@ IMPORTING_MODULES = ("src/catbell/*.py", "tests/*.py", "demos/*.py")
 
 # oracles that only their self-tests read, kept on purpose
 KEPT_UNREAD_ORACLES = {
-    "coherent_overlap": "the Gram tables of the truncation-free pipeline "
-                        "oracle (ROADMAP item 7)",
     "chsh_grid_search": "the check of the best B over axes (ROADMAP item 12)",
 }
 
@@ -367,23 +366,28 @@ def test_the_front_door_loads_no_numpy(statement):
     assert loaded_modules(statement, package="numpy") == [set()]
 
 
-# the exact runs in Python floats alone, each in a fresh interpreter: the
-# configs and a line that the output holds.  The sampled readouts still
-# draw from numpy's Generator (ROADMAP item 32), and prepare and
-# swap-report run on the Fock basis (item 30)
-NUMPY_FREE_RUNS = {
-    "heat-sweep": ({"protocol": "heat-sweep", "encoding": {"alpha": 3.0},
-                    "noise": {"durations": [0.0, 1.0, 2.0]}}, "\n2,"),
-    "full-pipeline-ideal": ({"protocol": "full-pipeline", "encoding": {
-        "alpha": 2.0}, "gates": {"ev_variant": "ideal"}}, "\nb_value,"),
-    "full-pipeline-displacement": ({"protocol": "full-pipeline", "encoding": {
-        "alpha": 2.0}, "gates": {"ev_variant": "displacement"}}, "\nb_value,"),
-    "bell-scan": ({"protocol": "bell-scan"}, "\n0,"),
-    "rotate": ({"protocol": "rotate", "encoding": {"alpha": 2.0}}, "\n0.05,"),
+# the exact run of each protocol of cli.PROTOCOLS in Python floats alone,
+# each in a fresh interpreter: the config extras and a line that the output
+# holds, where a protocol needs them; a new protocol joins on its defaults.
+# The sampled readouts still draw from numpy's Generator (ROADMAP item 32)
+RUN_EXTRAS = {
+    "heat-sweep": [("heat-sweep", {"encoding": {"alpha": 3.0},
+                                   "noise": {"durations": [0.0, 1.0, 2.0]}}, "\n2,")],
+    "full-pipeline": [(f"full-pipeline-{ev}", {"encoding": {"alpha": 2.0},
+                                               "gates": {"ev_variant": ev}},
+                       "\nb_value,") for ev in ("ideal", "displacement")],
+    "bell-scan": [("bell-scan", {}, "\n0,")],
+    "rotate": [("rotate", {"encoding": {"alpha": 2.0}}, "\n0.05,")],
+    "prepare": [("prepare", {}, "\npreparation_fidelity,1\n")],
+    "swap-report": [("swap-report", {}, "\nu_swap[ideal,displacement],")],
 }
+NUMPY_FREE_RUNS = [pytest.param(dict(extra, protocol=protocol), line, id=name)
+                   for protocol in PROTOCOLS
+                   for name, extra, line in RUN_EXTRAS.get(protocol,
+                                                           [(protocol, {}, "\n")])]
 
 
-@pytest.mark.parametrize("raw,line", NUMPY_FREE_RUNS.values(), ids=NUMPY_FREE_RUNS)
+@pytest.mark.parametrize("raw,line", NUMPY_FREE_RUNS)
 def test_an_exact_run_loads_no_numpy(tmp_path, raw, line):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(raw))

@@ -8,30 +8,27 @@ from math import inf, isfinite, nextafter, sqrt
 import numpy as np
 import pytest
 
-from catbell.bosonic import cat, coherent
+from catbell.bosonic import cat
 from catbell.coherent import rotation_fidelity
 from catbell.encoding import (
     BELL_KINDS,
     MODE_A,
     MODE_B,
-    SchmidtState,
     bell_target,
-    entangled_target_cat_form,
-    entangled_target_schmidt,
     full_layout,
     logical_basis,
-    prepare_entangled_schmidt,
     qubit_state,
-    schmidt_fidelity,
 )
 from catbell.errors import CapacityError, ContractError
-from catbell.hilbert import (
-    apply,
-    unitarity_residual,
-)
+from catbell.hilbert import apply
 from catbell.params import EVEN, ODD, EncodingParams, ModeParams
 from conftest import (
+    SchmidtState,
     bell_target_schmidt,
+    code_rotate,
+    coherent,
+    entangled_target_cat_form,
+    entangled_target_schmidt,
     expectation,
     fourier_pair,
     hadamard_matrix,
@@ -40,10 +37,13 @@ from conftest import (
     overlap,
     parity_op,
     partial_trace,
+    prepare_entangled_schmidt,
     reference_preparation,
     rx_matrix,
+    schmidt_fidelity,
     state_fidelity,
     subspace_unitary,
+    unitarity_residual,
 )
 
 
@@ -219,7 +219,7 @@ class TestLogicalBasis:
         rng = np.random.default_rng(8)
         x = rng.standard_normal((b.shape[0], 2, 3)) + 1j * rng.standard_normal((b.shape[0], 2, 3))
         before = x.copy()
-        got = basis.rotate(m2, x)
+        got = code_rotate(basis, m2, x)
         want = np.einsum("mn,nik->mik", dense, x)
         assert got.shape == x.shape
         assert np.abs(got - want).max() < 1e-14

@@ -15,30 +15,22 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import conftest
 from catbell import gates
 from catbell.bell import (
     DEFAULT_ANGLES,
     chsh,
     correlation_tensor,
 )
-from catbell.encoding import (
-    MODE_A,
-    full_layout,
-    logical_basis,
-    prepare_entangled_schmidt,
-    qubit_state,
-)
+from catbell.coherent import cat_form, preparation
+from catbell.encoding import MODE_A, full_layout, logical_basis, qubit_state
 from catbell.gates import (
     CNOT_EV_TABLE,
     CNOT_VE_TABLE,
     SWAP_TABLE,
-    _flip,
-    _pair_matrix,
-    pair_layout,
     report_u_ev,
     report_u_swap,
     report_u_ve,
-    u_swap,
 )
 from catbell.hilbert import (
     SIGMA_X,
@@ -48,7 +40,6 @@ from catbell.hilbert import (
     StateVector,
     apply,
     tensor,
-    unitarity_residual,
 )
 from catbell.params import (
     CHSH_METHODS,
@@ -66,7 +57,10 @@ from conftest import (
     EXCITED,
     basis_state,
     dm_fidelity,
+    entangled_target_cat_form,
+    entangled_target_schmidt,
     exchange_op,
+    flip_step,
     fock_stages,
     hadamard_matrix,
     lift_pair,
@@ -75,15 +69,21 @@ from conftest import (
     number_op,
     on_register,
     overlap,
+    pair_layout,
+    pair_matrix,
     parity_projectors,
     partial_trace,
+    prepare_entangled_schmidt,
     reduced_electronic,
     reference_preparation,
+    register_in_fock,
     rx_matrix,
     subspace_unitary,
     u_ev,
+    u_swap,
     u_ve_ideal,
     u_ve_literal,
+    unitarity_residual,
 )
 
 VARIANT_PAIRS = [(ve, ev) for ve in VE_VARIANTS for ev in EV_VARIANTS]
@@ -165,10 +165,10 @@ class TestUveLiteral:
 
     @pytest.mark.parametrize("alpha", [2.0, 4.0])
     def test_index_build_matches_the_as_written_oracle(self, alpha):
-        # the pipeline's build, _flip on the odd rows, against scipy's expm
-        # of the two generators, at cutoffs 26 and 50
+        # the Fock reference's build, flip_step on the odd rows, against
+        # scipy's expm of the two generators, at cutoffs 26 and 50
         layout = pair_layout("a", EncodingParams.for_amplitudes(alpha))
-        got = _pair_matrix(layout, functools.partial(_flip, literal=True))
+        got = pair_matrix(layout, functools.partial(flip_step, literal=True))
         want = u_ve_literal_oracle(layout.dims[0])
         assert np.abs(got - want).max() <= 1e-12
 
@@ -318,7 +318,7 @@ class TestUswap:
         # pair matrix, and no module of the program holds an exponential
         def refuse(*args, **kwargs):
             raise AssertionError("the exchange formed its pair matrix")
-        monkeypatch.setattr(gates, "_pair_matrix", refuse)
+        monkeypatch.setattr(conftest, "pair_matrix", refuse)
         modules = [m for n, m in sys.modules.items() if n.startswith("catbell.")
                    and n != "catbell.reference"]
         assert not [m for m in modules if hasattr(m, "matrix_exp")]
@@ -561,6 +561,21 @@ class TestEngineAgainstFock:
         # warm equals cold, bit for bit
         assert repr(run_pipeline(enc, delta, DEFAULT_ANGLES, ve_variant=ve,
                                  ev_variant=ev)) == repr(cold)
+
+    @pytest.mark.parametrize("alpha,beta", [(2.0, 2.0), (0.7, 3.0), (3.0, 1.5)])
+    def test_preparation_and_cat_forms_are_the_fock_paths(self, alpha, beta):
+        # prepare's registers on Fock levels against the Schmidt-form
+        # builders prepare once ran, at cutoffs that hold the cats
+        enc = EncodingParams(alpha, beta, ModeParams(default_cutoff(alpha) + 20),
+                             ModeParams(default_cutoff(beta) + 20))
+        mode_a, mode_b, prepared, target = preparation(enc)
+        pairs = [(prepared, prepare_entangled_schmidt(enc)),
+                 (target, entangled_target_schmidt(enc))]
+        pairs += [(cat_form(mode_a, mode_b, side),
+                   entangled_target_cat_form(enc, side)) for side in ("a", "b")]
+        for engine, fock in pairs:
+            got = register_in_fock(mode_a, mode_b, engine, enc).amps
+            assert np.abs(got - fock.to_state().amps).max() <= 1e-13
 
     @pytest.mark.parametrize("alpha,beta", [(2.0, 2.0), (0.7, 3.0), (6.0, 6.0)])
     def test_hadamard_keeps_its_physical_deficit(self, alpha, beta):

@@ -8,7 +8,6 @@ from math import prod
 import numpy as np
 import pytest
 
-from catbell.bosonic import coherent
 from catbell.errors import CapacityError, ContractError
 from catbell.hilbert import (
     DensityMatrix,
@@ -17,7 +16,6 @@ from catbell.hilbert import (
     apply,
     band_eigh,
     tensor,
-    unitarity_residual,
 )
 from catbell.params import (
     DEFAULT_MAX_DIM,
@@ -28,6 +26,7 @@ from catbell.params import (
 )
 from conftest import (
     basis_state,
+    coherent,
     dm_fidelity,
     embed,
     expectation,
@@ -37,6 +36,7 @@ from conftest import (
     overlap,
     partial_trace,
     state_fidelity,
+    unitarity_residual,
 )
 
 SX = np.array([[0, 1], [1, 0]], dtype=np.complex128)

@@ -12,7 +12,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catbell.bosonic import cat, coherent
+from catbell.bosonic import cat
 from catbell.cli import normalize_config
 from catbell.encoding import MODE_A, MODE_B, bell_target
 from catbell.errors import ContractError
@@ -41,6 +41,7 @@ from catbell.pipeline import run_full_pipeline
 from catbell.reference import liouvillian_expm, liouvillian_matrix
 from conftest import (
     basis_state,
+    coherent,
     dm_fidelity,
     expectation,
     mixed_bell,

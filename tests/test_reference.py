@@ -77,7 +77,7 @@ class TestDisplacementOracle:
 
 class TestEntangledOracle:
     def test_matches_main_preparation(self, enc2):
-        from catbell.encoding import prepare_entangled_schmidt
+        from conftest import prepare_entangled_schmidt
 
         na, nb = enc2.mode_a.cutoff, enc2.mode_b.cutoff
         grid = entangled_amplitudes(2.0, 2.0, na, nb)
