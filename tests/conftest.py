@@ -58,7 +58,7 @@ from catbell.encoding import (
     logical_basis,
 )
 from catbell.errors import CapacityError
-from catbell.gates import _mode
+from catbell.gates import PAIR_LABELS, _mode
 from catbell.hilbert import (
     SIGMA_X,
     SIGMA_Y,
@@ -800,13 +800,12 @@ def fock_report(step, which_mode: str, params: EncodingParams,
     truncated code basis: the rows that swap-report once wrote."""
     layout = pair_layout(which_mode, params)
     basis = logical_basis(which_mode, params)
-    labels = ("0L|0e", "0L|1e", "1L|0e", "1L|1e")
-    states = np.zeros(layout.dims + (len(labels),), dtype=np.complex128)
-    for k, label in enumerate(labels):
+    states = np.zeros(layout.dims + (len(PAIR_LABELS),), dtype=np.complex128)
+    for k, label in enumerate(PAIR_LABELS):
         code = basis.zero if label[:2] == "0L" else basis.one
         states[:, int(label[3]), k] = code.amps
     out = step(states.copy()).reshape(layout.total_dim, -1)
     states = states.reshape(layout.total_dim, -1)
-    return [float(abs(np.vdot(states[:, labels.index(tgt)],
-                              out[:, labels.index(inp)])) ** 2)
+    col = PAIR_LABELS.index
+    return [float(abs(np.vdot(states[:, col(tgt)], out[:, col(inp)])) ** 2)
             for inp, tgt in table]
