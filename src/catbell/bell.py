@@ -25,14 +25,18 @@ two-qubit combination
 reaches 2 sqrt(2) on the even Bell state at the default settings and
 decays linearly to 2 sqrt(2) (1 - delta) when a parity-flipped component of
 weight delta is mixed in.
+
+An import of this module loads params and errors alone: numpy only for a
+density matrix or the sampled readout, and neither dataclasses nor inspect,
+because the angle set (BellAngles, a memo key) and the readout's record
+(BellOutcome) are NamedTuples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from functools import lru_cache
 from math import cos, isfinite, pi, sin, sqrt
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .params import CHSH_METHODS, check_unit
 
@@ -101,20 +105,27 @@ def block_fidelity(t: tuple, delta: float) -> float:
     return b00 + b11 + 2.0 * sqrt(max(det, 0.0))
 
 
-@dataclass(frozen=True)
-class BellAngles:
-    """The four analyzer settings, first qubit unprimed/primed then second."""
+class _AngleFields(NamedTuple):
+    theta_a: float
+    theta_a_prime: float
+    theta_b: float
+    theta_b_prime: float
 
-    theta_a: float = 0.0
-    theta_a_prime: float = pi / 2
-    theta_b: float = -pi / 4
-    theta_b_prime: float = pi / 4
 
-    def __post_init__(self) -> None:
-        for field in fields(self):
-            value = getattr(self, field.name)
+class BellAngles(_AngleFields):
+    """The four analyzer settings, first qubit unprimed/primed then second:
+    a checked tuple of its fields, as catbell.params' settings are."""
+
+    __slots__ = ()
+
+    def __new__(cls, theta_a: float = 0.0, theta_a_prime: float = pi / 2,
+                theta_b: float = -pi / 4, theta_b_prime: float = pi / 4
+                ) -> BellAngles:
+        for name, value in (("theta_a", theta_a), ("theta_a_prime", theta_a_prime),
+                            ("theta_b", theta_b), ("theta_b_prime", theta_b_prime)):
             if not isfinite(value):
-                raise ValueError(f"{field.name} must be finite, got {value}")
+                raise ValueError(f"{name} must be finite, got {value}")
+        return super().__new__(cls, theta_a, theta_a_prime, theta_b, theta_b_prime)
 
     def settings(self) -> tuple[tuple[float, float], ...]:
         """Setting pairs in combination order; the last enters with a minus."""
@@ -195,8 +206,7 @@ def _draw(p: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:
     return rng.multinomial(shots, p)
 
 
-@dataclass(frozen=True)
-class BellOutcome:
+class BellOutcome(NamedTuple):
     b_value: float
     correlations: tuple[float, float, float, float]
     std_error: float | None = None

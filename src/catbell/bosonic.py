@@ -6,9 +6,9 @@ recurrence c_{n+1} = c_n * alpha / sqrt(n+1) starting from c_0 =
 exp(-|alpha|^2/2), and cat checks how much probability the truncation
 dropped before renormalizing.  Cat states carry exact parity: the
 discarded-parity amplitudes cancel exactly in floating point, not just
-approximately.  cat builds mode.layout, which checks the size cap, before
-it allocates anything, so an oversized cutoff is a CapacityError, not a
-failed allocation.  The mode settings, the cutoff sizing, the cat
+approximately.  cat builds the mode's layout, which checks the size cap,
+before it allocates anything, so an oversized cutoff is a CapacityError,
+not a failed allocation.  The mode settings, the cutoff sizing, the cat
 normalization and the leak check live in catbell.params, which loads no
 numpy.
 """
@@ -19,7 +19,7 @@ from math import exp, sqrt
 
 import numpy as np
 
-from .hilbert import StateVector
+from .hilbert import SpaceLayout, StateVector
 from .params import EVEN, ODD, ModeParams, _check_leak, cat_norm
 
 
@@ -38,7 +38,7 @@ def cat(alpha: complex, parity: str, mode: ModeParams) -> StateVector:
     """
     if parity not in (EVEN, ODD):
         raise ValueError(f"parity must be '+' or '-', got {parity!r}")
-    layout = mode.layout
+    layout = SpaceLayout((mode.cutoff,))
     c = _coherent_amps(alpha, mode.cutoff)
     mirror = c * ((-1.0) ** np.arange(mode.cutoff))
     v = c + mirror if parity == EVEN else c - mirror

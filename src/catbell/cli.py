@@ -16,11 +16,14 @@ overflows to inf), 141 stdout closed before all of it was written (as in
 `catbell describe full-pipeline | head -1`): the rest is dropped without a
 message, and 141 = 128 + SIGPIPE is what a shell reports for a writer that
 SIGPIPE ended.  A run's output file is written before stdout.
+
+An import loads catbell.pipeline, params and errors and no numpy; a run
+adds its protocol's modules (catbell.pipeline says which).  No command
+loads dataclasses, and only describe loads inspect, for its cleandoc.
 """
 
 from __future__ import annotations
 
-import inspect
 import itertools
 import json
 import os
@@ -74,7 +77,8 @@ class Field(NamedTuple):
     kind is "number", "integer", "numbers" (a nonempty list of numbers),
     "choice", "bool" or "string"; optional admits null.  ge and le are
     inclusive bounds, gt and lt exclusive ones, applied to each number of a
-    list.  A callable default is called with the protocol name.
+    list.  A callable default is called with the protocol name; a field
+    that is not optional and has no default (None) must be given.
     """
 
     section: str  # "" for a top-level field
@@ -212,8 +216,11 @@ def _check(field: Field, value):
 
 
 def normalize_config(raw: dict) -> dict:
-    """Apply the defaults of FIELDS and validate every field; idempotent on
-    its output.  An unknown field or section is a ConfigError."""
+    """Validate every given field and apply the defaults of FIELDS;
+    idempotent on its output.  A default is taken unchecked (each passes
+    its field's check, which the tests hold), a "numbers" one as a fresh
+    list; an omitted protocol, which has none, is checked as null.  An
+    unknown field or section is a ConfigError."""
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     top = dict(raw)
@@ -227,9 +234,15 @@ def normalize_config(raw: dict) -> dict:
             given, out = dict(given), cfg.setdefault(section, {})
         for field in fields:
             default = field.default
-            if callable(default):
-                default = default(cfg["protocol"])
-            out[field.key] = _check(field, given.pop(field.key, default))
+            if field.key in given or (default is None and not field.optional):
+                value = _check(field, given.pop(field.key, None))
+            elif callable(default):
+                value = default(cfg["protocol"])
+            elif field.kind == "numbers" and default is not None:
+                value = list(default)
+            else:
+                value = default
+            out[field.key] = value
         if section and given:
             raise ConfigError(f"unknown field {section}.{sorted(given)[0]}")
     if top:
@@ -334,6 +347,7 @@ def describe(protocol: str) -> str:
     if protocol not in RUNNERS:
         raise ConfigError(f"unknown protocol {_cut(repr(protocol))}; "
                           f"choose from {', '.join(PROTOCOLS)}")
+    import inspect  # for cleandoc alone: no run loads it
     doc = inspect.cleandoc(RUNNERS[protocol].__doc__ or "")
     return f"protocol: {protocol}\n{doc}".rstrip()
 

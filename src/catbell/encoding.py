@@ -19,8 +19,8 @@ from math import sqrt
 import numpy as np
 
 from . import bosonic
-from .hilbert import StateVector
-from .params import EVEN, ODD, EncodingParams, SpaceLayout
+from .hilbert import SpaceLayout, StateVector
+from .params import EVEN, ODD, EncodingParams
 
 MODE_A, MODE_B, ION_1, ION_2 = 0, 1, 2, 3
 

@@ -6,8 +6,9 @@ order, with the first factor varying slowest in the flattened index (the
 ordering produced by ``numpy.kron``).  tensor takes pure states only.  No
 command runs this module: its states serve the jump ensembles (noise,
 encoding) and the Fock channel's oracle, and band_eigh the channel's
-eigenbasis.  The layout itself (SpaceLayout) and the size cap live in
-catbell.params, which loads no numpy.
+eigenbasis.  The layout (SpaceLayout) is defined here, beside the states
+that read it; the size cap that it runs lives in catbell.params, which
+loads no numpy.
 """
 
 from __future__ import annotations
@@ -17,7 +18,34 @@ from math import prod
 
 import numpy as np
 
-from .params import SpaceLayout
+from .params import _integer, check_dim
+
+
+@dataclass(frozen=True)
+class SpaceLayout:
+    """Ordered factor dimensions of a tensor-product space.
+
+    total_dim, the product of dims, is computed once by the cap check and
+    kept as a plain attribute, not a field: equality, hash and repr read
+    dims alone."""
+
+    dims: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        dims = tuple(_integer(d, "a factor dimension") for d in self.dims)
+        object.__setattr__(self, "dims", dims)
+        if not dims:
+            raise ValueError("layout needs at least one factor")
+        if any(d < 2 for d in dims):
+            raise ValueError(f"factor dimensions must be >= 2, got {dims}")
+        object.__setattr__(self, "total_dim", check_dim(prod(dims)))
+
+    @property
+    def nsites(self) -> int:
+        return len(self.dims)
+
+    def dims_of(self, subsystems: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(self.dims[i] for i in subsystems)
 
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)

@@ -74,8 +74,8 @@ from math import isfinite, prod
 import numpy as np
 
 from .errors import ContractError
-from .hilbert import DensityMatrix, StateVector, band_eigh
-from .params import SpaceLayout, _integer
+from .hilbert import DensityMatrix, SpaceLayout, StateVector, band_eigh
+from .params import _integer
 
 # numpy's SeedSequence: pool size, the two hashes' constants, the mix's
 # multipliers (numpy/random/bit_generator.pyx)

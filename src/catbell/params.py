@@ -3,12 +3,20 @@
 This module imports no numpy, so that `import catbell.cli`, `catbell
 version`, `describe`, `--help`, every config error and a whole `heat-sweep`
 run stay at the interpreter's floor.  It holds the command line's choice
-lists, the frozen settings that key the memos (EncodingParams, ModeParams,
-SpaceLayout), the cutoff sizing, the cat normalization, the truncation
-leak check, the unit-trace and unit-norm check (check_unit), and the size
-cap that every layout and memo hit runs (check_dim).  The array modules
-(hilbert, bosonic, encoding, noise, bell), catbell.coherent and gates
-import these names from here.
+lists, the settings that key the memos (EncodingParams, ModeParams), the
+cutoff sizing, the cat normalization, the truncation leak check, the
+unit-trace and unit-norm check (check_unit), and the size cap that every
+layout and memo hit runs (check_dim).  The array modules (hilbert, bosonic,
+encoding, noise, bell), catbell.coherent and gates import these names from
+here; the layout of a tensor-product space (SpaceLayout) lives beside its
+array readers in hilbert.
+
+The settings are tuples of their fields (typing.NamedTuple) whose __new__
+runs every check, so a run loads neither dataclasses nor inspect: equality
+and the hash are those of the tuple of field values, the hash bit for bit
+what a frozen dataclass of the same fields gives, and no field can be
+assigned.  _replace and _make skip __new__ and its checks; a changed copy
+is built through the class.
 
 heat-sweep's answer is a sum over the prepared cat's levels: the even cat's
 populations (even_cat_populations), from the coherent recurrence
@@ -22,8 +30,8 @@ import operator
 import os
 import sys
 from collections.abc import Iterable
-from dataclasses import dataclass
-from math import ceil, exp, expm1, fsum, isfinite, lgamma, log, log10, pi, prod, sqrt
+from math import ceil, exp, expm1, fsum, isfinite, lgamma, log, log10, pi, sqrt
+from typing import NamedTuple
 
 from .errors import CapacityError, ContractError
 
@@ -101,51 +109,24 @@ def _integer(value, name: str) -> int:
     return operator.index(value)
 
 
-@dataclass(frozen=True)
-class SpaceLayout:
-    """Ordered factor dimensions of a tensor-product space.
-
-    total_dim, the product of dims, is computed once by the cap check and
-    kept as a plain attribute, not a field: equality, hash and repr read
-    dims alone."""
-
-    dims: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        dims = tuple(_integer(d, "a factor dimension") for d in self.dims)
-        object.__setattr__(self, "dims", dims)
-        if not dims:
-            raise ValueError("layout needs at least one factor")
-        if any(d < 2 for d in dims):
-            raise ValueError(f"factor dimensions must be >= 2, got {dims}")
-        object.__setattr__(self, "total_dim", check_dim(prod(dims)))
-
-    @property
-    def nsites(self) -> int:
-        return len(self.dims)
-
-    def dims_of(self, subsystems: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(self.dims[i] for i in subsystems)
-
-
 # ------------------------------------------------------ modes and cutoffs ---
 
-@dataclass(frozen=True)
-class ModeParams:
+class _ModeFields(NamedTuple):
+    cutoff: int
+    leak_tol: float
+
+
+class ModeParams(_ModeFields):
     """Truncation settings for one mode."""
 
-    cutoff: int
-    leak_tol: float = 1e-10
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if _integer(self.cutoff, "cutoff") < 2:
-            raise ValueError(f"cutoff must be >= 2, got {self.cutoff}")
-        if not 0.0 < self.leak_tol < 1.0:
-            raise ValueError(f"leak_tol must be in (0, 1), got {self.leak_tol}")
-
-    @property
-    def layout(self) -> SpaceLayout:
-        return SpaceLayout((self.cutoff,))
+    def __new__(cls, cutoff: int, leak_tol: float = 1e-10) -> ModeParams:
+        if _integer(cutoff, "cutoff") < 2:
+            raise ValueError(f"cutoff must be >= 2, got {cutoff}")
+        if not 0.0 < leak_tol < 1.0:
+            raise ValueError(f"leak_tol must be in (0, 1), got {leak_tol}")
+        return super().__new__(cls, cutoff, leak_tol)
 
 
 def default_cutoff(alpha: complex) -> int:
@@ -237,25 +218,30 @@ def cat_norm(alpha: complex, parity: str) -> float:
 
 # ----------------------------------------------------------- the register ---
 
-@dataclass(frozen=True)
-class EncodingParams:
-    """Cat amplitudes and truncation settings for the two-mode register."""
-
+class _EncodingFields(NamedTuple):
     alpha: float
     beta: float
     mode_a: ModeParams
     mode_b: ModeParams
-    epsilon: float | None = None  # explicit displacement scale, optional
+    epsilon: float | None  # explicit displacement scale, optional
 
-    def __post_init__(self) -> None:
-        for name in ("alpha", "beta", "epsilon"):
-            value = getattr(self, name)
+
+class EncodingParams(_EncodingFields):
+    """Cat amplitudes and truncation settings for the two-mode register."""
+
+    __slots__ = ()
+
+    def __new__(cls, alpha: float, beta: float, mode_a: ModeParams,
+                mode_b: ModeParams, epsilon: float | None = None
+                ) -> EncodingParams:
+        for name, value in (("alpha", alpha), ("beta", beta),
+                            ("epsilon", epsilon)):
             if value is not None and not isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        if self.alpha <= 0 or self.beta <= 0:
+        if alpha <= 0 or beta <= 0:
             raise ValueError("cat amplitudes must be positive")
         # below this |alpha|^2 is subnormal or 0 and the odd cat has no norm
-        low, high = min(self.alpha, self.beta), max(self.alpha, self.beta)
+        low, high = min(alpha, beta), max(alpha, beta)
         if low * low < sys.float_info.min:
             raise ValueError(
                 "cat amplitudes must be at least "
@@ -263,22 +249,22 @@ class EncodingParams:
         if not isfinite(high * high):
             raise CapacityError(
                 f"cat amplitude {high:.3g} is too large: |alpha|^2 overflows")
-        if self.epsilon is not None and self.epsilon < 0:
+        if epsilon is not None and epsilon < 0:
             raise ValueError("epsilon must be nonnegative")
         # the one epsilon kicks both modes, so it bounds both rotations;
-        # against pi / amp, so that epsilon = pi / alpha itself is accepted
+        # against pi / high, so that epsilon = pi / alpha itself is accepted
         # even where epsilon * alpha rounds above pi
-        amp = max(self.alpha, self.beta)
-        if self.epsilon is not None and self.epsilon > pi / amp:
+        if epsilon is not None and epsilon > pi / high:
             raise ValueError(
                 "epsilon*alpha and epsilon*beta must lie in [0, pi], "
-                f"got {self.epsilon * amp:.4g}"
+                f"got {epsilon * high:.4g}"
             )
+        return super().__new__(cls, alpha, beta, mode_a, mode_b, epsilon)
 
     @classmethod
     def for_amplitudes(cls, alpha: float, beta: float | None = None,
-                       cutoff: int | None = None,
-                       leak_tol: float = 1e-10) -> "EncodingParams":
+                       cutoff: int | None = None, leak_tol: float = 1e-10,
+                       epsilon: float | None = None) -> EncodingParams:
         beta = alpha if beta is None else beta
         if cutoff is None:
             ma = mode_for(alpha, leak_tol)
@@ -286,7 +272,7 @@ class EncodingParams:
         else:
             ma = ModeParams(cutoff, leak_tol)
             mb = ModeParams(cutoff, leak_tol)
-        return cls(alpha, beta, ma, mb)
+        return cls(alpha, beta, ma, mb, epsilon)
 
     def mode(self, which: str) -> ModeParams:
         return {"a": self.mode_a, "b": self.mode_b}[_mode_name(which)]

@@ -13,14 +13,16 @@ loads params and errors, which import no numpy, and each runner imports
 the modules it calls at its entry.  heat-sweep runs in params alone,
 prepare and rotate in catbell.coherent, swap-report in gates over it,
 bell-scan in bell and full-pipeline in bell and coherent, all in Python
-floats; only the sampled readouts load numpy.  Every stage has one
-implementation: prepare and full-pipeline share coherent.preparation, and
-swap-report's gates are full-pipeline's maps.
+floats; only the sampled readouts load numpy.  No run loads dataclasses or
+inspect: the settings that key the memos (params.EncodingParams,
+bell.BellAngles) are NamedTuples, and an explicit epsilon is passed to
+EncodingParams.for_amplitudes, which runs every check of the class.  Every
+stage has one implementation: prepare and full-pipeline share
+coherent.preparation, and swap-report's gates are full-pipeline's maps.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 from array import array
 from math import sqrt
@@ -41,13 +43,10 @@ if TYPE_CHECKING:
 def _encoding_params(cfg: dict) -> EncodingParams:
     e = cfg["encoding"]
     try:
-        params = EncodingParams.for_amplitudes(
-            e["alpha"], e["beta"], e["cutoff"], e["leak_tol"])
-        if e["epsilon"] is not None:
-            params = dataclasses.replace(params, epsilon=e["epsilon"])
+        return EncodingParams.for_amplitudes(
+            e["alpha"], e["beta"], e["cutoff"], e["leak_tol"], e["epsilon"])
     except ValueError as err:
         raise ConfigError(f"encoding: {err}") from err
-    return params
 
 
 def _bell_angles(cfg: dict) -> BellAngles:

@@ -68,10 +68,12 @@ def coherent_amplitudes(alpha: complex, n_terms: int) -> np.ndarray:
 
 
 def coherent_overlap(alpha: complex, beta: complex) -> complex:
-    """<alpha|beta> in closed form."""
-    return np.exp(
-        -abs(alpha) ** 2 / 2.0 - abs(beta) ** 2 / 2.0 + np.conj(alpha) * beta
-    )
+    """<alpha|beta> in closed form, exp(-|alpha - beta|^2 / 2 + i Im(alpha*
+    beta)).  The real part of the exponent, -|alpha|^2 / 2 - |beta|^2 / 2 +
+    Re(alpha* beta), is taken as the one difference, so that its large
+    terms do not cancel in rounding."""
+    return np.exp(-abs(alpha - beta) ** 2 / 2.0
+                  + 1j * (np.conj(alpha) * beta).imag)
 
 
 def cat_amplitudes(alpha: complex, sign: int, n_terms: int) -> np.ndarray:

@@ -64,6 +64,7 @@ from catbell.hilbert import (
     SIGMA_Y,
     DensityMatrix,
     OperatorMatrix,
+    SpaceLayout,
     StateVector,
     apply,
     band_eigh,
@@ -76,7 +77,6 @@ from catbell.params import (
     VE_VARIANTS,
     EncodingParams,
     ModeParams,
-    SpaceLayout,
     cat_norm,
     check_unit,
     required_cutoff,
@@ -196,7 +196,7 @@ def displacement(beta: complex, mode: ModeParams) -> OperatorMatrix:
     """D(beta) as a dense d x d operator: bosonic.displacement_action run on
     the identity, for the dense checks."""
     act = displacement_action(beta, mode)
-    return OperatorMatrix(mode.layout, (0,), act(np.eye(mode.cutoff)))
+    return OperatorMatrix(SpaceLayout((mode.cutoff,)), (0,), act(np.eye(mode.cutoff)))
 
 
 def electronic_bell(kind: str) -> StateVector:
@@ -225,14 +225,14 @@ def parity_projectors(mode: ModeParams) -> tuple[OperatorMatrix, OperatorMatrix]
     n = np.arange(mode.cutoff)
     even = np.diag(((n + 1) % 2).astype(np.float64))
     odd = np.diag((n % 2).astype(np.float64))
-    return (OperatorMatrix(mode.layout, (0,), even),
-            OperatorMatrix(mode.layout, (0,), odd))
+    layout = SpaceLayout((mode.cutoff,))
+    return OperatorMatrix(layout, (0,), even), OperatorMatrix(layout, (0,), odd)
 
 
 def parity_op(mode: ModeParams) -> OperatorMatrix:
     """Phonon parity (-1)^n, the difference of the two parity projectors."""
     even, odd = parity_projectors(mode)
-    return OperatorMatrix(mode.layout, (0,), even.matrix - odd.matrix)
+    return OperatorMatrix(even.layout, (0,), even.matrix - odd.matrix)
 
 
 def subspace_unitary(basis: LogicalBasis, m2: np.ndarray) -> OperatorMatrix:
@@ -400,7 +400,7 @@ def matrix_exp(op: OperatorMatrix, scale: complex = 1.0) -> OperatorMatrix:
 
 
 def number_op(mode: ModeParams) -> OperatorMatrix:
-    layout = mode.layout
+    layout = SpaceLayout((mode.cutoff,))
     return OperatorMatrix(layout, (0,), np.diag(np.arange(mode.cutoff, dtype=np.float64)))
 
 
@@ -553,7 +553,7 @@ def register_in_fock(mode_a, mode_b, register: tuple,
 def coherent(alpha: complex, mode: ModeParams) -> StateVector:
     """Normalized coherent state |alpha> truncated to the mode's cutoff; a
     CapacityError if the cutoff drops more than leak_tol of it."""
-    layout = mode.layout
+    layout = SpaceLayout((mode.cutoff,))
     c = _coherent_amps(alpha, mode.cutoff)
     kept = float(np.vdot(c, c).real)
     if 1.0 - kept > mode.leak_tol:
@@ -592,7 +592,7 @@ def displacement_action(beta: complex, mode: ModeParams):
     """
     if not cmath.isfinite(beta):
         raise ValueError(f"displacement beta must be finite, got {beta}")
-    dim = mode.layout.dims[0]
+    dim = SpaceLayout((mode.cutoff,)).total_dim  # held to the size cap first
     w, v = _position_eigenbasis(dim)
     size = abs(complex(beta))
     # Python floats: a product past the float range is inf, with no warning

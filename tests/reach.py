@@ -65,11 +65,10 @@ KEPT_UNREACHED = {
     "encoding.bell_target": ENSEMBLE,
     "encoding.qubit_state": ENSEMBLE,
     "hilbert.tensor": ENSEMBLE,
-    "params.SpaceLayout.__post_init__": ENSEMBLE,
-    "params.SpaceLayout.nsites": ("hilbert.apply and the jump sampler", (1, 23)),
-    "params.SpaceLayout.dims_of": TRACER,
-    "params.ModeParams.layout": ENSEMBLE,
     "params.EncodingParams.mode": ENSEMBLE,
+    "hilbert.SpaceLayout.__post_init__": ENSEMBLE,
+    "hilbert.SpaceLayout.nsites": ("hilbert.apply and the jump sampler", (1, 23)),
+    "hilbert.SpaceLayout.dims_of": TRACER,
     "hilbert._as_complex": ENSEMBLE,
     "hilbert.StateVector.__post_init__": ENSEMBLE,
     "hilbert.StateVector.as_tensor": TRACER,

@@ -39,14 +39,20 @@ from catbell.bosonic import cat
 from catbell.coherent import preparation, rotation_fidelity
 from catbell.encoding import bell_target, logical_basis, qubit_state
 from catbell.gates import report_u_ev, report_u_swap, report_u_ve
-from catbell.hilbert import DensityMatrix, OperatorMatrix, StateVector, tensor
+from catbell.hilbert import (
+    DensityMatrix,
+    OperatorMatrix,
+    SpaceLayout,
+    StateVector,
+    tensor,
+)
 from catbell.noise import (
     HeatingParams,
     propagate,
     sample_trajectory,
     trajectory_rng,
 )
-from catbell.params import EncodingParams, ModeParams, SpaceLayout, mode_for
+from catbell.params import EncodingParams, ModeParams, mode_for
 from catbell.pipeline import run_pipeline
 from catbell.reference import (
     cat_amplitudes,
@@ -203,7 +209,7 @@ def test_criterion_05_heating_master_equation(acceptance_log):
     with criterion(acceptance_log, "05", "heating master equation") as v:
         start = time.perf_counter()
         m12 = ModeParams(12)
-        vac = basis_state(m12.layout, (0,)).to_density()
+        vac = basis_state(SpaceLayout((12,)), (0,)).to_density()
         heated = propagate(vac, HeatingParams(1.0, 0.02)).matrix
         growth_dev = abs((readouts(heated)[0] - readouts(vac.matrix)[0]) - 0.02)
         growth_ok = growth_dev <= 1e-4 * 0.02

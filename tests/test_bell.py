@@ -31,12 +31,11 @@ from catbell.bell import (
 )
 from catbell.encoding import BELL_KINDS, bell_target, full_layout
 from catbell.errors import ContractError
-from catbell.hilbert import DensityMatrix, StateVector
+from catbell.hilbert import DensityMatrix, SpaceLayout, StateVector
 from catbell.params import (
     CHSH_METHODS,
     EncodingParams,
     ModeParams,
-    SpaceLayout,
 )
 from catbell.reference import pulse_correlators, pulse_populations
 from conftest import (

@@ -16,13 +16,12 @@ from hypothesis import strategies as st
 from catbell.bosonic import cat
 from catbell.errors import CapacityError
 from catbell.gates import report_u_ev, report_u_swap
-from catbell.hilbert import OperatorMatrix, StateVector, apply, band_eigh
+from catbell.hilbert import OperatorMatrix, SpaceLayout, StateVector, apply, band_eigh
 from catbell.params import (
     EVEN,
     ODD,
     EncodingParams,
     ModeParams,
-    SpaceLayout,
     cat_norm,
     default_cutoff,
     even_cat_populations,
@@ -53,7 +52,8 @@ from conftest import (
 
 class TestModeParams:
     def test_layout(self):
-        assert ModeParams(12).layout == SpaceLayout((12,))
+        # a mode's Fock states live on the one factor of its cutoff
+        assert cat(0.5, EVEN, ModeParams(12)).layout == SpaceLayout((12,))
 
     def test_cutoff_too_small(self):
         with pytest.raises(ValueError):
@@ -234,7 +234,7 @@ def test_size_cap_checked_before_allocation(build, monkeypatch):
 def lowering(mode: ModeParams) -> OperatorMatrix:
     """The truncated ladder a, a|k> = sqrt(k)|k-1>."""
     m = np.diag(np.sqrt(np.arange(1, mode.cutoff, dtype=np.float64)), 1)
-    return OperatorMatrix(mode.layout, (0,), m)
+    return OperatorMatrix(SpaceLayout((mode.cutoff,)), (0,), m)
 
 
 class TestLadderOperators:

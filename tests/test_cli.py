@@ -48,6 +48,7 @@ from catbell.cli import (
     PROTOCOLS,
     RUNNERS,
     USAGE,
+    _check,
     describe,
     execute,
     main,
@@ -292,6 +293,35 @@ class TestFieldTable:
         assert json.dumps(again) == json.dumps(cfg)
         assert cfg["encoding"]["cutoff"] == 40 and type(cfg["seed"]) is int
         assert cfg["encoding"]["epsilons"] == [1.0]
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_every_default_passes_its_own_check(self, protocol):
+        # normalize_config takes an omitted field's default unchecked, so
+        # a bad default fails here: each, the output path's at this
+        # protocol, is what its field's check returns, a "numbers" default
+        # as a list.  The protocol has no default and must be given
+        for field in FIELDS:
+            default = field.default
+            if default is None and not field.optional:
+                assert field.name == "protocol"
+                continue
+            if callable(default):
+                default = default(protocol)
+            if field.kind == "numbers" and default is not None:
+                default = list(default)
+            # json.dumps also compares int against float
+            assert json.dumps(_check(field, default)) == json.dumps(default), field.name
+
+    def test_each_config_gets_its_own_default_lists(self):
+        one, two = (normalize_config({"protocol": "rotate"}) for _ in range(2))
+        for section, key, default in (("encoding", "epsilons", DEFAULT_EPSILONS),
+                                      ("bell", "deltas", DEFAULT_DELTAS)):
+            assert type(one[section][key]) is list
+            assert one[section][key] == list(default)
+            assert one[section][key] is not two[section][key]
+        one["encoding"]["epsilons"].append(1.0)
+        assert two["encoding"]["epsilons"] == list(DEFAULT_EPSILONS)
+        assert normalize_config({"protocol": "rotate"}) == two
 
     def test_one_row_per_field(self):
         names = [field.name for field in FIELDS]
@@ -627,7 +657,7 @@ class TestEpsilonKick:
         enc = EncodingParams.for_amplitudes(2.0)
         default = run_pipeline(enc, 0.1, DEFAULT_ANGLES,
                                ev_variant="displacement")
-        carried = run_pipeline(dataclasses.replace(enc, epsilon=0.1), 0.1,
+        carried = run_pipeline(EncodingParams.for_amplitudes(2.0, epsilon=0.1), 0.1,
                                DEFAULT_ANGLES, ev_variant="displacement")
         assert results == carried
         assert abs(results["b_value"] - default["b_value"]) > 0.1
@@ -639,7 +669,7 @@ class TestEpsilonKick:
                       noise={"delta": 0.1}, **self.DISPLACEMENT)
         _, results, _ = run_full_pipeline(cfg)
         enc = EncodingParams.for_amplitudes(2.0, 3.0)
-        carried = dataclasses.replace(enc, epsilon=pi / 8.0)
+        carried = EncodingParams.for_amplitudes(2.0, 3.0, epsilon=pi / 8.0)
         eye = np.eye(enc.mode_b.cutoff)
         swap_b = u_swap("b", carried, "ideal", "displacement")
         assert np.array_equal(swap_b.kick(eye),

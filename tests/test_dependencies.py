@@ -27,22 +27,33 @@ loads gates, `import catbell.cli` loads no argparse, and
 `import catbell.reference` loads no scipy until a call needs it.  Every
 config field of catbell.cli.FIELDS is read by the runners or the command
 line, so none is accepted and then ignored.
+
+No command loads dataclasses, and only describe loads inspect: the records
+of a run (ModeParams, EncodingParams, BellAngles, BellOutcome) are
+NamedTuples that keep a frozen dataclass's contract: the hash and repr of
+a frozen dataclass of the same fields, equality, keyword and positional
+construction, refusal of assignment, and the exact message of each check.
 """
 
 from __future__ import annotations
 
 import ast
+import dataclasses
 import json
 import re
 import subprocess
 import sys
 import textwrap
+from math import inf, nan, pi
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from catbell.cli import PROTOCOLS
+from catbell.bell import BellAngles, BellOutcome
+from catbell.cli import PROTOCOLS, main
+from catbell.errors import CapacityError
+from catbell.params import EncodingParams, ModeParams
 from conftest import child_env
 from reach import KEPT_UNREACHED, entry_of
 
@@ -282,12 +293,15 @@ def test_no_module_but_hilbert_reads_the_dense_operator():
 LOADED = "loaded:"
 
 
-def loaded_modules(*statements: str, package: str = "catbell") -> list[set[str]]:
-    """The modules of package loaded in a fresh interpreter after each of
-    the statements, run in order; a statement may print lines of its own."""
+def loaded_modules(*statements: str,
+                   package: str | tuple[str, ...] = "catbell") -> list[set[str]]:
+    """The modules of package, or of each package of a tuple, loaded in a
+    fresh interpreter after each of the statements, run in order; a
+    statement may print lines of its own."""
+    packages = (package,) if isinstance(package, str) else package
     probe = "\n".join(
         f"{statement}\nprint({LOADED!r}, sorted(m for m in sys.modules "
-        f"if m.split('.')[0] == {package!r}))" for statement in statements)
+        f"if m.split('.')[0] in {packages!r}))" for statement in statements)
     out = subprocess.run([sys.executable, "-c", f"import sys\n{probe}"],
                          env=child_env(), capture_output=True, text=True,
                          check=True).stdout
@@ -366,6 +380,17 @@ def test_the_front_door_loads_no_numpy(statement):
     assert loaded_modules(statement, package="numpy") == [set()]
 
 
+# the records of a run are NamedTuples, so no command loads dataclasses,
+# and describe alone loads inspect, for its cleandoc
+RECORD_MODULES = ("dataclasses", "inspect")
+
+
+@pytest.mark.parametrize("name", NUMPY_FREE)
+def test_the_front_door_loads_no_dataclasses(name):
+    want = {"inspect"} if name == "describe" else set()
+    assert loaded_modules(NUMPY_FREE[name], package=RECORD_MODULES) == [want]
+
+
 # the exact run of each protocol of cli.PROTOCOLS in Python floats alone,
 # each in a fresh interpreter: the config extras and a line that the output
 # holds, where a protocol needs them; a new protocol joins on its defaults.
@@ -394,6 +419,16 @@ def test_an_exact_run_loads_no_numpy(tmp_path, raw, line):
     run = (f"import catbell.cli; assert catbell.cli.main(['run', "
            f"{str(config)!r}, '--output', {str(tmp_path)!r}]) == 0")
     assert loaded_modules(run, package="numpy") == [set()]
+    assert line in (tmp_path / f"{raw['protocol']}.csv").read_text()
+
+
+@pytest.mark.parametrize("raw,line", NUMPY_FREE_RUNS)
+def test_an_exact_run_loads_no_dataclasses_or_inspect(tmp_path, raw, line):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    run = (f"import catbell.cli; assert catbell.cli.main(['run', "
+           f"{str(config)!r}, '--output', {str(tmp_path)!r}]) == 0")
+    assert loaded_modules(run, package=RECORD_MODULES) == [set()]
     assert line in (tmp_path / f"{raw['protocol']}.csv").read_text()
 
 
@@ -448,7 +483,7 @@ def test_the_cache_table_names_every_memo_once():
     # the entry that the jump sampler keeps on an immutable state
     from catbell.hilbert import StateVector
     from catbell.noise import HeatingParams, sample_trajectory
-    from catbell.params import SpaceLayout
+    from catbell.hilbert import SpaceLayout
 
     memos, rows = memoized_functions(), cache_table_rows()
     # the program's two decorator forms: functools.lru_cache(...) and a
@@ -490,3 +525,109 @@ def test_the_memo_parse_reads_every_decorator_form():
         def plain(): pass
         """)
     assert memoized_in(source) == {"called", "bare", "cached", "uncalled"}
+
+
+# each record of a run: its fields in order, two sets of field values that
+# differ in every field, and the values its defaults fill in
+MODE = ModeParams(26)
+RECORDS = {
+    "ModeParams": (ModeParams, ("cutoff", "leak_tol"), (26, 1e-10), (27, 1e-8),
+                   {"leak_tol": 1e-10}),
+    "EncodingParams": (EncodingParams,
+                       ("alpha", "beta", "mode_a", "mode_b", "epsilon"),
+                       (2.0, 3.0, MODE, MODE, 0.1),
+                       (2.5, 2.0, ModeParams(30), ModeParams(31), 0.2),
+                       {"epsilon": None}),
+    "BellAngles": (BellAngles,
+                   ("theta_a", "theta_a_prime", "theta_b", "theta_b_prime"),
+                   (0.1, 0.2, 0.3, 0.4), (0.5, 0.6, 0.7, 0.8),
+                   {"theta_a": 0.0, "theta_a_prime": pi / 2,
+                    "theta_b": -pi / 4, "theta_b_prime": pi / 4}),
+    "BellOutcome": (BellOutcome, ("b_value", "correlations", "std_error"),
+                    (2.5, (0.7, 0.6, 0.6, -0.6), 0.01),
+                    (2.0, (0.5, 0.5, 0.5, -0.5), 0.02), {"std_error": None}),
+}
+
+# every check of the records, the exact message of each
+CHECKS = [
+    (lambda: ModeParams(1), ValueError, "cutoff must be >= 2, got 1"),
+    (lambda: ModeParams(2.5), ValueError, "cutoff must be an integer, got 2.5"),
+    (lambda: ModeParams(True), ValueError, "cutoff must be an integer, got True"),
+    (lambda: ModeParams(26, 0.0), ValueError, "leak_tol must be in (0, 1), got 0.0"),
+    (lambda: ModeParams(26, 1.0), ValueError, "leak_tol must be in (0, 1), got 1.0"),
+    (lambda: EncodingParams(nan, 2.0, MODE, MODE), ValueError,
+     "alpha must be finite, got nan"),
+    (lambda: EncodingParams(2.0, inf, MODE, MODE), ValueError,
+     "beta must be finite, got inf"),
+    (lambda: EncodingParams(2.0, 2.0, MODE, MODE, nan), ValueError,
+     "epsilon must be finite, got nan"),
+    (lambda: EncodingParams(0.0, 2.0, MODE, MODE), ValueError,
+     "cat amplitudes must be positive"),
+    (lambda: EncodingParams(2.0, -1.0, MODE, MODE), ValueError,
+     "cat amplitudes must be positive"),
+    (lambda: EncodingParams(1e-200, 2.0, MODE, MODE), ValueError,
+     "cat amplitudes must be at least 1.49e-154, got 1e-200"),
+    (lambda: EncodingParams(2.0, 1e200, MODE, MODE), CapacityError,
+     "cat amplitude 1e+200 is too large: |alpha|^2 overflows"),
+    (lambda: EncodingParams(2.0, 2.0, MODE, MODE, -0.1), ValueError,
+     "epsilon must be nonnegative"),
+    (lambda: EncodingParams(2.0, 4.0, MODE, MODE, 0.9), ValueError,
+     "epsilon*alpha and epsilon*beta must lie in [0, pi], got 3.6"),
+    (lambda: EncodingParams.for_amplitudes(2.0, epsilon=2.0), ValueError,
+     "epsilon*alpha and epsilon*beta must lie in [0, pi], got 4"),
+] + [(lambda name=name, value=value: BellAngles(**{name: value}), ValueError,
+      f"{name} must be finite, got {value}")
+     for name, value in (("theta_a", nan), ("theta_a_prime", inf),
+                         ("theta_b", -inf), ("theta_b_prime", nan))]
+
+
+@pytest.mark.parametrize("name", RECORDS)
+class TestRecords:
+    def test_hash_and_repr_are_the_frozen_dataclasses(self, name):
+        cls, fields, values, _, _ = RECORDS[name]
+        frozen = dataclasses.make_dataclass(name, fields, frozen=True)
+        record, twin = cls(*values), frozen(*values)
+        assert hash(record) == hash(twin) == hash(values)
+        assert repr(record) == repr(twin)
+
+    def test_equality(self, name):
+        cls, _, values, other, _ = RECORDS[name]
+        assert cls(*values) == cls(*values)
+        for i in range(len(values)):
+            changed = values[:i] + other[i:i + 1] + values[i + 1:]
+            assert cls(*changed) != cls(*values)
+
+    def test_keyword_and_positional_construction(self, name):
+        cls, fields, values, _, defaults = RECORDS[name]
+        record = cls(**dict(zip(fields, values)))
+        assert record == cls(*values)
+        assert tuple(getattr(record, field) for field in fields) == values
+        given = {f: v for f, v in zip(fields, values) if f not in defaults}
+        assert cls(**given) == cls(**given, **defaults)
+
+    def test_assignment_is_refused(self, name):
+        cls, fields, values, other, _ = RECORDS[name]
+        record = cls(*values)
+        for field, value in zip(fields, other):
+            with pytest.raises(AttributeError):
+                setattr(record, field, value)
+        with pytest.raises(AttributeError):
+            record.extra = 1
+        assert record == cls(*values)
+
+
+@pytest.mark.parametrize("build,error,message", CHECKS,
+                         ids=[message for _, _, message in CHECKS])
+def test_every_check_keeps_its_message(build, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_an_epsilon_past_pi_over_alpha_is_a_config_error(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"protocol": "full-pipeline",
+                                  "encoding": {"alpha": 2.0, "epsilon": 2.0}}))
+    assert main(["run", str(config), "--output", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: encoding: epsilon*alpha and epsilon*beta must lie in "
+        "[0, pi], got 4\n")

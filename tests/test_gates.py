@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 import os
@@ -37,6 +36,7 @@ from catbell.hilbert import (
     SIGMA_Y,
     DensityMatrix,
     OperatorMatrix,
+    SpaceLayout,
     StateVector,
     apply,
     tensor,
@@ -47,7 +47,6 @@ from catbell.params import (
     VE_VARIANTS,
     EncodingParams,
     ModeParams,
-    SpaceLayout,
     cat_norm,
     default_cutoff,
 )
@@ -217,7 +216,7 @@ class TestUev:
 
     def test_default_epsilon_dictionary(self, enc2):
         # default scale pi/(4 alpha) realizes the quarter turn
-        explicit = u_ev("a", dataclasses.replace(enc2, epsilon=np.pi / 8.0))
+        explicit = u_ev("a", EncodingParams.for_amplitudes(2.0, epsilon=np.pi / 8.0))
         assert np.abs(u_ev("a", enc2).matrix - explicit.matrix).max() < 1e-14
 
     def test_flip_rows_follow_quarter_scale_law(self):
@@ -234,7 +233,7 @@ class TestUev:
         # eps = pi/(2 alpha) drives a half turn: the intended flip rows are
         # empty and the kicked branch returns to its input at exp(-eps^2)
         eps = np.pi / 6.0
-        enc = dataclasses.replace(enc3, epsilon=eps)
+        enc = EncodingParams.for_amplitudes(3.0, epsilon=eps)
         rep = report_u_ev("a", enc)
         rows = {r["input"]: r for r in rep}
         assert rows["0L|1e"]["fidelity"] < 1e-6
@@ -249,24 +248,24 @@ class TestUev:
 
     def test_matches_the_expm_oracle(self, enc2):
         for eps in (None, 0.0, 0.1, np.pi / 2.0):
-            enc = dataclasses.replace(enc2, epsilon=eps)
+            enc = EncodingParams.for_amplitudes(2.0, epsilon=eps)
             got = u_ev("a", enc).matrix
             assert np.abs(got - u_ev_expm("a", enc).matrix).max() <= 1e-13
 
     @pytest.mark.parametrize("eps", [float("nan"), float("inf")])
-    def test_scale_that_is_not_finite_fails_the_build(self, enc2, eps):
+    def test_scale_that_is_not_finite_fails_the_build(self, eps):
         # the kick comes from EncodingParams alone, so a bad scale fails
         # before any gate is built, not when the exchange is first applied
         with pytest.raises(ValueError, match="epsilon must be finite"):
-            u_swap("a", dataclasses.replace(enc2, epsilon=eps), "ideal",
+            u_swap("a", EncodingParams.for_amplitudes(2.0, epsilon=eps), "ideal",
                    "displacement")
 
     def test_params_epsilon_sets_the_kick(self, enc2):
         # params.epsilon, when set, replaces the pi/(4 alpha) default; set
         # to that default it builds the default's bits
-        carried = dataclasses.replace(enc2, epsilon=0.1)
+        carried = EncodingParams.for_amplitudes(2.0, epsilon=0.1)
         assert np.array_equal(
-            u_ev("a", dataclasses.replace(enc2, epsilon=np.pi / 8.0)).matrix,
+            u_ev("a", EncodingParams.for_amplitudes(2.0, epsilon=np.pi / 8.0)).matrix,
             u_ev("a", enc2).matrix)
         assert np.abs(u_ev("a", carried).matrix - u_ev("a", enc2).matrix).max() > 0.01
 

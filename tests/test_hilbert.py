@@ -12,6 +12,7 @@ from catbell.errors import CapacityError, ContractError
 from catbell.hilbert import (
     DensityMatrix,
     OperatorMatrix,
+    SpaceLayout,
     StateVector,
     apply,
     band_eigh,
@@ -20,7 +21,6 @@ from catbell.hilbert import (
 from catbell.params import (
     DEFAULT_MAX_DIM,
     ModeParams,
-    SpaceLayout,
     max_total_dim,
     mode_for,
 )

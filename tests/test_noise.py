@@ -16,7 +16,7 @@ from catbell.bosonic import cat
 from catbell.cli import normalize_config
 from catbell.encoding import MODE_A, MODE_B, bell_target
 from catbell.errors import ContractError
-from catbell.hilbert import DensityMatrix, StateVector
+from catbell.hilbert import DensityMatrix, SpaceLayout, StateVector
 import catbell.noise
 from catbell.noise import (
     HeatingParams,
@@ -33,7 +33,6 @@ from catbell.params import (
     EVEN,
     EncodingParams,
     ModeParams,
-    SpaceLayout,
     heated_moments,
     mode_for,
 )
@@ -419,7 +418,7 @@ class TestChannelLaw:
                      coherent(alpha, mode).to_density().matrix, low):
             a0 = readouts(rho0)[1]
             for s in (1e-3, 0.05, 0.2):
-                rho = propagate(DensityMatrix(mode.layout, rho0),
+                rho = propagate(DensityMatrix(SpaceLayout((mode.cutoff,)), rho0),
                                 HeatingParams(s, 1.0)).matrix
                 n, a, parity = readouts(rho)
                 law_n, law_parity = heated_moments(rho0.diagonal().real, s)

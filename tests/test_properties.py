@@ -6,7 +6,6 @@ either with hypothesis or with a seeded generator loop.
 
 from __future__ import annotations
 
-import dataclasses
 from math import factorial
 
 import numpy as np
@@ -29,14 +28,13 @@ from catbell.cli import normalize_config
 from catbell.coherent import PARITIES, Mode, rotation_fidelity
 from catbell.encoding import logical_basis
 from catbell.gates import PAIR_LABELS, report_u_ev, report_u_swap, report_u_ve
-from catbell.hilbert import OperatorMatrix, StateVector, apply
+from catbell.hilbert import OperatorMatrix, SpaceLayout, StateVector, apply
 from catbell.noise import HeatingParams, propagate
 from catbell.params import (
     EV_VARIANTS,
     VE_VARIANTS,
     EncodingParams,
     ModeParams,
-    SpaceLayout,
     default_cutoff,
     mode_for,
     required_cutoff,
@@ -69,7 +67,6 @@ from conftest import (
 
 PAIR = SpaceLayout((2, 2))
 PARITY_PAIRS = [(s, t) for s in PARITIES for t in PARITIES]
-EPS = np.finfo(float).eps
 
 
 def random_state(layout: SpaceLayout, rng: np.random.Generator) -> StateVector:
@@ -293,17 +290,17 @@ class TestCoherentOverlap:
             self, alpha: float, eta_frac: float, parities: tuple):
         # M(eta, s, t) = <E_s|D(i eta)|E_t>, E_s = (|a> + s|-a>) / 2, and
         # D(i eta)|g> = e^{i eta g}|g + i eta>: the four products of
-        # reference.coherent_overlap, with no cutoff.  The engine's closed
-        # form held to 2.2e-16 of a 40-digit evaluation over 3000 draws
-        # of (alpha, eta) and the four parity pairs; the oracle's exponent sums terms of size a^2,
-        # so it rounds to eps a^2 (4.3e-14 at alpha 19), hence that term
+        # reference.coherent_overlap, with no cutoff.  Over 3000 draws of
+        # (alpha, eta) and the four parity pairs, the engine's closed form
+        # held to 2.2e-16 of a 40-digit mpmath evaluation and the oracle's
+        # sum to 2.3e-16, and the two to 1.7e-16 of each other
         s, t = parities
         eta = eta_frac * np.pi / alpha
         want = sum(su * tv * np.exp(1j * eta * v) * coherent_overlap(u, v + 1j * eta)
                    for su, u in ((1, alpha), (s, -alpha))
                    for tv, v in ((1, alpha), (t, -alpha))) / 4.0
         got = Mode(alpha, 0.0).overlap(eta, s, t)
-        assert abs(got - want) <= 1e-14 + EPS * alpha * alpha
+        assert abs(got - want) <= 1e-14
 
 
 def oracle_pair_matrices(alpha: float, eps: float, dim: int) -> dict:
@@ -337,7 +334,7 @@ class TestGateRowsAgainstOracles:
         # exact to rounding.  The Laguerre elements are the exact <m|D|n>,
         # so the truncation drops only what the targets do not hold
         eps = eps_frac * np.pi / alpha
-        enc = dataclasses.replace(EncodingParams.for_amplitudes(alpha), epsilon=eps)
+        enc = EncodingParams.for_amplitudes(alpha, epsilon=eps)
         dim = default_cutoff(alpha) + 40
         matrices, code = oracle_pair_matrices(alpha, eps, dim)
         ion = np.eye(2)
