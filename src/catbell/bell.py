@@ -27,9 +27,9 @@ decays linearly to 2 sqrt(2) (1 - delta) when a parity-flipped component of
 weight delta is mixed in.
 
 An import of this module loads params and errors alone: numpy only for a
-density matrix or the sampled readout, and neither dataclasses nor inspect,
-because the angle set (BellAngles, a memo key) and the readout's record
-(BellOutcome) are NamedTuples.
+density matrix or the sampled readout's generator and draw, and neither
+dataclasses nor inspect, because the angle set (BellAngles, a memo key) and
+the readout's record (BellOutcome) are NamedTuples.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from functools import lru_cache
 from math import cos, isfinite, pi, sin, sqrt
 from typing import TYPE_CHECKING, NamedTuple
 
+from .errors import ContractError
 from .params import CHSH_METHODS, check_unit
 
 if TYPE_CHECKING:
@@ -184,26 +185,47 @@ def _readings(t: tuple, angles: BellAngles) -> tuple[float, list]:
                  for ua_x, ua_y, ub_x, ub_y in _setting_vectors(angles)]
 
 
-def _populations(t00: float, readings: list) -> np.ndarray:
-    """(k, 4) outcome populations (T_00 + s_a r_a + s_b r_b + s_a s_b E) / 4
-    of the settings' readings (_readings), clipped at 0, normalized and
-    rounded to 12 decimals, so sampled counts cannot depend on last-ulp
-    jitter of the upstream linear algebra (thread-count independent
-    reruns)."""
-    import numpy as np
-    p = np.maximum([((t00 + ra + rb + e) / 4, (t00 + ra - rb - e) / 4,
-                     (t00 - ra + rb - e) / 4, (t00 - ra - rb + e) / 4)
-                    for ra, rb, e in readings], 0.0)
-    p = np.round(p / p.sum(axis=1, keepdims=True), 12)
-    return p / p.sum(axis=1, keepdims=True)
+def _populations(t00: float, readings: list) -> list[tuple]:
+    """The outcome populations (T_00 + s_a r_a + s_b r_b + s_a s_b E) / 4
+    of the settings' readings (_readings), one row of four Python floats
+    per setting: clipped at 0, normalized and rounded to 12 decimals, so
+    sampled counts cannot depend on last-ulp jitter of the upstream linear
+    algebra (thread-count independent reruns), and normalized again.
+
+    Each step gives the bits of the same step on a (k, 4) array: the clip
+    those of np.maximum(p, 0.0), which maps -0.0 to +0.0 and keeps a NaN,
+    the row sum ((p0 + p1) + p2) + p3 those of p.sum(axis=1), and
+    round(y * 1e12) / 1e12, which rounds half to even, those of
+    np.round(y, 12), which is rint(y * 1e12) / 1e12.
+    """
+    rows = []
+    # written out, not as comprehensions, which cost a frame each
+    for ra, rb, e in readings:
+        p0 = (t00 + ra + rb + e) / 4
+        p1 = (t00 + ra - rb - e) / 4
+        p2 = (t00 - ra + rb - e) / 4
+        p3 = (t00 - ra - rb + e) / 4
+        p0 = p0 if p0 > 0.0 or p0 != p0 else 0.0
+        p1 = p1 if p1 > 0.0 or p1 != p1 else 0.0
+        p2 = p2 if p2 > 0.0 or p2 != p2 else 0.0
+        p3 = p3 if p3 > 0.0 or p3 != p3 else 0.0
+        s = ((p0 + p1) + p2) + p3
+        p0 = round(p0 / s * 1e12) / 1e12
+        p1 = round(p1 / s * 1e12) / 1e12
+        p2 = round(p2 / s * 1e12) / 1e12
+        p3 = round(p3 / s * 1e12) / 1e12
+        s = ((p0 + p1) + p2) + p3
+        rows.append((p0 / s, p1 / s, p2 / s, p3 / s))
+    return rows
 
 
-def _draw(p: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:
-    """(k, 4) counts: one multinomial draw of shots per row of p, in row
-    order, as successive draws of one row each take them from rng."""
+def _draw(p: list, shots: int, rng: np.random.Generator) -> list[list[int]]:
+    """The counts of each row of p, as four Python ints: one multinomial
+    draw of shots per row, in row order, from rng.  Successive draws of one
+    row each give the counts of one draw of the (k, 4) array."""
     if shots < 1:
         raise ValueError("shots must be positive")
-    return rng.multinomial(shots, p)
+    return [rng.multinomial(shots, row).tolist() for row in p]
 
 
 class BellOutcome(NamedTuple):
@@ -230,18 +252,26 @@ def tensor_chsh(t: tuple, angles: BellAngles = DEFAULT_ANGLES,
     correlation tensor T of a two-qubit state (correlation_tensor), four
     rows of four floats.
 
-    A T_00 = tr rho not 1 within NORM_TOL is a ContractError.  The exact
+    A T_00 = tr rho not 1 within NORM_TOL, or a reading (r_a, r_b, E)
+    that is not finite, is a ContractError, for both methods.  The exact
     readout's correlators are the E of _readings, in Python floats with no
-    numpy.  sampled, which loads numpy, draws the four
-    settings in combination order from one np.random.default_rng(seed),
-    from the populations of the same readings (_populations).
-    The seed may be any value default_rng accepts, including a list used to
-    derive independent per-grid-point streams.
+    numpy.  sampled loads numpy for the generator and the draw alone: it
+    draws the four settings in combination order from one
+    np.random.default_rng(seed), from the populations of the same readings
+    (_populations), and each E is the signed sum of the counts over
+    OUTCOME_SIGNS in index order, over shots, in Python floats; these are
+    the bits of float(counts @ OUTCOME_SIGNS) / shots.  The seed may be any
+    value default_rng accepts, including a list used to derive independent
+    per-grid-point streams.
     """
     if method not in CHSH_METHODS:
         raise ValueError(f"method must be one of {CHSH_METHODS}, got {method!r}")
     t00, readings = _readings(t, angles)
     check_unit(t00, "readout state")
+    for k, (ra, rb, e) in enumerate(readings):
+        if not (isfinite(ra) and isfinite(rb) and isfinite(e)):
+            raise ContractError(f"readout state has a non-finite reading at "
+                                f"setting {k}: r_a = {ra}, r_b = {rb}, E = {e}")
     err = None
     if method == "exact":
         es = [e for _, _, e in readings]
@@ -249,8 +279,9 @@ def tensor_chsh(t: tuple, angles: BellAngles = DEFAULT_ANGLES,
         import numpy as np
         rng = np.random.default_rng(seed)
         counts = _draw(_populations(t00, readings), shots, rng)
-        signs = np.array(OUTCOME_SIGNS)
-        es = [float(c @ signs) / shots for c in counts]
+        s0, s1, s2, s3 = OUTCOME_SIGNS
+        es = [(s0 * c0 + s1 * c1 + s2 * c2 + s3 * c3) / shots
+              for c0, c1, c2, c3 in counts]
         # sums the squares of the per-setting errors sqrt((1 - E^2) / shots),
         # not the variances themselves: the two differ in the last bit
         err = sqrt(sum(sqrt(max(1.0 - e * e, 0.0) / shots) ** 2 for e in es))

@@ -53,9 +53,9 @@ DEFAULT_MAX_DIM = 16384
 
 def check_unit(value: complex, what: str) -> None:
     """ContractError unless value, the trace or the norm of `what`, is 1
-    within NORM_TOL."""
+    within NORM_TOL; a NaN is refused too."""
     dev = abs(value - 1.0)
-    if dev > NORM_TOL:
+    if not dev <= NORM_TOL:
         raise ContractError(f"{what} is not normalized (deviation {dev:.3e})")
 
 

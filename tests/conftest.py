@@ -11,7 +11,9 @@ mixed_bell, the delta mixture as a density matrix, partial_trace,
 state_fidelity, the Uhlmann dm_fidelity, mixed_bell_fidelity, the closed
 form that the pipeline's electronic_fidelity is held to, and bell_block
 and block_reference_fidelity, the same closed form read from the directly
-projected Bell block.
+projected Bell block.  numpy_populations, numpy_counts and
+numpy_sampled_chsh are the sampled readout in numpy's arrays, whose bits
+bell.tensor_chsh's Python floats are held to.
 
 The Fock reference, at the end, is the differential reference of
 catbell.coherent: the preparation, the code rotations and the gate steps
@@ -37,7 +39,13 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from catbell.bell import block_fidelity, correlation_tensor
+from catbell.bell import (
+    OUTCOME_SIGNS,
+    BellOutcome,
+    _readings,
+    block_fidelity,
+    correlation_tensor,
+)
 from catbell.bosonic import _coherent_amps, cat
 from catbell.coherent import (
     EXCITED_PHASE,
@@ -360,6 +368,35 @@ def block_reference_fidelity(rho: DensityMatrix, delta: float) -> float:
     b00, b01, b11 = sqrt(w0 * w0) * m00, sqrt(w0 * w1) * m01, sqrt(w1 * w1) * m11
     det = (b00 * b11).real - abs(b01) ** 2
     return (b00 + b11).real + 2.0 * sqrt(max(det, 0.0))
+
+
+def numpy_populations(t00: float, readings: list) -> np.ndarray:
+    """(k, 4) outcome populations of the settings' readings
+    (bell._readings) as numpy computes them: bell._populations's clip,
+    normalization and rounding to 12 decimals, in np.maximum, p.sum and
+    np.round."""
+    p = np.maximum([((t00 + ra + rb + e) / 4, (t00 + ra - rb - e) / 4,
+                     (t00 - ra + rb - e) / 4, (t00 - ra - rb + e) / 4)
+                    for ra, rb, e in readings], 0.0)
+    p = np.round(p / p.sum(axis=1, keepdims=True), 12)
+    return p / p.sum(axis=1, keepdims=True)
+
+
+def numpy_counts(p: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:
+    """(k, 4) counts: numpy's one multinomial draw of shots per row of p."""
+    return rng.multinomial(shots, p)
+
+
+def numpy_sampled_chsh(t: tuple, angles, shots: int, seed) -> BellOutcome:
+    """bell.tensor_chsh(t, angles, "sampled", shots, seed) in numpy: the
+    counts of numpy_counts from numpy_populations, and each correlator
+    float(counts @ OUTCOME_SIGNS) / shots."""
+    counts = numpy_counts(numpy_populations(*_readings(t, angles)), shots,
+                          np.random.default_rng(seed))
+    signs = np.array(OUTCOME_SIGNS)
+    es = [float(c @ signs) / shots for c in counts]
+    err = sqrt(sum(sqrt(max(1.0 - e * e, 0.0) / shots) ** 2 for e in es))
+    return BellOutcome(abs(es[0] + es[1] + es[2] - es[3]), tuple(es), err)
 
 
 def reduced_electronic(state: StateVector) -> DensityMatrix:

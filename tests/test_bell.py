@@ -3,6 +3,7 @@ carrier pulses of the reference oracle."""
 
 from __future__ import annotations
 
+import warnings
 from math import sqrt
 
 import numpy as np
@@ -47,6 +48,8 @@ from conftest import (
     electronic_bell,
     mixed_bell,
     mixed_bell_fidelity,
+    numpy_populations,
+    numpy_sampled_chsh,
     reduced_electronic,
     reduced_electronic_schmidt,
 )
@@ -182,6 +185,46 @@ class TestCorrelators:
         with pytest.raises(ContractError, match="readout state is not normalized"):
             chsh(psi.to_density(), method=method)
 
+    @pytest.mark.parametrize("method", CHSH_METHODS)
+    @pytest.mark.parametrize("entry, bad, message", [
+        ((0, 0), np.nan, "readout state is not normalized (deviation nan)"),
+        ((0, 0), np.inf, "readout state is not normalized (deviation inf)"),
+        ((0, 0), -np.inf, "readout state is not normalized (deviation inf)"),
+        ((1, 2), np.nan, "readout state has a non-finite reading at setting 0: "
+                         "r_a = 0.0, r_b = 0.0, E = nan"),
+        ((1, 2), np.inf, "readout state has a non-finite reading at setting 0: "
+                         "r_a = 0.0, r_b = 0.0, E = -inf"),
+        ((1, 2), -np.inf, "readout state has a non-finite reading at setting 0: "
+                          "r_a = 0.0, r_b = 0.0, E = inf"),
+        # sin(theta_a) = 0 at setting 0, and 0 * inf is a NaN
+        ((2, 0), np.inf, "readout state has a non-finite reading at setting 0: "
+                         "r_a = nan, r_b = 0.0, E = 0.7071067811865476"),
+    ], ids=["t00-nan", "t00-inf", "t00-minus-inf", "txy-nan", "txy-inf",
+            "txy-minus-inf", "ty0-inf"])
+    def test_non_finite_tensor_is_refused(self, method, entry, bad, message):
+        # unchecked, a NaN T_00 read B = 2.2e-16 and a NaN T_xy read B = nan
+        t = [list(row) for row in mixed_tensor(PHI_PLUS_T, PSI_PLUS_T, 0.1)]
+        t[entry[0]][entry[1]] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractError) as err:
+                tensor_chsh(tuple(map(tuple, t)), method=method)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("method", CHSH_METHODS)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf],
+                             ids=["nan", "inf", "minus-inf"])
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 3), (1, 2)])
+    def test_non_finite_state_is_refused(self, method, bad, entry):
+        # one non-finite entry of rho reaches every entry of T, T_00 too
+        m = mixed_bell(0.1).matrix.copy()
+        m[entry] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractError) as err:
+                chsh(DensityMatrix(PAIR, m), method=method)
+        assert str(err.value) == "readout state is not normalized (deviation nan)"
+
 
 def random_pair_dm(rng: np.random.Generator, floor: float,
                    rank: int = 4) -> DensityMatrix:
@@ -302,8 +345,9 @@ def pulse_counts(rho: DensityMatrix, theta_a: float, theta_b: float,
 
 
 def sampled_counts(rho, angles: BellAngles, shots: int,
-                   seed: int) -> np.ndarray:
-    """The (4, 4) counts behind chsh(rho, angles, "sampled", shots, seed)."""
+                   seed: int) -> list[list[int]]:
+    """The counts behind chsh(rho, angles, "sampled", shots, seed): four
+    rows of four ints."""
     return _draw(_populations(*_readings(correlation_tensor(rho), angles)),
                  shots, np.random.default_rng(seed))
 
@@ -368,12 +412,102 @@ class TestSampledCounts:
         assert draws >= 200
 
 
+# T_00 and one reading whose last population, -5e-324 / 4, is -0.0 before
+# the clip
+NEGATIVE_ZERO_EXAMPLE = (1.0, [(0.5, 0.5, -5e-324)])
+# T_00 and one reading whose rounded row sums to other bits in any order
+# but numpy's ((p0 + p1) + p2) + p3
+ROW_SUM_EXAMPLE = (1.0, [(0.09, -0.375, -0.366)])
+# the same for the row before the rounding: summed in another order, one of
+# its populations rounds to the other neighbour
+FIRST_ROW_SUM_EXAMPLE = (1.0, [(0.0173, 0.9257, 0.6048)])
+# T_00 and one reading whose populations 2^-13 are 122070312.5e-12: the
+# rounding to 12 decimals takes this tie to the even neighbour
+TIE_EXAMPLE = (1.0, [(0.0, 0.0, 1.0 - 2.0 ** -11)])
+SHOT_COUNTS = (1, 7, 4096, 2 ** 53 - 1, 2 ** 53 + 1, 2 ** 62, 2 ** 63 - 1)
+
+PAIR_TENSORS = st.one_of(
+    st.sampled_from((PHI_PLUS_T, PSI_PLUS_T)),
+    st.builds(lambda delta: mixed_tensor(PHI_PLUS_T, PSI_PLUS_T, delta),
+              st.floats(0.0, 1.0)),
+    st.builds(lambda seed, rank: correlation_tensor(
+        random_pair_dm(np.random.default_rng(seed), 0.0, rank)),
+        st.integers(0, 2 ** 32 - 1), st.integers(1, 4)))
+ANGLE = st.floats(-2.0 * np.pi, 2.0 * np.pi)
+# besides free settings, (a, a', +-a, +-a'): on a Bell state two settings
+# read E = cos^2 a + sin^2 a, which can round above 1, so that a population
+# is negative before the clip
+ANGLE_SETS = st.one_of(
+    st.lists(ANGLE, min_size=4, max_size=4).map(lambda a: BellAngles(*a)),
+    st.builds(lambda a, a_prime, sign: BellAngles(a, a_prime, sign * a, sign * a_prime),
+              ANGLE, ANGLE, st.sampled_from((1.0, -1.0))))
+SEEDS = st.one_of(st.integers(0, 2 ** 64 - 1),
+                  st.lists(st.integers(0, 2 ** 32 - 1), min_size=2, max_size=2))
+
+
+def float_hexes(out) -> tuple:
+    """A sampled BellOutcome's floats as float hex."""
+    return (out.b_value.hex(), tuple(e.hex() for e in out.correlations),
+            out.std_error.hex())
+
+
+class TestSampledReadoutIsNumpys:
+    """The sampled readout in Python floats gives the bits of its numpy
+    expression (conftest.numpy_sampled_chsh): the same populations, counts
+    and correlators."""
+
+    @settings(max_examples=300)
+    @given(t00=st.floats(1.0 - 1e-8, 1.0 + 1e-8),
+           readings=st.lists(st.tuples(*[st.floats(-1.0, 1.0)] * 3),
+                             min_size=1, max_size=4))
+    @example(*NEGATIVE_ZERO_EXAMPLE)
+    @example(*ROW_SUM_EXAMPLE)
+    @example(*FIRST_ROW_SUM_EXAMPLE)
+    @example(*TIE_EXAMPLE)
+    def test_populations_are_numpys(self, t00, readings):
+        got = _populations(t00, readings)
+        assert all(type(x) is float for row in got for x in row)
+        want = numpy_populations(t00, readings).tolist()
+        assert ([[x.hex() for x in row] for row in got]
+                == [[x.hex() for x in row] for row in want])
+
+    def test_the_examples_reach_the_clip_the_sum_order_and_a_tie(self):
+        t00, ((ra, rb, e),) = NEGATIVE_ZERO_EXAMPLE
+        assert ((t00 - ra - rb + e) / 4).hex() == "-0x0.0p+0"
+        assert _populations(*NEGATIVE_ZERO_EXAMPLE)[0][3].hex() == "0x0.0p+0"
+        t00, ((ra, rb, e),) = ROW_SUM_EXAMPLE
+        p = ((t00 + ra + rb + e) / 4, (t00 + ra - rb - e) / 4,
+             (t00 - ra + rb - e) / 4, (t00 - ra - rb + e) / 4)
+        q = [round(x / (((p[0] + p[1]) + p[2]) + p[3]) * 1e12) / 1e12 for x in p]
+        want = numpy_populations(*ROW_SUM_EXAMPLE).tolist()[0]
+        assert [x / (((q[0] + q[1]) + q[2]) + q[3]) for x in q] == want
+        for s in (q[0] + (q[1] + (q[2] + q[3])), (q[0] + q[1]) + (q[2] + q[3])):
+            assert [x / s for x in q] != want
+        assert _populations(*TIE_EXAMPLE)[0][1] * 1e12 == 122070312.0
+
+    def test_aligned_settings_reach_the_clip(self):
+        # phi+ at (0.08, -0.08) reads E = 1 + 2^-52, and p_01 = -2^-54
+        t00, readings = _readings(PHI_PLUS_T, BellAngles(0.08, 0.0, -0.08, 0.0))
+        ra, rb, e = readings[0]
+        assert (t00 + ra - rb - e) / 4 == -2.0 ** -54
+        assert _populations(t00, readings)[0][1].hex() == "0x0.0p+0"
+
+    @settings(max_examples=400)
+    @given(t=PAIR_TENSORS, angles=ANGLE_SETS, shots=st.sampled_from(SHOT_COUNTS),
+           seed=SEEDS)
+    def test_sampled_readout_is_numpys(self, t, angles, shots, seed):
+        got = tensor_chsh(t, angles, "sampled", shots, seed)
+        want = numpy_sampled_chsh(t, angles, shots, seed)
+        assert float_hexes(got) == float_hexes(want)
+
+
 class TestSampling:
     def test_counts_sum_to_shots(self):
         counts = sampled_counts(electronic_bell("phi_plus").to_density(),
                                 BellAngles(0.1, 0.7, 0.2, -0.4), 500, 3)
-        assert counts.shape == (4, 4)
-        assert np.array_equal(counts.sum(axis=1), [500] * 4)
+        assert len(counts) == 4 and all(len(row) == 4 for row in counts)
+        assert all(type(c) is int for row in counts for c in row)
+        assert [sum(row) for row in counts] == [500] * 4
 
     def test_single_shot_is_a_sign(self):
         out = chsh(electronic_bell("phi_plus").to_density(), BellAngles(0.3, 1.1, -0.2, 0.6),
@@ -396,7 +530,7 @@ class TestSampling:
         angles = BellAngles(0.5, 1.3, -0.3, 0.2)
         out = chsh(mixed_bell(0.1), angles, "sampled", 2000, 7)
         counts = sampled_counts(mixed_bell(0.1), angles, 2000, 7)
-        assert out.correlations == tuple(float(c @ OUTCOME_SIGNS) / 2000
+        assert out.correlations == tuple(float(np.dot(c, OUTCOME_SIGNS)) / 2000
                                          for c in counts)
         se = [sqrt(max(1.0 - e * e, 0.0) / 2000) for e in out.correlations]
         assert out.std_error == sqrt(sum(x ** 2 for x in se))

@@ -418,7 +418,7 @@ class TestBellBounds:
             correlation_tensor(electronic_bell("phi_plus").to_density()), angles))
         a = _draw(p, 500, np.random.default_rng(seed))
         b = _draw(p, 500, np.random.default_rng(seed))
-        assert np.array_equal(a, b)
+        assert a == b
 
     @settings(max_examples=25)
     @given(st.integers(0, 2**31 - 1))
