@@ -27,9 +27,12 @@ decays linearly to 2 sqrt(2) (1 - delta) when a parity-flipped component of
 weight delta is mixed in.
 
 An import of this module loads params and errors alone: numpy only for a
-density matrix or the sampled readout's generator and draw, and neither
-dataclasses nor inspect, because the angle set (BellAngles, a memo key) and
-the readout's record (BellOutcome) are NamedTuples.
+density matrix, and neither dataclasses nor inspect, because the angle set
+(BellAngles, a memo key) and the readout's record (BellOutcome) are
+NamedTuples.  The sampled readout draws its counts in catbell.sampler, on
+the standard library's Mersenne Twister, and imports it on its first call,
+so an exact readout never compiles it; tensor_chsh loads no numpy for
+either readout.
 """
 
 from __future__ import annotations
@@ -219,15 +222,6 @@ def _populations(t00: float, readings: list) -> list[tuple]:
     return rows
 
 
-def _draw(p: list, shots: int, rng: np.random.Generator) -> list[list[int]]:
-    """The counts of each row of p, as four Python ints: one multinomial
-    draw of shots per row, in row order, from rng.  Successive draws of one
-    row each give the counts of one draw of the (k, 4) array."""
-    if shots < 1:
-        raise ValueError("shots must be positive")
-    return [rng.multinomial(shots, row).tolist() for row in p]
-
-
 class BellOutcome(NamedTuple):
     b_value: float
     correlations: tuple[float, float, float, float]
@@ -255,14 +249,14 @@ def tensor_chsh(t: tuple, angles: BellAngles = DEFAULT_ANGLES,
     A T_00 = tr rho not 1 within NORM_TOL, or a reading (r_a, r_b, E)
     that is not finite, is a ContractError, for both methods.  The exact
     readout's correlators are the E of _readings, in Python floats with no
-    numpy.  sampled loads numpy for the generator and the draw alone: it
-    draws the four settings in combination order from one
-    np.random.default_rng(seed), from the populations of the same readings
-    (_populations), and each E is the signed sum of the counts over
-    OUTCOME_SIGNS in index order, over shots, in Python floats; these are
-    the bits of float(counts @ OUTCOME_SIGNS) / shots.  The seed may be any
-    value default_rng accepts, including a list used to derive independent
-    per-grid-point streams.
+    numpy.  sampled draws the four settings in combination order from one
+    stream of the seed (catbell.sampler.draw), from the populations of the
+    same readings (_populations), and each E is the signed sum of the
+    counts over OUTCOME_SIGNS in index order, over shots, in Python floats;
+    these are the bits of float(counts @ OUTCOME_SIGNS) / shots.  The seed
+    is a non-negative int, or a list or tuple of them, such as bell-scan's
+    [seed, i] per grid point; any other seed, or shots below 1, is refused
+    before any draw (catbell.sampler.seed_key).
     """
     if method not in CHSH_METHODS:
         raise ValueError(f"method must be one of {CHSH_METHODS}, got {method!r}")
@@ -276,9 +270,8 @@ def tensor_chsh(t: tuple, angles: BellAngles = DEFAULT_ANGLES,
     if method == "exact":
         es = [e for _, _, e in readings]
     else:
-        import numpy as np
-        rng = np.random.default_rng(seed)
-        counts = _draw(_populations(t00, readings), shots, rng)
+        from .sampler import draw
+        counts = draw(_populations(t00, readings), shots, seed)
         s0, s1, s2, s3 = OUTCOME_SIGNS
         es = [(s0 * c0 + s1 * c1 + s2 * c2 + s3 * c3) / shots
               for c0, c1, c2, c3 in counts]

@@ -17,9 +17,10 @@ overflows to inf), 141 stdout closed before all of it was written (as in
 message, and 141 = 128 + SIGPIPE is what a shell reports for a writer that
 SIGPIPE ended.  A run's output file is written before stdout.
 
-An import loads catbell.pipeline, params and errors and no numpy; a run
-adds its protocol's modules (catbell.pipeline says which).  No command
-loads dataclasses, and only describe loads inspect, for its cleandoc.
+An import loads catbell.pipeline, params and errors; a run adds its
+protocol's modules (catbell.pipeline says which), and no run loads numpy.
+No command loads dataclasses, and only describe loads inspect, for its
+cleandoc.
 """
 
 from __future__ import annotations
@@ -119,7 +120,9 @@ FIELDS = (
     Field("bell", "theta_a_prime", pi / 2, "number"),
     Field("bell", "theta_b", -pi / 4, "number"),
     Field("bell", "theta_b_prime", pi / 4, "number"),
-    # the sampler's multinomial draw takes at most 2**63 - 1 shots
+    # catbell.sampler holds its counts' sum and range up to 2**63 - 1 shots,
+    # the bound of numpy's int64 draw before it, so every config that ran
+    # still runs
     Field("bell", "shots", 4096, "integer", ge=1, le=2 ** 63 - 1),
     Field("bell", "mode", "exact", "choice", choices=CHSH_METHODS),
     Field("bell", "deltas", DEFAULT_DELTAS, "numbers", ge=0.0, le=1.0),

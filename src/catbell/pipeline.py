@@ -13,12 +13,14 @@ loads params and errors, which import no numpy, and each runner imports
 the modules it calls at its entry.  heat-sweep runs in params alone,
 prepare and rotate in catbell.coherent, swap-report in gates over it,
 bell-scan in bell and full-pipeline in bell and coherent, all in Python
-floats; only the sampled readouts load numpy.  No run loads dataclasses or
-inspect: the settings that key the memos (params.EncodingParams,
-bell.BellAngles) are NamedTuples, and an explicit epsilon is passed to
-EncodingParams.for_amplitudes, which runs every check of the class.  Every
-stage has one implementation: prepare and full-pipeline share
-coherent.preparation, and swap-report's gates are full-pipeline's maps.
+floats; a sampled readout adds catbell.sampler, which draws on the standard
+library's Mersenne Twister, so no run loads numpy.  No run loads
+dataclasses or inspect: the settings that key the memos
+(params.EncodingParams, bell.BellAngles) are NamedTuples, and an explicit
+epsilon is passed to EncodingParams.for_amplitudes, which runs every check
+of the class.  Every stage has one implementation: prepare and
+full-pipeline share coherent.preparation, and swap-report's gates are
+full-pipeline's maps.
 """
 
 from __future__ import annotations

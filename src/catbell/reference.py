@@ -6,20 +6,24 @@ from the closed Laguerre form instead of exponentiation, master-equation
 propagation from a dense superoperator exponential instead of step
 integration, the as-written vibration-controlled gate from dense exponentials
 instead of indexing, CHSH optima from exhaustive grid search instead of
-the known angles, and the readout's outcome populations from explicit
-carrier pulses on the two-qubit density matrix instead of the Pauli
-correlation tensor.  Tests freeze values produced here into JSON fixtures and
-hold the fast paths to them.  scipy is imported only by the three oracles
-that call it (displacement_elements, liouvillian_expm and
-u_ve_literal_oracle), so a checker that reads the numpy-only series does not
-load it.
+the known angles, the readout's outcome populations from explicit carrier
+pulses on the two-qubit density matrix instead of the Pauli correlation
+tensor, and the sampled readout's counts from a pure-Python Mersenne
+Twister and the binomial law's exact acceptance ratio instead of
+random.Random and catbell.sampler's floats.  Tests freeze values produced
+here into JSON fixtures and hold the fast paths to them.  scipy is imported
+only by the three oracles that call it (displacement_elements,
+liouvillian_expm and u_ve_literal_oracle), and decimal only by the
+sampler's oracle (binomial_draw), so a checker that reads the numpy-only
+series loads neither: perfbench's checks import this module in every
+worker, whose peak memory it counts.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
-from math import lgamma, log, pi
+from math import factorial, floor, lgamma, log, pi, sqrt
 from pathlib import Path
 
 import numpy as np
@@ -321,3 +325,176 @@ def swap_truth_oracle(alpha: float, cutoff: int, eps: float) -> dict:
     out = u_swap @ plus_in
     transfer = float(abs(np.vdot(plus_tgt, out)) ** 2)
     return {"rows": rows, "superposition_transfer": transfer}
+
+
+# the sampled readout's counts, read from the MT19937 stream and the exact
+# binomial law by code that shares nothing with catbell.sampler
+
+def seed_words(seed) -> list[int]:
+    """The init_by_array key of a readout seed, a non-negative int or a
+    list of them: per key its 32-bit word count and its words, low word
+    first, then a top word 1.  These are the 32-bit words of the one int
+    that catbell.sampler.seed_key packs, which CPython's int seeding hands
+    to init_by_array."""
+    key = []
+    for value in ([seed] if isinstance(seed, int) else list(seed)):
+        words = [value & 0xFFFFFFFF]
+        while value >> 32 * len(words):
+            words.append((value >> 32 * len(words)) & 0xFFFFFFFF)
+        key += [len(words), *words]
+    return key + [1]
+
+
+class MT19937:
+    """The Mersenne Twister of Matsumoto and Nishimura (ACM TOMACS 8, 3
+    (1998)) in Python ints, from their reference code mt19937ar.c:
+    init_by_array seeding and genrand_res53 doubles, which are what
+    random.Random(int).random() runs."""
+
+    N, M = 624, 397
+
+    def __init__(self, key: list[int]):
+        mt = [19650218]
+        for i in range(1, self.N):
+            mt.append((1812433253 * (mt[-1] ^ (mt[-1] >> 30)) + i) & 0xFFFFFFFF)
+        i, j = 1, 0
+        for _ in range(max(self.N, len(key))):
+            prev = mt[i - 1] ^ (mt[i - 1] >> 30)
+            mt[i] = ((mt[i] ^ (prev * 1664525)) + key[j] + j) & 0xFFFFFFFF
+            i, j = i + 1, (j + 1) % len(key)
+            if i == self.N:
+                mt[0], i = mt[-1], 1
+        for _ in range(self.N - 1):
+            prev = mt[i - 1] ^ (mt[i - 1] >> 30)
+            mt[i] = ((mt[i] ^ (prev * 1566083941)) - i) & 0xFFFFFFFF
+            i += 1
+            if i == self.N:
+                mt[0], i = mt[-1], 1
+        mt[0] = 0x80000000
+        self.state, self.index = mt, self.N
+
+    def genrand_int32(self) -> int:
+        mt = self.state
+        if self.index == self.N:
+            for kk in range(self.N):
+                y = (mt[kk] & 0x80000000) | (mt[(kk + 1) % self.N] & 0x7FFFFFFF)
+                mt[kk] = mt[(kk + self.M) % self.N] ^ (y >> 1) ^ (0x9908B0DF * (y & 1))
+            self.index = 0
+        y = mt[self.index]
+        self.index += 1
+        y ^= y >> 11
+        y ^= (y << 7) & 0x9D2C5680
+        y ^= (y << 15) & 0xEFC60000
+        return y ^ (y >> 18)
+
+    def genrand_res53(self) -> float:
+        """A double in [0, 1) on 53 bits of two outputs."""
+        a, b = self.genrand_int32() >> 5, self.genrand_int32() >> 6
+        return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0)
+
+
+# the Bernoulli numbers B_2 ... B_16 of the Stirling series of log Gamma
+_BERNOULLI = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730),
+              (7, 6), (-3617, 510))
+_PI = "3.14159265358979323846264338327950288419716939937510582097494459"
+
+
+def _log_factorial(k: int):
+    """log k! as a Decimal of the current context: the log of the exact
+    factorial below 256, else eight terms of the Stirling series of log
+    Gamma(k + 1), whose remainder is below 1e-41 there."""
+    from decimal import Decimal
+    if k < 256:
+        return Decimal(factorial(k)).ln()
+    z = Decimal(k + 1)
+    out = (z - Decimal("0.5")) * z.ln() - z + (2 * Decimal(_PI)).ln() / 2
+    for j, (num, den) in enumerate(_BERNOULLI, start=1):
+        out += Decimal(num) / (den * 2 * j * (2 * j - 1) * z ** (2 * j - 1))
+    return out
+
+
+def _log1m(p: float):
+    """log(1 - p) as a Decimal, 0 < p < 1, by its series below 1e-10."""
+    from decimal import Decimal
+    if p >= 1e-10:
+        return (1 - Decimal(p)).ln()
+    x = Decimal(p)
+    return -sum(x ** j / j for j in range(1, 8))
+
+
+def binomial_log_ratio(n: int, k: int, m: int, p: float):
+    """log f(k) / f(m) for the Binomial(n, p) pmf f, 0 < p < 1, as a
+    60-digit Decimal: log m! (n - m)! / (k! (n - k)!) + (k - m) log(p / (1
+    - p)), from the log factorials."""
+    from decimal import Decimal, localcontext
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return (_log_factorial(m) + _log_factorial(n - m) - _log_factorial(k)
+                - _log_factorial(n - k) + (k - m) * (Decimal(p).ln() - _log1m(p)))
+
+
+def binomial_draw(n: int, p: float, uniform) -> int:
+    """One Binomial(n, p) count by the readout's spec: 0 for n = 0 or p <=
+    0, n for p >= 1, n - Binomial(n, 1 - p) for p > 1/2, waiting times
+    below n p = 10 and BTRS (Hörmann, J. Stat. Comput. Simul. 46, 101
+    (1993)) from there.  The hat, the squeeze and k are the spec's floats;
+    the waiting times and the acceptance ratio f(k) / f(m)
+    (binomial_log_ratio) are exact, from 60-digit decimal logarithms."""
+    from decimal import Decimal, localcontext
+    if n == 0 or p <= 0.0:
+        return 0
+    if p >= 1.0:
+        return n
+    if p > 0.5:
+        return n - binomial_draw(n, 1.0 - p, uniform)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        if n * p < 10.0:
+            log_q = _log1m(p)
+            successes, trials = 0, 0
+            while True:
+                # trials up to and including the next success
+                gap = int(Decimal(1.0 - uniform()).ln() / log_q) + 1
+                trials += gap
+                if trials > n:
+                    return successes
+                successes += 1
+        q = 1.0 - p
+        spq = sqrt(n * p * q)
+        b = 1.15 + 2.53 * spq
+        a = -0.0873 + 0.0248 * b + 0.01 * p
+        c = n * p + 0.5
+        v_r = 0.92 - 4.2 / b
+        alpha = (2.83 + 5.1 / b) * spq
+        m = floor((n + 1) * p)
+        while True:
+            u, v = uniform() - 0.5, uniform()
+            us = 0.5 - abs(u)
+            if us == 0.0:
+                continue
+            k = floor((2.0 * a / us + b) * u + c)
+            if us >= 0.07 and v <= v_r:
+                return k
+            if not 0 <= k <= n:
+                continue
+            v = v * alpha / (a / (us * us) + b)
+            if v == 0.0 or Decimal(v).ln() <= binomial_log_ratio(n, k, m, p):
+                return k
+
+
+def multinomial_counts(rows, shots: int, seed) -> list[list[int]]:
+    """The sampled readout's counts of each row of outcome populations: for
+    each row in order, outcome j draws binomial_draw(shots left, p_j /
+    mass left), mass left being 1 - p_0 - ... - p_{j-1} subtracted in
+    floats, and the last outcome takes the shots left; the uniforms are
+    MT19937(seed_words(seed)).genrand_res53."""
+    uniform = MT19937(seed_words(seed)).genrand_res53
+    out = []
+    for row in rows:
+        counts, mass = [], 1.0
+        for p in row[:-1]:
+            left = shots - sum(counts)
+            counts.append(binomial_draw(left, p / mass, uniform) if left > 0 else 0)
+            mass -= p
+        out.append(counts + [shots - sum(counts)])
+    return out

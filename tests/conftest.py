@@ -11,9 +11,11 @@ mixed_bell, the delta mixture as a density matrix, partial_trace,
 state_fidelity, the Uhlmann dm_fidelity, mixed_bell_fidelity, the closed
 form that the pipeline's electronic_fidelity is held to, and bell_block
 and block_reference_fidelity, the same closed form read from the directly
-projected Bell block.  numpy_populations, numpy_counts and
-numpy_sampled_chsh are the sampled readout in numpy's arrays, whose bits
-bell.tensor_chsh's Python floats are held to.
+projected Bell block.  numpy_populations is the sampled readout's
+populations in numpy's arrays, whose bits bell._populations's Python
+floats are held to, and oracle_sampled_chsh the whole sampled readout with
+the counts of catbell.reference's sampler, whose bits bell.tensor_chsh's
+are held to.
 
 The Fock reference, at the end, is the differential reference of
 catbell.coherent: the preparation, the code rotations and the gate steps
@@ -89,7 +91,12 @@ from catbell.params import (
     check_unit,
     required_cutoff,
 )
-from catbell.reference import coherent_amplitudes, entangled_amplitudes, read_fixture
+from catbell.reference import (
+    coherent_amplitudes,
+    entangled_amplitudes,
+    multinomial_counts,
+    read_fixture,
+)
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
@@ -382,17 +389,13 @@ def numpy_populations(t00: float, readings: list) -> np.ndarray:
     return p / p.sum(axis=1, keepdims=True)
 
 
-def numpy_counts(p: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:
-    """(k, 4) counts: numpy's one multinomial draw of shots per row of p."""
-    return rng.multinomial(shots, p)
-
-
-def numpy_sampled_chsh(t: tuple, angles, shots: int, seed) -> BellOutcome:
-    """bell.tensor_chsh(t, angles, "sampled", shots, seed) in numpy: the
-    counts of numpy_counts from numpy_populations, and each correlator
-    float(counts @ OUTCOME_SIGNS) / shots."""
-    counts = numpy_counts(numpy_populations(*_readings(t, angles)), shots,
-                          np.random.default_rng(seed))
+def oracle_sampled_chsh(t: tuple, angles, shots: int, seed) -> BellOutcome:
+    """bell.tensor_chsh(t, angles, "sampled", shots, seed) by other code:
+    the reference sampler's counts (reference.multinomial_counts) of
+    numpy_populations, and each correlator float(counts @ OUTCOME_SIGNS) /
+    shots in numpy."""
+    counts = np.array(multinomial_counts(numpy_populations(*_readings(t, angles)).tolist(),
+                                         shots, seed))
     signs = np.array(OUTCOME_SIGNS)
     es = [float(c @ signs) / shots for c in counts]
     err = sqrt(sum(sqrt(max(1.0 - e * e, 0.0) / shots) ** 2 for e in es))

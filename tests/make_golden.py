@@ -3,11 +3,14 @@
 Run from the repository root:
 
     python3 tests/make_golden.py            # rewrite the fixtures
+    python3 tests/make_golden.py sampled_counts.json   # rewrite the named ones
     python3 tests/make_golden.py --check    # also print main-path values side by side
 
 Every frozen value comes from the independent slow routes in
 catbell.reference (log-space series amplitudes, Laguerre displacement
-elements, dense superoperator exponentials, closed-form Poisson arithmetic).
+elements, dense superoperator exponentials, closed-form Poisson arithmetic,
+and the sampled readout's counts from a pure-Python MT19937 and the exact
+binomial law).
 The --check pass is the only part that touches the fast constructors, and it
 never writes anything.
 """
@@ -29,6 +32,7 @@ from catbell.reference import (  # noqa: E402
     cat_amplitudes,
     exchange_matrix_oracle,
     liouvillian_expm,
+    multinomial_counts,
     poisson_jump_stats,
     swap_truth_oracle,
     write_fixture,
@@ -130,10 +134,46 @@ def build_jump_fixture() -> list[OracleReport]:
     ]
 
 
+# (name, seed, shots, outcome populations): seeds as the readout gets them,
+# an int or bell-scan's [seed, i]; rows of phi+ at the default angles and of
+# its mixture, zeros, a clipped edge (the aligned settings of
+# test_bell.py's clip example), p = 1/2, a tiny p, waiting-time rows (n p <
+# 10) and a row whose third conditional ratio rounds past 1
+PHI_PLUS_ROWS = [(0.426776695297, 0.073223304703, 0.073223304703, 0.426776695297)] * 3 + [
+    (0.073223304703, 0.426776695297, 0.426776695297, 0.073223304703)]
+EDGE_ROWS = [(0.5, 0.0, 0.0, 0.5),
+             (0.499200426576, 0.000799573424, 0.000799573424, 0.499200426576),
+             (1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 1.0)]
+MIXED_ROWS = [(0.320710678119, 0.179289321881, 0.179289321881, 0.320710678119),
+              (0.179289321881, 0.320710678119, 0.320710678119, 0.179289321881),
+              (0.5, 0.5, 0.0, 0.0), (0.25, 0.25, 0.25, 0.25)]
+SMALL_ROWS = [(0.001, 0.002, 0.3, 0.697), (1e-12, 0.999999999999, 0.0, 0.0),
+              (0.20653979926290988, 0.4723600995629812, 0.321100101174109, 0.0),
+              (0.0, 0.5, 0.0, 0.5)]
+COUNT_CASES = [
+    ("phi_plus", 0, 4096, PHI_PLUS_ROWS),
+    ("phi_plus_grid_point", [1201, 3], 4096, PHI_PLUS_ROWS),
+    ("edges", 5, 4096, EDGE_ROWS),
+    ("mixed", [2 ** 64 - 1, 0], 4096, MIXED_ROWS),
+    ("small", [7, 2], 4096, SMALL_ROWS),
+    ("one_shot", 11, 1, MIXED_ROWS + EDGE_ROWS),
+    ("seven_shots", [0, 9], 7, SMALL_ROWS + PHI_PLUS_ROWS),
+    ("beyond_2_53", 2 ** 32, 2 ** 53 + 1, MIXED_ROWS + EDGE_ROWS + SMALL_ROWS),
+]
+
+
+def build_sampled_fixture() -> list[OracleReport]:
+    return [OracleReport(f"counts[{name}]", multinomial_counts(rows, shots, seed),
+                         {"seed": seed, "shots": shots, "rows": [list(r) for r in rows]},
+                         0.0)
+            for name, seed, shots, rows in COUNT_CASES]
+
+
 FIXTURES = {
     "swap_alpha8.json": build_swap_fixture,
     "heating_parity.json": build_heating_fixture,
     "jump_stats.json": build_jump_fixture,
+    "sampled_counts.json": build_sampled_fixture,
 }
 
 
@@ -169,13 +209,19 @@ def check_against_main_path() -> None:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("names", nargs="*", metavar="NAME",
+                        help=f"the fixtures to rewrite, of {', '.join(FIXTURES)} "
+                             "(default: all of them)")
     parser.add_argument("--check", action="store_true",
                         help="also print main-path values for comparison")
     args = parser.parse_args()
+    unknown = sorted(set(args.names) - set(FIXTURES))
+    if unknown:
+        parser.error(f"no fixture named {', '.join(unknown)}")
 
     GOLDEN_DIR.mkdir(exist_ok=True)
-    for name, builder in FIXTURES.items():
-        reports = builder()
+    for name in args.names or FIXTURES:
+        reports = FIXTURES[name]()
         path = GOLDEN_DIR / name
         write_fixture(path, reports)
         for rep in reports:

@@ -19,7 +19,6 @@ from catbell.bell import (
     PSI_PLUS_T,
     TSIRELSON,
     BellAngles,
-    _draw,
     _populations,
     _readings,
     _setting_vectors,
@@ -38,7 +37,8 @@ from catbell.params import (
     EncodingParams,
     ModeParams,
 )
-from catbell.reference import pulse_correlators, pulse_populations
+from catbell.reference import multinomial_counts, pulse_correlators, pulse_populations
+from catbell.sampler import draw
 from conftest import (
     SchmidtState,
     basis_state,
@@ -49,7 +49,7 @@ from conftest import (
     mixed_bell,
     mixed_bell_fidelity,
     numpy_populations,
-    numpy_sampled_chsh,
+    oracle_sampled_chsh,
     reduced_electronic,
     reduced_electronic_schmidt,
 )
@@ -335,21 +335,24 @@ class TestCorrelationTensor:
         assert chsh(rho, method="sampled", shots=512, seed=4) == want[1]
 
 
-def pulse_counts(rho: DensityMatrix, theta_a: float, theta_b: float,
-                 shots: int, rng: np.random.Generator) -> np.ndarray:
-    """A multinomial draw from the oracle's populations of the pulse-rotated
-    rho, clipped, normalized and rounded the way the sampler rounds."""
-    p = np.clip(pulse_populations(rho.matrix, theta_a, theta_b), 0.0, None)
-    p = np.round(p / p.sum(), 12)
-    return rng.multinomial(shots, p / p.sum())
+def pulse_counts(rho: DensityMatrix, angles: BellAngles, shots: int,
+                 seed) -> np.ndarray:
+    """The reference sampler's counts (reference.multinomial_counts) from
+    the oracle's populations of the pulse-rotated rho at each setting,
+    clipped, normalized and rounded the way the readout rounds: (4, 4)."""
+    rows = []
+    for ta, tb in angles.settings():
+        p = np.clip(pulse_populations(rho.matrix, ta, tb), 0.0, None)
+        p = np.round(p / p.sum(), 12)
+        rows.append((p / p.sum()).tolist())
+    return np.array(multinomial_counts(rows, shots, seed))
 
 
 def sampled_counts(rho, angles: BellAngles, shots: int,
                    seed: int) -> list[list[int]]:
     """The counts behind chsh(rho, angles, "sampled", shots, seed): four
     rows of four ints."""
-    return _draw(_populations(*_readings(correlation_tensor(rho), angles)),
-                 shots, np.random.default_rng(seed))
+    return draw(_populations(*_readings(correlation_tensor(rho), angles)), shots, seed)
 
 
 class TestMixtureTensor:
@@ -376,13 +379,13 @@ class TestMixtureTensor:
         assert np.abs(np.subtract(t, correlation_tensor(rho))).max() <= 1e-15
         assert abs(tensor_chsh(t, angles).b_value
                    - chsh(rho, angles).b_value) <= 2e-15
-        counts = _draw(_populations(*_readings(t, angles)), 512,
-                       np.random.default_rng(seed))
-        assert np.array_equal(counts, sampled_counts(rho, angles, 512, seed))
+        counts = draw(_populations(*_readings(t, angles)), 512, seed)
+        assert counts == sampled_counts(rho, angles, 512, seed)
 
 
 class TestSampledCounts:
-    """Populations read from T draw the counts of the oracle's pulse-rotated rho."""
+    """Populations read from T draw the counts that the reference sampler
+    draws from the oracle's pulse-rotated rho."""
 
     def cases(self):
         rng = np.random.default_rng(2024)
@@ -400,8 +403,7 @@ class TestSampledCounts:
     def test_counts_equal_the_pulse_path(self):
         draws = 0
         for rho, angles, shots, seed in self.cases():
-            rng = np.random.default_rng(seed)
-            want = [pulse_counts(rho, ta, tb, shots, rng) for ta, tb in angles.settings()]
+            want = pulse_counts(rho, angles, shots, seed)
             got = sampled_counts(rho, angles, shots, seed)
             for row, counts in zip(got, want):
                 assert np.array_equal(row, counts)
@@ -452,9 +454,8 @@ def float_hexes(out) -> tuple:
 
 
 class TestSampledReadoutIsNumpys:
-    """The sampled readout in Python floats gives the bits of its numpy
-    expression (conftest.numpy_sampled_chsh): the same populations, counts
-    and correlators."""
+    """The sampled readout's populations in Python floats are the bits of
+    their numpy expression (conftest.numpy_populations)."""
 
     @settings(max_examples=300)
     @given(t00=st.floats(1.0 - 1e-8, 1.0 + 1e-8),
@@ -492,12 +493,18 @@ class TestSampledReadoutIsNumpys:
         assert (t00 + ra - rb - e) / 4 == -2.0 ** -54
         assert _populations(t00, readings)[0][1].hex() == "0x0.0p+0"
 
+
+class TestSampledReadoutIsTheOracles:
+    """The sampled readout gives the bits of conftest.oracle_sampled_chsh:
+    numpy's populations, the reference sampler's counts and numpy's
+    correlators."""
+
     @settings(max_examples=400)
     @given(t=PAIR_TENSORS, angles=ANGLE_SETS, shots=st.sampled_from(SHOT_COUNTS),
            seed=SEEDS)
-    def test_sampled_readout_is_numpys(self, t, angles, shots, seed):
+    def test_sampled_readout_is_the_oracles(self, t, angles, shots, seed):
         got = tensor_chsh(t, angles, "sampled", shots, seed)
-        want = numpy_sampled_chsh(t, angles, shots, seed)
+        want = oracle_sampled_chsh(t, angles, shots, seed)
         assert float_hexes(got) == float_hexes(want)
 
 
@@ -523,8 +530,8 @@ class TestSampling:
         a = chsh(mixed_bell(0.2), angles, "sampled", 1000, 11)
         b = chsh(mixed_bell(0.2), angles, "sampled", 1000, 11)
         assert a == b
-        assert np.array_equal(sampled_counts(mixed_bell(0.2), angles, 1000, 11),
-                              sampled_counts(mixed_bell(0.2), angles, 1000, 11))
+        assert (sampled_counts(mixed_bell(0.2), angles, 1000, 11)
+                == sampled_counts(mixed_bell(0.2), angles, 1000, 11))
 
     def test_estimator_consistency(self):
         angles = BellAngles(0.5, 1.3, -0.3, 0.2)

@@ -1345,7 +1345,7 @@ class TestMainEntry:
         # a fresh interpreter imports the command line and runs every
         # protocol (full-pipeline with both gate builds): numpy is the one
         # runtime dependency, and scipy serves only the oracles and tests;
-        # the import leaves numpy.random to the runs that sample
+        # the import loads no numpy.random, which no run draws from
         script = textwrap.dedent("""\
             import json, sys
             from catbell import cli
@@ -1385,7 +1385,8 @@ class TestMainEntry:
     # no run loads an array module: prepare and rotate run in coherent
     # states, swap-report in gates over them, heat-sweep in params,
     # bell-scan reads its mixtures' tensors in bell, and full-pipeline runs
-    # coherent states and bell, all in Python floats
+    # coherent states and bell, all in Python floats; a sampled readout
+    # adds its sampler
     FOOTPRINTS = {
         "prepare": ({"protocol": "prepare"}, {"coherent"}),
         "rotate": ({"protocol": "rotate"}, {"coherent"}),
@@ -1393,14 +1394,14 @@ class TestMainEntry:
         "swap-report": ({"protocol": "swap-report"}, {"gates", "coherent"}),
         "bell-scan-exact": ({"protocol": "bell-scan"}, {"bell"}),
         "bell-scan-sampled": (
-            {"protocol": "bell-scan", "bell": {"mode": "sampled"}}, {"bell"}),
+            {"protocol": "bell-scan", "bell": {"mode": "sampled"}}, {"bell", "sampler"}),
         "full-pipeline-given-delta": (
             {"protocol": "full-pipeline", "noise": {"delta": 0.1}},
             {"bell", "coherent"}),
         "full-pipeline-given-delta-sampled": (
             {"protocol": "full-pipeline", "noise": {"delta": 0.1},
              "bell": {"mode": "sampled"}},
-            {"bell", "coherent"}),
+            {"bell", "coherent", "sampler"}),
         "full-pipeline-null-delta": (
             {"protocol": "full-pipeline"}, {"bell", "coherent"}),
     }

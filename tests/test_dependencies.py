@@ -320,7 +320,7 @@ def test_importing_the_package_loads_only_its_one_binding():
 def test_no_readout_loads_gates():
     # the mixture is read from its tensor, and a density matrix through
     # the hilbert layer; no readout loads the modes' Fock space (encoding,
-    # bosonic) or the gates
+    # bosonic) or the gates, and the sampled one adds its sampler alone
     bell, exact, sampled, matrix = loaded_modules(
         "import catbell.bell as bell",
         "t = bell.mixed_tensor(bell.PHI_PLUS_T, bell.PSI_PLUS_T, 0.1); "
@@ -330,8 +330,9 @@ def test_no_readout_loads_gates():
         "bell.chsh(DensityMatrix(SpaceLayout((2, 2)), [[1 / 2, 0, 0, 1 / 2], "
         "[0] * 4, [0] * 4, [1 / 2, 0, 0, 1 / 2]]))")
     assert bell == {"catbell", "catbell.bell", "catbell.params", "catbell.errors"}
-    assert exact == sampled == bell
-    assert matrix == bell | {"catbell.hilbert"}
+    assert exact == bell
+    assert sampled == bell | {"catbell.sampler"}
+    assert matrix == sampled | {"catbell.hilbert"}
 
 
 def test_the_exact_readout_of_a_tuple_loads_no_numpy():
@@ -355,6 +356,16 @@ def test_the_oracle_module_loads_scipy_only_in_its_scipy_oracles():
         package="scipy")
     assert imported == series == pulses == set()
     assert "scipy.special" in oracle
+
+
+def test_the_oracle_module_loads_decimal_only_in_the_samplers_oracle():
+    imported, series, counts = loaded_modules(
+        "import catbell.reference",
+        "catbell.reference.cat_amplitudes(2.0, 1, 30)",
+        "catbell.reference.multinomial_counts([(0.5, 0.5, 0.0, 0.0)], 64, 1)",
+        package="decimal")
+    assert imported == series == set()
+    assert counts == {"decimal"}
 
 
 def test_the_command_line_loads_no_argparse():
@@ -393,8 +404,7 @@ def test_the_front_door_loads_no_dataclasses(name):
 
 # the exact run of each protocol of cli.PROTOCOLS in Python floats alone,
 # each in a fresh interpreter: the config extras and a line that the output
-# holds, where a protocol needs them; a new protocol joins on its defaults.
-# The sampled readouts still draw from numpy's Generator (ROADMAP item 32)
+# holds, where a protocol needs them; a new protocol joins on its defaults
 RUN_EXTRAS = {
     "heat-sweep": [("heat-sweep", {"encoding": {"alpha": 3.0},
                                    "noise": {"durations": [0.0, 1.0, 2.0]}}, "\n2,")],
@@ -412,24 +422,49 @@ NUMPY_FREE_RUNS = [pytest.param(dict(extra, protocol=protocol), line, id=name)
                                                            [(protocol, {}, "\n")])]
 
 
-@pytest.mark.parametrize("raw,line", NUMPY_FREE_RUNS)
-def test_an_exact_run_loads_no_numpy(tmp_path, raw, line):
+# the sampled run of each protocol that has a sampled readout: it draws on
+# the standard library's Mersenne Twister (catbell.sampler)
+SAMPLED_RUNS = [
+    pytest.param({"protocol": "full-pipeline", "encoding": {"alpha": 2.0},
+                  "bell": {"mode": "sampled"}}, "\nb_std_error,", id="full-pipeline-sampled"),
+    pytest.param({"protocol": "bell-scan", "bell": {"mode": "sampled"}},
+                 "delta,B,std_error\n0,", id="bell-scan-sampled"),
+]
+
+
+def run_loads(tmp_path, raw: dict, line: str, package) -> set[str]:
+    """The modules of package that `catbell run` of the config raw loads
+    in a fresh interpreter; its output holds line."""
     config = tmp_path / "config.json"
     config.write_text(json.dumps(raw))
     run = (f"import catbell.cli; assert catbell.cli.main(['run', "
            f"{str(config)!r}, '--output', {str(tmp_path)!r}]) == 0")
-    assert loaded_modules(run, package="numpy") == [set()]
+    (loaded,) = loaded_modules(run, package=package)
     assert line in (tmp_path / f"{raw['protocol']}.csv").read_text()
+    return loaded
+
+
+@pytest.mark.parametrize("raw,line", NUMPY_FREE_RUNS)
+def test_an_exact_run_loads_no_numpy(tmp_path, raw, line):
+    assert run_loads(tmp_path, raw, line, "numpy") == set()
+
+
+@pytest.mark.parametrize("raw,line", SAMPLED_RUNS)
+def test_a_sampled_run_loads_no_numpy(tmp_path, raw, line):
+    assert run_loads(tmp_path, raw, line, "numpy") == set()
+
+
+# an exact run never compiles the sampler, so the exact cold op of every
+# benchmark workload is as cheap as before the sampler moved into Python
+@pytest.mark.parametrize("raw,line", NUMPY_FREE_RUNS + SAMPLED_RUNS)
+def test_only_a_sampled_run_imports_the_sampler(tmp_path, raw, line):
+    sampled = raw.get("bell", {}).get("mode") == "sampled"
+    assert ("catbell.sampler" in run_loads(tmp_path, raw, line, "catbell")) == sampled
 
 
 @pytest.mark.parametrize("raw,line", NUMPY_FREE_RUNS)
 def test_an_exact_run_loads_no_dataclasses_or_inspect(tmp_path, raw, line):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(raw))
-    run = (f"import catbell.cli; assert catbell.cli.main(['run', "
-           f"{str(config)!r}, '--output', {str(tmp_path)!r}]) == 0")
-    assert loaded_modules(run, package=RECORD_MODULES) == [set()]
-    assert line in (tmp_path / f"{raw['protocol']}.csv").read_text()
+    assert run_loads(tmp_path, raw, line, RECORD_MODULES) == set()
 
 
 # README's table of the per-process caches.  Its one row that is not a

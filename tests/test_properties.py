@@ -17,7 +17,6 @@ from catbell.bell import (
     DEFAULT_ANGLES,
     TSIRELSON,
     BellAngles,
-    _draw,
     _populations,
     _readings,
     chsh,
@@ -48,6 +47,7 @@ from catbell.reference import (
     swap_truth_oracle,
     u_ve_literal_oracle,
 )
+from catbell.sampler import draw
 from conftest import (
     displacement,
     electronic_bell,
@@ -416,8 +416,8 @@ class TestBellBounds:
         angles = BellAngles(0.3, 1.0, 0.7, -0.2)
         p = _populations(*_readings(
             correlation_tensor(electronic_bell("phi_plus").to_density()), angles))
-        a = _draw(p, 500, np.random.default_rng(seed))
-        b = _draw(p, 500, np.random.default_rng(seed))
+        a = draw(p, 500, seed)
+        b = draw(p, 500, seed)
         assert a == b
 
     @settings(max_examples=25)
